@@ -18,6 +18,7 @@
 //! the pre-brownout entry points delegate to it unchanged.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use cta_sim::{AttentionTask, CtaSystem, LayerStep, PhaseSplit, TaskCost};
 
@@ -167,6 +168,23 @@ impl CostModel {
             .sum()
     }
 
+    /// Every layer's solo step time for `request` at the baseline
+    /// operating point, in layer order: a decode segment per layer for
+    /// session turns, a full prefill step otherwise. Every service
+    /// estimate derives from this one pricing branch; the runtime computes
+    /// it once at admission and carries it with the request, so later
+    /// remaining-work estimates re-sum these values
+    /// ([`remaining_from_layers_s`]) instead of re-pricing layers.
+    pub fn layer_times_s(&mut self, system: &CtaSystem, request: &ServeRequest) -> Rc<[f64]> {
+        let layers = request.layer_tasks.iter();
+        match &request.session {
+            Some(turn) => {
+                layers.map(|tasks| self.step_layer_decode(system, tasks, turn).elapsed_s).collect()
+            }
+            None => layers.map(|tasks| self.step_layer(system, tasks).elapsed_s).collect(),
+        }
+    }
+
     /// Estimated *solo* service time of a request on an idle replica at
     /// the baseline operating point: the one-time weight upload plus every
     /// layer's step time, with no batching. Under continuous batching the
@@ -175,20 +193,7 @@ impl CostModel {
     /// valid admissibility lower bound. Degraded replicas run *faster*
     /// than this, so the bound stays valid fleet-wide under brownout.
     pub fn request_service_s(&mut self, system: &CtaSystem, request: &ServeRequest) -> f64 {
-        if let Some(turn) = request.session {
-            return system.weight_upload_s()
-                + request
-                    .layer_tasks
-                    .iter()
-                    .map(|tasks| self.step_layer_decode(system, tasks, &turn).elapsed_s)
-                    .sum::<f64>();
-        }
-        system.weight_upload_s()
-            + request
-                .layer_tasks
-                .iter()
-                .map(|tasks| self.step_layer(system, tasks).elapsed_s)
-                .sum::<f64>()
+        self.remaining_service_s(system, request, 0)
     }
 
     /// Estimated remaining service of a request whose first `cursor`
@@ -200,24 +205,20 @@ impl CostModel {
         request: &ServeRequest,
         cursor: usize,
     ) -> f64 {
-        let upload = if cursor == 0 { system.weight_upload_s() } else { 0.0 };
-        if let Some(turn) = request.session {
-            return upload
-                + request
-                    .layer_tasks
-                    .iter()
-                    .skip(cursor)
-                    .map(|tasks| self.step_layer_decode(system, tasks, &turn).elapsed_s)
-                    .sum::<f64>();
-        }
-        upload
-            + request
-                .layer_tasks
-                .iter()
-                .skip(cursor)
-                .map(|tasks| self.step_layer(system, tasks).elapsed_s)
-                .sum::<f64>()
+        let layer_s = self.layer_times_s(system, request);
+        remaining_from_layers_s(system.weight_upload_s(), &layer_s, cursor)
     }
+}
+
+/// Remaining service of a request with per-layer step times `layer_s`
+/// whose first `cursor` layers have been dispatched: `upload_s` (charged
+/// only at `cursor == 0`) plus the remaining layers, summed in layer
+/// order. The one remaining-work formula: [`CostModel::remaining_service_s`]
+/// applies it to freshly priced layers, the runtime to the times a request
+/// carries, so both give the same bits.
+pub(crate) fn remaining_from_layers_s(upload_s: f64, layer_s: &[f64], cursor: usize) -> f64 {
+    let upload = if cursor == 0 { upload_s } else { 0.0 };
+    upload + layer_s[cursor..].iter().sum::<f64>()
 }
 
 #[cfg(test)]

@@ -372,6 +372,7 @@ mod tests {
         replicas[0].enqueue(crate::replica::Pending::fresh(
             crate::poisson_requests(&spec, 1, 1.0, 1).remove(0),
             0.1,
+            vec![0.05; 2].into(),
         ));
         let mut sink = NullSink;
         let mask = bank.mask(&replicas, 100.0, &mut sink);

@@ -4,15 +4,16 @@
 //! hedge timers, replica layer steps — are handled by methods on
 //! [`EngineState`], and two drivers decide *which* handler runs next:
 //!
+//! * [`FleetEngine::EventDriven`] (the default) — a `cta-events`
+//!   calendar queue holds one event per pending source (the next arrival
+//!   and next fault are chained; each replica keeps at most one scheduled
+//!   step; every retry backoff and hedge timer is an event with a
+//!   cancellation token). O(1) amortized per event, which is what makes
+//!   1k+ replica fleets tractable.
 //! * [`FleetEngine::StepGranular`] — the original loop: every iteration
 //!   scans all replicas for the earliest step and cascades through the
-//!   due-conditions. O(replicas) per event; the reference semantics.
-//! * [`FleetEngine::EventDriven`] — a `cta-events` calendar queue holds
-//!   one event per pending source (the next arrival and next fault are
-//!   chained; each replica keeps at most one scheduled step; every retry
-//!   backoff and hedge timer is an event with a cancellation token).
-//!   O(1) amortized per event, which is what makes 1k+ replica fleets
-//!   tractable.
+//!   due-conditions. O(replicas) per event; kept as the reference oracle
+//!   the equivalence suites compare the event driver against.
 //!
 //! Both drivers invoke the *same* handler code, so every floating-point
 //! operation happens in the same order and the reports are bitwise
@@ -25,6 +26,7 @@
 //! schedule order.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 
 use cta_events::{EventId, EventLoop};
 use cta_sim::CtaSystem;
@@ -33,6 +35,7 @@ use cta_tenancy::{
     Autoscaler, Backpressure, FairQueue, ScaleEvent, TenancyStats, TenantOutcome, TokenBucket,
 };
 
+use crate::cost::remaining_from_layers_s;
 use crate::detector::DetectorBank;
 use crate::fault::{FaultEvent, FaultKind};
 use crate::overload::{BreakerEvent, BreakerState, CircuitBreaker, Transition};
@@ -47,11 +50,11 @@ use crate::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetEngine {
     /// Scan all replicas for the earliest step every iteration (the
-    /// original loop). O(replicas) per event; the reference semantics.
-    #[default]
+    /// original loop). O(replicas) per event; the reference oracle.
     StepGranular,
-    /// Calendar-queue event loop: O(1) amortized per event, bitwise
-    /// identical reports (pinned by test).
+    /// Calendar-queue event loop (the default): O(1) amortized per event,
+    /// bitwise identical reports (pinned by test).
+    #[default]
     EventDriven,
 }
 
@@ -106,6 +109,8 @@ struct RetryEntry {
     /// Layer to resume from.
     cursor: usize,
     request: ServeRequest,
+    /// Per-layer solo step times priced at admission.
+    layer_s: Rc<[f64]>,
 }
 
 /// Inserts keeping (retry_s asc, id asc) order.
@@ -132,6 +137,8 @@ struct HedgeEntry {
     request: ServeRequest,
     /// Solo service estimate cached at admission.
     est_service_s: f64,
+    /// Per-layer solo step times priced at admission.
+    layer_s: Rc<[f64]>,
 }
 
 /// Inserts keeping (fire_s asc, id asc) order.
@@ -227,6 +234,9 @@ struct EngineState<'a> {
     completions: Vec<Completion>,
     shed: Vec<Shed>,
     rr_cursor: usize,
+    /// Replicas currently up, kept by `handle_fault` so per-arrival
+    /// brownout sensing needs no fleet scan.
+    up_count: usize,
     next_arrival: usize,
     fault_events: Vec<FaultEvent>,
     next_fault: usize,
@@ -322,6 +332,7 @@ impl<'a> EngineState<'a> {
             completions: Vec::with_capacity(requests.len()),
             shed: Vec::new(),
             rr_cursor: 0,
+            up_count: cfg.replicas,
             next_arrival: 0,
             fault_events: cfg.faults.timeline(),
             next_fault: 0,
@@ -365,7 +376,7 @@ impl<'a> EngineState<'a> {
             self.session_turns_shed += 1;
             self.lost_sessions.insert(turn.session);
             if let Some(r) = self.sessions.remove(&turn.session) {
-                self.replicas[r].resident_sessions.retain(|(s, _)| *s != turn.session);
+                self.replicas[r].release_session(turn.session);
             }
         }
     }
@@ -381,9 +392,9 @@ impl<'a> EngineState<'a> {
             return;
         }
         if let Some(p) = prev {
-            self.replicas[p].resident_sessions.retain(|(s, _)| *s != session);
+            self.replicas[p].release_session(session);
         }
-        self.replicas[target].resident_sessions.push((session, hold_s));
+        self.replicas[target].hold_session(session, hold_s);
         if turn > 0 {
             self.re_prefills += 1;
         }
@@ -460,6 +471,9 @@ impl<'a> EngineState<'a> {
         }
         if ev.kind == FaultKind::Up {
             let since = self.replicas[ev.replica].down_since;
+            if !self.replicas[ev.replica].up {
+                self.up_count += 1;
+            }
             self.replicas[ev.replica].recover(ev.t_s);
             if S::ENABLED {
                 sink.span(track, "outage", since, ev.t_s, SpanClass::Fault, true);
@@ -471,6 +485,9 @@ impl<'a> EngineState<'a> {
                 self.drain_tenancy(ev.t_s, sink);
             }
         } else {
+            if self.replicas[ev.replica].up {
+                self.up_count -= 1;
+            }
             let orphans = self.replicas[ev.replica].crash(ev.t_s);
             if S::ENABLED {
                 sink.instant(track, "replica-down", ev.t_s);
@@ -478,7 +495,7 @@ impl<'a> EngineState<'a> {
             // A crash evicts every resident session's compression state:
             // the next turn of each must re-prefill wherever it lands.
             if self.session_on {
-                for (s, _) in std::mem::take(&mut self.replicas[ev.replica].resident_sessions) {
+                for (s, _) in self.replicas[ev.replica].evict_sessions() {
                     if self.sessions.get(&s) == Some(&ev.replica) {
                         self.sessions.remove(&s);
                     }
@@ -540,9 +557,9 @@ impl<'a> EngineState<'a> {
                 // budget.
                 if cfg.admission.enforce_deadlines {
                     if let Some(d) = p.request.class.deadline_s {
-                        let mut remaining =
-                            self.cost.remaining_service_s(&self.system, &p.request, cursor)
-                                + if cursor > 0 { self.system.weight_upload_s() } else { 0.0 };
+                        let upload_s = self.system.weight_upload_s();
+                        let mut remaining = remaining_from_layers_s(upload_s, &p.layer_s, cursor)
+                            + if cursor > 0 { upload_s } else { 0.0 };
                         if p.request.session.is_some() {
                             remaining += self.cost.session_prefill_s(&self.system, &p.request);
                         }
@@ -565,7 +582,13 @@ impl<'a> EngineState<'a> {
                     sink.instant(track, "requeue", ev.t_s);
                     sink.counter(track, "retries", ev.t_s, self.requeues_total as f64);
                 }
-                self.queue_retry(RetryEntry { retry_s, attempt, cursor, request: p.request });
+                self.queue_retry(RetryEntry {
+                    retry_s,
+                    attempt,
+                    cursor,
+                    request: p.request,
+                    layer_s: p.layer_s,
+                });
             }
         }
     }
@@ -622,13 +645,9 @@ impl<'a> EngineState<'a> {
         };
         let chosen = match sticky {
             Some(t) => Some(t),
-            None => cfg.routing.choose(
-                &mut self.replicas,
-                &mut self.cost,
-                now,
-                &mut self.rr_cursor,
-                mask.as_deref(),
-            ),
+            None => {
+                cfg.routing.choose(&mut self.replicas, now, &mut self.rr_cursor, mask.as_deref())
+            }
         };
         let Some(target) = chosen else {
             // No routable replica: the whole fleet is down (or every
@@ -656,7 +675,11 @@ impl<'a> EngineState<'a> {
             self.note_session_shed(request);
             return Dispatch::Shed;
         };
-        let mut est_service_s = self.cost.request_service_s(&self.system, request);
+        // Price every layer once; the solo estimate is their sum (the
+        // same bits as `CostModel::request_service_s`), and the times ride
+        // the queued entry so routing never re-prices this request.
+        let layer_s = self.cost.layer_times_s(&self.system, request);
+        let mut est_service_s = remaining_from_layers_s(self.system.weight_upload_s(), &layer_s, 0);
         // A turn landing anywhere but its resident replica (including
         // every session's first turn) rebuilds the prefix state before it
         // can decode; the debt rides both the admission estimate and the
@@ -670,7 +693,7 @@ impl<'a> EngineState<'a> {
                 }
             }
         }
-        let est_wait_s = self.replicas[target].outstanding_s(&mut self.cost, now);
+        let est_wait_s = self.replicas[target].outstanding_s(now);
         // A held request has already aged in the fair queue; its deadline
         // budget shrinks accordingly. The guard keeps the direct path
         // (where now == arrival) float-for-float untouched.
@@ -684,7 +707,7 @@ impl<'a> EngineState<'a> {
             est_latency_s,
         ) {
             Ok(()) => {
-                let mut pending = Pending::fresh(request.clone(), est_service_s);
+                let mut pending = Pending::fresh(request.clone(), est_service_s, layer_s.clone());
                 if re_prefill_s > 0.0 {
                     pending.re_prefill_s = re_prefill_s;
                 }
@@ -717,7 +740,7 @@ impl<'a> EngineState<'a> {
                         }
                         push_hedge(
                             &mut self.hedges,
-                            HedgeEntry { fire_s, request: request.clone(), est_service_s },
+                            HedgeEntry { fire_s, request: request.clone(), est_service_s, layer_s },
                         );
                     }
                 }
@@ -872,9 +895,8 @@ impl<'a> EngineState<'a> {
         // outage see proportionally inflated depth.
         if let (Some(ctrls), Some(bc)) = (self.controllers.as_mut(), cfg.overload.brownout.as_ref())
         {
-            let up_count = self.replicas.iter().filter(|r| r.up).count();
-            if up_count > 0 {
-                let up_frac = up_count as f64 / self.replicas.len() as f64;
+            if self.up_count > 0 {
+                let up_frac = self.up_count as f64 / self.replicas.len() as f64;
                 for (i, ctrl) in ctrls.iter_mut().enumerate() {
                     if !self.replicas[i].up {
                         continue;
@@ -923,21 +945,16 @@ impl<'a> EngineState<'a> {
             }
         }
         let mask = self.routable_mask(now, sink);
-        match cfg.routing.choose(
-            &mut self.replicas,
-            &mut self.cost,
-            now,
-            &mut self.rr_cursor,
-            mask.as_deref(),
-        ) {
+        match cfg.routing.choose(&mut self.replicas, now, &mut self.rr_cursor, mask.as_deref()) {
             Some(target) => {
                 // A requeue was already admitted once; it re-enters the
                 // queue directly (no depth shedding) with a remaining-work
                 // estimate that charges the fresh weight upload its resume
                 // will pay.
+                let upload_s = self.system.weight_upload_s();
                 let mut est_service_s =
-                    self.cost.remaining_service_s(&self.system, &entry.request, entry.cursor)
-                        + if entry.cursor > 0 { self.system.weight_upload_s() } else { 0.0 };
+                    remaining_from_layers_s(upload_s, &entry.layer_s, entry.cursor)
+                        + if entry.cursor > 0 { upload_s } else { 0.0 };
                 // A crash-evicted session turn re-prefills on its new
                 // replica (its residency died with the crashed one).
                 let mut re_prefill_s = 0.0;
@@ -958,6 +975,7 @@ impl<'a> EngineState<'a> {
                 self.replicas[target].enqueue(Pending {
                     request: entry.request,
                     est_service_s,
+                    layer_s: entry.layer_s,
                     resume_cursor: entry.cursor,
                     attempt: entry.attempt,
                     re_prefill_s,
@@ -1007,6 +1025,7 @@ impl<'a> EngineState<'a> {
                         attempt,
                         cursor: entry.cursor,
                         request: entry.request,
+                        layer_s: entry.layer_s,
                     });
                 }
             }
@@ -1030,16 +1049,16 @@ impl<'a> EngineState<'a> {
             let mask: Vec<bool> = (0..self.replicas.len())
                 .map(|i| i != primary && breaker_mask.as_ref().is_none_or(|m| m[i]))
                 .collect();
-            if let Some(target) = cfg.routing.choose(
-                &mut self.replicas,
-                &mut self.cost,
-                now,
-                &mut self.rr_cursor,
-                Some(&mask),
-            ) {
+            if let Some(target) =
+                cfg.routing.choose(&mut self.replicas, now, &mut self.rr_cursor, Some(&mask))
+            {
                 // Hedge copies bypass admission: the request was already
                 // admitted once; the copy exists purely to cut its tail.
-                self.replicas[target].enqueue(Pending::fresh(entry.request, entry.est_service_s));
+                self.replicas[target].enqueue(Pending::fresh(
+                    entry.request,
+                    entry.est_service_s,
+                    entry.layer_s,
+                ));
                 self.touch(target);
                 if let Some(bs) = self.breakers.as_mut() {
                     bs[target].on_dispatch();
@@ -1162,7 +1181,7 @@ impl<'a> EngineState<'a> {
                 if let Some(turn) = self.completions[idx].session {
                     if turn.last {
                         if let Some(r) = self.sessions.remove(&turn.session) {
-                            self.replicas[r].resident_sessions.retain(|(s, _)| *s != turn.session);
+                            self.replicas[r].release_session(turn.session);
                         }
                     }
                 }

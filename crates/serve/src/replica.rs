@@ -8,9 +8,12 @@
 //! [`BatchPolicy::max_active_requests`]) and finished requests leave, so
 //! a long request never blocks a short one for more than one layer.
 
+use std::rc::Rc;
+
 use cta_sim::{AttentionTask, CtaSystem, TaskCost};
 use cta_telemetry::{Module, SpanClass, TraceSink, TrackId};
 
+use crate::cost::remaining_from_layers_s;
 use crate::{CostModel, FaultPlan, ServeRequest, SessionTurn};
 
 /// Continuous-batching configuration.
@@ -44,6 +47,10 @@ pub(crate) struct Pending {
     pub request: ServeRequest,
     /// Solo service estimate, cached at admission for routing decisions.
     pub est_service_s: f64,
+    /// Per-layer solo step times ([`CostModel::layer_times_s`]), priced
+    /// once at admission and carried through batch joins and crash
+    /// evictions so remaining-work estimates never re-price a layer.
+    pub layer_s: Rc<[f64]>,
     /// Layer to resume from when the request joins a batch: `0` for fresh
     /// arrivals, the last completed layer for crash-evicted requeues
     /// (steps are atomic and the host retains per-layer activations, so
@@ -60,8 +67,8 @@ pub(crate) struct Pending {
 
 impl Pending {
     /// A freshly admitted request (no crash history, no re-prefill debt).
-    pub fn fresh(request: ServeRequest, est_service_s: f64) -> Self {
-        Self { request, est_service_s, resume_cursor: 0, attempt: 0, re_prefill_s: 0.0 }
+    pub fn fresh(request: ServeRequest, est_service_s: f64, layer_s: Rc<[f64]>) -> Self {
+        Self { request, est_service_s, layer_s, resume_cursor: 0, attempt: 0, re_prefill_s: 0.0 }
     }
 }
 
@@ -70,6 +77,8 @@ impl Pending {
 pub(crate) struct Active {
     pub request: ServeRequest,
     pub cursor: usize,
+    /// Per-layer solo step times, carried from the [`Pending`] entry.
+    pub layer_s: Rc<[f64]>,
     /// When the request joined the active set (telemetry: end of its
     /// queued interval, start of its serving interval).
     pub joined_s: f64,
@@ -136,9 +145,11 @@ pub(crate) struct Replica {
     pub clock: f64,
     /// Total wall-clock time spent executing steps.
     pub busy_s: f64,
-    /// Queue ordered by (priority desc, arrival asc, id asc).
-    pub queue: Vec<Pending>,
-    pub active: Vec<Active>,
+    /// Queue ordered by (priority desc, arrival asc, id asc). Private,
+    /// like `active` and `resident_sessions`: every mutation goes through
+    /// a method that invalidates the matching cached work term.
+    queue: Vec<Pending>,
+    active: Vec<Active>,
     pub completed: usize,
     /// Whether the replica is healthy. Down replicas hold no work, take
     /// no arrivals and schedule no steps.
@@ -170,7 +181,14 @@ pub(crate) struct Replica {
     /// rebuilding the state elsewhere — is folded into
     /// [`outstanding_s`](Self::outstanding_s) so routing sees resident
     /// state as load. Empty on non-session fleets (bitwise-dormant).
-    pub(crate) resident_sessions: Vec<(u64, f64)>,
+    resident_sessions: Vec<(u64, f64)>,
+    /// Cached terms of [`outstanding_s`](Self::outstanding_s): the summed
+    /// remaining service of `active`, the summed estimates of `queue`,
+    /// and the summed holds of `resident_sessions`. `None` means stale;
+    /// each is cleared only by the methods that mutate its vector.
+    active_work_s: Option<f64>,
+    queued_work_s: Option<f64>,
+    held_work_s: Option<f64>,
 }
 
 impl Replica {
@@ -194,6 +212,9 @@ impl Replica {
             level_name: crate::overload::LEVEL_NAMES[0],
             brownout_s: 0.0,
             resident_sessions: Vec::new(),
+            active_work_s: None,
+            queued_work_s: None,
+            held_work_s: None,
         }
     }
 
@@ -216,7 +237,32 @@ impl Replica {
         let before = self.queue.len() + self.active.len();
         self.queue.retain(|p| p.request.id != id);
         self.active.retain(|a| a.request.id != id);
-        before - (self.queue.len() + self.active.len())
+        let removed = before - (self.queue.len() + self.active.len());
+        if removed > 0 {
+            self.queued_work_s = None;
+            self.active_work_s = None;
+        }
+        removed
+    }
+
+    /// Records that `session`'s compression state now lives here, holding
+    /// `hold_s` seconds of occupancy.
+    pub fn hold_session(&mut self, session: u64, hold_s: f64) {
+        self.resident_sessions.push((session, hold_s));
+        self.held_work_s = None;
+    }
+
+    /// Releases `session`'s resident state, if held here.
+    pub fn release_session(&mut self, session: u64) {
+        self.resident_sessions.retain(|(s, _)| *s != session);
+        self.held_work_s = None;
+    }
+
+    /// Drops every resident session (a crash wipes the replica's state),
+    /// returning the evicted `(session id, hold)` entries.
+    pub fn evict_sessions(&mut self) -> Vec<(u64, f64)> {
+        self.held_work_s = None;
+        std::mem::take(&mut self.resident_sessions)
     }
 
     /// Whether any copy of request `id` is queued or active here.
@@ -237,21 +283,37 @@ impl Replica {
 
     /// Estimated seconds of work the replica still owes as of `now`:
     /// committed schedule beyond `now`, plus remaining layers of active
-    /// requests, plus solo estimates of everything queued.
-    pub fn outstanding_s(&mut self, cost: &mut CostModel, now: f64) -> f64 {
+    /// requests, plus solo estimates of everything queued, plus resident
+    /// session holds.
+    ///
+    /// Only `committed` depends on `now`; the other three terms are
+    /// cached sums, recomputed from scratch (same values, same order, so
+    /// the same bits) on the first call after a mutation cleared them:
+    /// the active term by [`execute_step`](Self::execute_step),
+    /// [`crash`](Self::crash) and [`cancel_request`](Self::cancel_request);
+    /// the queued term by those plus [`enqueue`](Self::enqueue); the held
+    /// term by the resident-session methods. Routing therefore costs
+    /// O(1) per untouched replica.
+    pub fn outstanding_s(&mut self, now: f64) -> f64 {
         let committed = (self.clock - now).max(0.0);
-        let active: f64 = self
-            .active
-            .iter()
-            .map(|a| cost.remaining_service_s(&self.system, &a.request, a.cursor))
-            .sum();
-        let queued: f64 = self.queue.iter().map(|p| p.est_service_s).sum();
+        let upload_s = self.system.weight_upload_s();
+        let active = *self.active_work_s.get_or_insert_with(|| {
+            self.active
+                .iter()
+                .map(|a| remaining_from_layers_s(upload_s, &a.layer_s, a.cursor))
+                .sum()
+        });
+        let queued = *self
+            .queued_work_s
+            .get_or_insert_with(|| self.queue.iter().map(|p| p.est_service_s).sum());
         let mut total = committed + active + queued;
         // Resident session state occupies the replica (SRAM + the debt of
         // rebuilding it elsewhere); the guard keeps the non-session
         // fleet's arithmetic bit-for-bit the pre-session expression.
         if !self.resident_sessions.is_empty() {
-            total += self.resident_sessions.iter().map(|(_, h)| h).sum::<f64>();
+            total += *self
+                .held_work_s
+                .get_or_insert_with(|| self.resident_sessions.iter().map(|(_, h)| h).sum());
         }
         total
     }
@@ -271,6 +333,7 @@ impl Replica {
             })
             .unwrap_or_else(|e| e);
         self.queue.insert(pos, pending);
+        self.queued_work_s = None;
     }
 
     /// Marks the replica down at `t`, draining its remaining work for the
@@ -281,12 +344,15 @@ impl Replica {
     pub fn crash(&mut self, t: f64) -> Vec<Pending> {
         self.up = false;
         self.down_since = t;
+        self.active_work_s = None;
+        self.queued_work_s = None;
         let mut orphans: Vec<Pending> = self
             .active
             .drain(..)
             .map(|a| Pending {
                 request: a.request,
                 est_service_s: 0.0, // re-estimated at requeue
+                layer_s: a.layer_s,
                 resume_cursor: a.cursor,
                 attempt: a.attempt,
                 re_prefill_s: 0.0, // re-assessed when placed again
@@ -357,6 +423,9 @@ impl Replica {
     ) -> f64 {
         let t0 = self.next_step_time().expect("execute_step needs work");
         let runtime = TrackId::new(self.index as u32, Module::Runtime);
+        // Batch joins drain the queue and every cursor advances.
+        self.active_work_s = None;
+        self.queued_work_s = None;
 
         // Continuous batching: pull arrived queued requests into the
         // active set at this layer boundary, in queue (priority) order.
@@ -384,6 +453,7 @@ impl Replica {
                 self.active.push(Active {
                     request: p.request,
                     cursor: p.resume_cursor,
+                    layer_s: p.layer_s,
                     joined_s: t0,
                     attempt: p.attempt,
                     loss_pct: 0.0,
@@ -617,8 +687,14 @@ mod tests {
         Replica::new(0, CtaSystem::new(SystemConfig::paper()))
     }
 
+    /// Placeholder per-layer times for tests that never read the
+    /// outstanding-work estimate.
+    fn priced(layers: usize) -> Rc<[f64]> {
+        vec![0.0; layers].into()
+    }
+
     fn pending(id: u64, arrival: f64, class: QosClass) -> Pending {
-        Pending::fresh(ServeRequest::uniform(id, arrival, class, task(), 2, 4), 0.0)
+        Pending::fresh(ServeRequest::uniform(id, arrival, class, task(), 2, 4), 0.0, priced(2))
     }
 
     #[test]
@@ -735,6 +811,7 @@ mod tests {
                 r.enqueue(Pending::fresh(
                     ServeRequest::uniform(id, 0.0, QosClass::standard(), heavy, 2, 4),
                     0.0,
+                    priced(2),
                 ));
             }
             let mut done = Vec::new();
@@ -747,5 +824,139 @@ mod tests {
         let fifo = run(BatchPolicy::off());
         let batched = run(BatchPolicy::up_to(2));
         assert!(batched < fifo, "batched {batched} vs fifo {fifo}");
+    }
+
+    /// The uncached estimate: every active request's remaining service
+    /// re-priced through [`CostModel::remaining_service_s`], every queued
+    /// estimate and every resident hold re-summed.
+    fn reference_outstanding_s(r: &Replica, cost: &mut CostModel, now: f64) -> f64 {
+        let committed = (r.clock - now).max(0.0);
+        let active: f64 = r
+            .active
+            .iter()
+            .map(|a| cost.remaining_service_s(&r.system, &a.request, a.cursor))
+            .sum();
+        let queued: f64 = r.queue.iter().map(|p| p.est_service_s).sum();
+        let mut total = committed + active + queued;
+        if !r.resident_sessions.is_empty() {
+            total += r.resident_sessions.iter().map(|(_, h)| h).sum::<f64>();
+        }
+        total
+    }
+
+    #[test]
+    fn cached_outstanding_work_matches_a_from_scratch_sum_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let shapes = [
+            task(),
+            AttentionTask::from_counts(16, 512, 64, 8, 180, 40, 6),
+            AttentionTask::from_counts(64, 64, 64, 30, 25, 10, 6),
+        ];
+        let classes = [QosClass::standard(), QosClass::batch(), QosClass::interactive(1e-3)];
+        let ladder = crate::BrownoutLadder::standard();
+        for seed in 0..12 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut r = replica();
+            let sys = r.system.clone();
+            let mut cost = CostModel::new();
+            let batch = BatchPolicy::up_to(rng.gen_range(1..5usize));
+            let faults = FaultPlan::none();
+            let mut done = Vec::new();
+            let mut orphans: Vec<Pending> = Vec::new();
+            let mut next_id = 0u64;
+            let mut now = 0.0f64;
+            for step in 0..300 {
+                now += rng.gen_range(0.0..4e-6);
+                match rng.gen_range(0..10u32) {
+                    // A fresh admission, a third of them session turns
+                    // (some paying a re-prefill, as off-replica turns do).
+                    0..=2 => {
+                        let layers = rng.gen_range(1..5usize);
+                        let shape = shapes[rng.gen_range(0..shapes.len())];
+                        let class = classes[rng.gen_range(0..classes.len())];
+                        let heads = rng.gen_range(1..4usize);
+                        let mut req =
+                            ServeRequest::uniform(next_id, now, class, shape, layers, heads);
+                        next_id += 1;
+                        if rng.gen_range(0..3u32) == 0 {
+                            req = req.with_session(SessionTurn {
+                                session: rng.gen_range(0..6u64),
+                                turn: rng.gen_range(0..4u32),
+                                decode_tokens: rng.gen_range(1..8u32),
+                                reclusters: rng.gen_range(0..2u32),
+                                last: false,
+                            });
+                        }
+                        let layer_s = cost.layer_times_s(&sys, &req);
+                        let est = cost.request_service_s(&sys, &req);
+                        let mut p = Pending::fresh(req, est, layer_s);
+                        if p.request.session.is_some() && rng.gen::<bool>() {
+                            p.re_prefill_s = cost.session_prefill_s(&sys, &p.request);
+                            p.est_service_s += p.re_prefill_s;
+                        }
+                        r.enqueue(p);
+                    }
+                    // A crash orphan re-placed with its remaining work.
+                    3 => {
+                        if let Some(mut p) = orphans.pop() {
+                            p.est_service_s =
+                                cost.remaining_service_s(&sys, &p.request, p.resume_cursor);
+                            r.enqueue(p);
+                        }
+                    }
+                    4 | 5 => {
+                        if r.next_step_time().is_some() {
+                            r.execute_step(
+                                &batch,
+                                &faults,
+                                &mut cost,
+                                &mut done,
+                                &mut cta_telemetry::NullSink,
+                            );
+                        }
+                    }
+                    6 => {
+                        if r.up {
+                            orphans.extend(r.crash(now));
+                            r.evict_sessions();
+                        } else {
+                            r.recover(now);
+                        }
+                    }
+                    7 => {
+                        if next_id > 0 {
+                            r.cancel_request(rng.gen_range(0..next_id));
+                        }
+                    }
+                    8 => {
+                        if rng.gen::<bool>() {
+                            r.hold_session(rng.gen_range(0..6u64), rng.gen_range(0.0..1e-4));
+                        } else {
+                            r.release_session(rng.gen_range(0..6u64));
+                        }
+                    }
+                    _ => r.set_level(&ladder, rng.gen_range(0..=ladder.max_level())),
+                }
+                // Probe before, at and past the committed schedule, twice
+                // each so the second read comes from the cache.
+                for _ in 0..2 {
+                    let probe = match rng.gen_range(0..3u32) {
+                        0 => now,
+                        1 => r.clock,
+                        _ => r.clock * rng.gen_range(0.5..1.5),
+                    };
+                    let want = reference_outstanding_s(&r, &mut cost, probe);
+                    let got = r.outstanding_s(probe);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "seed {seed} step {step}: cached {got} vs from-scratch {want}"
+                    );
+                }
+            }
+            assert!(!done.is_empty(), "seed {seed}: the sequence must complete work");
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! Replica-selection policies.
 
 use crate::replica::Replica;
-use crate::CostModel;
 
 /// How arriving requests are assigned to replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,8 +12,14 @@ pub enum RoutingPolicy {
     JoinShortestQueue,
     /// Send to the replica with the least estimated outstanding work in
     /// seconds (committed schedule + remaining layers + queued service);
-    /// ties break to the lowest index. Costs come from the shared
-    /// [`CostModel`], so the decision never re-runs the simulator.
+    /// ties break to the lowest index. Each request's per-layer step
+    /// times are priced once at admission by the shared
+    /// [`CostModel`](crate::CostModel), and each replica caches its
+    /// active, queued and resident-session sums, invalidated only when
+    /// `enqueue`, `execute_step`, `crash`, `cancel_request` or a
+    /// session-residency change touches that replica. A decision then
+    /// costs O(1) per untouched replica, with the same bits as re-summing
+    /// from scratch.
     LeastOutstandingWork,
 }
 
@@ -54,7 +59,6 @@ impl RoutingPolicy {
     pub(crate) fn choose(
         &self,
         replicas: &mut [Replica],
-        cost: &mut CostModel,
         now: f64,
         rr_cursor: &mut usize,
         routable: Option<&[bool]>,
@@ -85,7 +89,7 @@ impl RoutingPolicy {
                     if !(r.up && routable.is_none_or(|mask| mask[i])) {
                         continue;
                     }
-                    let work = r.outstanding_s(cost, now);
+                    let work = r.outstanding_s(now);
                     if work < best_work {
                         best_work = work;
                         best = Some(i);
@@ -116,6 +120,7 @@ mod tests {
         Pending::fresh(
             ServeRequest::uniform(id, 0.0, QosClass::standard(), task(), layers, 4),
             layers as f64,
+            vec![1.0; layers].into(),
         )
     }
 
@@ -134,10 +139,9 @@ mod tests {
     #[test]
     fn round_robin_cycles() {
         let mut rs = replicas(3);
-        let mut cost = CostModel::new();
         let mut cursor = 0;
         let picks: Vec<Option<usize>> = (0..6)
-            .map(|_| RoutingPolicy::RoundRobin.choose(&mut rs, &mut cost, 0.0, &mut cursor, None))
+            .map(|_| RoutingPolicy::RoundRobin.choose(&mut rs, 0.0, &mut cursor, None))
             .collect();
         assert_eq!(picks, vec![Some(0), Some(1), Some(2), Some(0), Some(1), Some(2)]);
     }
@@ -146,10 +150,9 @@ mod tests {
     fn round_robin_skips_down_replicas() {
         let mut rs = replicas(3);
         rs[1].crash(0.0);
-        let mut cost = CostModel::new();
         let mut cursor = 0;
         let picks: Vec<Option<usize>> = (0..4)
-            .map(|_| RoutingPolicy::RoundRobin.choose(&mut rs, &mut cost, 0.0, &mut cursor, None))
+            .map(|_| RoutingPolicy::RoundRobin.choose(&mut rs, 0.0, &mut cursor, None))
             .collect();
         assert_eq!(picks, vec![Some(0), Some(2), Some(0), Some(2)]);
     }
@@ -159,14 +162,13 @@ mod tests {
         let mut rs = replicas(2);
         rs[0].crash(0.0);
         rs[1].crash(0.0);
-        let mut cost = CostModel::new();
         let mut cursor = 0;
         for p in [
             RoutingPolicy::RoundRobin,
             RoutingPolicy::JoinShortestQueue,
             RoutingPolicy::LeastOutstandingWork,
         ] {
-            assert_eq!(p.choose(&mut rs, &mut cost, 0.0, &mut cursor, None), None);
+            assert_eq!(p.choose(&mut rs, 0.0, &mut cursor, None), None);
         }
     }
 
@@ -176,14 +178,13 @@ mod tests {
         // Replica 0 is idle but down; replica 1 is loaded but up.
         rs[0].crash(0.0);
         rs[1].enqueue(queued(0, 10));
-        let mut cost = CostModel::new();
         let mut cursor = 0;
         assert_eq!(
-            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::JoinShortestQueue.choose(&mut rs, 0.0, &mut cursor, None),
             Some(1)
         );
         assert_eq!(
-            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, 0.0, &mut cursor, None),
             Some(1)
         );
     }
@@ -193,10 +194,8 @@ mod tests {
         let mut rs = replicas(2);
         rs[0].enqueue(queued(0, 1));
         rs[0].enqueue(queued(1, 1));
-        let mut cost = CostModel::new();
         let mut cursor = 0;
-        let pick =
-            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, None);
+        let pick = RoutingPolicy::JoinShortestQueue.choose(&mut rs, 0.0, &mut cursor, None);
         assert_eq!(pick, Some(1));
     }
 
@@ -210,14 +209,13 @@ mod tests {
         rs[0].enqueue(queued(0, 10));
         rs[1].enqueue(queued(1, 1));
         rs[1].enqueue(queued(2, 1));
-        let mut cost = CostModel::new();
         let mut cursor = 0;
         assert_eq!(
-            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::JoinShortestQueue.choose(&mut rs, 0.0, &mut cursor, None),
             Some(0)
         );
         assert_eq!(
-            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, 0.0, &mut cursor, None),
             Some(1)
         );
     }
@@ -228,7 +226,6 @@ mod tests {
         // must skip it; an all-false mask routes nowhere even though the
         // fleet is up.
         let mut rs = replicas(2);
-        let mut cost = CostModel::new();
         for p in [
             RoutingPolicy::RoundRobin,
             RoutingPolicy::JoinShortestQueue,
@@ -236,12 +233,12 @@ mod tests {
         ] {
             let mut cursor = 0;
             assert_eq!(
-                p.choose(&mut rs, &mut cost, 0.0, &mut cursor, Some(&[false, true])),
+                p.choose(&mut rs, 0.0, &mut cursor, Some(&[false, true])),
                 Some(1),
                 "{p:?} must skip the masked replica"
             );
             assert_eq!(
-                p.choose(&mut rs, &mut cost, 0.0, &mut cursor, Some(&[false, false])),
+                p.choose(&mut rs, 0.0, &mut cursor, Some(&[false, false])),
                 None,
                 "{p:?} must route nowhere under an all-false mask"
             );
@@ -251,14 +248,13 @@ mod tests {
     #[test]
     fn ties_break_to_lowest_index() {
         let mut rs = replicas(4);
-        let mut cost = CostModel::new();
         let mut cursor = 0;
         assert_eq!(
-            RoutingPolicy::JoinShortestQueue.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::JoinShortestQueue.choose(&mut rs, 0.0, &mut cursor, None),
             Some(0)
         );
         assert_eq!(
-            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, &mut cost, 0.0, &mut cursor, None),
+            RoutingPolicy::LeastOutstandingWork.choose(&mut rs, 0.0, &mut cursor, None),
             Some(0)
         );
     }

@@ -21,10 +21,10 @@
 //! runtime (both pinned by test).
 //!
 //! The event *handlers* live in [`crate::engine`], shared by two
-//! drivers selected by [`FleetEngine`]: the step-granular scan loop
-//! (the reference semantics) and the calendar-queue event loop
-//! (O(1) amortized per event; bitwise-identical reports, pinned by the
-//! `engine` integration test and the golden suite).
+//! drivers selected by [`FleetEngine`]: the calendar-queue event loop
+//! (the default; O(1) amortized per event) and the step-granular scan
+//! loop (the reference oracle). Their reports are bitwise identical,
+//! pinned by the `engine` integration test and the golden suite.
 
 use cta_telemetry::{NullSink, TraceSink};
 
@@ -142,9 +142,10 @@ pub struct FleetConfig {
     /// fleet, bitwise).
     pub overload: OverloadControl,
     /// Which driver advances the simulation
-    /// ([`FleetEngine::StepGranular`] = the original scan loop;
-    /// [`FleetEngine::EventDriven`] produces bitwise-identical reports at
-    /// O(1) amortized cost per event).
+    /// ([`FleetEngine::EventDriven`], the default, runs at O(1) amortized
+    /// cost per event; [`FleetEngine::StepGranular`] is the original scan
+    /// loop, kept as the reference oracle that produces bitwise-identical
+    /// reports).
     pub engine: FleetEngine,
     /// Multi-tenant fair scheduling, quotas, and autoscaling (`None` =
     /// the single-tenant fleet, bitwise; a one-tenant equal-weight DRR
@@ -165,7 +166,7 @@ impl FleetConfig {
     /// [`single_fifo`](FleetConfig::single_fifo) baseline: one replica,
     /// round-robin routing, batching off, admit everything, no faults, no
     /// overload control, no tenancy, no detector, no sessions,
-    /// step-granular engine.
+    /// event-driven engine.
     pub fn builder(system: cta_sim::SystemConfig) -> FleetConfigBuilder {
         FleetConfigBuilder {
             cfg: FleetConfig {
@@ -177,7 +178,7 @@ impl FleetConfig {
                 faults: FaultPlan::none(),
                 retry: RetryPolicy::standard(),
                 overload: OverloadControl::off(),
-                engine: FleetEngine::StepGranular,
+                engine: FleetEngine::EventDriven,
                 tenancy: None,
                 detector: None,
                 sessions: None,
@@ -462,10 +463,15 @@ mod tests {
     #[test]
     fn event_engine_matches_step_engine_on_a_sharded_fleet() {
         let requests = trace(40, 1e-5);
-        let step = simulate_fleet(&FleetConfig::sharded(SystemConfig::paper(), 3), &requests);
+        let event = simulate_fleet(&FleetConfig::sharded(SystemConfig::paper(), 3), &requests);
+        assert_eq!(
+            FleetEngine::default(),
+            FleetEngine::EventDriven,
+            "the event core is the default"
+        );
         let mut cfg = FleetConfig::sharded(SystemConfig::paper(), 3);
-        cfg.engine = FleetEngine::EventDriven;
-        let event = simulate_fleet(&cfg, &requests);
+        cfg.engine = FleetEngine::StepGranular;
+        let step = simulate_fleet(&cfg, &requests);
         assert_eq!(step.metrics, event.metrics);
         assert_eq!(step.completions, event.completions);
         assert_eq!(step.shed, event.shed);
@@ -526,12 +532,12 @@ mod tests {
             .replicas(4)
             .routing(RoutingPolicy::JoinShortestQueue)
             .batch(BatchPolicy::up_to(2))
-            .engine(FleetEngine::EventDriven)
+            .engine(FleetEngine::StepGranular)
             .sessions(SessionPolicy::sticky())
             .build()
             .expect("valid");
         assert_eq!(cfg.replicas, 4);
-        assert_eq!(cfg.engine, FleetEngine::EventDriven);
+        assert_eq!(cfg.engine, FleetEngine::StepGranular);
         assert_eq!(cfg.sessions, Some(SessionPolicy::sticky()));
         // Untouched knobs keep the baseline values.
         assert_eq!(cfg.admission, AdmissionPolicy::admit_all());
