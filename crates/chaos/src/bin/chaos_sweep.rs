@@ -1,11 +1,12 @@
 //! Randomized chaos sweep over the serving fleet: each seed expands to a
 //! fault composition × feature draw ([`cta_chaos::ChaosScenario`]), runs
-//! under one or both engines, and is checked against the full invariant
-//! library. Any failing seed is delta-debugged down to a minimal
+//! on the fleet driver, and is checked against the full invariant
+//! library, including bitwise equivalence with the reference scan
+//! (`cta_serve::reference`, the test oracle). Any failing seed is delta-debugged down to a minimal
 //! replayable repro before the process exits non-zero.
 //!
 //! ```text
-//! chaos_sweep [--seeds 64] [--seed0 1] [--engine step|event|both]
+//! chaos_sweep [--seeds 64] [--seed0 1]
 //!             [--replicas-max 4] [--zones 3] [--requests-max 96]
 //!             [--chaos-faults crash,zone,partition,gray,slow,stall]
 //!             [--gray-severity S]
@@ -17,9 +18,8 @@
 //! ```
 //!
 //! **Outputs.** `results/chaos_sweep.{csv,json}` are deterministic for a
-//! fixed flag set at any `--jobs` value, and the CSV carries no
-//! engine-dependent column — CI diffs the `--engine step` and
-//! `--engine event` runs byte-for-byte. Wall-clock seeds/second goes to
+//! fixed flag set at any `--jobs` value; the JSON's `engine` key is
+//! always `"both"` (driver plus oracle). Wall-clock seeds/second goes to
 //! `results/BENCH_chaos.json`. On an invariant violation the minimized
 //! scenario is written to `--repro-out` (replay it with `--replay`).
 //!
@@ -32,14 +32,12 @@ use std::process::ExitCode;
 use std::sync::Mutex;
 
 use cta_bench::{parse_num, BenchSidecar, FlagParser, JsonValue, SCHEMA_VERSION};
-use cta_chaos::{
-    run_chaos, shrink, ChaosParams, ChaosScenario, EngineChoice, Mutation, Toggle, Violation,
-};
+use cta_chaos::{run_chaos, shrink, ChaosParams, ChaosScenario, Mutation, Toggle, Violation};
 use cta_serve::harness::{export_trace, Harness, PointOutput, SweepSpec};
-use cta_serve::{simulate_fleet_traced, FleetEngine};
+use cta_serve::simulate_fleet_traced;
 
 /// Usage text printed to stderr on any malformed invocation.
-const USAGE: &str = "usage: chaos_sweep [--seeds 64] [--seed0 1] [--engine step|event|both]
+const USAGE: &str = "usage: chaos_sweep [--seeds 64] [--seed0 1]
                    [--replicas-max 4] [--zones 3] [--requests-max 96]
                    [--chaos-faults crash,zone,partition,gray,slow,stall]
                    [--gray-severity S] [--chaos-tenancy on|off|mix]
@@ -49,9 +47,8 @@ const USAGE: &str = "usage: chaos_sweep [--seeds 64] [--seed0 1] [--engine step|
                    [--inject-bug] [--replay <repro.json>] [--trace <path.json>]
                    [--jobs N] [--pool-trace <path.json>]";
 
-/// CSV/stdout column layout. Engine-independent by construction (CI
-/// byte-compares step vs event CSVs); the trailing `schema_version`
-/// repeats [`cta_bench::SCHEMA_VERSION`] on every row.
+/// CSV/stdout column layout; the trailing `schema_version` repeats
+/// [`cta_bench::SCHEMA_VERSION`] on every row.
 const SWEEP_COLUMNS: &[&str] = &[
     "seed",
     "replicas",
@@ -75,7 +72,6 @@ const SWEEP_COLUMNS: &[&str] = &[
 struct Args {
     seeds: usize,
     seed0: u64,
-    engine: EngineChoice,
     params: ChaosParams,
     inject: bool,
     replay: Option<String>,
@@ -116,7 +112,6 @@ impl Args {
         let mut args = Args {
             seeds: 64,
             seed0: 1,
-            engine: EngineChoice::Both,
             params: ChaosParams::default(),
             inject: false,
             replay: None,
@@ -130,11 +125,6 @@ impl Args {
                 }
                 "--seed0" => {
                     args.seed0 = parse_num(&it.value("--seed0")?, "--seed0", "an integer")?;
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = EngineChoice::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event|both)"))?;
                 }
                 "--replicas-max" => {
                     args.params.replicas_max =
@@ -221,7 +211,7 @@ pub fn main() -> ExitCode {
     )
 }
 
-/// Loads, reruns and re-checks a repro file under both engines. Exits
+/// Loads, reruns and re-checks a repro file. Exits
 /// non-zero when the scenario still violates an invariant — so a repro
 /// replay that *passes* after a fix is the fix's regression test.
 fn replay(path: &str, mutation: Mutation) {
@@ -253,7 +243,7 @@ fn replay(path: &str, mutation: Mutation) {
         sc.plan_events(),
         if mutation == Mutation::DropShed { " (with injected bug)" } else { "" }
     );
-    let outcome = run_chaos(&sc, EngineChoice::Both, mutation);
+    let outcome = run_chaos(&sc, mutation);
     if outcome.ok() {
         println!("replay passed: every invariant holds");
     } else {
@@ -316,17 +306,16 @@ fn run(h: &Harness<Args>) {
 
     h.run_grid(
         &format!(
-            "Chaos sweep — {} seeds from {}, engine {}, faults on ≤{} replicas{}",
+            "Chaos sweep — {} seeds from {}, faults on ≤{} replicas{}",
             args.seeds,
             args.seed0,
-            args.engine.label(),
             args.params.replicas_max,
             if args.inject { " [INJECTED BUG]" } else { "" }
         ),
         &seeds,
         |&seed| {
             let sc = ChaosScenario::sample(seed, &args.params);
-            let outcome = run_chaos(&sc, args.engine, mutation);
+            let outcome = run_chaos(&sc, mutation);
             *events_total.lock().expect("events") += outcome.events_processed;
             if !outcome.ok() {
                 failures.lock().expect("failures").push((
@@ -384,7 +373,7 @@ fn run(h: &Harness<Args>) {
         },
         |json| {
             json.set("experiment", JsonValue::Str("chaos_sweep".into()))
-                .set("engine", JsonValue::Str(args.engine.label().into()))
+                .set("engine", JsonValue::Str("both".into()))
                 .set("seeds", JsonValue::Int(args.seeds as i64))
                 .set("seed0", JsonValue::Int(args.seed0 as i64))
                 .set("replicas_max", JsonValue::Int(args.params.replicas_max as i64))
@@ -405,7 +394,7 @@ fn run(h: &Harness<Args>) {
     let mut bench = BenchSidecar::new("BENCH_chaos");
     bench
         .set("experiment", JsonValue::Str("chaos_sweep".into()))
-        .set("engine", JsonValue::Str(args.engine.label().into()))
+        .set("engine", JsonValue::Str("both".into()))
         .set("seeds", JsonValue::Int(args.seeds as i64))
         .set("jobs", JsonValue::Int(h.jobs().get() as i64))
         .set("wall_s", JsonValue::Num(wall_s))
@@ -432,8 +421,8 @@ fn run(h: &Harness<Args>) {
             );
             std::process::exit(1);
         };
-        let min = shrink(&sc, |cand| !run_chaos(cand, args.engine, mutation).ok());
-        let min_violations = run_chaos(&min, args.engine, mutation).violations;
+        let min = shrink(&sc, |cand| !run_chaos(cand, mutation).ok());
+        let min_violations = run_chaos(&min, mutation).violations;
         write_repro(&args.repro_out, &min, &min_violations);
         println!(
             "self-test OK: seed {seed} caught the injected bug ({}); shrunk {} -> {} fault \
@@ -463,8 +452,8 @@ fn run(h: &Harness<Args>) {
         for v in &violations {
             eprintln!("violation — {v}");
         }
-        let min = shrink(&sc, |cand| !run_chaos(cand, args.engine, Mutation::None).ok());
-        let min_violations = run_chaos(&min, args.engine, Mutation::None).violations;
+        let min = shrink(&sc, |cand| !run_chaos(cand, Mutation::None).ok());
+        let min_violations = run_chaos(&min, Mutation::None).violations;
         write_repro(&args.repro_out, &min, &min_violations);
         eprintln!(
             "minimized to {} fault events / {} requests / {} replicas — replay with \
@@ -484,12 +473,11 @@ fn run(h: &Harness<Args>) {
         args.seeds as f64 / wall_s.max(1e-12)
     );
 
-    // --trace: rerun the last seed's scenario traced (step engine; trace
-    // bytes are engine-independent anyway).
+    // --trace: rerun the last seed's scenario traced.
     if let Some(path) = &args.trace {
         let sc = ChaosScenario::sample(args.seed0 + args.seeds as u64 - 1, &args.params);
         let trace = sc.trace();
-        let cfg = sc.fleet_config(FleetEngine::StepGranular);
+        let cfg = sc.fleet_config();
         export_trace(path, &format!("Chaos trace — seed {}", sc.seed), |sink| {
             simulate_fleet_traced(&cfg, &trace, sink);
         });

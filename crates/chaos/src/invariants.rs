@@ -31,7 +31,7 @@ pub enum InvariantKind {
     /// Session stats are present exactly when sessions are armed, and
     /// reconcile with a recount of the tagged outcome records.
     Sessions,
-    /// Step-granular and event-driven engines must agree bitwise.
+    /// The fleet driver must agree bitwise with the reference scan.
     Equivalence,
 }
 
@@ -410,9 +410,10 @@ pub fn check_report(
     out
 }
 
-/// Bitwise cross-engine agreement: everything except the event-queue
-/// occupancy samples (only the event-driven engine has a queue to
-/// sample) must match exactly.
+/// Bitwise agreement between the reference scan's report (`step`) and
+/// the fleet driver's (`event`): everything except the event-queue
+/// occupancy samples (the scan has no queue to sample) must match
+/// exactly.
 pub fn check_equivalence(step: &FleetReport, event: &FleetReport) -> Option<Violation> {
     let detail = if step.metrics != event.metrics {
         "metrics diverge"

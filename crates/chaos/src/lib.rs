@@ -4,10 +4,10 @@
 //!
 //! The fleet runtime composes many interacting mechanisms — routing,
 //! admission, batching, crash/retry, partitions, gray failures,
-//! brownout, tenancy, failure detection, two bitwise-equivalent engines
-//! — and each is unit-tested in isolation. What unit tests cannot cover
-//! is the *composition*: a zone outage while a tenant is backlogged
-//! while the detector holds a replica in probation. This crate closes
+//! brownout, tenancy, failure detection — and each is unit-tested in
+//! isolation. What unit tests cannot cover is the *composition*: a zone
+//! outage while a tenant is backlogged while the detector holds a
+//! replica in probation. This crate closes
 //! that gap with seeded randomized testing:
 //!
 //! * [`ChaosScenario::sample`] expands one `u64` into a full draw —
@@ -19,8 +19,9 @@
 //!   bounded liveness, metrics reconciliation, availability semantics
 //!   (partitions must *not* count as downtime), tenant-fairness floors
 //!   and detector sanity, each recomputed from the raw records;
-//! * [`check_equivalence`] pins the step-granular and event-driven
-//!   engines bitwise against each other on every draw;
+//! * [`check_equivalence`] pins the fleet driver bitwise against the
+//!   step-granular reference scan (`cta_serve::reference`, the test
+//!   oracle) on every draw;
 //! * [`shrink`] is a delta-debugging minimizer: given a failing
 //!   scenario it drops fault events (ddmin), halves windows, shrinks
 //!   the fleet and truncates the trace until the failure is down to a
@@ -40,39 +41,7 @@ pub use invariants::{check_equivalence, check_report, InvariantKind, Violation};
 pub use scenario::{load_spec, solo_service_s, ChaosParams, ChaosScenario, Toggle};
 pub use shrink::{plan_events, plan_from_events, shrink, PlanEvent};
 
-use cta_serve::{simulate_fleet, FleetEngine, FleetMetrics, FleetReport};
-
-/// Which engine(s) a chaos run drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Step-granular reference loop only.
-    Step,
-    /// Calendar-queue event loop only.
-    Event,
-    /// Both, plus the bitwise equivalence check (the chaos default).
-    Both,
-}
-
-impl EngineChoice {
-    /// CLI label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EngineChoice::Step => "step",
-            EngineChoice::Event => "event",
-            EngineChoice::Both => "both",
-        }
-    }
-
-    /// Parses a CLI word (`step` / `event` / `both`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "step" => Some(EngineChoice::Step),
-            "event" => Some(EngineChoice::Event),
-            "both" => Some(EngineChoice::Both),
-            _ => None,
-        }
-    }
-}
+use cta_serve::{reference, simulate_fleet, FleetMetrics, FleetReport};
 
 /// Deliberate outcome corruption for self-testing the invariant net
 /// (`chaos_sweep --inject-bug`): the mutation is applied to the report
@@ -97,13 +66,13 @@ impl Mutation {
     }
 }
 
-/// Everything one chaos run produced: the primary engine's aggregate
+/// Everything one chaos run produced: the fleet driver's aggregate
 /// metrics plus every invariant violation found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosOutcome {
-    /// Aggregates of the primary engine (step when it ran, else event).
+    /// Aggregates of the fleet driver's report.
     pub metrics: FleetMetrics,
-    /// Simulated events processed by the primary engine.
+    /// Simulated events processed by the fleet driver.
     pub events_processed: u64,
     /// All violations across the invariant library (empty = pass).
     pub violations: Vec<Violation>,
@@ -116,31 +85,18 @@ impl ChaosOutcome {
     }
 }
 
-/// Runs one scenario under the chosen engine(s), applies `mutation` to
-/// each report, and checks the full invariant library (plus cross-engine
-/// equivalence when both engines ran). This is the oracle the sweep and
-/// the shrinker share.
-pub fn run_chaos(sc: &ChaosScenario, choice: EngineChoice, mutation: Mutation) -> ChaosOutcome {
+/// Runs one scenario on the fleet driver and on the reference scan,
+/// applies `mutation` to both reports, and checks the full invariant
+/// library on the driver's report plus its bitwise equivalence with the
+/// reference. This is the oracle the sweep and the shrinker share.
+pub fn run_chaos(sc: &ChaosScenario, mutation: Mutation) -> ChaosOutcome {
     let trace = sc.trace();
-    let run_engine = |engine: FleetEngine| {
-        let mut report = simulate_fleet(&sc.fleet_config(engine), &trace);
-        mutation.apply(&mut report);
-        report
-    };
-    let (primary, secondary) = match choice {
-        EngineChoice::Step => (run_engine(FleetEngine::StepGranular), None),
-        EngineChoice::Event => (run_engine(FleetEngine::EventDriven), None),
-        EngineChoice::Both => {
-            (run_engine(FleetEngine::StepGranular), Some(run_engine(FleetEngine::EventDriven)))
-        }
-    };
-    let mut violations = check_report(sc, &trace, &primary);
-    if let Some(event) = &secondary {
-        violations.extend(check_equivalence(&primary, event));
-    }
-    ChaosOutcome {
-        metrics: primary.metrics.clone(),
-        events_processed: primary.events_processed,
-        violations,
-    }
+    let cfg = sc.fleet_config();
+    let mut report = simulate_fleet(&cfg, &trace);
+    mutation.apply(&mut report);
+    let mut oracle = reference::simulate_fleet(&cfg, &trace);
+    mutation.apply(&mut oracle);
+    let mut violations = check_report(sc, &trace, &report);
+    violations.extend(check_equivalence(&oracle, &report));
+    ChaosOutcome { metrics: report.metrics, events_processed: report.events_processed, violations }
 }

@@ -6,9 +6,9 @@
 use cta_events::DetRng;
 use cta_serve::{
     poisson_requests, AdmissionPolicy, BatchPolicy, BrownoutConfig, CostModel, CrashWindow,
-    DetectorPolicy, FaultPlan, FleetConfig, FleetEngine, GrayFailure, LinkStall, LoadSpec,
-    OverloadControl, Partition, RoutingPolicy, SchedulerPolicy, ServeRequest, SessionPolicy,
-    SessionTurn, Slowdown, TenancyConfig, ZoneOutage,
+    DetectorPolicy, FaultPlan, FleetConfig, GrayFailure, LinkStall, LoadSpec, OverloadControl,
+    Partition, RoutingPolicy, SchedulerPolicy, ServeRequest, SessionPolicy, SessionTurn, Slowdown,
+    TenancyConfig, ZoneOutage,
 };
 use cta_sim::{AttentionTask, CtaSystem, SystemConfig};
 
@@ -150,7 +150,7 @@ pub fn solo_service_s() -> f64 {
 
 /// One fully-specified chaos draw: fleet shape, feature switches, and
 /// the fault composition. Everything downstream — the request trace, the
-/// [`FleetConfig`] for either engine, the invariant oracle — is a pure
+/// [`FleetConfig`], the invariant oracle — is a pure
 /// function of this value, which is what makes failures replayable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosScenario {
@@ -366,16 +366,15 @@ impl ChaosScenario {
         }
     }
 
-    /// The fleet configuration this scenario runs under the given
-    /// engine. Sharded defaults (bounded queues, batching up to 4) plus
-    /// the sampled routing policy, fault plan, and feature switches.
-    pub fn fleet_config(&self, engine: FleetEngine) -> FleetConfig {
+    /// The fleet configuration this scenario runs. Sharded defaults
+    /// (bounded queues, batching up to 4) plus the sampled routing
+    /// policy, fault plan, and feature switches.
+    pub fn fleet_config(&self) -> FleetConfig {
         let mut b = FleetConfig::builder(SystemConfig::paper())
             .replicas(self.replicas)
             .routing(self.routing)
             .admission(AdmissionPolicy::bounded(64))
             .batch(BatchPolicy::up_to(4))
-            .engine(engine)
             .faults(self.plan.clone());
         if self.tenants > 0 {
             b = b.tenancy(TenancyConfig::equal_weight(self.tenants, SchedulerPolicy::Drr));

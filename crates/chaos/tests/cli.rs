@@ -56,7 +56,6 @@ fn rejects_bad_numbers_and_bounds() {
 
 #[test]
 fn rejects_unknown_modes() {
-    assert_graceful_failure(&["--engine", "warp"], "unknown engine");
     assert_graceful_failure(&["--detector", "sometimes"], "unknown detector mode");
     assert_graceful_failure(&["--chaos-tenancy", "many"], "unknown tenancy mode");
     assert_graceful_failure(&["--chaos-brownout", "dim"], "unknown brownout mode");
@@ -85,14 +84,27 @@ fn small_run_writes_the_result_files_and_passes() {
 }
 
 #[test]
-fn csv_is_identical_across_jobs_and_engines() {
+fn reports_record_that_every_seed_ran_both_drivers() {
+    // Each seed runs the fleet driver and cross-checks it against the
+    // reference scan, so the report and its sidecar say `both`.
+    let dir = scratch("chaos_cli_engine_key");
+    let out = run_in(&dir, &["--seeds", "2", "--jobs", "1"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    for file in ["chaos_sweep.json", "BENCH_chaos.json"] {
+        let json = std::fs::read_to_string(dir.join("results").join(file)).expect(file);
+        assert!(json.contains(r#""engine":"both""#), "{file}: {json}");
+    }
+}
+
+#[test]
+fn csv_is_identical_across_jobs() {
     let a = scratch("chaos_cli_j1");
     let b = scratch("chaos_cli_j4");
-    assert!(run_in(&a, &["--seeds", "8", "--engine", "step", "--jobs", "1"]).status.success());
-    assert!(run_in(&b, &["--seeds", "8", "--engine", "event", "--jobs", "4"]).status.success());
+    assert!(run_in(&a, &["--seeds", "8", "--jobs", "1"]).status.success());
+    assert!(run_in(&b, &["--seeds", "8", "--jobs", "4"]).status.success());
     let csv_a = std::fs::read(a.join("results/chaos_sweep.csv")).expect("csv a");
     let csv_b = std::fs::read(b.join("results/chaos_sweep.csv")).expect("csv b");
-    assert_eq!(csv_a, csv_b, "CSV must be byte-identical across --jobs and --engine");
+    assert_eq!(csv_a, csv_b, "CSV must be byte-identical across --jobs");
 }
 
 #[test]
@@ -122,7 +134,7 @@ fn inject_bug_self_test_catches_and_writes_a_repro() {
 #[test]
 fn trace_flag_writes_a_chrome_trace() {
     let dir = scratch("chaos_cli_trace");
-    let out = run_in(&dir, &["--seeds", "3", "--engine", "step", "--trace", "chaos_trace.json"]);
+    let out = run_in(&dir, &["--seeds", "3", "--trace", "chaos_trace.json"]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let trace = std::fs::read_to_string(dir.join("chaos_trace.json")).expect("trace file");
     assert!(

@@ -1,17 +1,16 @@
-//! End-to-end chaos: seed blocks through both engines with the full
-//! invariant library, the mutation self-test, and shrinker guarantees.
+//! End-to-end chaos: seed blocks through the fleet driver and the
+//! reference scan with the full invariant library, the mutation
+//! self-test, and shrinker guarantees.
 
 use cta_bench::parse_json;
-use cta_chaos::{
-    run_chaos, shrink, ChaosParams, ChaosScenario, EngineChoice, InvariantKind, Mutation, Toggle,
-};
+use cta_chaos::{run_chaos, shrink, ChaosParams, ChaosScenario, InvariantKind, Mutation, Toggle};
 
 #[test]
 fn seed_block_passes_every_invariant_on_both_engines() {
     let params = ChaosParams::default();
     for seed in 1..=40 {
         let sc = ChaosScenario::sample(seed, &params);
-        let outcome = run_chaos(&sc, EngineChoice::Both, Mutation::None);
+        let outcome = run_chaos(&sc, Mutation::None);
         assert!(
             outcome.ok(),
             "seed {seed} ({} replicas, {} events): {:?}",
@@ -34,7 +33,7 @@ fn forced_feature_combinations_hold_too() {
     };
     for seed in 1..=12 {
         let sc = ChaosScenario::sample(seed, &params);
-        let outcome = run_chaos(&sc, EngineChoice::Both, Mutation::None);
+        let outcome = run_chaos(&sc, Mutation::None);
         assert!(outcome.ok(), "seed {seed}: {:?}", outcome.violations);
     }
 }
@@ -46,7 +45,7 @@ fn injected_conservation_bug_is_caught_and_shrinks_small() {
     // observable then (just like a real bookkeeping bug).
     let caught = (1..=32).find_map(|seed| {
         let sc = ChaosScenario::sample(seed, &params);
-        let outcome = run_chaos(&sc, EngineChoice::Both, Mutation::DropShed);
+        let outcome = run_chaos(&sc, Mutation::DropShed);
         (!outcome.ok()).then_some((sc, outcome))
     });
     let (sc, outcome) = caught.expect("some seed in 1..=32 must shed at least one request");
@@ -59,8 +58,8 @@ fn injected_conservation_bug_is_caught_and_shrinks_small() {
         outcome.violations
     );
 
-    let min = shrink(&sc, |cand| !run_chaos(cand, EngineChoice::Step, Mutation::DropShed).ok());
-    assert!(!run_chaos(&min, EngineChoice::Step, Mutation::DropShed).ok(), "repro must still fail");
+    let min = shrink(&sc, |cand| !run_chaos(cand, Mutation::DropShed).ok());
+    assert!(!run_chaos(&min, Mutation::DropShed).ok(), "repro must still fail");
     min.plan.validate(min.replicas);
     assert!(
         min.plan_events() <= 5,
@@ -73,7 +72,7 @@ fn injected_conservation_bug_is_caught_and_shrinks_small() {
     let text = min.to_json().to_json();
     let back = ChaosScenario::from_json(&parse_json(&text).expect("parse")).expect("round-trip");
     assert_eq!(back, min);
-    assert!(!run_chaos(&back, EngineChoice::Step, Mutation::DropShed).ok());
+    assert!(!run_chaos(&back, Mutation::DropShed).ok());
 }
 
 #[test]
@@ -81,7 +80,7 @@ fn detector_off_scenarios_report_no_detector_stats() {
     let params = ChaosParams { detector: Toggle::Off, ..ChaosParams::default() };
     for seed in 1..=8 {
         let sc = ChaosScenario::sample(seed, &params);
-        let outcome = run_chaos(&sc, EngineChoice::Step, Mutation::None);
+        let outcome = run_chaos(&sc, Mutation::None);
         assert!(outcome.ok(), "seed {seed}: {:?}", outcome.violations);
         assert!(outcome.metrics.detector.is_none());
     }
@@ -91,7 +90,7 @@ fn detector_off_scenarios_report_no_detector_stats() {
 fn detector_on_scenarios_report_stats() {
     let params = ChaosParams { detector: Toggle::On, ..ChaosParams::default() };
     let sc = ChaosScenario::sample(2, &params);
-    let outcome = run_chaos(&sc, EngineChoice::Both, Mutation::None);
+    let outcome = run_chaos(&sc, Mutation::None);
     assert!(outcome.ok(), "{:?}", outcome.violations);
     assert!(outcome.metrics.detector.is_some());
 }

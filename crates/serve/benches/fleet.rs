@@ -1,24 +1,21 @@
-//! Step-granular vs event-driven fleet simulation wall-clock.
+//! Fleet simulation wall-clock on the calendar-queue driver.
 //!
-//! Both engines produce bitwise-identical reports (the `engine`
-//! integration tests pin that); this bench tracks what the calendar
-//! queue buys in wall-clock as the fleet grows. The step engine rescans
-//! all replicas per iteration, so its advantage-to-deficit crossover
-//! moves with the replica count — hence the two fleet sizes.
+//! Tracks what one `simulate_fleet` replay costs as the fleet grows;
+//! the driver is O(1) amortized per event, so the two fleet sizes
+//! should differ mostly by their event counts.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cta_serve::{
-    poisson_requests, simulate_fleet, AdmissionPolicy, BatchPolicy, FleetConfig, FleetEngine,
-    LoadSpec, RoutingPolicy,
+    poisson_requests, simulate_fleet, AdmissionPolicy, BatchPolicy, FleetConfig, LoadSpec,
+    RoutingPolicy,
 };
 use cta_sim::{AttentionTask, SystemConfig};
 
-fn config(replicas: usize, engine: FleetEngine) -> FleetConfig {
+fn config(replicas: usize) -> FleetConfig {
     FleetConfig::builder(SystemConfig::paper())
         .replicas(replicas)
-        .engine(engine)
         .routing(RoutingPolicy::RoundRobin)
         .batch(BatchPolicy::up_to(4))
         .admission(AdmissionPolicy::bounded(32))
@@ -30,13 +27,10 @@ fn bench_fleet(c: &mut Criterion) {
     let spec = LoadSpec::standard(AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6), 2, 4);
     for replicas in [8usize, 64] {
         let requests = poisson_requests(&spec, 4 * replicas, 6_000.0 * replicas as f64, 7);
-        for engine in [FleetEngine::StepGranular, FleetEngine::EventDriven] {
-            let cfg = config(replicas, engine);
-            let name = format!("fleet/{}rep_{}", replicas, engine.label());
-            c.bench_function(&name, |b| {
-                b.iter(|| black_box(simulate_fleet(&cfg, black_box(&requests))));
-            });
-        }
+        let cfg = config(replicas);
+        c.bench_function(&format!("fleet/{replicas}rep"), |b| {
+            b.iter(|| black_box(simulate_fleet(&cfg, black_box(&requests))));
+        });
     }
 }
 

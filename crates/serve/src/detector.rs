@@ -23,8 +23,9 @@
 //! again, which guarantees probe traffic actually flows).
 //!
 //! Everything here is a pure function of event-time inputs evaluated
-//! inside the shared engine handlers, so both fleet drivers observe the
-//! identical mask sequence and stay bitwise equal. With
+//! inside the shared engine handlers, so the fleet driver and its
+//! reference scan (`crate::reference`) observe the identical mask
+//! sequence and stay bitwise equal. With
 //! `FleetConfig::detector = None` the bank is never constructed and the
 //! fleet reproduces the detector-less runtime bit for bit (pinned by
 //! golden tests).

@@ -1,29 +1,26 @@
-//! The fleet engine: shared event handlers behind two drivers.
+//! The fleet engine: the event handlers and the driver that orders them.
 //!
 //! All five event sources — fault transitions, arrivals, retry requeues,
 //! hedge timers, replica layer steps — are handled by methods on
-//! [`EngineState`], and two drivers decide *which* handler runs next:
+//! [`EngineState`]. One driver decides *which* handler runs next: a
+//! `cta-events` calendar queue holds one event per pending source (the
+//! next arrival and next fault are chained; each replica keeps at most
+//! one scheduled step; every retry backoff and hedge timer is an event
+//! with a cancellation token). O(1) amortized per event, which is what
+//! makes 1k+ replica fleets tractable.
 //!
-//! * [`FleetEngine::EventDriven`] (the default) — a `cta-events`
-//!   calendar queue holds one event per pending source (the next arrival
-//!   and next fault are chained; each replica keeps at most one scheduled
-//!   step; every retry backoff and hedge timer is an event with a
-//!   cancellation token). O(1) amortized per event, which is what makes
-//!   1k+ replica fleets tractable.
-//! * [`FleetEngine::StepGranular`] — the original loop: every iteration
-//!   scans all replicas for the earliest step and cascades through the
-//!   due-conditions. O(replicas) per event; kept as the reference oracle
-//!   the equivalence suites compare the event driver against.
-//!
-//! Both drivers invoke the *same* handler code, so every floating-point
-//! operation happens in the same order and the reports are bitwise
-//! identical — the `engine` integration test and the golden pins enforce
-//! this. The event order contract is encoded in the class ranks below:
-//! at one instant, fault < arrival < retry < hedge < step, matching the
-//! step-granular cascade's `<=` comparisons; within a class the tie is
-//! the fault timeline index / arrival index / request id / request id /
-//! replica index; and the calendar queue breaks any remaining tie by
-//! schedule order.
+//! The original step-granular scan — every iteration scans all replicas
+//! for the earliest step and cascades through the due-conditions,
+//! O(replicas) per event — survives only as the test oracle behind
+//! [`crate::reference`]. It invokes the *same* handler code, so every
+//! floating-point operation happens in the same order and the reports
+//! are bitwise identical; the equivalence suites and the chaos
+//! `Equivalence` invariant compare against it. The event order contract
+//! is encoded in the class ranks below: at one instant, fault < arrival
+//! < retry < hedge < step, matching the scan's `<=` comparisons; within
+//! a class the tie is the fault timeline index / arrival index / request
+//! id / request id / replica index; and the calendar queue breaks any
+//! remaining tie by schedule order.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
@@ -46,47 +43,17 @@ use crate::{
     ShedReason,
 };
 
-/// Which driver advances the fleet simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FleetEngine {
-    /// Scan all replicas for the earliest step every iteration (the
-    /// original loop). O(replicas) per event; the reference oracle.
-    StepGranular,
-    /// Calendar-queue event loop (the default): O(1) amortized per event,
-    /// bitwise identical reports (pinned by test).
-    #[default]
-    EventDriven,
-}
-
-impl FleetEngine {
-    /// Short identifier used in reports and CLI flags.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FleetEngine::StepGranular => "step",
-            FleetEngine::EventDriven => "event",
-        }
-    }
-
-    /// Parses a CLI label (`step` / `event`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "step" | "step-granular" => Some(FleetEngine::StepGranular),
-            "event" | "event-driven" => Some(FleetEngine::EventDriven),
-            _ => None,
-        }
-    }
-}
-
 /// Event class ranks: the pop order at one instant. These mirror the
 /// step-granular cascade (`fault_due` before `arrival_due` before …), so
-/// the two drivers process coincident events identically.
+/// the driver and the reference scan process coincident events
+/// identically.
 const CLASS_FAULT: u8 = 0;
 const CLASS_ARRIVAL: u8 = 1;
 const CLASS_RETRY: u8 = 2;
 const CLASS_HEDGE: u8 = 3;
 const CLASS_STEP: u8 = 4;
 
-/// Event payloads for the event-driven driver. The key's `tie` field
+/// Event payloads for the calendar queue. The key's `tie` field
 /// identifies the instance (arrival index, request id, replica index);
 /// the payload only routes to the right handler.
 #[derive(Debug, Clone, Copy)]
@@ -222,9 +189,9 @@ struct TenancyState {
     hold: bool,
 }
 
-/// All simulation state, shared by both drivers. The handlers are the
-/// single definition of what each event does; the drivers only decide
-/// ordering — which the class ranks make identical.
+/// All simulation state, shared by the driver and the reference scan. The
+/// handlers are the single definition of what each event does; the
+/// drivers only decide ordering — which the class ranks make identical.
 struct EngineState<'a> {
     cfg: &'a FleetConfig,
     requests: &'a [ServeRequest],
@@ -258,12 +225,11 @@ struct EngineState<'a> {
     /// Handler invocations so far (one per simulated event; equal across
     /// drivers, asserted by the equivalence tests).
     events_processed: u64,
-    /// Event-driver bookkeeping, recorded only when `record` is set:
-    /// replica indices whose `next_step_time` may have changed, retry
-    /// events to schedule `(retry_s, id)` / cancel by id, and hedge
+    /// Event-queue bookkeeping, drained by the driver after every
+    /// handler: replica indices whose `next_step_time` may have changed,
+    /// retry events to schedule `(retry_s, id)` / cancel by id, and hedge
     /// events to schedule `(fire_s, id)`. Pure integer bookkeeping — the
-    /// step-granular float stream is untouched.
-    record: bool,
+    /// float stream is untouched.
     touched: Vec<usize>,
     retry_added: Vec<(f64, u64)>,
     retry_removed: Vec<u64>,
@@ -294,7 +260,31 @@ struct EngineState<'a> {
 }
 
 impl<'a> EngineState<'a> {
+    /// Validates the entry points' preconditions and builds the state.
     fn new(cfg: &'a FleetConfig, requests: &'a [ServeRequest]) -> Self {
+        assert!(cfg.replicas > 0, "at least one replica");
+        assert!(!requests.is_empty(), "at least one request");
+        assert!(
+            requests.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
+            "requests must be sorted by arrival time"
+        );
+        cfg.faults.validate(cfg.replicas);
+        if cfg.sessions.is_none() {
+            assert!(
+                requests.iter().all(|r| r.session.is_none()),
+                "session-tagged requests require a session policy (FleetConfig::sessions)"
+            );
+        }
+        if let Some(d) = &cfg.detector {
+            d.validate();
+        }
+        if let Some(t) = &cfg.tenancy {
+            t.validate(cfg.replicas);
+            assert!(
+                requests.iter().all(|r| r.tenant < t.tenants),
+                "request tenant id out of range for the tenancy configuration"
+            );
+        }
         let system = CtaSystem::new(cfg.system);
         let replicas: Vec<Replica> =
             (0..cfg.replicas).map(|i| Replica::new(i, system.clone())).collect();
@@ -350,7 +340,6 @@ impl<'a> EngineState<'a> {
             hedge_cancelled: 0,
             transitions_total: 0,
             events_processed: 0,
-            record: false,
             touched: Vec::new(),
             retry_added: Vec::new(),
             retry_removed: Vec::new(),
@@ -427,17 +416,13 @@ impl<'a> EngineState<'a> {
 
     /// Queues a retry entry, recording the event for the event driver.
     fn queue_retry(&mut self, entry: RetryEntry) {
-        if self.record {
-            self.retry_added.push((entry.retry_s, entry.request.id));
-        }
+        self.retry_added.push((entry.retry_s, entry.request.id));
         push_retry(&mut self.retries, entry);
     }
 
     /// Marks replica `i`'s next step time as possibly changed.
     fn touch(&mut self, i: usize) {
-        if self.record {
-            self.touched.push(i);
-        }
+        self.touched.push(i);
     }
 
     /// Processes `fault_events[next_fault]`: a replica crash (orphaning
@@ -735,9 +720,7 @@ impl<'a> EngineState<'a> {
                 if let Some(hp) = &cfg.overload.hedge {
                     if request.class.deadline_s.is_some() && request.session.is_none() {
                         let fire_s = now + hp.delay_s(&self.lat_window);
-                        if self.record {
-                            self.hedge_added.push((fire_s, request.id));
-                        }
+                        self.hedge_added.push((fire_s, request.id));
                         push_hedge(
                             &mut self.hedges,
                             HedgeEntry { fire_s, request: request.clone(), est_service_s, layer_s },
@@ -1160,7 +1143,7 @@ impl<'a> EngineState<'a> {
                     }
                     let before_retry = self.retries.len();
                     self.retries.retain(|r| r.request.id != c.id);
-                    if self.retries.len() != before_retry && self.record {
+                    if self.retries.len() != before_retry {
                         self.retry_removed.push(c.id);
                     }
                     self.hedge_cancelled += before_retry - self.retries.len();
@@ -1358,48 +1341,30 @@ impl<'a> EngineState<'a> {
     }
 }
 
-/// Validates preconditions, builds the engine state and dispatches to
-/// the configured driver.
+/// Runs the fleet on the calendar-queue driver.
 pub(crate) fn run<S: TraceSink>(
     cfg: &FleetConfig,
     requests: &[ServeRequest],
     sink: &mut S,
 ) -> FleetReport {
-    assert!(cfg.replicas > 0, "at least one replica");
-    assert!(!requests.is_empty(), "at least one request");
-    assert!(
-        requests.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
-        "requests must be sorted by arrival time"
-    );
-    cfg.faults.validate(cfg.replicas);
-    if cfg.sessions.is_none() {
-        assert!(
-            requests.iter().all(|r| r.session.is_none()),
-            "session-tagged requests require a session policy (FleetConfig::sessions)"
-        );
-    }
-    if let Some(d) = &cfg.detector {
-        d.validate();
-    }
-    if let Some(t) = &cfg.tenancy {
-        t.validate(cfg.replicas);
-        assert!(
-            requests.iter().all(|r| r.tenant < t.tenants),
-            "request tenant id out of range for the tenancy configuration"
-        );
-    }
-
-    let state = EngineState::new(cfg, requests);
-    match cfg.engine {
-        FleetEngine::StepGranular => run_step_granular(state, sink),
-        FleetEngine::EventDriven => run_event_driven(state, sink),
-    }
+    run_event_driven(EngineState::new(cfg, requests), sink)
 }
 
-/// The original driver: scan all replicas for the earliest step every
-/// iteration and cascade through the due-conditions. The cascade's `<=`
+/// Runs the fleet on the reference scan (the test oracle behind
+/// [`crate::reference`]).
+pub(crate) fn run_reference<S: TraceSink>(
+    cfg: &FleetConfig,
+    requests: &[ServeRequest],
+    sink: &mut S,
+) -> FleetReport {
+    run_step_granular(EngineState::new(cfg, requests), sink)
+}
+
+/// The reference scan: find the earliest replica step every iteration
+/// and cascade through the due-conditions. The cascade's `<=`
 /// comparisons define the coincident-instant tie order the event driver
-/// reproduces through class ranks.
+/// reproduces through class ranks. The scan has no queue to reconcile, so
+/// it drops the handlers' event-queue bookkeeping after each one.
 fn run_step_granular<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> FleetReport {
     loop {
         // Earliest replica step, ties to the lowest index.
@@ -1460,6 +1425,10 @@ fn run_step_granular<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> 
         } else {
             break;
         }
+        state.touched.clear();
+        state.retry_added.clear();
+        state.retry_removed.clear();
+        state.hedge_added.clear();
     }
     state.finish(sink)
 }
@@ -1474,12 +1443,11 @@ const QUEUE_SAMPLE_EVERY: u64 = 64;
 /// event per pending retry backoff / hedge timer (retries carry
 /// cancellation tokens so hedge-winner completions can remove them).
 ///
-/// Handlers are shared with the step-granular driver, so the float
+/// Handlers are shared with the reference scan, so the float
 /// stream — and therefore the report and any emitted trace — is bitwise
 /// identical; only the *cost* of finding the next event changes, from
 /// O(replicas) to O(1) amortized.
 fn run_event_driven<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> FleetReport {
-    state.record = true;
     let mut el: EventLoop<Ev> = EventLoop::new();
     // Per-replica scheduled step: the exact time it was scheduled at plus
     // its cancellation token (times compare bitwise — both sides computed

@@ -35,8 +35,8 @@
 //! * a [`GrayFailure`] is a persistent stochastic slowdown that never
 //!   trips crash eviction: each layer step inside the window is stretched
 //!   by `1 + severity·u`, where `u ∈ [0, 1)` is a pure hash of
-//!   `(seed, replica, step start time)` so both fleet engines observe the
-//!   identical factor.
+//!   `(seed, replica, step start time)` so the fleet driver and the
+//!   reference scan (`crate::reference`) observe the identical factor.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -616,9 +616,9 @@ impl FaultPlan {
 }
 
 /// The uniform draw behind [`GrayFailure`]: a pure SplitMix64-finalizer
-/// hash of `(seed, replica, step start time)` mapped to `[0, 1)`. Both
-/// fleet engines compute step start times identically, so the factor is
-/// engine-agnostic by construction.
+/// hash of `(seed, replica, step start time)` mapped to `[0, 1)`. The
+/// fleet driver and the reference scan compute step start times
+/// identically, so the factor is driver-agnostic by construction.
 fn gray_unit(seed: u64, replica: usize, t_s: f64) -> f64 {
     let x =
         seed ^ (replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ t_s.to_bits().rotate_left(17);

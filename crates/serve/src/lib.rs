@@ -81,7 +81,6 @@ pub mod sweeps;
 pub use admission::{AdmissionPolicy, ShedReason};
 pub use cost::CostModel;
 pub use detector::{DetectorPolicy, DetectorStats};
-pub use engine::FleetEngine;
 pub use fault::{
     CrashWindow, FaultPlan, FaultPlanError, GrayFailure, LinkStall, Partition, RetryPolicy,
     Slowdown, ZoneOutage,
@@ -104,6 +103,33 @@ pub use runtime::{
     simulate_fleet, simulate_fleet_traced, ConfigError, FleetConfig, FleetConfigBuilder,
     FleetReport, SessionPolicy, Shed,
 };
+
+/// The step-granular reference scan: the oracle the equivalence suites
+/// and the chaos `Equivalence` invariant compare [`simulate_fleet`]
+/// against. It scans every replica per event (O(replicas)) and runs the
+/// same handlers, so its reports and traces are bitwise identical to the
+/// production driver's, except that it leaves
+/// [`FleetReport::event_queue_samples`] empty. Test use only.
+#[doc(hidden)]
+pub mod reference {
+    use cta_telemetry::{NullSink, TraceSink};
+
+    use crate::{FleetConfig, FleetReport, ServeRequest};
+
+    /// [`crate::simulate_fleet`] on the reference scan.
+    pub fn simulate_fleet(cfg: &FleetConfig, requests: &[ServeRequest]) -> FleetReport {
+        simulate_fleet_traced(cfg, requests, &mut NullSink)
+    }
+
+    /// [`crate::simulate_fleet_traced`] on the reference scan.
+    pub fn simulate_fleet_traced<S: TraceSink>(
+        cfg: &FleetConfig,
+        requests: &[ServeRequest],
+        sink: &mut S,
+    ) -> FleetReport {
+        crate::engine::run_reference(cfg, requests, sink)
+    }
+}
 
 pub use cta_tenancy::{
     AutoscalePolicy, Backpressure, QuotaPolicy, SchedulerPolicy, TenancyConfig, TenancyStats,

@@ -193,12 +193,12 @@ impl std::error::Error for TraceError {}
 ///
 /// Coincident arrivals are legal (the monotonicity check is `<`, not
 /// `<=`): real traces batch and so do replays. Their tie-break is the
-/// assigned id — trace order — which both fleet engines honour
-/// identically: the step-granular scan admits in index order at a due
-/// instant, and the event core orders coincident arrival events by
-/// request id ([`cta_events::EventKey`]'s `tie` field). The `engine`
-/// integration tests pin that a burst of equal-timestamp arrivals
-/// produces bitwise-identical reports on both engines.
+/// assigned id — trace order: the fleet driver orders coincident arrival
+/// events by request id ([`cta_events::EventKey`]'s `tie` field), as the
+/// step-granular reference scan (`crate::reference`) admits in index
+/// order at a due instant. The `engine` integration tests pin that a
+/// burst of equal-timestamp arrivals produces bitwise-identical reports
+/// on both.
 ///
 /// # Errors
 ///

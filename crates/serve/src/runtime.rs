@@ -20,18 +20,18 @@
 //! stays fully dormant, keeping reports bitwise identical to the plain
 //! runtime (both pinned by test).
 //!
-//! The event *handlers* live in [`crate::engine`], shared by two
-//! drivers selected by [`FleetEngine`]: the calendar-queue event loop
-//! (the default; O(1) amortized per event) and the step-granular scan
-//! loop (the reference oracle). Their reports are bitwise identical,
+//! The event *handlers* live in [`crate::engine`], driven by one
+//! calendar-queue event loop (O(1) amortized per event). The original
+//! step-granular scan survives only as the test oracle
+//! [`crate::reference`]; the two produce bitwise-identical reports,
 //! pinned by the `engine` integration test and the golden suite.
 
 use cta_telemetry::{NullSink, TraceSink};
 
 use crate::replica::Completion;
 use crate::{
-    AdmissionPolicy, BatchPolicy, FaultPlan, FaultPlanError, FleetEngine, FleetMetrics,
-    OverloadControl, RetryPolicy, RoutingPolicy, ServeRequest, ShedReason,
+    AdmissionPolicy, BatchPolicy, FaultPlan, FaultPlanError, FleetMetrics, OverloadControl,
+    RetryPolicy, RoutingPolicy, ServeRequest, ShedReason,
 };
 
 /// A request rejected by admission control or orphaned by a crash.
@@ -141,12 +141,6 @@ pub struct FleetConfig {
     /// Closed-loop overload control ([`OverloadControl::off`] = the plain
     /// fleet, bitwise).
     pub overload: OverloadControl,
-    /// Which driver advances the simulation
-    /// ([`FleetEngine::EventDriven`], the default, runs at O(1) amortized
-    /// cost per event; [`FleetEngine::StepGranular`] is the original scan
-    /// loop, kept as the reference oracle that produces bitwise-identical
-    /// reports).
-    pub engine: FleetEngine,
     /// Multi-tenant fair scheduling, quotas, and autoscaling (`None` =
     /// the single-tenant fleet, bitwise; a one-tenant equal-weight DRR
     /// configuration with shed backpressure is also pinned bitwise
@@ -165,8 +159,7 @@ impl FleetConfig {
     /// Starts a builder whose defaults are the
     /// [`single_fifo`](FleetConfig::single_fifo) baseline: one replica,
     /// round-robin routing, batching off, admit everything, no faults, no
-    /// overload control, no tenancy, no detector, no sessions,
-    /// event-driven engine.
+    /// overload control, no tenancy, no detector, no sessions.
     pub fn builder(system: cta_sim::SystemConfig) -> FleetConfigBuilder {
         FleetConfigBuilder {
             cfg: FleetConfig {
@@ -178,7 +171,6 @@ impl FleetConfig {
                 faults: FaultPlan::none(),
                 retry: RetryPolicy::standard(),
                 overload: OverloadControl::off(),
-                engine: FleetEngine::EventDriven,
                 tenancy: None,
                 detector: None,
                 sessions: None,
@@ -265,12 +257,6 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Which driver advances the simulation.
-    pub fn engine(mut self, engine: FleetEngine) -> Self {
-        self.cfg.engine = engine;
-        self
-    }
-
     /// Multi-tenant fair scheduling, quotas, and autoscaling.
     pub fn tenancy(mut self, tenancy: cta_tenancy::TenancyConfig) -> Self {
         self.cfg.tenancy = Some(tenancy);
@@ -308,14 +294,14 @@ pub struct FleetReport {
     pub completions: Vec<Completion>,
     /// Every shed request, in arrival order.
     pub shed: Vec<Shed>,
-    /// Simulated events processed (handler invocations); equal across
-    /// engines for the same inputs — the equivalence tests assert it.
+    /// Simulated events processed (handler invocations); equal to the
+    /// reference scan's count — the equivalence tests assert it.
     pub events_processed: u64,
     /// Event-loop occupancy samples `(time_s, pending_events)` taken
-    /// every ~64th event. Only the event-driven engine fills this (the
-    /// step-granular loop has no event queue); it feeds the telemetry
-    /// `events` lane in `planet_sweep` without touching the traced
-    /// handler path, so trace bytes stay engine-independent.
+    /// every ~64th event ([`crate::reference`] leaves it empty: the scan
+    /// has no event queue). It feeds the telemetry `events` lane in
+    /// `planet_sweep` without touching the traced handler path, so trace
+    /// bytes match the reference scan's.
     pub event_queue_samples: Vec<(f64, usize)>,
 }
 
@@ -336,8 +322,8 @@ pub fn simulate_fleet(cfg: &FleetConfig, requests: &[ServeRequest]) -> FleetRepo
 /// The sink is generic over [`TraceSink`], and instrumentation is guarded
 /// by its `ENABLED` constant, so with [`NullSink`] this *is*
 /// [`simulate_fleet`] — same instructions, bitwise-identical report (the
-/// determinism-guard integration test pins this). The trace bytes are
-/// also engine-independent: both drivers run the same instrumented
+/// determinism-guard integration test pins this). The trace bytes also
+/// match [`crate::reference`]'s: both drivers run the same instrumented
 /// handlers in the same order.
 ///
 /// # Panics
@@ -453,25 +439,11 @@ mod tests {
     }
 
     #[test]
-    fn engines_parse_and_label_round_trip() {
-        for e in [FleetEngine::StepGranular, FleetEngine::EventDriven] {
-            assert_eq!(FleetEngine::parse(e.label()), Some(e));
-        }
-        assert_eq!(FleetEngine::parse("nope"), None);
-    }
-
-    #[test]
     fn event_engine_matches_step_engine_on_a_sharded_fleet() {
         let requests = trace(40, 1e-5);
-        let event = simulate_fleet(&FleetConfig::sharded(SystemConfig::paper(), 3), &requests);
-        assert_eq!(
-            FleetEngine::default(),
-            FleetEngine::EventDriven,
-            "the event core is the default"
-        );
-        let mut cfg = FleetConfig::sharded(SystemConfig::paper(), 3);
-        cfg.engine = FleetEngine::StepGranular;
-        let step = simulate_fleet(&cfg, &requests);
+        let cfg = FleetConfig::sharded(SystemConfig::paper(), 3);
+        let event = simulate_fleet(&cfg, &requests);
+        let step = crate::reference::simulate_fleet(&cfg, &requests);
         assert_eq!(step.metrics, event.metrics);
         assert_eq!(step.completions, event.completions);
         assert_eq!(step.shed, event.shed);
@@ -532,12 +504,10 @@ mod tests {
             .replicas(4)
             .routing(RoutingPolicy::JoinShortestQueue)
             .batch(BatchPolicy::up_to(2))
-            .engine(FleetEngine::StepGranular)
             .sessions(SessionPolicy::sticky())
             .build()
             .expect("valid");
         assert_eq!(cfg.replicas, 4);
-        assert_eq!(cfg.engine, FleetEngine::StepGranular);
         assert_eq!(cfg.sessions, Some(SessionPolicy::sticky()));
         // Untouched knobs keep the baseline values.
         assert_eq!(cfg.admission, AdmissionPolicy::admit_all());

@@ -15,7 +15,7 @@
 //!                [--seed 7] [--mtbf-factors inf,0.5] [--mttr-factor 0.05]
 //!                [--deadline-factor 25] [--link-gbs 96] [--routing jsq]
 //!                [--batch 4] [--queue-depth 64]
-//!                [--control brownout|breaker|hedge|full] [--engine step|event]
+//!                [--control brownout|breaker|hedge|full]
 //!                [--trace <path.json>] [--jobs N] [--pool-trace <path.json>]
 //! ```
 //!
@@ -59,8 +59,8 @@ use cta_workloads::{case_task, mini_case};
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use crate::{
     poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    BreakerPolicy, CostModel, FaultPlan, FleetConfig, FleetEngine, FleetReport, HedgePolicy,
-    LoadSpec, OverloadControl, QosClass, RoutingPolicy, ServeRequest,
+    BreakerPolicy, CostModel, FaultPlan, FleetConfig, FleetReport, HedgePolicy, LoadSpec,
+    OverloadControl, QosClass, RoutingPolicy, ServeRequest,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -68,7 +68,7 @@ const USAGE: &str = "usage: brownout_sweep [--replicas 3] [--loads 0.8,1.3,1.8] 
                       [--seed 7] [--mtbf-factors inf,0.5] [--mttr-factor 0.05]
                       [--deadline-factor 25] [--link-gbs 96]
                       [--routing rr|jsq|low] [--batch 4] [--queue-depth 64]
-                      [--control brownout|breaker|hedge|full] [--engine step|event]
+                      [--control brownout|breaker|hedge|full]
                       [--trace <path.json>] [--jobs N] [--pool-trace <path.json>]";
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
@@ -152,7 +152,6 @@ struct Args {
     queue_depth: usize,
     control: ControlMode,
     trace: Option<String>,
-    engine: FleetEngine,
 }
 
 impl Args {
@@ -171,7 +170,6 @@ impl Args {
             queue_depth: 64,
             control: ControlMode::Brownout,
             trace: None,
-            engine: FleetEngine::StepGranular,
         };
         while let Some(flag) = it.next_flag() {
             match flag.as_str() {
@@ -224,11 +222,6 @@ impl Args {
                 }
                 "--trace" => {
                     args.trace = Some(it.value("--trace")?);
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
                 }
                 other => return Err(format!("unknown flag {other:?}")),
             }
@@ -342,7 +335,6 @@ fn run(h: &Harness<Args>) {
 
     let base = {
         let mut cfg = FleetConfig::sharded(sys_cfg, args.replicas);
-        cfg.engine = args.engine;
         cfg.routing = args.routing;
         cfg.batch = BatchPolicy::up_to(args.batch);
         cfg.admission = AdmissionPolicy::bounded(args.queue_depth);
@@ -400,10 +392,6 @@ fn run(h: &Harness<Args>) {
                 .set("queue_depth", JsonValue::Int(args.queue_depth as i64))
                 .set("requests_per_point", JsonValue::Int(args.requests as i64))
                 .set("seed", JsonValue::Int(args.seed as i64));
-            // Only non-default so the default report bytes stay pinned.
-            if args.engine != FleetEngine::StepGranular {
-                json.set("engine", JsonValue::Str(args.engine.label().into()));
-            }
         },
     );
 
@@ -452,9 +440,6 @@ mod tests {
         assert!(parse(&["--mtbf-factors", "nan"]).unwrap_err().contains("positive"));
         assert!(parse(&["--deadline-factor", "-3"]).unwrap_err().contains("positive"));
         assert!(parse(&["--link-gbs", "inf"]).unwrap_err().contains("positive and finite"));
-        assert_eq!(ok.engine, FleetEngine::StepGranular);
-        assert_eq!(parse(&["--engine", "event"]).expect("valid").engine, FleetEngine::EventDriven);
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //!              [--arrival-rate 2000] [--think-ms 1] [--drift 0.02]
 //!              [--replicas 3] [--policy sticky|stateless]
 //!              [--mtbf-factor inf] [--mttr-factor 0.02]
-//!              [--seed 7] [--engine step|event] [--trace <path.json>]
+//!              [--seed 7] [--trace <path.json>]
 //!              [--jobs N] [--pool-trace <path.json>]
 //! ```
 //!
 //! **Outputs.** The stdout table and `results/decode_sweep.{csv,json}`
-//! are deterministic for a fixed `--seed` at any `--jobs` value and
-//! under either engine (session bookkeeping lives in the shared
-//! handlers). Wall-clock timings go to `results/BENCH_decode.json`,
+//! are deterministic for a fixed `--seed` at any `--jobs` value. The
+//! JSON's `engine` key is always `"event"`, the one fleet driver.
+//! Wall-clock timings go to `results/BENCH_decode.json`,
 //! merged per (git SHA, date) so the file keeps a trajectory across
 //! PRs. With `--trace <path>` the final point is re-run traced —
 //! session re-prefills appear as compression-class spans and lost
@@ -43,7 +43,7 @@ use cta_workloads::{case_task, mini_case, SessionSpec};
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use crate::{
     session_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    FaultPlan, FleetConfig, FleetEngine, LoadSpec, RoutingPolicy, ServeRequest, SessionPolicy,
+    FaultPlan, FleetConfig, LoadSpec, RoutingPolicy, ServeRequest, SessionPolicy,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -51,7 +51,7 @@ const USAGE: &str = "usage: decode_sweep [--sessions 16,48] [--turns 4] [--thres
                     [--arrival-rate 2000] [--think-ms 1] [--drift 0.02]
                     [--replicas 3] [--policy sticky|stateless]
                     [--mtbf-factor inf] [--mttr-factor 0.02]
-                    [--seed 7] [--engine step|event] [--trace <path.json>]
+                    [--seed 7] [--trace <path.json>]
                     [--jobs N] [--pool-trace <path.json>]";
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
@@ -84,7 +84,6 @@ struct Args {
     mtbf_factor: f64,
     mttr_factor: f64,
     seed: u64,
-    engine: FleetEngine,
     trace: Option<String>,
 }
 
@@ -102,7 +101,6 @@ impl Args {
             mtbf_factor: f64::INFINITY,
             mttr_factor: 0.02,
             seed: 7,
-            engine: FleetEngine::StepGranular,
             trace: None,
         };
         while let Some(flag) = it.next_flag() {
@@ -149,11 +147,6 @@ impl Args {
                 }
                 "--seed" => {
                     args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
                 }
                 "--trace" => {
                     args.trace = Some(it.value("--trace")?);
@@ -219,7 +212,6 @@ fn point_config(args: &Args, requests: &[ServeRequest]) -> FleetConfig {
         .routing(RoutingPolicy::LeastOutstandingWork)
         .admission(AdmissionPolicy::bounded(64))
         .batch(BatchPolicy::up_to(4))
-        .engine(args.engine)
         .sessions(args.policy)
         .build()
         .expect("the decode sweep fleet is always valid");
@@ -256,10 +248,9 @@ fn run(h: &Harness<Args>) {
 
     h.run_grid(
         &format!(
-            "Decode sweep — {} sessions over {} replicas, engine {}, drift {}/token",
+            "Decode sweep — {} sessions over {} replicas, drift {}/token",
             if args.policy.sticky { "sticky" } else { "stateless" },
             args.replicas,
-            args.engine.label(),
             args.drift
         ),
         &grid,
@@ -314,7 +305,7 @@ fn run(h: &Harness<Args>) {
         |json| {
             json.set("experiment", JsonValue::Str("decode_sweep".into()))
                 .set("case", JsonValue::Str(case.name()))
-                .set("engine", JsonValue::Str(args.engine.label().into()))
+                .set("engine", JsonValue::Str("event".into()))
                 .set(
                     "policy",
                     JsonValue::Str(if args.policy.sticky { "sticky" } else { "stateless" }.into()),
@@ -343,7 +334,7 @@ fn run(h: &Harness<Args>) {
     let mut bench = BenchSidecar::new("BENCH_decode");
     bench
         .set("experiment", JsonValue::Str("decode_sweep".into()))
-        .set("engine", JsonValue::Str(args.engine.label().into()))
+        .set("engine", JsonValue::Str("event".into()))
         .set("seed", JsonValue::Int(args.seed as i64))
         .set("jobs", JsonValue::Int(h.jobs().get() as i64))
         .set(
@@ -425,7 +416,6 @@ mod tests {
         assert!(parse(&["--drift", "-0.1"]).unwrap_err().contains("non-negative"));
         assert!(parse(&["--replicas", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--policy", "rr"]).unwrap_err().contains("unknown policy"));
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //!                   [--seed 7] [--mtbf-factors 4,2,1,0.5,0.25]
 //!                   [--mttr-factor 0.05] [--routing jsq] [--batch 4]
 //!                   [--queue-depth 64] [--trace <path.json>]
-//!                   [--engine step|event]
 //!                   [--jobs N] [--pool-trace <path.json>]
 //! ```
 //!
@@ -37,8 +36,8 @@ use cta_workloads::{case_task, mini_case};
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use crate::{
     poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    CostModel, FaultPlan, FleetConfig, FleetEngine, FleetReport, LoadSpec, RoutingPolicy,
-    ServeRequest, ShedReason,
+    CostModel, FaultPlan, FleetConfig, FleetReport, LoadSpec, RoutingPolicy, ServeRequest,
+    ShedReason,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -46,7 +45,6 @@ const USAGE: &str = "usage: degradation_sweep [--replicas 4] [--load 0.8] [--req
                          [--seed 7] [--mtbf-factors 4,2,1,0.5,0.25]
                          [--mttr-factor 0.05] [--routing rr|jsq|low]
                          [--batch 4] [--queue-depth 64] [--trace <path.json>]
-                         [--engine step|event]
                          [--jobs N] [--pool-trace <path.json>]";
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
@@ -78,7 +76,6 @@ struct Args {
     batch: usize,
     queue_depth: usize,
     trace: Option<String>,
-    engine: FleetEngine,
 }
 
 impl Args {
@@ -94,7 +91,6 @@ impl Args {
             batch: 4,
             queue_depth: 64,
             trace: None,
-            engine: FleetEngine::StepGranular,
         };
         while let Some(flag) = it.next_flag() {
             match flag.as_str() {
@@ -134,11 +130,6 @@ impl Args {
                 }
                 "--trace" => {
                     args.trace = Some(it.value("--trace")?);
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
                 }
                 other => return Err(format!("unknown flag {other:?}")),
             }
@@ -216,7 +207,6 @@ fn run(h: &Harness<Args>) {
 
     let base = {
         let mut cfg = FleetConfig::sharded(SystemConfig::paper(), args.replicas);
-        cfg.engine = args.engine;
         cfg.routing = args.routing;
         cfg.batch = BatchPolicy::up_to(args.batch);
         cfg.admission = AdmissionPolicy::bounded(args.queue_depth);
@@ -292,10 +282,6 @@ fn run(h: &Harness<Args>) {
                 .set("queue_depth", JsonValue::Int(args.queue_depth as i64))
                 .set("requests", JsonValue::Int(args.requests as i64))
                 .set("seed", JsonValue::Int(args.seed as i64));
-            // Only non-default so the default report bytes stay pinned.
-            if args.engine != FleetEngine::StepGranular {
-                json.set("engine", JsonValue::Str(args.engine.label().into()));
-            }
         },
     );
 
@@ -329,9 +315,6 @@ mod tests {
         assert!(parse(&["--routing", "x"]).unwrap_err().contains("unknown routing policy"));
         assert!(parse(&["--mtbf-factors", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--mttr-factor", "-1"]).unwrap_err().contains("positive"));
-        assert_eq!(ok.engine, FleetEngine::StepGranular);
-        assert_eq!(parse(&["--engine", "event"]).expect("valid").engine, FleetEngine::EventDriven);
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
     }
 
     #[test]

@@ -2,18 +2,18 @@
 //! thousand-replica fleets under a diurnal + flash-crowd arrival
 //! pattern, driven by the calendar-queue event core.
 //!
-//! The step-granular engine rescans every replica to find the next due
-//! instant, so its cost grows with the fleet even when almost nothing
-//! is due; the event core ([`crate::FleetEngine::EventDriven`]) pops
-//! exactly the due event in O(1) amortized time, which is what makes
-//! thousand-replica sweeps practical. Routing is fixed to round-robin —
+//! The fleet driver pops exactly the due event from a calendar queue in
+//! O(1) amortized time instead of rescanning every replica for the next
+//! due instant (the reference scan kept as a test oracle,
+//! `cta_serve::reference`), which is what makes thousand-replica sweeps
+//! practical. Routing is fixed to round-robin —
 //! the only O(1)-per-arrival policy; JSQ/LOW would reintroduce a
 //! full-fleet scan on every admission and dominate the profile.
 //!
 //! ```text
 //! planet_sweep [--replicas 250,1000] [--load 0.7] [--requests-per-replica 4]
 //!              [--seed 7] [--mtbf-factor 1] [--mttr-factor 0.02]
-//!              [--batch 4] [--queue-depth 64] [--engine event|step]
+//!              [--batch 4] [--queue-depth 64]
 //!              [--trace <path.json>] [--jobs N] [--pool-trace <path.json>]
 //! ```
 //!
@@ -27,9 +27,10 @@
 //!
 //! **Outputs.** The stdout table and `results/planet_sweep.{csv,json}`
 //! are deterministic for a fixed `--seed` at any `--jobs` value — the
-//! `events` column counts handler invocations, which both engines agree
-//! on exactly. Wall-clock event throughput is *not* deterministic, so
-//! it is kept out of the pinned reports and written separately to
+//! `events` column counts handler invocations, which the reference scan
+//! agrees with exactly. The JSON's `engine` key is always `"event"`.
+//! Wall-clock event throughput is *not* deterministic, so it is kept
+//! out of the pinned reports and written separately to
 //! `results/BENCH_events.json` (one entry per point with `wall_s` and
 //! `events_per_sec`; run with `--jobs 1` for uncontended numbers).
 //! With `--trace <path>` the final point is re-run traced and the
@@ -50,14 +51,14 @@ use cta_workloads::{case_task, mini_case, DiurnalSpec, FlashCrowd};
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use crate::{
     poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    CostModel, FaultPlan, FleetConfig, FleetEngine, LoadSpec, RoutingPolicy, ServeRequest,
+    CostModel, FaultPlan, FleetConfig, LoadSpec, RoutingPolicy, ServeRequest,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
 const USAGE: &str = "usage: planet_sweep [--replicas 250,1000] [--load 0.7]
                     [--requests-per-replica 4] [--seed 7]
                     [--mtbf-factor 1] [--mttr-factor 0.02]
-                    [--batch 4] [--queue-depth 64] [--engine event|step]
+                    [--batch 4] [--queue-depth 64]
                     [--trace <path.json>]
                     [--jobs N] [--pool-trace <path.json>]";
 
@@ -87,7 +88,6 @@ struct Args {
     mttr_factor: f64,
     batch: usize,
     queue_depth: usize,
-    engine: FleetEngine,
     trace: Option<String>,
 }
 
@@ -102,7 +102,6 @@ impl Args {
             mttr_factor: 0.02,
             batch: 4,
             queue_depth: 64,
-            engine: FleetEngine::EventDriven,
             trace: None,
         };
         while let Some(flag) = it.next_flag() {
@@ -137,11 +136,6 @@ impl Args {
                 "--queue-depth" => {
                     args.queue_depth =
                         parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
                 }
                 "--trace" => {
                     args.trace = Some(it.value("--trace")?);
@@ -198,7 +192,6 @@ fn point_requests(spec: &LoadSpec, count: usize, rate: f64, seed: u64) -> Vec<Se
 
 fn point_config(args: &Args, replicas: usize, requests: &[ServeRequest]) -> FleetConfig {
     let mut cfg = FleetConfig::sharded(SystemConfig::paper(), replicas);
-    cfg.engine = args.engine;
     cfg.routing = RoutingPolicy::RoundRobin;
     cfg.batch = BatchPolicy::up_to(args.batch);
     cfg.admission = AdmissionPolicy::bounded(args.queue_depth);
@@ -233,10 +226,9 @@ fn run(h: &Harness<Args>) {
 
     h.run_grid(
         &format!(
-            "Planet sweep — diurnal + flash crowd @ load {:.2}, engine {}, \
+            "Planet sweep — diurnal + flash crowd @ load {:.2}, \
              {} requests/replica, solo service {:.3} ms",
             args.load,
-            args.engine.label(),
             args.requests_per_replica,
             solo * 1e3
         ),
@@ -296,7 +288,7 @@ fn run(h: &Harness<Args>) {
         |json| {
             json.set("experiment", JsonValue::Str("planet_sweep".into()))
                 .set("case", JsonValue::Str(case.name()))
-                .set("engine", JsonValue::Str(args.engine.label().into()))
+                .set("engine", JsonValue::Str("event".into()))
                 .set("arrivals", JsonValue::Str("diurnal".into()))
                 .set("load", JsonValue::Num(args.load))
                 .set("solo_service_s", JsonValue::Num(solo))
@@ -326,7 +318,7 @@ fn run(h: &Harness<Args>) {
     let mut bench = BenchSidecar::new("BENCH_events");
     bench
         .set("experiment", JsonValue::Str("planet_sweep".into()))
-        .set("engine", JsonValue::Str(args.engine.label().into()))
+        .set("engine", JsonValue::Str("event".into()))
         .set("seed", JsonValue::Int(args.seed as i64))
         .set("jobs", JsonValue::Int(h.jobs().get() as i64))
         .set(
@@ -388,9 +380,6 @@ mod tests {
     fn args_parse_accepts_defaults_and_rejects_malformed_flags() {
         let ok = parse(&[]).expect("defaults valid");
         assert_eq!(ok.replicas, vec![250, 1000]);
-        assert_eq!(ok.engine, FleetEngine::EventDriven, "the event core is the default here");
-        let step = parse(&["--engine", "step"]).expect("valid");
-        assert_eq!(step.engine, FleetEngine::StepGranular);
         let healthy = parse(&["--mtbf-factor", "inf"]).expect("valid");
         assert!(!healthy.mtbf_factor.is_finite());
 
@@ -399,7 +388,6 @@ mod tests {
         assert!(parse(&["--requests-per-replica", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--load", "-1"]).unwrap_err().contains("positive"));
         assert!(parse(&["--mtbf-factor", "nan"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
     }
 
     #[test]

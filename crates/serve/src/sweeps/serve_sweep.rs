@@ -14,7 +14,7 @@
 //!             [--requests 200] [--seed 7] [--routing jsq]
 //!             [--batch 4] [--queue-depth 64] [--trace <path.json>]
 //!             [--faults <mtbf_s>:<mttr_s>] [--brownout]
-//!             [--engine step|event] [--arrivals poisson|diurnal]
+//!             [--arrivals poisson|diurnal]
 //!             [--tenants N] [--scheduler fifo|drr|wfq]
 //!             [--jobs N] [--pool-trace <path.json>]
 //! ```
@@ -50,12 +50,7 @@
 //! JSON only, so the default layout never moves. `tenant_sweep` is the
 //! dedicated experiment for skewed mixes, quotas and autoscaling.
 //!
-//! With `--engine event` every sweep point runs on the calendar-queue
-//! event core ([`crate::FleetEngine::EventDriven`]) instead of the
-//! step-granular scan. The two engines are pinned bitwise-equivalent
-//! (the `engine` integration tests), so the CSV bytes do not change —
-//! only the simulator's own complexity class does. With
-//! `--arrivals diurnal` the Poisson trace is replaced by a diurnally
+//! With `--arrivals diurnal` the Poisson trace is replaced by a diurnally
 //! modulated one ([`cta_workloads::DiurnalSpec`]): the point rate
 //! becomes the daytime rate of a four-cycle day/night pattern (night at
 //! 0.25x) with a 4x flash crowd early in the second cycle.
@@ -72,8 +67,8 @@ use cta_workloads::{case_task, mini_case, DiurnalSpec, FlashCrowd};
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use crate::{
     poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, BatchPolicy,
-    BrownoutConfig, CostModel, FaultPlan, FleetConfig, FleetEngine, LoadSpec, OverloadControl,
-    RoutingPolicy, SchedulerPolicy, ServeRequest, TenancyConfig,
+    BrownoutConfig, CostModel, FaultPlan, FleetConfig, LoadSpec, OverloadControl, RoutingPolicy,
+    SchedulerPolicy, ServeRequest, TenancyConfig,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -81,7 +76,7 @@ const USAGE: &str = "usage: serve_sweep [--replicas 1,4] [--loads 0.2,0.5,0.8,1.
                    [--requests 200] [--seed 7] [--routing rr|jsq|low]
                    [--batch 4] [--queue-depth 64] [--trace <path.json>]
                    [--faults <mtbf_s>:<mttr_s>] [--brownout]
-                   [--engine step|event] [--arrivals poisson|diurnal]
+                   [--arrivals poisson|diurnal]
                    [--tenants N] [--scheduler fifo|drr|wfq]
                    [--jobs N] [--pool-trace <path.json>]";
 
@@ -164,7 +159,6 @@ struct Args {
     trace: Option<String>,
     faults: Option<FaultSpec>,
     brownout: bool,
-    engine: FleetEngine,
     arrivals: Arrivals,
     /// `Some` when `--tenants` or `--scheduler` was given: the tenancy
     /// front end is enabled with this many equal-weight tenants.
@@ -192,7 +186,6 @@ impl Args {
             trace: None,
             faults: None,
             brownout: false,
-            engine: FleetEngine::StepGranular,
             arrivals: Arrivals::Poisson,
             tenants: None,
             scheduler: SchedulerPolicy::Drr,
@@ -233,11 +226,6 @@ impl Args {
                 // A bare switch: the brownout ladder and controller are
                 // the calibrated standards, not CLI-tunable knobs.
                 "--brownout" => args.brownout = true,
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
-                }
                 "--arrivals" => {
                     let v = it.value("--arrivals")?;
                     args.arrivals = Arrivals::parse(&v).ok_or_else(|| {
@@ -308,7 +296,6 @@ fn point_faults(
 /// once the point's arrival trace exists).
 fn point_config(args: &Args, replicas: usize) -> FleetConfig {
     let mut cfg = FleetConfig::sharded(SystemConfig::paper(), replicas);
-    cfg.engine = args.engine;
     cfg.routing = args.routing;
     cfg.batch = BatchPolicy::up_to(args.batch);
     cfg.admission = AdmissionPolicy::bounded(args.queue_depth);
@@ -503,12 +490,8 @@ fn run(h: &Harness<Args>) {
             if args.brownout {
                 json.set("brownout", JsonValue::Bool(true));
             }
-            // Engine/arrivals metadata only when non-default, so the
-            // default report bytes stay pinned (and a step-vs-event CSV
-            // diff is the whole equivalence check).
-            if args.engine != FleetEngine::StepGranular {
-                json.set("engine", JsonValue::Str(args.engine.label().into()));
-            }
+            // Arrivals metadata only when non-default, so the default
+            // report bytes stay pinned.
             if args.arrivals != Arrivals::Poisson {
                 json.set("arrivals", JsonValue::Str(args.arrivals.label().into()));
             }
@@ -573,14 +556,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_arrivals_flags_parse_with_step_poisson_defaults() {
+    fn arrivals_flag_parses_with_a_poisson_default() {
         let d = parse(&[]).expect("defaults");
-        assert_eq!(d.engine, FleetEngine::StepGranular);
         assert_eq!(d.arrivals, Arrivals::Poisson);
-        let ev = parse(&["--engine", "event", "--arrivals", "diurnal"]).expect("valid");
-        assert_eq!(ev.engine, FleetEngine::EventDriven);
+        let ev = parse(&["--arrivals", "diurnal"]).expect("valid");
         assert_eq!(ev.arrivals, Arrivals::Diurnal);
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
         assert!(parse(&["--arrivals", "tidal"]).unwrap_err().contains("unknown arrival process"));
     }
 

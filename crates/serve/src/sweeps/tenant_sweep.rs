@@ -20,7 +20,7 @@
 //!              [--autoscale none,reactive] [--replicas 2] [--load 6.0]
 //!              [--requests 1200] [--seed 7] [--quota <rps>:<burst>]
 //!              [--deadline-factor 40] [--batch 2] [--queue-depth 2]
-//!              [--engine step|event] [--trace <path.json>]
+//!              [--trace <path.json>]
 //!              [--jobs N] [--pool-trace <path.json>]
 //! ```
 //!
@@ -34,8 +34,9 @@
 //! breathing with the offered load.
 //!
 //! **Outputs.** The stdout table and `results/tenant_sweep.{csv,json}`
-//! are deterministic for a fixed `--seed` at any `--jobs` value and
-//! identical across both engines (CI diffs step vs event). Wall-clock
+//! are deterministic for a fixed `--seed` at any `--jobs` value; the
+//! JSON's `engine` key is always `"event"`, the one fleet driver.
+//! Wall-clock
 //! throughput is *not* deterministic and is written separately to
 //! `results/BENCH_tenancy.json` (one entry per point with `wall_s` and
 //! `events_per_sec`; run with `--jobs 1` for uncontended numbers).
@@ -57,8 +58,8 @@ use cta_workloads::{case_task, mini_case, TenantMix};
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use crate::{
     poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, AutoscalePolicy,
-    Backpressure, BatchPolicy, CostModel, FleetConfig, FleetEngine, LoadSpec, QosClass,
-    QuotaPolicy, RoutingPolicy, SchedulerPolicy, ServeRequest, TenancyConfig,
+    Backpressure, BatchPolicy, CostModel, FleetConfig, LoadSpec, QosClass, QuotaPolicy,
+    RoutingPolicy, SchedulerPolicy, ServeRequest, TenancyConfig,
 };
 
 /// Usage text printed to stderr on any malformed invocation.
@@ -66,7 +67,7 @@ const USAGE: &str = "usage: tenant_sweep [--tenants 16] [--skew 0,1] [--schedule
                     [--autoscale none,reactive] [--replicas 2] [--load 6.0]
                     [--requests 1200] [--seed 7] [--quota <rps>:<burst>]
                     [--deadline-factor 40] [--batch 2] [--queue-depth 2]
-                    [--engine step|event] [--trace <path.json>]
+                    [--trace <path.json>]
                     [--jobs N] [--pool-trace <path.json>]";
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
@@ -129,7 +130,6 @@ struct Args {
     deadline_factor: f64,
     batch: usize,
     queue_depth: usize,
-    engine: FleetEngine,
     trace: Option<String>,
 }
 
@@ -148,7 +148,6 @@ impl Args {
             deadline_factor: 40.0,
             batch: 2,
             queue_depth: 2,
-            engine: FleetEngine::StepGranular,
             trace: None,
         };
         while let Some(flag) = it.next_flag() {
@@ -221,11 +220,6 @@ impl Args {
                     args.queue_depth =
                         parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
                 }
-                "--engine" => {
-                    let v = it.value("--engine")?;
-                    args.engine = FleetEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (step|event)"))?;
-                }
                 "--trace" => {
                     args.trace = Some(it.value("--trace")?);
                 }
@@ -295,7 +289,6 @@ fn point_config(
     solo: f64,
 ) -> FleetConfig {
     let mut cfg = FleetConfig::sharded(SystemConfig::paper(), args.replicas);
-    cfg.engine = args.engine;
     cfg.routing = RoutingPolicy::JoinShortestQueue;
     cfg.batch = BatchPolicy::up_to(args.batch);
     cfg.admission = AdmissionPolicy::bounded(args.queue_depth);
@@ -335,12 +328,11 @@ fn run(h: &Harness<Args>) {
 
     h.run_grid(
         &format!(
-            "Tenant sweep — {} tenants, {} replicas @ load {:.2}, engine {}, \
+            "Tenant sweep — {} tenants, {} replicas @ load {:.2}, \
              solo service {:.3} ms",
             args.tenants,
             args.replicas,
             args.load,
-            args.engine.label(),
             solo * 1e3
         ),
         &grid,
@@ -395,7 +387,7 @@ fn run(h: &Harness<Args>) {
         |json| {
             json.set("experiment", JsonValue::Str("tenant_sweep".into()))
                 .set("case", JsonValue::Str(case.name()))
-                .set("engine", JsonValue::Str(args.engine.label().into()))
+                .set("engine", JsonValue::Str("event".into()))
                 .set("tenants", JsonValue::Int(args.tenants as i64))
                 .set("replicas", JsonValue::Int(args.replicas as i64))
                 .set("load", JsonValue::Num(args.load))
@@ -429,7 +421,7 @@ fn run(h: &Harness<Args>) {
     let mut bench = BenchSidecar::new("BENCH_tenancy");
     bench
         .set("experiment", JsonValue::Str("tenant_sweep".into()))
-        .set("engine", JsonValue::Str(args.engine.label().into()))
+        .set("engine", JsonValue::Str("event".into()))
         .set("tenants", JsonValue::Int(args.tenants as i64))
         .set("replicas", JsonValue::Int(args.replicas as i64))
         .set("seed", JsonValue::Int(args.seed as i64))
@@ -528,7 +520,6 @@ mod tests {
         assert!(parse(&["--quota", "0:4"]).unwrap_err().contains("positive"));
         assert!(parse(&["--load", "-2"]).unwrap_err().contains("positive"));
         assert!(parse(&["--deadline-factor", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--engine", "warp"]).unwrap_err().contains("unknown engine"));
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Engine equivalence and bitwise-off pins for the chaos-era fault
+//! Driver equivalence and bitwise-off pins for the chaos-era fault
 //! classes: random zone-outage / partition / gray-failure schedules must
-//! survive the step↔event engine swap byte-for-byte, and an armed
+//! run byte-for-byte alike on the fleet driver and the reference scan
+//! (`cta_serve::reference`, the test oracle), and an armed
 //! detector must not perturb a healthy fleet (quarantine is the *only*
 //! mechanism by which it may change routing).
 
 use cta_serve::{
-    poisson_requests, simulate_fleet, AdmissionPolicy, BatchPolicy, CrashWindow, DetectorPolicy,
-    FaultPlan, FleetConfig, FleetEngine, FleetReport, GrayFailure, LoadSpec, Partition,
+    poisson_requests, reference, simulate_fleet, AdmissionPolicy, BatchPolicy, CrashWindow,
+    DetectorPolicy, FaultPlan, FleetConfig, FleetReport, GrayFailure, LoadSpec, Partition,
     RoutingPolicy, ServeRequest, Slowdown, ZoneOutage,
 };
 use cta_sim::{AttentionTask, SystemConfig};
@@ -67,16 +68,12 @@ fn chaos_plan(replicas: usize, zones: usize, span: f64, seed: u64, severity: f64
     plan
 }
 
-/// Runs the same (config, trace) under both engines and returns the
-/// reports ready for full `PartialEq` comparison (the event-only queue
-/// samples cleared).
-fn both_engines(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
-    let mut step_cfg = cfg.clone();
-    step_cfg.engine = FleetEngine::StepGranular;
-    let step = simulate_fleet(&step_cfg, requests);
-    let mut event_cfg = cfg.clone();
-    event_cfg.engine = FleetEngine::EventDriven;
-    let mut event = simulate_fleet(&event_cfg, requests);
+/// Runs the same (config, trace) on the reference scan and the fleet
+/// driver and returns the reports ready for full `PartialEq` comparison
+/// (the event-only queue samples cleared).
+fn with_reference(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
+    let step = reference::simulate_fleet(cfg, requests);
+    let mut event = simulate_fleet(cfg, requests);
     event.event_queue_samples.clear();
     (step, event)
 }
@@ -138,7 +135,7 @@ proptest! {
             policy.probation_s = (0.05 * span).max(1e-6);
             cfg.detector = Some(policy);
         }
-        let (step, event) = both_engines(&cfg, &requests);
+        let (step, event) = with_reference(&cfg, &requests);
         prop_assert_eq!(step, event);
     }
 }

@@ -121,6 +121,5 @@ fn tenant_sweep_rejects_malformed_invocations() {
     assert_graceful_failure(TENANT_SWEEP, &["--quota", "100"], "<rps>:<burst>");
     assert_graceful_failure(TENANT_SWEEP, &["--quota", "0:4"], "positive");
     assert_graceful_failure(TENANT_SWEEP, &["--deadline-factor", "0"], "positive");
-    assert_graceful_failure(TENANT_SWEEP, &["--engine", "warp"], "unknown engine");
     assert_graceful_failure(TENANT_SWEEP, &["--load", "-2"], "positive");
 }

@@ -1,11 +1,12 @@
-//! Cross-engine equivalence: the calendar-queue event core must be a
-//! drop-in replacement for the step-granular scan.
+//! Driver equivalence: the calendar-queue fleet driver must be a
+//! drop-in replacement for the step-granular reference scan
+//! (`cta_serve::reference`, the test oracle).
 //!
-//! [`FleetEngine::EventDriven`] routes control flow through
-//! `cta-events` instead of scanning every replica for the next due
-//! instant, but both drivers call the *same* handler code in the same
-//! order, so every float operation — and therefore every report byte
-//! and every trace byte — must be identical. These tests pin that
+//! The driver routes control flow through `cta-events` instead of
+//! scanning every replica for the next due instant, but both call the
+//! *same* handler code in the same order, so every float operation —
+//! and therefore every report byte and every trace byte — must be
+//! identical. These tests pin that
 //! contract where it is most likely to crack:
 //!
 //! * randomly drawn fleet shapes (routing × batching × admission);
@@ -15,15 +16,15 @@
 //!   hedged dispatch — including back-dated hedge-copy steps);
 //! * coincident timestamps (equal arrivals resolved by request id);
 //! * the telemetry stream: identical `RingBufferSink` bytes, so a
-//!   trace from either engine is *the* trace.
+//!   trace from either driver is *the* trace.
 //!
-//! The only intentional differences: `event_queue_samples` is populated
+//! The only intentional difference: `event_queue_samples` is populated
 //! by the event driver alone (the step scan has no queue to sample), so
 //! reports are compared with it cleared.
 
 use cta_serve::{
-    mmpp_requests, poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy,
-    BatchPolicy, FaultPlan, FleetConfig, FleetEngine, FleetReport, LoadSpec, MmppParams,
+    mmpp_requests, poisson_requests, reference, simulate_fleet, simulate_fleet_traced,
+    AdmissionPolicy, BatchPolicy, FaultPlan, FleetConfig, FleetReport, LoadSpec, MmppParams,
     OverloadControl, QosClass, RoutingPolicy, ServeRequest,
 };
 use cta_sim::{AttentionTask, SystemConfig};
@@ -46,16 +47,12 @@ fn config(replicas: usize, route: u8, batch: usize, depth: usize) -> FleetConfig
     cfg
 }
 
-/// Runs the same (config, trace) under both engines and returns the pair
-/// of reports with the event-only queue samples cleared, ready for full
-/// `PartialEq` comparison.
-fn both_engines(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
-    let mut step_cfg = cfg.clone();
-    step_cfg.engine = FleetEngine::StepGranular;
-    let step = simulate_fleet(&step_cfg, requests);
-    let mut event_cfg = cfg.clone();
-    event_cfg.engine = FleetEngine::EventDriven;
-    let mut event = simulate_fleet(&event_cfg, requests);
+/// Runs the same (config, trace) on the reference scan and the fleet
+/// driver and returns the pair of reports with the event-only queue
+/// samples cleared, ready for full `PartialEq` comparison.
+fn with_reference(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
+    let step = reference::simulate_fleet(cfg, requests);
+    let mut event = simulate_fleet(cfg, requests);
     assert!(!event.event_queue_samples.is_empty(), "the event driver samples its queue occupancy");
     assert!(step.event_queue_samples.is_empty(), "the step driver has no queue to sample");
     event.event_queue_samples.clear();
@@ -66,7 +63,7 @@ fn both_engines(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, F
 fn single_fifo_reports_are_identical() {
     let cfg = FleetConfig::single_fifo(SystemConfig::paper());
     let requests = poisson_requests(&spec(), 40, 20_000.0, 3);
-    let (step, event) = both_engines(&cfg, &requests);
+    let (step, event) = with_reference(&cfg, &requests);
     assert_eq!(step, event);
 }
 
@@ -80,7 +77,7 @@ fn seeded_fault_schedules_survive_the_engine_swap() {
         let requests = poisson_requests(&spec(), 80, 40_000.0, seed);
         let span = requests.last().expect("nonempty").arrival_s;
         cfg.faults = FaultPlan::seeded(3, 2.0 * span, span / 2.0, span / 20.0, seed);
-        let (step, event) = both_engines(&cfg, &requests);
+        let (step, event) = with_reference(&cfg, &requests);
         assert_eq!(step, event, "seed {seed}");
         assert_eq!(step.events_processed, event.events_processed, "seed {seed}");
     }
@@ -98,7 +95,7 @@ fn full_overload_stack_is_engine_independent() {
     let span = requests.last().expect("nonempty").arrival_s;
     cfg.faults = FaultPlan::seeded(3, 2.0 * span, span, span / 10.0, 7);
     cfg.overload = OverloadControl::standard();
-    let (step, event) = both_engines(&cfg, &requests);
+    let (step, event) = with_reference(&cfg, &requests);
     assert_eq!(step, event);
     assert!(step.metrics.overload.hedged > 0, "the scenario must actually hedge");
 }
@@ -106,34 +103,63 @@ fn full_overload_stack_is_engine_independent() {
 #[test]
 fn coincident_arrivals_resolve_by_request_id_in_both_engines() {
     // Equal timestamps are legal in replayed traces (`replay_trace`
-    // accepts them); both engines must serve them in id order. Two
+    // accepts them); both drivers must serve them in id order. Two
     // bursts of four simultaneous arrivals, one at t=0.
     let s = spec();
     let mk = |id: u64, t: f64| ServeRequest::uniform(id, t, s.class, s.task, s.layers, s.heads);
     let requests: Vec<ServeRequest> =
         (0..4u64).map(|id| mk(id, 0.0)).chain((4..8u64).map(|id| mk(id, 1e-3))).collect();
     let cfg = config(2, 0, 2, 4);
-    let (step, event) = both_engines(&cfg, &requests);
+    let (step, event) = with_reference(&cfg, &requests);
     assert_eq!(step, event);
     // The admitted prefix is deterministic: ids route in order.
     assert_eq!(step.metrics.completed + step.metrics.shed, 8);
 }
 
 #[test]
+fn both_drivers_reject_invalid_inputs_with_the_same_message() {
+    // The driver and the reference scan share one precondition block,
+    // so a bad input fails the same way whichever of them runs it.
+    fn panic_message(run: impl FnOnce() -> FleetReport) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("an invalid input must be rejected");
+        payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic message")
+    }
+    let requests = poisson_requests(&spec(), 8, 10_000.0, 3);
+    let mut no_replicas = config(2, 0, 2, 4);
+    no_replicas.replicas = 0;
+    let mut unsorted = requests.clone();
+    unsorted.reverse();
+    let cases: [(&str, FleetConfig, Vec<ServeRequest>); 3] = [
+        ("at least one replica", no_replicas, requests.clone()),
+        ("at least one request", config(2, 0, 2, 4), Vec::new()),
+        ("sorted by arrival time", config(2, 0, 2, 4), unsorted),
+    ];
+    for (expect, cfg, reqs) in cases {
+        let driver = panic_message(|| simulate_fleet(&cfg, &reqs));
+        let oracle = panic_message(|| reference::simulate_fleet(&cfg, &reqs));
+        assert!(driver.contains(expect), "{expect:?}: driver said {driver:?}");
+        assert_eq!(driver, oracle, "{expect:?}");
+    }
+}
+
+#[test]
 fn trace_bytes_are_engine_independent() {
     // The telemetry stream is written from inside the shared handlers,
-    // so the two engines must emit byte-identical event streams — the
+    // so the two drivers must emit byte-identical event streams — the
     // property the golden trace-SHA pins rely on.
     let mut cfg = config(2, 2, 3, 8);
     let requests = poisson_requests(&spec(), 60, 30_000.0, 13);
     let span = requests.last().expect("nonempty").arrival_s;
     cfg.faults = FaultPlan::seeded(2, 2.0 * span, span, span / 10.0, 13);
 
-    cfg.engine = FleetEngine::StepGranular;
     let mut step_sink = RingBufferSink::with_capacity(1 << 16);
-    let step = simulate_fleet_traced(&cfg, &requests, &mut step_sink);
+    let step = reference::simulate_fleet_traced(&cfg, &requests, &mut step_sink);
 
-    cfg.engine = FleetEngine::EventDriven;
     let mut event_sink = RingBufferSink::with_capacity(1 << 16);
     let mut event = simulate_fleet_traced(&cfg, &requests, &mut event_sink);
 
@@ -146,8 +172,7 @@ fn trace_bytes_are_engine_independent() {
 
 #[test]
 fn queue_samples_are_ordered_and_bounded() {
-    let mut cfg = config(4, 1, 4, 16);
-    cfg.engine = FleetEngine::EventDriven;
+    let cfg = config(4, 1, 4, 16);
     let requests = poisson_requests(&spec(), 100, 50_000.0, 21);
     let report = simulate_fleet(&cfg, &requests);
     assert!(!report.event_queue_samples.is_empty());
@@ -183,7 +208,7 @@ proptest! {
             let span = requests.last().expect("nonempty").arrival_s.max(1e-6);
             cfg.faults = FaultPlan::seeded(replicas, 2.0 * span, span, span / 10.0, seed);
         }
-        let (step, event) = both_engines(&cfg, &requests);
+        let (step, event) = with_reference(&cfg, &requests);
         prop_assert_eq!(step, event);
     }
 }

@@ -245,48 +245,14 @@ fn brownout_sweep_output_is_bitwise_pinned() {
     assert_trace_matches_pin(&dir, "brownout_trace.json");
 }
 
-// ---------------------------------------------------------------------------
-// Event-engine replays: the same pins, the other engine
-// ---------------------------------------------------------------------------
-
-/// `--engine event` swaps the step-granular scan for the calendar-queue
-/// event core; everything it computes must land on the *same* golden
-/// bytes. CSV and trace are compared against the existing pins verbatim;
-/// the JSON differs only by its `engine` metadata marker.
-#[test]
-fn serve_sweep_event_engine_reproduces_the_pins() {
-    let dir = run_in_scratch(
-        "serve-event",
-        env!("CARGO_BIN_EXE_serve_sweep"),
-        &[
-            "--replicas",
-            "2",
-            "--loads",
-            "0.5,1.2",
-            "--requests",
-            "40",
-            "--seed",
-            "7",
-            "--engine",
-            "event",
-            "--trace",
-            "serve_trace.json",
-        ],
-    );
-    assert_bytes_match_golden(&dir, "results/serve_sweep.csv", "serve_sweep.csv");
-    assert_trace_matches_pin(&dir, "serve_trace.json");
-    let json = std::fs::read_to_string(dir.join("results/serve_sweep.json")).expect("json report");
-    assert!(json.contains("\"engine\""), "event runs are marked in the JSON metadata");
-}
-
 #[test]
 fn serve_sweep_single_tenant_drr_reproduces_the_pins() {
     // `--scheduler drr` alone enables the tenancy front end with one
     // equal-weight tenant — the configuration contractually pinned
     // bitwise against the tenancy-off fleet. CSV, JSON and trace bytes
-    // must all match the goldens exactly, under both engines.
+    // must all match the goldens exactly.
     let dir = run_in_scratch(
-        "serve-tenancy-step",
+        "serve-tenancy",
         env!("CARGO_BIN_EXE_serve_sweep"),
         &[
             "--replicas",
@@ -306,84 +272,26 @@ fn serve_sweep_single_tenant_drr_reproduces_the_pins() {
     assert_bytes_match_golden(&dir, "results/serve_sweep.csv", "serve_sweep.csv");
     assert_bytes_match_golden(&dir, "results/serve_sweep.json", "serve_sweep.json");
     assert_trace_matches_pin(&dir, "serve_trace.json");
-
-    let dir = run_in_scratch(
-        "serve-tenancy-event",
-        env!("CARGO_BIN_EXE_serve_sweep"),
-        &[
-            "--replicas",
-            "2",
-            "--loads",
-            "0.5,1.2",
-            "--requests",
-            "40",
-            "--seed",
-            "7",
-            "--scheduler",
-            "drr",
-            "--engine",
-            "event",
-            "--trace",
-            "serve_trace.json",
-        ],
-    );
-    assert_bytes_match_golden(&dir, "results/serve_sweep.csv", "serve_sweep.csv");
-    assert_trace_matches_pin(&dir, "serve_trace.json");
-}
-
-#[test]
-fn degradation_sweep_event_engine_reproduces_the_pins() {
-    let dir = run_in_scratch(
-        "degradation-event",
-        env!("CARGO_BIN_EXE_degradation_sweep"),
-        &[
-            "--replicas",
-            "3",
-            "--requests",
-            "60",
-            "--seed",
-            "7",
-            "--mtbf-factors",
-            "2,0.5",
-            "--engine",
-            "event",
-            "--trace",
-            "degradation_trace.json",
-        ],
-    );
-    assert_bytes_match_golden(&dir, "results/degradation_sweep.csv", "degradation_sweep.csv");
-    assert_trace_matches_pin(&dir, "degradation_trace.json");
-}
-
-#[test]
-fn brownout_sweep_event_engine_reproduces_the_pins() {
-    let dir = run_in_scratch(
-        "brownout-event",
-        env!("CARGO_BIN_EXE_brownout_sweep"),
-        &[
-            "--replicas",
-            "2",
-            "--loads",
-            "0.9,1.6",
-            "--requests",
-            "60",
-            "--seed",
-            "7",
-            "--mtbf-factors",
-            "inf,0.6",
-            "--engine",
-            "event",
-            "--trace",
-            "brownout_trace.json",
-        ],
-    );
-    assert_bytes_match_golden(&dir, "results/brownout_sweep.csv", "brownout_sweep.csv");
-    assert_trace_matches_pin(&dir, "brownout_trace.json");
 }
 
 // ---------------------------------------------------------------------------
 // Schema snapshots
 // ---------------------------------------------------------------------------
+
+#[test]
+fn decode_sweep_reports_record_the_event_driver() {
+    // The `engine` key outlived the driver choice: it keeps the one value
+    // a run can now have, so the report's field set is unchanged.
+    let dir = run_in_scratch(
+        "decode-engine-key",
+        env!("CARGO_BIN_EXE_decode_sweep"),
+        &["--sessions", "4", "--turns", "2", "--thresholds", "1.0"],
+    );
+    for file in ["decode_sweep.json", "BENCH_decode.json"] {
+        let json = std::fs::read_to_string(dir.join("results").join(file)).expect(file);
+        assert!(json.contains(r#""engine":"event""#), "{file}: {json}");
+    }
+}
 
 /// Collects every distinct `"key":` in first-appearance order. The report
 /// writer serialises objects in insertion order and no string value in

@@ -8,16 +8,16 @@
 //!   on it: in-flight turns shed as [`ShedReason::SessionLost`] (never
 //!   `ReplicaLost`), later turns of a lost session shed at arrival, and
 //!   conservation still holds turn-for-turn.
-//! * **Engine independence** — session bookkeeping lives in the shared
-//!   handlers, so the calendar-queue driver reproduces the step scan
-//!   bitwise, faults included.
+//! * **Driver independence** — session bookkeeping lives in the shared
+//!   handlers, so the calendar-queue driver reproduces the reference
+//!   scan (`cta_serve::reference`) bitwise, faults included.
 //! * **Sessions-off preservation** — a builder fleet without a session
 //!   policy is bitwise the pre-session fleet on ordinary traffic (the
 //!   golden suite pins the same property across every preset).
 
 use cta_serve::{
-    poisson_requests, session_requests, simulate_fleet, AdmissionPolicy, BatchPolicy, CrashWindow,
-    FaultPlan, FleetConfig, FleetEngine, FleetReport, LoadSpec, RetryPolicy, RoutingPolicy,
+    poisson_requests, reference, session_requests, simulate_fleet, AdmissionPolicy, BatchPolicy,
+    CrashWindow, FaultPlan, FleetConfig, FleetReport, LoadSpec, RetryPolicy, RoutingPolicy,
     ServeRequest, SessionPolicy, ShedReason,
 };
 use cta_sim::{AttentionTask, SystemConfig};
@@ -45,15 +45,12 @@ fn fleet(replicas: usize, policy: SessionPolicy) -> FleetConfig {
         .expect("valid session fleet")
 }
 
-/// Runs the same (config, trace) under both engines and returns the pair
-/// with the event-only queue samples cleared for full comparison.
-fn both_engines(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
-    let mut step_cfg = cfg.clone();
-    step_cfg.engine = FleetEngine::StepGranular;
-    let step = simulate_fleet(&step_cfg, requests);
-    let mut event_cfg = cfg.clone();
-    event_cfg.engine = FleetEngine::EventDriven;
-    let mut event = simulate_fleet(&event_cfg, requests);
+/// Runs the same (config, trace) on the reference scan and the fleet
+/// driver and returns the pair with the event-only queue samples cleared
+/// for full comparison.
+fn with_reference(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
+    let step = reference::simulate_fleet(cfg, requests);
+    let mut event = simulate_fleet(cfg, requests);
     event.event_queue_samples.clear();
     (step, event)
 }
@@ -180,7 +177,7 @@ fn session_bookkeeping_is_engine_independent() {
         let span = requests.last().expect("nonempty").arrival_s;
         let mut cfg = fleet(3, SessionPolicy::sticky());
         cfg.faults = FaultPlan::seeded(3, 2.0 * span, span / 2.0, span / 20.0, seed);
-        let (step, event) = both_engines(&cfg, &requests);
+        let (step, event) = with_reference(&cfg, &requests);
         assert_eq!(step, event, "seed {seed}");
     }
 }
@@ -231,8 +228,8 @@ proptest! {
         // lost sessions never exceed observed.
         prop_assert!(stats.sessions <= sessions);
         prop_assert!(stats.sessions_lost <= sessions);
-        // Both engines agree on every byte.
-        let (step, event) = both_engines(&cfg, &requests);
+        // The driver and the reference scan agree on every byte.
+        let (step, event) = with_reference(&cfg, &requests);
         prop_assert_eq!(step, event);
     }
 }

@@ -6,11 +6,12 @@
 //! * **transparency** — `tenancy: None` is the pre-tenancy runtime by
 //!   construction; a *one-tenant equal-weight DRR* configuration with
 //!   shed backpressure must also reproduce it byte-for-byte (reports
-//!   and trace bytes), under both engines. This is the pin that lets
+//!   and trace bytes), on the fleet driver and the reference scan. This is the pin that lets
 //!   the golden sweep outputs survive the subsystem's introduction.
-//! * **engine independence** — the full tenancy stack (multi-tenant
+//! * **driver independence** — the full tenancy stack (multi-tenant
 //!   skew, hold backpressure, quotas, autoscaling, faults) produces
-//!   identical reports under `StepGranular` and `EventDriven`.
+//!   identical reports on the fleet driver and the reference scan
+//!   (`cta_serve::reference`, the test oracle).
 //! * **isolation** — at 16:1 tenant skew and sustained overload, DRR
 //!   holds the Jain fairness index of per-tenant goodput at ≥ 0.95
 //!   while FIFO collapses below 0.7 (goodput follows offered share).
@@ -19,8 +20,8 @@
 //!   shed`) holds per tenant and fleet-wide.
 
 use cta_serve::{
-    poisson_requests, simulate_fleet, simulate_fleet_traced, AdmissionPolicy, AutoscalePolicy,
-    Backpressure, BatchPolicy, CostModel, FaultPlan, FleetConfig, FleetEngine, FleetReport,
+    poisson_requests, reference, simulate_fleet, simulate_fleet_traced, AdmissionPolicy,
+    AutoscalePolicy, Backpressure, BatchPolicy, CostModel, FaultPlan, FleetConfig, FleetReport,
     LoadSpec, QosClass, QuotaPolicy, RoutingPolicy, SchedulerPolicy, ServeRequest, ShedReason,
     TenancyConfig,
 };
@@ -54,56 +55,56 @@ fn solo_service_s() -> f64 {
     cost.request_service_s(&system, &probe[0])
 }
 
-/// Runs the same (config, trace) under both engines and returns the pair
-/// of reports with the event-only queue samples cleared, ready for full
-/// `PartialEq` comparison.
-fn both_engines(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
-    let mut step_cfg = cfg.clone();
-    step_cfg.engine = FleetEngine::StepGranular;
-    let step = simulate_fleet(&step_cfg, requests);
-    let mut event_cfg = cfg.clone();
-    event_cfg.engine = FleetEngine::EventDriven;
-    let mut event = simulate_fleet(&event_cfg, requests);
+/// Runs the same (config, trace) on the reference scan and the fleet
+/// driver and returns the pair of reports with the event-only queue
+/// samples cleared, ready for full `PartialEq` comparison.
+fn with_reference(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
+    let step = reference::simulate_fleet(cfg, requests);
+    let mut event = simulate_fleet(cfg, requests);
     event.event_queue_samples.clear();
     (step, event)
 }
+
+/// A traced fleet entry point: the driver's or the reference scan's.
+type Traced = fn(&FleetConfig, &[ServeRequest], &mut RingBufferSink) -> FleetReport;
 
 #[test]
 fn single_tenant_equal_weight_drr_is_bitwise_transparent() {
     // The satellite pin: one tenant, equal weights, DRR, shed
     // backpressure — every report byte and every trace byte must match
-    // the tenancy-off fleet, faults included, under both engines.
-    for engine in [FleetEngine::StepGranular, FleetEngine::EventDriven] {
+    // the tenancy-off fleet, faults included, on both drivers.
+    let drivers: [(&str, Traced); 2] =
+        [("reference", reference::simulate_fleet_traced), ("event", simulate_fleet_traced)];
+    for (engine, run) in drivers {
         let mut cfg = config(3, 4, 8);
-        cfg.engine = engine;
         let requests = poisson_requests(&spec(), 80, 40_000.0, 11);
         let span = requests.last().expect("nonempty").arrival_s;
         cfg.faults = FaultPlan::seeded(3, 2.0 * span, span, span / 10.0, 11);
 
         let mut off_sink = RingBufferSink::with_capacity(1 << 16);
-        let off = simulate_fleet_traced(&cfg, &requests, &mut off_sink);
+        let off = run(&cfg, &requests, &mut off_sink);
 
         let mut on_cfg = cfg.clone();
         on_cfg.tenancy = Some(TenancyConfig::equal_weight(1, SchedulerPolicy::Drr));
         let mut on_sink = RingBufferSink::with_capacity(1 << 16);
-        let mut on = simulate_fleet_traced(&on_cfg, &requests, &mut on_sink);
+        let mut on = run(&on_cfg, &requests, &mut on_sink);
 
         assert_eq!(off_sink.dropped(), 0);
         assert_eq!(on_sink.dropped(), 0);
-        assert_eq!(off_sink.events(), on_sink.events(), "trace bytes diverged ({engine:?})");
+        assert_eq!(off_sink.events(), on_sink.events(), "trace bytes diverged ({engine})");
 
         let stats = on.metrics.tenancy.take().expect("tenancy stats reported");
         assert_eq!(stats.tenants.len(), 1);
         assert_eq!(stats.fairness_index, 1.0, "one tenant is trivially fair");
         assert_eq!(stats.tenants[0].offered, requests.len());
-        assert_eq!(off, on, "reports diverged ({engine:?})");
+        assert_eq!(off, on, "reports diverged ({engine})");
     }
 }
 
 #[test]
 fn full_tenancy_stack_is_engine_independent() {
     // Multi-tenant skew + hold backpressure + quotas + autoscaling +
-    // faults: every tenancy code path active at once, both engines.
+    // faults: every tenancy code path active at once, both drivers.
     let mut cfg = config(4, 4, 4);
     let mix = TenantMix::new(6, 1.2);
     let requests = stamp(poisson_requests(&spec(), 150, 60_000.0, 5), &mix, 5);
@@ -115,7 +116,7 @@ fn full_tenancy_stack_is_engine_independent() {
     tenancy.autoscale = Some(AutoscalePolicy::reactive(2, 4, span / 20.0));
     cfg.tenancy = Some(tenancy);
 
-    let (step, event) = both_engines(&cfg, &requests);
+    let (step, event) = with_reference(&cfg, &requests);
     assert_eq!(step, event);
     let stats = step.metrics.tenancy.as_ref().expect("tenancy stats reported");
     assert_eq!(stats.tenants.len(), 6);
@@ -232,7 +233,7 @@ fn autoscaler_scales_up_under_burst_and_down_when_calm() {
     tenancy.autoscale = Some(AutoscalePolicy::reactive(1, 4, t_end / 10.0));
     cfg.tenancy = Some(tenancy);
 
-    let (step, event) = both_engines(&cfg, &requests);
+    let (step, event) = with_reference(&cfg, &requests);
     assert_eq!(step, event);
     let stats = step.metrics.tenancy.as_ref().expect("tenancy stats reported");
     assert!(stats.scale_ups >= 1, "the burst must trigger a scale-up");

@@ -28,9 +28,9 @@
 //! Everything here is pure `f64`/integer state-machine code with no RNG
 //! and no dependency on the simulator: the fleet engine owns *when* to
 //! call these, this crate owns *what* they decide. That split is what
-//! lets the engine keep its two drivers (step-granular and
-//! event-driven) bitwise identical with tenancy enabled, and keeps the
-//! disabled path byte-for-byte the pre-tenancy fleet.
+//! keeps the fleet driver bitwise identical to its step-granular
+//! reference scan with tenancy enabled, and keeps the disabled path
+//! byte-for-byte the pre-tenancy fleet.
 //!
 //! # Example
 //!

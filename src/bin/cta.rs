@@ -127,26 +127,45 @@ fn class_by_name(name: &str) -> Result<CtaClass, String> {
     }
 }
 
+/// Rejects a zero `--name` value, which the library constructors assert on.
+fn positive(name: &str, value: usize) -> Result<usize, String> {
+    if value == 0 {
+        return Err(format!("--{name} must be positive"));
+    }
+    Ok(value)
+}
+
+/// The self-attention task (`m = n`) that `--n --k0 --k1 --k2 [--d 64]
+/// [--l 6]` describe, with every dimension positive and no cluster
+/// count above `n`.
+fn task_from_flags(flags: &HashMap<String, String>) -> Result<AttentionTask, String> {
+    let n = positive("n", get(flags, "n")?)?;
+    let d = positive("d", get_or(flags, "d", 64)?)?;
+    let mut k = [0usize; 3];
+    for (i, name) in ["k0", "k1", "k2"].into_iter().enumerate() {
+        k[i] = positive(name, get(flags, name)?)?;
+        if k[i] > n {
+            return Err(format!("--{name} = {} exceeds --n = {n}", k[i]));
+        }
+    }
+    let l = positive("l", get_or(flags, "l", 6)?)?;
+    Ok(AttentionTask::from_counts(n, n, d, k[0], k[1], k[2], l))
+}
+
 fn hw_from_flags(flags: &HashMap<String, String>, max_seq: usize) -> Result<HwConfig, String> {
-    let b: usize = get_or(flags, "width-b", 8)?;
+    let b = positive("width-b", get_or(flags, "width-b", 8)?)?;
     let pag: usize = get_or(flags, "pag", 2 * b)?;
+    if pag == 0 || !pag.is_multiple_of(2) {
+        return Err(format!("--pag must be a positive even number, got {pag}"));
+    }
     let mut hw = HwConfig::paper().with_sa_width(b).with_pag_parallelism(pag);
     hw.max_seq_len = hw.max_seq_len.max(max_seq);
     Ok(hw)
 }
 
 fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = get(flags, "n")?;
-    let d: usize = get_or(flags, "d", 64)?;
-    let task = AttentionTask::from_counts(
-        n,
-        n,
-        d,
-        get(flags, "k0")?,
-        get(flags, "k1")?,
-        get(flags, "k2")?,
-        get_or(flags, "l", 6)?,
-    );
+    let task = task_from_flags(flags)?;
+    let (n, d) = (task.num_keys, task.head_dim);
     let hw = hw_from_flags(flags, n)?;
     let acc = CtaAccelerator::new(hw);
     let r = acc.simulate_head(&task);
@@ -250,19 +269,9 @@ fn cmd_area(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = get(flags, "n")?;
-    let d: usize = get_or(flags, "d", 64)?;
-    let task = AttentionTask::from_counts(
-        n,
-        n,
-        d,
-        get(flags, "k0")?,
-        get(flags, "k1")?,
-        get(flags, "k2")?,
-        get_or(flags, "l", 6)?,
-    );
+    let task = task_from_flags(flags)?;
     let mut hw = HwConfig::paper();
-    hw.max_seq_len = hw.max_seq_len.max(n);
+    hw.max_seq_len = hw.max_seq_len.max(task.num_keys);
     let points = sweep(&hw, &task, &[4, 8, 16, 32], &[4, 8, 16, 32, 64, 128]);
     println!("{:>6} {:>6} {:>14} {:>12}", "b", "PAG", "heads/s", "stall cyc");
     for p in points {
@@ -275,9 +284,9 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_ffn(flags: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = get(flags, "n")?;
-    let d_model: usize = get(flags, "d-model")?;
-    let d_ffn: usize = get(flags, "d-ffn")?;
+    let n = positive("n", get(flags, "n")?)?;
+    let d_model = positive("d-model", get(flags, "d-model")?)?;
+    let d_ffn = positive("d-ffn", get(flags, "d-ffn")?)?;
     let hw = hw_from_flags(flags, n)?;
     let f = schedule_ffn(&hw, n, d_model, d_ffn);
     println!(
@@ -294,24 +303,15 @@ fn cmd_ffn(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = get(flags, "n")?;
-    let task = AttentionTask::from_counts(
-        n,
-        n,
-        get_or(flags, "d", 64)?,
-        get(flags, "k0")?,
-        get(flags, "k1")?,
-        get(flags, "k2")?,
-        get_or(flags, "l", 6)?,
-    );
-    let layers: usize = get(flags, "layers")?;
-    let heads: usize = get(flags, "heads")?;
+    let task = task_from_flags(flags)?;
+    let layers = positive("layers", get(flags, "layers")?)?;
+    let heads = positive("heads", get(flags, "heads")?)?;
     let load: f64 = get(flags, "load")?;
-    if load <= 0.0 {
-        return Err("--load must be positive".into());
+    if !(load.is_finite() && load > 0.0) {
+        return Err(format!("--load must be positive and finite, got {load}"));
     }
     let mut cfg = SystemConfig::paper();
-    cfg.hw.max_seq_len = cfg.hw.max_seq_len.max(n);
+    cfg.hw.max_seq_len = cfg.hw.max_seq_len.max(task.num_keys);
     let sys = CtaSystem::new(cfg);
     let service = sys.run_layers(&vec![vec![task; heads]; layers]).total_s;
     let trace = poisson_trace(300, load / service, task, layers, heads, 42);
@@ -342,17 +342,8 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     // Generation mode: trace one head's mapping schedule.
-    let n: usize = get(flags, "n")?;
-    let task = AttentionTask::from_counts(
-        n,
-        n,
-        get_or(flags, "d", 64)?,
-        get(flags, "k0")?,
-        get(flags, "k1")?,
-        get(flags, "k2")?,
-        get_or(flags, "l", 6)?,
-    );
-    let hw = hw_from_flags(flags, n)?;
+    let task = task_from_flags(flags)?;
+    let hw = hw_from_flags(flags, task.num_keys)?;
     let sched = schedule(&hw, &task);
     let mut sink = RingBufferSink::with_capacity(4096);
     trace_schedule(&mut sink, &hw, &sched, 0, 0.0);

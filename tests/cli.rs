@@ -57,3 +57,54 @@ fn missing_flag_fails_with_message() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing --k0"));
 }
+
+#[test]
+fn out_of_range_flags_fail_with_an_error_not_a_panic() {
+    // `<cmd> --n 64 --k0 40 --k1 30 --k2 10` plus the flags under test.
+    let task = |cmd: &'static str, extra: &[&'static str]| {
+        let mut args = vec![cmd, "--n", "64", "--k0", "40", "--k1", "30", "--k2", "10"];
+        args.extend(extra);
+        args
+    };
+    let cases: Vec<Vec<&str>> = vec![
+        vec!["simulate", "--n", "0", "--k0", "1", "--k1", "1", "--k2", "1"],
+        vec!["simulate", "--n", "64", "--k0", "0", "--k1", "0", "--k2", "0"],
+        vec!["simulate", "--n", "64", "--k0", "100", "--k1", "30", "--k2", "10"],
+        task("simulate", &["--l", "0"]),
+        task("simulate", &["--pag", "0"]),
+        vec!["area", "--width-b", "0"],
+        task("sweep", &["--d", "0"]),
+        vec!["ffn", "--n", "0", "--d-model", "512", "--d-ffn", "2048"],
+        task("serve", &["--layers", "0", "--heads", "12", "--load", "0.5"]),
+        task("serve", &["--layers", "2", "--heads", "12", "--load", "nan"]),
+    ];
+    for args in &cases {
+        let out = cta(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr {err}");
+        assert!(err.contains("error:"), "{args:?}: stderr {err}");
+        assert!(!err.contains("panicked"), "{args:?}: stderr {err}");
+    }
+}
+
+#[test]
+fn out_of_range_errors_name_the_offending_flag() {
+    let task = ["--n", "64", "--k0", "40", "--k1", "30", "--k2", "10"];
+    let cases: [(&str, &[&str], &str); 5] = [
+        ("simulate", &["--pag", "3"], "--pag must be a positive even number, got 3"),
+        ("simulate", &["--k1", "65"], "--k1 = 65 exceeds --n = 64"),
+        ("serve", &["--layers", "2", "--heads", "0", "--load", "0.5"], "--heads must be positive"),
+        ("serve", &["--layers", "2", "--heads", "12", "--load", "-1"], "--load must be positive"),
+        ("ffn", &["--d-model", "512", "--d-ffn", "0"], "--d-ffn must be positive"),
+    ];
+    for (cmd, extra, expect) in cases {
+        let mut args = vec![cmd];
+        args.extend(task);
+        args.extend(extra);
+        let out = cta(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr {err}");
+        assert!(err.contains(expect), "{args:?}: stderr {err}");
+        assert!(!err.contains("panicked"), "{args:?}: stderr {err}");
+    }
+}
