@@ -11,16 +11,14 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{banner, case_operating_points, cli_main, parse_jobs_only, row, Table};
+use cta_bench::{banner, case_operating_points, cli_main, row, Table, PARALLEL_FLAGS};
 use cta_parallel::par_map;
 use cta_tensor::mean;
 use cta_workloads::{paper_cases, CtaClass};
 
-const USAGE: &str = "usage: fig11_accuracy_compression [--jobs N]";
-
 fn main() -> ExitCode {
-    cli_main(USAGE, || {
-        let jobs = parse_jobs_only(std::env::args().skip(1))?;
+    cli_main("fig11_accuracy_compression", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
+        let jobs = flags.install_parallelism()?;
         banner("Figure 11 — accuracy and RL/RA per test case");
         let mut table = Table::new(
             "fig11_accuracy_compression",

@@ -16,14 +16,12 @@ use std::process::ExitCode;
 
 use cta_baselines::{ElsaApproximation, ElsaGpuSystem, GpuModel, IdealAccelerator};
 use cta_bench::{
-    banner, case_operating_points, cli_main, geomean, parse_jobs_only, row, simulate, Table, UNITS,
+    banner, case_operating_points, cli_main, geomean, row, simulate, Table, PARALLEL_FLAGS, UNITS,
 };
 use cta_parallel::par_map;
 use cta_sim::HwConfig;
 use cta_tensor::mean;
 use cta_workloads::paper_cases;
-
-const USAGE: &str = "usage: fig12_throughput_latency [--jobs N]";
 
 /// Per-(case, class) accumulator samples, folded after the parallel map.
 struct ClassSample {
@@ -34,8 +32,8 @@ struct ClassSample {
 }
 
 fn main() -> ExitCode {
-    cli_main(USAGE, || {
-        let jobs = parse_jobs_only(std::env::args().skip(1))?;
+    cli_main("fig12_throughput_latency", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
+        let jobs = flags.install_parallelism()?;
         banner("Figure 12 (left) — normalized attention throughput (GPU = 1.0)");
         let mut table = Table::new(
             "fig12_throughput",

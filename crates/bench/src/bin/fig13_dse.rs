@@ -14,16 +14,14 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{banner, case_operating_points, cli_main, parse_jobs_only, row};
+use cta_bench::{banner, case_operating_points, cli_main, row, PARALLEL_FLAGS};
 use cta_parallel::par_map;
 use cta_sim::{best_pag_parallelism, sweep, HwConfig};
 use cta_workloads::{bert_large, imdb, TestCase};
 
-const USAGE: &str = "usage: fig13_dse [--jobs N]";
-
 fn main() -> ExitCode {
-    cli_main(USAGE, || {
-        let jobs = parse_jobs_only(std::env::args().skip(1))?;
+    cli_main("fig13_dse", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
+        let jobs = flags.install_parallelism()?;
         banner("Figure 13 — throughput vs SA width x PAG parallelism");
 
         // Probe task: the CTA-0 operating point of BERT-large/IMDB (n = 512,

@@ -13,16 +13,14 @@ use std::process::ExitCode;
 
 use cta_baselines::{ElsaApproximation, ElsaGpuSystem, GpuModel};
 use cta_bench::{
-    banner, case_operating_points, cli_main, geomean, parse_jobs_only, row, simulate, Table, UNITS,
+    banner, case_operating_points, cli_main, geomean, row, simulate, Table, PARALLEL_FLAGS, UNITS,
 };
 use cta_parallel::par_map;
 use cta_workloads::paper_cases;
 
-const USAGE: &str = "usage: fig14_energy [--jobs N]";
-
 fn main() -> ExitCode {
-    cli_main(USAGE, || {
-        let jobs = parse_jobs_only(std::env::args().skip(1))?;
+    cli_main("fig14_energy", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
+        let jobs = flags.install_parallelism()?;
         banner("Figure 14 (left) — normalized energy efficiency (GPU = 1.0)");
         let mut table = Table::new("fig14_energy", &["case", "elsa_aggr", "cta0", "cta05", "cta1"]);
 

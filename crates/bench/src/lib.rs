@@ -23,7 +23,7 @@ pub mod cli;
 mod report;
 mod sidecar;
 
-pub use cli::{cli_main, parse_jobs_only, parse_list, parse_num, FlagParser};
+pub use cli::{cli_main, parse_num, usage, usage_flags, Flag, Flags, PARALLEL_FLAGS};
 pub use report::{CsvTable, JsonReport, JsonValue, SCHEMA_VERSION};
 pub use sidecar::{parse_json, BenchSidecar};
 

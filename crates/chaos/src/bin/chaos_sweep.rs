@@ -5,17 +5,9 @@
 //! (`cta_serve::reference`, the test oracle). Any failing seed is delta-debugged down to a minimal
 //! replayable repro before the process exits non-zero.
 //!
-//! ```text
-//! chaos_sweep [--seeds 64] [--seed0 1]
-//!             [--replicas-max 4] [--zones 3] [--requests-max 96]
-//!             [--chaos-faults crash,zone,partition,gray,slow,stall]
-//!             [--gray-severity S]
-//!             [--chaos-tenancy on|off|mix] [--chaos-brownout on|off|mix]
-//!             [--detector on|off|mix] [--chaos-sessions on|off|mix]
-//!             [--repro-out <path.json>]
-//!             [--inject-bug] [--replay <repro.json>] [--trace <path.json>]
-//!             [--jobs N] [--pool-trace <path.json>]
-//! ```
+//! The flags and their defaults are declared once, in the `FLAGS` table
+//! below; the usage text printed on a malformed invocation is generated
+//! from it.
 //!
 //! **Outputs.** `results/chaos_sweep.{csv,json}` are deterministic for a
 //! fixed flag set at any `--jobs` value; the JSON's `engine` key is
@@ -31,21 +23,35 @@
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use cta_bench::{parse_num, BenchSidecar, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{parse_num, BenchSidecar, Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_chaos::{run_chaos, shrink, ChaosParams, ChaosScenario, Mutation, Toggle, Violation};
 use cta_serve::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use cta_serve::simulate_fleet_traced;
 
-/// Usage text printed to stderr on any malformed invocation.
-const USAGE: &str = "usage: chaos_sweep [--seeds 64] [--seed0 1]
-                   [--replicas-max 4] [--zones 3] [--requests-max 96]
-                   [--chaos-faults crash,zone,partition,gray,slow,stall]
-                   [--gray-severity S] [--chaos-tenancy on|off|mix]
-                   [--chaos-brownout on|off|mix]
-                   [--detector on|off|mix] [--chaos-sessions on|off|mix]
-                   [--repro-out <path.json>]
-                   [--inject-bug] [--replay <repro.json>] [--trace <path.json>]
-                   [--jobs N] [--pool-trace <path.json>]";
+/// The sweep's own flags and defaults; the harness appends the shared
+/// `--jobs`, `--kernels` and `--pool-trace`.
+const FLAGS: &[Flag] = &[
+    Flag::value("--seeds", "64"),
+    Flag::value("--seed0", "1"),
+    Flag::value("--replicas-max", "4"),
+    Flag::value("--zones", "3"),
+    Flag::value("--requests-max", "96"),
+    Flag::value("--chaos-faults", "crash,zone,partition,gray,slow,stall"),
+    Flag::optional("--gray-severity", "S"),
+    Flag::value("--chaos-tenancy", "mix"),
+    Flag::value("--chaos-brownout", "mix"),
+    Flag::value("--detector", "mix"),
+    Flag::value("--chaos-sessions", "mix"),
+    Flag::value("--repro-out", "results/chaos_repro.json"),
+    Flag::switch("--inject-bug"),
+    Flag::optional("--replay", "<repro.json>"),
+    Flag::optional("--trace", "<path.json>"),
+];
+
+/// The `--chaos-faults` classes, in [`ChaosParams`] switch order:
+/// crashes, zone outages, partitions, gray failures, slowdowns, link
+/// stalls.
+const FAULT_CLASSES: [&str; 6] = ["crash", "zone", "partition", "gray", "slow", "stall"];
 
 /// CSV/stdout column layout; the trailing `schema_version` repeats
 /// [`cta_bench::SCHEMA_VERSION`] on every row.
@@ -79,119 +85,38 @@ struct Args {
     trace: Option<String>,
 }
 
-fn parse_faults(list: &str) -> Result<ChaosParams, String> {
-    let mut params = ChaosParams {
-        crashes: false,
-        zone_outages: false,
-        partitions: false,
-        gray: false,
-        slowdowns: false,
-        link_stalls: false,
-        ..ChaosParams::default()
-    };
-    for word in list.split(',') {
-        match word.trim() {
-            "crash" => params.crashes = true,
-            "zone" => params.zone_outages = true,
-            "partition" => params.partitions = true,
-            "gray" => params.gray = true,
-            "slow" => params.slowdowns = true,
-            "stall" => params.link_stalls = true,
-            other => {
-                return Err(format!(
-                    "unknown fault class {other:?} (crash|zone|partition|gray|slow|stall)"
-                ))
-            }
-        }
-    }
-    Ok(params)
-}
-
 impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
-            seeds: 64,
-            seed0: 1,
-            params: ChaosParams::default(),
-            inject: false,
-            replay: None,
-            repro_out: "results/chaos_repro.json".into(),
-            trace: None,
+    fn from_flags(f: &Flags) -> Result<Self, String> {
+        let toggle = |name, what| f.choice(name, what, "on|off|mix", Toggle::parse);
+        let faults = f.choices("--chaos-faults", "fault class", &FAULT_CLASSES.join("|"), |w| {
+            FAULT_CLASSES.iter().position(|class| *class == w)
+        })?;
+        let has = |class| faults.contains(&class);
+        let args = Args {
+            seeds: f.num("--seeds", "an integer")?,
+            seed0: f.num("--seed0", "an integer")?,
+            params: ChaosParams {
+                replicas_max: f.num("--replicas-max", "an integer")?,
+                zones_max: f.num("--zones", "an integer")?,
+                requests_max: f.num("--requests-max", "an integer")?,
+                crashes: has(0),
+                zone_outages: has(1),
+                partitions: has(2),
+                gray: has(3),
+                gray_severity: f
+                    .opt("--gray-severity", |s| parse_num(s, "--gray-severity", "a number"))?,
+                slowdowns: has(4),
+                link_stalls: has(5),
+                tenancy: toggle("--chaos-tenancy", "tenancy mode")?,
+                brownout: toggle("--chaos-brownout", "brownout mode")?,
+                detector: toggle("--detector", "detector mode")?,
+                sessions: toggle("--chaos-sessions", "sessions mode")?,
+            },
+            inject: f.switch("--inject-bug"),
+            replay: f.opt_text("--replay"),
+            repro_out: f.get("--repro-out", |s| Ok(s.to_string()))?,
+            trace: f.opt_text("--trace"),
         };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--seeds" => {
-                    args.seeds = parse_num(&it.value("--seeds")?, "--seeds", "an integer")?;
-                }
-                "--seed0" => {
-                    args.seed0 = parse_num(&it.value("--seed0")?, "--seed0", "an integer")?;
-                }
-                "--replicas-max" => {
-                    args.params.replicas_max =
-                        parse_num(&it.value("--replicas-max")?, "--replicas-max", "an integer")?;
-                }
-                "--zones" => {
-                    args.params.zones_max =
-                        parse_num(&it.value("--zones")?, "--zones", "an integer")?;
-                }
-                "--requests-max" => {
-                    args.params.requests_max =
-                        parse_num(&it.value("--requests-max")?, "--requests-max", "an integer")?;
-                }
-                "--chaos-faults" => {
-                    let keep = args.params.clone();
-                    args.params = parse_faults(&it.value("--chaos-faults")?)?;
-                    args.params.replicas_max = keep.replicas_max;
-                    args.params.zones_max = keep.zones_max;
-                    args.params.requests_max = keep.requests_max;
-                    args.params.gray_severity = keep.gray_severity;
-                    args.params.tenancy = keep.tenancy;
-                    args.params.brownout = keep.brownout;
-                    args.params.detector = keep.detector;
-                    args.params.sessions = keep.sessions;
-                }
-                "--chaos-tenancy" => {
-                    let v = it.value("--chaos-tenancy")?;
-                    args.params.tenancy = Toggle::parse(&v)
-                        .ok_or_else(|| format!("unknown tenancy mode {v:?} (on|off|mix)"))?;
-                }
-                "--chaos-brownout" => {
-                    let v = it.value("--chaos-brownout")?;
-                    args.params.brownout = Toggle::parse(&v)
-                        .ok_or_else(|| format!("unknown brownout mode {v:?} (on|off|mix)"))?;
-                }
-                "--gray-severity" => {
-                    args.params.gray_severity = Some(parse_num(
-                        &it.value("--gray-severity")?,
-                        "--gray-severity",
-                        "a number",
-                    )?);
-                }
-                "--detector" => {
-                    let v = it.value("--detector")?;
-                    args.params.detector = Toggle::parse(&v)
-                        .ok_or_else(|| format!("unknown detector mode {v:?} (on|off|mix)"))?;
-                }
-                "--chaos-sessions" => {
-                    let v = it.value("--chaos-sessions")?;
-                    args.params.sessions = Toggle::parse(&v)
-                        .ok_or_else(|| format!("unknown sessions mode {v:?} (on|off|mix)"))?;
-                }
-                "--repro-out" => {
-                    args.repro_out = it.value("--repro-out")?;
-                }
-                "--inject-bug" => {
-                    args.inject = true;
-                }
-                "--replay" => {
-                    args.replay = Some(it.value("--replay")?);
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
         if args.seeds == 0 {
             return Err("--seeds must be positive".into());
         }
@@ -204,9 +129,9 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main() -> ExitCode {
-    SweepSpec::new("chaos_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(
+    SweepSpec::new("chaos_sweep").flags(FLAGS).columns(SWEEP_COLUMNS).main(
         std::env::args().skip(1),
-        Args::parse,
+        Args::from_flags,
         run,
     )
 }
@@ -481,5 +406,32 @@ fn run(h: &Harness<Args>) {
         export_trace(path, &format!("Chaos trace — seed {}", sc.seed), |sink| {
             simulate_fleet_traced(&cfg, &trace, sink);
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<Args, String> {
+        Args::from_flags(&Flags::parse(FLAGS, words.iter().map(|s| s.to_string()))?)
+    }
+
+    #[test]
+    fn defaults_match_the_sampler_defaults() {
+        let args = parse(&[]).expect("defaults valid");
+        assert_eq!(args.params, ChaosParams::default());
+        assert_eq!((args.seeds, args.seed0, args.inject), (64, 1, false));
+        assert_eq!(args.repro_out, "results/chaos_repro.json");
+    }
+
+    #[test]
+    fn chaos_faults_is_independent_of_flag_order() {
+        let after = parse(&["--zones", "5", "--chaos-tenancy", "on", "--chaos-faults", "gray"]);
+        let before = parse(&["--chaos-faults", "gray", "--zones", "5", "--chaos-tenancy", "on"]);
+        let (after, before) = (after.expect("valid").params, before.expect("valid").params);
+        assert_eq!(after, before);
+        assert!(after.gray && !after.crashes && !after.link_stalls);
+        assert_eq!((after.zones_max, after.tenancy), (5, Toggle::On));
     }
 }

@@ -60,6 +60,21 @@ fn rejects_unknown_modes() {
     assert_graceful_failure(&["--chaos-tenancy", "many"], "unknown tenancy mode");
     assert_graceful_failure(&["--chaos-brownout", "dim"], "unknown brownout mode");
     assert_graceful_failure(&["--chaos-faults", "meteor"], "unknown fault class");
+    assert_graceful_failure(&["--chaos-sessions", "maybe"], "unknown sessions mode");
+}
+
+#[test]
+fn every_value_flag_needs_a_value_and_usage_lists_the_shared_flags() {
+    let stderr = String::from_utf8_lossy(&run(&["--frobnicate"]).stderr).into_owned();
+    let usage = &stderr[stderr.find("usage:").expect("usage text")..];
+    let flags = cta_bench::usage_flags(usage);
+    for shared in ["--jobs", "--kernels", "--pool-trace"] {
+        assert!(flags.contains(&(shared, true)), "usage lacks {shared}: {usage}");
+    }
+    assert!(flags.contains(&("--inject-bug", false)), "{usage}");
+    for (flag, _) in flags.iter().filter(|(_, takes_value)| *takes_value) {
+        assert_graceful_failure(&[flag], "needs a value");
+    }
 }
 
 #[test]

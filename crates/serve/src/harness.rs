@@ -1,23 +1,22 @@
 //! The redesigned sweep-harness API: one [`SweepSpec`] builder and one
 //! [`Harness`] runner shared by every sweep binary.
 //!
-//! Before this module, `serve_sweep`, `degradation_sweep` and
-//! `brownout_sweep` each hand-rolled ~400 lines of identical plumbing:
-//! an `Args::parse` walk, `parse_num`/`parse_list`, usage text,
-//! error-to-stderr/non-zero-exit handling, an aligned stdout table, CSV
-//! and JSON writers, and a Chrome-trace export pass. The harness owns all
-//! of it, and adds the one thing none of them had: **parallel grid
-//! evaluation** on the `cta-parallel` work-stealing pool.
+//! The harness owns the plumbing every sweep shares — flag parsing and
+//! usage text, error-to-stderr/non-zero-exit handling, an aligned stdout
+//! table, CSV and JSON writers, a Chrome-trace export pass — and
+//! **parallel grid evaluation** on the `cta-parallel` work-stealing pool.
 //!
-//! A sweep binary now reduces to three pieces:
+//! A sweep binary consists of four pieces:
 //!
-//! 1. a [`SweepSpec`] naming the experiment, its usage text and its
+//! 1. a static flag table (`&[Flag]`, see [`cta_bench::cli`]) declaring
+//!    only the sweep's own axes and their defaults — the harness appends
+//!    the shared `--jobs N` / `--kernels P` / `--pool-trace <path>`
+//!    entries and generates the usage text from the whole table;
+//! 2. a [`SweepSpec`] naming the experiment, that table and its
 //!    CSV/stdout columns;
-//! 2. a flag-matcher closure turning a [`FlagParser`] walk into the
-//!    binary's own argument struct (the harness strips and parses the
-//!    shared `--jobs N` / `--kernels P` / `--pool-trace <path>` flags
-//!    first);
-//! 3. an `eval` closure mapping one grid point to its table rows and
+//! 3. a function reading the parsed [`Flags`] into the binary's own
+//!    argument struct through the typed getters, and range-checking it;
+//! 4. an `eval` closure mapping one grid point to its table rows and
 //!    JSON points ([`PointOutput`]).
 //!
 //! # Determinism contract
@@ -34,7 +33,7 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{banner, FlagParser, JsonReport, JsonValue, Table};
+use cta_bench::{banner, cli_main, Flag, Flags, JsonReport, JsonValue, Table, PARALLEL_FLAGS};
 use cta_parallel::{Parallelism, ThreadPool};
 use cta_telemetry::{
     chrome_trace_json, pool_occupancy_events, validate_chrome_trace, AggregateReport,
@@ -47,20 +46,29 @@ use cta_tensor::KernelPolicy;
 /// drop count.
 pub const TRACE_CAPACITY: usize = 1 << 18;
 
+/// The flags every sweep accepts on top of its own table: the
+/// [`PARALLEL_FLAGS`] plus `--pool-trace <path.json>`.
+const SHARED_FLAGS: [Flag; 3] =
+    [PARALLEL_FLAGS[0], PARALLEL_FLAGS[1], Flag::optional("--pool-trace", "<path.json>")];
+
 /// Declarative description of one sweep experiment: its name (which
-/// doubles as the `results/<name>.{csv,json}` stem), usage text, and
+/// doubles as the `results/<name>.{csv,json}` stem), flag table, and
 /// CSV/stdout column layout.
 ///
 /// Build it fluently, then hand control to [`SweepSpec::main`]:
 ///
 /// ```no_run
+/// use cta_bench::Flag;
 /// use cta_serve::harness::{PointOutput, SweepSpec};
 ///
+/// const FLAGS: &[Flag] = &[Flag::value("--n", "3")];
+///
 /// SweepSpec::new("demo_sweep")
-///     .usage("usage: demo_sweep [--jobs N]")
+///     .flags(FLAGS)
 ///     .columns(&["x", "y"])
-///     .main(std::env::args().skip(1), |_flags| Ok(()), |h| {
-///         h.run_grid("Demo", &[1, 2, 3], |&x| {
+///     .main(std::env::args().skip(1), |f| f.num::<u64>("--n", "an integer"), |h| {
+///         let grid: Vec<u64> = (1..=*h.args()).collect();
+///         h.run_grid("Demo", &grid, |&x| {
 ///             let mut out = PointOutput::new();
 ///             out.row(vec![x.to_string(), (x * x).to_string()]);
 ///             out
@@ -70,7 +78,7 @@ pub const TRACE_CAPACITY: usize = 1 << 18;
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     name: &'static str,
-    usage: &'static str,
+    flags: &'static [Flag],
     columns: &'static [&'static str],
 }
 
@@ -78,13 +86,14 @@ impl SweepSpec {
     /// Starts a spec for the experiment `name`.
     #[must_use]
     pub fn new(name: &'static str) -> Self {
-        Self { name, usage: "", columns: &[] }
+        Self { name, flags: &[], columns: &[] }
     }
 
-    /// Sets the usage text printed to stderr on malformed invocations.
+    /// Sets the sweep's own flag table; the shared `--jobs`, `--kernels`
+    /// and `--pool-trace` entries are appended to it.
     #[must_use]
-    pub fn usage(mut self, usage: &'static str) -> Self {
-        self.usage = usage;
+    pub fn flags(mut self, flags: &'static [Flag]) -> Self {
+        self.flags = flags;
         self
     }
 
@@ -101,35 +110,35 @@ impl SweepSpec {
         self.name
     }
 
-    /// The full binary entry point. Strips the shared `--jobs N`,
-    /// `--kernels P` and `--pool-trace <path>` flags out of `argv`,
-    /// hands the remaining words to `parse`, and on success installs the
-    /// requested kernel policy (if any) and runs `run` with the
+    /// The full flag table: the sweep's own flags, then the shared ones.
+    fn table(&self) -> Vec<Flag> {
+        self.flags.iter().chain(&SHARED_FLAGS).copied().collect()
+    }
+
+    /// The full binary entry point. Parses `argv` against the full flag
+    /// table, reads the shared flags, hands the parsed [`Flags`] to
+    /// `parse` for the binary's own arguments, and on success installs
+    /// the requested kernel policy (if any) and runs `run` with the
     /// assembled [`Harness`]. Any parse error is printed as `error: …`
-    /// plus the usage text to stderr, and the process exits non-zero.
+    /// plus the generated usage text to stderr, and the process exits
+    /// non-zero.
     pub fn main<A>(
         self,
         argv: impl Iterator<Item = String>,
-        parse: impl FnOnce(&mut FlagParser) -> Result<A, String>,
+        parse: impl FnOnce(&Flags) -> Result<A, String>,
         run: impl FnOnce(&Harness<A>),
     ) -> ExitCode {
-        let usage = self.usage;
-        match self.parse(argv, parse) {
-            Ok(harness) => {
-                // Install only here, not in `parse`: tests parse specs
-                // in-process and must not flip the process-wide policy.
-                if let Some(policy) = harness.kernels {
-                    policy.install();
-                }
-                run(&harness);
-                ExitCode::SUCCESS
+        let table = self.table();
+        cli_main(self.name, &table, argv, |flags| {
+            let harness = self.harness(flags, parse)?;
+            // Install only here, not in `parse`: tests parse specs
+            // in-process and must not flip the process-wide policy.
+            if let Some(policy) = harness.kernels {
+                policy.install();
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("{usage}");
-                ExitCode::FAILURE
-            }
-        }
+            run(&harness);
+            Ok(())
+        })
     }
 
     /// [`SweepSpec::main`] without the process plumbing: parses `argv`
@@ -138,36 +147,27 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first malformed-flag message, either from the shared
-    /// `--jobs` / `--kernels` / `--pool-trace` handling or from `parse`.
+    /// Returns the first malformed-flag message, either from the walk,
+    /// the shared `--jobs` / `--kernels` / `--pool-trace` handling or
+    /// from `parse`.
     pub fn parse<A>(
         self,
         argv: impl Iterator<Item = String>,
-        parse: impl FnOnce(&mut FlagParser) -> Result<A, String>,
+        parse: impl FnOnce(&Flags) -> Result<A, String>,
     ) -> Result<Harness<A>, String> {
-        let mut jobs = Parallelism::from_env();
-        let mut kernels = None;
-        let mut pool_trace = None;
-        let mut rest = Vec::new();
-        let mut it = argv;
-        while let Some(word) = it.next() {
-            match word.as_str() {
-                "--jobs" => {
-                    let v = it.next().ok_or("--jobs needs a value")?;
-                    jobs = Parallelism::parse_arg(&v)?;
-                }
-                "--kernels" => {
-                    let v = it.next().ok_or("--kernels needs a value")?;
-                    kernels = Some(KernelPolicy::parse_arg(&v)?);
-                }
-                "--pool-trace" => {
-                    pool_trace = Some(it.next().ok_or("--pool-trace needs a value")?);
-                }
-                _ => rest.push(word),
-            }
-        }
-        let mut flags = FlagParser::new(rest);
-        let args = parse(&mut flags)?;
+        let table = self.table();
+        let flags = Flags::parse(&table, argv)?;
+        self.harness(&flags, parse)
+    }
+
+    fn harness<A>(
+        self,
+        flags: &Flags,
+        parse: impl FnOnce(&Flags) -> Result<A, String>,
+    ) -> Result<Harness<A>, String> {
+        let (jobs, kernels) = flags.parallelism()?;
+        let pool_trace = flags.opt_text("--pool-trace");
+        let args = parse(flags)?;
         Ok(Harness { spec: self, jobs, kernels, pool_trace, args })
     }
 }
@@ -311,18 +311,14 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
     }
 
+    const X: &[Flag] = &[Flag::value("--x", "0")];
+
     #[test]
-    fn spec_strips_shared_flags_before_binary_parsing() {
+    fn spec_reads_shared_flags_next_to_the_binary_table() {
         let h = SweepSpec::new("t")
+            .flags(X)
             .parse(words(&["--jobs", "3", "--x", "7", "--pool-trace", "p.json"]), |flags| {
-                let mut x = 0usize;
-                while let Some(flag) = flags.next_flag() {
-                    match flag.as_str() {
-                        "--x" => x = flags.value("--x")?.parse().map_err(|_| "bad".to_string())?,
-                        other => return Err(format!("unknown flag {other:?}")),
-                    }
-                }
-                Ok(x)
+                flags.num::<usize>("--x", "an integer")
             })
             .expect("valid");
         assert_eq!(h.jobs().get(), 3);
@@ -343,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn kernels_flag_is_stripped_and_recorded_without_installing() {
+    fn kernels_flag_is_recorded_without_installing() {
         let h =
             SweepSpec::new("t").parse(words(&["--kernels", "blocked"]), |_| Ok(())).expect("valid");
         // Recorded on the harness; installation is main()'s job so that
@@ -355,18 +351,20 @@ mod tests {
 
     #[test]
     fn binary_errors_pass_through() {
-        let err = SweepSpec::new("t")
-            .parse(words(&["--frob"]), |flags| match flags.next_flag() {
-                Some(f) => Err(format!("unknown flag {f:?}")),
-                None => Ok(()),
-            })
-            .unwrap_err();
-        assert!(err.contains("unknown flag"));
+        let parse = |list: &[&str]| {
+            SweepSpec::new("t")
+                .flags(X)
+                .parse(words(list), |flags| flags.num::<usize>("--x", "an integer"))
+        };
+        assert!(parse(&["--frob"]).unwrap_err().contains("unknown flag"));
+        assert!(parse(&["--x", "y"]).unwrap_err().contains("--x takes an integer"));
     }
 
     #[test]
-    fn builder_is_fluent_and_must_use() {
-        let spec = SweepSpec::new("demo").usage("usage: demo").columns(&["a"]);
+    fn the_table_ends_with_the_shared_flags() {
+        let spec = SweepSpec::new("demo").flags(X).columns(&["a"]);
         assert_eq!(spec.name(), "demo");
+        let names: Vec<_> = spec.table().iter().map(|f| f.name).collect();
+        assert_eq!(names, ["--x", "--jobs", "--kernels", "--pool-trace"]);
     }
 }

@@ -10,14 +10,9 @@
 //! carry an interactive deadline (a multiple of the solo service time),
 //! so goodput counts only deadline-met completions.
 //!
-//! ```text
-//! brownout_sweep [--replicas 3] [--loads 0.8,1.3,1.8] [--requests 250]
-//!                [--seed 7] [--mtbf-factors inf,0.5] [--mttr-factor 0.05]
-//!                [--deadline-factor 25] [--link-gbs 96] [--routing jsq]
-//!                [--batch 4] [--queue-depth 64]
-//!                [--control brownout|breaker|hedge|full]
-//!                [--trace <path.json>] [--jobs N] [--pool-trace <path.json>]
-//! ```
+//! The flags and their defaults are declared once, in the `FLAGS` table
+//! below; the usage text printed on a malformed invocation is generated
+//! from it.
 //!
 //! The default control mode is `brownout` (the ladder alone). `full` adds
 //! the circuit breaker and hedged dispatch; note that hedging duplicates
@@ -52,7 +47,7 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
 use cta_workloads::{case_task, mini_case};
 
@@ -63,13 +58,23 @@ use crate::{
     OverloadControl, QosClass, RoutingPolicy, ServeRequest,
 };
 
-/// Usage text printed to stderr on any malformed invocation.
-const USAGE: &str = "usage: brownout_sweep [--replicas 3] [--loads 0.8,1.3,1.8] [--requests 250]
-                      [--seed 7] [--mtbf-factors inf,0.5] [--mttr-factor 0.05]
-                      [--deadline-factor 25] [--link-gbs 96]
-                      [--routing rr|jsq|low] [--batch 4] [--queue-depth 64]
-                      [--control brownout|breaker|hedge|full]
-                      [--trace <path.json>] [--jobs N] [--pool-trace <path.json>]";
+/// The sweep's own flags and defaults; the harness appends the shared
+/// `--jobs`, `--kernels` and `--pool-trace`.
+const FLAGS: &[Flag] = &[
+    Flag::value("--replicas", "3"),
+    Flag::value("--loads", "0.8,1.3,1.8"),
+    Flag::value("--requests", "250"),
+    Flag::value("--seed", "7"),
+    Flag::value("--mtbf-factors", "inf,0.5"),
+    Flag::value("--mttr-factor", "0.05"),
+    Flag::value("--deadline-factor", "25"),
+    Flag::value("--link-gbs", "96"),
+    Flag::value("--routing", "jsq"),
+    Flag::value("--batch", "4"),
+    Flag::value("--queue-depth", "64"),
+    Flag::value("--control", "brownout"),
+    Flag::optional("--trace", "<path.json>"),
+];
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
 /// [`cta_bench::SCHEMA_VERSION`] on every row.
@@ -100,13 +105,13 @@ enum ControlMode {
 }
 
 impl ControlMode {
-    fn parse(s: &str) -> Result<Self, String> {
+    fn parse(s: &str) -> Option<Self> {
         match s {
-            "brownout" => Ok(ControlMode::Brownout),
-            "breaker" => Ok(ControlMode::Breaker),
-            "hedge" => Ok(ControlMode::Hedge),
-            "full" => Ok(ControlMode::Full),
-            _ => Err(format!("unknown control mode {s:?} (brownout|breaker|hedge|full)")),
+            "brownout" => Some(ControlMode::Brownout),
+            "breaker" => Some(ControlMode::Breaker),
+            "hedge" => Some(ControlMode::Hedge),
+            "full" => Some(ControlMode::Full),
+            _ => None,
         }
     }
 
@@ -155,77 +160,27 @@ struct Args {
 }
 
 impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
-            replicas: 3,
-            loads: vec![0.8, 1.3, 1.8],
-            requests: 250,
-            seed: 7,
-            mtbf_factors: vec![f64::INFINITY, 0.5],
-            mttr_factor: 0.05,
-            deadline_factor: 25.0,
-            link_gbs: 96.0,
-            routing: RoutingPolicy::JoinShortestQueue,
-            batch: 4,
-            queue_depth: 64,
-            control: ControlMode::Brownout,
-            trace: None,
+    fn from_flags(f: &Flags) -> Result<Self, String> {
+        let args = Args {
+            replicas: f.num("--replicas", "an integer")?,
+            loads: f.list("--loads", "numbers")?,
+            requests: f.num("--requests", "an integer")?,
+            seed: f.num("--seed", "an integer")?,
+            mtbf_factors: f.list("--mtbf-factors", "numbers")?,
+            mttr_factor: f.num("--mttr-factor", "a number")?,
+            deadline_factor: f.num("--deadline-factor", "a number")?,
+            link_gbs: f.num("--link-gbs", "a number")?,
+            routing: f.choice("--routing", "routing policy", "rr|jsq|low", RoutingPolicy::parse)?,
+            batch: f.num("--batch", "an integer")?,
+            queue_depth: f.num("--queue-depth", "an integer")?,
+            control: f.choice(
+                "--control",
+                "control mode",
+                "brownout|breaker|hedge|full",
+                ControlMode::parse,
+            )?,
+            trace: f.opt_text("--trace"),
         };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--replicas" => {
-                    args.replicas =
-                        parse_num(&it.value("--replicas")?, "--replicas", "an integer")?;
-                }
-                "--loads" => {
-                    args.loads = parse_list(&it.value("--loads")?, "--loads", "numbers")?;
-                }
-                "--requests" => {
-                    args.requests =
-                        parse_num(&it.value("--requests")?, "--requests", "an integer")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--mtbf-factors" => {
-                    args.mtbf_factors =
-                        parse_list(&it.value("--mtbf-factors")?, "--mtbf-factors", "numbers")?;
-                }
-                "--mttr-factor" => {
-                    args.mttr_factor =
-                        parse_num(&it.value("--mttr-factor")?, "--mttr-factor", "a number")?;
-                }
-                "--deadline-factor" => {
-                    args.deadline_factor = parse_num(
-                        &it.value("--deadline-factor")?,
-                        "--deadline-factor",
-                        "a number",
-                    )?;
-                }
-                "--link-gbs" => {
-                    args.link_gbs = parse_num(&it.value("--link-gbs")?, "--link-gbs", "a number")?;
-                }
-                "--routing" => {
-                    let v = it.value("--routing")?;
-                    args.routing = RoutingPolicy::parse(&v)
-                        .ok_or_else(|| format!("unknown routing policy {v:?} (rr|jsq|low)"))?;
-                }
-                "--batch" => {
-                    args.batch = parse_num(&it.value("--batch")?, "--batch", "an integer")?;
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--control" => {
-                    args.control = ControlMode::parse(&it.value("--control")?)?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
         if args.replicas == 0 || args.requests == 0 || args.batch == 0 || args.queue_depth == 0 {
             return Err("--replicas, --requests, --batch and --queue-depth must be positive".into());
         }
@@ -257,9 +212,9 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("brownout_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(
+    SweepSpec::new("brownout_sweep").flags(FLAGS).columns(SWEEP_COLUMNS).main(
         argv,
-        Args::parse,
+        Args::from_flags,
         run,
     )
 }
@@ -421,7 +376,7 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+        Args::from_flags(&Flags::parse(FLAGS, words.iter().map(|s| s.to_string()))?)
     }
 
     #[test]

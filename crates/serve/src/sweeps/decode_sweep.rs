@@ -15,14 +15,9 @@
 //! path: moved sessions pay a state re-prefill, lost ones shed as
 //! [`crate::ShedReason::SessionLost`].
 //!
-//! ```text
-//! decode_sweep [--sessions 16,48] [--turns 4] [--thresholds 0.25,1.0]
-//!              [--arrival-rate 2000] [--think-ms 1] [--drift 0.02]
-//!              [--replicas 3] [--policy sticky|stateless]
-//!              [--mtbf-factor inf] [--mttr-factor 0.02]
-//!              [--seed 7] [--trace <path.json>]
-//!              [--jobs N] [--pool-trace <path.json>]
-//! ```
+//! The flags and their defaults are declared once, in the `FLAGS` table
+//! below; the usage text printed on a malformed invocation is generated
+//! from it.
 //!
 //! **Outputs.** The stdout table and `results/decode_sweep.{csv,json}`
 //! are deterministic for a fixed `--seed` at any `--jobs` value. The
@@ -36,7 +31,7 @@
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use cta_bench::{parse_list, parse_num, BenchSidecar, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{BenchSidecar, Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_sim::SystemConfig;
 use cta_workloads::{case_task, mini_case, SessionSpec};
 
@@ -46,13 +41,22 @@ use crate::{
     FaultPlan, FleetConfig, LoadSpec, RoutingPolicy, ServeRequest, SessionPolicy,
 };
 
-/// Usage text printed to stderr on any malformed invocation.
-const USAGE: &str = "usage: decode_sweep [--sessions 16,48] [--turns 4] [--thresholds 0.25,1.0]
-                    [--arrival-rate 2000] [--think-ms 1] [--drift 0.02]
-                    [--replicas 3] [--policy sticky|stateless]
-                    [--mtbf-factor inf] [--mttr-factor 0.02]
-                    [--seed 7] [--trace <path.json>]
-                    [--jobs N] [--pool-trace <path.json>]";
+/// The sweep's own flags and defaults; the harness appends the shared
+/// `--jobs`, `--kernels` and `--pool-trace`.
+const FLAGS: &[Flag] = &[
+    Flag::value("--sessions", "16,48"),
+    Flag::value("--turns", "4"),
+    Flag::value("--thresholds", "0.25,1.0"),
+    Flag::value("--arrival-rate", "2000"),
+    Flag::value("--think-ms", "1"),
+    Flag::value("--drift", "0.02"),
+    Flag::value("--replicas", "3"),
+    Flag::value("--policy", "sticky"),
+    Flag::value("--mtbf-factor", "inf"),
+    Flag::value("--mttr-factor", "0.02"),
+    Flag::value("--seed", "7"),
+    Flag::optional("--trace", "<path.json>"),
+];
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
 /// [`cta_bench::SCHEMA_VERSION`] on every row.
@@ -88,72 +92,25 @@ struct Args {
 }
 
 impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
-            sessions: vec![16, 48],
-            turns: vec![4.0],
-            thresholds: vec![0.25, 1.0],
-            arrival_rate: 2_000.0,
-            think_ms: 1.0,
-            drift: 0.02,
-            replicas: 3,
-            policy: SessionPolicy::sticky(),
-            mtbf_factor: f64::INFINITY,
-            mttr_factor: 0.02,
-            seed: 7,
-            trace: None,
+    fn from_flags(f: &Flags) -> Result<Self, String> {
+        let args = Args {
+            sessions: f.list("--sessions", "integers")?,
+            turns: f.list("--turns", "numbers")?,
+            thresholds: f.list("--thresholds", "numbers")?,
+            arrival_rate: f.num("--arrival-rate", "a number")?,
+            think_ms: f.num("--think-ms", "a number")?,
+            drift: f.num("--drift", "a number")?,
+            replicas: f.num("--replicas", "an integer")?,
+            policy: f.choice("--policy", "policy", "sticky|stateless", |s| match s {
+                "sticky" => Some(SessionPolicy::sticky()),
+                "stateless" => Some(SessionPolicy::stateless()),
+                _ => None,
+            })?,
+            mtbf_factor: f.num("--mtbf-factor", "a number")?,
+            mttr_factor: f.num("--mttr-factor", "a number")?,
+            seed: f.num("--seed", "an integer")?,
+            trace: f.opt_text("--trace"),
         };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--sessions" => {
-                    args.sessions = parse_list(&it.value("--sessions")?, "--sessions", "integers")?;
-                }
-                "--turns" => {
-                    args.turns = parse_list(&it.value("--turns")?, "--turns", "numbers")?;
-                }
-                "--thresholds" => {
-                    args.thresholds =
-                        parse_list(&it.value("--thresholds")?, "--thresholds", "numbers")?;
-                }
-                "--arrival-rate" => {
-                    args.arrival_rate =
-                        parse_num(&it.value("--arrival-rate")?, "--arrival-rate", "a number")?;
-                }
-                "--think-ms" => {
-                    args.think_ms = parse_num(&it.value("--think-ms")?, "--think-ms", "a number")?;
-                }
-                "--drift" => {
-                    args.drift = parse_num(&it.value("--drift")?, "--drift", "a number")?;
-                }
-                "--replicas" => {
-                    args.replicas =
-                        parse_num(&it.value("--replicas")?, "--replicas", "an integer")?;
-                }
-                "--policy" => {
-                    let v = it.value("--policy")?;
-                    args.policy = match v.as_str() {
-                        "sticky" => SessionPolicy::sticky(),
-                        "stateless" => SessionPolicy::stateless(),
-                        _ => return Err(format!("unknown policy {v:?} (sticky|stateless)")),
-                    };
-                }
-                "--mtbf-factor" => {
-                    args.mtbf_factor =
-                        parse_num(&it.value("--mtbf-factor")?, "--mtbf-factor", "a number")?;
-                }
-                "--mttr-factor" => {
-                    args.mttr_factor =
-                        parse_num(&it.value("--mttr-factor")?, "--mttr-factor", "a number")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
         if args.sessions.is_empty() || args.sessions.contains(&0) {
             return Err("--sessions must be a non-empty list of positive integers".into());
         }
@@ -190,7 +147,11 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("decode_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(argv, Args::parse, run)
+    SweepSpec::new("decode_sweep").flags(FLAGS).columns(SWEEP_COLUMNS).main(
+        argv,
+        Args::from_flags,
+        run,
+    )
 }
 
 /// The session trace for one grid point.
@@ -393,7 +354,7 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+        Args::from_flags(&Flags::parse(FLAGS, words.iter().map(|s| s.to_string()))?)
     }
 
     #[test]

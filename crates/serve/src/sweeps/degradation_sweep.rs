@@ -12,13 +12,9 @@
 //! stdout table plus `results/degradation_sweep.csv` and
 //! `results/degradation_sweep.json`.
 //!
-//! ```text
-//! degradation_sweep [--replicas 4] [--load 0.8] [--requests 300]
-//!                   [--seed 7] [--mtbf-factors 4,2,1,0.5,0.25]
-//!                   [--mttr-factor 0.05] [--routing jsq] [--batch 4]
-//!                   [--queue-depth 64] [--trace <path.json>]
-//!                   [--jobs N] [--pool-trace <path.json>]
-//! ```
+//! The flags and their defaults are declared once, in the `FLAGS` table
+//! below; the usage text printed on a malformed invocation is generated
+//! from it.
 //!
 //! With `--trace <path>` the harness re-runs the *last* (highest failure
 //! rate) sweep point with the telemetry ring buffer attached and writes a
@@ -29,7 +25,7 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
 use cta_workloads::{case_task, mini_case};
 
@@ -40,12 +36,20 @@ use crate::{
     ShedReason,
 };
 
-/// Usage text printed to stderr on any malformed invocation.
-const USAGE: &str = "usage: degradation_sweep [--replicas 4] [--load 0.8] [--requests 300]
-                         [--seed 7] [--mtbf-factors 4,2,1,0.5,0.25]
-                         [--mttr-factor 0.05] [--routing rr|jsq|low]
-                         [--batch 4] [--queue-depth 64] [--trace <path.json>]
-                         [--jobs N] [--pool-trace <path.json>]";
+/// The sweep's own flags and defaults; the harness appends the shared
+/// `--jobs`, `--kernels` and `--pool-trace`.
+const FLAGS: &[Flag] = &[
+    Flag::value("--replicas", "4"),
+    Flag::value("--load", "0.8"),
+    Flag::value("--requests", "300"),
+    Flag::value("--seed", "7"),
+    Flag::value("--mtbf-factors", "4,2,1,0.5,0.25"),
+    Flag::value("--mttr-factor", "0.05"),
+    Flag::value("--routing", "jsq"),
+    Flag::value("--batch", "4"),
+    Flag::value("--queue-depth", "64"),
+    Flag::optional("--trace", "<path.json>"),
+];
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
 /// [`cta_bench::SCHEMA_VERSION`] on every row.
@@ -79,61 +83,19 @@ struct Args {
 }
 
 impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
-            replicas: 4,
-            load: 0.8,
-            requests: 300,
-            seed: 7,
-            mtbf_factors: vec![4.0, 2.0, 1.0, 0.5, 0.25],
-            mttr_factor: 0.05,
-            routing: RoutingPolicy::JoinShortestQueue,
-            batch: 4,
-            queue_depth: 64,
-            trace: None,
+    fn from_flags(f: &Flags) -> Result<Self, String> {
+        let args = Args {
+            replicas: f.num("--replicas", "an integer")?,
+            load: f.num("--load", "a number")?,
+            requests: f.num("--requests", "an integer")?,
+            seed: f.num("--seed", "an integer")?,
+            mtbf_factors: f.list("--mtbf-factors", "numbers")?,
+            mttr_factor: f.num("--mttr-factor", "a number")?,
+            routing: f.choice("--routing", "routing policy", "rr|jsq|low", RoutingPolicy::parse)?,
+            batch: f.num("--batch", "an integer")?,
+            queue_depth: f.num("--queue-depth", "an integer")?,
+            trace: f.opt_text("--trace"),
         };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--replicas" => {
-                    args.replicas =
-                        parse_num(&it.value("--replicas")?, "--replicas", "an integer")?;
-                }
-                "--load" => {
-                    args.load = parse_num(&it.value("--load")?, "--load", "a number")?;
-                }
-                "--requests" => {
-                    args.requests =
-                        parse_num(&it.value("--requests")?, "--requests", "an integer")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--mtbf-factors" => {
-                    args.mtbf_factors =
-                        parse_list(&it.value("--mtbf-factors")?, "--mtbf-factors", "numbers")?;
-                }
-                "--mttr-factor" => {
-                    args.mttr_factor =
-                        parse_num(&it.value("--mttr-factor")?, "--mttr-factor", "a number")?;
-                }
-                "--routing" => {
-                    let v = it.value("--routing")?;
-                    args.routing = RoutingPolicy::parse(&v)
-                        .ok_or_else(|| format!("unknown routing policy {v:?} (rr|jsq|low)"))?;
-                }
-                "--batch" => {
-                    args.batch = parse_num(&it.value("--batch")?, "--batch", "an integer")?;
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
         if args.replicas == 0 || args.requests == 0 || args.batch == 0 || args.queue_depth == 0 {
             return Err("--replicas, --requests, --batch and --queue-depth must be positive".into());
         }
@@ -156,9 +118,9 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("degradation_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(
+    SweepSpec::new("degradation_sweep").flags(FLAGS).columns(SWEEP_COLUMNS).main(
         argv,
-        Args::parse,
+        Args::from_flags,
         run,
     )
 }
@@ -303,7 +265,7 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+        Args::from_flags(&Flags::parse(FLAGS, words.iter().map(|s| s.to_string()))?)
     }
 
     #[test]

@@ -12,11 +12,9 @@
 //! simultaneously the end-to-end pin of the kernel-equivalence contract
 //! and its performance ledger.
 //!
-//! ```text
-//! kernel_sweep [--seed 7] [--reps 3]
-//!              [--jobs N] [--kernels scalar|blocked|simd]
-//!              [--pool-trace <path.json>]
-//! ```
+//! The flags and their defaults are declared once, in the `FLAGS` table
+//! below; the usage text printed on a malformed invocation is generated
+//! from it.
 //!
 //! **Outputs.** The stdout table and `results/kernel_sweep.{csv,json}`
 //! carry one row per (kernel, shape) with an FNV-1a digest of the
@@ -35,17 +33,16 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use cta_attention::{aggregate_probabilities_kernel, QuantizationConfig};
-use cta_bench::{parse_num, BenchSidecar, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{BenchSidecar, Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_fixed::{QFormat, QuantizedMatrix};
 use cta_lsh::{ClusterTable, LshFamily, LshParams};
 use cta_tensor::{standard_normal_matrix, KernelPolicy, Matrix};
 
 use crate::harness::{Harness, PointOutput, SweepSpec};
 
-/// Usage text printed to stderr on any malformed invocation.
-const USAGE: &str = "usage: kernel_sweep [--seed 7] [--reps 3]
-                    [--jobs N] [--kernels scalar|blocked|simd]
-                    [--pool-trace <path.json>]";
+/// The sweep's own flags and defaults; the harness appends the shared
+/// `--jobs`, `--kernels` and `--pool-trace`.
+const FLAGS: &[Flag] = &[Flag::value("--seed", "7"), Flag::value("--reps", "3")];
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
 /// [`cta_bench::SCHEMA_VERSION`] on every row.
@@ -130,19 +127,11 @@ struct Args {
 }
 
 impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args { seed: 7, reps: 3 };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--seed" => args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?,
-                "--reps" => {
-                    args.reps = parse_num(&it.value("--reps")?, "--reps", "an integer")?;
-                    if args.reps == 0 {
-                        return Err("--reps takes a positive integer, got \"0\"".to_string());
-                    }
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
+    fn from_flags(f: &Flags) -> Result<Self, String> {
+        let args =
+            Args { seed: f.num("--seed", "an integer")?, reps: f.num("--reps", "an integer")? };
+        if args.reps == 0 {
+            return Err("--reps takes a positive integer, got \"0\"".to_string());
         }
         Ok(args)
     }
@@ -386,7 +375,11 @@ fn run(h: &Harness<Args>) {
 
 /// The `kernel_sweep` entry point (argv without the program name).
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("kernel_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(argv, Args::parse, run)
+    SweepSpec::new("kernel_sweep").flags(FLAGS).columns(SWEEP_COLUMNS).main(
+        argv,
+        Args::from_flags,
+        run,
+    )
 }
 
 #[cfg(test)]
@@ -395,9 +388,9 @@ mod tests {
 
     #[test]
     fn args_default_and_parse() {
-        let spec = SweepSpec::new("kernel_sweep");
+        let spec = SweepSpec::new("kernel_sweep").flags(FLAGS);
         let h = spec
-            .parse(["--seed", "11", "--reps", "2"].iter().map(|s| s.to_string()), Args::parse)
+            .parse(["--seed", "11", "--reps", "2"].iter().map(|s| s.to_string()), Args::from_flags)
             .expect("valid");
         assert_eq!(h.args().seed, 11);
         assert_eq!(h.args().reps, 2);
@@ -406,7 +399,9 @@ mod tests {
     #[test]
     fn args_reject_bad_values() {
         let parse = |list: &[&str]| {
-            SweepSpec::new("kernel_sweep").parse(list.iter().map(|s| s.to_string()), Args::parse)
+            SweepSpec::new("kernel_sweep")
+                .flags(FLAGS)
+                .parse(list.iter().map(|s| s.to_string()), Args::from_flags)
         };
         assert!(parse(&["--reps", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--seed", "many"]).unwrap_err().contains("--seed"));

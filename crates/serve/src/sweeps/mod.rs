@@ -7,8 +7,10 @@
 //! `std::env::args()` to the `main` function here, which keeps the
 //! sweep logic unit-testable and the binaries trivially small.
 //!
-//! All sweeps accept the shared harness flags in addition to the ones
-//! in their usage text:
+//! Each sweep declares its own flags once, in a static `FLAGS` table of
+//! [`cta_bench::Flag`]s with their defaults. The harness appends the
+//! shared flags below, parses the argv against the whole table, and
+//! generates the usage text from it, so every sweep's usage lists them:
 //!
 //! * `--jobs N` — evaluate grid points on an `N`-worker pool
 //!   (default: `CTA_JOBS`, then available cores). Output bytes are

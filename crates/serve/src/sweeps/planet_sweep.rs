@@ -10,12 +10,9 @@
 //! the only O(1)-per-arrival policy; JSQ/LOW would reintroduce a
 //! full-fleet scan on every admission and dominate the profile.
 //!
-//! ```text
-//! planet_sweep [--replicas 250,1000] [--load 0.7] [--requests-per-replica 4]
-//!              [--seed 7] [--mtbf-factor 1] [--mttr-factor 0.02]
-//!              [--batch 4] [--queue-depth 64]
-//!              [--trace <path.json>] [--jobs N] [--pool-trace <path.json>]
-//! ```
+//! The flags and their defaults are declared once, in the `FLAGS` table
+//! below; the usage text printed on a malformed invocation is generated
+//! from it.
 //!
 //! Each point simulates `replicas × requests-per-replica` requests from
 //! a seeded diurnal trace ([`cta_workloads::DiurnalSpec`]): the offered
@@ -43,7 +40,7 @@
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use cta_bench::{parse_list, parse_num, BenchSidecar, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{BenchSidecar, Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
 use cta_telemetry::{Module, TraceSink, TrackId};
 use cta_workloads::{case_task, mini_case, DiurnalSpec, FlashCrowd};
@@ -54,13 +51,19 @@ use crate::{
     CostModel, FaultPlan, FleetConfig, LoadSpec, RoutingPolicy, ServeRequest,
 };
 
-/// Usage text printed to stderr on any malformed invocation.
-const USAGE: &str = "usage: planet_sweep [--replicas 250,1000] [--load 0.7]
-                    [--requests-per-replica 4] [--seed 7]
-                    [--mtbf-factor 1] [--mttr-factor 0.02]
-                    [--batch 4] [--queue-depth 64]
-                    [--trace <path.json>]
-                    [--jobs N] [--pool-trace <path.json>]";
+/// The sweep's own flags and defaults; the harness appends the shared
+/// `--jobs`, `--kernels` and `--pool-trace`.
+const FLAGS: &[Flag] = &[
+    Flag::value("--replicas", "250,1000"),
+    Flag::value("--load", "0.7"),
+    Flag::value("--requests-per-replica", "4"),
+    Flag::value("--seed", "7"),
+    Flag::value("--mtbf-factor", "1"),
+    Flag::value("--mttr-factor", "0.02"),
+    Flag::value("--batch", "4"),
+    Flag::value("--queue-depth", "64"),
+    Flag::optional("--trace", "<path.json>"),
+];
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
 /// [`cta_bench::SCHEMA_VERSION`] on every row.
@@ -92,57 +95,18 @@ struct Args {
 }
 
 impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
-            replicas: vec![250, 1000],
-            load: 0.7,
-            requests_per_replica: 4,
-            seed: 7,
-            mtbf_factor: 1.0,
-            mttr_factor: 0.02,
-            batch: 4,
-            queue_depth: 64,
-            trace: None,
+    fn from_flags(f: &Flags) -> Result<Self, String> {
+        let args = Args {
+            replicas: f.list("--replicas", "integers")?,
+            load: f.num("--load", "a number")?,
+            requests_per_replica: f.num("--requests-per-replica", "an integer")?,
+            seed: f.num("--seed", "an integer")?,
+            mtbf_factor: f.num("--mtbf-factor", "a number")?,
+            mttr_factor: f.num("--mttr-factor", "a number")?,
+            batch: f.num("--batch", "an integer")?,
+            queue_depth: f.num("--queue-depth", "an integer")?,
+            trace: f.opt_text("--trace"),
         };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--replicas" => {
-                    args.replicas = parse_list(&it.value("--replicas")?, "--replicas", "integers")?;
-                }
-                "--load" => {
-                    args.load = parse_num(&it.value("--load")?, "--load", "a number")?;
-                }
-                "--requests-per-replica" => {
-                    args.requests_per_replica = parse_num(
-                        &it.value("--requests-per-replica")?,
-                        "--requests-per-replica",
-                        "an integer",
-                    )?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--mtbf-factor" => {
-                    args.mtbf_factor =
-                        parse_num(&it.value("--mtbf-factor")?, "--mtbf-factor", "a number")?;
-                }
-                "--mttr-factor" => {
-                    args.mttr_factor =
-                        parse_num(&it.value("--mttr-factor")?, "--mttr-factor", "a number")?;
-                }
-                "--batch" => {
-                    args.batch = parse_num(&it.value("--batch")?, "--batch", "an integer")?;
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
         if args.replicas.is_empty() || args.replicas.contains(&0) {
             return Err("--replicas must be a non-empty list of positive integers".into());
         }
@@ -167,7 +131,11 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("planet_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(argv, Args::parse, run)
+    SweepSpec::new("planet_sweep").flags(FLAGS).columns(SWEEP_COLUMNS).main(
+        argv,
+        Args::from_flags,
+        run,
+    )
 }
 
 /// The diurnal + flash-crowd trace for one fleet size (the serve_sweep
@@ -373,7 +341,7 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+        Args::from_flags(&Flags::parse(FLAGS, words.iter().map(|s| s.to_string()))?)
     }
 
     #[test]

@@ -9,15 +9,9 @@
 //! conventions: an aligned stdout table plus `results/serve_sweep.csv`
 //! and `results/serve_sweep.json`.
 //!
-//! ```text
-//! serve_sweep [--replicas 1,4] [--loads 0.2,0.5,0.8,1.1,1.5]
-//!             [--requests 200] [--seed 7] [--routing jsq]
-//!             [--batch 4] [--queue-depth 64] [--trace <path.json>]
-//!             [--faults <mtbf_s>:<mttr_s>] [--brownout]
-//!             [--arrivals poisson|diurnal]
-//!             [--tenants N] [--scheduler fifo|drr|wfq]
-//!             [--jobs N] [--pool-trace <path.json>]
-//! ```
+//! The flags and their defaults are declared once, in the `FLAGS` table
+//! below; the usage text printed on a malformed invocation is generated
+//! from it.
 //!
 //! With `--faults` each sweep point injects a seeded MTBF/MTTR crash
 //! schedule ([`crate::FaultPlan::seeded`]) over twice the trace span;
@@ -60,7 +54,7 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{parse_list, parse_num, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{parse_num, Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
 use cta_workloads::{case_task, mini_case, DiurnalSpec, FlashCrowd};
 
@@ -71,14 +65,23 @@ use crate::{
     SchedulerPolicy, ServeRequest, TenancyConfig,
 };
 
-/// Usage text printed to stderr on any malformed invocation.
-const USAGE: &str = "usage: serve_sweep [--replicas 1,4] [--loads 0.2,0.5,0.8,1.1,1.5]
-                   [--requests 200] [--seed 7] [--routing rr|jsq|low]
-                   [--batch 4] [--queue-depth 64] [--trace <path.json>]
-                   [--faults <mtbf_s>:<mttr_s>] [--brownout]
-                   [--arrivals poisson|diurnal]
-                   [--tenants N] [--scheduler fifo|drr|wfq]
-                   [--jobs N] [--pool-trace <path.json>]";
+/// The sweep's own flags and defaults; the harness appends the shared
+/// `--jobs`, `--kernels` and `--pool-trace`.
+const FLAGS: &[Flag] = &[
+    Flag::value("--replicas", "1,4"),
+    Flag::value("--loads", "0.2,0.5,0.8,1.1,1.5"),
+    Flag::value("--requests", "200"),
+    Flag::value("--seed", "7"),
+    Flag::value("--routing", "jsq"),
+    Flag::value("--batch", "4"),
+    Flag::value("--queue-depth", "64"),
+    Flag::optional("--trace", "<path.json>"),
+    Flag::optional("--faults", "<mtbf_s>:<mttr_s>"),
+    Flag::switch("--brownout"),
+    Flag::value("--arrivals", "poisson"),
+    Flag::optional("--tenants", "N"),
+    Flag::value("--scheduler", "drr"),
+];
 
 /// CSV/stdout column layout. The trailing `schema_version` column repeats
 /// [`cta_bench::SCHEMA_VERSION`] on every row so a bare
@@ -174,79 +177,42 @@ impl Args {
 }
 
 impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
-            replicas: vec![1, 4],
-            loads: vec![0.2, 0.5, 0.8, 1.1, 1.5],
-            requests: 200,
-            seed: 7,
-            routing: RoutingPolicy::JoinShortestQueue,
-            batch: 4,
-            queue_depth: 64,
-            trace: None,
-            faults: None,
-            brownout: false,
-            arrivals: Arrivals::Poisson,
-            tenants: None,
-            scheduler: SchedulerPolicy::Drr,
+    fn from_flags(f: &Flags) -> Result<Self, String> {
+        let args = Args {
+            replicas: f.list("--replicas", "integers")?,
+            loads: f.list("--loads", "numbers")?,
+            requests: f.num("--requests", "an integer")?,
+            seed: f.num("--seed", "an integer")?,
+            routing: f.choice("--routing", "routing policy", "rr|jsq|low", RoutingPolicy::parse)?,
+            batch: f.num("--batch", "an integer")?,
+            queue_depth: f.num("--queue-depth", "an integer")?,
+            trace: f.opt_text("--trace"),
+            faults: f.opt("--faults", FaultSpec::parse)?,
+            // A bare switch: the brownout ladder and controller are the
+            // calibrated standards, not CLI-tunable knobs.
+            brownout: f.switch("--brownout"),
+            arrivals: f.choice(
+                "--arrivals",
+                "arrival process",
+                "poisson|diurnal",
+                Arrivals::parse,
+            )?,
+            // `--scheduler` alone implies a single tenant.
+            tenants: f
+                .opt("--tenants", |s| parse_num(s, "--tenants", "an integer"))?
+                .or(f.switch("--scheduler").then_some(1)),
+            scheduler: f.choice(
+                "--scheduler",
+                "scheduler",
+                "fifo|drr|wfq",
+                SchedulerPolicy::parse,
+            )?,
         };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--replicas" => {
-                    args.replicas = parse_list(&it.value("--replicas")?, "--replicas", "integers")?;
-                }
-                "--loads" => {
-                    args.loads = parse_list(&it.value("--loads")?, "--loads", "numbers")?;
-                }
-                "--requests" => {
-                    args.requests =
-                        parse_num(&it.value("--requests")?, "--requests", "an integer")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--routing" => {
-                    let v = it.value("--routing")?;
-                    args.routing = RoutingPolicy::parse(&v)
-                        .ok_or_else(|| format!("unknown routing policy {v:?} (rr|jsq|low)"))?;
-                }
-                "--batch" => {
-                    args.batch = parse_num(&it.value("--batch")?, "--batch", "an integer")?;
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                "--faults" => {
-                    args.faults = Some(FaultSpec::parse(&it.value("--faults")?)?);
-                }
-                // A bare switch: the brownout ladder and controller are
-                // the calibrated standards, not CLI-tunable knobs.
-                "--brownout" => args.brownout = true,
-                "--arrivals" => {
-                    let v = it.value("--arrivals")?;
-                    args.arrivals = Arrivals::parse(&v).ok_or_else(|| {
-                        format!("unknown arrival process {v:?} (poisson|diurnal)")
-                    })?;
-                }
-                "--tenants" => {
-                    args.tenants =
-                        Some(parse_num(&it.value("--tenants")?, "--tenants", "an integer")?);
-                }
-                "--scheduler" => {
-                    let v = it.value("--scheduler")?;
-                    args.scheduler = SchedulerPolicy::parse(&v)
-                        .ok_or_else(|| format!("unknown scheduler {v:?} (fifo|drr|wfq)"))?;
-                    args.tenants.get_or_insert(1);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
         if args.replicas.is_empty() || args.loads.is_empty() {
             return Err("empty sweep: --replicas and --loads must be non-empty".into());
+        }
+        if args.loads.iter().any(|l| !(*l > 0.0 && l.is_finite())) {
+            return Err("--loads must be a non-empty list of positive numbers".into());
         }
         if args.batch == 0 {
             return Err("--batch must be positive".into());
@@ -271,7 +237,11 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("serve_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(argv, Args::parse, run)
+    SweepSpec::new("serve_sweep").flags(FLAGS).columns(SWEEP_COLUMNS).main(
+        argv,
+        Args::from_flags,
+        run,
+    )
 }
 
 /// The fault plan for one sweep point: a seeded MTBF/MTTR schedule over
@@ -531,7 +501,7 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+        Args::from_flags(&Flags::parse(FLAGS, words.iter().map(|s| s.to_string()))?)
     }
 
     #[test]

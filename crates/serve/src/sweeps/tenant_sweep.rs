@@ -15,14 +15,9 @@
 //! 16:1 skew (`crates/serve/tests/tenancy.rs` pins it; this sweep shows
 //! the same separation as data).
 //!
-//! ```text
-//! tenant_sweep [--tenants 16] [--skew 0,1] [--scheduler fifo,drr,wfq]
-//!              [--autoscale none,reactive] [--replicas 2] [--load 6.0]
-//!              [--requests 1200] [--seed 7] [--quota <rps>:<burst>]
-//!              [--deadline-factor 40] [--batch 2] [--queue-depth 2]
-//!              [--trace <path.json>]
-//!              [--jobs N] [--pool-trace <path.json>]
-//! ```
+//! The flags and their defaults are declared once, in the `FLAGS` table
+//! below; the usage text printed on a malformed invocation is generated
+//! from it.
 //!
 //! The grid is `skew × scheduler × autoscale`. Backpressure is `hold`
 //! throughout — full replica queues exert backpressure into the fair
@@ -51,7 +46,7 @@
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use cta_bench::{parse_list, parse_num, BenchSidecar, FlagParser, JsonValue, SCHEMA_VERSION};
+use cta_bench::{parse_num, BenchSidecar, Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
 use cta_workloads::{case_task, mini_case, TenantMix};
 
@@ -62,13 +57,23 @@ use crate::{
     RoutingPolicy, SchedulerPolicy, ServeRequest, TenancyConfig,
 };
 
-/// Usage text printed to stderr on any malformed invocation.
-const USAGE: &str = "usage: tenant_sweep [--tenants 16] [--skew 0,1] [--scheduler fifo,drr,wfq]
-                    [--autoscale none,reactive] [--replicas 2] [--load 6.0]
-                    [--requests 1200] [--seed 7] [--quota <rps>:<burst>]
-                    [--deadline-factor 40] [--batch 2] [--queue-depth 2]
-                    [--trace <path.json>]
-                    [--jobs N] [--pool-trace <path.json>]";
+/// The sweep's own flags and defaults; the harness appends the shared
+/// `--jobs`, `--kernels` and `--pool-trace`.
+const FLAGS: &[Flag] = &[
+    Flag::value("--tenants", "16"),
+    Flag::value("--skew", "0,1"),
+    Flag::value("--scheduler", "fifo,drr,wfq"),
+    Flag::value("--autoscale", "none"),
+    Flag::value("--replicas", "2"),
+    Flag::value("--load", "6.0"),
+    Flag::value("--requests", "1200"),
+    Flag::value("--seed", "7"),
+    Flag::optional("--quota", "<rps>:<burst>"),
+    Flag::value("--deadline-factor", "40"),
+    Flag::value("--batch", "2"),
+    Flag::value("--queue-depth", "2"),
+    Flag::optional("--trace", "<path.json>"),
+];
 
 /// CSV/stdout column layout; the trailing `schema_version` column repeats
 /// [`cta_bench::SCHEMA_VERSION`] on every row.
@@ -116,6 +121,18 @@ impl ScalePolicy {
     }
 }
 
+/// Parses a `--quota <rps>:<burst>` token bucket.
+fn parse_quota(v: &str) -> Result<QuotaPolicy, String> {
+    let (rate, burst) =
+        v.split_once(':').ok_or_else(|| format!("--quota wants <rps>:<burst>, got {v:?}"))?;
+    let rate: f64 = parse_num(rate, "--quota", "a number for rps")?;
+    let burst: f64 = parse_num(burst, "--quota", "a number for burst")?;
+    if !(rate > 0.0 && rate.is_finite() && burst > 0.0 && burst.is_finite()) {
+        return Err("--quota rps and burst must be positive and finite".into());
+    }
+    Ok(QuotaPolicy::new(rate, burst))
+}
+
 #[derive(Debug)]
 struct Args {
     tenants: u32,
@@ -134,98 +151,32 @@ struct Args {
 }
 
 impl Args {
-    fn parse(it: &mut FlagParser) -> Result<Self, String> {
-        let mut args = Args {
-            tenants: 16,
-            skews: vec![0.0, 1.0],
-            schedulers: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Drr, SchedulerPolicy::Wfq],
-            autoscale: vec![ScalePolicy::None],
-            replicas: 2,
-            load: 6.0,
-            requests: 1200,
-            seed: 7,
-            quota: None,
-            deadline_factor: 40.0,
-            batch: 2,
-            queue_depth: 2,
-            trace: None,
+    fn from_flags(f: &Flags) -> Result<Self, String> {
+        let args = Args {
+            tenants: f.num("--tenants", "an integer")?,
+            skews: f.list("--skew", "numbers")?,
+            schedulers: f.choices(
+                "--scheduler",
+                "scheduler",
+                "fifo|drr|wfq",
+                SchedulerPolicy::parse,
+            )?,
+            autoscale: f.choices(
+                "--autoscale",
+                "autoscale policy",
+                "none|reactive",
+                ScalePolicy::parse,
+            )?,
+            replicas: f.num("--replicas", "an integer")?,
+            load: f.num("--load", "a number")?,
+            requests: f.num("--requests", "an integer")?,
+            seed: f.num("--seed", "an integer")?,
+            quota: f.opt("--quota", parse_quota)?,
+            deadline_factor: f.num("--deadline-factor", "a number")?,
+            batch: f.num("--batch", "an integer")?,
+            queue_depth: f.num("--queue-depth", "an integer")?,
+            trace: f.opt_text("--trace"),
         };
-        while let Some(flag) = it.next_flag() {
-            match flag.as_str() {
-                "--tenants" => {
-                    args.tenants = parse_num(&it.value("--tenants")?, "--tenants", "an integer")?;
-                }
-                "--skew" => {
-                    args.skews = parse_list(&it.value("--skew")?, "--skew", "numbers")?;
-                }
-                "--scheduler" => {
-                    args.schedulers = it
-                        .value("--scheduler")?
-                        .split(',')
-                        .map(|w| {
-                            SchedulerPolicy::parse(w.trim()).ok_or_else(|| {
-                                format!("unknown scheduler {:?} (fifo|drr|wfq)", w.trim())
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "--autoscale" => {
-                    args.autoscale = it
-                        .value("--autoscale")?
-                        .split(',')
-                        .map(|w| {
-                            ScalePolicy::parse(w.trim()).ok_or_else(|| {
-                                format!("unknown autoscale policy {:?} (none|reactive)", w.trim())
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "--replicas" => {
-                    args.replicas =
-                        parse_num(&it.value("--replicas")?, "--replicas", "an integer")?;
-                }
-                "--load" => {
-                    args.load = parse_num(&it.value("--load")?, "--load", "a number")?;
-                }
-                "--requests" => {
-                    args.requests =
-                        parse_num(&it.value("--requests")?, "--requests", "an integer")?;
-                }
-                "--seed" => {
-                    args.seed = parse_num(&it.value("--seed")?, "--seed", "an integer")?;
-                }
-                "--quota" => {
-                    let v = it.value("--quota")?;
-                    let (rate, burst) = v
-                        .split_once(':')
-                        .ok_or_else(|| format!("--quota wants <rps>:<burst>, got {v:?}"))?;
-                    let rate: f64 = parse_num(rate, "--quota", "a number for rps")?;
-                    let burst: f64 = parse_num(burst, "--quota", "a number for burst")?;
-                    if !(rate > 0.0 && rate.is_finite() && burst > 0.0 && burst.is_finite()) {
-                        return Err("--quota rps and burst must be positive and finite".into());
-                    }
-                    args.quota = Some(QuotaPolicy::new(rate, burst));
-                }
-                "--deadline-factor" => {
-                    args.deadline_factor = parse_num(
-                        &it.value("--deadline-factor")?,
-                        "--deadline-factor",
-                        "a number",
-                    )?;
-                }
-                "--batch" => {
-                    args.batch = parse_num(&it.value("--batch")?, "--batch", "an integer")?;
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_num(&it.value("--queue-depth")?, "--queue-depth", "an integer")?;
-                }
-                "--trace" => {
-                    args.trace = Some(it.value("--trace")?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
         if args.tenants == 0 {
             return Err("--tenants must be positive".into());
         }
@@ -255,7 +206,11 @@ impl Args {
 /// and run the sweep; malformed flags print the usage text to stderr and
 /// exit non-zero.
 pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
-    SweepSpec::new("tenant_sweep").usage(USAGE).columns(SWEEP_COLUMNS).main(argv, Args::parse, run)
+    SweepSpec::new("tenant_sweep").flags(FLAGS).columns(SWEEP_COLUMNS).main(
+        argv,
+        Args::from_flags,
+        run,
+    )
 }
 
 /// One grid point: skew × scheduler × scale-out policy.
@@ -478,7 +433,7 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<Args, String> {
-        Args::parse(&mut FlagParser::new(words.iter().map(|s| s.to_string())))
+        Args::from_flags(&Flags::parse(FLAGS, words.iter().map(|s| s.to_string()))?)
     }
 
     #[test]

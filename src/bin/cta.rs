@@ -1,17 +1,10 @@
 //! `cta` — command-line driver for the CTA reproduction.
 //!
-//! ```text
-//! cta simulate --n 512 --k0 220 --k1 210 --k2 40 [--width-b 8] [--pag 16]
-//! cta evaluate --model bert-large --dataset squad1.1 --bucket-width 4.0 [--samples 2]
-//! cta operating-point --model bert-large --dataset imdb --class cta-1
-//! cta area [--width-b 8]
-//! cta sweep --n 512 --k0 220 --k1 210 --k2 40
-//! ```
-//!
+//! Each subcommand declares its flags once, in the `COMMANDS` table; the
+//! usage text (printed for `cta` without arguments) is generated from it.
 //! Everything the subcommands do is a thin veneer over the library; see
 //! `examples/` for the same flows as code.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 use cta::baselines::GpuModel;
@@ -25,6 +18,7 @@ use cta::workloads::{
     albert_large, bert_large, evaluate_case, find_operating_point, gpt2_large, imdb, roberta_large,
     squad11, squad20, wikitext2, CtaClass, DatasetSpec, ModelSpec, TestCase,
 };
+use cta_bench::{parse_num, usage, Flag, Flags};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,69 +27,124 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage_text());
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "usage:
-  cta simulate --n <len> --k0 <k> --k1 <k> --k2 <k> [--d 64] [--width-b 8] [--pag 16] [--l 6]
-  cta evaluate --model <name> --dataset <name> --bucket-width <w> [--samples 2] [--seq-len <n>]
-  cta operating-point --model <name> --dataset <name> --class <cta-0|cta-0.5|cta-1> [--samples 2]
-  cta area [--width-b 8]
-  cta sweep --n <len> --k0 <k> --k1 <k> --k2 <k> [--d 64]
-  cta ffn --n <len> --d-model <w> --d-ffn <w> [--width-b 8]
-  cta serve --n <len> --k0 <k> --k1 <k> --k2 <k> --layers <L> --heads <H> --load <0..1.2>
-  cta trace --n <len> --k0 <k> --k1 <k> --k2 <k> [--d 64] [--l 6] [--out <trace.json>]
-  cta trace --check <trace.json>
+/// The self-attention task flags (`m = n`), see [`task_from_flags`].
+const TASK: [Flag; 6] = [
+    Flag::required("--n", "<len>"),
+    Flag::required("--k0", "<k>"),
+    Flag::required("--k1", "<k>"),
+    Flag::required("--k2", "<k>"),
+    Flag::value("--d", "64"),
+    Flag::value("--l", "6"),
+];
 
-models:   bert-large roberta-large albert-large gpt2-large
-datasets: squad1.1 squad2.0 imdb wikitext2";
+/// The accelerator flags, see [`hw_from_flags`]; `--pag` defaults to
+/// twice the SA width.
+const HW: [Flag; 2] = [Flag::value("--width-b", "8"), Flag::optional("--pag", "<2*width-b>")];
+
+/// The accuracy-case flags shared by `evaluate` and `operating-point`.
+const CASE: [Flag; 2] =
+    [Flag::required("--model", "<name>"), Flag::required("--dataset", "<name>")];
+
+/// One subcommand: its name, its flag table (the concatenation of these
+/// groups) and what it runs.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static [Flag]],
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+const COMMANDS: [Command; 8] = [
+    Command { name: "simulate", flags: &[&TASK, &HW], run: cmd_simulate },
+    Command {
+        name: "evaluate",
+        flags: &[
+            &CASE,
+            &[
+                Flag::required("--bucket-width", "<w>"),
+                Flag::value("--samples", "2"),
+                Flag::optional("--seq-len", "<n>"),
+            ],
+        ],
+        run: cmd_evaluate,
+    },
+    Command {
+        name: "operating-point",
+        flags: &[
+            &CASE,
+            &[Flag::required("--class", "<cta-0|cta-0.5|cta-1>"), Flag::value("--samples", "2")],
+        ],
+        run: cmd_operating_point,
+    },
+    Command { name: "area", flags: &[&HW], run: cmd_area },
+    Command { name: "sweep", flags: &[&TASK], run: cmd_sweep },
+    Command {
+        name: "ffn",
+        flags: &[
+            &[
+                Flag::required("--n", "<len>"),
+                Flag::required("--d-model", "<w>"),
+                Flag::required("--d-ffn", "<w>"),
+                // The attention half of the layer may be spelled alongside;
+                // the FFN schedule ignores it but checks it like `simulate`.
+                Flag::optional("--k0", "<k>"),
+                Flag::optional("--k1", "<k>"),
+                Flag::optional("--k2", "<k>"),
+            ],
+            &HW,
+        ],
+        run: cmd_ffn,
+    },
+    Command {
+        name: "serve",
+        flags: &[
+            &TASK,
+            &[
+                Flag::required("--layers", "<L>"),
+                Flag::required("--heads", "<H>"),
+                Flag::required("--load", "<0..1.2>"),
+            ],
+        ],
+        run: cmd_serve,
+    },
+    Command {
+        name: "trace",
+        flags: &[
+            &TASK,
+            &HW,
+            &[Flag::optional("--out", "<trace.json>"), Flag::optional("--check", "<trace.json>")],
+        ],
+        run: cmd_trace,
+    },
+];
+
+/// The usage text: one line per subcommand, generated from its table.
+fn usage_text() -> String {
+    let mut text = String::from("usage:");
+    for command in &COMMANDS {
+        text.push('\n');
+        text.push_str(&usage(&format!("  cta {}", command.name), &command.flags.concat()));
+    }
+    text.push_str(
+        "\n\nmodels:   bert-large roberta-large albert-large gpt2-large\n\
+         datasets: squad1.1 squad2.0 imdb wikitext2",
+    );
+    text
+}
 
 fn run(args: &[String]) -> Result<(), String> {
     let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
-    let flags = parse_flags(rest)?;
-    match cmd.as_str() {
-        "simulate" => cmd_simulate(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "operating-point" => cmd_operating_point(&flags),
-        "area" => cmd_area(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "ffn" => cmd_ffn(&flags),
-        "serve" => cmd_serve(&flags),
-        "trace" => cmd_trace(&flags),
-        other => Err(format!("unknown subcommand `{other}`")),
-    }
-}
-
-/// Parses `--key value` pairs.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter();
-    while let Some(key) = it.next() {
-        let name =
-            key.strip_prefix("--").ok_or_else(|| format!("expected a --flag, got `{key}`"))?;
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
-    }
-    Ok(flags)
-}
-
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str) -> Result<T, String> {
-    let raw = flags.get(name).ok_or_else(|| format!("missing --{name}"))?;
-    raw.parse().map_err(|_| format!("--{name}: cannot parse `{raw}`"))
-}
-
-fn get_or<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(raw) => raw.parse().map_err(|_| format!("--{name}: cannot parse `{raw}`")),
-    }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == cmd)
+        .ok_or_else(|| format!("unknown subcommand `{cmd}`"))?;
+    let table = command.flags.concat();
+    (command.run)(&Flags::parse(&table, rest.iter().cloned())?)
 }
 
 fn model_by_name(name: &str) -> Result<ModelSpec, String> {
@@ -127,10 +176,12 @@ fn class_by_name(name: &str) -> Result<CtaClass, String> {
     }
 }
 
-/// Rejects a zero `--name` value, which the library constructors assert on.
-fn positive(name: &str, value: usize) -> Result<usize, String> {
+/// The positive integer value of `name`; zero is rejected here because
+/// the library constructors assert on it.
+fn positive(flags: &Flags, name: &str) -> Result<usize, String> {
+    let value: usize = flags.num(name, "an integer")?;
     if value == 0 {
-        return Err(format!("--{name} must be positive"));
+        return Err(format!("{name} must be positive"));
     }
     Ok(value)
 }
@@ -138,23 +189,29 @@ fn positive(name: &str, value: usize) -> Result<usize, String> {
 /// The self-attention task (`m = n`) that `--n --k0 --k1 --k2 [--d 64]
 /// [--l 6]` describe, with every dimension positive and no cluster
 /// count above `n`.
-fn task_from_flags(flags: &HashMap<String, String>) -> Result<AttentionTask, String> {
-    let n = positive("n", get(flags, "n")?)?;
-    let d = positive("d", get_or(flags, "d", 64)?)?;
+fn task_from_flags(flags: &Flags) -> Result<AttentionTask, String> {
+    let n = positive(flags, "--n")?;
+    let d = positive(flags, "--d")?;
     let mut k = [0usize; 3];
-    for (i, name) in ["k0", "k1", "k2"].into_iter().enumerate() {
-        k[i] = positive(name, get(flags, name)?)?;
-        if k[i] > n {
-            return Err(format!("--{name} = {} exceeds --n = {n}", k[i]));
-        }
+    for (i, name) in ["--k0", "--k1", "--k2"].into_iter().enumerate() {
+        k[i] = cluster_count(flags, name, n)?;
     }
-    let l = positive("l", get_or(flags, "l", 6)?)?;
+    let l = positive(flags, "--l")?;
     Ok(AttentionTask::from_counts(n, n, d, k[0], k[1], k[2], l))
 }
 
-fn hw_from_flags(flags: &HashMap<String, String>, max_seq: usize) -> Result<HwConfig, String> {
-    let b = positive("width-b", get_or(flags, "width-b", 8)?)?;
-    let pag: usize = get_or(flags, "pag", 2 * b)?;
+/// The cluster count `name`: positive and at most `n`.
+fn cluster_count(flags: &Flags, name: &str, n: usize) -> Result<usize, String> {
+    let k = positive(flags, name)?;
+    if k > n {
+        return Err(format!("{name} = {k} exceeds --n = {n}"));
+    }
+    Ok(k)
+}
+
+fn hw_from_flags(flags: &Flags, max_seq: usize) -> Result<HwConfig, String> {
+    let b = positive(flags, "--width-b")?;
+    let pag = flags.opt("--pag", |s| parse_num(s, "--pag", "an integer"))?.unwrap_or(2 * b);
     if pag == 0 || !pag.is_multiple_of(2) {
         return Err(format!("--pag must be a positive even number, got {pag}"));
     }
@@ -163,7 +220,7 @@ fn hw_from_flags(flags: &HashMap<String, String>, max_seq: usize) -> Result<HwCo
     Ok(hw)
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let task = task_from_flags(flags)?;
     let (n, d) = (task.num_keys, task.head_dim);
     let hw = hw_from_flags(flags, n)?;
@@ -201,15 +258,18 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let model = model_by_name(&get::<String>(flags, "model")?)?;
-    let mut dataset = dataset_by_name(&get::<String>(flags, "dataset")?)?;
-    if let Some(n) = flags.get("seq-len") {
-        dataset = dataset.with_seq_len(n.parse().map_err(|_| "--seq-len: bad value".to_string())?);
+fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
+    let model = flags.get("--model", model_by_name)?;
+    let mut dataset = flags.get("--dataset", dataset_by_name)?;
+    if flags.switch("--seq-len") {
+        dataset = dataset.with_seq_len(positive(flags, "--seq-len")?);
     }
     let case = TestCase::new(model, dataset);
-    let width: f32 = get(flags, "bucket-width")?;
-    let samples: usize = get_or(flags, "samples", 2)?;
+    let width: f32 = flags.num("--bucket-width", "a number")?;
+    if !(width > 0.0 && width.is_finite()) {
+        return Err(format!("--bucket-width must be positive and finite, got {width}"));
+    }
+    let samples = positive(flags, "--samples")?;
     let cfg = cta::attention::CtaConfig::uniform(width, case.seed());
     let e = evaluate_case(&case, &cfg, samples);
     println!("{} @ width {width}", e.case_name);
@@ -229,11 +289,11 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_operating_point(flags: &HashMap<String, String>) -> Result<(), String> {
-    let model = model_by_name(&get::<String>(flags, "model")?)?;
-    let dataset = dataset_by_name(&get::<String>(flags, "dataset")?)?;
-    let class = class_by_name(&get::<String>(flags, "class")?)?;
-    let samples: usize = get_or(flags, "samples", 2)?;
+fn cmd_operating_point(flags: &Flags) -> Result<(), String> {
+    let model = flags.get("--model", model_by_name)?;
+    let dataset = flags.get("--dataset", dataset_by_name)?;
+    let class = flags.get("--class", class_by_name)?;
+    let samples = positive(flags, "--samples")?;
     let case = TestCase::new(model, dataset);
     let op = find_operating_point(&case, class, samples);
     let e = &op.evaluation;
@@ -256,7 +316,7 @@ fn cmd_operating_point(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_area(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_area(flags: &Flags) -> Result<(), String> {
     let hw = hw_from_flags(flags, 512)?;
     let a = area_breakdown(&hw, &AreaModel::default());
     println!("SA {:.3} mm^2 ({:.1}%)", a.sa_mm2, a.sa_fraction() * 100.0);
@@ -268,7 +328,7 @@ fn cmd_area(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     let task = task_from_flags(flags)?;
     let mut hw = HwConfig::paper();
     hw.max_seq_len = hw.max_seq_len.max(task.num_keys);
@@ -283,10 +343,13 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_ffn(flags: &HashMap<String, String>) -> Result<(), String> {
-    let n = positive("n", get(flags, "n")?)?;
-    let d_model = positive("d-model", get(flags, "d-model")?)?;
-    let d_ffn = positive("d-ffn", get(flags, "d-ffn")?)?;
+fn cmd_ffn(flags: &Flags) -> Result<(), String> {
+    let n = positive(flags, "--n")?;
+    let d_model = positive(flags, "--d-model")?;
+    let d_ffn = positive(flags, "--d-ffn")?;
+    for name in ["--k0", "--k1", "--k2"].into_iter().filter(|name| flags.switch(name)) {
+        cluster_count(flags, name, n)?;
+    }
     let hw = hw_from_flags(flags, n)?;
     let f = schedule_ffn(&hw, n, d_model, d_ffn);
     println!(
@@ -302,11 +365,11 @@ fn cmd_ffn(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let task = task_from_flags(flags)?;
-    let layers = positive("layers", get(flags, "layers")?)?;
-    let heads = positive("heads", get(flags, "heads")?)?;
-    let load: f64 = get(flags, "load")?;
+    let layers = positive(flags, "--layers")?;
+    let heads = positive(flags, "--heads")?;
+    let load: f64 = flags.num("--load", "a number")?;
     if !(load.is_finite() && load > 0.0) {
         return Err(format!("--load must be positive and finite, got {load}"));
     }
@@ -328,10 +391,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_trace(flags: &Flags) -> Result<(), String> {
     // Validation mode: `cta trace --check <path>`.
-    if let Some(path) = flags.get("check") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = flags.opt_text("--check") {
+        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
         let stats = validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
         println!(
             "{path}: well-formed Chrome trace ({} events, {} spans, {} async, {} counters, \
@@ -352,11 +415,11 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
     let report = AggregateReport::from_events(&events);
     print!("{}", report.render(Some(hw.cycle_time_s())));
 
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = flags.opt_text("--out") {
         let json = chrome_trace_json(&events);
         validate_chrome_trace(&json)
             .map_err(|e| format!("internal: exported trace invalid: {e}"))?;
-        std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(&path, &json).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path} — open it in chrome://tracing or https://ui.perfetto.dev");
     }
     Ok(())
@@ -366,39 +429,55 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
-        pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+    fn words(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).expect("known subcommand")
     }
 
     #[test]
-    fn parse_flags_accepts_pairs() {
-        let args: Vec<String> =
-            ["--n", "512", "--k0", "10"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).expect("parse");
-        assert_eq!(f["n"], "512");
-        assert_eq!(f["k0"], "10");
+    fn subcommand_tables_accept_their_own_flags() {
+        let table = command("simulate").flags.concat();
+        let f = Flags::parse(&table, words(&["--n", "512", "--k0", "10"])).expect("parse");
+        assert_eq!(f.num::<usize>("--n", "an integer").unwrap(), 512);
+        assert_eq!(f.num::<usize>("--k0", "an integer").unwrap(), 10);
     }
 
     #[test]
-    fn parse_flags_rejects_bare_values() {
-        let args: Vec<String> = ["512"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_flags(&args).is_err());
+    fn subcommands_reject_bare_values_and_foreign_flags() {
+        let err = run(&words(&["simulate", "512"])).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
+        let err = run(&words(&["area", "--n", "64"])).unwrap_err();
+        assert!(err.contains("unknown flag \"--n\""), "{err}");
     }
 
     #[test]
-    fn parse_flags_rejects_missing_value() {
-        let args: Vec<String> = ["--n"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_flags(&args).is_err());
+    fn subcommands_reject_a_missing_value() {
+        assert!(run(&words(&["simulate", "--n"])).unwrap_err().contains("--n needs a value"));
     }
 
     #[test]
     fn getters_parse_and_default() {
-        let f = flags(&[("n", "64")]);
-        assert_eq!(get::<usize>(&f, "n").expect("n"), 64);
-        assert_eq!(get_or::<usize>(&f, "d", 64).expect("d"), 64);
-        assert!(get::<usize>(&f, "missing").is_err());
-        let bad = flags(&[("n", "abc")]);
-        assert!(get::<usize>(&bad, "n").is_err());
+        let table = command("simulate").flags.concat();
+        let f = Flags::parse(&table, words(&["--n", "64"])).expect("parse");
+        assert_eq!(positive(&f, "--n").expect("n"), 64);
+        assert_eq!(positive(&f, "--d").expect("d"), 64);
+        assert_eq!(positive(&f, "--k0").unwrap_err(), "missing --k0");
+        let bad = Flags::parse(&table, words(&["--n", "abc"])).expect("parse");
+        assert!(positive(&bad, "--n").is_err());
+    }
+
+    #[test]
+    fn usage_lists_every_subcommand_and_flag() {
+        let text = usage_text();
+        for command in &COMMANDS {
+            assert!(text.contains(&format!("  cta {} ", command.name)), "{text}");
+            for flag in command.flags.concat() {
+                assert!(text.contains(flag.name), "{} missing from {text}", flag.name);
+            }
+        }
     }
 
     #[test]
@@ -412,33 +491,27 @@ mod tests {
 
     #[test]
     fn simulate_command_runs() {
-        let f = flags(&[("n", "128"), ("k0", "40"), ("k1", "30"), ("k2", "10")]);
-        cmd_simulate(&f).expect("simulate");
+        run(&words(&["simulate", "--n", "128", "--k0", "40", "--k1", "30", "--k2", "10"]))
+            .expect("simulate");
     }
 
     #[test]
     fn area_command_runs() {
-        cmd_area(&flags(&[])).expect("area");
+        run(&words(&["area"])).expect("area");
     }
 
     #[test]
     fn ffn_command_runs() {
-        let f = flags(&[("n", "128"), ("d-model", "512"), ("d-ffn", "2048")]);
-        cmd_ffn(&f).expect("ffn");
+        run(&words(&["ffn", "--n", "128", "--d-model", "512", "--d-ffn", "2048"])).expect("ffn");
     }
 
     #[test]
     fn serve_command_runs() {
-        let f = flags(&[
-            ("n", "128"),
-            ("k0", "40"),
-            ("k1", "30"),
-            ("k2", "10"),
-            ("layers", "2"),
-            ("heads", "12"),
-            ("load", "0.5"),
-        ]);
-        cmd_serve(&f).expect("serve");
+        run(&words(&[
+            "serve", "--n", "128", "--k0", "40", "--k1", "30", "--k2", "10", "--layers", "2",
+            "--heads", "12", "--load", "0.5",
+        ]))
+        .expect("serve");
     }
 
     #[test]
@@ -447,9 +520,11 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("head.json");
         let out = path.to_str().expect("utf-8 path").to_string();
-        let f = flags(&[("n", "128"), ("k0", "40"), ("k1", "30"), ("k2", "10"), ("out", &out)]);
-        cmd_trace(&f).expect("trace generation");
-        cmd_trace(&flags(&[("check", &out)])).expect("trace validation");
+        run(&words(&[
+            "trace", "--n", "128", "--k0", "40", "--k1", "30", "--k2", "10", "--out", &out,
+        ]))
+        .expect("trace generation");
+        run(&words(&["trace", "--check", &out])).expect("trace validation");
         std::fs::remove_file(&path).ok();
     }
 
@@ -460,13 +535,12 @@ mod tests {
         let path = dir.join("garbage.json");
         std::fs::write(&path, "{not a trace").expect("write");
         let out = path.to_str().expect("utf-8 path").to_string();
-        assert!(cmd_trace(&flags(&[("check", &out)])).is_err());
+        assert!(run(&words(&["trace", "--check", &out])).is_err());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn unknown_subcommand_errors() {
-        let args: Vec<String> = ["frobnicate"].iter().map(|s| s.to_string()).collect();
-        assert!(run(&args).is_err());
+        assert!(run(&words(&["frobnicate"])).is_err());
     }
 }

@@ -66,6 +66,12 @@ fn out_of_range_flags_fail_with_an_error_not_a_panic() {
         args.extend(extra);
         args
     };
+    // `evaluate --model bert-large --dataset squad1.1` plus the flags.
+    let evaluate = |extra: &[&'static str]| {
+        let mut args = vec!["evaluate", "--model", "bert-large", "--dataset", "squad1.1"];
+        args.extend(extra);
+        args
+    };
     let cases: Vec<Vec<&str>> = vec![
         vec!["simulate", "--n", "0", "--k0", "1", "--k1", "1", "--k2", "1"],
         vec!["simulate", "--n", "64", "--k0", "0", "--k1", "0", "--k2", "0"],
@@ -77,6 +83,22 @@ fn out_of_range_flags_fail_with_an_error_not_a_panic() {
         vec!["ffn", "--n", "0", "--d-model", "512", "--d-ffn", "2048"],
         task("serve", &["--layers", "0", "--heads", "12", "--load", "0.5"]),
         task("serve", &["--layers", "2", "--heads", "12", "--load", "nan"]),
+        evaluate(&["--bucket-width", "0", "--samples", "1"]),
+        evaluate(&["--bucket-width", "-1", "--samples", "1"]),
+        evaluate(&["--bucket-width", "nan", "--samples", "1"]),
+        evaluate(&["--bucket-width", "1", "--samples", "0"]),
+        evaluate(&["--bucket-width", "1", "--samples", "1", "--seq-len", "0"]),
+        vec![
+            "operating-point",
+            "--model",
+            "bert-large",
+            "--dataset",
+            "squad1.1",
+            "--class",
+            "cta-0",
+            "--samples",
+            "0",
+        ],
     ];
     for args in &cases {
         let out = cta(args);
@@ -106,5 +128,82 @@ fn out_of_range_errors_name_the_offending_flag() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: stderr {err}");
         assert!(err.contains(expect), "{args:?}: stderr {err}");
         assert!(!err.contains("panicked"), "{args:?}: stderr {err}");
+    }
+}
+
+#[test]
+fn unknown_flags_fail_with_usage() {
+    let cases: [&[&str]; 2] = [
+        &["simulate", "--n", "64", "--k0", "16", "--k1", "16", "--k2", "4", "--frobnicate", "3"],
+        &["area", "--n", "64"],
+    ];
+    for args in cases {
+        let out = cta(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr {err}");
+        assert!(err.contains("error: unknown flag"), "{args:?}: stderr {err}");
+        assert!(err.contains("usage:"), "{args:?}: stderr {err}");
+    }
+}
+
+#[test]
+fn evaluate_and_operating_point_errors_name_the_flag() {
+    let case = ["--model", "bert-large", "--dataset", "squad1.1"];
+    let cases: [(&str, &[&str], &str); 4] = [
+        (
+            "evaluate",
+            &["--bucket-width", "nan", "--samples", "1"],
+            "--bucket-width must be positive",
+        ),
+        ("evaluate", &["--bucket-width", "1", "--samples", "0"], "--samples must be positive"),
+        ("evaluate", &["--bucket-width", "1", "--seq-len", "0"], "--seq-len must be positive"),
+        ("operating-point", &["--class", "cta-0", "--samples", "0"], "--samples must be positive"),
+    ];
+    for (cmd, extra, expect) in cases {
+        let mut args = vec![cmd];
+        args.extend(case);
+        args.extend(extra);
+        let out = cta(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr {err}");
+        assert!(err.contains(expect), "{args:?}: stderr {err}");
+    }
+}
+
+#[test]
+fn every_value_flag_of_every_subcommand_needs_a_value() {
+    let err = String::from_utf8_lossy(&cta(&["frobnicate"]).stderr).into_owned();
+    let usage = &err[err.find("usage:").expect("usage text")..];
+    let commands: Vec<&str> = usage
+        .lines()
+        .filter_map(|line| line.strip_prefix("  cta "))
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        commands,
+        ["simulate", "evaluate", "operating-point", "area", "sweep", "ffn", "serve", "trace"]
+    );
+    for command in commands {
+        // The subcommand's usage: its first line plus the indented
+        // continuation lines under it.
+        let lead = format!("  cta {command} ");
+        let section: String = usage
+            .lines()
+            .skip_while(|line| !line.starts_with(&lead))
+            .enumerate()
+            .take_while(|(i, line)| *i == 0 || line.starts_with("     "))
+            .map(|(_, line)| format!("{line}\n"))
+            .collect();
+        let flags = cta_bench::usage_flags(&section);
+        assert!(!flags.is_empty(), "{command}: {usage}");
+        for (flag, takes_value) in flags {
+            assert!(takes_value, "{command} {flag}: every cta flag takes a value");
+            let out = cta(&[command, flag]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {flag}: stderr {err}");
+            assert!(err.contains("needs a value"), "{command} {flag}: stderr {err}");
+            assert!(err.contains("usage:"), "{command} {flag}: stderr {err}");
+            assert!(!err.contains("panicked"), "{command} {flag}: stderr {err}");
+        }
     }
 }
