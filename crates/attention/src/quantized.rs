@@ -65,13 +65,27 @@ impl Default for QuantizationConfig {
 /// * the probability aggregation exponent comes from the shared
 ///   [`ExpLut`].
 ///
+/// Words stay integer from entry to the score write-back, as in the
+/// accelerator: the tokens are quantized once (self-attention, where
+/// `queries` and `keys_values` are the same matrix, shares one copy),
+/// the residual subtracts centroid words from token words, and the
+/// linears' outputs feed the score product directly. When `√d` is a
+/// power of two (`d = 4^m`, e.g. the paper's `d = 64`) the `1/√d` scale
+/// is a right shift of the wide product; otherwise it is an f32
+/// multiply between the wide write-back and the score write-back.
+/// `cta_sim::run_quantized_datapath` spells the same head on the hardware
+/// block models, dequantizing to f32 between stages; the two agree bit
+/// for bit when every format is at most 24 bits wide, so that every raw
+/// word is exact in f32.
+///
 /// The returned artifacts carry *dequantized* matrices so every accuracy
 /// metric applies unchanged.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`cta_forward`](crate::cta_forward),
-/// or if a cluster population exceeds `reciprocal_lut_max`.
+/// Panics under the same conditions as [`cta_forward`](crate::cta_forward).
+/// The reciprocal LUT covers `max(reciprocal_lut_max, rows)` counts, so
+/// no cluster population can overflow it.
 pub fn cta_forward_quantized(
     queries: &Matrix,
     keys_values: &Matrix,
@@ -87,48 +101,47 @@ pub fn cta_forward_quantized(
         ReciprocalLut::new(qcfg.reciprocal_lut_max.max(queries.rows()).max(keys_values.rows()));
     let exp_lut = ExpLut::new(qcfg.exp_lut_entries, qcfg.exp_lut_min);
 
-    // Quantize the inputs as they enter token/weight memory.
-    let xq = QuantizedMatrix::quantize(queries, qcfg.token).dequantize();
-    let xkv = QuantizedMatrix::quantize(keys_values, qcfg.token).dequantize();
+    // Quantize the inputs once as they enter token/weight memory. The
+    // LSH units and the centroid accumulators read the token words'
+    // values, which are exact in f32.
+    let xkv_words = QuantizedMatrix::quantize(keys_values, qcfg.token);
+    let xkv = xkv_words.dequantize();
+    let xq_cross;
+    let xq = if std::ptr::eq(queries, keys_values) {
+        &xkv
+    } else {
+        xq_cross = QuantizedMatrix::quantize(queries, qcfg.token).dequantize();
+        &xq_cross
+    };
     let [f0, f1, f2] = sample_families(config, weights.token_dim());
     let f0 = quantize_family(&f0, qcfg.lsh_param);
     let f1 = quantize_family(&f1, qcfg.lsh_param);
     let f2 = quantize_family(&f2, qcfg.lsh_param);
 
     // Stage 1: compression on the fixed-point datapath.
-    let query_compression = compress_quantized(&xq, &f0, qcfg, &recip);
-    let level1 = compress_quantized(&xkv, &f1, qcfg, &recip);
+    let (query_compression, c0) = compress_quantized(xq, &f0, qcfg, &recip);
+    let (level1, c1) = compress_quantized(&xkv, &f1, qcfg, &recip);
     // Residual tokens: saturating subtraction in token format (the adder
-    // column on the SA's left edge).
-    let recon1 = level1.centroids.gather_rows(level1.table.indices());
-    let residual = QuantizedMatrix::quantize(&xkv, qcfg.token)
-        .sub(&QuantizedMatrix::quantize(&recon1, qcfg.token))
-        .dequantize();
-    let level2 = compress_quantized(&residual, &f2, qcfg, &recip);
+    // column on the SA's left edge) of each token's level-1 centroid.
+    let residual = xkv_words.sub(&c1.convert(qcfg.token).gather_rows(level1.table.indices()));
+    let (level2, c2) = compress_quantized(&residual.dequantize(), &f2, qcfg, &recip);
     let kv_compression = TwoLevelCompression { level1, level2 };
 
     // Stage 2: linears as integer products into the centroid format.
-    let c_cat = kv_compression.concatenated_centroids();
-    let wq = QuantizedMatrix::quantize(weights.wq(), qcfg.weight);
-    let wk = QuantizedMatrix::quantize(weights.wk(), qcfg.weight);
-    let wv = QuantizedMatrix::quantize(weights.wv(), qcfg.weight);
-    let qc0 = QuantizedMatrix::quantize(&query_compression.centroids, qcfg.centroid);
-    let qcat = QuantizedMatrix::quantize(&c_cat, qcfg.centroid);
-    let q_bar = qc0.matmul(&wq, qcfg.centroid).dequantize();
-    let k_bar = qcat.matmul(&wk, qcfg.centroid).dequantize();
-    let v_bar = qcat.matmul(&wv, qcfg.centroid).dequantize();
+    let c_cat = c1.vstack(&c2);
+    let linear = |c: &QuantizedMatrix, w: &Matrix| {
+        c.matmul(&QuantizedMatrix::quantize(w, qcfg.weight), qcfg.centroid)
+    };
+    let q_words = linear(&c0, weights.wq());
+    let k_words = linear(&c_cat, weights.wk());
+    let v_words = linear(&c_cat, weights.wv());
 
     // Stage 3: integer score product with a wide accumulator view (24-bit
     // — PE accumulators are wider than the memory word), then the 1/√d
-    // scale (a right-shift for power-of-two head dims) and requantisation
-    // to the PAG-interface score format, then the PPE max-subtraction.
-    let qq = QuantizedMatrix::quantize(&q_bar, qcfg.centroid);
-    let qkt = QuantizedMatrix::quantize(&k_bar.transpose(), qcfg.centroid);
-    let wide = QFormat::new(24, qcfg.score.frac_bits());
-    let scale = 1.0 / (weights.head_dim() as f32).sqrt();
-    let mut scores_bar =
-        QuantizedMatrix::quantize(&qq.matmul(&qkt, wide).dequantize().scale(scale), qcfg.score)
-            .dequantize();
+    // scale and requantisation to the PAG-interface score format, then
+    // the PPE max-subtraction.
+    let wide = q_words.matmul_transpose_b(&k_words, QFormat::new(24, qcfg.score.frac_bits()));
+    let mut scores_bar = scale_scores(&wide, weights.head_dim(), qcfg.score).dequantize();
     let k1 = kv_compression.k1();
     for r in 0..scores_bar.rows() {
         let row = scores_bar.row_mut(r);
@@ -137,6 +150,7 @@ pub fn cta_forward_quantized(
             *x -= max;
         }
     }
+    let (q_bar, k_bar, v_bar) = (q_words.dequantize(), k_words.dequantize(), v_words.dequantize());
 
     // Stage 4: probability aggregation through the exponent LUT.
     let ap = aggregate_probabilities_with(
@@ -178,6 +192,27 @@ pub fn cta_forward_quantized(
     }
 }
 
+/// Applies the `1/√d` score scale to the wide product and writes it back
+/// in the `score` format.
+///
+/// For `d = 4^m` the scale is exactly `2^-m`, so it folds into the
+/// write-back as an `m`-bit right shift. The shift must start from the
+/// *rounded* wide words, not the raw product: the hardware rounds into
+/// the wide accumulator view first and into the score format second,
+/// and a product just below a score-format tie rounds onto the tie in
+/// the wide view, then away from zero — one rounding from the product
+/// would round it down. Any other `d` scales in f32, where `1/√d` is
+/// inexact.
+fn scale_scores(wide: &QuantizedMatrix, head_dim: usize, score: QFormat) -> QuantizedMatrix {
+    let log2_d = head_dim.trailing_zeros();
+    if head_dim.is_power_of_two() && log2_d.is_multiple_of(2) {
+        wide.convert_shifted(log2_d / 2, score)
+    } else {
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        QuantizedMatrix::quantize(&wide.dequantize().scale(scale), score)
+    }
+}
+
 /// Quantizes a sampled LSH family's direction matrix and biases to the
 /// hardware parameter format.
 fn quantize_family(family: &LshFamily, format: QFormat) -> LshFamily {
@@ -188,13 +223,14 @@ fn quantize_family(family: &LshFamily, format: QFormat) -> LshFamily {
 
 /// One level of compression on quantized tokens: hash, cluster-tree
 /// assignment, centroid accumulation, reciprocal-LUT averaging, centroid
-/// quantisation.
+/// quantisation. Returns the compression (dequantized centroids) and the
+/// centroid words.
 fn compress_quantized(
     tokens: &Matrix,
     family: &LshFamily,
     qcfg: &QuantizationConfig,
     recip: &ReciprocalLut,
-) -> Compression {
+) -> (Compression, QuantizedMatrix) {
     let codes = family.hash_matrix(tokens);
     let mut tree = ClusterTree::new(family.hash_length());
     let table = tree.assign_all(&codes);
@@ -211,8 +247,8 @@ fn compress_quantized(
             *o = (mean * count as f32) * r;
         }
     }
-    let centroids = QuantizedMatrix::quantize(&avg, qcfg.centroid).dequantize();
-    Compression { centroids, counts: cents.counts, table }
+    let words = QuantizedMatrix::quantize(&avg, qcfg.centroid);
+    (Compression { centroids: words.dequantize(), counts: cents.counts, table }, words)
 }
 
 #[cfg(test)]

@@ -55,7 +55,12 @@ impl ExpLut {
         if x <= self.min_input {
             return self.table[0];
         }
-        let idx = ((x - self.min_input) / self.step).round() as usize;
+        // Nearest sample, ties up: `position.round()` without the libm
+        // call. `position` is positive, so truncating it and taking the
+        // fraction left over are both exact.
+        let position = (x - self.min_input) / self.step;
+        let truncated = position as usize;
+        let idx = truncated + usize::from(position - truncated as f32 >= 0.5);
         self.table[idx.min(self.table.len() - 1)]
     }
 
@@ -181,6 +186,51 @@ mod tests {
     #[should_panic(expected = "outside LUT range")]
     fn reciprocal_lut_rejects_overflow() {
         let _ = ReciprocalLut::new(4).lookup(5);
+    }
+
+    /// The reference spelling through libm: f32 `round` on the position.
+    fn lookup_reference(lut: &ExpLut, x: f32) -> f32 {
+        if x >= 0.0 {
+            return 1.0;
+        }
+        if x <= lut.min_input {
+            return lut.table[0];
+        }
+        let idx = ((x - lut.min_input) / lut.step).round() as usize;
+        lut.table[idx.min(lut.table.len() - 1)]
+    }
+
+    #[test]
+    fn exp_lut_lookup_matches_the_round_reference_at_exact_half_points() {
+        // 1025 entries over [-16, 0]: the step is 2^-6, so every
+        // midpoint `min + (i + 0.5) * step` is exact and lands on a
+        // position of exactly `i + 0.5`, which rounds up.
+        let lut = ExpLut::new(1025, -16.0);
+        assert_eq!(lut.step, 1.0 / 64.0);
+        for i in 0..1024 {
+            let mid = -16.0 + (i as f32 + 0.5) / 64.0;
+            assert_eq!((mid - lut.min_input) / lut.step, i as f32 + 0.5);
+            assert_eq!(lut.lookup(mid), lut.table[i + 1], "midpoint {i}");
+            for x in [mid, f32::from_bits(mid.to_bits() + 1), f32::from_bits(mid.to_bits() - 1)] {
+                assert_eq!(lut.lookup(x).to_bits(), lookup_reference(&lut, x).to_bits(), "x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn exp_lut_lookup_matches_the_round_reference_over_its_domain() {
+        // Every 97th f32 from -0 down past the domain's lower edge, for
+        // the PAG table and an odd-sized one with an inexact step.
+        for lut in [ExpLut::pag_default(), ExpLut::new(777, -9.5)] {
+            let below = (lut.min_input * 1.01).to_bits();
+            for bits in ((-0.0f32).to_bits()..=below).step_by(97) {
+                let x = f32::from_bits(bits);
+                assert_eq!(lut.lookup(x).to_bits(), lookup_reference(&lut, x).to_bits(), "x={x}");
+            }
+            for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, lut.min_input] {
+                assert_eq!(lut.lookup(x).to_bits(), lookup_reference(&lut, x).to_bits(), "x={x}");
+            }
+        }
     }
 
     proptest! {

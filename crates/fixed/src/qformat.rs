@@ -54,7 +54,7 @@ impl QFormat {
 
     /// Smallest representable increment, `2^-frac_bits`.
     pub fn resolution(self) -> f32 {
-        (self.frac_bits as f64).exp2().recip() as f32
+        pow2(-(self.frac_bits as i32)) as f32
     }
 
     /// Largest representable raw word.
@@ -77,20 +77,31 @@ impl QFormat {
         self.dequantize(self.min_raw())
     }
 
-    /// Quantizes a real value: scale by `2^frac_bits`, round to nearest,
-    /// saturate to the representable range. NaN quantizes to 0.
+    /// Quantizes a real value: scale by `2^frac_bits`, round to nearest
+    /// (ties away from zero), saturate to the representable range. NaN
+    /// quantizes to 0.
+    ///
+    /// Equal to `(x · 2^frac).round()` clamped to the rails, spelled
+    /// without a libm call: the product is exact in f64, clamping first
+    /// commutes with rounding (the rails are integers and rounding is
+    /// monotone), and after the clamp `|scaled| <= 2^31`, so truncation
+    /// and the fraction left over are exact too.
     pub fn quantize(self, x: f32) -> i64 {
         if x.is_nan() {
             return 0;
         }
-        let scaled = (x as f64) * (self.frac_bits as f64).exp2();
-        let rounded = scaled.round() as i64;
-        rounded.clamp(self.min_raw(), self.max_raw())
+        let scaled = (x as f64 * pow2(self.frac_bits as i32))
+            .max(self.min_raw() as f64)
+            .min(self.max_raw() as f64);
+        let truncated = scaled as i64;
+        let fraction = scaled - truncated as f64;
+        // Branch-free: the fraction's side of ±0.5 is data, not pattern.
+        truncated + i64::from(fraction >= 0.5) - i64::from(fraction <= -0.5)
     }
 
     /// Reconstructs the real value of a raw word.
     pub fn dequantize(self, raw: i64) -> f32 {
-        (raw as f64 / (self.frac_bits as f64).exp2()) as f32
+        (raw as f64 * pow2(-(self.frac_bits as i32))) as f32
     }
 
     /// Quantizes and immediately dequantizes — the value the hardware
@@ -114,19 +125,28 @@ impl QFormat {
     }
 }
 
+/// `2^e` as an f64, built from its exponent field: exact, and no libm
+/// `exp2` call. `e` must lie in the normal range `-1022..=1023`; the
+/// formats here need only `-32..=32`.
+pub(crate) const fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
+}
+
 /// Rescales a raw value with `in_frac` fractional bits into format `out`,
 /// rounding to nearest and saturating.
 ///
 /// This is the **authoritative write-back rounding rule** for every
 /// kernel variant (scalar, blocked, SIMD): round to nearest, ties
-/// **away from zero** — the same rule `QFormat::quantize` applies via
-/// f64 `round()`. The negative branch spells it as
-/// `-((-raw + half) >> shift)` because an arithmetic right shift on a
+/// **away from zero** — the same rule `QFormat::quantize` applies to
+/// its f64 product. It rounds the magnitude, `(|raw| + half) >> shift`,
+/// and restores the sign, because an arithmetic right shift on a
 /// negative value truncates toward −∞, which would bias ties toward
-/// −∞ instead; negating first makes the tie at `-half` round to `-1`,
-/// not `0` (truncation) or `-0`-wards. The
-/// `rescale_agrees_with_quantize_*` tests pin the two paths together
-/// at the ± half-ULP boundaries.
+/// −∞ instead; rounding the magnitude makes the tie at `-half` round to
+/// `-1`, not `0`. The sign is applied branch-free (`(x ^ s) - s` with
+/// `s` all ones for a negative `raw`): output signs are data, and a
+/// mispredicted branch per word costs more than the product it rounds.
+/// The `rescale_agrees_with_quantize_*` tests pin the two paths
+/// together at the ± half-ULP boundaries.
 pub(crate) fn rescale(raw: i128, in_frac: u32, out: QFormat) -> i64 {
     let out_frac = out.frac_bits();
     let shifted = if out_frac >= in_frac {
@@ -135,11 +155,9 @@ pub(crate) fn rescale(raw: i128, in_frac: u32, out: QFormat) -> i64 {
         let shift = in_frac - out_frac;
         let half = 1i128 << (shift - 1);
         // Round half away from zero, matching QFormat::quantize.
-        if raw >= 0 {
-            (raw + half) >> shift
-        } else {
-            -((-raw + half) >> shift)
-        }
+        let sign = raw >> 127;
+        let magnitude = (raw ^ sign) - sign;
+        (((magnitude + half) >> shift) ^ sign) - sign
     };
     shifted.clamp(out.min_raw() as i128, out.max_raw() as i128) as i64
 }
@@ -241,7 +259,94 @@ mod tests {
         }
     }
 
+    /// The reference spelling through libm: f64 `exp2` and `round`.
+    fn quantize_reference(q: QFormat, x: f32) -> i64 {
+        if x.is_nan() {
+            return 0;
+        }
+        let scaled = (x as f64) * (q.frac_bits() as f64).exp2();
+        (scaled.round() as i64).clamp(q.min_raw(), q.max_raw())
+    }
+
+    /// Formats from one bit to 32, with no and with all-but-one
+    /// fractional bits.
+    const SWEEP_FORMATS: [QFormat; 8] = [
+        QFormat::new(1, 0),
+        QFormat::new(8, 2),
+        QFormat::new(12, 6),
+        QFormat::new(13, 7),
+        QFormat::new(16, 8),
+        QFormat::new(24, 8),
+        QFormat::new(32, 0),
+        QFormat::new(32, 31),
+    ];
+
+    #[test]
+    fn pow2_equals_exp2_bit_for_bit() {
+        for e in 0..=32 {
+            assert_eq!(pow2(e).to_bits(), (e as f64).exp2().to_bits(), "2^{e}");
+            assert_eq!(pow2(-e).to_bits(), (-e as f64).exp2().to_bits(), "2^-{e}");
+        }
+    }
+
+    #[test]
+    fn quantize_matches_the_round_reference_at_ties_rails_and_specials() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            4_503_599_627_370_496.0, // 2^52
+            -4_503_599_627_370_496.0,
+        ];
+        for q in SWEEP_FORMATS {
+            let lsb = q.resolution();
+            let mut xs: Vec<f32> = specials.to_vec();
+            // Half-LSB ties of both signs and their neighbours, around
+            // zero and at both rails, plus values just past the rails
+            // and near 2^52 in the scaled domain.
+            for r in (-40i64..40)
+                .chain(q.min_raw() - 3..q.min_raw() + 3)
+                .chain(q.max_raw() - 3..q.max_raw() + 3)
+            {
+                let tie = (r as f64 + 0.5) * lsb as f64;
+                for x in [tie, -tie] {
+                    let x = x as f32;
+                    xs.extend([
+                        x,
+                        f32::from_bits(x.to_bits() + 1),
+                        f32::from_bits(x.to_bits() - 1),
+                    ]);
+                }
+            }
+            for e in [50, 51, 52, 53] {
+                let near = (e as f64 - q.frac_bits() as f64).exp2() as f32;
+                xs.extend([near, -near, near * 1.5, -near * 1.5]);
+            }
+            // And a stride through every f32 bit pattern.
+            xs.extend((0..=u32::MAX).step_by(65_521).map(f32::from_bits));
+            for x in xs {
+                assert_eq!(q.quantize(x), quantize_reference(q, x), "{q} x={x:e}");
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn quantize_matches_the_round_reference_on_any_bit_pattern(bits in 0u32..=u32::MAX) {
+            let x = f32::from_bits(bits);
+            for q in SWEEP_FORMATS {
+                prop_assert_eq!(q.quantize(x), quantize_reference(q, x), "{} x={:e}", q, x);
+            }
+        }
+
         #[test]
         fn rescale_matches_round_half_away_reference(
             raw in -(1i64 << 40)..(1i64 << 40),

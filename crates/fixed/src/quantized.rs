@@ -5,10 +5,15 @@
 //! re-tiling a sum of products cannot change a single bit as long as no
 //! intermediate overflows — so the blocked and SIMD variants here are
 //! bitwise identical to the scalar loops by construction: the blocked
-//! path packs `Bᵀ` for contiguous i128 dots, and the SIMD path runs
-//! 4-wide i64 lane accumulators behind an explicit bit-budget guard
-//! (`(bits_a - 1) + (bits_b - 1) + ceil_log2(K) <= 62`) that falls back
-//! to the i128 path whenever a lane could overflow.
+//! path packs `Bᵀ` for contiguous i128 dots, and the SIMD path picks the
+//! narrowest lane tier a bit-budget guard proves cannot overflow:
+//!
+//! * i16 panels into i32 lanes (SSE2 `pmaddwd` on x86-64) when both
+//!   formats are at most 16 bits and
+//!   `(bits_a - 1) + (bits_b - 1) + ceil_log2(K) <= 30` (every paper
+//!   product: 12-bit words, `K <= 256`);
+//! * otherwise i32 words into four i64 lanes when that budget is `<= 62`;
+//! * otherwise the blocked i128 path.
 
 use cta_tensor::{KernelPolicy, Matrix};
 
@@ -24,12 +29,36 @@ fn ceil_log2(k: usize) -> u32 {
     }
 }
 
-/// Whether a `K`-term dot product of raw words in formats `fa` and `fb`
-/// fits an i64 lane accumulator: the worst-case magnitude is
-/// `K * 2^(bits_a-1) * 2^(bits_b-1)`, which stays below `2^63` exactly
-/// when `(bits_a - 1) + (bits_b - 1) + ceil_log2(K) <= 62`.
-fn lane_dot_fits_i64(fa: QFormat, fb: QFormat, k: usize) -> bool {
-    (fa.total_bits() - 1) + (fb.total_bits() - 1) + ceil_log2(k) <= 62
+/// The accumulator a policy runs a `K`-term dot product of raw words
+/// in formats `fa` and `fb` through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Accumulator {
+    /// The scalar reference: i128 sums, `B` walked column-strided.
+    Scalar,
+    /// i128 sums over contiguous rows (blocked, and SIMD when no lane
+    /// tier is proven safe).
+    I128,
+    /// i32 words into four i64 lanes.
+    I64Lanes,
+    /// i16 panels into i32 lanes.
+    I32Lanes,
+}
+
+/// Picks the accumulator for `policy`. The worst-case magnitude of the
+/// dot product is `K * 2^(bits_a-1) * 2^(bits_b-1)`, at most
+/// `2^budget` with `budget = (bits_a - 1) + (bits_b - 1) + ceil_log2(K)`.
+/// The SIMD policy takes i32 lanes when both formats' words fit i16 and
+/// `budget <= 30` (the sum stays below `2^31`), i64 lanes when
+/// `budget <= 62`, and the exact i128 path otherwise.
+fn accumulator(policy: KernelPolicy, fa: QFormat, fb: QFormat, k: usize) -> Accumulator {
+    let budget = (fa.total_bits() - 1) + (fb.total_bits() - 1) + ceil_log2(k);
+    let words_fit_i16 = fa.total_bits() <= 16 && fb.total_bits() <= 16;
+    match policy {
+        KernelPolicy::Scalar => Accumulator::Scalar,
+        KernelPolicy::Simd if words_fit_i16 && budget <= 30 => Accumulator::I32Lanes,
+        KernelPolicy::Simd if budget <= 62 => Accumulator::I64Lanes,
+        KernelPolicy::Blocked | KernelPolicy::Simd => Accumulator::I128,
+    }
 }
 
 /// Exact i128 dot product of two contiguous raw-word slices.
@@ -42,7 +71,7 @@ fn dot_i128(a: &[i64], b: &[i64]) -> i128 {
 }
 
 /// Exact dot product over narrowed i32 words with four i64 lane
-/// accumulators. Caller must have checked [`lane_dot_fits_i64`]; under
+/// accumulators. Caller must have picked [`Accumulator::I64Lanes`]; under
 /// that guard every lane sum is exact, so the final i128 total equals
 /// [`dot_i128`] bit for bit.
 fn dot_i32_lanes(a: &[i32], b: &[i32]) -> i128 {
@@ -60,13 +89,102 @@ fn dot_i32_lanes(a: &[i32], b: &[i32]) -> i128 {
     lanes.iter().map(|&l| l as i128).sum()
 }
 
-/// Packs the `k×n` row-major raw words into an `n×k` transpose so every
-/// dot product in the blocked matmul streams both operands contiguously.
-fn pack_transpose_i64(raw: &[i64], k: usize, n: usize) -> Vec<i64> {
-    let mut packed = vec![0i64; n * k];
+/// Exact dot product over i16 panels into i32 lane accumulators. Caller
+/// must have picked [`Accumulator::I32Lanes`]; under that guard no partial
+/// sum can leave i32, so the total equals [`dot_i128`] bit for bit.
+///
+/// On x86-64 this is SSE2's `pmaddwd` (part of the baseline, so no
+/// runtime detection): eight i16 products per instruction, summed
+/// pairwise into four i32 lanes. Elsewhere it is the portable
+/// eight-lane loop [`dot_i16_portable`].
+#[cfg(target_arch = "x86_64")]
+fn dot_i16_lanes(a: &[i16], b: &[i16]) -> i128 {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_loadu_si128, _mm_madd_epi16, _mm_setzero_si128,
+        _mm_storeu_si128,
+    };
+    let k = a.len().min(b.len());
+    let chunks = k / 8;
+    let mut lanes = [0i32; 4];
+    // SAFETY: SSE2 is part of the x86-64 baseline, so the intrinsics'
+    // target feature is always present. (c + 1) * 8 <= k bounds both
+    // eight-word loads, `lanes` is exactly one 16-byte vector, and
+    // `loadu`/`storeu` have no alignment requirement.
+    unsafe {
+        let mut acc = _mm_setzero_si128();
+        for c in 0..chunks {
+            let av = _mm_loadu_si128(a.as_ptr().add(c * 8).cast::<__m128i>());
+            let bv = _mm_loadu_si128(b.as_ptr().add(c * 8).cast::<__m128i>());
+            acc = _mm_add_epi32(acc, _mm_madd_epi16(av, bv));
+        }
+        _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), acc);
+    }
+    let tail: i32 =
+        a[chunks * 8..k].iter().zip(&b[chunks * 8..k]).map(|(&x, &y)| x as i32 * y as i32).sum();
+    (lanes.iter().sum::<i32>() + tail) as i128
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn dot_i16_lanes(a: &[i16], b: &[i16]) -> i128 {
+    dot_i16_portable(a, b)
+}
+
+/// The portable spelling of [`dot_i16_lanes`]: eight i32 lane
+/// accumulators the autovectorizer lowers to the target's vector width.
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+fn dot_i16_portable(a: &[i16], b: &[i16]) -> i128 {
+    let mut lanes = [0i32; 8];
+    let mut ac = a.chunks_exact(8);
+    let mut bc = b.chunks_exact(8);
+    for (a8, b8) in (&mut ac).zip(&mut bc) {
+        for l in 0..8 {
+            lanes[l] += a8[l] as i32 * b8[l] as i32;
+        }
+    }
+    for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
+        lanes[0] += x as i32 * y as i32;
+    }
+    lanes.iter().sum::<i32>() as i128
+}
+
+/// Every `(i, j)` dot of `a`'s rows against the row-contiguous `n×k`
+/// panel `bt`, written back into `out` through [`rescale`]. Each A row
+/// is narrowed once into a reused buffer.
+fn lane_products<T: Copy + Default>(
+    a: &QuantizedMatrix,
+    bt: &[T],
+    n: usize,
+    narrow: impl Fn(i64) -> T,
+    dot: impl Fn(&[T], &[T]) -> i128,
+    in_frac: u32,
+    out: QFormat,
+) -> Vec<i64> {
+    let k = a.cols;
+    let mut raw = vec![0i64; a.rows * n];
+    let mut a_row = vec![T::default(); k];
+    for i in 0..a.rows {
+        for (w, &x) in a_row.iter_mut().zip(&a.raw[i * k..(i + 1) * k]) {
+            *w = narrow(x);
+        }
+        for (j, o) in raw[i * n..(i + 1) * n].iter_mut().enumerate() {
+            *o = rescale(dot(&a_row, &bt[j * k..(j + 1) * k]), in_frac, out);
+        }
+    }
+    raw
+}
+
+/// Packs the `k×n` row-major raw words into an `n×k` transpose, narrowed
+/// by `narrow`, so every dot product streams both operands contiguously.
+fn pack_transpose<T: Copy + Default>(
+    raw: &[i64],
+    k: usize,
+    n: usize,
+    narrow: impl Fn(i64) -> T,
+) -> Vec<T> {
+    let mut packed = vec![T::default(); n * k];
     for p in 0..k {
         for j in 0..n {
-            packed[j * k + p] = raw[p * n + j];
+            packed[j * k + p] = narrow(raw[p * n + j]);
         }
     }
     packed
@@ -220,10 +338,10 @@ impl QuantizedMatrix {
     ///
     /// The scalar reference walks `other` column-strided; the blocked
     /// variant packs `Bᵀ` once and runs contiguous i128 dots; the SIMD
-    /// variant additionally narrows the packed words to i32 and
-    /// accumulates in four i64 lanes when the formats' bit budget
-    /// guarantees a lane cannot overflow (falling back to the i128 path
-    /// otherwise).
+    /// variant additionally narrows the packed words — to i16 panels
+    /// with eight i32 lanes, or to i32 words with four i64 lanes — when
+    /// the formats' bit budget guarantees a lane cannot overflow
+    /// (falling back to the i128 path otherwise).
     ///
     /// # Panics
     ///
@@ -241,15 +359,9 @@ impl QuantizedMatrix {
         );
         let (k, n) = (self.cols, other.cols);
         let in_frac = self.format.frac_bits() + other.format.frac_bits();
-        let mut raw = vec![0i64; self.rows * n];
-        let policy = match policy {
-            KernelPolicy::Simd if !lane_dot_fits_i64(self.format, other.format, k) => {
-                KernelPolicy::Blocked
-            }
-            p => p,
-        };
-        match policy {
-            KernelPolicy::Scalar => {
+        let raw = match accumulator(policy, self.format, other.format, k) {
+            Accumulator::Scalar => {
+                let mut raw = vec![0i64; self.rows * n];
                 for i in 0..self.rows {
                     for j in 0..n {
                         let mut acc: i128 = 0;
@@ -259,40 +371,23 @@ impl QuantizedMatrix {
                         raw[i * n + j] = rescale(acc, in_frac, out_format);
                     }
                 }
+                raw
             }
-            KernelPolicy::Blocked => {
-                let bt = pack_transpose_i64(&other.raw, k, n);
-                for i in 0..self.rows {
-                    let a_row = &self.raw[i * k..(i + 1) * k];
-                    for j in 0..n {
-                        let acc = dot_i128(a_row, &bt[j * k..(j + 1) * k]);
-                        raw[i * n + j] = rescale(acc, in_frac, out_format);
-                    }
-                }
+            // I32Lanes only takes <=16-bit formats, whose words fit i16
+            // exactly; any <=32-bit format's words fit i32 exactly.
+            Accumulator::I32Lanes => {
+                let bt = pack_transpose(&other.raw, k, n, |x| x as i16);
+                lane_products(self, &bt, n, |x| x as i16, dot_i16_lanes, in_frac, out_format)
             }
-            KernelPolicy::Simd => {
-                // Raw words of any <=32-bit format fit i32 exactly.
-                let bt: Vec<i32> = {
-                    let mut packed = vec![0i32; n * k];
-                    for p in 0..k {
-                        for j in 0..n {
-                            packed[j * k + p] = other.raw[p * n + j] as i32;
-                        }
-                    }
-                    packed
-                };
-                let mut a32 = vec![0i32; k];
-                for i in 0..self.rows {
-                    for (w, &x) in a32.iter_mut().zip(&self.raw[i * k..(i + 1) * k]) {
-                        *w = x as i32;
-                    }
-                    for j in 0..n {
-                        let acc = dot_i32_lanes(&a32, &bt[j * k..(j + 1) * k]);
-                        raw[i * n + j] = rescale(acc, in_frac, out_format);
-                    }
-                }
+            Accumulator::I64Lanes => {
+                let bt = pack_transpose(&other.raw, k, n, |x| x as i32);
+                lane_products(self, &bt, n, |x| x as i32, dot_i32_lanes, in_frac, out_format)
             }
-        }
+            Accumulator::I128 => {
+                let bt = pack_transpose(&other.raw, k, n, |x| x);
+                lane_products(self, &bt, n, |x| x, dot_i128, in_frac, out_format)
+            }
+        };
         QuantizedMatrix { rows: self.rows, cols: n, raw, format: out_format }
     }
 
@@ -332,15 +427,9 @@ impl QuantizedMatrix {
         );
         let (d, n) = (self.cols, other.rows);
         let in_frac = self.format.frac_bits() + other.format.frac_bits();
-        let mut raw = vec![0i64; self.rows * n];
-        let policy = match policy {
-            KernelPolicy::Simd if !lane_dot_fits_i64(self.format, other.format, d) => {
-                KernelPolicy::Blocked
-            }
-            p => p,
-        };
-        match policy {
-            KernelPolicy::Scalar => {
+        let raw = match accumulator(policy, self.format, other.format, d) {
+            Accumulator::Scalar => {
+                let mut raw = vec![0i64; self.rows * n];
                 for i in 0..self.rows {
                     for j in 0..n {
                         let mut acc: i128 = 0;
@@ -350,12 +439,22 @@ impl QuantizedMatrix {
                         raw[i * n + j] = rescale(acc, in_frac, out_format);
                     }
                 }
+                raw
             }
-            KernelPolicy::Blocked => {
+            Accumulator::I32Lanes => {
+                let b16: Vec<i16> = other.raw.iter().map(|&x| x as i16).collect();
+                lane_products(self, &b16, n, |x| x as i16, dot_i16_lanes, in_frac, out_format)
+            }
+            Accumulator::I64Lanes => {
+                let b32: Vec<i32> = other.raw.iter().map(|&x| x as i32).collect();
+                lane_products(self, &b32, n, |x| x as i32, dot_i32_lanes, in_frac, out_format)
+            }
+            Accumulator::I128 => {
                 // Both operands are already row-contiguous; blocking
                 // tiles the B rows so a panel stays cache-hot across
                 // every output row.
                 const JT: usize = 64;
+                let mut raw = vec![0i64; self.rows * n];
                 for jt in (0..n).step_by(JT) {
                     let jt_end = (jt + JT).min(n);
                     for i in 0..self.rows {
@@ -366,21 +465,9 @@ impl QuantizedMatrix {
                         }
                     }
                 }
+                raw
             }
-            KernelPolicy::Simd => {
-                let b32: Vec<i32> = other.raw.iter().map(|&x| x as i32).collect();
-                let mut a32 = vec![0i32; d];
-                for i in 0..self.rows {
-                    for (w, &x) in a32.iter_mut().zip(&self.raw[i * d..(i + 1) * d]) {
-                        *w = x as i32;
-                    }
-                    for j in 0..n {
-                        let acc = dot_i32_lanes(&a32, &b32[j * d..(j + 1) * d]);
-                        raw[i * n + j] = rescale(acc, in_frac, out_format);
-                    }
-                }
-            }
-        }
+        };
         QuantizedMatrix { rows: self.rows, cols: n, raw, format: out_format }
     }
 
@@ -432,9 +519,45 @@ impl QuantizedMatrix {
 
     /// Re-quantises into a different format (round-to-nearest, saturating).
     pub fn convert(&self, format: QFormat) -> QuantizedMatrix {
-        let raw =
-            self.raw.iter().map(|&r| rescale(r as i128, self.format.frac_bits(), format)).collect();
+        self.convert_shifted(0, format)
+    }
+
+    /// Multiplies every value by `2^-shift` and re-quantises into
+    /// `format` with one rounding (round-to-nearest, ties away from zero,
+    /// saturating): the binary point moves `shift` bits left, which is
+    /// the hardware's right shift by a power-of-two scale.
+    pub fn convert_shifted(&self, shift: u32, format: QFormat) -> QuantizedMatrix {
+        let in_frac = self.format.frac_bits() + shift;
+        let raw = self.raw.iter().map(|&r| rescale(r as i128, in_frac, format)).collect();
         QuantizedMatrix { rows: self.rows, cols: self.cols, raw, format }
+    }
+
+    /// The given rows, in order (indices may repeat) — how a cluster
+    /// table expands centroid words back to one row per token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds.
+    pub fn gather_rows(&self, indices: &[usize]) -> QuantizedMatrix {
+        let c = self.cols;
+        let mut raw = Vec::with_capacity(indices.len() * c);
+        for &r in indices {
+            assert!(r < self.rows, "row {r} out of bounds for {} rows", self.rows);
+            raw.extend_from_slice(&self.raw[r * c..(r + 1) * c]);
+        }
+        QuantizedMatrix { rows: indices.len(), cols: c, raw, format: self.format }
+    }
+
+    /// Row concatenation `[self; other]`, the quantized `C^cat = [C¹; C²]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column counts or formats differ.
+    pub fn vstack(&self, other: &QuantizedMatrix) -> QuantizedMatrix {
+        assert_eq!(self.cols, other.cols, "vstack requires equal column counts");
+        assert_eq!(self.format, other.format, "vstack requires matching formats");
+        let raw = [self.raw.as_slice(), other.raw.as_slice()].concat();
+        QuantizedMatrix { rows: self.rows + other.rows, cols: self.cols, raw, format: self.format }
     }
 
     /// Maximum absolute quantisation error of representing `m` in `format`,
@@ -559,33 +682,102 @@ mod tests {
         }
     }
 
+    /// Every policy's `A·B` and `A·Bᵀ` against the scalar reference.
+    fn assert_policies_match_scalar(a: &QuantizedMatrix, b: &QuantizedMatrix, out: QFormat) {
+        use cta_tensor::KernelPolicy::{Blocked, Scalar, Simd};
+        let bt = transpose(b);
+        let scalar = a.matmul_with(b, out, Scalar);
+        let scalar_tb = a.matmul_transpose_b_with(&bt, out, Scalar);
+        assert_eq!(scalar_tb, scalar, "A·(Bᵀ)ᵀ must equal A·B");
+        for policy in [Blocked, Simd] {
+            assert_eq!(a.matmul_with(b, out, policy), scalar, "{policy:?}");
+            assert_eq!(a.matmul_transpose_b_with(&bt, out, policy), scalar_tb, "{policy:?}");
+        }
+    }
+
+    /// `mᵀ`, rebuilt through `from_raw`.
+    fn transpose(m: &QuantizedMatrix) -> QuantizedMatrix {
+        let mut raw = vec![0i64; m.raw.len()];
+        for r in 0..m.rows {
+            for c in 0..m.cols {
+                raw[c * m.rows + r] = m.raw_at(r, c);
+            }
+        }
+        QuantizedMatrix::from_raw(m.cols, m.rows, raw, m.format)
+    }
+
     #[test]
     fn matmul_policies_are_bitwise_identical_under_saturation() {
         // Rails-to-rails products overflow SCORE; every policy must
-        // saturate on exactly the same elements to the same rails.
-        let a = lcg_quantized(6, 40, 21, formats::TOKEN);
-        let b = lcg_quantized(40, 5, 22, formats::TOKEN);
-        let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
-        assert!(
-            scalar.raw().iter().any(|&r| r == formats::SCORE.max_raw()),
-            "test shape must actually saturate"
-        );
-        for policy in [cta_tensor::KernelPolicy::Blocked, cta_tensor::KernelPolicy::Simd] {
-            assert_eq!(a.matmul_with(&b, formats::SCORE, policy), scalar, "{policy:?}");
+        // saturate on exactly the same elements to the same rails, in
+        // both products and on both sides of the i32-lane budget:
+        // TOKEN×TOKEN at K = 64 is 12 + 12 + 6 = 30 (i32 lanes), at
+        // K = 65 it is 31 (i64 lanes).
+        for k in [64, 65] {
+            let a = lcg_quantized(6, k, 21, formats::TOKEN);
+            let b = lcg_quantized(k, 5, 22, formats::TOKEN);
+            let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
+            assert!(
+                scalar.raw().iter().any(|&r| r == formats::SCORE.max_raw())
+                    && scalar.raw().iter().any(|&r| r == formats::SCORE.min_raw()),
+                "K = {k} must saturate at both rails"
+            );
+            assert_policies_match_scalar(&a, &b, formats::SCORE);
         }
     }
 
     #[test]
     fn simd_lane_guard_falls_back_for_wide_formats() {
-        // Two 32-bit formats over a long K blow the i64 lane budget:
-        // (31 + 31 + ceil_log2(64)) > 62, so the SIMD path must take
-        // the exact i128 route — and still match scalar bitwise.
+        use cta_tensor::KernelPolicy::{Blocked, Scalar, Simd};
+        let q12 = QFormat::new(12, 6);
+        let q16 = QFormat::new(16, 8);
+        let q17 = QFormat::new(17, 8);
         let wide = QFormat::new(32, 7);
+        // 11 + 11 + ceil_log2(256) = 30 takes the i32 lanes; K = 257
+        // makes the budget 31 and falls back to i64 lanes.
+        assert_eq!(accumulator(Simd, q12, q12, 256), Accumulator::I32Lanes);
+        assert_eq!(accumulator(Simd, q12, q12, 257), Accumulator::I64Lanes);
+        // 15 + 15 + 0 = 30 at K = 1; K = 2 is 31.
+        assert_eq!(accumulator(Simd, q16, q16, 1), Accumulator::I32Lanes);
+        assert_eq!(accumulator(Simd, q16, q16, 2), Accumulator::I64Lanes);
+        // A 17-bit format's words do not fit i16, whatever the budget.
+        assert_eq!(accumulator(Simd, q17, QFormat::new(2, 0), 1), Accumulator::I64Lanes);
+        // Two 32-bit formats over K = 64: 31 + 31 + 6 > 62, i128.
+        assert_eq!(accumulator(Simd, wide, wide, 64), Accumulator::I128);
+        assert_eq!(accumulator(Blocked, q12, q12, 8), Accumulator::I128);
+        assert_eq!(accumulator(Scalar, q12, q12, 8), Accumulator::Scalar);
+
+        // At each boundary, every word on the negative rail gives the
+        // largest magnitude a dot can reach (exactly 2^30 at budget 30);
+        // every policy must still match the scalar reference bit for bit.
+        let rail = |rows, cols, f: QFormat| {
+            QuantizedMatrix::from_raw(rows, cols, vec![f.min_raw(); rows * cols], f)
+        };
+        let out = QFormat::new(32, 0);
+        for (f, k) in [(q12, 256), (q12, 257), (q16, 1), (q16, 2), (q17, 3)] {
+            assert_policies_match_scalar(&rail(3, k, f), &rail(k, 2, f), out);
+            let top = rail(1, k, f).matmul_with(&rail(k, 1, f), out, Simd);
+            let exact = ((k as i64) * f.min_raw() * f.min_raw()) >> (2 * f.frac_bits());
+            assert_eq!(top.raw_at(0, 0), exact.min(out.max_raw()), "{f} K={k}");
+        }
         let a = lcg_quantized(3, 64, 31, wide);
         let b = lcg_quantized(64, 3, 32, wide);
-        let scalar = a.matmul_with(&b, wide, cta_tensor::KernelPolicy::Scalar);
-        let simd = a.matmul_with(&b, wide, cta_tensor::KernelPolicy::Simd);
-        assert_eq!(simd, scalar);
+        assert_policies_match_scalar(&a, &b, wide);
+    }
+
+    #[test]
+    fn i16_lane_dot_matches_the_portable_loop() {
+        // The x86-64 pmaddwd spelling and the portable lane loop, on
+        // every tail length, against the exact i128 dot.
+        for k in 0..40 {
+            let a = lcg_quantized(1, k, 61 + k as u64, QFormat::new(16, 0));
+            let b = lcg_quantized(1, k, 62 + k as u64, QFormat::new(14, 0));
+            let a16: Vec<i16> = a.raw().iter().map(|&x| x as i16).collect();
+            let b16: Vec<i16> = b.raw().iter().map(|&x| x as i16).collect();
+            let exact = dot_i128(a.raw(), b.raw());
+            assert_eq!(dot_i16_lanes(&a16, &b16), exact, "K={k}");
+            assert_eq!(dot_i16_portable(&a16, &b16), exact, "K={k}");
+        }
     }
 
     #[test]

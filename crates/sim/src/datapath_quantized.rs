@@ -5,9 +5,12 @@
 //! the dataflow in f32; this variant additionally models the datapath
 //! widths — quantized tokens/weights/centroids, integer products with
 //! wide accumulators, the CAVG reciprocal LUT and the PAG exponent LUT —
-//! and is checked against
+//! and is checked bit for bit against
 //! [`cta_forward_quantized`](cta_attention::cta_forward_quantized), the
-//! algorithm-level fixed-point reference.
+//! algorithm-level fixed-point head. The two spell the stages
+//! differently: this model dequantizes to f32 between stages and
+//! quantizes again, while `cta_forward_quantized` keeps integer words
+//! from entry to the score write-back, so this model is its test oracle.
 
 use cta_attention::{sample_families, AttentionWeights, CtaConfig, QuantizationConfig};
 use cta_fixed::{ExpLut, QFormat, QuantizedMatrix, ReciprocalLut};
@@ -156,9 +159,47 @@ mod tests {
     use super::*;
     use cta_attention::cta_forward_quantized;
     use cta_tensor::{relative_error, standard_normal_matrix};
+    use proptest::prelude::*;
 
     fn hw() -> HwConfig {
         HwConfig { sa_height: 8, ..HwConfig::paper() }
+    }
+
+    /// Output bits and cluster counts of the datapath against
+    /// `cta_forward_quantized` on the same inputs.
+    fn assert_bitwise_match(
+        queries: &Matrix,
+        keys_values: &Matrix,
+        w: &AttentionWeights,
+        cfg: &CtaConfig,
+        qcfg: &QuantizationConfig,
+    ) {
+        let hw = HwConfig::paper();
+        let dp = run_quantized_datapath(queries, keys_values, w, cfg, qcfg, &hw);
+        let sw = cta_forward_quantized(queries, keys_values, w, cfg, qcfg);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(dp.output.shape(), sw.output.shape());
+        assert_eq!(bits(&dp.output), bits(&sw.output));
+        assert_eq!(dp.cluster_counts, (sw.k0(), sw.k1(), sw.k2()));
+    }
+
+    /// The paper's formats and the two coarse schemes `ablation_quantization`
+    /// reports (10-bit and 8-bit tokens).
+    fn quantization_configs() -> [QuantizationConfig; 3] {
+        [
+            QuantizationConfig::default(),
+            QuantizationConfig {
+                token: QFormat::new(10, 4),
+                centroid: QFormat::new(10, 4),
+                ..QuantizationConfig::default()
+            },
+            QuantizationConfig {
+                token: QFormat::new(8, 2),
+                centroid: QFormat::new(8, 2),
+                weight: QFormat::new(8, 6),
+                ..QuantizationConfig::default()
+            },
+        ]
     }
 
     #[test]
@@ -166,12 +207,37 @@ mod tests {
         let x = standard_normal_matrix(5, 24, 8);
         let w = AttentionWeights::random(8, 8, 6);
         let cfg = CtaConfig::uniform(2.0, 7);
-        let qcfg = QuantizationConfig::default();
-        let dp = run_quantized_datapath(&x, &x, &w, &cfg, &qcfg, &hw());
-        let sw = cta_forward_quantized(&x, &x, &w, &cfg, &qcfg);
-        let err = relative_error(&dp.output, &sw.output);
-        assert!(err < 1e-4, "datapath vs algorithm error {err}");
-        assert_eq!(dp.cluster_counts, (sw.k0(), sw.k1(), sw.k2()));
+        assert_bitwise_match(&x, &x, &w, &cfg, &QuantizationConfig::default());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `cta_forward_quantized` keeps its words integer from entry to
+        /// the score write-back; the datapath keeps the f32 round trips
+        /// between stages. Every output bit must agree, for both scale
+        /// spellings (`d = 4, 16` shift, `d = 8, 32` multiply), self- and
+        /// cross-attention, every bucket width and all three formats.
+        #[test]
+        fn quantized_datapath_matches_quantized_algorithm_bitwise(
+            n in 1usize..=64,
+            m in 1usize..=64,
+            d in (2u32..6).prop_map(|log2| 1usize << log2),
+            width in 0.05f32..8.0,
+            amplitude in (0usize..3).prop_map(|i| [1.0f32, 4.0, 24.0][i]),
+            cross in (0u8..2).prop_map(|c| c == 1),
+            qcfg in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            // Amplitude 24 pushes tokens past the ±32 token rails.
+            let kv = standard_normal_matrix(seed, n, d).scale(amplitude);
+            let q = standard_normal_matrix(seed ^ 0x5eed, m, d).scale(amplitude);
+            let w = AttentionWeights::random(d, d, seed.wrapping_add(1));
+            let cfg = CtaConfig::uniform(width, seed.wrapping_add(2));
+            let qcfg = &quantization_configs()[qcfg];
+            let queries = if cross { &q } else { &kv };
+            assert_bitwise_match(queries, &kv, &w, &cfg, qcfg);
+        }
     }
 
     #[test]

@@ -209,8 +209,16 @@ fn cluster_count(flags: &Flags, name: &str, n: usize) -> Result<usize, String> {
     Ok(k)
 }
 
+/// Widest systolic array `--width-b` accepts. The paper's array is 8
+/// wide; the bound keeps the buffer sizing (`2·b·n` words) and the
+/// `--pag` default (`2·b`) far from overflow.
+const MAX_WIDTH_B: usize = 4096;
+
 fn hw_from_flags(flags: &Flags, max_seq: usize) -> Result<HwConfig, String> {
     let b = positive(flags, "--width-b")?;
+    if b > MAX_WIDTH_B {
+        return Err(format!("--width-b must be at most {MAX_WIDTH_B}, got {b}"));
+    }
     let pag = flags.opt("--pag", |s| parse_num(s, "--pag", "an integer"))?.unwrap_or(2 * b);
     if pag == 0 || !pag.is_multiple_of(2) {
         return Err(format!("--pag must be a positive even number, got {pag}"));

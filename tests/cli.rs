@@ -79,6 +79,7 @@ fn out_of_range_flags_fail_with_an_error_not_a_panic() {
         task("simulate", &["--l", "0"]),
         task("simulate", &["--pag", "0"]),
         vec!["area", "--width-b", "0"],
+        task("simulate", &["--width-b", "4611686018427387904"]),
         task("sweep", &["--d", "0"]),
         vec!["ffn", "--n", "0", "--d-model", "512", "--d-ffn", "2048"],
         task("serve", &["--layers", "0", "--heads", "12", "--load", "0.5"]),
@@ -112,8 +113,9 @@ fn out_of_range_flags_fail_with_an_error_not_a_panic() {
 #[test]
 fn out_of_range_errors_name_the_offending_flag() {
     let task = ["--n", "64", "--k0", "40", "--k1", "30", "--k2", "10"];
-    let cases: [(&str, &[&str], &str); 5] = [
+    let cases: [(&str, &[&str], &str); 6] = [
         ("simulate", &["--pag", "3"], "--pag must be a positive even number, got 3"),
+        ("simulate", &["--width-b", "4097"], "--width-b must be at most 4096, got 4097"),
         ("simulate", &["--k1", "65"], "--k1 = 65 exceeds --n = 64"),
         ("serve", &["--layers", "2", "--heads", "0", "--load", "0.5"], "--heads must be positive"),
         ("serve", &["--layers", "2", "--heads", "12", "--load", "-1"], "--load must be positive"),
