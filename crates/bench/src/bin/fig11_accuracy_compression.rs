@@ -18,7 +18,7 @@ use cta_workloads::{paper_cases, CtaClass};
 
 fn main() -> ExitCode {
     cli_main("fig11_accuracy_compression", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
-        let jobs = flags.install_parallelism()?;
+        let jobs = flags.parallelism()?;
         banner("Figure 11 — accuracy and RL/RA per test case");
         let mut table = Table::new(
             "fig11_accuracy_compression",

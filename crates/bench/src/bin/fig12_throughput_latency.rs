@@ -33,7 +33,7 @@ struct ClassSample {
 
 fn main() -> ExitCode {
     cli_main("fig12_throughput_latency", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
-        let jobs = flags.install_parallelism()?;
+        let jobs = flags.parallelism()?;
         banner("Figure 12 (left) — normalized attention throughput (GPU = 1.0)");
         let mut table = Table::new(
             "fig12_throughput",

@@ -21,7 +21,7 @@ use cta_workloads::{bert_large, imdb, TestCase};
 
 fn main() -> ExitCode {
     cli_main("fig13_dse", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
-        let jobs = flags.install_parallelism()?;
+        let jobs = flags.parallelism()?;
         banner("Figure 13 — throughput vs SA width x PAG parallelism");
 
         // Probe task: the CTA-0 operating point of BERT-large/IMDB (n = 512,

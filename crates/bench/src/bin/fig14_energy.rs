@@ -20,7 +20,7 @@ use cta_workloads::paper_cases;
 
 fn main() -> ExitCode {
     cli_main("fig14_energy", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
-        let jobs = flags.install_parallelism()?;
+        let jobs = flags.parallelism()?;
         banner("Figure 14 (left) — normalized energy efficiency (GPU = 1.0)");
         let mut table = Table::new("fig14_energy", &["case", "elsa_aggr", "cta0", "cta05", "cta1"]);
 

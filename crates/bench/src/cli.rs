@@ -14,7 +14,6 @@
 use std::process::ExitCode;
 
 use cta_parallel::Parallelism;
-use cta_tensor::KernelPolicy;
 
 /// What a [`Flag`] takes, and what it means when the flag is absent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,10 +74,9 @@ impl Flag {
     }
 }
 
-/// `--jobs N` and `--kernels P`, the flags every harness binary accepts;
-/// see [`Flags::parallelism`].
-pub const PARALLEL_FLAGS: [Flag; 2] =
-    [Flag::optional("--jobs", "N"), Flag::optional("--kernels", "scalar|blocked|simd")];
+/// `--jobs N`, the flag every harness binary accepts; see
+/// [`Flags::parallelism`].
+pub const PARALLEL_FLAGS: [Flag; 1] = [Flag::optional("--jobs", "N")];
 
 /// Column at which [`usage`] wraps.
 const WRAP_WIDTH: usize = 80;
@@ -284,33 +282,13 @@ impl<'t> Flags<'t> {
     }
 
     /// The [`PARALLEL_FLAGS`]: the `--jobs` worker count (default
-    /// [`Parallelism::from_env`]: `CTA_JOBS`, then available cores) and
-    /// the `--kernels` policy if given (else the lazy `CTA_KERNELS`/auto
-    /// default applies). Nothing is installed.
+    /// [`Parallelism::from_env`]: `CTA_JOBS`, then available cores).
     ///
     /// # Errors
     ///
-    /// A non-positive `--jobs`, or a `--kernels` other than
-    /// `scalar|blocked|simd`.
-    pub fn parallelism(&self) -> Result<(Parallelism, Option<KernelPolicy>), String> {
-        let jobs =
-            self.opt("--jobs", Parallelism::parse_arg)?.unwrap_or_else(Parallelism::from_env);
-        Ok((jobs, self.opt("--kernels", KernelPolicy::parse_arg)?))
-    }
-
-    /// [`Flags::parallelism`], installing a given kernel policy
-    /// process-wide; returns the worker count. The figure benchmarks'
-    /// whole CLI.
-    ///
-    /// # Errors
-    ///
-    /// As [`Flags::parallelism`].
-    pub fn install_parallelism(&self) -> Result<Parallelism, String> {
-        let (jobs, kernels) = self.parallelism()?;
-        if let Some(policy) = kernels {
-            policy.install();
-        }
-        Ok(jobs)
+    /// A non-positive `--jobs`.
+    pub fn parallelism(&self) -> Result<Parallelism, String> {
+        Ok(self.opt("--jobs", Parallelism::parse_arg)?.unwrap_or_else(Parallelism::from_env))
     }
 }
 
@@ -432,22 +410,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flags_parse_without_installing() {
+    fn parallel_flags_parse_the_worker_count() {
+        // PARALLEL_FLAGS is the whole flag table of fig11–fig14.
         let parse = |list: &[&str]| {
             Flags::parse(&PARALLEL_FLAGS, words(list)).and_then(|f| f.parallelism())
         };
-        assert_eq!(parse(&["--jobs", "3"]).unwrap().0.get(), 3);
-        assert!(parse(&[]).unwrap().0.get() >= 1);
-        assert_eq!(parse(&[]).unwrap().1, None);
+        assert_eq!(parse(&["--jobs", "3"]).unwrap().get(), 3);
+        assert!(parse(&[]).unwrap().get() >= 1);
         assert!(parse(&["--jobs"]).unwrap_err().contains("needs a value"));
         assert!(parse(&["--jobs", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--frob"]).unwrap_err().contains("unknown flag"));
-        let err = parse(&["--kernels", "turbo"]).unwrap_err();
-        assert!(err.contains("--kernels takes scalar|blocked|simd"), "{err}");
-        assert_eq!(
-            parse(&["--kernels", "simd", "--jobs", "2"]).unwrap().1,
-            Some(KernelPolicy::Simd)
-        );
+        assert!(parse(&["--kernels", "simd"]).unwrap_err().contains("unknown flag \"--kernels\""));
     }
 
     /// Words a random argv draws from: every table name, plus junk.

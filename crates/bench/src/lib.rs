@@ -21,11 +21,9 @@
 
 pub mod cli;
 mod report;
-mod sidecar;
 
 pub use cli::{cli_main, parse_num, usage, usage_flags, Flag, Flags, PARALLEL_FLAGS};
-pub use report::{CsvTable, JsonReport, JsonValue, SCHEMA_VERSION};
-pub use sidecar::{parse_json, BenchSidecar};
+pub use report::{parse_json, CsvTable, JsonReport, JsonValue, SCHEMA_VERSION};
 
 use cta_sim::{AttentionTask, CtaAccelerator, HwConfig, SimReport};
 use cta_workloads::{find_operating_point, CtaClass, OperatingPoint, TestCase};

@@ -11,9 +11,9 @@
 //!
 //! **Outputs.** `results/chaos_sweep.{csv,json}` are deterministic for a
 //! fixed flag set at any `--jobs` value; the JSON's `engine` key is
-//! always `"both"` (driver plus oracle). Wall-clock seeds/second goes to
-//! `results/BENCH_chaos.json`. On an invariant violation the minimized
-//! scenario is written to `--repro-out` (replay it with `--replay`).
+//! always `"both"` (driver plus oracle). On an invariant violation the
+//! minimized scenario is written to `--repro-out` (replay it with
+//! `--replay`).
 //!
 //! `--inject-bug` is the self-test of the net: every run's report is
 //! corrupted post-hoc ([`cta_chaos::Mutation::DropShed`]) and the sweep
@@ -23,13 +23,13 @@
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use cta_bench::{parse_num, BenchSidecar, Flag, Flags, JsonValue, SCHEMA_VERSION};
+use cta_bench::{parse_json, parse_num, Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_chaos::{run_chaos, shrink, ChaosParams, ChaosScenario, Mutation, Toggle, Violation};
 use cta_serve::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use cta_serve::simulate_fleet_traced;
 
 /// The sweep's own flags and defaults; the harness appends the shared
-/// `--jobs`, `--kernels` and `--pool-trace`.
+/// `--jobs` and `--pool-trace`.
 const FLAGS: &[Flag] = &[
     Flag::value("--seeds", "64"),
     Flag::value("--seed0", "1"),
@@ -144,7 +144,7 @@ fn replay(path: &str, mutation: Mutation) {
         eprintln!("error: {path}: {e}");
         std::process::exit(1);
     });
-    let value = cta_bench::parse_json(&text).unwrap_or_else(|e| {
+    let value = parse_json(&text).unwrap_or_else(|e| {
         eprintln!("error: {path}: {e}");
         std::process::exit(1);
     });
@@ -223,11 +223,10 @@ fn run(h: &Harness<Args>) {
 
     let seeds: Vec<u64> = (0..args.seeds as u64).map(|i| args.seed0 + i).collect();
 
-    // Failing scenarios and wall-clock measurements, collected
+    // Failing scenarios and the simulated-event total, collected
     // out-of-band so the pinned CSV/JSON stay deterministic.
     let failures: Mutex<Vec<(u64, ChaosScenario, Vec<Violation>)>> = Mutex::new(Vec::new());
     let events_total = Mutex::new(0u64);
-    let start = std::time::Instant::now();
 
     h.run_grid(
         &format!(
@@ -312,27 +311,7 @@ fn run(h: &Harness<Args>) {
         },
     );
 
-    // Wall-clock throughput sidecar: nondeterministic, so it lives in
-    // its own BENCH_ report instead of the pinned files.
-    let wall_s = start.elapsed().as_secs_f64();
     let events = events_total.into_inner().expect("events");
-    let mut bench = BenchSidecar::new("BENCH_chaos");
-    bench
-        .set("experiment", JsonValue::Str("chaos_sweep".into()))
-        .set("engine", JsonValue::Str("both".into()))
-        .set("seeds", JsonValue::Int(args.seeds as i64))
-        .set("jobs", JsonValue::Int(h.jobs().get() as i64))
-        .set("wall_s", JsonValue::Num(wall_s))
-        .set("seeds_per_sec", JsonValue::Num(args.seeds as f64 / wall_s.max(1e-12)))
-        .set("events", JsonValue::Int(events as i64))
-        .set(
-            "note",
-            JsonValue::Str(
-                "wall-clock throughput; nondeterministic, --jobs 1 for uncontended".into(),
-            ),
-        );
-    bench.save();
-
     let mut failing = failures.into_inner().expect("failures");
     failing.sort_unstable_by_key(|&(seed, _, _)| seed);
 
@@ -391,12 +370,7 @@ fn run(h: &Harness<Args>) {
         std::process::exit(1);
     }
 
-    println!(
-        "all {} seeds passed every invariant ({} simulated events, {:.1} seeds/s)",
-        args.seeds,
-        events,
-        args.seeds as f64 / wall_s.max(1e-12)
-    );
+    println!("all {} seeds passed every invariant ({events} simulated events)", args.seeds);
 
     // --trace: rerun the last seed's scenario traced.
     if let Some(path) = &args.trace {

@@ -317,4 +317,87 @@ mod tests {
         }
         assert!(ChaosScenario::from_json(&v).unwrap_err().contains("routing"));
     }
+
+    #[test]
+    fn huge_fleet_sizes_parse_without_allocating_per_replica() {
+        // Plan validation used to allocate one slot per replica, so a
+        // repro claiming 2^62 replicas overflowed the allocator instead
+        // of parsing. (A zone map must list every replica, so the case
+        // needs a plan with crashes but no zone outage.)
+        let sc = (0..64)
+            .map(|seed| ChaosScenario::sample(seed, &ChaosParams::default()))
+            .find(|sc| !sc.plan.crashes.is_empty() && sc.plan.zone_outages.is_empty())
+            .expect("a crash-only plan among the first seeds");
+        let text = sc.to_json().to_json();
+        let from = format!("\"replicas\":{}", sc.replicas);
+        assert!(text.contains(&from), "{text}");
+        let huge = text.replacen(&from, &format!("\"replicas\":{}", 1i64 << 62), 1);
+        let parsed = ChaosScenario::from_json(&parse_json(&huge).expect("parse"));
+        assert_eq!(parsed.map(|s| s.replicas), Ok(1usize << 62));
+    }
+
+    /// A repro file as `chaos_sweep` writes it: the envelope around the
+    /// scenario with the most fault events among the first seeds.
+    fn repro_text() -> String {
+        let sc = (0..16)
+            .map(|seed| ChaosScenario::sample(seed, &ChaosParams::default()))
+            .max_by_key(ChaosScenario::plan_events)
+            .expect("non-empty seed range");
+        let violation = JsonValue::obj(vec![
+            ("invariant", JsonValue::Str("conservation".into())),
+            ("detail", JsonValue::Str("request 3 neither completed nor shed — \"lost\"".into())),
+        ]);
+        JsonValue::obj(vec![
+            ("schema_version", JsonValue::Int(2)),
+            ("scenario", sc.to_json()),
+            ("violations", JsonValue::Arr(vec![violation])),
+        ])
+        .to_json()
+    }
+
+    /// What `chaos_sweep --replay` does with a file's text: parse it,
+    /// unwrap the envelope, and rebuild the scenario.
+    fn replay_parse(text: &str) -> Result<ChaosScenario, String> {
+        let value = parse_json(text)?;
+        let scenario = match &value {
+            JsonValue::Obj(pairs) => {
+                pairs.iter().find(|(k, _)| k == "scenario").map_or(&value, |(_, v)| v)
+            }
+            _ => &value,
+        };
+        ChaosScenario::from_json(scenario)
+    }
+
+    #[test]
+    fn the_unmutated_repro_replays() {
+        assert!(replay_parse(&repro_text()).is_ok());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// One to three truncations, byte flips and byte insertions of a
+        /// valid repro file parse to `Ok` or `Err`, never a panic. A
+        /// mutation that breaks UTF-8 is skipped: `--replay` rejects such
+        /// a file when reading it, before any parsing.
+        fn mutated_repro_files_never_panic(edits in 1usize..4, seed in 0u64..u64::MAX) {
+            let mut bytes = repro_text().into_bytes();
+            let mut state = seed;
+            let mut draw = |bound: usize| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                ((state >> 33) as usize) % bound.max(1)
+            };
+            for _ in 0..edits {
+                let (op, at, byte) = (draw(3), draw(bytes.len()), draw(256) as u8);
+                match op {
+                    0 => bytes.truncate(at),
+                    1 if !bytes.is_empty() => bytes[at] ^= byte.max(1),
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            if let Ok(text) = String::from_utf8(bytes) {
+                let _ = replay_parse(&text);
+            }
+        }
+    }
 }

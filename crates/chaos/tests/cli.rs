@@ -64,11 +64,17 @@ fn rejects_unknown_modes() {
 }
 
 #[test]
+fn rejects_the_retired_kernels_flag() {
+    // The kernels have one SIMD path: there is no policy to pick.
+    assert_graceful_failure(&["--kernels", "simd"], "unknown flag \"--kernels\"");
+}
+
+#[test]
 fn every_value_flag_needs_a_value_and_usage_lists_the_shared_flags() {
     let stderr = String::from_utf8_lossy(&run(&["--frobnicate"]).stderr).into_owned();
     let usage = &stderr[stderr.find("usage:").expect("usage text")..];
     let flags = cta_bench::usage_flags(usage);
-    for shared in ["--jobs", "--kernels", "--pool-trace"] {
+    for shared in ["--jobs", "--pool-trace"] {
         assert!(flags.contains(&(shared, true)), "usage lacks {shared}: {usage}");
     }
     assert!(flags.contains(&("--inject-bug", false)), "{usage}");
@@ -87,13 +93,27 @@ fn replay_of_a_missing_file_fails_gracefully() {
 }
 
 #[test]
+fn replay_of_deeply_nested_json_fails_gracefully() {
+    // 100 000 unclosed arrays: a parser recursing once per `[` would
+    // overflow the main thread's stack and abort.
+    let dir = scratch("chaos_cli_nested");
+    let path = dir.join("nested.json");
+    std::fs::write(&path, "[".repeat(100_000)).expect("write nested json");
+    let out = run_in(&dir, &["--replay", path.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("error:") && stderr.contains("nesting deeper than"), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "must not panic: {stderr}");
+}
+
+#[test]
 fn small_run_writes_the_result_files_and_passes() {
     let dir = scratch("chaos_cli_ok");
     let out = run_in(&dir, &["--seeds", "6", "--jobs", "2"]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("all 6 seeds passed"), "stdout: {stdout}");
-    for file in ["chaos_sweep.csv", "chaos_sweep.json", "BENCH_chaos.json"] {
+    for file in ["chaos_sweep.csv", "chaos_sweep.json"] {
         assert!(dir.join("results").join(file).is_file(), "missing results/{file}");
     }
 }
@@ -101,14 +121,12 @@ fn small_run_writes_the_result_files_and_passes() {
 #[test]
 fn reports_record_that_every_seed_ran_both_drivers() {
     // Each seed runs the fleet driver and cross-checks it against the
-    // reference scan, so the report and its sidecar say `both`.
+    // reference scan, so the report says `both`.
     let dir = scratch("chaos_cli_engine_key");
     let out = run_in(&dir, &["--seeds", "2", "--jobs", "1"]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    for file in ["chaos_sweep.json", "BENCH_chaos.json"] {
-        let json = std::fs::read_to_string(dir.join("results").join(file)).expect(file);
-        assert!(json.contains(r#""engine":"both""#), "{file}: {json}");
-    }
+    let json = std::fs::read_to_string(dir.join("results/chaos_sweep.json")).expect("report");
+    assert!(json.contains(r#""engine":"both""#), "{json}");
 }
 
 #[test]
@@ -120,6 +138,19 @@ fn csv_is_identical_across_jobs() {
     let csv_a = std::fs::read(a.join("results/chaos_sweep.csv")).expect("csv a");
     let csv_b = std::fs::read(b.join("results/chaos_sweep.csv")).expect("csv b");
     assert_eq!(csv_a, csv_b, "CSV must be byte-identical across --jobs");
+}
+
+#[test]
+fn stdout_is_identical_across_jobs() {
+    // The summary reports simulated work only, never wall-clock time, so
+    // the whole of stdout is as deterministic as the CSV.
+    let a = scratch("chaos_cli_stdout_j1");
+    let b = scratch("chaos_cli_stdout_j3");
+    let out_a = run_in(&a, &["--seeds", "6", "--jobs", "1"]);
+    let out_b = run_in(&b, &["--seeds", "6", "--jobs", "3"]);
+    assert!(out_a.status.success() && out_b.status.success());
+    let stdout = |out: &Output| String::from_utf8(out.stdout.clone()).expect("utf-8 stdout");
+    assert_eq!(stdout(&out_a), stdout(&out_b), "stdout must be byte-identical across --jobs");
 }
 
 #[test]

@@ -136,7 +136,7 @@ pub(crate) const fn pow2(e: i32) -> f64 {
 /// rounding to nearest and saturating.
 ///
 /// This is the **authoritative write-back rounding rule** for every
-/// kernel variant (scalar, blocked, SIMD): round to nearest, ties
+/// kernel variant (scalar, SIMD): round to nearest, ties
 /// **away from zero** — the same rule `QFormat::quantize` applies to
 /// its f64 product. It rounds the magnitude, `(|raw| + half) >> shift`,
 /// and restores the sign, because an arithmetic right shift on a

@@ -1,19 +1,20 @@
 //! Matrices of raw fixed-point words with integer arithmetic.
 //!
 //! The products dispatch on [`KernelPolicy`] like the f32 kernels in
-//! `cta-tensor`. Integer accumulation is *exact* — reassociating or
-//! re-tiling a sum of products cannot change a single bit as long as no
-//! intermediate overflows — so the blocked and SIMD variants here are
-//! bitwise identical to the scalar loops by construction: the blocked
-//! path packs `Bᵀ` for contiguous i128 dots, and the SIMD path picks the
-//! narrowest lane tier a bit-budget guard proves cannot overflow:
+//! `cta-tensor`: the un-suffixed entry points run the SIMD bodies, and
+//! the scalar loops stay as the test reference. Integer accumulation is
+//! *exact* — reassociating or re-tiling a sum of products cannot change
+//! a single bit as long as no intermediate overflows — so the SIMD
+//! bodies are bitwise identical to the scalar loops by construction.
+//! They pack `Bᵀ` for contiguous dots and pick the narrowest lane tier a
+//! bit-budget guard proves cannot overflow:
 //!
 //! * i16 panels into i32 lanes (SSE2 `pmaddwd` on x86-64) when both
 //!   formats are at most 16 bits and
 //!   `(bits_a - 1) + (bits_b - 1) + ceil_log2(K) <= 30` (every paper
 //!   product: 12-bit words, `K <= 256`);
 //! * otherwise i32 words into four i64 lanes when that budget is `<= 62`;
-//! * otherwise the blocked i128 path.
+//! * otherwise exact i128 dots over the packed rows.
 
 use cta_tensor::{KernelPolicy, Matrix};
 
@@ -35,8 +36,7 @@ fn ceil_log2(k: usize) -> u32 {
 enum Accumulator {
     /// The scalar reference: i128 sums, `B` walked column-strided.
     Scalar,
-    /// i128 sums over contiguous rows (blocked, and SIMD when no lane
-    /// tier is proven safe).
+    /// i128 sums over contiguous rows, when no lane tier is proven safe.
     I128,
     /// i32 words into four i64 lanes.
     I64Lanes,
@@ -57,7 +57,7 @@ fn accumulator(policy: KernelPolicy, fa: QFormat, fb: QFormat, k: usize) -> Accu
         KernelPolicy::Scalar => Accumulator::Scalar,
         KernelPolicy::Simd if words_fit_i16 && budget <= 30 => Accumulator::I32Lanes,
         KernelPolicy::Simd if budget <= 62 => Accumulator::I64Lanes,
-        KernelPolicy::Blocked | KernelPolicy::Simd => Accumulator::I128,
+        KernelPolicy::Simd => Accumulator::I128,
     }
 }
 
@@ -192,8 +192,7 @@ fn pack_transpose<T: Copy + Default>(
 
 /// Element-wise saturating `a + b` (or `a - b`), policy-dispatched.
 /// Saturation clamps per element, so chunking cannot change a bit; the
-/// blocked spelling is the scalar one (a streaming op has nothing to
-/// tile), and the SIMD spelling runs 8 independent elements per chunk.
+/// SIMD spelling runs 8 independent elements per chunk.
 fn saturating_zip(
     policy: KernelPolicy,
     a: &[i64],
@@ -203,7 +202,7 @@ fn saturating_zip(
 ) -> Vec<i64> {
     let sign = if negate_b { -1i64 } else { 1i64 };
     match policy {
-        KernelPolicy::Scalar | KernelPolicy::Blocked => {
+        KernelPolicy::Scalar => {
             a.iter().zip(b).map(|(&x, &y)| format.saturating_add(x, sign * y)).collect()
         }
         KernelPolicy::Simd => {
@@ -319,29 +318,29 @@ impl QuantizedMatrix {
         )
     }
 
-    /// Integer matrix product, requantised into `out_format`, under the
-    /// process-wide [`KernelPolicy`].
+    /// Integer matrix product, requantised into `out_format`, on the
+    /// SIMD kernel.
     ///
     /// Accumulation is exact (i128 partial sums with
     /// `self.frac + other.frac` fractional bits); only the final write-back
     /// rounds and saturates, which matches a systolic array with wide
-    /// accumulators in each PE. All policies are bitwise identical.
+    /// accumulators in each PE. Bitwise identical to the scalar
+    /// reference.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &QuantizedMatrix, out_format: QFormat) -> QuantizedMatrix {
-        self.matmul_with(other, out_format, KernelPolicy::current())
+        self.matmul_with(other, out_format, KernelPolicy::Simd)
     }
 
     /// [`QuantizedMatrix::matmul`] under an explicit [`KernelPolicy`].
     ///
-    /// The scalar reference walks `other` column-strided; the blocked
-    /// variant packs `Bᵀ` once and runs contiguous i128 dots; the SIMD
-    /// variant additionally narrows the packed words — to i16 panels
-    /// with eight i32 lanes, or to i32 words with four i64 lanes — when
-    /// the formats' bit budget guarantees a lane cannot overflow
-    /// (falling back to the i128 path otherwise).
+    /// The scalar reference walks `other` column-strided; the SIMD
+    /// variant packs `Bᵀ` once and narrows the packed words — to i16
+    /// panels with eight i32 lanes, or to i32 words with four i64 lanes
+    /// — when the formats' bit budget guarantees a lane cannot overflow
+    /// (falling back to contiguous i128 dots otherwise).
     ///
     /// # Panics
     ///
@@ -392,7 +391,8 @@ impl QuantizedMatrix {
     }
 
     /// Integer matrix product with the second operand transposed:
-    /// `self · otherᵀ`, requantised into `out_format`. This is the
+    /// `self · otherᵀ`, requantised into `out_format`, on the SIMD
+    /// kernel. This is the
     /// natural layout for quantized attention scores `Q̄ · K̄ᵀ`: both
     /// operands keep rows = vectors, so no explicit transpose (and no
     /// column-strided walk) is ever materialised.
@@ -405,7 +405,7 @@ impl QuantizedMatrix {
         other: &QuantizedMatrix,
         out_format: QFormat,
     ) -> QuantizedMatrix {
-        self.matmul_transpose_b_with(other, out_format, KernelPolicy::current())
+        self.matmul_transpose_b_with(other, out_format, KernelPolicy::Simd)
     }
 
     /// [`QuantizedMatrix::matmul_transpose_b`] under an explicit
@@ -450,8 +450,7 @@ impl QuantizedMatrix {
                 lane_products(self, &b32, n, |x| x as i32, dot_i32_lanes, in_frac, out_format)
             }
             Accumulator::I128 => {
-                // Both operands are already row-contiguous; blocking
-                // tiles the B rows so a panel stays cache-hot across
+                // Both operands are already row-contiguous; tiling the B rows so a panel stays cache-hot across
                 // every output row.
                 const JT: usize = 64;
                 let mut raw = vec![0i64; self.rows * n];
@@ -472,7 +471,7 @@ impl QuantizedMatrix {
     }
 
     /// Element-wise saturating subtraction (both operands must share a
-    /// format), under the process-wide [`KernelPolicy`]. Models the
+    /// format), on the SIMD kernel. Models the
     /// adder column on the left edge of the SA that computes residual
     /// tokens (paper Fig. 7).
     ///
@@ -480,7 +479,7 @@ impl QuantizedMatrix {
     ///
     /// Panics if shapes or formats differ.
     pub fn sub(&self, other: &QuantizedMatrix) -> QuantizedMatrix {
-        self.sub_with(other, KernelPolicy::current())
+        self.sub_with(other, KernelPolicy::Simd)
     }
 
     /// [`QuantizedMatrix::sub`] under an explicit [`KernelPolicy`].
@@ -496,13 +495,13 @@ impl QuantizedMatrix {
     }
 
     /// Element-wise saturating addition (both operands must share a
-    /// format), under the process-wide [`KernelPolicy`].
+    /// format), on the SIMD kernel.
     ///
     /// # Panics
     ///
     /// Panics if shapes or formats differ.
     pub fn add(&self, other: &QuantizedMatrix) -> QuantizedMatrix {
-        self.add_with(other, KernelPolicy::current())
+        self.add_with(other, KernelPolicy::Simd)
     }
 
     /// [`QuantizedMatrix::add`] under an explicit [`KernelPolicy`].
@@ -663,36 +662,36 @@ mod tests {
 
     #[test]
     fn matmul_policies_are_bitwise_identical_on_edge_shapes() {
-        // Empty, 1xN, non-square, and lane/block-tail shapes.
-        for (m, k, n) in [(0, 0, 0), (0, 3, 2), (2, 0, 3), (1, 1, 1), (1, 9, 33), (5, 7, 3)] {
+        // Empty, 1xN, non-square, and lane/block-tail shapes, then the
+        // paper's long sequence at d = 64 with k0 = k1 = 256, k2 = 64:
+        // the k0×d · d×d linear and the k0×d · ((k1+k2)×d)ᵀ scores.
+        let shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (1, 1, 1), (1, 9, 33), (5, 7, 3)];
+        for (m, k, n) in shapes.into_iter().chain([(256, 64, 64), (256, 64, 320)]) {
             let a = lcg_quantized(m, k, 11, formats::TOKEN);
             let b = lcg_quantized(k, n, 12, formats::CENTROID);
             let bt = lcg_quantized(n, k, 13, formats::CENTROID);
             let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
             let scalar_tb =
                 a.matmul_transpose_b_with(&bt, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
-            for policy in [cta_tensor::KernelPolicy::Blocked, cta_tensor::KernelPolicy::Simd] {
-                assert_eq!(a.matmul_with(&b, formats::SCORE, policy), scalar, "{m}x{k}x{n}");
-                assert_eq!(
-                    a.matmul_transpose_b_with(&bt, formats::SCORE, policy),
-                    scalar_tb,
-                    "{m}x{k}x{n}"
-                );
-            }
+            let simd = cta_tensor::KernelPolicy::Simd;
+            assert_eq!(a.matmul_with(&b, formats::SCORE, simd), scalar, "{m}x{k}x{n}");
+            assert_eq!(
+                a.matmul_transpose_b_with(&bt, formats::SCORE, simd),
+                scalar_tb,
+                "{m}x{k}x{n}"
+            );
         }
     }
 
-    /// Every policy's `A·B` and `A·Bᵀ` against the scalar reference.
+    /// The SIMD `A·B` and `A·Bᵀ` against the scalar reference.
     fn assert_policies_match_scalar(a: &QuantizedMatrix, b: &QuantizedMatrix, out: QFormat) {
-        use cta_tensor::KernelPolicy::{Blocked, Scalar, Simd};
+        use cta_tensor::KernelPolicy::{Scalar, Simd};
         let bt = transpose(b);
         let scalar = a.matmul_with(b, out, Scalar);
         let scalar_tb = a.matmul_transpose_b_with(&bt, out, Scalar);
         assert_eq!(scalar_tb, scalar, "A·(Bᵀ)ᵀ must equal A·B");
-        for policy in [Blocked, Simd] {
-            assert_eq!(a.matmul_with(b, out, policy), scalar, "{policy:?}");
-            assert_eq!(a.matmul_transpose_b_with(&bt, out, policy), scalar_tb, "{policy:?}");
-        }
+        assert_eq!(a.matmul_with(b, out, Simd), scalar);
+        assert_eq!(a.matmul_transpose_b_with(&bt, out, Simd), scalar_tb);
     }
 
     /// `mᵀ`, rebuilt through `from_raw`.
@@ -728,7 +727,7 @@ mod tests {
 
     #[test]
     fn simd_lane_guard_falls_back_for_wide_formats() {
-        use cta_tensor::KernelPolicy::{Blocked, Scalar, Simd};
+        use cta_tensor::KernelPolicy::{Scalar, Simd};
         let q12 = QFormat::new(12, 6);
         let q16 = QFormat::new(16, 8);
         let q17 = QFormat::new(17, 8);
@@ -744,12 +743,11 @@ mod tests {
         assert_eq!(accumulator(Simd, q17, QFormat::new(2, 0), 1), Accumulator::I64Lanes);
         // Two 32-bit formats over K = 64: 31 + 31 + 6 > 62, i128.
         assert_eq!(accumulator(Simd, wide, wide, 64), Accumulator::I128);
-        assert_eq!(accumulator(Blocked, q12, q12, 8), Accumulator::I128);
         assert_eq!(accumulator(Scalar, q12, q12, 8), Accumulator::Scalar);
 
         // At each boundary, every word on the negative rail gives the
         // largest magnitude a dot can reach (exactly 2^30 at budget 30);
-        // every policy must still match the scalar reference bit for bit.
+        // SIMD must still match the scalar reference bit for bit.
         let rail = |rows, cols, f: QFormat| {
             QuantizedMatrix::from_raw(rows, cols, vec![f.min_raw(); rows * cols], f)
         };
@@ -782,16 +780,35 @@ mod tests {
 
     #[test]
     fn elementwise_policies_are_bitwise_identical() {
-        for len in [(1, 1), (1, 7), (3, 8), (5, 17)] {
+        // The last shape is the paper's n = 1024 tokens at d = 64.
+        for len in [(1, 1), (1, 7), (3, 8), (5, 17), (1024, 64)] {
             let a = lcg_quantized(len.0, len.1, 41, formats::TOKEN);
             let b = lcg_quantized(len.0, len.1, 42, formats::TOKEN);
             let sub = a.sub_with(&b, cta_tensor::KernelPolicy::Scalar);
             let add = a.add_with(&b, cta_tensor::KernelPolicy::Scalar);
-            for policy in [cta_tensor::KernelPolicy::Blocked, cta_tensor::KernelPolicy::Simd] {
-                assert_eq!(a.sub_with(&b, policy), sub, "{policy:?}");
-                assert_eq!(a.add_with(&b, policy), add, "{policy:?}");
-            }
+            assert_eq!(a.sub_with(&b, cta_tensor::KernelPolicy::Simd), sub);
+            assert_eq!(a.add_with(&b, cta_tensor::KernelPolicy::Simd), add);
         }
+    }
+
+    #[test]
+    fn entry_points_match_the_scalar_reference() {
+        // The un-suffixed operations run the SIMD bodies. Pin them to
+        // the scalar loops at the paper's score shape (k0 = 256 queries
+        // against k1 + k2 = 320 centroids at d = 64) and on full-range
+        // words that drive every rail.
+        use cta_tensor::KernelPolicy::Scalar;
+        let a = lcg_quantized(256, 64, 51, formats::TOKEN);
+        let b = lcg_quantized(64, 320, 52, formats::CENTROID);
+        let bt = lcg_quantized(320, 64, 53, formats::CENTROID);
+        assert_eq!(a.matmul(&b, formats::SCORE), a.matmul_with(&b, formats::SCORE, Scalar));
+        assert_eq!(
+            a.matmul_transpose_b(&bt, formats::SCORE),
+            a.matmul_transpose_b_with(&bt, formats::SCORE, Scalar)
+        );
+        let c = lcg_quantized(256, 64, 54, formats::TOKEN);
+        assert_eq!(a.sub(&c), a.sub_with(&c, Scalar));
+        assert_eq!(a.add(&c), a.add_with(&c, Scalar));
     }
 
     #[test]
@@ -828,9 +845,10 @@ mod tests {
             let a = lcg_quantized(m, k, seed, formats::TOKEN);
             let b = lcg_quantized(k, n, seed.wrapping_add(1), formats::CENTROID);
             let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
-            for policy in [cta_tensor::KernelPolicy::Blocked, cta_tensor::KernelPolicy::Simd] {
-                prop_assert_eq!(&a.matmul_with(&b, formats::SCORE, policy), &scalar);
-            }
+            prop_assert_eq!(
+                &a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Simd),
+                &scalar
+            );
         }
 
         #[test]

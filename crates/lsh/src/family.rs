@@ -169,20 +169,19 @@ impl LshFamily {
     }
 
     /// Hashes every row of a token matrix (paper eq. 1, `H = ⌊(A·Xᵀ+B)/w⌋`),
-    /// returning one code per token, under the process-wide
-    /// [`KernelPolicy`].
+    /// returning one code per token, on the SIMD kernel.
     ///
     /// # Panics
     ///
     /// Panics if `tokens.cols() != self.dim()`.
     pub fn hash_matrix(&self, tokens: &Matrix) -> HashCodes {
-        self.hash_matrix_with(tokens, KernelPolicy::current())
+        self.hash_matrix_with(tokens, KernelPolicy::Simd)
     }
 
     /// [`LshFamily::hash_matrix`] under an explicit [`KernelPolicy`].
     ///
     /// The scalar path hashes token by token, direction by direction;
-    /// the blocked/SIMD paths batch all projections into one
+    /// the SIMD path batches all projections into one
     /// `X · Aᵀ` product — bitwise identical, because each projection is
     /// the same sequential-`d` dot product (f32 multiplication commutes
     /// bitwise) with the bias added afterwards in the same order.
@@ -211,7 +210,7 @@ impl LshFamily {
                     }
                 }
             }
-            KernelPolicy::Blocked | KernelPolicy::Simd => {
+            KernelPolicy::Simd => {
                 let projections = tokens.matmul_transpose_b_with(&self.a, policy);
                 for t in 0..n {
                     let proj_row = projections.row(t);
@@ -349,12 +348,31 @@ mod tests {
 
     #[test]
     fn hash_matrix_policies_are_bitwise_identical() {
-        let fam = family();
-        let tokens = cta_tensor::standard_normal_matrix(7, 37, 8);
-        let scalar = fam.hash_matrix_with(&tokens, KernelPolicy::Scalar);
-        for policy in [KernelPolicy::Blocked, KernelPolicy::Simd] {
-            assert_eq!(fam.hash_matrix_with(&tokens, policy), scalar, "{policy:?}");
+        // A small ragged shape, then the paper's long sequence: n = 1024
+        // tokens at d = 64.
+        let small = (family(), cta_tensor::standard_normal_matrix(7, 37, 8));
+        let long = (
+            LshFamily::sample(64, LshParams::new(6, 2.0), 11),
+            cta_tensor::standard_normal_matrix(10, 1024, 64),
+        );
+        for (fam, tokens) in [small, long] {
+            assert_eq!(
+                fam.hash_matrix_with(&tokens, KernelPolicy::Simd),
+                fam.hash_matrix_with(&tokens, KernelPolicy::Scalar),
+                "n={}",
+                tokens.rows()
+            );
         }
+    }
+
+    #[test]
+    fn hash_matrix_matches_the_scalar_reference() {
+        // `hash_matrix` takes no policy: it runs the batched SIMD
+        // projection. Pin it to the token-by-token reference at the
+        // paper's long sequence (n = 1024, d = 64).
+        let fam = LshFamily::sample(64, LshParams::with_paper_length(1.5), 12);
+        let tokens = cta_tensor::standard_normal_matrix(13, 1024, 64);
+        assert_eq!(fam.hash_matrix(&tokens), fam.hash_matrix_with(&tokens, KernelPolicy::Scalar));
     }
 
     #[test]

@@ -40,6 +40,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::fmt;
 
 /// One replica outage: down at `down_s`, back at `up_s` (`None` = never).
@@ -379,7 +380,9 @@ impl FaultPlan {
     /// defect found as a typed [`FaultPlanError`].
     pub fn try_validate(&self, replicas: usize) -> Result<(), FaultPlanError> {
         let window_ok = |from: f64, until: f64| from.is_finite() && from >= 0.0 && until > from;
-        let mut last_up = vec![0.0f64; replicas];
+        // Keyed by replica, not sized by the fleet: `replicas` may come
+        // from a repro file, and a huge value must not allocate.
+        let mut last_up: HashMap<usize, f64> = HashMap::new();
         for c in &self.crashes {
             if c.replica >= replicas {
                 return Err(FaultPlanError::ReplicaOutOfRange {
@@ -390,7 +393,8 @@ impl FaultPlan {
             if !(c.down_s.is_finite() && c.down_s >= 0.0) {
                 return Err(FaultPlanError::CrashTimeInvalid { replica: c.replica });
             }
-            if c.down_s < last_up[c.replica] {
+            let last_up = last_up.entry(c.replica).or_insert(0.0);
+            if c.down_s < *last_up {
                 return Err(FaultPlanError::CrashWindowsUnsorted { replica: c.replica });
             }
             match c.up_s {
@@ -398,10 +402,10 @@ impl FaultPlan {
                     if !(up.is_finite() && up > c.down_s) {
                         return Err(FaultPlanError::RecoveryBeforeCrash { replica: c.replica });
                     }
-                    last_up[c.replica] = up;
+                    *last_up = up;
                 }
                 // A permanent loss must be the replica's last window.
-                None => last_up[c.replica] = f64::INFINITY,
+                None => *last_up = f64::INFINITY,
             }
         }
         if !self.zone_outages.is_empty() && self.zones.len() != replicas {
@@ -904,6 +908,67 @@ mod tests {
             ..FaultPlan::none()
         };
         plan.validate(1);
+    }
+
+    #[test]
+    fn crash_windows_are_ordered_per_replica_only() {
+        let window = |replica, down_s, up_s| CrashWindow { replica, down_s, up_s };
+        // Interleaved replicas may go back in time; each one's own
+        // windows ascend.
+        let interleaved = FaultPlan {
+            crashes: vec![
+                window(1, 5.0, Some(6.0)),
+                window(0, 1.0, Some(2.0)),
+                window(1, 7.0, None),
+                window(0, 3.0, Some(4.0)),
+            ],
+            ..FaultPlan::none()
+        };
+        assert_eq!(interleaved.try_validate(2), Ok(()));
+        // Replica 1's second window starts inside its first, with a
+        // replica 0 window in between.
+        let overlap = FaultPlan {
+            crashes: vec![
+                window(1, 5.0, Some(8.0)),
+                window(0, 6.0, Some(9.0)),
+                window(1, 7.0, Some(10.0)),
+            ],
+            ..FaultPlan::none()
+        };
+        assert_eq!(
+            overlap.try_validate(2),
+            Err(FaultPlanError::CrashWindowsUnsorted { replica: 1 })
+        );
+        // A permanent loss ends only its own replica's timeline.
+        let lost = FaultPlan {
+            crashes: vec![window(0, 1.0, None), window(1, 2.0, Some(3.0)), window(0, 4.0, None)],
+            ..FaultPlan::none()
+        };
+        assert_eq!(lost.try_validate(2), Err(FaultPlanError::CrashWindowsUnsorted { replica: 0 }));
+    }
+
+    #[test]
+    fn validation_is_not_sized_by_the_fleet() {
+        // Validation state is per crashed replica, so a fleet size near
+        // `usize::MAX` neither allocates nor overflows.
+        let huge = usize::MAX;
+        let plan = FaultPlan {
+            crashes: vec![
+                CrashWindow { replica: 0, down_s: 1.0, up_s: Some(2.0) },
+                CrashWindow { replica: huge - 1, down_s: 1.0, up_s: None },
+                CrashWindow { replica: 0, down_s: 3.0, up_s: None },
+            ],
+            ..FaultPlan::none()
+        };
+        assert_eq!(plan.try_validate(huge), Ok(()));
+        let beyond = FaultPlan {
+            crashes: vec![CrashWindow { replica: huge, down_s: 1.0, up_s: None }],
+            ..FaultPlan::none()
+        };
+        assert_eq!(
+            beyond.try_validate(huge),
+            Err(FaultPlanError::ReplicaOutOfRange { what: "crash", replica: huge })
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! 1. a static flag table (`&[Flag]`, see [`cta_bench::cli`]) declaring
 //!    only the sweep's own axes and their defaults — the harness appends
-//!    the shared `--jobs N` / `--kernels P` / `--pool-trace <path>`
-//!    entries and generates the usage text from the whole table;
+//!    the shared `--jobs N` / `--pool-trace <path>` entries and
+//!    generates the usage text from the whole table;
 //! 2. a [`SweepSpec`] naming the experiment, that table and its
 //!    CSV/stdout columns;
 //! 3. a function reading the parsed [`Flags`] into the binary's own
@@ -39,7 +39,6 @@ use cta_telemetry::{
     chrome_trace_json, pool_occupancy_events, validate_chrome_trace, AggregateReport,
     RingBufferSink,
 };
-use cta_tensor::KernelPolicy;
 
 /// Ring capacity for `--trace` exports: ~262k events (~15 MB
 /// preallocated); longer runs overwrite the oldest window and report the
@@ -48,8 +47,7 @@ pub const TRACE_CAPACITY: usize = 1 << 18;
 
 /// The flags every sweep accepts on top of its own table: the
 /// [`PARALLEL_FLAGS`] plus `--pool-trace <path.json>`.
-const SHARED_FLAGS: [Flag; 3] =
-    [PARALLEL_FLAGS[0], PARALLEL_FLAGS[1], Flag::optional("--pool-trace", "<path.json>")];
+const SHARED_FLAGS: [Flag; 2] = [PARALLEL_FLAGS[0], Flag::optional("--pool-trace", "<path.json>")];
 
 /// Declarative description of one sweep experiment: its name (which
 /// doubles as the `results/<name>.{csv,json}` stem), flag table, and
@@ -89,8 +87,8 @@ impl SweepSpec {
         Self { name, flags: &[], columns: &[] }
     }
 
-    /// Sets the sweep's own flag table; the shared `--jobs`, `--kernels`
-    /// and `--pool-trace` entries are appended to it.
+    /// Sets the sweep's own flag table; the shared `--jobs` and
+    /// `--pool-trace` entries are appended to it.
     #[must_use]
     pub fn flags(mut self, flags: &'static [Flag]) -> Self {
         self.flags = flags;
@@ -117,11 +115,10 @@ impl SweepSpec {
 
     /// The full binary entry point. Parses `argv` against the full flag
     /// table, reads the shared flags, hands the parsed [`Flags`] to
-    /// `parse` for the binary's own arguments, and on success installs
-    /// the requested kernel policy (if any) and runs `run` with the
-    /// assembled [`Harness`]. Any parse error is printed as `error: …`
-    /// plus the generated usage text to stderr, and the process exits
-    /// non-zero.
+    /// `parse` for the binary's own arguments, and on success runs `run`
+    /// with the assembled [`Harness`]. Any parse error is printed as
+    /// `error: …` plus the generated usage text to stderr, and the process
+    /// exits non-zero.
     pub fn main<A>(
         self,
         argv: impl Iterator<Item = String>,
@@ -130,13 +127,7 @@ impl SweepSpec {
     ) -> ExitCode {
         let table = self.table();
         cli_main(self.name, &table, argv, |flags| {
-            let harness = self.harness(flags, parse)?;
-            // Install only here, not in `parse`: tests parse specs
-            // in-process and must not flip the process-wide policy.
-            if let Some(policy) = harness.kernels {
-                policy.install();
-            }
-            run(&harness);
+            run(&self.harness(flags, parse)?);
             Ok(())
         })
     }
@@ -148,8 +139,7 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Returns the first malformed-flag message, either from the walk,
-    /// the shared `--jobs` / `--kernels` / `--pool-trace` handling or
-    /// from `parse`.
+    /// the shared `--jobs` / `--pool-trace` handling or from `parse`.
     pub fn parse<A>(
         self,
         argv: impl Iterator<Item = String>,
@@ -165,10 +155,10 @@ impl SweepSpec {
         flags: &Flags,
         parse: impl FnOnce(&Flags) -> Result<A, String>,
     ) -> Result<Harness<A>, String> {
-        let (jobs, kernels) = flags.parallelism()?;
+        let jobs = flags.parallelism()?;
         let pool_trace = flags.opt_text("--pool-trace");
         let args = parse(flags)?;
-        Ok(Harness { spec: self, jobs, kernels, pool_trace, args })
+        Ok(Harness { spec: self, jobs, pool_trace, args })
     }
 }
 
@@ -200,13 +190,12 @@ impl PointOutput {
     }
 }
 
-/// A parsed sweep invocation: the spec, the shared parallelism knobs,
-/// and the binary's own arguments.
+/// A parsed sweep invocation: the spec, the shared flags, and the
+/// binary's own arguments.
 #[derive(Debug)]
 pub struct Harness<A> {
     spec: SweepSpec,
     jobs: Parallelism,
-    kernels: Option<KernelPolicy>,
     pool_trace: Option<String>,
     args: A,
 }
@@ -221,13 +210,6 @@ impl<A> Harness<A> {
     /// available cores).
     pub fn jobs(&self) -> Parallelism {
         self.jobs
-    }
-
-    /// The `--kernels` policy of this invocation, if one was given.
-    /// [`SweepSpec::main`] installs it process-wide before running;
-    /// `None` leaves the `CTA_KERNELS`/auto default in force.
-    pub fn kernels(&self) -> Option<KernelPolicy> {
-        self.kernels
     }
 
     /// Evaluates `grid` on the pool and emits the full report: banner,
@@ -332,21 +314,6 @@ mod tests {
         assert!(parse(&["--jobs"]).unwrap_err().contains("needs a value"));
         assert!(parse(&["--jobs", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--pool-trace"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--kernels"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--kernels", "turbo"])
-            .unwrap_err()
-            .contains("--kernels takes scalar|blocked|simd"));
-    }
-
-    #[test]
-    fn kernels_flag_is_recorded_without_installing() {
-        let h =
-            SweepSpec::new("t").parse(words(&["--kernels", "blocked"]), |_| Ok(())).expect("valid");
-        // Recorded on the harness; installation is main()'s job so that
-        // in-process parses stay side-effect-free.
-        assert_eq!(h.kernels(), Some(KernelPolicy::Blocked));
-        let h = SweepSpec::new("t").parse(words(&[]), |_| Ok(())).expect("valid");
-        assert_eq!(h.kernels(), None);
     }
 
     #[test]
@@ -365,6 +332,6 @@ mod tests {
         let spec = SweepSpec::new("demo").flags(X).columns(&["a"]);
         assert_eq!(spec.name(), "demo");
         let names: Vec<_> = spec.table().iter().map(|f| f.name).collect();
-        assert_eq!(names, ["--x", "--jobs", "--kernels", "--pool-trace"]);
+        assert_eq!(names, ["--x", "--jobs", "--pool-trace"]);
     }
 }

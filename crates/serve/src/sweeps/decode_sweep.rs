@@ -22,16 +22,13 @@
 //! **Outputs.** The stdout table and `results/decode_sweep.{csv,json}`
 //! are deterministic for a fixed `--seed` at any `--jobs` value. The
 //! JSON's `engine` key is always `"event"`, the one fleet driver.
-//! Wall-clock timings go to `results/BENCH_decode.json`,
-//! merged per (git SHA, date) so the file keeps a trajectory across
-//! PRs. With `--trace <path>` the final point is re-run traced —
+//! With `--trace <path>` the final point is re-run traced —
 //! session re-prefills appear as compression-class spans and lost
 //! sessions as instants on the runtime lane.
 
 use std::process::ExitCode;
-use std::sync::Mutex;
 
-use cta_bench::{BenchSidecar, Flag, Flags, JsonValue, SCHEMA_VERSION};
+use cta_bench::{Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_sim::SystemConfig;
 use cta_workloads::{case_task, mini_case, SessionSpec};
 
@@ -42,7 +39,7 @@ use crate::{
 };
 
 /// The sweep's own flags and defaults; the harness appends the shared
-/// `--jobs`, `--kernels` and `--pool-trace`.
+/// `--jobs` and `--pool-trace`.
 const FLAGS: &[Flag] = &[
     Flag::value("--sessions", "16,48"),
     Flag::value("--turns", "4"),
@@ -194,15 +191,11 @@ fn run(h: &Harness<Args>) {
     let case = mini_case();
     let spec = LoadSpec::standard(case_task(&case), case.model.layers, case.model.heads);
 
-    // Wall-clock per point, out-of-band so the pinned CSV/JSON stay
-    // deterministic. (grid index, turns simulated, wall_s).
-    let timings: Mutex<Vec<(usize, usize, f64)>> = Mutex::new(Vec::new());
-
-    let mut grid: Vec<(usize, usize, f64, f64)> = Vec::new();
+    let mut grid: Vec<(usize, f64, f64)> = Vec::new();
     for &sessions in &args.sessions {
         for &mean_turns in &args.turns {
             for &threshold in &args.thresholds {
-                grid.push((grid.len(), sessions, mean_turns, threshold));
+                grid.push((sessions, mean_turns, threshold));
             }
         }
     }
@@ -215,14 +208,11 @@ fn run(h: &Harness<Args>) {
             args.drift
         ),
         &grid,
-        |&(index, sessions, mean_turns, threshold)| {
+        |&(sessions, mean_turns, threshold)| {
             let mut out = PointOutput::new();
             let requests = point_requests(&spec, args, sessions, mean_turns)(threshold);
             let cfg = point_config(args, &requests);
-            let start = std::time::Instant::now();
             let report = simulate_fleet(&cfg, &requests);
-            let wall_s = start.elapsed().as_secs_f64();
-            timings.lock().expect("timings").push((index, requests.len(), wall_s));
             let m = &report.metrics;
             assert_eq!(m.completed + m.shed, requests.len(), "turn accounting identity");
             let s = m.sessions.as_ref().expect("session fleets report session stats");
@@ -288,55 +278,11 @@ fn run(h: &Harness<Args>) {
         },
     );
 
-    // Wall-clock sidecar: explicitly nondeterministic, merged per
-    // (git SHA, date) to keep a trajectory across PRs.
-    let mut measured = timings.into_inner().expect("timings");
-    measured.sort_unstable_by_key(|&(index, _, _)| index);
-    let mut bench = BenchSidecar::new("BENCH_decode");
-    bench
-        .set("experiment", JsonValue::Str("decode_sweep".into()))
-        .set("engine", JsonValue::Str("event".into()))
-        .set("seed", JsonValue::Int(args.seed as i64))
-        .set("jobs", JsonValue::Int(h.jobs().get() as i64))
-        .set(
-            "note",
-            JsonValue::Str(
-                "wall-clock timings; nondeterministic, use --jobs 1 for uncontended numbers".into(),
-            ),
-        )
-        .set(
-            "points",
-            JsonValue::Arr(
-                measured
-                    .iter()
-                    .map(|&(index, turns, wall_s)| {
-                        let (_, sessions, mean_turns, threshold) = grid[index];
-                        JsonValue::obj(vec![
-                            ("sessions", JsonValue::Int(sessions as i64)),
-                            ("mean_turns", JsonValue::Num(mean_turns)),
-                            (
-                                "threshold",
-                                if threshold.is_finite() {
-                                    JsonValue::Num(threshold)
-                                } else {
-                                    JsonValue::Null
-                                },
-                            ),
-                            ("turns", JsonValue::Int(turns as i64)),
-                            ("wall_s", JsonValue::Num(wall_s)),
-                            ("turns_per_sec", JsonValue::Num(turns as f64 / wall_s.max(1e-12))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-    bench.save();
-
     // Telemetry pass: re-run the last grid point traced; session
     // re-prefill spans and session-lost instants land on the runtime
     // lane of the standard fleet trace.
     if let Some(path) = &args.trace {
-        let &(_, sessions, mean_turns, threshold) = grid.last().expect("non-empty grid");
+        let &(sessions, mean_turns, threshold) = grid.last().expect("non-empty grid");
         let requests = point_requests(&spec, args, sessions, mean_turns)(threshold);
         let cfg = point_config(args, &requests);
         export_trace(

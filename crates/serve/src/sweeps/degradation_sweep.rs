@@ -37,7 +37,7 @@ use crate::{
 };
 
 /// The sweep's own flags and defaults; the harness appends the shared
-/// `--jobs`, `--kernels` and `--pool-trace`.
+/// `--jobs` and `--pool-trace`.
 const FLAGS: &[Flag] = &[
     Flag::value("--replicas", "4"),
     Flag::value("--load", "0.8"),

@@ -66,7 +66,7 @@ use crate::{
 };
 
 /// The sweep's own flags and defaults; the harness appends the shared
-/// `--jobs`, `--kernels` and `--pool-trace`.
+/// `--jobs` and `--pool-trace`.
 const FLAGS: &[Flag] = &[
     Flag::value("--replicas", "1,4"),
     Flag::value("--loads", "0.2,0.5,0.8,1.1,1.5"),
@@ -86,7 +86,7 @@ const FLAGS: &[Flag] = &[
 /// CSV/stdout column layout. The trailing `schema_version` column repeats
 /// [`cta_bench::SCHEMA_VERSION`] on every row so a bare
 /// `results/serve_sweep.csv` identifies its layout generation without the
-/// JSON sidecar.
+/// JSON report.
 const SWEEP_COLUMNS: &[&str] = &[
     "replicas",
     "load",

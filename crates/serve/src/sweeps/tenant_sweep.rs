@@ -31,22 +31,16 @@
 //! **Outputs.** The stdout table and `results/tenant_sweep.{csv,json}`
 //! are deterministic for a fixed `--seed` at any `--jobs` value; the
 //! JSON's `engine` key is always `"event"`, the one fleet driver.
-//! Wall-clock
-//! throughput is *not* deterministic and is written separately to
-//! `results/BENCH_tenancy.json` (one entry per point with `wall_s` and
-//! `events_per_sec`; run with `--jobs 1` for uncontended numbers).
 //! With `--trace <path>` the final point is re-run traced; held
 //! arrivals land on the tenancy telemetry lane
 //! ([`cta_telemetry::Module::Tenancy`]) as per-tenant backlog tracks.
 //!
-//! CI runs the smoke configuration of this sweep, checks the DRR/FIFO
-//! fairness separation on the emitted CSV, and uploads the BENCH
-//! sidecar; see `.github/workflows/ci.yml`.
+//! CI runs the smoke configuration of this sweep and checks the DRR/FIFO
+//! fairness separation on the emitted CSV; see `.github/workflows/ci.yml`.
 
 use std::process::ExitCode;
-use std::sync::Mutex;
 
-use cta_bench::{parse_num, BenchSidecar, Flag, Flags, JsonValue, SCHEMA_VERSION};
+use cta_bench::{parse_num, Flag, Flags, JsonValue, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
 use cta_workloads::{case_task, mini_case, TenantMix};
 
@@ -58,7 +52,7 @@ use crate::{
 };
 
 /// The sweep's own flags and defaults; the harness appends the shared
-/// `--jobs`, `--kernels` and `--pool-trace`.
+/// `--jobs` and `--pool-trace`.
 const FLAGS: &[Flag] = &[
     Flag::value("--tenants", "16"),
     Flag::value("--skew", "0,1"),
@@ -214,7 +208,7 @@ pub fn main(argv: impl Iterator<Item = String>) -> ExitCode {
 }
 
 /// One grid point: skew × scheduler × scale-out policy.
-type Point = (usize, f64, SchedulerPolicy, ScalePolicy);
+type Point = (f64, SchedulerPolicy, ScalePolicy);
 
 /// The Poisson trace for one point, Zipf-stamped with tenant ids and
 /// deadlined at `deadline_factor` solo service times. Priority 100
@@ -268,15 +262,11 @@ fn run(h: &Harness<Args>) {
     let probe = poisson_requests(&spec, 1, 1.0, args.seed);
     let solo = cost.request_service_s(&system, &probe[0]);
 
-    // Wall-clock measurements per point, collected out-of-band so the
-    // pinned CSV/JSON stay deterministic. (grid index, events, wall_s).
-    let timings: Mutex<Vec<(usize, u64, f64)>> = Mutex::new(Vec::new());
-
     let mut grid: Vec<Point> = Vec::new();
     for &skew in &args.skews {
         for &scheduler in &args.schedulers {
             for &scale in &args.autoscale {
-                grid.push((grid.len(), skew, scheduler, scale));
+                grid.push((skew, scheduler, scale));
             }
         }
     }
@@ -291,15 +281,12 @@ fn run(h: &Harness<Args>) {
             solo * 1e3
         ),
         &grid,
-        |&(index, skew, scheduler, scale)| {
+        |&(skew, scheduler, scale)| {
             let mut out = PointOutput::new();
             let requests = point_requests(args, &spec, skew, solo);
             let cfg = point_config(args, scheduler, scale, solo);
             let rate = args.load * args.replicas as f64 / solo;
-            let start = std::time::Instant::now();
             let report = simulate_fleet(&cfg, &requests);
-            let wall_s = start.elapsed().as_secs_f64();
-            timings.lock().expect("timings").push((index, report.events_processed, wall_s));
             let m = &report.metrics;
             assert_eq!(m.completed + m.shed, args.requests, "accounting identity");
             let t = m.tenancy.as_ref().expect("tenancy stats reported");
@@ -367,51 +354,10 @@ fn run(h: &Harness<Args>) {
         },
     );
 
-    // Wall-clock throughput sidecar: explicitly nondeterministic, so it
-    // lives in its own BENCH_ report instead of the pinned files. The
-    // sidecar merges one run per (git SHA, date) so the file keeps a
-    // trajectory across PRs instead of only the latest numbers.
-    let mut measured = timings.into_inner().expect("timings");
-    measured.sort_unstable_by_key(|&(index, _, _)| index);
-    let mut bench = BenchSidecar::new("BENCH_tenancy");
-    bench
-        .set("experiment", JsonValue::Str("tenant_sweep".into()))
-        .set("engine", JsonValue::Str("event".into()))
-        .set("tenants", JsonValue::Int(args.tenants as i64))
-        .set("replicas", JsonValue::Int(args.replicas as i64))
-        .set("seed", JsonValue::Int(args.seed as i64))
-        .set("jobs", JsonValue::Int(h.jobs().get() as i64))
-        .set(
-            "note",
-            JsonValue::Str(
-                "wall-clock timings; nondeterministic, use --jobs 1 for uncontended numbers".into(),
-            ),
-        )
-        .set(
-            "points",
-            JsonValue::Arr(
-                measured
-                    .iter()
-                    .map(|&(index, events, wall_s)| {
-                        let (_, skew, scheduler, scale) = grid[index];
-                        JsonValue::obj(vec![
-                            ("skew", JsonValue::Num(skew)),
-                            ("scheduler", JsonValue::Str(scheduler.label().into())),
-                            ("autoscale", JsonValue::Str(scale.label().into())),
-                            ("events", JsonValue::Int(events as i64)),
-                            ("wall_s", JsonValue::Num(wall_s)),
-                            ("events_per_sec", JsonValue::Num(events as f64 / wall_s.max(1e-12))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-    bench.save();
-
     // Telemetry pass: re-run the final point traced. Held arrivals show
     // up as per-tenant backlog counters on the tenancy lane.
     if let Some(path) = &args.trace {
-        let &(_, skew, scheduler, scale) = grid.last().expect("non-empty sweep");
+        let &(skew, scheduler, scale) = grid.last().expect("non-empty sweep");
         let requests = point_requests(args, &spec, skew, solo);
         let cfg = point_config(args, scheduler, scale, solo);
         export_trace(

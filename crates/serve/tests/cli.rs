@@ -1,4 +1,4 @@
-//! CLI robustness tests: malformed invocations of the seven sweep
+//! CLI robustness tests: malformed invocations of the six sweep
 //! binaries must print an error plus the usage text to stderr and exit
 //! non-zero — never panic (no `RUST_BACKTRACE` hint, no `panicked at`).
 
@@ -22,24 +22,18 @@ const SERVE_SWEEP: &str = env!("CARGO_BIN_EXE_serve_sweep");
 const DEGRADATION_SWEEP: &str = env!("CARGO_BIN_EXE_degradation_sweep");
 const BROWNOUT_SWEEP: &str = env!("CARGO_BIN_EXE_brownout_sweep");
 const TENANT_SWEEP: &str = env!("CARGO_BIN_EXE_tenant_sweep");
-const KERNEL_SWEEP: &str = env!("CARGO_BIN_EXE_kernel_sweep");
 const DECODE_SWEEP: &str = env!("CARGO_BIN_EXE_decode_sweep");
 const PLANET_SWEEP: &str = env!("CARGO_BIN_EXE_planet_sweep");
 
 /// Every sweep binary, for the table-driven checks.
-const SWEEPS: [&str; 7] = [
-    SERVE_SWEEP,
-    DEGRADATION_SWEEP,
-    BROWNOUT_SWEEP,
-    TENANT_SWEEP,
-    KERNEL_SWEEP,
-    DECODE_SWEEP,
-    PLANET_SWEEP,
-];
+const SWEEPS: [&str; 6] =
+    [SERVE_SWEEP, DEGRADATION_SWEEP, BROWNOUT_SWEEP, TENANT_SWEEP, DECODE_SWEEP, PLANET_SWEEP];
 
 #[test]
 fn serve_sweep_rejects_unknown_flags() {
     assert_graceful_failure(SERVE_SWEEP, &["--frobnicate"], "unknown flag");
+    // No kernel-policy flag: the kernels have one SIMD path.
+    assert_graceful_failure(SERVE_SWEEP, &["--kernels", "simd"], "unknown flag \"--kernels\"");
 }
 
 #[test]
@@ -104,26 +98,6 @@ fn serve_sweep_rejects_malformed_tenancy_flags() {
 }
 
 #[test]
-fn sweeps_reject_malformed_kernels_flag() {
-    // The shared --kernels flag is strict: an unknown spelling is an
-    // error on every sweep binary (only the CTA_KERNELS *env default*
-    // is forgiving).
-    assert_graceful_failure(SERVE_SWEEP, &["--kernels", "turbo"], "scalar|blocked|simd");
-    assert_graceful_failure(SERVE_SWEEP, &["--kernels"], "needs a value");
-    assert_graceful_failure(KERNEL_SWEEP, &["--kernels", "SIMD"], "scalar|blocked|simd");
-    assert_graceful_failure(TENANT_SWEEP, &["--kernels", ""], "scalar|blocked|simd");
-}
-
-#[test]
-fn kernel_sweep_rejects_malformed_invocations() {
-    assert_graceful_failure(KERNEL_SWEEP, &["--frobnicate"], "unknown flag");
-    assert_graceful_failure(KERNEL_SWEEP, &["--seed", "many"], "--seed");
-    assert_graceful_failure(KERNEL_SWEEP, &["--reps", "0"], "positive");
-    assert_graceful_failure(KERNEL_SWEEP, &["--reps"], "needs a value");
-    assert_graceful_failure(KERNEL_SWEEP, &["--kernels", "turbo"], "scalar|blocked|simd");
-}
-
-#[test]
 fn tenant_sweep_rejects_malformed_invocations() {
     assert_graceful_failure(TENANT_SWEEP, &["--frobnicate"], "unknown flag");
     assert_graceful_failure(TENANT_SWEEP, &["--tenants", "0"], "positive");
@@ -180,11 +154,21 @@ fn printed_usage(bin: &str) -> String {
 }
 
 #[test]
+fn every_sweep_rejects_the_retired_kernels_flag() {
+    // The kernels have one SIMD path, so no sweep takes a policy flag.
+    for bin in SWEEPS {
+        assert_graceful_failure(bin, &["--kernels", "simd"], "unknown flag \"--kernels\"");
+        let usage = printed_usage(bin);
+        assert!(!usage.contains("--kernels"), "{bin} usage still lists --kernels: {usage}");
+    }
+}
+
+#[test]
 fn every_value_flag_of_every_sweep_needs_a_value() {
     for bin in SWEEPS {
         let usage = printed_usage(bin);
         let flags = cta_bench::usage_flags(&usage);
-        for shared in ["--jobs", "--kernels", "--pool-trace"] {
+        for shared in ["--jobs", "--pool-trace"] {
             assert!(flags.contains(&(shared, true)), "{bin} usage lacks {shared}: {usage}");
         }
         for (flag, _) in flags.iter().filter(|(_, takes_value)| *takes_value) {

@@ -11,7 +11,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Runs `bin` with `args` (plus optional `CTA_JOBS`) in a fresh scratch
-/// directory and returns that directory.
+/// directory, keeps its stdout there as `stdout.txt`, and returns that
+/// directory.
 fn run_in_scratch(label: &str, bin: &str, args: &[&str], env_jobs: Option<&str>) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cta-jobs-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -28,6 +29,7 @@ fn run_in_scratch(label: &str, bin: &str, args: &[&str], env_jobs: Option<&str>)
         "{label}: {bin} {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    std::fs::write(dir.join("stdout.txt"), &out.stdout).expect("write stdout");
     dir
 }
 
@@ -139,4 +141,53 @@ fn pool_trace_rides_along_without_touching_results() {
     let trace = String::from_utf8(read(&traced, "pool.json")).expect("utf-8 trace");
     assert!(trace.contains("\"traceEvents\""), "pool trace is a Chrome trace envelope");
     assert!(trace.contains("worker"), "pool trace names worker lanes");
+}
+
+/// Runs sweep `name` at `--jobs 1` and `--jobs <jobs>` and requires the
+/// same stdout and the same `results/`, which holds exactly the sweep's
+/// CSV and JSON report and nothing else.
+fn assert_unmoved_by_jobs(name: &str, bin: &str, args: &[&str], jobs: &str) {
+    let serial =
+        run_in_scratch(&format!("{name}-j1"), bin, &[args, &["--jobs", "1"]].concat(), None);
+    let parallel =
+        run_in_scratch(&format!("{name}-j{jobs}"), bin, &[args, &["--jobs", jobs]].concat(), None);
+    assert_eq!(
+        String::from_utf8(read(&serial, "stdout.txt")).expect("utf-8 stdout"),
+        String::from_utf8(read(&parallel, "stdout.txt")).expect("utf-8 stdout"),
+        "{name} stdout differs between --jobs 1 and --jobs {jobs}"
+    );
+    let files = |dir: &Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir.join("results"))
+            .expect("results dir")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let expected = [format!("{name}.csv"), format!("{name}.json")];
+    for dir in [&serial, &parallel] {
+        assert_eq!(files(dir), expected, "{name} wrote other files under results/");
+    }
+    for file in &expected {
+        let rel = format!("results/{file}");
+        assert_eq!(read(&serial, &rel), read(&parallel, &rel), "{rel} differs across --jobs");
+    }
+}
+
+#[test]
+fn tenant_sweep_output_is_unmoved_by_jobs() {
+    let args = ["--tenants", "3", "--skew", "0,1", "--scheduler", "fifo,drr", "--requests", "60"];
+    assert_unmoved_by_jobs("tenant_sweep", env!("CARGO_BIN_EXE_tenant_sweep"), &args, "3");
+}
+
+#[test]
+fn planet_sweep_output_is_unmoved_by_jobs() {
+    let args = ["--replicas", "4,8", "--requests-per-replica", "2"];
+    assert_unmoved_by_jobs("planet_sweep", env!("CARGO_BIN_EXE_planet_sweep"), &args, "2");
+}
+
+#[test]
+fn decode_sweep_output_is_unmoved_by_jobs() {
+    let args = ["--sessions", "4,6", "--turns", "2", "--thresholds", "0.25,1.0"];
+    assert_unmoved_by_jobs("decode_sweep", env!("CARGO_BIN_EXE_decode_sweep"), &args, "3");
 }

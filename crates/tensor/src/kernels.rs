@@ -1,13 +1,11 @@
-//! The `KernelPolicy` knob and the f32 kernel variants behind it.
+//! The `KernelPolicy` switch and the f32 kernel bodies behind it.
 //!
-//! Precedence, highest first: an explicit `--kernels` flag (parsed with
-//! [`KernelPolicy::parse_arg`] and installed by the binary via
-//! [`KernelPolicy::install`]), the `CTA_KERNELS` environment variable,
-//! the auto default ([`KernelPolicy::Simd`]).
-//!
-//! Every variant is **bitwise identical** to the scalar kernel — the
-//! same contract `par_matmul` established for worker counts, extended to
-//! lane widths and cache blocking:
+//! The un-suffixed entry points (`Matrix::matmul` and friends) run one
+//! production path, [`KernelPolicy::Simd`]. The scalar loops stay as the
+//! reference that the `*_with` differential tests pin the SIMD bodies
+//! against. The SIMD bodies are **bitwise identical** to the scalar
+//! ones — the same contract `par_matmul` established for worker counts,
+//! extended to lane widths and cache blocking:
 //!
 //! * each output element accumulates its terms in exactly the scalar
 //!   order (ascending `k`), so no reduction is ever split across lanes;
@@ -24,106 +22,37 @@
 //! Cache blocking reorders *which* element is worked on when, never the
 //! term order *within* an element, so it is bit-exact for free.
 
-use std::sync::OnceLock;
-
 use crate::Matrix;
 
-/// Environment variable consulted by [`KernelPolicy::from_env`].
-pub const KERNELS_ENV: &str = "CTA_KERNELS";
-
-/// Which implementation the hot inner loops use. All three produce
+/// Which body a kernel's `*_with` entry point runs. Both produce
 /// bitwise-identical results; they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// The reference loops: naive order, no blocking, no lanes.
+    /// The reference loops: naive order, no blocking, no lanes. Kept
+    /// for the differential tests.
     Scalar,
-    /// Cache-blocked panels (packed operands, tiled loops), still
-    /// element-at-a-time arithmetic.
-    Blocked,
     /// Cache blocking plus lane-parallel arithmetic across independent
-    /// output elements (8-wide f32 / 4-wide i64 chunks the
-    /// autovectorizer lowers to vector instructions).
+    /// output elements (8-wide f32 / i32 / i64 chunks the
+    /// autovectorizer lowers to vector instructions). The production
+    /// path.
     Simd,
 }
 
-/// The process-wide policy, set once by [`KernelPolicy::install`] or
-/// lazily from the environment on first use.
-static CURRENT: OnceLock<KernelPolicy> = OnceLock::new();
-
 impl KernelPolicy {
-    /// The default when neither flag nor environment says otherwise:
-    /// the fastest variant, [`KernelPolicy::Simd`]. Safe as a default
-    /// precisely because every variant is pinned bitwise to scalar.
+    /// The policy the un-suffixed entry points run: always
+    /// [`KernelPolicy::Simd`].
     #[must_use]
-    pub fn auto() -> Self {
+    pub const fn current() -> Self {
         Self::Simd
     }
 
-    /// `CTA_KERNELS` if it names a policy, otherwise
-    /// [`KernelPolicy::auto`]. A present but unparseable value is
-    /// ignored (it is a *default*, not an argument; `--kernels` is the
-    /// strict spelling).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(KERNELS_ENV) {
-            Ok(v) => Self::parse_arg(v.trim()).unwrap_or_else(|_| Self::auto()),
-            Err(_) => Self::auto(),
-        }
-    }
-
-    /// Parses a `--kernels` argument: `scalar`, `blocked`, or `simd`.
-    pub fn parse_arg(s: &str) -> Result<Self, String> {
-        match s {
-            "scalar" => Ok(Self::Scalar),
-            "blocked" => Ok(Self::Blocked),
-            "simd" => Ok(Self::Simd),
-            _ => Err(format!("--kernels takes scalar|blocked|simd, got {s:?}")),
-        }
-    }
-
-    /// The process-wide policy used by the un-suffixed entry points
-    /// (`Matrix::matmul` and friends). Initialised from the environment
-    /// on first call unless [`KernelPolicy::install`] ran earlier.
-    #[must_use]
-    pub fn current() -> Self {
-        *CURRENT.get_or_init(Self::from_env)
-    }
-
-    /// Installs `self` as the process-wide policy. First set wins:
-    /// binaries call this once right after CLI parsing, before any
-    /// kernel runs; later calls (and the lazy env fallback) are no-ops.
-    pub fn install(self) {
-        let _ = CURRENT.set(self);
-    }
-
-    /// The canonical spelling, as accepted by [`KernelPolicy::parse_arg`].
+    /// The lower-case name, `scalar` or `simd`.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
-            Self::Blocked => "blocked",
             Self::Simd => "simd",
         }
-    }
-
-    /// All policies, in `scalar < blocked < simd` order — the sweep and
-    /// differential-test iteration order.
-    #[must_use]
-    pub fn all() -> [Self; 3] {
-        [Self::Scalar, Self::Blocked, Self::Simd]
-    }
-}
-
-impl Default for KernelPolicy {
-    /// Defaults to [`KernelPolicy::from_env`].
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
-impl std::fmt::Display for KernelPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
     }
 }
 
@@ -229,12 +158,11 @@ pub(crate) fn matmul_panel(
                 }
             }
         }
-        KernelPolicy::Blocked | KernelPolicy::Simd => {
+        KernelPolicy::Simd => {
             // jt → kt → i → k → j tiling: for any fixed output element
             // (i, j) the k-tiles arrive in ascending order and k ascends
             // within each tile, so the per-element term order is exactly
             // the scalar one.
-            let simd = policy == KernelPolicy::Simd;
             let rows = panel.len() / n;
             for jt in (0..n).step_by(NC) {
                 let jt_end = (jt + NC).min(n);
@@ -247,14 +175,7 @@ pub(crate) fn matmul_panel(
                             if a_ip == 0.0 {
                                 continue;
                             }
-                            let b_row = &b.row(p)[jt..jt_end];
-                            if simd {
-                                axpy_lanes(out_row, b_row, a_ip);
-                            } else {
-                                for (o, &x) in out_row.iter_mut().zip(b_row) {
-                                    *o += a_ip * x;
-                                }
-                            }
+                            axpy_lanes(out_row, &b.row(p)[jt..jt_end], a_ip);
                         }
                     }
                 }
@@ -289,25 +210,6 @@ pub(crate) fn matmul_tb_panel(
                         acc += x * y;
                     }
                     *o = acc;
-                }
-            }
-        }
-        KernelPolicy::Blocked => {
-            // j-tiling keeps an NC-row panel of B hot across all the
-            // rows of the output; each dot product is still the scalar
-            // sequential-k accumulation.
-            for (local_r, out_row) in panel.chunks_mut(n).enumerate() {
-                let a_row = a.row(row0 + local_r);
-                for jt in (0..n).step_by(NC) {
-                    let jt_end = (jt + NC).min(n);
-                    for (j, o) in out_row[jt..jt_end].iter_mut().enumerate() {
-                        let b_row = b.row(jt + j);
-                        let mut acc = 0.0f32;
-                        for (x, y) in a_row.iter().zip(b_row) {
-                            acc += x * y;
-                        }
-                        *o = acc;
-                    }
                 }
             }
         }
@@ -352,33 +254,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_arg_accepts_the_three_policies() {
-        assert_eq!(KernelPolicy::parse_arg("scalar").unwrap(), KernelPolicy::Scalar);
-        assert_eq!(KernelPolicy::parse_arg("blocked").unwrap(), KernelPolicy::Blocked);
-        assert_eq!(KernelPolicy::parse_arg("simd").unwrap(), KernelPolicy::Simd);
-        let err = KernelPolicy::parse_arg("turbo").unwrap_err();
-        assert!(err.contains("--kernels takes scalar|blocked|simd"), "{err}");
-        assert!(KernelPolicy::parse_arg("").is_err());
-        assert!(KernelPolicy::parse_arg("SIMD").is_err(), "spellings are case-sensitive");
-    }
-
-    #[test]
-    fn labels_round_trip_through_parse_arg() {
-        for p in KernelPolicy::all() {
-            assert_eq!(KernelPolicy::parse_arg(p.label()).unwrap(), p);
-            assert_eq!(p.to_string(), p.label());
-        }
-    }
-
-    #[test]
-    fn auto_is_the_fastest_variant() {
-        assert_eq!(KernelPolicy::auto(), KernelPolicy::Simd);
-    }
-
-    #[test]
-    fn current_is_stable_across_calls() {
-        // Whatever wins the OnceLock race, it must never change after.
-        assert_eq!(KernelPolicy::current(), KernelPolicy::current());
+    fn production_policy_is_simd() {
+        assert_eq!(KernelPolicy::current(), KernelPolicy::Simd);
+        assert_eq!(KernelPolicy::current().label(), "simd");
+        assert_eq!(KernelPolicy::Scalar.label(), "scalar");
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! matrix products, transposes, row-wise softmax, norms — plus seeded
 //! random initialisation and the scalar statistics helpers used by the
 //! benchmark harness. The `par_matmul` family runs the same kernels over
-//! row panels on a work-stealing pool with bitwise-identical results,
-//! and the [`KernelPolicy`] knob (`--kernels scalar|blocked|simd` >
-//! `CTA_KERNELS` > auto) selects cache-blocked / SIMD variants of the
-//! hot inner loops that are pinned bitwise to the scalar reference.
+//! row panels on a work-stealing pool with bitwise-identical results.
+//! The hot inner loops run cache-blocked SIMD bodies, pinned bitwise to
+//! the scalar reference loops kept behind [`KernelPolicy::Scalar`].
 //!
 //! # Example
 //!
@@ -35,7 +34,7 @@ mod random;
 mod softmax;
 mod stats;
 
-pub use kernels::{KernelPolicy, KERNELS_ENV};
+pub use kernels::KernelPolicy;
 pub use matrix::Matrix;
 pub use nn::{gelu, gelu_matrix, layer_norm_rows};
 pub use random::{standard_normal_matrix, uniform_matrix, MatrixRng};

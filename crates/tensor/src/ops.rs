@@ -4,10 +4,10 @@ use crate::kernels::{matmul_panel, matmul_tb_panel};
 use crate::{KernelPolicy, Matrix};
 
 impl Matrix {
-    /// Matrix product `self · other` under the process-wide
-    /// [`KernelPolicy`]; accumulation is in `f32` (the CTA hardware
-    /// itself is fixed-point; the fixed-point path lives in
-    /// `cta-fixed`). All policies produce bitwise-identical results.
+    /// Matrix product `self · other` on the SIMD kernel; accumulation
+    /// is in `f32` (the CTA hardware itself is fixed-point; the
+    /// fixed-point path lives in `cta-fixed`). Bitwise identical to the
+    /// scalar reference.
     ///
     /// # Panics
     ///
@@ -20,12 +20,11 @@ impl Matrix {
     /// assert_eq!(a.matmul(&b)[(0, 0)], 11.0);
     /// ```
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_with(other, KernelPolicy::current())
+        self.matmul_with(other, KernelPolicy::Simd)
     }
 
     /// [`Matrix::matmul`] under an explicit [`KernelPolicy`] — the
-    /// entry point differential tests and the kernel sweep use to pit
-    /// the variants against each other.
+    /// entry point the differential tests use to pin SIMD to scalar.
     ///
     /// # Panics
     ///
@@ -46,7 +45,7 @@ impl Matrix {
     }
 
     /// Matrix product with the second operand transposed: `self · otherᵀ`,
-    /// under the process-wide [`KernelPolicy`].
+    /// on the SIMD kernel.
     ///
     /// This is the natural layout for attention scores `Q · Kᵀ`: both
     /// operands are stored row-major with rows = vectors, so the product is
@@ -56,7 +55,7 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
-        self.matmul_transpose_b_with(other, KernelPolicy::current())
+        self.matmul_transpose_b_with(other, KernelPolicy::Simd)
     }
 
     /// [`Matrix::matmul_transpose_b`] under an explicit [`KernelPolicy`].

@@ -56,11 +56,10 @@ impl Matrix {
         if n == 0 {
             return out;
         }
-        let policy = KernelPolicy::current();
         ThreadPool::new(par).par_chunks_mut(out.as_mut_slice(), rows_per_panel * n, |pi, panel| {
             // The exact serial kernels, applied per panel: term order
             // within each output element is unchanged.
-            matmul_panel(policy, self, other, pi * rows_per_panel, panel);
+            matmul_panel(KernelPolicy::Simd, self, other, pi * rows_per_panel, panel);
         });
         out
     }
@@ -90,10 +89,9 @@ impl Matrix {
         if n == 0 {
             return out;
         }
-        let policy = KernelPolicy::current();
         ThreadPool::new(par).par_chunks_mut(out.as_mut_slice(), rows_per_panel * n, |pi, panel| {
             // Same dot-product accumulation order as the serial kernel.
-            matmul_tb_panel(policy, self, other, pi * rows_per_panel, panel);
+            matmul_tb_panel(KernelPolicy::Simd, self, other, pi * rows_per_panel, panel);
         });
         out
     }

@@ -1,14 +1,16 @@
-//! Bitwise equality of the blocked and SIMD f32 kernels against the
-//! scalar reference, over random shapes plus the edge shapes named in
-//! the kernel contract: empty, 1×N, and non-square.
+//! Bitwise equality of the SIMD f32 kernels against the scalar
+//! reference, over random shapes plus the edge shapes named in the
+//! kernel contract (empty, 1×N, non-square, block-straddling) and the
+//! paper's long-sequence shape.
 //!
 //! The assertion is exact `==` on `Matrix` (element-for-element `f32`
-//! equality), not `approx_eq`: every [`KernelPolicy`] promises the
-//! *same floating-point operation order* per output element, so any
-//! lane width or blocking factor must reproduce the scalar result to
-//! the bit. This is the property that lets golden-file tests stay
-//! byte-stable under `--kernels blocked|simd`.
+//! equality), not `approx_eq`: the SIMD body promises the *same
+//! floating-point operation order* per output element, so its lane
+//! width and blocking factors must reproduce the scalar result to the
+//! bit. This is the property that lets golden-file tests stay
+//! byte-stable on the production SIMD path.
 
+use cta_parallel::Parallelism;
 use cta_tensor::{standard_normal_matrix, KernelPolicy, Matrix};
 use proptest::prelude::*;
 
@@ -27,17 +29,17 @@ fn sparse_random(seed: u64, rows: usize, cols: usize) -> Matrix {
     })
 }
 
-fn assert_all_policies_match(a: &Matrix, b: &Matrix, bt: &Matrix, label: &str) {
-    let scalar = a.matmul_with(b, KernelPolicy::Scalar);
-    let scalar_tb = a.matmul_transpose_b_with(bt, KernelPolicy::Scalar);
-    for policy in [KernelPolicy::Blocked, KernelPolicy::Simd] {
-        assert_eq!(a.matmul_with(b, policy), scalar, "{label}: matmul {policy}");
-        assert_eq!(
-            a.matmul_transpose_b_with(bt, policy),
-            scalar_tb,
-            "{label}: matmul_transpose_b {policy}"
-        );
-    }
+fn assert_simd_matches_scalar(a: &Matrix, b: &Matrix, bt: &Matrix, label: &str) {
+    assert_eq!(
+        a.matmul_with(b, KernelPolicy::Simd),
+        a.matmul_with(b, KernelPolicy::Scalar),
+        "{label}: matmul"
+    );
+    assert_eq!(
+        a.matmul_transpose_b_with(bt, KernelPolicy::Simd),
+        a.matmul_transpose_b_with(bt, KernelPolicy::Scalar),
+        "{label}: matmul_transpose_b"
+    );
 }
 
 #[test]
@@ -46,7 +48,7 @@ fn empty_shapes_are_bitwise_identical() {
         let a = sparse_random(9, m, k);
         let b = sparse_random(10, k, n);
         let bt = sparse_random(11, n, k);
-        assert_all_policies_match(&a, &b, &bt, &format!("{m}x{k}x{n}"));
+        assert_simd_matches_scalar(&a, &b, &bt, &format!("{m}x{k}x{n}"));
     }
 }
 
@@ -56,27 +58,48 @@ fn one_by_n_shapes_are_bitwise_identical() {
         let a = sparse_random(21, m, k);
         let b = sparse_random(22, k, n);
         let bt = sparse_random(23, n, k);
-        assert_all_policies_match(&a, &b, &bt, &format!("{m}x{k}x{n}"));
+        assert_simd_matches_scalar(&a, &b, &bt, &format!("{m}x{k}x{n}"));
     }
 }
 
 #[test]
 fn shapes_straddling_the_block_boundaries_are_bitwise_identical() {
     // KC = 64 and NC = 256 internally; straddle both, plus the 8-lane
-    // and 4-column chunk tails.
-    for (m, k, n) in [(3, 63, 255), (2, 65, 257), (5, 64, 256), (7, 130, 300)] {
+    // and 4-column chunk tails. The last shape is the paper's long
+    // sequence: n = 1024 tokens at d = 64.
+    for (m, k, n) in [(3, 63, 255), (2, 65, 257), (5, 64, 256), (7, 130, 300), (1024, 64, 1024)] {
         let a = sparse_random(31, m, k);
         let b = sparse_random(32, k, n);
         let bt = sparse_random(33, n, k);
-        assert_all_policies_match(&a, &b, &bt, &format!("{m}x{k}x{n}"));
+        assert_simd_matches_scalar(&a, &b, &bt, &format!("{m}x{k}x{n}"));
+    }
+}
+
+#[test]
+fn entry_points_run_the_production_path_and_match_scalar() {
+    // The un-suffixed products (serial and panel-parallel) take no
+    // policy: they run the SIMD bodies, pinned here to the scalar
+    // reference at a ragged shape and at the paper's long sequence.
+    assert_eq!(KernelPolicy::current(), KernelPolicy::Simd);
+    for (m, k, n) in [(7, 130, 300), (1024, 64, 1024)] {
+        let a = sparse_random(41, m, k);
+        let b = sparse_random(42, k, n);
+        let bt = sparse_random(43, n, k);
+        let scalar = a.matmul_with(&b, KernelPolicy::Scalar);
+        let scalar_tb = a.matmul_transpose_b_with(&bt, KernelPolicy::Scalar);
+        assert_eq!(a.matmul(&b), scalar, "{m}x{k}x{n}: matmul");
+        assert_eq!(a.matmul_transpose_b(&bt), scalar_tb, "{m}x{k}x{n}: matmul_transpose_b");
+        let par = Parallelism::jobs(3);
+        assert_eq!(a.par_matmul(&b, par), scalar, "{m}x{k}x{n}: par_matmul");
+        assert_eq!(a.par_matmul_transpose_b(&bt, par), scalar_tb, "{m}x{k}x{n}: par_tb");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Blocked and SIMD `matmul` equal scalar bitwise over random
-    /// non-square shapes and seeds.
+    /// SIMD `matmul` equals scalar bitwise over random non-square
+    /// shapes and seeds.
     fn matmul_policies_match_scalar_bitwise(
         m in 1usize..40,
         k in 1usize..24,
@@ -85,14 +108,14 @@ proptest! {
     ) {
         let a = sparse_random(seed, m, k);
         let b = sparse_random(seed.wrapping_add(1), k, n);
-        let scalar = a.matmul_with(&b, KernelPolicy::Scalar);
-        for policy in [KernelPolicy::Blocked, KernelPolicy::Simd] {
-            prop_assert_eq!(a.matmul_with(&b, policy), scalar.clone(), "{}", policy);
-        }
+        prop_assert_eq!(
+            a.matmul_with(&b, KernelPolicy::Simd),
+            a.matmul_with(&b, KernelPolicy::Scalar)
+        );
     }
 
-    /// Blocked and SIMD `matmul_transpose_b` equal scalar bitwise over
-    /// random non-square shapes and seeds.
+    /// SIMD `matmul_transpose_b` equals scalar bitwise over random
+    /// non-square shapes and seeds.
     fn matmul_transpose_b_policies_match_scalar_bitwise(
         m in 1usize..40,
         k in 1usize..24,
@@ -101,9 +124,9 @@ proptest! {
     ) {
         let a = sparse_random(seed, m, k);
         let b = sparse_random(seed.wrapping_add(2), n, k);
-        let scalar = a.matmul_transpose_b_with(&b, KernelPolicy::Scalar);
-        for policy in [KernelPolicy::Blocked, KernelPolicy::Simd] {
-            prop_assert_eq!(a.matmul_transpose_b_with(&b, policy), scalar.clone(), "{}", policy);
-        }
+        prop_assert_eq!(
+            a.matmul_transpose_b_with(&b, KernelPolicy::Simd),
+            a.matmul_transpose_b_with(&b, KernelPolicy::Scalar)
+        );
     }
 }

@@ -30,10 +30,11 @@
 //!   `--jobs` everywhere ([`Parallelism`], ordered `par_map`,
 //!   row-panel `par_chunks_mut`).
 //!
-//! Two process-wide knobs tune execution without changing a single output
-//! bit: [`Parallelism`] (`--jobs` / `CTA_JOBS`) and [`KernelPolicy`]
-//! (`--kernels` / `CTA_KERNELS`, scalar vs cache-blocked vs SIMD inner
-//! loops — pinned bitwise identical).
+//! One process-wide knob tunes execution without changing a single
+//! output bit: [`Parallelism`] (`--jobs` / `CTA_JOBS`). The hot inner
+//! loops run one SIMD path, pinned bitwise to the scalar reference
+//! loops kept behind [`tensor::KernelPolicy`] for the differential
+//! tests.
 //!
 //! Streaming decode sessions thread through the whole stack:
 //! [`StreamingCompressor`] maintains the two-level compression
@@ -62,7 +63,6 @@ pub use cta_workloads as workloads;
 
 pub use cta_parallel::Parallelism;
 pub use cta_serve::SweepSpec;
-pub use cta_tensor::KernelPolicy;
 
 pub use cta_lsh::{CompressionView, StreamingCompressor};
 pub use cta_serve::{ConfigError, FleetConfig, FleetConfigBuilder, SessionPolicy, SessionTurn};
