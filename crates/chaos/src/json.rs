@@ -8,7 +8,7 @@ use cta_serve::{
     CrashWindow, FaultPlan, GrayFailure, LinkStall, Partition, RoutingPolicy, Slowdown, ZoneOutage,
 };
 
-use crate::ChaosScenario;
+use crate::{ChaosScenario, MAX_REPLICAS, MAX_REQUESTS};
 
 fn field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
     match obj {
@@ -249,13 +249,22 @@ impl ChaosScenario {
     /// # Errors
     ///
     /// Returns a message naming the missing/ill-typed field, out-of-range
-    /// value, or plan-validation failure.
+    /// value, or plan-validation failure. `replicas` and `requests` above
+    /// [`MAX_REPLICAS`] / [`MAX_REQUESTS`] are out of range: no sampler
+    /// setting draws them, and a replay would try to build that fleet.
     pub fn from_json(v: &JsonValue) -> Result<Self, String> {
         let replicas = index(v, "replicas")?;
         let requests = index(v, "requests")?;
         let rate_rps = num(v, "rate_rps")?;
         if replicas == 0 || requests == 0 {
             return Err("replicas and requests must be positive".into());
+        }
+        for (key, value, cap) in
+            [("replicas", replicas, MAX_REPLICAS), ("requests", requests, MAX_REQUESTS)]
+        {
+            if value > cap {
+                return Err(format!("field {key:?} is {value}, above the cap of {cap}"));
+            }
         }
         if !(rate_rps > 0.0 && rate_rps.is_finite()) {
             return Err("rate_rps must be positive and finite".into());
@@ -319,21 +328,33 @@ mod tests {
     }
 
     #[test]
-    fn huge_fleet_sizes_parse_without_allocating_per_replica() {
-        // Plan validation used to allocate one slot per replica, so a
-        // repro claiming 2^62 replicas overflowed the allocator instead
-        // of parsing. (A zone map must list every replica, so the case
-        // needs a plan with crashes but no zone outage.)
+    fn huge_fleet_sizes_are_rejected_by_name() {
+        // A repro claiming 2^62 replicas or requests is refused before
+        // any fleet is built; the cap itself still parses. Plan
+        // validation keys its state by replica rather than allocating one
+        // slot per replica, so it accepts the huge width on its own. (A
+        // zone map must list every replica, so the case needs a plan with
+        // crashes but no zone outage.)
         let sc = (0..64)
             .map(|seed| ChaosScenario::sample(seed, &ChaosParams::default()))
             .find(|sc| !sc.plan.crashes.is_empty() && sc.plan.zone_outages.is_empty())
             .expect("a crash-only plan among the first seeds");
+        assert_eq!(sc.plan.try_validate(1 << 62), Ok(()));
         let text = sc.to_json().to_json();
-        let from = format!("\"replicas\":{}", sc.replicas);
-        assert!(text.contains(&from), "{text}");
-        let huge = text.replacen(&from, &format!("\"replicas\":{}", 1i64 << 62), 1);
-        let parsed = ChaosScenario::from_json(&parse_json(&huge).expect("parse"));
-        assert_eq!(parsed.map(|s| s.replicas), Ok(1usize << 62));
+        for (key, value, cap) in
+            [("replicas", sc.replicas, MAX_REPLICAS), ("requests", sc.requests, MAX_REQUESTS)]
+        {
+            let from = format!("\"{key}\":{value}");
+            assert!(text.contains(&from), "{text}");
+            let with = |v: usize| {
+                let edited = text.replacen(&from, &format!("\"{key}\":{v}"), 1);
+                ChaosScenario::from_json(&parse_json(&edited).expect("parse"))
+            };
+            let err = with(1 << 62).expect_err("2^62 must be refused");
+            assert!(err.contains(&format!("field \"{key}\"")) && err.contains("cap"), "{err}");
+            assert!(with(cap).is_ok(), "{key} = {cap} must parse");
+            assert!(with(cap + 1).is_err(), "{key} = {} must be refused", cap + 1);
+        }
     }
 
     /// A repro file as `chaos_sweep` writes it: the envelope around the

@@ -38,7 +38,9 @@ mod scenario;
 mod shrink;
 
 pub use invariants::{check_equivalence, check_report, InvariantKind, Violation};
-pub use scenario::{load_spec, solo_service_s, ChaosParams, ChaosScenario, Toggle};
+pub use scenario::{
+    load_spec, solo_service_s, ChaosParams, ChaosScenario, Toggle, MAX_REPLICAS, MAX_REQUESTS,
+};
 pub use shrink::{plan_events, plan_from_events, shrink, PlanEvent};
 
 use cta_serve::{reference, simulate_fleet, FleetMetrics, FleetReport};

@@ -55,14 +55,24 @@ impl Toggle {
     }
 }
 
+/// Largest fleet a scenario may hold: the ceiling on `--replicas-max`
+/// and on a replayed repro's `replicas`.
+pub const MAX_REPLICAS: usize = 4096;
+
+/// Largest request count a scenario may hold: the ceiling on
+/// `--requests-max` and on a replayed repro's `requests`.
+pub const MAX_REQUESTS: usize = 1 << 20;
+
 /// Bounds and feature switches for the scenario sampler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosParams {
-    /// Largest fleet a scenario may draw (inclusive; minimum 2).
+    /// Largest fleet a scenario may draw (inclusive; 2 to
+    /// [`MAX_REPLICAS`]).
     pub replicas_max: usize,
     /// Zone count ceiling for correlated outages (`< 2` disables them).
     pub zones_max: usize,
-    /// Largest request count a scenario may draw (inclusive; minimum 16).
+    /// Largest request count a scenario may draw (inclusive; 16 to
+    /// [`MAX_REQUESTS`]).
     pub requests_max: usize,
     /// Allow explicit per-replica crash windows.
     pub crashes: bool,
@@ -116,13 +126,13 @@ impl ChaosParams {
     ///
     /// # Errors
     ///
-    /// Returns a CLI-style message when a bound is below its floor.
+    /// Returns a CLI-style message when a bound is outside its range.
     pub fn validate(&self) -> Result<(), String> {
-        if self.replicas_max < 2 {
-            return Err("--replicas-max must be at least 2".into());
+        if !(2..=MAX_REPLICAS).contains(&self.replicas_max) {
+            return Err(format!("--replicas-max must be at least 2 and at most {MAX_REPLICAS}"));
         }
-        if self.requests_max < 16 {
-            return Err("--requests-max must be at least 16".into());
+        if !(16..=MAX_REQUESTS).contains(&self.requests_max) {
+            return Err(format!("--requests-max must be at least 16 and at most {MAX_REQUESTS}"));
         }
         if let Some(s) = self.gray_severity {
             if !(s > 0.0 && s.is_finite()) {

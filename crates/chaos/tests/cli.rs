@@ -5,6 +5,8 @@
 
 use std::process::{Command, Output};
 
+use cta_chaos::{ChaosParams, ChaosScenario, MAX_REPLICAS, MAX_REQUESTS};
+
 const CHAOS_SWEEP: &str = env!("CARGO_BIN_EXE_chaos_sweep");
 
 fn run_in(dir: &std::path::Path, args: &[&str]) -> Output {
@@ -50,6 +52,11 @@ fn rejects_bad_numbers_and_bounds() {
     assert_graceful_failure(&["--seeds", "0"], "--seeds must be positive");
     assert_graceful_failure(&["--replicas-max", "1"], "--replicas-max must be at least 2");
     assert_graceful_failure(&["--requests-max", "4"], "--requests-max must be at least 16");
+    assert_graceful_failure(
+        &["--replicas-max", "4097"],
+        "--replicas-max must be at least 2 and at most 4096",
+    );
+    assert_graceful_failure(&["--requests-max", "1048577"], "at most 1048576");
     assert_graceful_failure(&["--gray-severity", "0"], "--gray-severity must be positive");
     assert_graceful_failure(&["--gray-severity", "hot"], "--gray-severity");
 }
@@ -104,6 +111,34 @@ fn replay_of_deeply_nested_json_fails_gracefully() {
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains("error:") && stderr.contains("nesting deeper than"), "{stderr}");
     assert!(!stderr.contains("panicked at"), "must not panic: {stderr}");
+}
+
+#[test]
+fn replay_of_an_oversized_fleet_names_the_field() {
+    // A repro whose sizes parse as integers but exceed the replay caps
+    // must be refused by name before any fleet is built.
+    let dir = scratch("chaos_cli_oversized");
+    let sc = ChaosScenario::sample(1, &ChaosParams::default());
+    let text = sc.to_json().to_json();
+    for (key, value, cap) in
+        [("replicas", sc.replicas, MAX_REPLICAS), ("requests", sc.requests, MAX_REQUESTS)]
+    {
+        let from = format!("\"{key}\":{value}");
+        assert!(text.contains(&from), "{text}");
+        for claim in [cap + 1, 1 << 62] {
+            let path = dir.join(format!("{key}_{claim}.json"));
+            let edited = text.replacen(&from, &format!("\"{key}\":{claim}"), 1);
+            std::fs::write(&path, edited).expect("write repro");
+            let out = run_in(&dir, &["--replay", path.to_str().expect("utf-8 path")]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{key}={claim}: {stderr}");
+            assert!(
+                stderr.contains("error:") && stderr.contains(&format!("field \"{key}\"")),
+                "{stderr}"
+            );
+            assert!(!stderr.contains("panicked at"), "must not panic: {stderr}");
+        }
+    }
 }
 
 #[test]

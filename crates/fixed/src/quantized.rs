@@ -6,11 +6,11 @@
 //! *exact* — reassociating or re-tiling a sum of products cannot change
 //! a single bit as long as no intermediate overflows — so the SIMD
 //! bodies are bitwise identical to the scalar loops by construction.
-//! They pack `Bᵀ` for contiguous dots and pick the narrowest lane tier a
-//! bit-budget guard proves cannot overflow:
+//! They pick the narrowest lane tier a bit-budget guard proves cannot
+//! overflow:
 //!
-//! * i16 panels into i32 lanes (SSE2 `pmaddwd` on x86-64) when both
-//!   formats are at most 16 bits and
+//! * a register-blocked i16 tile into i32 lanes (AVX2 `vpmaddwd` where
+//!   the CPU has it) when both formats are at most 16 bits and
 //!   `(bits_a - 1) + (bits_b - 1) + ceil_log2(K) <= 30` (every paper
 //!   product: 12-bit words, `K <= 256`);
 //! * otherwise i32 words into four i64 lanes when that budget is `<= 62`;
@@ -40,7 +40,7 @@ enum Accumulator {
     I128,
     /// i32 words into four i64 lanes.
     I64Lanes,
-    /// i16 panels into i32 lanes.
+    /// The i16 register tile into i32 lanes.
     I32Lanes,
 }
 
@@ -89,62 +89,136 @@ fn dot_i32_lanes(a: &[i32], b: &[i32]) -> i128 {
     lanes.iter().map(|&l| l as i128).sum()
 }
 
-/// Exact dot product over i16 panels into i32 lane accumulators. Caller
-/// must have picked [`Accumulator::I32Lanes`]; under that guard no partial
-/// sum can leave i32, so the total equals [`dot_i128`] bit for bit.
+/// Output rows per i16 register tile.
+const MR: usize = 4;
+
+/// Output columns per i16 register tile: two vectors of eight i32 lanes.
+const NR: usize = 16;
+
+/// One `MR×NR` block of exact i32 sums.
+type Tile = [[i32; NR]; MR];
+
+/// One `MR×NR` tile of exact sums over `kp` k-pairs. `a` is `[kp][MR]`:
+/// each i32 holds one row's pair `(A[i][2q], A[i][2q+1])` as its low and
+/// high i16 halves. `b` is the tile's `[kp][NR][2]` panel of `B`, the
+/// same pair interleaved per column. Odd `k` and missing rows or columns
+/// are zero-padded, which adds nothing. Dispatches to AVX2 when the CPU
+/// has it (detected once, cached by `std`), otherwise to the portable
+/// body.
 ///
-/// On x86-64 this is SSE2's `pmaddwd` (part of the baseline, so no
-/// runtime detection): eight i16 products per instruction, summed
-/// pairwise into four i32 lanes. Elsewhere it is the portable
-/// eight-lane loop [`dot_i16_portable`].
-#[cfg(target_arch = "x86_64")]
-fn dot_i16_lanes(a: &[i16], b: &[i16]) -> i128 {
-    use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_loadu_si128, _mm_madd_epi16, _mm_setzero_si128,
-        _mm_storeu_si128,
-    };
-    let k = a.len().min(b.len());
-    let chunks = k / 8;
-    let mut lanes = [0i32; 4];
-    // SAFETY: SSE2 is part of the x86-64 baseline, so the intrinsics'
-    // target feature is always present. (c + 1) * 8 <= k bounds both
-    // eight-word loads, `lanes` is exactly one 16-byte vector, and
-    // `loadu`/`storeu` have no alignment requirement.
-    unsafe {
-        let mut acc = _mm_setzero_si128();
-        for c in 0..chunks {
-            let av = _mm_loadu_si128(a.as_ptr().add(c * 8).cast::<__m128i>());
-            let bv = _mm_loadu_si128(b.as_ptr().add(c * 8).cast::<__m128i>());
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(av, bv));
-        }
-        _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), acc);
+/// Caller must have picked [`Accumulator::I32Lanes`]: every partial sum
+/// is a sum of at most `K` products of magnitude at most
+/// `2^(bits_a-1) * 2^(bits_b-1)`, so it stays within `2^30` and no lane
+/// can overflow — including a single pair's `vpmaddwd` sum.
+///
+/// # Panics
+///
+/// Panics if `a` or `b` is shorter than `kp` pairs.
+fn tile_i16(kp: usize, a: &[i32], b: &[i16]) -> Tile {
+    assert!(a.len() >= kp * MR && b.len() >= kp * NR * 2, "tile operands shorter than kp pairs");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime, and the
+        // assert above bounds every load.
+        return unsafe { tile_i16_avx2(kp, a, b) };
     }
-    let tail: i32 =
-        a[chunks * 8..k].iter().zip(&b[chunks * 8..k]).map(|(&x, &y)| x as i32 * y as i32).sum();
-    (lanes.iter().sum::<i32>() + tail) as i128
+    tile_i16_portable(kp, a, b)
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-fn dot_i16_lanes(a: &[i16], b: &[i16]) -> i128 {
-    dot_i16_portable(a, b)
-}
-
-/// The portable spelling of [`dot_i16_lanes`]: eight i32 lane
-/// accumulators the autovectorizer lowers to the target's vector width.
+/// The portable body of [`tile_i16`].
 #[cfg_attr(target_arch = "x86_64", allow(dead_code))]
-fn dot_i16_portable(a: &[i16], b: &[i16]) -> i128 {
-    let mut lanes = [0i32; 8];
-    let mut ac = a.chunks_exact(8);
-    let mut bc = b.chunks_exact(8);
-    for (a8, b8) in (&mut ac).zip(&mut bc) {
-        for l in 0..8 {
-            lanes[l] += a8[l] as i32 * b8[l] as i32;
+fn tile_i16_portable(kp: usize, a: &[i32], b: &[i16]) -> Tile {
+    let mut acc = [[0i32; NR]; MR];
+    for (a_q, b_q) in a[..kp * MR].chunks_exact(MR).zip(b.chunks_exact(NR * 2)) {
+        for (acc_row, &pair) in acc.iter_mut().zip(a_q) {
+            let (lo, hi) = (i32::from(pair as i16), pair >> 16);
+            for (o, b_pair) in acc_row.iter_mut().zip(b_q.chunks_exact(2)) {
+                *o += lo * i32::from(b_pair[0]) + hi * i32::from(b_pair[1]);
+            }
         }
     }
-    for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
-        lanes[0] += x as i32 * y as i32;
+    acc
+}
+
+/// The AVX2 body of [`tile_i16`]: eight `__m256i` accumulators live
+/// across all of `k`; each `A` pair is broadcast as one i32 and
+/// `vpmaddwd` multiplies it into eight columns' pairs at once.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime and that `a`
+/// holds `kp * MR` words and `b` holds `kp * NR * 2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_i16_avx2(kp: usize, a: &[i32], b: &[i16]) -> Tile {
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
+        _mm256_setzero_si256, _mm256_storeu_si256,
+    };
+    let mut acc = [[_mm256_setzero_si256(); 2]; MR];
+    for q in 0..kp {
+        let b_q = b.as_ptr().add(q * NR * 2);
+        let b_lo = _mm256_loadu_si256(b_q.cast::<__m256i>());
+        let b_hi = _mm256_loadu_si256(b_q.add(NR).cast::<__m256i>());
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let pair = _mm256_set1_epi32(*a.get_unchecked(q * MR + r));
+            acc_row[0] = _mm256_add_epi32(acc_row[0], _mm256_madd_epi16(pair, b_lo));
+            acc_row[1] = _mm256_add_epi32(acc_row[1], _mm256_madd_epi16(pair, b_hi));
+        }
     }
-    lanes.iter().sum::<i32>() as i128
+    let mut out = [[0i32; NR]; MR];
+    for (o, v) in out.iter_mut().zip(acc) {
+        _mm256_storeu_si256(o.as_mut_ptr().cast::<__m256i>(), v[0]);
+        _mm256_storeu_si256(o.as_mut_ptr().add(8).cast::<__m256i>(), v[1]);
+    }
+    out
+}
+
+/// Every `(i, j)` product of `a`'s rows against the `k×n` operand
+/// `b_at(p, j)` through [`tile_i16`], written back through
+/// [`rescale`]. `B` is packed once, k-pair-interleaved, into one
+/// `[kp][NR][2]` panel per `NR` columns; each `MR`-row block of `A` into
+/// one `[kp][MR]` block of i32 pairs. Caller must have picked
+/// [`Accumulator::I32Lanes`], whose formats' words fit i16 exactly.
+fn tile_products(
+    a: &QuantizedMatrix,
+    n: usize,
+    b_at: impl Fn(usize, usize) -> i64,
+    in_frac: u32,
+    out: QFormat,
+) -> Vec<i64> {
+    let (m, k) = (a.rows, a.cols);
+    let kp = k.div_ceil(2);
+    let mut bp = vec![0i16; n.div_ceil(NR) * kp * NR * 2];
+    for j in 0..n {
+        let base = (j / NR) * kp * NR * 2 + (j % NR) * 2;
+        for p in 0..k {
+            bp[base + (p / 2) * NR * 2 + p % 2] = b_at(p, j) as i16;
+        }
+    }
+    let mut ap = vec![0i32; kp * MR];
+    let mut raw = vec![0i64; m * n];
+    for i0 in (0..m).step_by(MR) {
+        let rows = MR.min(m - i0);
+        ap.fill(0);
+        for r in 0..rows {
+            let a_row = &a.raw[(i0 + r) * k..(i0 + r + 1) * k];
+            for (q, pair) in a_row.chunks(2).enumerate() {
+                let hi = pair.get(1).map_or(0, |&x| x as i16);
+                ap[q * MR + r] = i32::from(pair[0] as u16) | i32::from(hi) << 16;
+            }
+        }
+        for j0 in (0..n).step_by(NR) {
+            let tile = tile_i16(kp, &ap, &bp[(j0 / NR) * kp * NR * 2..]);
+            for (r, t) in tile.iter().enumerate().take(rows) {
+                let row = &mut raw[(i0 + r) * n..(i0 + r + 1) * n];
+                for (o, &sum) in row[j0..].iter_mut().zip(t) {
+                    *o = rescale(i128::from(sum), in_frac, out);
+                }
+            }
+        }
+    }
+    raw
 }
 
 /// Every `(i, j)` dot of `a`'s rows against the row-contiguous `n×k`
@@ -337,10 +411,11 @@ impl QuantizedMatrix {
     /// [`QuantizedMatrix::matmul`] under an explicit [`KernelPolicy`].
     ///
     /// The scalar reference walks `other` column-strided; the SIMD
-    /// variant packs `Bᵀ` once and narrows the packed words — to i16
-    /// panels with eight i32 lanes, or to i32 words with four i64 lanes
-    /// — when the formats' bit budget guarantees a lane cannot overflow
-    /// (falling back to contiguous i128 dots otherwise).
+    /// variant packs `B` once and narrows the packed words — into
+    /// k-pair-interleaved i16 panels for the 4×16 i32-lane tile, or
+    /// transposed into i32 words with four i64 lanes — when the formats'
+    /// bit budget guarantees a lane cannot overflow (falling back to
+    /// contiguous i128 dots otherwise).
     ///
     /// # Panics
     ///
@@ -372,12 +447,10 @@ impl QuantizedMatrix {
                 }
                 raw
             }
-            // I32Lanes only takes <=16-bit formats, whose words fit i16
-            // exactly; any <=32-bit format's words fit i32 exactly.
             Accumulator::I32Lanes => {
-                let bt = pack_transpose(&other.raw, k, n, |x| x as i16);
-                lane_products(self, &bt, n, |x| x as i16, dot_i16_lanes, in_frac, out_format)
+                tile_products(self, n, |p, j| other.raw[p * n + j], in_frac, out_format)
             }
+            // Any <=32-bit format's words fit i32 exactly.
             Accumulator::I64Lanes => {
                 let bt = pack_transpose(&other.raw, k, n, |x| x as i32);
                 lane_products(self, &bt, n, |x| x as i32, dot_i32_lanes, in_frac, out_format)
@@ -442,8 +515,7 @@ impl QuantizedMatrix {
                 raw
             }
             Accumulator::I32Lanes => {
-                let b16: Vec<i16> = other.raw.iter().map(|&x| x as i16).collect();
-                lane_products(self, &b16, n, |x| x as i16, dot_i16_lanes, in_frac, out_format)
+                tile_products(self, n, |p, j| other.raw[j * d + p], in_frac, out_format)
             }
             Accumulator::I64Lanes => {
                 let b32: Vec<i32> = other.raw.iter().map(|&x| x as i32).collect();
@@ -764,17 +836,43 @@ mod tests {
     }
 
     #[test]
-    fn i16_lane_dot_matches_the_portable_loop() {
-        // The x86-64 pmaddwd spelling and the portable lane loop, on
-        // every tail length, against the exact i128 dot.
-        for k in 0..40 {
-            let a = lcg_quantized(1, k, 61 + k as u64, QFormat::new(16, 0));
-            let b = lcg_quantized(1, k, 62 + k as u64, QFormat::new(14, 0));
-            let a16: Vec<i16> = a.raw().iter().map(|&x| x as i16).collect();
-            let b16: Vec<i16> = b.raw().iter().map(|&x| x as i16).collect();
-            let exact = dot_i128(a.raw(), b.raw());
-            assert_eq!(dot_i16_lanes(&a16, &b16), exact, "K={k}");
-            assert_eq!(dot_i16_portable(&a16, &b16), exact, "K={k}");
+    fn i16_tile_matches_the_portable_body_and_the_exact_sums() {
+        // On an AVX2 host `tile_i16` runs the intrinsics; pin them and the
+        // portable body to exact i64 sums over the same packed words, at
+        // every pair count up to 40 on full-range 12-bit words and at the
+        // budget-30 rail: 128 pairs of (-2^11)² terms sum to exactly 2^30.
+        let q12 = QFormat::new(12, 0);
+        let cases = (0..=40u64).map(|kp| {
+            let a = lcg_quantized(1, kp as usize * MR * 2, 71 + kp, q12).raw().to_vec();
+            let b = lcg_quantized(1, kp as usize * NR * 2, 72 + kp, q12).raw().to_vec();
+            (kp as usize, a, b)
+        });
+        let rail = vec![q12.min_raw(); 128 * NR * 2];
+        for (kp, a_words, b_words) in
+            cases.chain([(128, rail[..128 * MR * 2].to_vec(), rail.clone())])
+        {
+            // `a_words` is `[kp][MR][2]`, packed as the tile's i32 pairs.
+            let a: Vec<i32> = a_words
+                .chunks_exact(2)
+                .map(|w| i32::from(w[0] as i16 as u16) | (w[1] as i32) << 16)
+                .collect();
+            let b: Vec<i16> = b_words.iter().map(|&x| x as i16).collect();
+            let mut exact = [[0i64; NR]; MR];
+            for q in 0..kp {
+                for (r, row) in exact.iter_mut().enumerate() {
+                    for (c, e) in row.iter_mut().enumerate() {
+                        let (a0, a1) = (a_words[(q * MR + r) * 2], a_words[(q * MR + r) * 2 + 1]);
+                        let (b0, b1) = (b_words[(q * NR + c) * 2], b_words[(q * NR + c) * 2 + 1]);
+                        *e += a0 * b0 + a1 * b1;
+                    }
+                }
+            }
+            if kp == 128 {
+                assert_eq!(exact[0][0], 1 << 30, "the rail case must hit the budget");
+            }
+            let exact = exact.map(|row| row.map(|x| i32::try_from(x).unwrap()));
+            assert_eq!(tile_i16(kp, &a, &b), exact, "kp={kp}");
+            assert_eq!(tile_i16_portable(kp, &a, &b), exact, "kp={kp}");
         }
     }
 
@@ -834,21 +932,40 @@ mod tests {
         assert_eq!(a.matmul_transpose_b(&bt, formats::SCORE), a.matmul(&b, formats::SCORE));
     }
 
+    #[test]
+    fn paper_head_shapes_match_scalar_bitwise() {
+        // The paper-heads products at d = 64: the k0×d and (k1+k2)×d
+        // linears into the centroid format, and the k0 × (k1+k2) score
+        // product into the 24-bit accumulator view, at even and odd
+        // token counts around k0 ≈ 260 and k1 + k2 ≈ 290.
+        let wide = QFormat::new(24, formats::SCORE.frac_bits());
+        for (k0, kcat) in [(260, 290), (257, 289), (263, 291)] {
+            for rows in [k0, kcat] {
+                let c = lcg_quantized(rows, 64, rows as u64, formats::CENTROID);
+                let w = lcg_quantized(64, 64, rows as u64 + 1, formats::LINEAR_WEIGHT);
+                assert_policies_match_scalar(&c, &w, formats::CENTROID);
+            }
+            let q = lcg_quantized(k0, 64, 81, formats::CENTROID);
+            let k = lcg_quantized(64, kcat, 82, formats::CENTROID);
+            assert_policies_match_scalar(&q, &k, wide);
+        }
+    }
+
     proptest! {
         #[test]
         fn quantized_matmul_policies_match_scalar_bitwise(
-            m in 1usize..8,
-            k in 1usize..20,
-            n in 1usize..8,
+            m in 1usize..41,
+            k in 1usize..71,
+            n in 1usize..41,
             seed in 0u64..500,
         ) {
+            // Ragged 4×16 tile tails and odd k (a zero-padded last
+            // k-pair), in both products; TOKEN × CENTROID at k <= 70
+            // stays inside the i32-lane budget.
             let a = lcg_quantized(m, k, seed, formats::TOKEN);
             let b = lcg_quantized(k, n, seed.wrapping_add(1), formats::CENTROID);
-            let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
-            prop_assert_eq!(
-                &a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Simd),
-                &scalar
-            );
+            assert_eq!(accumulator(KernelPolicy::Simd, a.format, b.format, k), Accumulator::I32Lanes);
+            assert_policies_match_scalar(&a, &b, formats::SCORE);
         }
 
         #[test]

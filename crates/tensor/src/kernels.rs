@@ -5,22 +5,25 @@
 //! reference that the `*_with` differential tests pin the SIMD bodies
 //! against. The SIMD bodies are **bitwise identical** to the scalar
 //! ones — the same contract `par_matmul` established for worker counts,
-//! extended to lane widths and cache blocking:
+//! extended to lane widths and tiling:
 //!
-//! * each output element accumulates its terms in exactly the scalar
-//!   order (ascending `k`), so no reduction is ever split across lanes;
-//! * vectorization happens across *independent output elements* (the
-//!   `j` axis), where f32 multiply/add per lane is IEEE-identical to the
-//!   scalar instruction;
+//! * both products run one register-tile microkernel: an `MR×NR` block
+//!   of outputs held in accumulators across the *whole* reduction, the
+//!   way a systolic-array PE holds its partial sum;
+//! * each output element starts at `+0.0` and accumulates its terms in
+//!   exactly the scalar order (ascending `k`), so no reduction is ever
+//!   split across lanes — vectorization happens across *independent
+//!   output elements* (the `j` axis), where f32 multiply/add per lane is
+//!   IEEE-identical to the scalar instruction;
 //! * the zero-skip in `matmul` (`a[i][k] == 0.0` skips the whole `k`
-//!   term) is replicated exactly, because `0.0 * NaN` would otherwise
-//!   change bits;
+//!   term, because `0.0 * NaN` or `0.0 * ∞` would otherwise change bits)
+//!   becomes a product mask inside the tile (see [`tile_f32`]);
 //! * no FMA is ever emitted from these kernels (`mul` then `add` only):
 //!   a fused multiply-add rounds once where the scalar kernel rounds
 //!   twice, which would break the pin.
 //!
-//! Cache blocking reorders *which* element is worked on when, never the
-//! term order *within* an element, so it is bit-exact for free.
+//! Tiling reorders *which* element is worked on when, never the term
+//! order *within* an element, so it is bit-exact for free.
 
 use crate::Matrix;
 
@@ -28,13 +31,12 @@ use crate::Matrix;
 /// bitwise-identical results; they differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// The reference loops: naive order, no blocking, no lanes. Kept
-    /// for the differential tests.
+    /// The reference loops: naive order, no tiling, no lanes. Kept for
+    /// the differential tests.
     Scalar,
-    /// Cache blocking plus lane-parallel arithmetic across independent
-    /// output elements (8-wide f32 / i32 / i64 chunks the
-    /// autovectorizer lowers to vector instructions). The production
-    /// path.
+    /// Register-blocked tiles with lane-parallel arithmetic across
+    /// independent output elements (AVX2 where the CPU has it, a
+    /// portable spelling otherwise). The production path.
     Simd,
 }
 
@@ -56,81 +58,158 @@ impl KernelPolicy {
     }
 }
 
-/// f32 lanes per chunk in the SIMD variants (AVX2-width; the tail is
-/// handled element-wise in the same order).
-const LANES: usize = 8;
+/// Output rows per register tile.
+const MR: usize = 4;
 
-/// Columns of packed `B` kept hot in an L1/L2-resident panel.
-const NC: usize = 256;
+/// Output columns per register tile: two 8-lane f32 vectors.
+const NR: usize = 16;
 
-/// Depth (`k`) slab per blocking pass.
-const KC: usize = 64;
+/// One `MR×NR` block of outputs.
+type Tile = [[f32; NR]; MR];
 
-/// `out[j] += a * b[j]` over a row, in ascending-`j` order. Dispatches
-/// to AVX2 intrinsics when the CPU has them (detected once, cached by
-/// `std`), otherwise to a portable lane-array loop the autovectorizer
-/// lowers to whatever vector width the target offers. Both do one mul +
-/// one add per element — IEEE-identical per lane to the scalar loop.
-#[inline]
-fn axpy_lanes(out: &mut [f32], b: &[f32], a: f32) {
+/// One `MR×NR` tile of `A·B`: `a` holds the tile's `MR` rows of `A`
+/// (each at least `k` long), `b` the `NR`-wide panel of `B` whose row `p`
+/// starts at `p * ldb`. Every element starts at `+0.0` and adds its `k`
+/// terms in ascending order. Dispatches to AVX2 when the CPU has it
+/// (detected once, cached by `std`), otherwise to the portable body.
+///
+/// With `SKIP_ZERO`, a term whose `a[r][p]` is `±0.0` is left out, as
+/// the scalar `matmul` does. The AVX2 body spells that as a product
+/// mask: `a != 0` (`NEQ_UQ`, so a NaN `a` keeps its term) ANDed onto the
+/// product turns a skipped term into `+0.0`. Adding `+0.0` is the
+/// identity on every value except `−0.0`, and an accumulator that starts
+/// at `+0.0` can never *become* `−0.0`: under round-to-nearest a sum is
+/// `−0.0` only when both addends are, and exact cancellation gives
+/// `+0.0`. So the masked sum equals the skipping sum bit for bit.
+///
+/// # Panics
+///
+/// Panics if a row of `a` is shorter than `k` or `b` is shorter than
+/// `(k - 1) * ldb + NR`.
+fn tile_f32<const SKIP_ZERO: bool>(k: usize, a: [&[f32]; MR], b: &[f32], ldb: usize) -> Tile {
+    assert!(a.iter().all(|row| row.len() >= k), "tile A rows shorter than k");
+    assert!(k == 0 || (k - 1) * ldb + NR <= b.len(), "tile B panel shorter than k rows");
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { axpy_avx2(out, b, a) };
-        return;
+        // SAFETY: AVX2 support was just verified at runtime, and the
+        // asserts above bound every load.
+        return unsafe { tile_f32_avx2::<SKIP_ZERO>(k, a, b, ldb) };
     }
-    axpy_portable(out, b, a);
+    tile_f32_portable::<SKIP_ZERO>(k, a, b, ldb)
 }
 
-/// The portable fallback for [`axpy_lanes`]: eight independent elements
-/// in flight per chunk, tail handled element-wise in the same order.
+/// The portable body of [`tile_f32`]: the scalar term order and skip,
+/// `MR×NR` elements in flight.
 #[cfg_attr(target_arch = "x86_64", allow(dead_code))]
-#[inline]
-fn axpy_portable(out: &mut [f32], b: &[f32], a: f32) {
-    let mut oc = out.chunks_exact_mut(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    for (o8, b8) in (&mut oc).zip(&mut bc) {
-        for l in 0..LANES {
-            o8[l] += a * b8[l];
+fn tile_f32_portable<const SKIP_ZERO: bool>(
+    k: usize,
+    a: [&[f32]; MR],
+    b: &[f32],
+    ldb: usize,
+) -> Tile {
+    let mut acc = [[0.0f32; NR]; MR];
+    for p in 0..k {
+        let b_row = &b[p * ldb..p * ldb + NR];
+        for (acc_row, a_row) in acc.iter_mut().zip(a) {
+            let x = a_row[p];
+            if SKIP_ZERO && x == 0.0 {
+                continue;
+            }
+            for (o, &y) in acc_row.iter_mut().zip(b_row) {
+                *o += x * y;
+            }
         }
     }
-    for (o, &x) in oc.into_remainder().iter_mut().zip(bc.remainder()) {
-        *o += a * x;
-    }
+    acc
 }
 
-/// [`axpy_lanes`] on AVX2: `vmulps` + `vaddps` (never FMA — a fused
-/// multiply-add rounds once where the scalar kernel rounds twice, which
-/// would break the bitwise pin).
+/// The AVX2 body of [`tile_f32`]: eight `__m256` accumulators live
+/// across all of `k`, `vmulps` + `vaddps` (never FMA), the zero-skip as
+/// a `cmp NEQ_UQ` + `and` product mask.
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2 support at runtime.
+/// The caller must have verified AVX2 support at runtime and that every
+/// row of `a` holds `k` values and `b` holds `(k - 1) * ldb + NR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2(out: &mut [f32], b: &[f32], a: f32) {
+unsafe fn tile_f32_avx2<const SKIP_ZERO: bool>(
+    k: usize,
+    a: [&[f32]; MR],
+    b: &[f32],
+    ldb: usize,
+) -> Tile {
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
+        _mm256_add_ps, _mm256_and_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_mul_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _CMP_NEQ_UQ,
     };
-    let n = out.len().min(b.len());
-    let chunks = n / LANES;
-    let av = _mm256_set1_ps(a);
-    for c in 0..chunks {
-        let i = c * LANES;
-        // SAFETY: i + LANES <= n bounds both slices.
-        let ov = _mm256_loadu_ps(out.as_ptr().add(i));
-        let bv = _mm256_loadu_ps(b.as_ptr().add(i));
-        let prod = _mm256_mul_ps(av, bv);
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(ov, prod));
+    let zero = _mm256_setzero_ps();
+    let mut acc = [[zero; 2]; MR];
+    for p in 0..k {
+        let b_row = b.as_ptr().add(p * ldb);
+        let b_lo = _mm256_loadu_ps(b_row);
+        let b_hi = _mm256_loadu_ps(b_row.add(8));
+        for (acc_row, a_row) in acc.iter_mut().zip(a) {
+            let x = _mm256_set1_ps(*a_row.get_unchecked(p));
+            let mut lo = _mm256_mul_ps(x, b_lo);
+            let mut hi = _mm256_mul_ps(x, b_hi);
+            if SKIP_ZERO {
+                let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(x, zero);
+                lo = _mm256_and_ps(lo, keep);
+                hi = _mm256_and_ps(hi, keep);
+            }
+            acc_row[0] = _mm256_add_ps(acc_row[0], lo);
+            acc_row[1] = _mm256_add_ps(acc_row[1], hi);
+        }
     }
-    for i in chunks * LANES..n {
-        out[i] += a * b[i];
+    let mut out = [[0.0f32; NR]; MR];
+    for (o, v) in out.iter_mut().zip(acc) {
+        _mm256_storeu_ps(o.as_mut_ptr(), v[0]);
+        _mm256_storeu_ps(o.as_mut_ptr().add(8), v[1]);
+    }
+    out
+}
+
+/// Packs columns `j0..j0 + NR` of a `k`-deep operand, `at(p, j)`, into
+/// the `[k][NR]` panel `packed`, zero past the last column `n - 1`.
+fn pack_panel(packed: &mut [f32], j0: usize, n: usize, at: impl Fn(usize, usize) -> f32) {
+    for (p, row) in packed.chunks_exact_mut(NR).enumerate() {
+        for (c, x) in row.iter_mut().enumerate() {
+            *x = if j0 + c < n { at(p, j0 + c) } else { 0.0 };
+        }
     }
 }
 
-/// Computes rows `row0..` of `a · b` into `panel` (`panel.len()` must be
-/// a multiple of `b.cols()`). Shared by the serial entry points and the
-/// `par_matmul` row-panel tasks so every path uses the same kernels.
+/// Runs the tiles of output columns `j0..` (at most `NR`) of a `rows×n`
+/// output panel whose row `r` is `A` row `row0 + r`, against the
+/// `NR`-wide `B` panel `b` with row stride `ldb`. The last row block
+/// points its missing rows at the panel's last row and drops their
+/// outputs.
+fn column_tiles<const SKIP_ZERO: bool>(
+    a: &Matrix,
+    row0: usize,
+    panel: &mut [f32],
+    n: usize,
+    j0: usize,
+    b: &[f32],
+    ldb: usize,
+) {
+    let rows = panel.len() / n;
+    let width = NR.min(n - j0);
+    for i0 in (0..rows).step_by(MR) {
+        let a_rows = std::array::from_fn(|r| a.row(row0 + (i0 + r).min(rows - 1)));
+        let tile = tile_f32::<SKIP_ZERO>(a.cols(), a_rows, b, ldb);
+        for (r, t) in tile.iter().enumerate().take(rows - i0) {
+            let at = (i0 + r) * n + j0;
+            panel[at..at + width].copy_from_slice(&t[..width]);
+        }
+    }
+}
+
+/// Computes rows `row0..` of `a · b` into the zeroed `panel`
+/// (`panel.len()` must be a multiple of `b.cols()`). Shared by the
+/// serial entry points and the `par_matmul` row-panel tasks so every
+/// path uses the same kernels.
 pub(crate) fn matmul_panel(
     policy: KernelPolicy,
     a: &Matrix,
@@ -139,7 +218,7 @@ pub(crate) fn matmul_panel(
     panel: &mut [f32],
 ) {
     let (k, n) = (a.cols(), b.cols());
-    if n == 0 {
+    if n == 0 || k == 0 {
         return;
     }
     match policy {
@@ -159,34 +238,24 @@ pub(crate) fn matmul_panel(
             }
         }
         KernelPolicy::Simd => {
-            // jt → kt → i → k → j tiling: for any fixed output element
-            // (i, j) the k-tiles arrive in ascending order and k ascends
-            // within each tile, so the per-element term order is exactly
-            // the scalar one.
-            let rows = panel.len() / n;
-            for jt in (0..n).step_by(NC) {
-                let jt_end = (jt + NC).min(n);
-                for kt in (0..k).step_by(KC) {
-                    let kt_end = (kt + KC).min(k);
-                    for local_r in 0..rows {
-                        let a_row = a.row(row0 + local_r);
-                        let out_row = &mut panel[local_r * n + jt..local_r * n + jt_end];
-                        for (p, &a_ip) in a_row.iter().enumerate().take(kt_end).skip(kt) {
-                            if a_ip == 0.0 {
-                                continue;
-                            }
-                            axpy_lanes(out_row, &b.row(p)[jt..jt_end], a_ip);
-                        }
-                    }
+            for j0 in (0..n).step_by(NR) {
+                if j0 + NR <= n {
+                    // A full-width tile reads `B` in place (row stride `n`).
+                    column_tiles::<true>(a, row0, panel, n, j0, &b.as_slice()[j0..], n);
+                } else {
+                    // The ragged last columns are packed, zero-padded.
+                    let mut tail = vec![0.0f32; k * NR];
+                    pack_panel(&mut tail, j0, n, |p, j| b.row(p)[j]);
+                    column_tiles::<true>(a, row0, panel, n, j0, &tail, NR);
                 }
             }
         }
     }
 }
 
-/// Computes rows `row0..` of `a · bᵀ` into `panel` (`panel.len()` must
-/// be a multiple of `b.rows()`). Shared by the serial entry points and
-/// the `par_matmul_transpose_b` row-panel tasks.
+/// Computes rows `row0..` of `a · bᵀ` into the zeroed `panel`
+/// (`panel.len()` must be a multiple of `b.rows()`). Shared by the
+/// serial entry points and the `par_matmul_transpose_b` row-panel tasks.
 pub(crate) fn matmul_tb_panel(
     policy: KernelPolicy,
     a: &Matrix,
@@ -194,8 +263,8 @@ pub(crate) fn matmul_tb_panel(
     row0: usize,
     panel: &mut [f32],
 ) {
-    let n = b.rows();
-    if n == 0 {
+    let (k, n) = (a.cols(), b.rows());
+    if n == 0 || k == 0 {
         return;
     }
     match policy {
@@ -214,36 +283,13 @@ pub(crate) fn matmul_tb_panel(
             }
         }
         KernelPolicy::Simd => {
-            // A dot product must stay sequential to keep its bits, so
-            // the lane parallelism comes from four *independent* output
-            // columns in flight per pass (instruction-level
-            // parallelism), each accumulated in scalar order.
-            for (local_r, out_row) in panel.chunks_mut(n).enumerate() {
-                let a_row = a.row(row0 + local_r);
-                let mut j = 0;
-                while j + 4 <= n {
-                    let (b0, b1, b2, b3) = (b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-                    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    for (p, &x) in a_row.iter().enumerate() {
-                        s0 += x * b0[p];
-                        s1 += x * b1[p];
-                        s2 += x * b2[p];
-                        s3 += x * b3[p];
-                    }
-                    out_row[j] = s0;
-                    out_row[j + 1] = s1;
-                    out_row[j + 2] = s2;
-                    out_row[j + 3] = s3;
-                    j += 4;
-                }
-                for (o, jj) in out_row[j..].iter_mut().zip(j..n) {
-                    let b_row = b.row(jj);
-                    let mut acc = 0.0f32;
-                    for (x, y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
+            // `Bᵀ` is packed once per call, one `[k][NR]` panel at a
+            // time; the dot product has no zero-skip, so the tile runs
+            // unmasked.
+            let mut bt = vec![0.0f32; k * NR];
+            for j0 in (0..n).step_by(NR) {
+                pack_panel(&mut bt, j0, n, |p, j| b.row(j)[p]);
+                column_tiles::<false>(a, row0, panel, n, j0, &bt, NR);
             }
         }
     }
@@ -261,19 +307,41 @@ mod tests {
     }
 
     #[test]
-    fn axpy_lanes_matches_scalar_axpy() {
-        for len in [0usize, 1, 7, 8, 9, 16, 31] {
-            let b: Vec<f32> = (0..len).map(|i| (i as f32).sin()).collect();
-            let mut lanes: Vec<f32> = (0..len).map(|i| (i as f32) * 0.25 - 1.0).collect();
-            let mut portable = lanes.clone();
-            let mut scalar = lanes.clone();
-            axpy_lanes(&mut lanes, &b, 1.5);
-            axpy_portable(&mut portable, &b, 1.5);
-            for (o, &x) in scalar.iter_mut().zip(&b) {
-                *o += 1.5 * x;
-            }
-            assert_eq!(lanes, scalar, "len={len}");
-            assert_eq!(portable, scalar, "len={len}");
+    fn dispatched_tile_matches_the_portable_body_bitwise() {
+        // On an AVX2 host `tile_f32` runs the intrinsics; pin them to the
+        // portable body, masked and unmasked, at every depth up to 40.
+        // `A` mixes ±0.0 with finite values; each `B` column holds one
+        // ±∞ or NaN (at row `c % k`) among finite values, ±0.0 and
+        // subnormals, so every output meets at most one non-finite term.
+        const A: [f32; 5] = [0.0, -0.0, 1.25, -3.5, 2.0e-39];
+        const B: [f32; 6] = [0.0, -0.0, 1.5, -2.25, 1.0e-40, 3.0e7];
+        const NON_FINITE: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for k in 0..40 {
+            let rows: Vec<Vec<f32>> =
+                (0..MR).map(|r| (0..k).map(|p| A[(p * 3 + r) % A.len()]).collect()).collect();
+            let a = std::array::from_fn(|r| rows[r].as_slice());
+            let ldb = NR + 3;
+            let b: Vec<f32> = (0..k * ldb)
+                .map(|i| {
+                    let (p, c) = (i / ldb, i % ldb);
+                    if p == c % k.max(1) {
+                        NON_FINITE[c % NON_FINITE.len()]
+                    } else {
+                        B[(i * 5 + p) % B.len()]
+                    }
+                })
+                .collect();
+            let bits = |t: Tile| t.map(|row| row.map(f32::to_bits));
+            assert_eq!(
+                bits(tile_f32::<true>(k, a, &b, ldb)),
+                bits(tile_f32_portable::<true>(k, a, &b, ldb)),
+                "masked k={k}"
+            );
+            assert_eq!(
+                bits(tile_f32::<false>(k, a, &b, ldb)),
+                bits(tile_f32_portable::<false>(k, a, &b, ldb)),
+                "unmasked k={k}"
+            );
         }
     }
 }

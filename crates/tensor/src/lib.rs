@@ -11,7 +11,7 @@
 //! random initialisation and the scalar statistics helpers used by the
 //! benchmark harness. The `par_matmul` family runs the same kernels over
 //! row panels on a work-stealing pool with bitwise-identical results.
-//! The hot inner loops run cache-blocked SIMD bodies, pinned bitwise to
+//! The hot inner loops run register-tiled SIMD bodies, pinned bitwise to
 //! the scalar reference loops kept behind [`KernelPolicy::Scalar`].
 //!
 //! # Example
