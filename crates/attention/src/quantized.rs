@@ -2,7 +2,9 @@
 //! quantization).
 
 use cta_fixed::{formats, ExpLut, QFormat, QuantizedMatrix, ReciprocalLut};
-use cta_lsh::{aggregate_centroids, ClusterTree, Compression, LshFamily, TwoLevelCompression};
+use cta_lsh::{
+    aggregate_centroids, ClusterTable, ClusterTree, Compression, LshFamily, TwoLevelCompression,
+};
 use cta_tensor::Matrix;
 
 use crate::aggregate::aggregate_probabilities_with;
@@ -99,7 +101,6 @@ pub fn cta_forward_quantized(
 
     let recip =
         ReciprocalLut::new(qcfg.reciprocal_lut_max.max(queries.rows()).max(keys_values.rows()));
-    let exp_lut = ExpLut::new(qcfg.exp_lut_entries, qcfg.exp_lut_min);
 
     // Quantize the inputs once as they enter token/weight memory. The
     // LSH units and the centroid accumulators read the token words'
@@ -136,30 +137,12 @@ pub fn cta_forward_quantized(
     let k_words = linear(&c_cat, weights.wk());
     let v_words = linear(&c_cat, weights.wv());
 
-    // Stage 3: integer score product with a wide accumulator view (24-bit
-    // — PE accumulators are wider than the memory word), then the 1/√d
-    // scale and requantisation to the PAG-interface score format, then
-    // the PPE max-subtraction.
-    let wide = q_words.matmul_transpose_b(&k_words, QFormat::new(24, qcfg.score.frac_bits()));
-    let mut scores_bar = scale_scores(&wide, weights.head_dim(), qcfg.score).dequantize();
-    let k1 = kv_compression.k1();
-    for r in 0..scores_bar.rows() {
-        let row = scores_bar.row_mut(r);
-        let max = row[..k1].iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-        for x in &mut row[k1..] {
-            *x -= max;
-        }
-    }
+    // Stages 3-4: score product, score write-back with the PPE
+    // max-subtraction, probability aggregation through the exponent LUT.
+    let (ct1, ct2) = (&kv_compression.level1.table, &kv_compression.level2.table);
+    let (scores_bar, ap) =
+        scores_and_probabilities(&q_words, &k_words, ct1, ct2, weights.head_dim(), qcfg);
     let (q_bar, k_bar, v_bar) = (q_words.dequantize(), k_words.dequantize(), v_words.dequantize());
-
-    // Stage 4: probability aggregation through the exponent LUT.
-    let ap = aggregate_probabilities_with(
-        &scores_bar,
-        &kv_compression.level1.table,
-        &kv_compression.level2.table,
-        k1,
-        |x| exp_lut.lookup(x),
-    );
 
     // Stage 5: output calculation. The Ō accumulation lives in the PEs'
     // wide result registers; only the *divided* outputs are written back
@@ -192,25 +175,75 @@ pub fn cta_forward_quantized(
     }
 }
 
-/// Applies the `1/√d` score scale to the wide product and writes it back
-/// in the `score` format.
+/// Stages 3-4 of the fixed-point head: the integer score product into a
+/// 24-bit wide accumulator view (PE accumulators are wider than the memory
+/// word), one write-back pass to `S̄`, and the PAG aggregation over the
+/// cluster tables `CT₁`, `CT₂`. Returns `(S̄, AP)`.
 ///
-/// For `d = 4^m` the scale is exactly `2^-m`, so it folds into the
-/// write-back as an `m`-bit right shift. The shift must start from the
-/// *rounded* wide words, not the raw product: the hardware rounds into
-/// the wide accumulator view first and into the score format second,
-/// and a product just below a score-format tie rounds onto the tie in
-/// the wide view, then away from zero — one rounding from the product
-/// would round it down. Any other `d` scales in f32, where `1/√d` is
-/// inexact.
-fn scale_scores(wide: &QuantizedMatrix, head_dim: usize, score: QFormat) -> QuantizedMatrix {
+/// **The write-back pass.** Each row of wide words goes to the score
+/// format and has the PPE max-subtraction applied in one pass. For
+/// `d = 4^m` the `1/√d` scale is exactly `2^-m` and folds into the
+/// write-back as an `m`-bit shift-round of the *rounded* wide words, not
+/// of the raw product: the hardware rounds into the wide view first and
+/// into the score format second, and a product just below a score-format
+/// tie rounds onto the tie in the wide view, then away from zero — one
+/// rounding from the product would round it down. Any other `d` scales
+/// in f32, where `1/√d` is inexact. The row max of the level-1 block is
+/// taken over the words, and `S̄` holds `word × 2^-f` minus
+/// `max × 2^-f` on the level-2 block: each term is the word's value
+/// rounded once to f32 (exact up to 24 bits), so this is bit for bit the
+/// dequantize-then-subtract spelling, and for scores of at most 24 bits
+/// it is the integer difference times `2^-f`, exact.
+///
+/// **The exponent.** Every entry of `S̄`, and every f32 sum of two of
+/// them, lies on the `2^-f` grid, so the PAG reads the exponent through
+/// [`ExpLut::indexed_by`]'s word table, which returns
+/// [`ExpLut::lookup`]'s bits there (see [`cta_fixed::ScoreExpLut`]). A
+/// score format whose table would pass [`ExpLut::MAX_WORD_ENTRIES`]
+/// keeps `lookup`.
+fn scores_and_probabilities(
+    q_words: &QuantizedMatrix,
+    k_words: &QuantizedMatrix,
+    ct1: &ClusterTable,
+    ct2: &ClusterTable,
+    head_dim: usize,
+    qcfg: &QuantizationConfig,
+) -> (Matrix, Matrix) {
+    let score = qcfg.score;
+    let wide = q_words.matmul_transpose_b(k_words, QFormat::new(24, score.frac_bits()));
     let log2_d = head_dim.trailing_zeros();
-    if head_dim.is_power_of_two() && log2_d.is_multiple_of(2) {
-        wide.convert_shifted(log2_d / 2, score)
-    } else {
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        QuantizedMatrix::quantize(&wide.dequantize().scale(scale), score)
+    let shift = (head_dim.is_power_of_two() && log2_d.is_multiple_of(2)).then_some(log2_d / 2);
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let resolution = score.resolution();
+    let k1 = ct1.cluster_count();
+    let mut scores_bar = Matrix::zeros(wide.rows(), wide.cols());
+    let mut words = vec![0i32; wide.cols()];
+    for r in 0..wide.rows() {
+        match shift {
+            Some(m) => wide.convert_shifted_row(r, m, score, &mut words),
+            None => {
+                let row = &wide.raw()[r * wide.cols()..(r + 1) * wide.cols()];
+                for (w, &x) in words.iter_mut().zip(row) {
+                    *w = score.quantize(wide.format().dequantize(x) * scale) as i32;
+                }
+            }
+        }
+        let max = words[..k1].iter().max().map_or(f32::NEG_INFINITY, |&m| m as f32 * resolution);
+        let (level1, level2) = scores_bar.row_mut(r).split_at_mut(k1);
+        for (o, &w) in level1.iter_mut().zip(&words) {
+            *o = w as f32 * resolution;
+        }
+        for (o, &w) in level2.iter_mut().zip(&words[k1..]) {
+            *o = w as f32 * resolution - max;
+        }
     }
+
+    let exp_lut = ExpLut::new(qcfg.exp_lut_entries, qcfg.exp_lut_min);
+    let ap = match exp_lut.indexed_by(score) {
+        Some(table) => aggregate_probabilities_with(&scores_bar, ct1, ct2, k1, |x| table.lookup(x)),
+        None => aggregate_probabilities_with(&scores_bar, ct1, ct2, k1, |x| exp_lut.lookup(x)),
+    };
+    (scores_bar, ap)
 }
 
 /// Quantizes a sampled LSH family's direction matrix and biases to the
@@ -251,11 +284,163 @@ fn compress_quantized(
     (Compression { centroids: words.dequantize(), counts: cents.counts, table }, words)
 }
 
+/// Stages 3-4 as they were spelled before the one-pass write-back and
+/// the word-indexed exponent table: the test oracle of
+/// [`scores_and_probabilities`].
+#[cfg(test)]
+fn scores_and_probabilities_reference(
+    q_words: &QuantizedMatrix,
+    k_words: &QuantizedMatrix,
+    ct1: &ClusterTable,
+    ct2: &ClusterTable,
+    head_dim: usize,
+    qcfg: &QuantizationConfig,
+) -> (Matrix, Matrix) {
+    let exp_lut = ExpLut::new(qcfg.exp_lut_entries, qcfg.exp_lut_min);
+    let wide = q_words.matmul_transpose_b(k_words, QFormat::new(24, qcfg.score.frac_bits()));
+    let log2_d = head_dim.trailing_zeros();
+    let scores = if head_dim.is_power_of_two() && log2_d.is_multiple_of(2) {
+        wide.convert_shifted(log2_d / 2, qcfg.score)
+    } else {
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        QuantizedMatrix::quantize(&wide.dequantize().scale(scale), qcfg.score)
+    };
+    let mut scores_bar = scores.dequantize();
+    let k1 = ct1.cluster_count();
+    for r in 0..scores_bar.rows() {
+        let row = scores_bar.row_mut(r);
+        let max = row[..k1].iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+        for x in &mut row[k1..] {
+            *x -= max;
+        }
+    }
+    let ap = aggregate_probabilities_with(&scores_bar, ct1, ct2, k1, |x| exp_lut.lookup(x));
+    (scores_bar, ap)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{attention_exact, cta_forward};
-    use cta_tensor::{relative_error, standard_normal_matrix};
+    use cta_tensor::{relative_error, standard_normal_matrix, MatrixRng};
+    use proptest::prelude::*;
+
+    /// A dense `n`-token table over `k` clusters.
+    fn table(rng: &mut MatrixRng, n: usize, k: usize) -> ClusterTable {
+        let indices = (0..n).map(|j| if j < k { j } else { rng.index(k) }).collect();
+        ClusterTable::new(indices, k)
+    }
+
+    /// `rows × d` words uniform over `±2^bits`, clamped to `format`.
+    fn words(
+        rng: &mut MatrixRng,
+        rows: usize,
+        d: usize,
+        bits: u32,
+        format: QFormat,
+    ) -> QuantizedMatrix {
+        let span = 1usize << (bits + 1);
+        let raw = (0..rows * d)
+            .map(|_| {
+                (rng.index(span + 1) as i64 - (1i64 << bits))
+                    .clamp(format.min_raw(), format.max_raw())
+            })
+            .collect();
+        QuantizedMatrix::from_raw(rows, d, raw, format)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The score formats the pin runs: the paper's Q8.8, a coarse, a
+    /// fine and a 24-bit one, and Q16.16, whose table over `[-16, 0]`
+    /// would pass the 64 Ki cap and keeps `ExpLut::lookup`.
+    const SCORE_FORMATS: [QFormat; 5] = [
+        formats::SCORE,
+        QFormat::new(12, 6),
+        QFormat::new(20, 10),
+        QFormat::new(24, 12),
+        QFormat::new(32, 16),
+    ];
+
+    #[test]
+    fn the_pinned_score_formats_straddle_the_table_cap() {
+        let lut = ExpLut::new(1024, -16.0);
+        let tabled: Vec<bool> =
+            SCORE_FORMATS.iter().map(|&f| lut.indexed_by(f).is_some()).collect();
+        assert_eq!(tabled, [true, true, true, false, false]);
+    }
+
+    #[test]
+    fn pinned_stages_reach_both_lut_clamps() {
+        // Full-range words at the paper's d = 64: the PAG sums land below
+        // the LUT domain and at or above 0 in every pinned format, and
+        // both spellings agree on every bit there.
+        let mut rng = MatrixRng::new(7);
+        let (k0, k1, k2, n, d) = (12, 9, 5, 40, 64);
+        let (ct1, ct2) = (table(&mut rng, n, k1), table(&mut rng, n, k2));
+        let q = words(&mut rng, k0, d, 11, formats::CENTROID);
+        let k = words(&mut rng, k1 + k2, d, 11, formats::CENTROID);
+        for score in SCORE_FORMATS {
+            for exp_lut_min in [-16.0, -15.99] {
+                let qcfg =
+                    QuantizationConfig { score, exp_lut_min, ..QuantizationConfig::default() };
+                let (s, ap) = scores_and_probabilities(&q, &k, &ct1, &ct2, d, &qcfg);
+                let sums: Vec<f32> = (0..k0)
+                    .flat_map(|i| {
+                        let row = s.row(i);
+                        (0..n).map(|j| row[ct1.cluster_of(j)] + row[k1 + ct2.cluster_of(j)])
+                    })
+                    .collect();
+                assert!(sums.iter().any(|&x| x >= 0.0), "{score}: no sum at or above 0");
+                assert!(sums.iter().any(|&x| x < exp_lut_min), "{score}: no sum below the domain");
+                let (s_ref, ap_ref) =
+                    scores_and_probabilities_reference(&q, &k, &ct1, &ct2, d, &qcfg);
+                assert_eq!(bits(&s), bits(&s_ref), "{score}");
+                assert_eq!(bits(&ap), bits(&ap_ref), "{score}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The one-pass write-back and the word-indexed exponent against
+        /// the old spelling, bit for bit: `d` from 4 to 64 (both scale
+        /// branches), every pinned score format, on- and off-grid LUT
+        /// edges, narrow words (scores inside the LUT domain) and
+        /// full-range words (saturated scores, sums far below the domain
+        /// and, in the un-subtracted level-1 block, at or above 0).
+        #[test]
+        fn scores_and_probabilities_match_the_reference_bitwise(
+            d in (2u32..7).prop_map(|log2| 1usize << log2),
+            k0 in 1usize..20,
+            k1 in 1usize..12,
+            k2 in 1usize..8,
+            extra in 0usize..24,
+            word_bits in (0usize..3).prop_map(|i| [3u32, 6, 11][i]),
+            score in 0usize..SCORE_FORMATS.len(),
+            lut in (0usize..3).prop_map(|i| [(1024usize, -16.0f32), (1024, -15.99), (777, -4.0)][i]),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = MatrixRng::new(seed);
+            let n = k1.max(k2) + extra;
+            let (ct1, ct2) = (table(&mut rng, n, k1), table(&mut rng, n, k2));
+            let q = words(&mut rng, k0, d, word_bits, formats::CENTROID);
+            let k = words(&mut rng, k1 + k2, d, word_bits, formats::CENTROID);
+            let qcfg = QuantizationConfig {
+                score: SCORE_FORMATS[score],
+                exp_lut_entries: lut.0,
+                exp_lut_min: lut.1,
+                ..QuantizationConfig::default()
+            };
+            let (s, ap) = scores_and_probabilities(&q, &k, &ct1, &ct2, d, &qcfg);
+            let (s_ref, ap_ref) = scores_and_probabilities_reference(&q, &k, &ct1, &ct2, d, &qcfg);
+            prop_assert_eq!(bits(&s), bits(&s_ref));
+            prop_assert_eq!(bits(&ap), bits(&ap_ref));
+        }
+    }
 
     fn setup(seed: u64, n: usize, dw: usize, d: usize) -> (Matrix, AttentionWeights) {
         (standard_normal_matrix(seed, n, dw), AttentionWeights::random(dw, d, seed + 1))

@@ -16,7 +16,8 @@
 //! * [`QuantizedMatrix`] — a matrix of raw integer words with integer
 //!   matmul and saturating requantisation ([`Fixed`] is its scalar
 //!   companion for modelling individual hardware registers);
-//! * [`ExpLut`] and [`ReciprocalLut`] — the hardware look-up tables;
+//! * [`ExpLut`] and [`ReciprocalLut`] — the hardware look-up tables, and
+//!   [`ScoreExpLut`], the exponent table read with the score word;
 //! * [`formats`] — the concrete formats the paper specifies.
 //!
 //! # Example
@@ -36,7 +37,7 @@ mod qformat;
 mod quantized;
 mod scalar;
 
-pub use lut::{ExpLut, ReciprocalLut};
+pub use lut::{ExpLut, ReciprocalLut, ScoreExpLut};
 pub use qformat::QFormat;
 pub use quantized::QuantizedMatrix;
 pub use scalar::Fixed;

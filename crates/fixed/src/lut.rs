@@ -1,5 +1,8 @@
 //! Hardware look-up tables: exponent (PAG) and reciprocal (CAVG).
 
+use crate::qformat::pow2;
+use crate::QFormat;
+
 /// The shared exponent look-up table used by the Probability Aggregation
 /// Module.
 ///
@@ -83,6 +86,69 @@ impl ExpLut {
             worst = worst.max((self.lookup(x) - x.exp()).abs());
         }
         worst
+    }
+}
+
+/// The PAG exponent table read with the score word itself, as the
+/// hardware reads its shared LUT (paper §IV-B(4)): one
+/// [`ExpLut::lookup`] result per word of a score format in
+/// `[⌊min_input·2^f⌋, 0]` (4097 entries for Q8.8 over `[-16, 0]`), so a
+/// lookup is a multiply by `2^f`, a clamp and a load — no divide and no
+/// branch. Built by [`ExpLut::indexed_by`].
+///
+/// **Why it returns `ExpLut::lookup`'s bits.** The PAG adds two scores
+/// and looks the sum up. Every score at the PAG interface is a score word
+/// times `2^-f`, and so is every f32 sum of two of them: the exact sum is
+/// a multiple of `2^-f`, and where f32 cannot hold it (magnitude at least
+/// `2^(24-f)`) its spacing is itself a multiple of `2^-f`. For such an
+/// `x`, `x·2^f` is an exact integer, so the clamped word indexes the
+/// entry built from exactly `x` when `x` lies in the table, and otherwise
+/// the clamp lands where `lookup` clamps too: sums at or above 0 on the
+/// `1.0` entry, sums below `⌊min_input·2^f⌋·2^-f ≤ min_input` on the
+/// first entry, which is `lookup`'s `table[0]` (±∞ and NaN included). An
+/// `x` off that grid may differ; the fixed-point head never produces one.
+#[derive(Debug, Clone)]
+pub struct ScoreExpLut {
+    table: Vec<f32>,
+    min_word: i32,
+    scale: f32,
+}
+
+impl ScoreExpLut {
+    /// `exp(x)` as [`ExpLut::lookup`] gives it, for `x` on the score grid.
+    ///
+    /// The clamp runs on the f32 word, where `max`/`min` are single
+    /// branch-free instructions; an integer clamp after the saturating
+    /// `as i32` compiles to branches that half the PAG's sums mispredict
+    /// (those below the domain), which cost more than `lookup`'s divide
+    /// saved. After the clamp the word is an integer in
+    /// `[min_word, 0]`, so the cast is exact. `max` also sends NaN to the
+    /// first entry, where `lookup` sends it.
+    #[inline]
+    pub fn lookup(&self, x: f32) -> f32 {
+        let word = (x * self.scale).max(self.min_word as f32).min(0.0) as i32;
+        self.table[(word - self.min_word) as usize]
+    }
+}
+
+impl ExpLut {
+    /// Largest word-indexed table [`ExpLut::indexed_by`] builds: 64 Ki
+    /// entries (256 KiB of f32).
+    pub const MAX_WORD_ENTRIES: usize = 1 << 16;
+
+    /// This table re-indexed by the words of the `score` format (see
+    /// [`ScoreExpLut`]), or `None` when the domain spans more than
+    /// [`ExpLut::MAX_WORD_ENTRIES`] words — callers then keep
+    /// [`ExpLut::lookup`].
+    pub fn indexed_by(&self, score: QFormat) -> Option<ScoreExpLut> {
+        let min_word = (f64::from(self.min_input) * pow2(score.frac_bits() as i32)).floor();
+        if 1.0 - min_word > Self::MAX_WORD_ENTRIES as f64 {
+            return None;
+        }
+        let min_word = min_word as i32;
+        let resolution = score.resolution();
+        let table = (min_word..=0).map(|w| self.lookup(w as f32 * resolution)).collect();
+        Some(ScoreExpLut { table, min_word, scale: pow2(score.frac_bits() as i32) as f32 })
     }
 }
 
@@ -233,7 +299,102 @@ mod tests {
         }
     }
 
+    /// Every multiple of `2^-f` from `lo` to `hi` words.
+    fn grid(score: QFormat, lo: i64, hi: i64) -> impl Iterator<Item = f32> {
+        let resolution = score.resolution();
+        (lo..=hi).map(move |w| w as f32 * resolution)
+    }
+
+    #[test]
+    fn word_table_matches_lookup_on_every_score_word_and_sum() {
+        // Q8.8 over [-16, 0]: 4097 entries. Every Q8.8 word (the rails
+        // included), and every sum of two words, reads the same bits as
+        // `lookup` — below the domain, inside it and at or above 0.
+        let score = QFormat::new(16, 8);
+        let lut = ExpLut::pag_default();
+        let words = lut.indexed_by(score).expect("4097 entries fit the cap");
+        assert_eq!(words.table.len(), 4097);
+        for x in grid(score, 2 * score.min_raw(), 2 * score.max_raw()) {
+            assert_eq!(words.lookup(x).to_bits(), lut.lookup(x).to_bits(), "x={x}");
+        }
+        for x in [
+            -0.0f32,
+            0.0,
+            f32::MAX,
+            f32::MIN,
+            1e30,
+            -1e30,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ] {
+            assert_eq!(words.lookup(x).to_bits(), lut.lookup(x).to_bits(), "x={x}");
+        }
+    }
+
+    #[test]
+    fn word_table_matches_lookup_off_the_grid_domain_and_in_other_formats() {
+        // An off-grid lower edge (-15.99 is no multiple of 2^-8), an
+        // odd-sized table with an inexact step, a coarse and a fine
+        // format, and a 24-bit format whose sums leave f32's exact range.
+        let cases = [
+            (ExpLut::new(1024, -15.99), QFormat::new(16, 8)),
+            (ExpLut::new(777, -9.5), QFormat::new(12, 6)),
+            (ExpLut::new(1024, -16.0), QFormat::new(20, 11)),
+            (ExpLut::new(300, -3.3), QFormat::new(24, 10)),
+        ];
+        for (lut, score) in cases {
+            let words = lut.indexed_by(score).expect("within the cap");
+            let min_word =
+                (f64::from(lut.min_input) * f64::from(1u32 << score.frac_bits())).floor();
+            assert_eq!(words.table.len() as f64, 1.0 - min_word, "{score}");
+            let span = (words.table.len() as i64) * 3 / 2;
+            for x in grid(score, -span, span / 4) {
+                assert_eq!(words.lookup(x).to_bits(), lut.lookup(x).to_bits(), "{score} x={x}");
+            }
+            // Sums of two rail words, rounded to f32.
+            let rail = |w: i64| w as f32 * score.resolution();
+            for (a, b) in [
+                (score.min_raw(), score.min_raw()),
+                (score.max_raw(), score.max_raw()),
+                (score.min_raw(), score.max_raw()),
+                (score.min_raw() + 1, -1),
+            ] {
+                let x = rail(a) + rail(b);
+                assert_eq!(words.lookup(x).to_bits(), lut.lookup(x).to_bits(), "{score} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_table_is_refused_past_the_cap() {
+        // Q16.16 over [-16, 0] spans 2^20 + 1 words; one entry past
+        // 64 Ki is refused too.
+        assert!(ExpLut::pag_default().indexed_by(QFormat::new(32, 16)).is_none());
+        let edge = -(ExpLut::MAX_WORD_ENTRIES as f32 - 1.0) / 256.0;
+        assert_eq!(
+            ExpLut::new(64, edge).indexed_by(QFormat::new(16, 8)).map(|w| w.table.len()),
+            Some(ExpLut::MAX_WORD_ENTRIES)
+        );
+        let past = -(ExpLut::MAX_WORD_ENTRIES as f32) / 256.0;
+        assert!(ExpLut::new(64, past).indexed_by(QFormat::new(16, 8)).is_none());
+    }
+
     proptest! {
+        #[test]
+        fn word_table_matches_lookup_on_random_sums(
+            a in -(1i64 << 15)..(1i64 << 15),
+            b in -(1i64 << 15)..(1i64 << 15),
+            entries in 2usize..5000,
+            min in -20.0f32..-0.01,
+        ) {
+            let score = QFormat::new(16, 8);
+            let lut = ExpLut::new(entries, min);
+            let words = lut.indexed_by(score).expect("within the cap");
+            let x = a as f32 * score.resolution() + b as f32 * score.resolution();
+            prop_assert_eq!(words.lookup(x).to_bits(), lut.lookup(x).to_bits(), "x={}", x);
+        }
+
         #[test]
         fn exp_lut_monotone_nondecreasing(a in -16.0f32..0.0, b in -16.0f32..0.0) {
             let lut = ExpLut::pag_default();

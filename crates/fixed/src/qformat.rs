@@ -162,6 +162,82 @@ pub(crate) fn rescale(raw: i128, in_frac: u32, out: QFormat) -> i64 {
     shifted.clamp(out.min_raw() as i128, out.max_raw() as i128) as i64
 }
 
+/// [`rescale`] over a slice of words that fit i32 — exact i32-lane sums
+/// or the words of any format — written into `dst`: the write-back pass
+/// of the i16-tile products and of [`QuantizedMatrix::convert_shifted`](crate::QuantizedMatrix::convert_shifted).
+///
+/// The same rule in i64 arithmetic with every shift hoisted out of the
+/// loop: a magnitude of at most `2^31`, shifted left by at most 31 bits
+/// (`out` has at most 31 fractional bits) or right by at most 62, never
+/// leaves i64, so the loop needs no i128 and no branch per word. Right
+/// shifts above 62 fall back to [`rescale`] itself. The
+/// `rescale_words_*` tests pin the two bit for bit.
+///
+/// # Panics
+///
+/// Panics if `src` and `dst` differ in length.
+pub(crate) fn rescale_words<T: Copy + Into<i64>, U: From<i32>>(
+    src: &[T],
+    in_frac: u32,
+    out: QFormat,
+    dst: &mut [U],
+) {
+    assert_eq!(src.len(), dst.len(), "rescale_words: source and destination lengths differ");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        return unsafe { rescale_words_avx2(src, in_frac, out, dst) };
+    }
+    rescale_words_body(src, in_frac, out, dst);
+}
+
+/// [`rescale_words`] compiled for AVX2, where the loop runs four i64
+/// lanes wide (baseline x86-64 has no packed 64-bit compare for the
+/// clamp).
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn rescale_words_avx2<T: Copy + Into<i64>, U: From<i32>>(
+    src: &[T],
+    in_frac: u32,
+    out: QFormat,
+    dst: &mut [U],
+) {
+    rescale_words_body(src, in_frac, out, dst);
+}
+
+/// The one body of [`rescale_words`], inlined into each compilation.
+#[inline(always)]
+fn rescale_words_body<T: Copy + Into<i64>, U: From<i32>>(
+    src: &[T],
+    in_frac: u32,
+    out: QFormat,
+    dst: &mut [U],
+) {
+    let (left, right) =
+        (out.frac_bits().saturating_sub(in_frac), in_frac.saturating_sub(out.frac_bits()));
+    // `as i32` is exact after the clamp: every format fits 32 bits.
+    let (lo, hi) = (out.min_raw(), out.max_raw());
+    if right > 62 {
+        for (o, &x) in dst.iter_mut().zip(src) {
+            *o = U::from(rescale(i128::from(x.into()), in_frac, out) as i32);
+        }
+        return;
+    }
+    let half = (1i64 << right) >> 1;
+    for (o, &x) in dst.iter_mut().zip(src) {
+        let x: i64 = x.into();
+        debug_assert!(i32::try_from(x).is_ok(), "rescale_words: word {x} does not fit i32");
+        let sign = x >> 63;
+        let magnitude = (x ^ sign) - sign;
+        let rounded = ((((magnitude << left) + half) >> right) ^ sign) - sign;
+        *o = U::from(rounded.clamp(lo, hi) as i32);
+    }
+}
+
 impl fmt::Display for QFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Q{}.{} ({} bits)", self.int_bits(), self.frac_bits, self.total_bits)
@@ -338,7 +414,53 @@ mod tests {
         }
     }
 
+    /// `rescale_words` into i64 and i32 destinations against `rescale`
+    /// per word.
+    fn assert_rescale_words_matches(words: &[i64], in_frac: u32, out: QFormat) {
+        let mut wide = vec![0i64; words.len()];
+        let mut narrow = vec![0i32; words.len()];
+        rescale_words(words, in_frac, out, &mut wide);
+        rescale_words(words, in_frac, out, &mut narrow);
+        for ((&x, &w), &n) in words.iter().zip(&wide).zip(&narrow) {
+            let expected = rescale(i128::from(x), in_frac, out);
+            assert_eq!((w, i64::from(n)), (expected, expected), "{out} in_frac={in_frac} x={x}");
+        }
+    }
+
+    #[test]
+    fn rescale_words_matches_rescale_at_ties_rails_and_every_shift() {
+        // Every word around zero (ties of both signs at every shift), the
+        // i32 rails and powers of two either side, from shifts left by up
+        // to 31 bits to right shifts past the i64 fallback at 62.
+        let mut words: Vec<i64> = (-4100..=4100).collect();
+        for e in 0..31 {
+            let p = 1i64 << e;
+            words.extend([p - 1, p, p + 1, -p - 1, -p, -p + 1]);
+        }
+        words.extend([i64::from(i32::MIN), i64::from(i32::MAX), i64::from(i32::MIN) + 1]);
+        for out in SWEEP_FORMATS {
+            for in_frac in (0..=40).chain([61, 62, 63, 64, 70, 95]) {
+                assert_rescale_words_matches(&words, in_frac, out);
+            }
+        }
+        let sums: Vec<i32> = words.iter().map(|&x| x as i32).collect();
+        let mut from_i32 = vec![0i64; sums.len()];
+        rescale_words(&sums, 16, QFormat::new(12, 6), &mut from_i32);
+        let mut from_i64 = vec![0i64; words.len()];
+        rescale_words(&words, 16, QFormat::new(12, 6), &mut from_i64);
+        assert_eq!(from_i32, from_i64);
+    }
+
     proptest! {
+        #[test]
+        fn rescale_words_matches_rescale_on_any_i32(
+            x in i32::MIN..=i32::MAX,
+            in_frac in 0u32..80,
+            out in 0usize..8,
+        ) {
+            assert_rescale_words_matches(&[i64::from(x)], in_frac, SWEEP_FORMATS[out]);
+        }
+
         #[test]
         fn quantize_matches_the_round_reference_on_any_bit_pattern(bits in 0u32..=u32::MAX) {
             let x = f32::from_bits(bits);

@@ -18,7 +18,7 @@
 
 use cta_tensor::{KernelPolicy, Matrix};
 
-use crate::qformat::rescale;
+use crate::qformat::{rescale, rescale_words};
 use crate::QFormat;
 
 /// `ceil(log2(k))` for `k >= 1`; `0` for `k <= 1`.
@@ -175,11 +175,13 @@ unsafe fn tile_i16_avx2(kp: usize, a: &[i32], b: &[i16]) -> Tile {
 }
 
 /// Every `(i, j)` product of `a`'s rows against the `k×n` operand
-/// `b_at(p, j)` through [`tile_i16`], written back through
-/// [`rescale`]. `B` is packed once, k-pair-interleaved, into one
-/// `[kp][NR][2]` panel per `NR` columns; each `MR`-row block of `A` into
-/// one `[kp][MR]` block of i32 pairs. Caller must have picked
-/// [`Accumulator::I32Lanes`], whose formats' words fit i16 exactly.
+/// `b_at(p, j)` through [`tile_i16`]. `B` is packed once,
+/// k-pair-interleaved, into one `[kp][NR][2]` panel per `NR` columns;
+/// each `MR`-row block of `A` into one `[kp][MR]` block of i32 pairs.
+/// The block's exact sums land in one `MR×n` i32 buffer, and
+/// [`rescale_words`] writes its rows back in one slice pass. Caller must
+/// have picked [`Accumulator::I32Lanes`], whose formats' words fit i16
+/// exactly.
 fn tile_products(
     a: &QuantizedMatrix,
     n: usize,
@@ -197,6 +199,7 @@ fn tile_products(
         }
     }
     let mut ap = vec![0i32; kp * MR];
+    let mut sums = vec![0i32; MR * n];
     let mut raw = vec![0i64; m * n];
     for i0 in (0..m).step_by(MR) {
         let rows = MR.min(m - i0);
@@ -211,12 +214,12 @@ fn tile_products(
         for j0 in (0..n).step_by(NR) {
             let tile = tile_i16(kp, &ap, &bp[(j0 / NR) * kp * NR * 2..]);
             for (r, t) in tile.iter().enumerate().take(rows) {
-                let row = &mut raw[(i0 + r) * n..(i0 + r + 1) * n];
-                for (o, &sum) in row[j0..].iter_mut().zip(t) {
-                    *o = rescale(i128::from(sum), in_frac, out);
-                }
+                let row = &mut sums[r * n + j0..(r + 1) * n];
+                let cols = row.len().min(NR);
+                row[..cols].copy_from_slice(&t[..cols]);
             }
         }
+        rescale_words(&sums[..rows * n], in_frac, out, &mut raw[i0 * n..(i0 + rows) * n]);
     }
     raw
 }
@@ -598,9 +601,23 @@ impl QuantizedMatrix {
     /// saturating): the binary point moves `shift` bits left, which is
     /// the hardware's right shift by a power-of-two scale.
     pub fn convert_shifted(&self, shift: u32, format: QFormat) -> QuantizedMatrix {
-        let in_frac = self.format.frac_bits() + shift;
-        let raw = self.raw.iter().map(|&r| rescale(r as i128, in_frac, format)).collect();
+        let mut raw = vec![0i64; self.raw.len()];
+        rescale_words(&self.raw, self.format.frac_bits() + shift, format, &mut raw);
         QuantizedMatrix { rows: self.rows, cols: self.cols, raw, format }
+    }
+
+    /// Row `r` of [`convert_shifted`](Self::convert_shifted), written
+    /// into `dst` — one row pass of a write-back that consumes its words
+    /// at once instead of storing a matrix. The words are i32: every
+    /// format fits 32 bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of bounds or `dst.len() != self.cols()`.
+    pub fn convert_shifted_row(&self, r: usize, shift: u32, format: QFormat, dst: &mut [i32]) {
+        assert!(r < self.rows, "row {r} out of bounds for {} rows", self.rows);
+        let row = &self.raw[r * self.cols..(r + 1) * self.cols];
+        rescale_words(row, self.format.frac_bits() + shift, format, dst);
     }
 
     /// The given rows, in order (indices may repeat) — how a cluster

@@ -2,25 +2,44 @@
 //! assignment.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{ClusterTable, HashCodes};
 
-/// Where a tree edge leads: an internal node (layers `0..l-1`) or a leaf
-/// holding a cluster index (layer `l-1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Child {
-    Internal(usize),
-    Leaf(usize),
+/// A deterministic multiplicative hasher for the tree's edge keys.
+///
+/// Each key is one `u64` (`node << 32 | hash value`); the hash is the
+/// folded 128-bit product of the key with an odd constant, so every key
+/// bit reaches both the low bits `HashMap` indexes its buckets with and
+/// the high bits of its control bytes. It has no per-process seed, so
+/// lookups cost the same on every run — and the tree's numbering never
+/// depended on iteration order, only on insertion order. Without a seed,
+/// tokens crafted so their bucket values collide can slow the walk
+/// towards quadratic in the sequence length; they cannot change an index.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// A node's outgoing edges, keyed by hash value.
-///
-/// The hardware stores `(hash value, child address)` pairs in per-layer
-/// memory blocks with linearly allocated addresses; a `HashMap` models the
-/// same associative lookup.
-#[derive(Debug, Clone, Default)]
-struct Node {
-    children: HashMap<i32, Child>,
+/// Packs a tree edge — the internal node it leaves and the hash value it
+/// is labelled with — into one key.
+fn edge(node: usize, value: i32) -> u64 {
+    ((node as u64) << 32) | u64::from(value as u32)
 }
 
 /// The dynamic cluster tree of paper Fig. 4(a).
@@ -29,6 +48,13 @@ struct Node {
 /// and each leaf records the cluster index allocated when that code was
 /// first seen. Feeding the codes of a token sequence through the tree in
 /// order yields the cluster table `CT` with first-appearance numbering.
+///
+/// The hardware stores `(hash value, child address)` pairs in per-layer
+/// memory blocks with linearly allocated addresses. Here one edge map
+/// holds every pair of the tree, keyed by `(node, hash value)`: the child
+/// is an internal node's index on layers `0..l-1` and a cluster index on
+/// the last, and a node's layer says which. Internal nodes are numbered
+/// in allocation order, root first, as the CIM allocates addresses.
 ///
 /// This is the *reference* software implementation; the cycle-level model
 /// of the Cluster Index Module in `cta-sim` replays the same logic with
@@ -46,8 +72,10 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct ClusterTree {
     hash_length: usize,
-    /// Arena of internal nodes; index 0 is the root.
-    nodes: Vec<Node>,
+    /// Every edge: `(node, hash value)` → child node or cluster index.
+    edges: HashMap<u64, usize, BuildHasherDefault<EdgeHasher>>,
+    /// Internal nodes allocated so far, root included.
+    internal_nodes: usize,
     cluster_count: usize,
 }
 
@@ -59,7 +87,7 @@ impl ClusterTree {
     /// Panics if `hash_length == 0`.
     pub fn new(hash_length: usize) -> Self {
         assert!(hash_length > 0, "hash length must be positive");
-        Self { hash_length, nodes: vec![Node::default()], cluster_count: 0 }
+        Self { hash_length, edges: HashMap::default(), internal_nodes: 1, cluster_count: 0 }
     }
 
     /// Code length `l` this tree consumes.
@@ -75,7 +103,7 @@ impl ClusterTree {
     /// Number of internal nodes (root included) — a hardware memory-budget
     /// proxy for the CIM layer memories.
     pub fn internal_node_count(&self) -> usize {
-        self.nodes.len()
+        self.internal_nodes
     }
 
     /// Walks (and extends) the tree along `code`, returning the cluster
@@ -84,7 +112,8 @@ impl ClusterTree {
     ///
     /// # Panics
     ///
-    /// Panics if `code.len() != self.hash_length()`.
+    /// Panics if `code.len() != self.hash_length()`, or if the tree
+    /// outgrows 2^32 internal nodes.
     pub fn assign(&mut self, code: &[i32]) -> usize {
         assert_eq!(
             code.len(),
@@ -96,35 +125,27 @@ impl ClusterTree {
         let mut node = 0usize;
         // Layers 0..l-1: internal transitions (Fig. 4a lines 17-20).
         for &hv in &code[..self.hash_length - 1] {
-            let next = self.nodes.len();
-            let entry = self.nodes[node].children.entry(hv).or_insert(Child::Internal(next));
-            match *entry {
-                Child::Internal(idx) => {
-                    if idx == next {
-                        self.nodes.push(Node::default());
-                    }
-                    node = idx;
-                }
-                Child::Leaf(_) => unreachable!("leaf encountered before final layer"),
+            let next = self.internal_nodes;
+            node = *self.edges.entry(edge(node, hv)).or_insert(next);
+            if node == next {
+                assert!(next < 1 << 32, "cluster tree outgrew 2^32 internal nodes");
+                self.internal_nodes += 1;
             }
         }
         // Final layer: leaf lookup or creation (Fig. 4a lines 7-15).
-        let last = code[self.hash_length - 1];
-        match self.nodes[node].children.get(&last) {
-            Some(&Child::Leaf(idx)) => idx,
-            Some(&Child::Internal(_)) => unreachable!("internal child in final layer"),
-            None => {
-                let idx = self.cluster_count;
-                self.cluster_count += 1;
-                self.nodes[node].children.insert(last, Child::Leaf(idx));
-                idx
-            }
+        let next = self.cluster_count;
+        let idx = *self.edges.entry(edge(node, code[self.hash_length - 1])).or_insert(next);
+        if idx == next {
+            self.cluster_count += 1;
         }
+        idx
     }
 
     /// Assigns every code in sequence order and returns the cluster table.
     pub fn assign_all(&mut self, codes: &HashCodes) -> ClusterTable {
         assert_eq!(codes.hash_length(), self.hash_length, "hash length mismatch");
+        // At most one new edge per code value: the map never rehashes.
+        self.edges.reserve(codes.len() * self.hash_length);
         let indices: Vec<usize> = codes.iter().map(|c| self.assign(c)).collect();
         ClusterTable::new(indices, self.cluster_count)
     }
@@ -208,15 +229,51 @@ mod tests {
         assert_eq!(ct.indices(), &[0, 1, 0, 2]);
     }
 
+    #[test]
+    fn long_shared_prefixes_and_rail_buckets_match_reference() {
+        // 40-value codes that agree on their first 38 values, over an
+        // alphabet holding both i32 rails and -1 (whose key bits are all
+        // ones): each code walks one long shared chain and forks at the end.
+        let alphabet = [i32::MIN, i32::MAX, -1, 0, 1];
+        let l = 40;
+        let codes: Vec<i32> =
+            (0..25)
+                .flat_map(|i| {
+                    (0..l).map(move |p| {
+                        if p < l - 2 {
+                            alphabet[p % 5]
+                        } else {
+                            alphabet[(i / 5 + p * i) % 5]
+                        }
+                    })
+                })
+                .collect();
+        let codes = HashCodes::from_flat(25, l, codes);
+        let mut tree = ClusterTree::new(l);
+        assert_eq!(tree.assign_all(&codes), cluster_by_code_map(&codes));
+        // One chain of l - 2 shared internal nodes below the root, then
+        // at most five forks and their leaves.
+        assert!(tree.internal_node_count() <= (l - 1) + 5, "{}", tree.internal_node_count());
+        assert_eq!(tree.cluster_count(), cluster_by_code_map(&codes).cluster_count());
+    }
+
     proptest! {
         #[test]
         fn tree_equals_reference(
             n in 1usize..50,
-            l in 1usize..6,
+            l in 1usize..14,
+            shared in 0usize..14,
+            rails in (0u8..2).prop_map(|r| r == 1),
             seed in 0u64..1000,
         ) {
+            // Every code repeats a common prefix of up to `shared` values;
+            // half the cases draw from an alphabet holding the i32 rails.
+            let alphabet = if rails { [i32::MIN, i32::MAX, -1] } else { [0, 1, 2] };
             let mut rng = MatrixRng::new(seed);
-            let values: Vec<i32> = (0..n * l).map(|_| rng.index(3) as i32).collect();
+            let prefix: Vec<i32> = (0..l).map(|_| alphabet[rng.index(3)]).collect();
+            let values: Vec<i32> = (0..n * l)
+                .map(|i| if i % l < shared { prefix[i % l] } else { alphabet[rng.index(3)] })
+                .collect();
             let codes = HashCodes::from_flat(n, l, values);
             let mut tree = ClusterTree::new(l);
             prop_assert_eq!(tree.assign_all(&codes), cluster_by_code_map(&codes));

@@ -1,5 +1,51 @@
 //! Hardware configuration of the CTA accelerator (paper §IV-C).
 
+use std::fmt;
+
+/// Widest systolic array [`HwConfig::try_validate`] accepts. The paper's
+/// array is 8 wide; the bound keeps the buffer sizing (`2·b·n` words) and
+/// the default PAG parallelism (`2·b`) far from overflow.
+pub const MAX_SA_WIDTH: usize = 4096;
+
+/// Why an [`HwConfig`] is not a buildable accelerator, naming the field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum HwConfigError {
+    /// A size field is zero.
+    Zero {
+        /// The field's name.
+        field: &'static str,
+    },
+    /// `clock_ghz` is not positive (or is NaN).
+    Clock(f64),
+    /// `sa_width` exceeds [`MAX_SA_WIDTH`].
+    SaWidthTooLarge(usize),
+}
+
+impl HwConfigError {
+    /// The name of the offending `HwConfig` field.
+    pub fn field(&self) -> &'static str {
+        match self {
+            Self::Zero { field } => field,
+            Self::Clock(_) => "clock_ghz",
+            Self::SaWidthTooLarge(_) => "sa_width",
+        }
+    }
+}
+
+impl fmt::Display for HwConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Zero { field } => write!(f, "{field} must be positive"),
+            Self::Clock(ghz) => write!(f, "clock_ghz must be positive, got {ghz}"),
+            Self::SaWidthTooLarge(b) => {
+                write!(f, "sa_width must be at most {MAX_SA_WIDTH}, got {b}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for HwConfigError {}
+
 /// Static configuration of one CTA accelerator instance.
 ///
 /// The paper's reference design uses `b = 8` (SA width, also the batch
@@ -121,19 +167,42 @@ impl HwConfig {
         1e-9 / self.clock_ghz
     }
 
-    /// Validates internal consistency; called by the simulator entry point.
+    /// Checks internal consistency: every size positive, a positive
+    /// clock and `sa_width` at most [`MAX_SA_WIDTH`]. The error names the
+    /// first offending field.
+    pub fn try_validate(&self) -> Result<(), HwConfigError> {
+        let sizes = [
+            ("sa_width", self.sa_width),
+            ("sa_height", self.sa_height),
+            ("hash_length", self.hash_length),
+            ("pag_tiles", self.pag_tiles),
+            ("pag_iters_per_tile", self.pag_iters_per_tile),
+        ];
+        if let Some(&(field, _)) = sizes.iter().find(|&&(_, v)| v == 0) {
+            return Err(HwConfigError::Zero { field });
+        }
+        if self.sa_width > MAX_SA_WIDTH {
+            return Err(HwConfigError::SaWidthTooLarge(self.sa_width));
+        }
+        if self.clock_ghz.is_nan() || self.clock_ghz <= 0.0 {
+            return Err(HwConfigError::Clock(self.clock_ghz));
+        }
+        if self.max_seq_len == 0 {
+            return Err(HwConfigError::Zero { field: "max_seq_len" });
+        }
+        Ok(())
+    }
+
+    /// [`HwConfig::try_validate`] for callers that treat a bad
+    /// configuration as a bug; called by the simulator entry points.
     ///
     /// # Panics
     ///
-    /// Panics if any field is degenerate (zero sizes, non-positive clock).
+    /// Panics with the error's message if the configuration is invalid.
     pub fn validate(&self) {
-        assert!(self.sa_width > 0, "sa_width must be positive");
-        assert!(self.sa_height > 0, "sa_height must be positive");
-        assert!(self.hash_length > 0, "hash_length must be positive");
-        assert!(self.pag_tiles > 0, "pag_tiles must be positive");
-        assert!(self.pag_iters_per_tile > 0, "pag_iters_per_tile must be positive");
-        assert!(self.clock_ghz > 0.0, "clock_ghz must be positive");
-        assert!(self.max_seq_len > 0, "max_seq_len must be positive");
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -176,6 +245,40 @@ mod tests {
     #[should_panic(expected = "multiple of 2")]
     fn odd_pag_parallelism_rejected() {
         let _ = HwConfig::paper().with_pag_parallelism(7);
+    }
+
+    #[test]
+    fn try_validate_names_the_field() {
+        assert_eq!(HwConfig::paper().try_validate(), Ok(()));
+        let wide = HwConfig::paper().with_sa_width(MAX_SA_WIDTH);
+        assert_eq!(wide.try_validate(), Ok(()));
+        let too_wide = HwConfig::paper().with_sa_width(MAX_SA_WIDTH + 1).try_validate();
+        assert_eq!(too_wide, Err(HwConfigError::SaWidthTooLarge(MAX_SA_WIDTH + 1)));
+        assert_eq!(too_wide.unwrap_err().field(), "sa_width");
+        let huge = HwConfig { sa_width: 1 << 62, ..HwConfig::paper() }.try_validate();
+        assert_eq!(
+            huge.unwrap_err().to_string(),
+            format!("sa_width must be at most 4096, got {}", 1u64 << 62)
+        );
+        for (hw, field) in [
+            (HwConfig { sa_height: 0, ..HwConfig::paper() }, "sa_height"),
+            (HwConfig { hash_length: 0, ..HwConfig::paper() }, "hash_length"),
+            (HwConfig { pag_tiles: 0, ..HwConfig::paper() }, "pag_tiles"),
+            (HwConfig { pag_iters_per_tile: 0, ..HwConfig::paper() }, "pag_iters_per_tile"),
+            (HwConfig { max_seq_len: 0, ..HwConfig::paper() }, "max_seq_len"),
+            (HwConfig { clock_ghz: 0.0, ..HwConfig::paper() }, "clock_ghz"),
+            (HwConfig { clock_ghz: f64::NAN, ..HwConfig::paper() }, "clock_ghz"),
+        ] {
+            let err = hw.try_validate().unwrap_err();
+            assert_eq!(err.field(), field);
+            assert!(err.to_string().starts_with(&format!("{field} must be")), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sa_width must be at most 4096")]
+    fn validate_panics_with_the_typed_error() {
+        HwConfig { sa_width: 5000, ..HwConfig::paper() }.validate();
     }
 
     #[test]

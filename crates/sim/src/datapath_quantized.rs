@@ -240,6 +240,34 @@ mod tests {
         }
     }
 
+    /// The paper's shape, past the proptest's `d <= 32`, `n <= 64`: `d = 64`
+    /// (the shift branch), `n = 512` tokens, self- and cross-attention at
+    /// a fine and a coarse bucket width, with tokens at 24σ, so the score
+    /// write-back saturates.
+    #[test]
+    fn quantized_datapath_matches_at_the_paper_shape_with_saturated_scores() {
+        let (n, d) = (512, 64);
+        let qcfg = QuantizationConfig::default();
+        let rails = [qcfg.score.min_value(), qcfg.score.max_value()];
+        for (seed, width, cross) in [(31u64, 2.0f32, false), (32, 12.0, true)] {
+            let kv = standard_normal_matrix(seed, n, d).scale(24.0);
+            let q = standard_normal_matrix(seed ^ 0x5eed, n, d).scale(24.0);
+            let w = AttentionWeights::random(d, d, seed + 1);
+            let cfg = CtaConfig::uniform(width, seed + 2);
+            let queries = if cross { &q } else { &kv };
+            // The level-1 block of S̄ holds the score words before the
+            // max-subtraction: a saturated word shows as a rail value.
+            let sw = cta_forward_quantized(queries, &kv, &w, &cfg, &qcfg);
+            let k1 = sw.k1();
+            let saturated = (0..sw.scores_bar.rows())
+                .flat_map(|r| sw.scores_bar.row(r)[..k1].to_vec())
+                .filter(|x| rails.contains(x))
+                .count();
+            assert!(saturated > 0, "seed {seed}: no score word saturated");
+            assert_bitwise_match(queries, &kv, &w, &cfg, &qcfg);
+        }
+    }
+
     #[test]
     fn quantized_datapath_close_to_float_datapath() {
         let x = standard_normal_matrix(9, 20, 8);

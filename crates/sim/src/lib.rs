@@ -64,7 +64,7 @@ pub use cag::{simulate_cacc, simulate_cavg, CaccRun, CavgRun};
 pub use cag_rtl::{simulate_cacc_rtl, CaccRtlRun};
 pub use cim::{simulate_cim, CimRun};
 pub use cim_rtl::{simulate_cim_rtl, CimRtlRun};
-pub use config::HwConfig;
+pub use config::{HwConfig, HwConfigError, MAX_SA_WIDTH};
 pub use datapath::{run_functional_datapath, DatapathRun};
 pub use datapath_quantized::{run_quantized_datapath, QuantizedDatapathRun};
 pub use decode::{reclusters_for, schedule_decode, DecodeSchedule};

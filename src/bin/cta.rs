@@ -11,7 +11,7 @@ use cta::baselines::GpuModel;
 use cta::sim::{
     area_breakdown, poisson_trace, power_trace, schedule, schedule_ffn, simulate_serving, sweep,
     trace_schedule, AreaModel, AttentionTask, CtaAccelerator, CtaSystem, EnergyModel, HwConfig,
-    SystemConfig,
+    HwConfigError, SystemConfig, MAX_SA_WIDTH,
 };
 use cta::telemetry::{chrome_trace_json, validate_chrome_trace, AggregateReport, RingBufferSink};
 use cta::workloads::{
@@ -209,21 +209,21 @@ fn cluster_count(flags: &Flags, name: &str, n: usize) -> Result<usize, String> {
     Ok(k)
 }
 
-/// Widest systolic array `--width-b` accepts. The paper's array is 8
-/// wide; the bound keeps the buffer sizing (`2·b·n` words) and the
-/// `--pag` default (`2·b`) far from overflow.
-const MAX_WIDTH_B: usize = 4096;
-
 fn hw_from_flags(flags: &Flags, max_seq: usize) -> Result<HwConfig, String> {
     let b = positive(flags, "--width-b")?;
-    if b > MAX_WIDTH_B {
-        return Err(format!("--width-b must be at most {MAX_WIDTH_B}, got {b}"));
-    }
+    // Validate the width before the `--pag` default doubles it.
+    let hw = HwConfig::paper().with_sa_width(b);
+    hw.try_validate().map_err(|e| match e {
+        HwConfigError::SaWidthTooLarge(_) => {
+            format!("--width-b must be at most {MAX_SA_WIDTH}, got {b}")
+        }
+        e => format!("--width-b {b}: {e}"),
+    })?;
     let pag = flags.opt("--pag", |s| parse_num(s, "--pag", "an integer"))?.unwrap_or(2 * b);
     if pag == 0 || !pag.is_multiple_of(2) {
         return Err(format!("--pag must be a positive even number, got {pag}"));
     }
-    let mut hw = HwConfig::paper().with_sa_width(b).with_pag_parallelism(pag);
+    let mut hw = hw.with_pag_parallelism(pag);
     hw.max_seq_len = hw.max_seq_len.max(max_seq);
     Ok(hw)
 }
