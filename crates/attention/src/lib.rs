@@ -43,8 +43,7 @@ mod quantized;
 mod scheme;
 
 pub use aggregate::{
-    aggregate_probabilities, aggregate_probabilities_kernel, aggregate_probabilities_with,
-    reconstruct_full_scores,
+    aggregate_probabilities, aggregate_probabilities_with, reconstruct_full_scores,
 };
 pub use bound::{output_error_bound, reconstruct_values, ErrorBound};
 pub use causal::{attention_exact_causal, cta_forward_causal, CausalCtaAttention, CausalCtaConfig};
@@ -56,4 +55,4 @@ pub use config::{CtaConfig, DEFAULT_RESIDUAL_RATIO};
 pub use exact::{attention_exact, AttentionWeights, ExactAttention};
 pub use metrics::{fidelity, top1_agreement, FidelityReport};
 pub use quantized::{cta_forward_quantized, QuantizationConfig};
-pub use scheme::{cta_forward, cta_forward_with_exp, sample_families, CtaAttention};
+pub use scheme::{cta_forward, sample_families, CtaAttention};

@@ -7,7 +7,7 @@ use cta_lsh::{
 };
 use cta_tensor::Matrix;
 
-use crate::aggregate::aggregate_probabilities_with;
+use crate::aggregate::aggregate_strips;
 use crate::scheme::sample_families;
 use crate::{AttentionWeights, CtaAttention, CtaConfig};
 
@@ -240,8 +240,10 @@ fn scores_and_probabilities(
 
     let exp_lut = ExpLut::new(qcfg.exp_lut_entries, qcfg.exp_lut_min);
     let ap = match exp_lut.indexed_by(score) {
-        Some(table) => aggregate_probabilities_with(&scores_bar, ct1, ct2, k1, |x| table.lookup(x)),
-        None => aggregate_probabilities_with(&scores_bar, ct1, ct2, k1, |x| exp_lut.lookup(x)),
+        Some(table) => aggregate_strips(&scores_bar, ct1, ct2, k1, |xs| table.lookup_in_place(xs)),
+        None => aggregate_strips(&scores_bar, ct1, ct2, k1, |xs| {
+            xs.iter_mut().for_each(|x| *x = exp_lut.lookup(*x))
+        }),
     };
     (scores_bar, ap)
 }
@@ -314,7 +316,9 @@ fn scores_and_probabilities_reference(
             *x -= max;
         }
     }
-    let ap = aggregate_probabilities_with(&scores_bar, ct1, ct2, k1, |x| exp_lut.lookup(x));
+    let ap = crate::aggregate::aggregate_probabilities_reference(&scores_bar, ct1, ct2, k1, |x| {
+        exp_lut.lookup(x)
+    });
     (scores_bar, ap)
 }
 

@@ -5,7 +5,7 @@ use cta_lsh::{
 };
 use cta_tensor::{Matrix, MatrixRng};
 
-use crate::aggregate::aggregate_probabilities_with;
+use crate::aggregate::aggregate_probabilities;
 use crate::{AttentionWeights, CtaConfig};
 
 /// Every artifact of a CTA forward pass, from compressions through the
@@ -127,22 +127,6 @@ pub fn cta_forward(
     weights: &AttentionWeights,
     config: &CtaConfig,
 ) -> CtaAttention {
-    cta_forward_with_exp(queries, keys_values, weights, config, f32::exp)
-}
-
-/// [`cta_forward`] with a caller-supplied exponent implementation (the
-/// hardware-faithful path passes an [`ExpLut`](cta_fixed::ExpLut) lookup).
-///
-/// # Panics
-///
-/// Same conditions as [`cta_forward`].
-pub fn cta_forward_with_exp(
-    queries: &Matrix,
-    keys_values: &Matrix,
-    weights: &AttentionWeights,
-    config: &CtaConfig,
-    exp: impl FnMut(f32) -> f32,
-) -> CtaAttention {
     assert!(queries.rows() > 0 && keys_values.rows() > 0, "CTA requires non-empty token matrices");
     assert_eq!(queries.cols(), weights.token_dim(), "query token dim mismatch");
     assert_eq!(keys_values.cols(), weights.token_dim(), "kv token dim mismatch");
@@ -159,20 +143,20 @@ pub fn cta_forward_with_exp(
     let k_bar = c_cat.matmul(weights.wk());
     let v_bar = c_cat.matmul(weights.wv());
 
-    finish_forward(query_compression, kv_compression, q_bar, k_bar, v_bar, weights.head_dim(), exp)
+    finish_forward(query_compression, kv_compression, q_bar, k_bar, v_bar, weights.head_dim())
 }
 
-/// Stages 3-5 of the scheme, shared between the float and quantized paths:
-/// compressed scores with max-subtraction, probability aggregation, output
-/// calculation and per-query recovery.
-pub(crate) fn finish_forward(
+/// Stages 3-5 of the float scheme: compressed scores with
+/// max-subtraction, probability aggregation, output calculation and
+/// per-query recovery. (The fixed-point head spells its own stages 3-5 on
+/// the score grid; see `cta_forward_quantized`.)
+fn finish_forward(
     query_compression: Compression,
     kv_compression: TwoLevelCompression,
     q_bar: Matrix,
     k_bar: Matrix,
     v_bar: Matrix,
     head_dim: usize,
-    exp: impl FnMut(f32) -> f32,
 ) -> CtaAttention {
     let k1 = kv_compression.k1();
 
@@ -182,12 +166,11 @@ pub(crate) fn finish_forward(
     subtract_level1_row_max(&mut scores_bar, k1);
 
     // Stage 4: probability aggregation (Fig. 6).
-    let ap = aggregate_probabilities_with(
+    let ap = aggregate_probabilities(
         &scores_bar,
         &kv_compression.level1.table,
         &kv_compression.level2.table,
         k1,
-        exp,
     );
 
     // Stage 5: output calculation (eq. 8) and per-query recovery.

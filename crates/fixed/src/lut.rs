@@ -129,6 +129,58 @@ impl ScoreExpLut {
         let word = (x * self.scale).max(self.min_word as f32).min(0.0) as i32;
         self.table[(word - self.min_word) as usize]
     }
+
+    /// [`lookup`](Self::lookup) on every element of `xs`, in place: eight
+    /// words per AVX2 `vpgatherdd` where the CPU has AVX2 (detected
+    /// once, cached by `std`), one `lookup` per element otherwise.
+    pub fn lookup_in_place(&self, xs: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            unsafe { self.lookup_avx2(xs) };
+            return;
+        }
+        for x in xs {
+            *x = self.lookup(*x);
+        }
+    }
+
+    /// The AVX2 body of [`lookup_in_place`](Self::lookup_in_place):
+    /// `lookup`'s clamp on eight lanes, then one gather. `vmaxps` returns
+    /// its second operand when the first is NaN, so NaN reaches the
+    /// first entry as in `lookup`; `vminps` and the truncating convert
+    /// then give the same in-range word.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lookup_avx2(&self, xs: &mut [f32]) {
+        use std::arch::x86_64::{
+            _mm256_cvttps_epi32, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_max_ps,
+            _mm256_min_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
+            _mm256_storeu_ps, _mm256_sub_epi32,
+        };
+        let scale = _mm256_set1_ps(self.scale);
+        let min_word = _mm256_set1_ps(self.min_word as f32);
+        let min_index = _mm256_set1_epi32(self.min_word);
+        let mut chunks = xs.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            let x = _mm256_loadu_ps(chunk.as_ptr());
+            let word = _mm256_min_ps(
+                _mm256_max_ps(_mm256_mul_ps(x, scale), min_word),
+                _mm256_setzero_ps(),
+            );
+            let index = _mm256_sub_epi32(_mm256_cvttps_epi32(word), min_index);
+            // Every index lies in `[0, -min_word]`, inside the table.
+            let y = _mm256_i32gather_ps::<4>(self.table.as_ptr(), index);
+            _mm256_storeu_ps(chunk.as_mut_ptr(), y);
+        }
+        for x in chunks.into_remainder() {
+            *x = self.lookup(*x);
+        }
+    }
 }
 
 impl ExpLut {
@@ -362,6 +414,36 @@ mod tests {
             ] {
                 let x = rail(a) + rail(b);
                 assert_eq!(words.lookup(x).to_bits(), lut.lookup(x).to_bits(), "{score} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_lookup_matches_lookup_on_every_word_sum_and_edge() {
+        // Every sum of two Q8.8 words — below the domain, inside it and
+        // at or above 0 — plus ±0, ±∞, NaN and huge magnitudes, through
+        // `lookup_in_place` at several tail lengths; and an off-grid edge.
+        let score = QFormat::new(16, 8);
+        for lut in [ExpLut::pag_default(), ExpLut::new(1024, -15.99)] {
+            let words = lut.indexed_by(score).expect("within the cap");
+            let specials = [
+                -0.0f32,
+                0.0,
+                f32::MAX,
+                f32::MIN,
+                -1e30,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+            ];
+            let xs: Vec<f32> =
+                grid(score, 2 * score.min_raw(), 2 * score.max_raw()).chain(specials).collect();
+            for len in [xs.len(), 7, 8, 9, 1, 0] {
+                let mut ys = xs[..len].to_vec();
+                words.lookup_in_place(&mut ys);
+                for (x, y) in xs.iter().zip(&ys) {
+                    assert_eq!(y.to_bits(), words.lookup(*x).to_bits(), "x={x}");
+                }
             }
         }
     }

@@ -162,6 +162,72 @@ pub(crate) fn rescale(raw: i128, in_frac: u32, out: QFormat) -> i64 {
     shifted.clamp(out.min_raw() as i128, out.max_raw() as i128) as i64
 }
 
+/// [`QFormat::quantize`] over a slice, written into `dst`: the entry
+/// pass of [`QuantizedMatrix::quantize`](crate::QuantizedMatrix::quantize).
+/// Four lanes per AVX step where the CPU has AVX (detected once, cached
+/// by `std`), one `quantize` per element otherwise.
+///
+/// # Panics
+///
+/// Panics if `src` and `dst` differ in length.
+pub(crate) fn quantize_words(src: &[f32], format: QFormat, dst: &mut [i64]) {
+    assert_eq!(src.len(), dst.len(), "quantize_words: source and destination lengths differ");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx") {
+        // SAFETY: AVX support was just verified at runtime.
+        return unsafe { quantize_words_avx(src, format, dst) };
+    }
+    for (o, &x) in dst.iter_mut().zip(src) {
+        *o = format.quantize(x);
+    }
+}
+
+/// The AVX body of [`quantize_words`]: `quantize`'s steps on four f64
+/// lanes. The widening and the power-of-two scale are exact; `vmaxpd`
+/// returns its second operand (the lower rail) for a NaN, whose lane is
+/// zeroed at the end as `quantize` returns 0; the rounding to zero is
+/// `as i64`'s truncation, exact for the clamped value; and the ±1 for a
+/// fraction past ±0.5 is exact on an integer below `2^32`, as is the
+/// conversion of the result to i32.
+///
+/// # Safety
+///
+/// The caller must have verified AVX support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn quantize_words_avx(src: &[f32], format: QFormat, dst: &mut [i64]) {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_cmp_pd, _mm256_cvtpd_epi32,
+        _mm256_cvtps_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_round_pd,
+        _mm256_set1_pd, _mm256_sub_pd, _mm_loadu_ps, _mm_storeu_si128, _CMP_GE_OQ, _CMP_LE_OQ,
+        _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
+    };
+    let scale = _mm256_set1_pd(pow2(format.frac_bits() as i32));
+    let (lo, hi) =
+        (_mm256_set1_pd(format.min_raw() as f64), _mm256_set1_pd(format.max_raw() as f64));
+    let (half, neg_half, one) = (_mm256_set1_pd(0.5), _mm256_set1_pd(-0.5), _mm256_set1_pd(1.0));
+    let mut words = [0i32; 4];
+    let mut chunks = dst.chunks_exact_mut(4);
+    for (o, x) in (&mut chunks).zip(src.chunks_exact(4)) {
+        let x = _mm256_cvtps_pd(_mm_loadu_ps(x.as_ptr()));
+        let scaled = _mm256_min_pd(_mm256_max_pd(_mm256_mul_pd(x, scale), lo), hi);
+        let truncated = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(scaled);
+        let fraction = _mm256_sub_pd(scaled, truncated);
+        let up = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(fraction, half), one);
+        let down = _mm256_and_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(fraction, neg_half), one);
+        let rounded = _mm256_sub_pd(_mm256_add_pd(truncated, up), down);
+        let rounded = _mm256_andnot_pd(_mm256_cmp_pd::<_CMP_UNORD_Q>(x, x), rounded);
+        _mm_storeu_si128(words.as_mut_ptr().cast(), _mm256_cvtpd_epi32(rounded));
+        for (o, &w) in o.iter_mut().zip(&words) {
+            *o = i64::from(w);
+        }
+    }
+    let done = src.len() - chunks.into_remainder().len();
+    for (o, &x) in dst[done..].iter_mut().zip(&src[done..]) {
+        *o = format.quantize(x);
+    }
+}
+
 /// [`rescale`] over a slice of words that fit i32 — exact i32-lane sums
 /// or the words of any format — written into `dst`: the write-back pass
 /// of the i16-tile products and of [`QuantizedMatrix::convert_shifted`](crate::QuantizedMatrix::convert_shifted).
@@ -184,10 +250,34 @@ pub(crate) fn rescale_words<T: Copy + Into<i64>, U: From<i32>>(
 ) {
     assert_eq!(src.len(), dst.len(), "rescale_words: source and destination lengths differ");
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        return unsafe { rescale_words_avx2(src, in_frac, out, dst) };
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+            // SAFETY: AVX-512F/VL support was just verified at runtime.
+            return unsafe { rescale_words_avx512(src, in_frac, out, dst) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            return unsafe { rescale_words_avx2(src, in_frac, out, dst) };
+        }
     }
+    rescale_words_body(src, in_frac, out, dst);
+}
+
+/// [`rescale_words`] compiled for AVX-512, whose packed 64-bit
+/// arithmetic shift, min and max keep every step of the loop in lanes.
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512F and AVX-512VL support at
+/// runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+unsafe fn rescale_words_avx512<T: Copy + Into<i64>, U: From<i32>>(
+    src: &[T],
+    in_frac: u32,
+    out: QFormat,
+    dst: &mut [U],
+) {
     rescale_words_body(src, in_frac, out, dst);
 }
 
@@ -408,22 +498,60 @@ mod tests {
             }
             // And a stride through every f32 bit pattern.
             xs.extend((0..=u32::MAX).step_by(65_521).map(f32::from_bits));
-            for x in xs {
+            for &x in &xs {
                 assert_eq!(q.quantize(x), quantize_reference(q, x), "{q} x={x:e}");
+            }
+            // The slice pass, at every tail length, against `quantize`.
+            for len in (xs.len() - 7..=xs.len()).chain(0..9) {
+                let mut words = vec![0i64; len];
+                quantize_words(&xs[..len], q, &mut words);
+                for (&x, &w) in xs.iter().zip(&words) {
+                    assert_eq!(w, q.quantize(x), "quantize_words {q} x={x:e}");
+                }
             }
         }
     }
 
-    /// `rescale_words` into i64 and i32 destinations against `rescale`
-    /// per word.
+    /// One compilation of `rescale_words` over i64 words.
+    type RescaleBody<U> = unsafe fn(&[i64], u32, QFormat, &mut [U]);
+
+    /// Every compilation of `rescale_words` this host runs — the
+    /// dispatched one, the portable body and each instruction-set build —
+    /// by name.
+    fn rescale_bodies<U: From<i32>>() -> Vec<(&'static str, RescaleBody<U>)> {
+        let mut bodies: Vec<(&'static str, RescaleBody<U>)> = vec![
+            ("dispatched", rescale_words::<i64, U>),
+            ("portable", rescale_words_body::<i64, U>),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                bodies.push(("avx2", rescale_words_avx2::<i64, U>));
+            }
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+                bodies.push(("avx512", rescale_words_avx512::<i64, U>));
+            }
+        }
+        bodies
+    }
+
+    /// Every `rescale_words` body into i64 and i32 destinations against
+    /// `rescale` per word.
     fn assert_rescale_words_matches(words: &[i64], in_frac: u32, out: QFormat) {
-        let mut wide = vec![0i64; words.len()];
-        let mut narrow = vec![0i32; words.len()];
-        rescale_words(words, in_frac, out, &mut wide);
-        rescale_words(words, in_frac, out, &mut narrow);
-        for ((&x, &w), &n) in words.iter().zip(&wide).zip(&narrow) {
-            let expected = rescale(i128::from(x), in_frac, out);
-            assert_eq!((w, i64::from(n)), (expected, expected), "{out} in_frac={in_frac} x={x}");
+        let expected: Vec<i64> =
+            words.iter().map(|&x| rescale(i128::from(x), in_frac, out)).collect();
+        for (name, body) in rescale_bodies::<i64>() {
+            let mut wide = vec![0i64; words.len()];
+            // SAFETY: `rescale_bodies` lists only bodies the host runs.
+            unsafe { body(words, in_frac, out, &mut wide) };
+            assert_eq!(wide, expected, "{name} i64: {out} in_frac={in_frac}");
+        }
+        for (name, body) in rescale_bodies::<i32>() {
+            let mut narrow = vec![0i32; words.len()];
+            // SAFETY: as above.
+            unsafe { body(words, in_frac, out, &mut narrow) };
+            let narrow: Vec<i64> = narrow.into_iter().map(i64::from).collect();
+            assert_eq!(narrow, expected, "{name} i32: {out} in_frac={in_frac}");
         }
     }
 
@@ -466,6 +594,12 @@ mod tests {
             let x = f32::from_bits(bits);
             for q in SWEEP_FORMATS {
                 prop_assert_eq!(q.quantize(x), quantize_reference(q, x), "{} x={:e}", q, x);
+                let mut words = [0i64; 5];
+                quantize_words(&[x, -x, x, x * 0.5, x], q, &mut words);
+                prop_assert_eq!(words[0], q.quantize(x), "quantize_words {} x={:e}", q, x);
+                prop_assert_eq!(words[1], q.quantize(-x), "quantize_words {} x={:e}", q, -x);
+                prop_assert_eq!(words[3], q.quantize(x * 0.5), "quantize_words {} x={:e}", q, x * 0.5);
+                prop_assert_eq!(words[4], q.quantize(x), "quantize_words tail {} x={:e}", q, x);
             }
         }
 

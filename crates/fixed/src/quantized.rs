@@ -9,8 +9,9 @@
 //! They pick the narrowest lane tier a bit-budget guard proves cannot
 //! overflow:
 //!
-//! * a register-blocked i16 tile into i32 lanes (AVX2 `vpmaddwd` where
-//!   the CPU has it) when both formats are at most 16 bits and
+//! * a register-blocked 4×32 i16 tile into i32 lanes (`vpmaddwd` on
+//!   AVX-512BW or, as two 16-column halves, AVX2, where the CPU has
+//!   them) when both formats are at most 16 bits and
 //!   `(bits_a - 1) + (bits_b - 1) + ceil_log2(K) <= 30` (every paper
 //!   product: 12-bit words, `K <= 256`);
 //! * otherwise i32 words into four i64 lanes when that budget is `<= 62`;
@@ -18,7 +19,7 @@
 
 use cta_tensor::{KernelPolicy, Matrix};
 
-use crate::qformat::{rescale, rescale_words};
+use crate::qformat::{quantize_words, rescale, rescale_words};
 use crate::QFormat;
 
 /// `ceil(log2(k))` for `k >= 1`; `0` for `k <= 1`.
@@ -92,8 +93,10 @@ fn dot_i32_lanes(a: &[i32], b: &[i32]) -> i128 {
 /// Output rows per i16 register tile.
 const MR: usize = 4;
 
-/// Output columns per i16 register tile: two vectors of eight i32 lanes.
-const NR: usize = 16;
+/// Output columns per i16 register tile: two vectors of sixteen i32
+/// lanes (four of eight on the AVX2 body, which walks the panel as two
+/// halves).
+const NR: usize = 32;
 
 /// One `MR×NR` block of exact i32 sums.
 type Tile = [[i32; NR]; MR];
@@ -102,9 +105,9 @@ type Tile = [[i32; NR]; MR];
 /// each i32 holds one row's pair `(A[i][2q], A[i][2q+1])` as its low and
 /// high i16 halves. `b` is the tile's `[kp][NR][2]` panel of `B`, the
 /// same pair interleaved per column. Odd `k` and missing rows or columns
-/// are zero-padded, which adds nothing. Dispatches to AVX2 when the CPU
-/// has it (detected once, cached by `std`), otherwise to the portable
-/// body.
+/// are zero-padded, which adds nothing. Dispatches at run time to the
+/// widest body the CPU runs — AVX-512BW, then AVX2, then the portable
+/// one (detected once, cached by `std`).
 ///
 /// Caller must have picked [`Accumulator::I32Lanes`]: every partial sum
 /// is a sum of at most `K` products of magnitude at most
@@ -117,10 +120,16 @@ type Tile = [[i32; NR]; MR];
 fn tile_i16(kp: usize, a: &[i32], b: &[i16]) -> Tile {
     assert!(a.len() >= kp * MR && b.len() >= kp * NR * 2, "tile operands shorter than kp pairs");
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime, and the
-        // assert above bounds every load.
-        return unsafe { tile_i16_avx2(kp, a, b) };
+    {
+        if is_x86_feature_detected!("avx512bw") {
+            // SAFETY: AVX-512BW support was just verified at runtime, and
+            // the assert above bounds every load.
+            return unsafe { tile_i16_avx512(kp, a, b) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: as above, for AVX2.
+            return unsafe { tile_i16_avx2(kp, a, b) };
+        }
     }
     tile_i16_portable(kp, a, b)
 }
@@ -140,9 +149,44 @@ fn tile_i16_portable(kp: usize, a: &[i32], b: &[i16]) -> Tile {
     acc
 }
 
-/// The AVX2 body of [`tile_i16`]: eight `__m256i` accumulators live
+/// The AVX-512BW body of [`tile_i16`]: eight `__m512i` accumulators live
 /// across all of `k`; each `A` pair is broadcast as one i32 and
-/// `vpmaddwd` multiplies it into eight columns' pairs at once.
+/// `vpmaddwd` multiplies it into sixteen columns' pairs at once.
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512BW support at runtime and that
+/// `a` holds `kp * MR` words and `b` holds `kp * NR * 2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512bw")]
+unsafe fn tile_i16_avx512(kp: usize, a: &[i32], b: &[i16]) -> Tile {
+    use std::arch::x86_64::{
+        _mm512_add_epi32, _mm512_loadu_si512, _mm512_madd_epi16, _mm512_set1_epi32,
+        _mm512_setzero_si512, _mm512_storeu_si512,
+    };
+    let mut acc = [[_mm512_setzero_si512(); 2]; MR];
+    for q in 0..kp {
+        let b_q = b.as_ptr().add(q * NR * 2);
+        let b_lo = _mm512_loadu_si512(b_q.cast());
+        let b_hi = _mm512_loadu_si512(b_q.add(NR).cast());
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let pair = _mm512_set1_epi32(*a.get_unchecked(q * MR + r));
+            acc_row[0] = _mm512_add_epi32(acc_row[0], _mm512_madd_epi16(pair, b_lo));
+            acc_row[1] = _mm512_add_epi32(acc_row[1], _mm512_madd_epi16(pair, b_hi));
+        }
+    }
+    let mut out = [[0i32; NR]; MR];
+    for (o, v) in out.iter_mut().zip(acc) {
+        _mm512_storeu_si512(o.as_mut_ptr().cast(), v[0]);
+        _mm512_storeu_si512(o.as_mut_ptr().add(16).cast(), v[1]);
+    }
+    out
+}
+
+/// The AVX2 body of [`tile_i16`]: the panel as two 16-column halves,
+/// each with eight `__m256i` accumulators live across all of `k`; each
+/// `A` pair is broadcast as one i32 and `vpmaddwd` multiplies it into
+/// eight columns' pairs at once.
 ///
 /// # Safety
 ///
@@ -155,21 +199,23 @@ unsafe fn tile_i16_avx2(kp: usize, a: &[i32], b: &[i16]) -> Tile {
         __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
         _mm256_setzero_si256, _mm256_storeu_si256,
     };
-    let mut acc = [[_mm256_setzero_si256(); 2]; MR];
-    for q in 0..kp {
-        let b_q = b.as_ptr().add(q * NR * 2);
-        let b_lo = _mm256_loadu_si256(b_q.cast::<__m256i>());
-        let b_hi = _mm256_loadu_si256(b_q.add(NR).cast::<__m256i>());
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let pair = _mm256_set1_epi32(*a.get_unchecked(q * MR + r));
-            acc_row[0] = _mm256_add_epi32(acc_row[0], _mm256_madd_epi16(pair, b_lo));
-            acc_row[1] = _mm256_add_epi32(acc_row[1], _mm256_madd_epi16(pair, b_hi));
-        }
-    }
     let mut out = [[0i32; NR]; MR];
-    for (o, v) in out.iter_mut().zip(acc) {
-        _mm256_storeu_si256(o.as_mut_ptr().cast::<__m256i>(), v[0]);
-        _mm256_storeu_si256(o.as_mut_ptr().add(8).cast::<__m256i>(), v[1]);
+    for half in [0, NR / 2] {
+        let mut acc = [[_mm256_setzero_si256(); 2]; MR];
+        for q in 0..kp {
+            let b_q = b.as_ptr().add(q * NR * 2 + half * 2);
+            let b_lo = _mm256_loadu_si256(b_q.cast::<__m256i>());
+            let b_hi = _mm256_loadu_si256(b_q.add(16).cast::<__m256i>());
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let pair = _mm256_set1_epi32(*a.get_unchecked(q * MR + r));
+                acc_row[0] = _mm256_add_epi32(acc_row[0], _mm256_madd_epi16(pair, b_lo));
+                acc_row[1] = _mm256_add_epi32(acc_row[1], _mm256_madd_epi16(pair, b_hi));
+            }
+        }
+        for (o, v) in out.iter_mut().zip(acc) {
+            _mm256_storeu_si256(o.as_mut_ptr().add(half).cast::<__m256i>(), v[0]);
+            _mm256_storeu_si256(o.as_mut_ptr().add(half + 8).cast::<__m256i>(), v[1]);
+        }
     }
     out
 }
@@ -331,12 +377,9 @@ pub struct QuantizedMatrix {
 impl QuantizedMatrix {
     /// Quantizes a real matrix into `format`.
     pub fn quantize(m: &Matrix, format: QFormat) -> Self {
-        Self {
-            rows: m.rows(),
-            cols: m.cols(),
-            raw: m.as_slice().iter().map(|&x| format.quantize(x)).collect(),
-            format,
-        }
+        let mut raw = vec![0i64; m.as_slice().len()];
+        quantize_words(m.as_slice(), format, &mut raw);
+        Self { rows: m.rows(), cols: m.cols(), raw, format }
     }
 
     /// Builds a quantized matrix directly from raw words.
@@ -415,7 +458,7 @@ impl QuantizedMatrix {
     ///
     /// The scalar reference walks `other` column-strided; the SIMD
     /// variant packs `B` once and narrows the packed words — into
-    /// k-pair-interleaved i16 panels for the 4×16 i32-lane tile, or
+    /// k-pair-interleaved i16 panels for the 4×32 i32-lane tile, or
     /// transposed into i32 words with four i64 lanes — when the formats'
     /// bit budget guarantees a lane cannot overflow (falling back to
     /// contiguous i128 dots otherwise).
@@ -852,12 +895,36 @@ mod tests {
         assert_policies_match_scalar(&a, &b, wide);
     }
 
+    /// One body of [`tile_i16`].
+    type TileBody = fn(usize, &[i32], &[i16]) -> Tile;
+
+    /// Every i16 tile body this host can run, by name; the portable
+    /// body first.
+    fn tile_bodies() -> Vec<(&'static str, TileBody)> {
+        let mut bodies: Vec<(&'static str, TileBody)> = vec![("portable", tile_i16_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was just verified; the caller
+                // sizes every operand as `tile_i16` asserts.
+                bodies.push(("avx2", |kp, a, b| unsafe { tile_i16_avx2(kp, a, b) }));
+            }
+            if is_x86_feature_detected!("avx512bw") {
+                // SAFETY: as above, for AVX-512BW.
+                bodies.push(("avx512", |kp, a, b| unsafe { tile_i16_avx512(kp, a, b) }));
+            }
+        }
+        bodies.push(("dispatched", tile_i16));
+        bodies
+    }
+
     #[test]
-    fn i16_tile_matches_the_portable_body_and_the_exact_sums() {
-        // On an AVX2 host `tile_i16` runs the intrinsics; pin them and the
-        // portable body to exact i64 sums over the same packed words, at
-        // every pair count up to 40 on full-range 12-bit words and at the
-        // budget-30 rail: 128 pairs of (-2^11)² terms sum to exactly 2^30.
+    fn every_i16_tile_body_matches_the_exact_sums() {
+        // Each body the host runs — so an AVX-512 host still checks the
+        // AVX2 body — against exact i64 sums over the same packed words,
+        // at every pair count up to 40 on full-range 12-bit words and at
+        // the budget-30 rail: 128 pairs of (-2^11)² terms sum to exactly
+        // 2^30.
         let q12 = QFormat::new(12, 0);
         let cases = (0..=40u64).map(|kp| {
             let a = lcg_quantized(1, kp as usize * MR * 2, 71 + kp, q12).raw().to_vec();
@@ -888,8 +955,9 @@ mod tests {
                 assert_eq!(exact[0][0], 1 << 30, "the rail case must hit the budget");
             }
             let exact = exact.map(|row| row.map(|x| i32::try_from(x).unwrap()));
-            assert_eq!(tile_i16(kp, &a, &b), exact, "kp={kp}");
-            assert_eq!(tile_i16_portable(kp, &a, &b), exact, "kp={kp}");
+            for (name, body) in tile_bodies() {
+                assert_eq!(body(kp, &a, &b), exact, "{name} kp={kp}");
+            }
         }
     }
 
@@ -976,7 +1044,7 @@ mod tests {
             n in 1usize..41,
             seed in 0u64..500,
         ) {
-            // Ragged 4×16 tile tails and odd k (a zero-padded last
+            // Ragged 4×32 tile tails and odd k (a zero-padded last
             // k-pair), in both products; TOKEN × CENTROID at k <= 70
             // stays inside the i32-lane budget.
             let a = lcg_quantized(m, k, seed, formats::TOKEN);

@@ -142,9 +142,10 @@ pub fn mmpp_requests(
 /// The fleet runtime assumes arrival times are finite, non-negative and
 /// sorted; a trace violating any of these used to slip through silently
 /// (a NaN timestamp, say, defeats every `<=` event-ordering comparison)
-/// and could wedge or crash the event loop far from the bad input. The
-/// replay constructor now rejects such traces up front with the index of
-/// the first offending entry.
+/// and could wedge or crash the event loop far from the bad input. Every
+/// request also needs at least one layer, each with at least one head
+/// task. The replay constructor rejects a trace that breaks any of these
+/// up front, with the index of the first offending entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceError {
     /// The trace has no requests.
@@ -164,6 +165,18 @@ pub enum TraceError {
         /// Index of the offending request in the trace.
         index: usize,
     },
+    /// The request at this index has no layers.
+    NoLayers {
+        /// Index of the offending request in the trace.
+        index: usize,
+    },
+    /// Layer `layer` of the request at this index has no head tasks.
+    EmptyLayer {
+        /// Index of the offending request in the trace.
+        index: usize,
+        /// The first empty layer of that request.
+        layer: usize,
+    },
 }
 
 impl core::fmt::Display for TraceError {
@@ -178,6 +191,12 @@ impl core::fmt::Display for TraceError {
             }
             TraceError::NonMonotonic { index } => {
                 write!(f, "arrival time at trace index {index} precedes its predecessor")
+            }
+            TraceError::NoLayers { index } => {
+                write!(f, "request at trace index {index} has no layers")
+            }
+            TraceError::EmptyLayer { index, layer } => {
+                write!(f, "layer {layer} of the request at trace index {index} has no head tasks")
             }
         }
     }
@@ -203,9 +222,11 @@ impl std::error::Error for TraceError {}
 /// # Errors
 ///
 /// Returns a [`TraceError`] naming the first offending index when the
-/// trace is empty or its arrival times are NaN/infinite, negative, or
-/// non-monotonic — instead of handing the fleet runtime a trace it would
-/// livelock or panic on.
+/// trace is empty, its arrival times are NaN/infinite, negative, or
+/// non-monotonic, or a request has no layers or a layer without head
+/// tasks — instead of handing the fleet runtime (or
+/// [`ServeRequest::new`]'s shape asserts) a trace it would livelock or
+/// panic on.
 pub fn replay_trace(
     trace: &[ServingRequest],
     class: QosClass,
@@ -223,6 +244,12 @@ pub fn replay_trace(
         }
         if r.arrival_s < prev {
             return Err(TraceError::NonMonotonic { index });
+        }
+        if r.layer_tasks.is_empty() {
+            return Err(TraceError::NoLayers { index });
+        }
+        if let Some(layer) = r.layer_tasks.iter().position(Vec::is_empty) {
+            return Err(TraceError::EmptyLayer { index, layer });
         }
         prev = r.arrival_s;
     }
@@ -283,6 +310,7 @@ pub fn session_requests(
 mod tests {
     use super::*;
     use cta_sim::poisson_trace;
+    use proptest::prelude::*;
 
     fn spec() -> LoadSpec {
         LoadSpec::standard(AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6), 2, 4)
@@ -363,8 +391,55 @@ mod tests {
             replay_trace(&trace, QosClass::batch()),
             Err(TraceError::NonMonotonic { index: 3 })
         );
+        trace[3].arrival_s = trace[2].arrival_s;
+
+        trace[1].layer_tasks.clear();
+        assert_eq!(replay_trace(&trace, QosClass::batch()), Err(TraceError::NoLayers { index: 1 }));
+        trace[1].layer_tasks = trace[0].layer_tasks.clone();
+        trace[4].layer_tasks[1].clear();
+        assert_eq!(
+            replay_trace(&trace, QosClass::batch()),
+            Err(TraceError::EmptyLayer { index: 4, layer: 1 })
+        );
         // Each error renders a human-readable message naming the index.
         assert!(TraceError::NonMonotonic { index: 3 }.to_string().contains("index 3"));
+        assert!(TraceError::EmptyLayer { index: 4, layer: 1 }.to_string().contains("index 4"));
+    }
+
+    proptest! {
+        /// Malformed traces — any mix of arrival times (NaN, +∞,
+        /// negative, unsorted) and layer shapes (no layers, empty
+        /// layers), drawn per entry from `seed` — come back as `Err`,
+        /// never as a panic; a trace is accepted exactly when every entry
+        /// is well-formed.
+        #[test]
+        fn replay_of_malformed_traces_returns_err_and_never_panics(
+            len in 0usize..12,
+            seed in 0u64..1_000_000,
+        ) {
+            const ARRIVALS: [f64; 6] = [0.5, 2.0, -1.0, f64::NAN, f64::INFINITY, 1.0];
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_041);
+                ((state >> 33) % n) as usize
+            };
+            let task = spec().task;
+            let trace: Vec<ServingRequest> = (0..len)
+                .map(|_| {
+                    let arrival_s = ARRIVALS[draw(ARRIVALS.len() as u64)];
+                    let layers = draw(4);
+                    let layer_tasks = (0..layers).map(|_| vec![task; draw(3)]).collect();
+                    ServingRequest { arrival_s, layer_tasks }
+                })
+                .collect();
+            let timed = trace.iter().all(|r| r.arrival_s.is_finite() && r.arrival_s >= 0.0)
+                && trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s);
+            let shaped = trace
+                .iter()
+                .all(|r| !r.layer_tasks.is_empty() && r.layer_tasks.iter().all(|l| !l.is_empty()));
+            let result = replay_trace(&trace, QosClass::standard());
+            prop_assert_eq!(result.is_ok(), !trace.is_empty() && timed && shaped);
+        }
     }
 
     #[test]

@@ -17,13 +17,18 @@
 //!   IEEE-identical to the scalar instruction;
 //! * the zero-skip in `matmul` (`a[i][k] == 0.0` skips the whole `k`
 //!   term, because `0.0 * NaN` or `0.0 * ∞` would otherwise change bits)
-//!   becomes a product mask inside the tile (see [`tile_f32`]);
+//!   becomes a predicated add or a product mask inside the tile (see
+//!   [`tile_f32`]);
 //! * no FMA is ever emitted from these kernels (`mul` then `add` only):
 //!   a fused multiply-add rounds once where the scalar kernel rounds
 //!   twice, which would break the pin.
 //!
 //! Tiling reorders *which* element is worked on when, never the term
-//! order *within* an element, so it is bit-exact for free.
+//! order *within* an element, so it is bit-exact for free. The tile is
+//! 4×32 over one panel layout, with three bodies picked at run time:
+//! AVX-512 (two 16-lane vectors per row), AVX2 (the panel as two
+//! 16-column halves) and a portable one; tests pin each against the
+//! others.
 
 use crate::Matrix;
 
@@ -35,8 +40,8 @@ pub enum KernelPolicy {
     /// the differential tests.
     Scalar,
     /// Register-blocked tiles with lane-parallel arithmetic across
-    /// independent output elements (AVX2 where the CPU has it, a
-    /// portable spelling otherwise). The production path.
+    /// independent output elements (AVX-512 or AVX2 where the CPU has
+    /// it, a portable spelling otherwise). The production path.
     Simd,
 }
 
@@ -61,8 +66,9 @@ impl KernelPolicy {
 /// Output rows per register tile.
 const MR: usize = 4;
 
-/// Output columns per register tile: two 8-lane f32 vectors.
-const NR: usize = 16;
+/// Output columns per register tile: two 16-lane f32 vectors (four
+/// 8-lane ones on the AVX2 body, which walks the panel as two halves).
+const NR: usize = 32;
 
 /// One `MR×NR` block of outputs.
 type Tile = [[f32; NR]; MR];
@@ -70,17 +76,20 @@ type Tile = [[f32; NR]; MR];
 /// One `MR×NR` tile of `A·B`: `a` holds the tile's `MR` rows of `A`
 /// (each at least `k` long), `b` the `NR`-wide panel of `B` whose row `p`
 /// starts at `p * ldb`. Every element starts at `+0.0` and adds its `k`
-/// terms in ascending order. Dispatches to AVX2 when the CPU has it
-/// (detected once, cached by `std`), otherwise to the portable body.
+/// terms in ascending order. Dispatches at run time to the widest body
+/// the CPU runs — AVX-512, then AVX2, then the portable one (detected
+/// once, cached by `std`).
 ///
 /// With `SKIP_ZERO`, a term whose `a[r][p]` is `±0.0` is left out, as
-/// the scalar `matmul` does. The AVX2 body spells that as a product
-/// mask: `a != 0` (`NEQ_UQ`, so a NaN `a` keeps its term) ANDed onto the
-/// product turns a skipped term into `+0.0`. Adding `+0.0` is the
-/// identity on every value except `−0.0`, and an accumulator that starts
-/// at `+0.0` can never *become* `−0.0`: under round-to-nearest a sum is
-/// `−0.0` only when both addends are, and exact cancellation gives
-/// `+0.0`. So the masked sum equals the skipping sum bit for bit.
+/// the scalar `matmul` does. The AVX-512 body predicates the add on
+/// `a != 0` (`NEQ_UQ`, so a NaN `a` keeps its term): a masked-off lane
+/// keeps its accumulator, which *is* the skip. The AVX2 body spells it as
+/// a product mask: the same compare ANDed onto the product turns a
+/// skipped term into `+0.0`. Adding `+0.0` is the identity on every value
+/// except `−0.0`, and an accumulator that starts at `+0.0` can never
+/// *become* `−0.0`: under round-to-nearest a sum is `−0.0` only when
+/// both addends are, and exact cancellation gives `+0.0`. So the masked
+/// sum equals the skipping sum bit for bit.
 ///
 /// # Panics
 ///
@@ -90,10 +99,16 @@ fn tile_f32<const SKIP_ZERO: bool>(k: usize, a: [&[f32]; MR], b: &[f32], ldb: us
     assert!(a.iter().all(|row| row.len() >= k), "tile A rows shorter than k");
     assert!(k == 0 || (k - 1) * ldb + NR <= b.len(), "tile B panel shorter than k rows");
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime, and the
-        // asserts above bound every load.
-        return unsafe { tile_f32_avx2::<SKIP_ZERO>(k, a, b, ldb) };
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F support was just verified at runtime, and
+            // the asserts above bound every load.
+            return unsafe { tile_f32_avx512::<SKIP_ZERO>(k, a, b, ldb) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: as above, for AVX2.
+            return unsafe { tile_f32_avx2::<SKIP_ZERO>(k, a, b, ldb) };
+        }
     }
     tile_f32_portable::<SKIP_ZERO>(k, a, b, ldb)
 }
@@ -123,9 +138,58 @@ fn tile_f32_portable<const SKIP_ZERO: bool>(
     acc
 }
 
-/// The AVX2 body of [`tile_f32`]: eight `__m256` accumulators live
+/// The AVX-512 body of [`tile_f32`]: eight `__m512` accumulators live
 /// across all of `k`, `vmulps` + `vaddps` (never FMA), the zero-skip as
-/// a `cmp NEQ_UQ` + `and` product mask.
+/// a `vcmpps` mask predicating the add.
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512F support at runtime and that
+/// every row of `a` holds `k` values and `b` holds `(k - 1) * ldb + NR`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_f32_avx512<const SKIP_ZERO: bool>(
+    k: usize,
+    a: [&[f32]; MR],
+    b: &[f32],
+    ldb: usize,
+) -> Tile {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_cmp_ps_mask, _mm512_loadu_ps, _mm512_mask_add_ps, _mm512_mul_ps,
+        _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _CMP_NEQ_UQ,
+    };
+    let zero = _mm512_setzero_ps();
+    let mut acc = [[zero; 2]; MR];
+    for p in 0..k {
+        let b_row = b.as_ptr().add(p * ldb);
+        let b_lo = _mm512_loadu_ps(b_row);
+        let b_hi = _mm512_loadu_ps(b_row.add(16));
+        for (acc_row, a_row) in acc.iter_mut().zip(a) {
+            let x = _mm512_set1_ps(*a_row.get_unchecked(p));
+            let lo = _mm512_mul_ps(x, b_lo);
+            let hi = _mm512_mul_ps(x, b_hi);
+            if SKIP_ZERO {
+                let keep = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(x, zero);
+                acc_row[0] = _mm512_mask_add_ps(acc_row[0], keep, acc_row[0], lo);
+                acc_row[1] = _mm512_mask_add_ps(acc_row[1], keep, acc_row[1], hi);
+            } else {
+                acc_row[0] = _mm512_add_ps(acc_row[0], lo);
+                acc_row[1] = _mm512_add_ps(acc_row[1], hi);
+            }
+        }
+    }
+    let mut out = [[0.0f32; NR]; MR];
+    for (o, v) in out.iter_mut().zip(acc) {
+        _mm512_storeu_ps(o.as_mut_ptr(), v[0]);
+        _mm512_storeu_ps(o.as_mut_ptr().add(16), v[1]);
+    }
+    out
+}
+
+/// The AVX2 body of [`tile_f32`]: the panel as two 16-column halves,
+/// each with eight `__m256` accumulators live across all of `k`,
+/// `vmulps` + `vaddps` (never FMA), the zero-skip as a `cmp NEQ_UQ` +
+/// `and` product mask.
 ///
 /// # Safety
 ///
@@ -144,28 +208,30 @@ unsafe fn tile_f32_avx2<const SKIP_ZERO: bool>(
         _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _CMP_NEQ_UQ,
     };
     let zero = _mm256_setzero_ps();
-    let mut acc = [[zero; 2]; MR];
-    for p in 0..k {
-        let b_row = b.as_ptr().add(p * ldb);
-        let b_lo = _mm256_loadu_ps(b_row);
-        let b_hi = _mm256_loadu_ps(b_row.add(8));
-        for (acc_row, a_row) in acc.iter_mut().zip(a) {
-            let x = _mm256_set1_ps(*a_row.get_unchecked(p));
-            let mut lo = _mm256_mul_ps(x, b_lo);
-            let mut hi = _mm256_mul_ps(x, b_hi);
-            if SKIP_ZERO {
-                let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(x, zero);
-                lo = _mm256_and_ps(lo, keep);
-                hi = _mm256_and_ps(hi, keep);
-            }
-            acc_row[0] = _mm256_add_ps(acc_row[0], lo);
-            acc_row[1] = _mm256_add_ps(acc_row[1], hi);
-        }
-    }
     let mut out = [[0.0f32; NR]; MR];
-    for (o, v) in out.iter_mut().zip(acc) {
-        _mm256_storeu_ps(o.as_mut_ptr(), v[0]);
-        _mm256_storeu_ps(o.as_mut_ptr().add(8), v[1]);
+    for half in [0, NR / 2] {
+        let mut acc = [[zero; 2]; MR];
+        for p in 0..k {
+            let b_row = b.as_ptr().add(p * ldb + half);
+            let b_lo = _mm256_loadu_ps(b_row);
+            let b_hi = _mm256_loadu_ps(b_row.add(8));
+            for (acc_row, a_row) in acc.iter_mut().zip(a) {
+                let x = _mm256_set1_ps(*a_row.get_unchecked(p));
+                let mut lo = _mm256_mul_ps(x, b_lo);
+                let mut hi = _mm256_mul_ps(x, b_hi);
+                if SKIP_ZERO {
+                    let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(x, zero);
+                    lo = _mm256_and_ps(lo, keep);
+                    hi = _mm256_and_ps(hi, keep);
+                }
+                acc_row[0] = _mm256_add_ps(acc_row[0], lo);
+                acc_row[1] = _mm256_add_ps(acc_row[1], hi);
+            }
+        }
+        for (o, v) in out.iter_mut().zip(acc) {
+            _mm256_storeu_ps(o.as_mut_ptr().add(half), v[0]);
+            _mm256_storeu_ps(o.as_mut_ptr().add(half + 8), v[1]);
+        }
     }
     out
 }
@@ -306,16 +372,46 @@ mod tests {
         assert_eq!(KernelPolicy::Scalar.label(), "scalar");
     }
 
+    /// One body of [`tile_f32`].
+    type TileBody = fn(usize, [&[f32]; MR], &[f32], usize) -> Tile;
+
+    /// Every tile body this host can run, by name; the portable body
+    /// first.
+    fn tile_bodies<const SKIP_ZERO: bool>() -> Vec<(&'static str, TileBody)> {
+        let mut bodies: Vec<(&'static str, TileBody)> =
+            vec![("portable", tile_f32_portable::<SKIP_ZERO>)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was just verified; the callers
+                // below size every operand as `tile_f32` asserts.
+                bodies.push(("avx2", |k, a, b, ldb| unsafe {
+                    tile_f32_avx2::<SKIP_ZERO>(k, a, b, ldb)
+                }));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: as above, for AVX-512F.
+                bodies.push(("avx512", |k, a, b, ldb| unsafe {
+                    tile_f32_avx512::<SKIP_ZERO>(k, a, b, ldb)
+                }));
+            }
+        }
+        bodies.push(("dispatched", tile_f32::<SKIP_ZERO>));
+        bodies
+    }
+
     #[test]
-    fn dispatched_tile_matches_the_portable_body_bitwise() {
-        // On an AVX2 host `tile_f32` runs the intrinsics; pin them to the
-        // portable body, masked and unmasked, at every depth up to 40.
-        // `A` mixes ±0.0 with finite values; each `B` column holds one
-        // ±∞ or NaN (at row `c % k`) among finite values, ±0.0 and
-        // subnormals, so every output meets at most one non-finite term.
+    fn every_tile_body_matches_the_portable_body_bitwise() {
+        // Each body the host runs — so an AVX-512 host still checks the
+        // AVX2 body — against the portable one, masked and unmasked, at
+        // every depth up to 40. `A` mixes ±0.0 with finite values; each
+        // `B` column holds one ±∞ or NaN (at row `c % k`) among finite
+        // values, ±0.0 and subnormals, so every output meets at most one
+        // non-finite term.
         const A: [f32; 5] = [0.0, -0.0, 1.25, -3.5, 2.0e-39];
         const B: [f32; 6] = [0.0, -0.0, 1.5, -2.25, 1.0e-40, 3.0e7];
         const NON_FINITE: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let bits = |t: Tile| t.map(|row| row.map(f32::to_bits));
         for k in 0..40 {
             let rows: Vec<Vec<f32>> =
                 (0..MR).map(|r| (0..k).map(|p| A[(p * 3 + r) % A.len()]).collect()).collect();
@@ -331,17 +427,14 @@ mod tests {
                     }
                 })
                 .collect();
-            let bits = |t: Tile| t.map(|row| row.map(f32::to_bits));
-            assert_eq!(
-                bits(tile_f32::<true>(k, a, &b, ldb)),
-                bits(tile_f32_portable::<true>(k, a, &b, ldb)),
-                "masked k={k}"
-            );
-            assert_eq!(
-                bits(tile_f32::<false>(k, a, &b, ldb)),
-                bits(tile_f32_portable::<false>(k, a, &b, ldb)),
-                "unmasked k={k}"
-            );
+            let masked = bits(tile_f32_portable::<true>(k, a, &b, ldb));
+            let unmasked = bits(tile_f32_portable::<false>(k, a, &b, ldb));
+            for (name, body) in tile_bodies::<true>() {
+                assert_eq!(bits(body(k, a, &b, ldb)), masked, "{name} masked k={k}");
+            }
+            for (name, body) in tile_bodies::<false>() {
+                assert_eq!(bits(body(k, a, &b, ldb)), unmasked, "{name} unmasked k={k}");
+            }
         }
     }
 }

@@ -12,7 +12,9 @@
 //! benchmark harness. The `par_matmul` family runs the same kernels over
 //! row panels on a work-stealing pool with bitwise-identical results.
 //! The hot inner loops run register-tiled SIMD bodies, pinned bitwise to
-//! the scalar reference loops kept behind [`KernelPolicy::Scalar`].
+//! the scalar reference loops kept behind [`KernelPolicy::Scalar`], and
+//! [`exp_in_place`] evaluates `f32::exp` bit for bit eight lanes at a
+//! time where the host's libm allows it.
 //!
 //! # Example
 //!
@@ -25,6 +27,7 @@
 //! assert_eq!(c, a);
 //! ```
 
+mod exp;
 mod kernels;
 mod matrix;
 mod nn;
@@ -34,6 +37,7 @@ mod random;
 mod softmax;
 mod stats;
 
+pub use exp::exp_in_place;
 pub use kernels::KernelPolicy;
 pub use matrix::Matrix;
 pub use nn::{gelu, gelu_matrix, layer_norm_rows};
