@@ -16,8 +16,18 @@
 //! (level 1's cheaper cost for level 0's dispatch would corrupt every
 //! estimate downstream). Level 0 is always the undegraded baseline, so
 //! the pre-brownout entry points delegate to it unchanged.
+//!
+//! Every layer step looks its heads up here, so the lookup is kept
+//! cheap: the maps hash with an in-crate Fx-style multiply-rotate rather
+//! than SipHash. They are lookup-only — never iterated, so no hash order
+//! can reach a result — and their keys are shapes the program builds
+//! itself, so SipHash's flood resistance has nothing to defend. Pricing
+//! a request ([`CostModel::layer_times_s`]) leans on one more property:
+//! a layer step is a pure function of its head tasks, so a run of
+//! identical consecutive layers is priced once, with the same bits.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use cta_sim::{AttentionTask, CtaSystem, LayerStep, PhaseSplit, TaskCost};
@@ -33,15 +43,60 @@ use crate::{ServeRequest, SessionTurn};
 /// runtime derives both from one [`BrownoutLadder`](crate::BrownoutLadder)).
 #[derive(Debug, Default, Clone)]
 pub struct CostModel {
-    cache: HashMap<(u8, AttentionTask), TaskCost>,
+    cache: HashMap<(u8, AttentionTask), TaskCost, FxBuild>,
     /// Per-(level, shape) phase splits, filled lazily and only when
     /// telemetry asks for them (the untraced hot path never touches this
     /// map).
-    phases: HashMap<(u8, AttentionTask), PhaseSplit>,
+    phases: HashMap<(u8, AttentionTask), PhaseSplit, FxBuild>,
     /// Decode-segment costs, keyed by the full decode shape: the
     /// steady-state prefix task plus the segment's token and re-cluster
     /// counts. Only session-tagged requests touch this map.
-    decode: HashMap<(AttentionTask, u32, u32), TaskCost>,
+    decode: HashMap<(AttentionTask, u32, u32), TaskCost, FxBuild>,
+}
+
+/// The memo maps' hasher: an Fx-style multiply-rotate over machine words
+/// with fixed constants, so a key hashes the same way on every run (the
+/// module docs say why SipHash is not needed here).
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher {
+    hash: u64,
+}
+
+type FxBuild = BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// The product's well-mixed high bits rotated down to where the
+    /// table takes its bucket index.
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
 }
 
 impl CostModel {
@@ -175,14 +230,28 @@ impl CostModel {
     /// it once at admission and carries it with the request, so later
     /// remaining-work estimates re-sum these values
     /// ([`remaining_from_layers_s`]) instead of re-pricing layers.
+    ///
+    /// A layer step is a pure function of its head tasks (and of the
+    /// turn, which is the same for every layer of a request), so a run of
+    /// consecutive layers with identical tasks is priced once and the
+    /// value repeated — the same bits as pricing each layer. Every
+    /// in-tree request source builds its layers that way; a request whose
+    /// layers differ pays one slice comparison per layer on top of the
+    /// pricing.
     pub fn layer_times_s(&mut self, system: &CtaSystem, request: &ServeRequest) -> Rc<[f64]> {
-        let layers = request.layer_tasks.iter();
-        match &request.session {
-            Some(turn) => {
-                layers.map(|tasks| self.step_layer_decode(system, tasks, turn).elapsed_s).collect()
-            }
-            None => layers.map(|tasks| self.step_layer(system, tasks).elapsed_s).collect(),
-        }
+        let layers = &request.layer_tasks;
+        let mut run_s = 0.0;
+        (0..layers.len())
+            .map(|l| {
+                if l == 0 || layers[l] != layers[l - 1] {
+                    run_s = match &request.session {
+                        Some(turn) => self.step_layer_decode(system, &layers[l], turn).elapsed_s,
+                        None => self.step_layer(system, &layers[l]).elapsed_s,
+                    };
+                }
+                run_s
+            })
+            .collect()
     }
 
     /// Estimated *solo* service time of a request on an idle replica at
@@ -226,6 +295,7 @@ mod tests {
     use super::*;
     use crate::QosClass;
     use cta_sim::SystemConfig;
+    use proptest::prelude::*;
 
     fn system() -> CtaSystem {
         CtaSystem::new(SystemConfig::paper())
@@ -352,5 +422,68 @@ mod tests {
         assert!(full > half && half > none);
         assert_eq!(none, 0.0);
         assert_eq!(full, cost.request_service_s(&sys, &r));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Run-length pricing is invisible: every layer time equals that
+        /// layer's own step priced from scratch, bit for bit — a prefill
+        /// `step_layer`, or the same step over the heads' decode-segment
+        /// costs for a session turn. Layer shapes come in four patterns:
+        /// every layer alike, alternating A/B, runs of random length, and
+        /// an independent draw per layer (heads within a layer may differ).
+        #[test]
+        fn run_length_layer_times_match_per_layer_steps_bitwise(
+            pattern in 0u8..4,
+            layers in 1usize..13,
+            heads in 1usize..4,
+            decode in 0u8..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let sys = system();
+            let shapes = [
+                task(),
+                AttentionTask::from_counts(256, 256, 64, 80, 70, 30, 6),
+                AttentionTask::from_counts(16, 512, 64, 8, 180, 40, 6),
+            ];
+            let mut state = seed;
+            let mut next = || {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize
+            };
+            let uniform = |s: AttentionTask| vec![s; heads];
+            let mut run_shape = shapes[0];
+            let layer_tasks: Vec<Vec<AttentionTask>> = (0..layers)
+                .map(|l| match pattern {
+                    0 => uniform(shapes[0]),
+                    1 => uniform(shapes[l % 2]),
+                    2 => {
+                        if next() % 3 == 0 {
+                            run_shape = shapes[next() % shapes.len()];
+                        }
+                        uniform(run_shape)
+                    }
+                    _ => (0..heads).map(|_| shapes[next() % shapes.len()]).collect(),
+                })
+                .collect();
+            let mut request = ServeRequest::new(0, 0.0, QosClass::standard(), layer_tasks);
+            let turn = SessionTurn { session: 0, turn: 1, decode_tokens: 3, reclusters: 1, last: false };
+            if decode == 1 {
+                request = request.with_session(turn);
+            }
+            let times = CostModel::new().layer_times_s(&sys, &request);
+            prop_assert_eq!(times.len(), layers);
+            for (l, tasks) in request.layer_tasks.iter().enumerate() {
+                let step = if decode == 1 {
+                    let costs: Vec<TaskCost> =
+                        tasks.iter().map(|t| sys.decode_head_cost(t, 3, 1)).collect();
+                    sys.step_layer_costed(tasks, &costs)
+                } else {
+                    sys.step_layer(tasks)
+                };
+                prop_assert_eq!(times[l].to_bits(), step.elapsed_s.to_bits(), "layer {}", l);
+            }
+        }
     }
 }

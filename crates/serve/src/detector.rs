@@ -30,6 +30,7 @@
 //! fleet reproduces the detector-less runtime bit for bit (pinned by
 //! golden tests).
 
+use crate::ensure;
 use crate::fault::FaultPlan;
 use crate::replica::Replica;
 use cta_telemetry::{Module, SpanClass, TraceSink, TrackId};
@@ -78,22 +79,31 @@ impl DetectorPolicy {
     /// Panics if any threshold is non-positive or non-finite, or the
     /// window cannot hold `min_samples`.
     pub fn validate(&self) {
-        assert!(
-            self.phi_threshold > 0.0 && self.phi_threshold.is_finite(),
-            "phi threshold must be positive and finite"
-        );
-        assert!(self.window > 0, "window must hold at least one sample");
-        assert!(
-            self.min_samples > 0 && self.min_samples <= self.window,
-            "min_samples must be in 1..=window"
-        );
-        assert!(
-            self.probation_s > 0.0 && self.probation_s.is_finite(),
-            "probation must be positive and finite"
-        );
-        if let Some(r) = self.gray_ratio {
-            assert!(r > 1.0 && r.is_finite(), "gray ratio must exceed 1");
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
         }
+    }
+
+    /// Fallible form of [`validate`](Self::validate): the first violated
+    /// rule.
+    pub fn try_validate(&self) -> Result<(), &'static str> {
+        ensure(
+            self.phi_threshold > 0.0 && self.phi_threshold.is_finite(),
+            "phi threshold must be positive and finite",
+        )?;
+        ensure(self.window > 0, "window must hold at least one sample")?;
+        ensure(
+            self.min_samples > 0 && self.min_samples <= self.window,
+            "min_samples must be in 1..=window",
+        )?;
+        ensure(
+            self.probation_s > 0.0 && self.probation_s.is_finite(),
+            "probation must be positive and finite",
+        )?;
+        if let Some(r) = self.gray_ratio {
+            ensure(r > 1.0 && r.is_finite(), "gray ratio must exceed 1")?;
+        }
+        Ok(())
     }
 }
 

@@ -263,6 +263,7 @@ impl<'a> EngineState<'a> {
     /// Validates the entry points' preconditions and builds the state.
     fn new(cfg: &'a FleetConfig, requests: &'a [ServeRequest]) -> Self {
         assert!(cfg.replicas > 0, "at least one replica");
+        assert!(cfg.batch.max_active_requests > 0, "batch width must be positive");
         assert!(!requests.is_empty(), "at least one request");
         assert!(
             requests.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
@@ -1535,7 +1536,7 @@ fn run_event_driven<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> F
         }
         state.touched.sort_unstable();
         state.touched.dedup();
-        for i in std::mem::take(&mut state.touched) {
+        for &i in &state.touched {
             let want = state.replicas[i].next_step_time();
             let have = step_events[i].map(|(t, _)| t);
             if want != have {
@@ -1548,6 +1549,7 @@ fn run_event_driven<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> F
                 }
             }
         }
+        state.touched.clear();
 
         if state.events_processed % QUEUE_SAMPLE_EVERY == 1 {
             samples.push((key.t, el.len()));

@@ -104,6 +104,15 @@ pub use runtime::{
     FleetReport, SessionPolicy, Shed,
 };
 
+/// `Err(reason)` unless `ok`: one structural rule of a `try_validate`.
+pub(crate) fn ensure(ok: bool, reason: &'static str) -> Result<(), &'static str> {
+    if ok {
+        Ok(())
+    } else {
+        Err(reason)
+    }
+}
+
 /// The step-granular reference scan: the oracle the equivalence suites
 /// and the chaos `Equivalence` invariant compare [`simulate_fleet`]
 /// against. It scans every replica per event (O(replicas)) and runs the

@@ -26,6 +26,8 @@
 //!   first completion wins and the loser is cancelled at its next layer
 //!   boundary, with every copy accounted in [`OverloadStats`].
 
+use crate::ensure;
+
 /// Hard cap on ladder length: level names must be `&'static str` for the
 /// allocation-free trace ring, so they come from a fixed table.
 pub const MAX_BROWNOUT_LEVELS: usize = 8;
@@ -204,21 +206,19 @@ impl ControllerPolicy {
     }
 
     fn validate(&self) {
-        assert!(self.depth_window > 0 && self.miss_window > 0, "windows must be positive");
-        assert!(self.dwell > 0, "dwell must be positive");
-        assert!(
-            self.depth_down < self.depth_up,
-            "hysteresis requires depth_down {} < depth_up {}",
-            self.depth_down,
-            self.depth_up
-        );
-        assert!(
-            self.miss_down < self.miss_up,
-            "hysteresis requires miss_down {} < miss_up {}",
-            self.miss_down,
-            self.miss_up
-        );
-        assert!(self.depth_up > 0.0 && self.depth_down >= 0.0, "depth thresholds must be ≥ 0");
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
+        }
+    }
+
+    /// The controller's structural rules; the first violated one.
+    pub(crate) fn try_validate(&self) -> Result<(), &'static str> {
+        ensure(self.depth_window > 0 && self.miss_window > 0, "windows must be positive")?;
+        ensure(self.dwell > 0, "dwell must be positive")?;
+        ensure(self.depth_down < self.depth_up, "hysteresis requires depth_down < depth_up")?;
+        ensure(self.miss_down < self.miss_up, "hysteresis requires miss_down < miss_up")?;
+        ensure(self.depth_up > 0.0 && self.depth_down >= 0.0, "depth thresholds must be ≥ 0")?;
+        Ok(())
     }
 }
 
@@ -360,11 +360,19 @@ impl BreakerPolicy {
     }
 
     fn validate(&self) {
-        assert!(self.failure_threshold > 0, "failure threshold must be positive");
-        assert!(
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
+        }
+    }
+
+    /// The breaker's structural rules; the first violated one.
+    pub(crate) fn try_validate(&self) -> Result<(), &'static str> {
+        ensure(self.failure_threshold > 0, "failure threshold must be positive")?;
+        ensure(
             self.cooldown_s.is_finite() && self.cooldown_s > 0.0,
-            "cooldown must be positive and finite"
-        );
+            "cooldown must be positive and finite",
+        )?;
+        Ok(())
     }
 }
 
@@ -544,12 +552,20 @@ impl HedgePolicy {
     }
 
     pub(crate) fn validate(&self) {
-        assert!(
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
+        }
+    }
+
+    /// The hedge policy's structural rules; the first violated one.
+    pub(crate) fn try_validate(&self) -> Result<(), &'static str> {
+        ensure(
             self.min_delay_s.is_finite() && self.min_delay_s > 0.0,
-            "hedge delay floor must be positive"
-        );
-        assert!(self.latency_window > 0, "latency window must be positive");
-        assert!(self.quantile > 0.0 && self.quantile <= 1.0, "quantile {} ∉ (0, 1]", self.quantile);
+            "hedge delay floor must be positive",
+        )?;
+        ensure(self.latency_window > 0, "latency window must be positive")?;
+        ensure(self.quantile > 0.0 && self.quantile <= 1.0, "hedge quantile must be in (0, 1]")?;
+        Ok(())
     }
 
     /// The hedge delay given the current latency window (nearest-rank

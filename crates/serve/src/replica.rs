@@ -7,6 +7,12 @@
 //! batching points — queued requests join the active set there (up to
 //! [`BatchPolicy::max_active_requests`]) and finished requests leave, so
 //! a long request never blocks a short one for more than one layer.
+//!
+//! A step is the fleet's most frequent event, so in steady state it
+//! allocates nothing: the replica keeps its merged-task, cost and
+//! retirement buffers across steps, finished requests move out of the
+//! active set instead of being cloned, and the LPT schedule runs on
+//! stack arrays inside `cta-sim`.
 
 use std::rc::Rc;
 
@@ -189,6 +195,14 @@ pub(crate) struct Replica {
     active_work_s: Option<f64>,
     queued_work_s: Option<f64>,
     held_work_s: Option<f64>,
+    /// Working buffers of [`execute_step`](Self::execute_step), kept so
+    /// a steady-state step allocates nothing: the merged head tasks of
+    /// the dispatch and their costs (refilled at every step), and the
+    /// requests retiring at the step boundary (always empty between
+    /// steps).
+    merged: Vec<AttentionTask>,
+    costs: Vec<TaskCost>,
+    retired: Vec<Active>,
 }
 
 impl Replica {
@@ -215,6 +229,9 @@ impl Replica {
             active_work_s: None,
             queued_work_s: None,
             held_work_s: None,
+            merged: Vec::new(),
+            costs: Vec::new(),
+            retired: Vec::new(),
         }
     }
 
@@ -483,8 +500,8 @@ impl Replica {
         // pre-brownout expression (memo keys changed shape, values did
         // not).
         let degraded = self.level != 0;
-        let mut merged: Vec<AttentionTask> = Vec::new();
-        let mut costs: Vec<TaskCost> = Vec::new();
+        self.merged.clear();
+        self.costs.clear();
         for a in &self.active {
             // Session turns price each layer as a decode segment (per-
             // token incremental compression at the resident prefix)
@@ -494,17 +511,17 @@ impl Replica {
             let turn = a.request.session;
             for t in &a.request.layer_tasks[a.cursor] {
                 if degraded {
-                    merged.push(t.with_budget_scale(self.level_scale));
+                    self.merged.push(t.with_budget_scale(self.level_scale));
                 } else {
-                    merged.push(*t);
+                    self.merged.push(*t);
                 }
-                costs.push(match &turn {
+                self.costs.push(match &turn {
                     Some(st) => cost.decode_head(&self.system, t, st),
                     None => cost.head_at(&self.system, self.level, self.level_scale, t),
                 });
             }
         }
-        let step = self.system.step_layer_costed(&merged, &costs);
+        let step = self.system.step_layer_costed(&self.merged, &self.costs);
         // Transient slowdown: steps starting inside a window stretch by
         // the plan's factor. Guarded so the healthy path's float
         // arithmetic is bit-for-bit the pre-fault expression.
@@ -524,7 +541,8 @@ impl Replica {
         }
 
         if S::ENABLED {
-            self.trace_step(sink, cost, StepTiming { t0, upload_s, re_prefill_s }, &merged, &step);
+            let timing = StepTiming { t0, upload_s, re_prefill_s };
+            self.trace_step(sink, cost, timing, &self.merged, &step);
             if degraded {
                 // The whole degraded step lands on the brownout lane,
                 // named after the operating point, so AggregateReport can
@@ -558,18 +576,12 @@ impl Replica {
         }
         let finish = self.clock;
         let index = self.index;
-        let mut retired: Vec<Active> = Vec::new();
-        self.active.retain_mut(|a| {
-            if a.request.remaining_layers(a.cursor) == 0 {
-                retired.push(a.clone());
-                false
-            } else {
-                true
-            }
-        });
-        // Deterministic completion order at equal finish time: by id.
-        retired.sort_by_key(|a| a.request.id);
-        for a in retired {
+        // Finished requests move out in active order, then complete in a
+        // deterministic order at equal finish time: by id.
+        self.retired
+            .extend(self.active.extract_if(.., |a| a.request.remaining_layers(a.cursor) == 0));
+        self.retired.sort_by_key(|a| a.request.id);
+        for a in self.retired.drain(..) {
             let latency = finish - a.request.arrival_s;
             self.completed += 1;
             if S::ENABLED {

@@ -92,6 +92,24 @@ pub enum ConfigError {
     NoReplicas,
     /// The fault plan is malformed for the configured fleet width.
     Faults(FaultPlanError),
+    /// The per-replica unit pool is malformed (no units, or a host link
+    /// bandwidth that is not positive).
+    System(&'static str),
+    /// The per-unit hardware configuration is malformed.
+    Hardware(cta_sim::HwConfigError),
+    /// The batch width is zero: no request could ever join a step.
+    NoBatch,
+    /// The brownout controller's thresholds are malformed.
+    Brownout(&'static str),
+    /// The circuit-breaker policy is malformed.
+    Breaker(&'static str),
+    /// The hedge policy is malformed.
+    Hedge(&'static str),
+    /// The tenancy configuration (weights, quota or autoscaler) is
+    /// malformed for the fleet width.
+    Tenancy(&'static str),
+    /// The failure-detector policy is malformed.
+    Detector(&'static str),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -99,6 +117,14 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::NoReplicas => write!(f, "at least one replica"),
             ConfigError::Faults(e) => write!(f, "invalid fault plan: {e}"),
+            ConfigError::System(why) => write!(f, "invalid system: {why}"),
+            ConfigError::Hardware(e) => write!(f, "invalid hardware: {e}"),
+            ConfigError::NoBatch => write!(f, "batch width must be positive"),
+            ConfigError::Brownout(why) => write!(f, "invalid brownout controller: {why}"),
+            ConfigError::Breaker(why) => write!(f, "invalid breaker policy: {why}"),
+            ConfigError::Hedge(why) => write!(f, "invalid hedge policy: {why}"),
+            ConfigError::Tenancy(why) => write!(f, "invalid tenancy: {why}"),
+            ConfigError::Detector(why) => write!(f, "invalid detector policy: {why}"),
         }
     }
 }
@@ -106,8 +132,9 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ConfigError::NoReplicas => None,
             ConfigError::Faults(e) => Some(e),
+            ConfigError::Hardware(e) => Some(e),
+            _ => None,
         }
     }
 }
@@ -275,12 +302,35 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Validates and produces the configuration.
+    /// Validates and produces the configuration: every part
+    /// [`simulate_fleet`] would otherwise reject with a panic is checked
+    /// here and reported as the first [`ConfigError`] found.
     pub fn build(self) -> Result<FleetConfig, ConfigError> {
-        if self.cfg.replicas == 0 {
+        let cfg = &self.cfg;
+        if cfg.replicas == 0 {
             return Err(ConfigError::NoReplicas);
         }
-        self.cfg.faults.try_validate(self.cfg.replicas).map_err(ConfigError::Faults)?;
+        cfg.faults.try_validate(cfg.replicas).map_err(ConfigError::Faults)?;
+        cfg.system.try_validate().map_err(ConfigError::System)?;
+        cfg.system.hw.try_validate().map_err(ConfigError::Hardware)?;
+        if cfg.batch.max_active_requests == 0 {
+            return Err(ConfigError::NoBatch);
+        }
+        if let Some(b) = &cfg.overload.brownout {
+            b.policy.try_validate().map_err(ConfigError::Brownout)?;
+        }
+        if let Some(b) = &cfg.overload.breaker {
+            b.try_validate().map_err(ConfigError::Breaker)?;
+        }
+        if let Some(h) = &cfg.overload.hedge {
+            h.try_validate().map_err(ConfigError::Hedge)?;
+        }
+        if let Some(t) = &cfg.tenancy {
+            t.try_validate(cfg.replicas).map_err(ConfigError::Tenancy)?;
+        }
+        if let Some(d) = &cfg.detector {
+            d.try_validate().map_err(ConfigError::Detector)?;
+        }
         Ok(self.cfg)
     }
 }
@@ -496,6 +546,56 @@ mod tests {
         }
         assert!(err.to_string().starts_with("invalid fault plan:"));
         assert!(std::error::Error::source(&err).is_some(), "Faults keeps its cause");
+    }
+
+    #[test]
+    fn builder_rejects_each_malformed_subsystem_with_its_variant() {
+        let base = || FleetConfig::builder(SystemConfig::paper()).replicas(2);
+        // A negative phi threshold used to pass `build` and then panic
+        // inside `simulate_fleet`.
+        let detector =
+            crate::DetectorPolicy { phi_threshold: -1.0, ..crate::DetectorPolicy::standard() };
+        let err = base().detector(detector).build().unwrap_err();
+        assert_eq!(err, ConfigError::Detector("phi threshold must be positive and finite"));
+        assert_eq!(
+            err.to_string(),
+            "invalid detector policy: phi threshold must be positive and finite"
+        );
+
+        let hedge = crate::HedgePolicy { quantile: f64::NAN, ..crate::HedgePolicy::standard() };
+        let overload = OverloadControl { hedge: Some(hedge), ..OverloadControl::off() };
+        assert!(matches!(base().overload(overload).build(), Err(ConfigError::Hedge(_))));
+
+        let breaker = crate::BreakerPolicy { failure_threshold: 0, cooldown_s: 1.0 };
+        let overload = OverloadControl { breaker: Some(breaker), ..OverloadControl::off() };
+        assert!(matches!(base().overload(overload).build(), Err(ConfigError::Breaker(_))));
+
+        let mut brownout = crate::BrownoutConfig::standard();
+        brownout.policy.depth_down = brownout.policy.depth_up;
+        let overload = OverloadControl { brownout: Some(brownout), ..OverloadControl::off() };
+        assert!(matches!(base().overload(overload).build(), Err(ConfigError::Brownout(_))));
+
+        let mut tenancy =
+            cta_tenancy::TenancyConfig::equal_weight(2, cta_tenancy::SchedulerPolicy::Drr);
+        tenancy.autoscale = Some(cta_tenancy::AutoscalePolicy::reactive(1, 3, 0.0));
+        assert_eq!(
+            base().tenancy(tenancy).build().unwrap_err(),
+            ConfigError::Tenancy("autoscaler ceiling exceeds the fleet")
+        );
+
+        assert_eq!(
+            base().batch(BatchPolicy { max_active_requests: 0 }).build().unwrap_err(),
+            ConfigError::NoBatch
+        );
+        let system = SystemConfig { host_link_gbs: f64::NAN, ..SystemConfig::paper() };
+        assert!(matches!(
+            FleetConfig::builder(system).build(),
+            Err(ConfigError::System("host link bandwidth must be positive"))
+        ));
+        let hw = cta_sim::HwConfig { pag_tiles: 0, ..cta_sim::HwConfig::paper() };
+        let err = FleetConfig::builder(SystemConfig::paper().with_hw(hw)).build().unwrap_err();
+        assert!(matches!(err, ConfigError::Hardware(_)));
+        assert!(std::error::Error::source(&err).is_some(), "Hardware keeps its cause");
     }
 
     #[test]

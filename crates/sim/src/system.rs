@@ -10,6 +10,10 @@
 
 use crate::{AttentionTask, CtaAccelerator, HwConfig, PhaseSplit};
 
+/// Largest layer (head tasks) and unit pool whose LPT working sets
+/// [`CtaSystem::schedule_layer_costed`] keeps on the stack.
+const LPT_STACK: usize = 64;
+
 /// Configuration of the multi-unit system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
@@ -36,6 +40,19 @@ impl SystemConfig {
             hw: HwConfig::paper(),
             overlap_transfers: true,
         }
+    }
+
+    /// Checks the pool itself (the per-unit hardware has its own
+    /// [`HwConfig::try_validate`]): at least one unit and a positive host
+    /// link bandwidth. The error is the violated rule.
+    pub fn try_validate(&self) -> Result<(), &'static str> {
+        if self.units == 0 {
+            return Err("at least one unit");
+        }
+        if self.host_link_gbs.is_nan() || self.host_link_gbs <= 0.0 {
+            return Err("host link bandwidth must be positive");
+        }
+        Ok(())
     }
 
     /// Returns a copy with a different per-unit hardware configuration —
@@ -113,10 +130,12 @@ impl CtaSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `units == 0` or the bandwidth is not positive.
+    /// Panics if `units == 0` or the bandwidth is not positive
+    /// ([`SystemConfig::try_validate`]).
     pub fn new(config: SystemConfig) -> Self {
-        assert!(config.units > 0, "at least one unit");
-        assert!(config.host_link_gbs > 0.0, "host link bandwidth must be positive");
+        if let Err(e) = config.try_validate() {
+            panic!("{e}");
+        }
         Self { accelerator: CtaAccelerator::new(config.hw), config }
     }
 
@@ -203,8 +222,7 @@ impl CtaSystem {
     /// Panics if `tasks` is empty or a task does not fit the hardware.
     pub fn schedule_layer(&self, tasks: &[AttentionTask]) -> (f64, f64, f64) {
         assert!(!tasks.is_empty(), "a layer needs at least one head task");
-        let costs: Vec<TaskCost> = tasks.iter().map(|t| self.head_cost(t)).collect();
-        self.schedule_layer_costed(&costs)
+        self.schedule_lpt(tasks.len(), tasks.iter().map(|t| self.head_cost(t)))
     }
 
     /// [`schedule_layer`](Self::schedule_layer) with pre-computed per-task
@@ -217,14 +235,40 @@ impl CtaSystem {
     /// Panics if `costs` is empty.
     pub fn schedule_layer_costed(&self, costs: &[TaskCost]) -> (f64, f64, f64) {
         assert!(!costs.is_empty(), "a layer needs at least one head task");
-        // LPT list scheduling onto `units` machines.
-        let mut reports: Vec<(f64, f64)> =
-            costs.iter().map(|c| (c.latency_s, c.energy_j)).collect();
+        self.schedule_lpt(costs.len(), costs.iter().copied())
+    }
+
+    /// LPT list scheduling of `n` task costs onto `units` machines: a
+    /// stable descending sort by latency, then each task onto the first
+    /// least-loaded unit. Up to [`LPT_STACK`] tasks and units the working
+    /// sets live on the stack, so a layer dispatch allocates nothing; a
+    /// larger layer or pool falls back to the heap with the same order
+    /// and summation, hence the same bits.
+    fn schedule_lpt(&self, n: usize, costs: impl Iterator<Item = TaskCost>) -> (f64, f64, f64) {
+        let units = self.config.units;
+        let mut reports_stack = [(0.0f64, 0.0f64); LPT_STACK];
+        let mut reports_heap = Vec::new();
+        let reports: &mut [(f64, f64)] = if n <= LPT_STACK {
+            &mut reports_stack[..n]
+        } else {
+            reports_heap.resize(n, (0.0, 0.0));
+            &mut reports_heap
+        };
+        for (slot, c) in reports.iter_mut().zip(costs) {
+            *slot = (c.latency_s, c.energy_j);
+        }
         reports.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite latencies"));
-        let mut unit_time = vec![0.0f64; self.config.units];
+        let mut unit_stack = [0.0f64; LPT_STACK];
+        let mut unit_heap = Vec::new();
+        let unit_time: &mut [f64] = if units <= LPT_STACK {
+            &mut unit_stack[..units]
+        } else {
+            unit_heap.resize(units, 0.0);
+            &mut unit_heap
+        };
         let mut energy = 0.0;
         let mut busy = 0.0;
-        for (lat, e) in reports {
+        for &(lat, e) in reports.iter() {
             let u = unit_time
                 .iter()
                 .enumerate()
@@ -267,9 +311,8 @@ impl CtaSystem {
     ///
     /// Panics if `tasks` is empty or a task does not fit the hardware.
     pub fn step_layer(&self, tasks: &[AttentionTask]) -> LayerStep {
-        assert!(!tasks.is_empty(), "a layer needs at least one head task");
-        let costs: Vec<TaskCost> = tasks.iter().map(|t| self.head_cost(t)).collect();
-        self.step_layer_costed(tasks, &costs)
+        let scheduled = self.schedule_layer(tasks);
+        self.finish_step(tasks, scheduled)
     }
 
     /// [`step_layer`](Self::step_layer) with pre-computed per-task costs
@@ -282,7 +325,14 @@ impl CtaSystem {
     pub fn step_layer_costed(&self, tasks: &[AttentionTask], costs: &[TaskCost]) -> LayerStep {
         assert!(!tasks.is_empty(), "a layer needs at least one head task");
         assert_eq!(costs.len(), tasks.len(), "one cost per task");
-        let (critical_s, busy_s, compute_energy) = self.schedule_layer_costed(costs);
+        let scheduled = self.schedule_layer_costed(costs);
+        self.finish_step(tasks, scheduled)
+    }
+
+    /// Adds the activation transfer of `tasks` to a scheduled layer
+    /// `(critical, busy, compute energy)` under the overlap policy.
+    fn finish_step(&self, tasks: &[AttentionTask], scheduled: (f64, f64, f64)) -> LayerStep {
+        let (critical_s, busy_s, compute_energy) = scheduled;
         // Transfer: activations in + out, 13 bits per element.
         let elems: u64 = tasks.iter().map(|t| (t.num_queries * t.head_dim) as u64).sum();
         let bits = 2.0 * elems as f64 * 13.0;
@@ -339,6 +389,7 @@ impl CtaSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn task() -> AttentionTask {
         AttentionTask::from_counts(512, 512, 64, 200, 180, 40, 6)
@@ -449,6 +500,14 @@ mod tests {
         // Identical shapes cost identically, so one simulation can stand
         // in for all five.
         assert_eq!(costs[0], costs[4]);
+        // Mixed shapes on fewer units: pricing in place matches the
+        // costed path and the `Vec` oracle.
+        let sys = CtaSystem::new(SystemConfig { units: 3, ..SystemConfig::paper() });
+        let big = AttentionTask::from_counts(512, 512, 64, 400, 380, 80, 6);
+        let tasks = vec![task(), big, task(), big, task()];
+        let costs: Vec<TaskCost> = tasks.iter().map(|t| sys.head_cost(t)).collect();
+        assert_eq!(sys.schedule_layer(&tasks), schedule_layer_costed_vec(3, &costs));
+        assert_eq!(sys.step_layer(&tasks), sys.step_layer_costed(&tasks, &costs));
     }
 
     #[test]
@@ -457,5 +516,76 @@ mod tests {
         let big = CtaSystem::new(SystemConfig::paper());
         assert!(small.weight_upload_s() > 0.0);
         assert!((big.weight_upload_s() - 12.0 * small.weight_upload_s()).abs() < 1e-18);
+    }
+
+    /// The heap-collecting LPT body `schedule_layer_costed` ran before the
+    /// stack buffers: the bitwise oracle for the fast path.
+    fn schedule_layer_costed_vec(units: usize, costs: &[TaskCost]) -> (f64, f64, f64) {
+        let mut reports: Vec<(f64, f64)> =
+            costs.iter().map(|c| (c.latency_s, c.energy_j)).collect();
+        reports.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite latencies"));
+        let mut unit_time = vec![0.0f64; units];
+        let mut energy = 0.0;
+        let mut busy = 0.0;
+        for (lat, e) in reports {
+            let u = unit_time
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
+                .map(|(i, _)| i)
+                .expect("non-empty units");
+            unit_time[u] += lat;
+            energy += e;
+            busy += lat;
+        }
+        let critical = unit_time.iter().cloned().fold(0.0, f64::max);
+        (critical, busy, energy)
+    }
+
+    /// Splitmix64 step for drawing test costs from one seed.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The stack-buffer LPT reproduces the `Vec` body bit for bit on
+        /// both sides of the 64-element stack limit, for tasks and units
+        /// alike. Half the cases draw latencies from a four-value palette,
+        /// so equal latencies (stable-sort ties) and equal unit loads
+        /// (first-minimum picks) are exercised.
+        #[test]
+        fn stack_lpt_matches_vec_oracle_bitwise(
+            seed in 0u64..1_000_000,
+            n in 1usize..=140,
+            units in 1usize..=140,
+        ) {
+            let mut state = seed;
+            let palette = [1e-6, 2.5e-6, 2.5e-6 + 1e-12, 7e-6];
+            let tied = seed % 2 == 0;
+            let costs: Vec<TaskCost> = (0..n)
+                .map(|_| {
+                    let r = draw(&mut state);
+                    let latency_s = if tied {
+                        palette[(r % 4) as usize]
+                    } else {
+                        (r >> 11) as f64 / (1u64 << 53) as f64 * 1e-5
+                    };
+                    let energy_j = (draw(&mut state) >> 11) as f64 / (1u64 << 53) as f64 * 1e-6;
+                    TaskCost { latency_s, energy_j }
+                })
+                .collect();
+            let sys = CtaSystem::new(SystemConfig { units, ..SystemConfig::paper() });
+            let fast = sys.schedule_layer_costed(&costs);
+            let oracle = schedule_layer_costed_vec(units, &costs);
+            prop_assert_eq!(fast.0.to_bits(), oracle.0.to_bits(), "critical n={} units={}", n, units);
+            prop_assert_eq!(fast.1.to_bits(), oracle.1.to_bits(), "busy n={} units={}", n, units);
+            prop_assert_eq!(fast.2.to_bits(), oracle.2.to_bits(), "energy n={} units={}", n, units);
+        }
     }
 }

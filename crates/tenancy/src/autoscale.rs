@@ -13,6 +13,8 @@
 //! observations the engine feeds it once per arrival, so both engine
 //! drivers see identical decisions and runs reproduce exactly.
 
+use crate::ensure;
+
 /// Autoscaler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalePolicy {
@@ -57,22 +59,31 @@ impl AutoscalePolicy {
     /// `max`, `max` above the fleet, zero `step`, non-finite or negative
     /// delays, thresholds inverted).
     pub fn validate(&self, fleet: usize) {
-        assert!(self.min_replicas >= 1, "autoscaler floor must be at least 1");
-        assert!(self.min_replicas <= self.max_replicas, "autoscaler floor above ceiling");
-        assert!(self.max_replicas <= fleet, "autoscaler ceiling exceeds the fleet");
-        assert!(self.step >= 1, "autoscaler step must be at least 1");
-        assert!(self.warmup_s.is_finite() && self.warmup_s >= 0.0, "warmup must be non-negative");
-        assert!(
+        if let Err(e) = self.try_validate(fleet) {
+            panic!("{e}");
+        }
+    }
+
+    /// Fallible form of [`validate`](Self::validate): the first violated
+    /// rule.
+    pub fn try_validate(&self, fleet: usize) -> Result<(), &'static str> {
+        ensure(self.min_replicas >= 1, "autoscaler floor must be at least 1")?;
+        ensure(self.min_replicas <= self.max_replicas, "autoscaler floor above ceiling")?;
+        ensure(self.max_replicas <= fleet, "autoscaler ceiling exceeds the fleet")?;
+        ensure(self.step >= 1, "autoscaler step must be at least 1")?;
+        ensure(self.warmup_s.is_finite() && self.warmup_s >= 0.0, "warmup must be non-negative")?;
+        ensure(
             self.cooldown_s.is_finite() && self.cooldown_s >= 0.0,
-            "cooldown must be non-negative"
-        );
-        assert!(
+            "cooldown must be non-negative",
+        )?;
+        ensure(
             self.scale_up_depth.is_finite()
                 && self.scale_down_depth.is_finite()
                 && self.scale_up_depth > self.scale_down_depth
                 && self.scale_down_depth >= 0.0,
-            "scale thresholds must satisfy 0 <= down < up"
-        );
+            "scale thresholds must satisfy 0 <= down < up",
+        )?;
+        Ok(())
     }
 }
 

@@ -58,6 +58,15 @@ pub use fair::{FairQueue, SchedulerPolicy};
 pub use quota::{QuotaPolicy, TokenBucket};
 pub use stats::{jain_index, TenancyStats, TenantBreakdown, TenantOutcome};
 
+/// `Err(reason)` unless `ok`: one structural rule of a `try_validate`.
+pub(crate) fn ensure(ok: bool, reason: &'static str) -> Result<(), &'static str> {
+    if ok {
+        Ok(())
+    } else {
+        Err(reason)
+    }
+}
+
 /// What the fleet does when the routed replica's queue is full for a
 /// fair-queue dequeue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,18 +152,27 @@ impl TenancyConfig {
     /// or holds a non-positive/non-finite weight, or the autoscaler
     /// bounds are inconsistent with the fleet size.
     pub fn validate(&self, replicas: usize) {
-        assert!(self.tenants > 0, "at least one tenant");
-        assert_eq!(self.weights.len(), self.tenants as usize, "one weight per tenant");
-        assert!(
+        if let Err(e) = self.try_validate(replicas) {
+            panic!("{e}");
+        }
+    }
+
+    /// Fallible form of [`validate`](Self::validate): the first violated
+    /// rule, quota and autoscaler rules included.
+    pub fn try_validate(&self, replicas: usize) -> Result<(), &'static str> {
+        ensure(self.tenants > 0, "at least one tenant")?;
+        ensure(self.weights.len() == self.tenants as usize, "one weight per tenant")?;
+        ensure(
             self.weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "tenant weights must be positive and finite"
-        );
+            "tenant weights must be positive and finite",
+        )?;
         if let Some(q) = &self.quota {
-            q.validate();
+            q.try_validate()?;
         }
         if let Some(a) = &self.autoscale {
-            a.validate(replicas);
+            a.try_validate(replicas)?;
         }
+        Ok(())
     }
 }
 

@@ -8,6 +8,8 @@
 //! backlog. Refill is a pure function of the elapsed simulated time —
 //! no wall clock — so runs reproduce exactly.
 
+use crate::ensure;
+
 /// A uniform per-tenant quota contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuotaPolicy {
@@ -36,11 +38,20 @@ impl QuotaPolicy {
     ///
     /// See [`QuotaPolicy::new`].
     pub fn validate(&self) {
-        assert!(
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
+        }
+    }
+
+    /// Fallible form of [`validate`](Self::validate): the first violated
+    /// rule.
+    pub fn try_validate(&self) -> Result<(), &'static str> {
+        ensure(
             self.rate_rps.is_finite() && self.rate_rps > 0.0,
-            "quota rate must be positive and finite"
-        );
-        assert!(self.burst.is_finite() && self.burst >= 1.0, "quota burst must be at least 1");
+            "quota rate must be positive and finite",
+        )?;
+        ensure(self.burst.is_finite() && self.burst >= 1.0, "quota burst must be at least 1")?;
+        Ok(())
     }
 }
 
