@@ -1,6 +1,6 @@
 //! Ablation: hash code length `l` (paper §IV-C: "long hash codes result
 //! in less effective token compression, while short hash codes incur low
-//! accuracy induced by aggressive clustering; l = 6 achieves [a] good
+//! accuracy induced by aggressive clustering; l = 6 achieves \[a\] good
 //! trade-off").
 //!
 //! For each `l` we find the operating point meeting the CTA-1 budget and

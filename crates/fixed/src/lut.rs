@@ -206,7 +206,7 @@ impl ExpLut {
 
 /// The reciprocal look-up table inside the Centroid Averaging unit (CAVG).
 ///
-/// CAVG "consists of [a] Look-Up-Table indexed by possible counter values,
+/// CAVG "consists of \[a\] Look-Up-Table indexed by possible counter values,
 /// recording their reciprocals" (paper §IV-B(3)): dividing a centroid
 /// accumulator by a cluster population becomes a multiply by `1/cntr`.
 /// Counter values range from 1 to the maximum sequence length.

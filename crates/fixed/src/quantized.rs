@@ -1,11 +1,11 @@
 //! Matrices of raw fixed-point words with integer arithmetic.
 //!
-//! The products dispatch on [`KernelPolicy`] like the f32 kernels in
-//! `cta-tensor`: the un-suffixed entry points run the SIMD bodies, and
-//! the scalar loops stay as the test reference. Integer accumulation is
-//! *exact* — reassociating or re-tiling a sum of products cannot change
-//! a single bit as long as no intermediate overflows — so the SIMD
-//! bodies are bitwise identical to the scalar loops by construction.
+//! Like the f32 kernels in `cta-tensor`, the products run SIMD bodies
+//! only; the naive scalar loops survive as `#[cfg(test)]` oracles that
+//! pin them. Integer accumulation is *exact* — reassociating or
+//! re-tiling a sum of products cannot change a single bit as long as no
+//! intermediate overflows — so the SIMD bodies are bitwise identical to
+//! the scalar loops by construction.
 //! They pick the narrowest lane tier a bit-budget guard proves cannot
 //! overflow:
 //!
@@ -17,7 +17,7 @@
 //! * otherwise i32 words into four i64 lanes when that budget is `<= 62`;
 //! * otherwise exact i128 dots over the packed rows.
 
-use cta_tensor::{KernelPolicy, Matrix};
+use cta_tensor::Matrix;
 
 use crate::qformat::{quantize_words, rescale, rescale_words};
 use crate::QFormat;
@@ -31,12 +31,10 @@ fn ceil_log2(k: usize) -> u32 {
     }
 }
 
-/// The accumulator a policy runs a `K`-term dot product of raw words
-/// in formats `fa` and `fb` through.
+/// The accumulator a `K`-term dot product of raw words in formats `fa`
+/// and `fb` runs through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Accumulator {
-    /// The scalar reference: i128 sums, `B` walked column-strided.
-    Scalar,
     /// i128 sums over contiguous rows, when no lane tier is proven safe.
     I128,
     /// i32 words into four i64 lanes.
@@ -45,20 +43,21 @@ enum Accumulator {
     I32Lanes,
 }
 
-/// Picks the accumulator for `policy`. The worst-case magnitude of the
-/// dot product is `K * 2^(bits_a-1) * 2^(bits_b-1)`, at most
-/// `2^budget` with `budget = (bits_a - 1) + (bits_b - 1) + ceil_log2(K)`.
-/// The SIMD policy takes i32 lanes when both formats' words fit i16 and
-/// `budget <= 30` (the sum stays below `2^31`), i64 lanes when
-/// `budget <= 62`, and the exact i128 path otherwise.
-fn accumulator(policy: KernelPolicy, fa: QFormat, fb: QFormat, k: usize) -> Accumulator {
+/// Picks the accumulator. The worst-case magnitude of the dot product
+/// is `K * 2^(bits_a-1) * 2^(bits_b-1)`, at most `2^budget` with
+/// `budget = (bits_a - 1) + (bits_b - 1) + ceil_log2(K)`. The products
+/// take i32 lanes when both formats' words fit i16 and `budget <= 30`
+/// (the sum stays below `2^31`), i64 lanes when `budget <= 62`, and the
+/// exact i128 path otherwise.
+fn accumulator(fa: QFormat, fb: QFormat, k: usize) -> Accumulator {
     let budget = (fa.total_bits() - 1) + (fb.total_bits() - 1) + ceil_log2(k);
     let words_fit_i16 = fa.total_bits() <= 16 && fb.total_bits() <= 16;
-    match policy {
-        KernelPolicy::Scalar => Accumulator::Scalar,
-        KernelPolicy::Simd if words_fit_i16 && budget <= 30 => Accumulator::I32Lanes,
-        KernelPolicy::Simd if budget <= 62 => Accumulator::I64Lanes,
-        KernelPolicy::Simd => Accumulator::I128,
+    if words_fit_i16 && budget <= 30 {
+        Accumulator::I32Lanes
+    } else if budget <= 62 {
+        Accumulator::I64Lanes
+    } else {
+        Accumulator::I128
     }
 }
 
@@ -313,40 +312,25 @@ fn pack_transpose<T: Copy + Default>(
     packed
 }
 
-/// Element-wise saturating `a + b` (or `a - b`), policy-dispatched.
-/// Saturation clamps per element, so chunking cannot change a bit; the
-/// SIMD spelling runs 8 independent elements per chunk.
-fn saturating_zip(
-    policy: KernelPolicy,
-    a: &[i64],
-    b: &[i64],
-    format: QFormat,
-    negate_b: bool,
-) -> Vec<i64> {
+/// Element-wise saturating `a + b` (or `a - b`). Saturation clamps per
+/// element, so chunking cannot change a bit; the loop runs 8
+/// independent elements per chunk.
+fn saturating_zip(a: &[i64], b: &[i64], format: QFormat, negate_b: bool) -> Vec<i64> {
     let sign = if negate_b { -1i64 } else { 1i64 };
-    match policy {
-        KernelPolicy::Scalar => {
-            a.iter().zip(b).map(|(&x, &y)| format.saturating_add(x, sign * y)).collect()
-        }
-        KernelPolicy::Simd => {
-            let (lo, hi) = (format.min_raw(), format.max_raw());
-            let mut out = vec![0i64; a.len()];
-            let mut oc = out.chunks_exact_mut(8);
-            let mut ac = a.chunks_exact(8);
-            let mut bc = b.chunks_exact(8);
-            for ((o8, a8), b8) in (&mut oc).zip(&mut ac).zip(&mut bc) {
-                for l in 0..8 {
-                    o8[l] = (a8[l] + sign * b8[l]).clamp(lo, hi);
-                }
-            }
-            for ((o, &x), &y) in
-                oc.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder())
-            {
-                *o = (x + sign * y).clamp(lo, hi);
-            }
-            out
+    let (lo, hi) = (format.min_raw(), format.max_raw());
+    let mut out = vec![0i64; a.len()];
+    let mut oc = out.chunks_exact_mut(8);
+    let mut ac = a.chunks_exact(8);
+    let mut bc = b.chunks_exact(8);
+    for ((o8, a8), b8) in (&mut oc).zip(&mut ac).zip(&mut bc) {
+        for l in 0..8 {
+            o8[l] = (a8[l] + sign * b8[l]).clamp(lo, hi);
         }
     }
+    for ((o, &x), &y) in oc.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
+        *o = (x + sign * y).clamp(lo, hi);
+    }
+    out
 }
 
 /// A matrix stored as raw fixed-point words in a single [`QFormat`].
@@ -447,17 +431,7 @@ impl QuantizedMatrix {
     /// accumulators in each PE. Bitwise identical to the scalar
     /// reference.
     ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &QuantizedMatrix, out_format: QFormat) -> QuantizedMatrix {
-        self.matmul_with(other, out_format, KernelPolicy::Simd)
-    }
-
-    /// [`QuantizedMatrix::matmul`] under an explicit [`KernelPolicy`].
-    ///
-    /// The scalar reference walks `other` column-strided; the SIMD
-    /// variant packs `B` once and narrows the packed words — into
+    /// The products pack `B` once and narrow the packed words — into
     /// k-pair-interleaved i16 panels for the 4×32 i32-lane tile, or
     /// transposed into i32 words with four i64 lanes — when the formats'
     /// bit budget guarantees a lane cannot overflow (falling back to
@@ -466,12 +440,7 @@ impl QuantizedMatrix {
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul_with(
-        &self,
-        other: &QuantizedMatrix,
-        out_format: QFormat,
-        policy: KernelPolicy,
-    ) -> QuantizedMatrix {
+    pub fn matmul(&self, other: &QuantizedMatrix, out_format: QFormat) -> QuantizedMatrix {
         assert_eq!(
             self.cols, other.rows,
             "quantized matmul dimension mismatch: {}x{} . {}x{}",
@@ -479,20 +448,7 @@ impl QuantizedMatrix {
         );
         let (k, n) = (self.cols, other.cols);
         let in_frac = self.format.frac_bits() + other.format.frac_bits();
-        let raw = match accumulator(policy, self.format, other.format, k) {
-            Accumulator::Scalar => {
-                let mut raw = vec![0i64; self.rows * n];
-                for i in 0..self.rows {
-                    for j in 0..n {
-                        let mut acc: i128 = 0;
-                        for p in 0..k {
-                            acc += self.raw[i * k + p] as i128 * other.raw[p * n + j] as i128;
-                        }
-                        raw[i * n + j] = rescale(acc, in_frac, out_format);
-                    }
-                }
-                raw
-            }
+        let raw = match accumulator(self.format, other.format, k) {
             Accumulator::I32Lanes => {
                 tile_products(self, n, |p, j| other.raw[p * n + j], in_frac, out_format)
             }
@@ -524,21 +480,6 @@ impl QuantizedMatrix {
         other: &QuantizedMatrix,
         out_format: QFormat,
     ) -> QuantizedMatrix {
-        self.matmul_transpose_b_with(other, out_format, KernelPolicy::Simd)
-    }
-
-    /// [`QuantizedMatrix::matmul_transpose_b`] under an explicit
-    /// [`KernelPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_transpose_b_with(
-        &self,
-        other: &QuantizedMatrix,
-        out_format: QFormat,
-        policy: KernelPolicy,
-    ) -> QuantizedMatrix {
         assert_eq!(
             self.cols, other.cols,
             "quantized matmul_transpose_b dimension mismatch: {}x{} . ({}x{})^T",
@@ -546,20 +487,7 @@ impl QuantizedMatrix {
         );
         let (d, n) = (self.cols, other.rows);
         let in_frac = self.format.frac_bits() + other.format.frac_bits();
-        let raw = match accumulator(policy, self.format, other.format, d) {
-            Accumulator::Scalar => {
-                let mut raw = vec![0i64; self.rows * n];
-                for i in 0..self.rows {
-                    for j in 0..n {
-                        let mut acc: i128 = 0;
-                        for p in 0..d {
-                            acc += self.raw[i * d + p] as i128 * other.raw[j * d + p] as i128;
-                        }
-                        raw[i * n + j] = rescale(acc, in_frac, out_format);
-                    }
-                }
-                raw
-            }
+        let raw = match accumulator(self.format, other.format, d) {
             Accumulator::I32Lanes => {
                 tile_products(self, n, |p, j| other.raw[j * d + p], in_frac, out_format)
             }
@@ -597,18 +525,9 @@ impl QuantizedMatrix {
     ///
     /// Panics if shapes or formats differ.
     pub fn sub(&self, other: &QuantizedMatrix) -> QuantizedMatrix {
-        self.sub_with(other, KernelPolicy::Simd)
-    }
-
-    /// [`QuantizedMatrix::sub`] under an explicit [`KernelPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes or formats differ.
-    pub fn sub_with(&self, other: &QuantizedMatrix, policy: KernelPolicy) -> QuantizedMatrix {
         assert_eq!(self.format, other.format, "sub requires matching formats");
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "sub shape mismatch");
-        let raw = saturating_zip(policy, &self.raw, &other.raw, self.format, true);
+        let raw = saturating_zip(&self.raw, &other.raw, self.format, true);
         QuantizedMatrix { rows: self.rows, cols: self.cols, raw, format: self.format }
     }
 
@@ -619,18 +538,9 @@ impl QuantizedMatrix {
     ///
     /// Panics if shapes or formats differ.
     pub fn add(&self, other: &QuantizedMatrix) -> QuantizedMatrix {
-        self.add_with(other, KernelPolicy::Simd)
-    }
-
-    /// [`QuantizedMatrix::add`] under an explicit [`KernelPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes or formats differ.
-    pub fn add_with(&self, other: &QuantizedMatrix, policy: KernelPolicy) -> QuantizedMatrix {
         assert_eq!(self.format, other.format, "add requires matching formats");
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "add shape mismatch");
-        let raw = saturating_zip(policy, &self.raw, &other.raw, self.format, false);
+        let raw = saturating_zip(&self.raw, &other.raw, self.format, false);
         QuantizedMatrix { rows: self.rows, cols: self.cols, raw, format: self.format }
     }
 
@@ -778,6 +688,51 @@ mod tests {
         assert!(err <= formats::TOKEN.resolution() / 2.0 + 1e-6);
     }
 
+    /// The reference `A·B`: i128 sums, `B` walked column-strided.
+    fn scalar_matmul(a: &QuantizedMatrix, b: &QuantizedMatrix, out: QFormat) -> QuantizedMatrix {
+        let (k, n) = (a.cols, b.cols);
+        let in_frac = a.format.frac_bits() + b.format.frac_bits();
+        let mut raw = vec![0i64; a.rows * n];
+        for i in 0..a.rows {
+            for j in 0..n {
+                let mut acc: i128 = 0;
+                for p in 0..k {
+                    acc += a.raw[i * k + p] as i128 * b.raw[p * n + j] as i128;
+                }
+                raw[i * n + j] = rescale(acc, in_frac, out);
+            }
+        }
+        QuantizedMatrix { rows: a.rows, cols: n, raw, format: out }
+    }
+
+    /// The reference `A·Bᵀ`: one i128 dot per output element.
+    fn scalar_matmul_transpose_b(
+        a: &QuantizedMatrix,
+        b: &QuantizedMatrix,
+        out: QFormat,
+    ) -> QuantizedMatrix {
+        let (d, n) = (a.cols, b.rows);
+        let in_frac = a.format.frac_bits() + b.format.frac_bits();
+        let mut raw = vec![0i64; a.rows * n];
+        for i in 0..a.rows {
+            for j in 0..n {
+                let mut acc: i128 = 0;
+                for p in 0..d {
+                    acc += a.raw[i * d + p] as i128 * b.raw[j * d + p] as i128;
+                }
+                raw[i * n + j] = rescale(acc, in_frac, out);
+            }
+        }
+        QuantizedMatrix { rows: a.rows, cols: n, raw, format: out }
+    }
+
+    /// The reference element-wise saturating `a + b` (or `a - b`).
+    fn scalar_zip(a: &QuantizedMatrix, b: &QuantizedMatrix, negate_b: bool) -> QuantizedMatrix {
+        let sign = if negate_b { -1i64 } else { 1i64 };
+        let raw = a.raw.iter().zip(&b.raw).map(|(&x, &y)| a.format.saturating_add(x, sign * y));
+        QuantizedMatrix { rows: a.rows, cols: a.cols, raw: raw.collect(), format: a.format }
+    }
+
     /// A seeded raw-word matrix spanning the full representable range,
     /// rails included, so saturating paths are exercised.
     fn lcg_quantized(rows: usize, cols: usize, seed: u64, format: QFormat) -> QuantizedMatrix {
@@ -793,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_policies_are_bitwise_identical_on_edge_shapes() {
+    fn matmul_matches_scalar_on_edge_shapes() {
         // Empty, 1xN, non-square, and lane/block-tail shapes, then the
         // paper's long sequence at d = 64 with k0 = k1 = 256, k2 = 64:
         // the k0×d · d×d linear and the k0×d · ((k1+k2)×d)ᵀ scores.
@@ -802,28 +757,21 @@ mod tests {
             let a = lcg_quantized(m, k, 11, formats::TOKEN);
             let b = lcg_quantized(k, n, 12, formats::CENTROID);
             let bt = lcg_quantized(n, k, 13, formats::CENTROID);
-            let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
-            let scalar_tb =
-                a.matmul_transpose_b_with(&bt, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
-            let simd = cta_tensor::KernelPolicy::Simd;
-            assert_eq!(a.matmul_with(&b, formats::SCORE, simd), scalar, "{m}x{k}x{n}");
-            assert_eq!(
-                a.matmul_transpose_b_with(&bt, formats::SCORE, simd),
-                scalar_tb,
-                "{m}x{k}x{n}"
-            );
+            let scalar = scalar_matmul(&a, &b, formats::SCORE);
+            let scalar_tb = scalar_matmul_transpose_b(&a, &bt, formats::SCORE);
+            assert_eq!(a.matmul(&b, formats::SCORE), scalar, "{m}x{k}x{n}");
+            assert_eq!(a.matmul_transpose_b(&bt, formats::SCORE), scalar_tb, "{m}x{k}x{n}");
         }
     }
 
     /// The SIMD `A·B` and `A·Bᵀ` against the scalar reference.
-    fn assert_policies_match_scalar(a: &QuantizedMatrix, b: &QuantizedMatrix, out: QFormat) {
-        use cta_tensor::KernelPolicy::{Scalar, Simd};
+    fn assert_products_match_scalar(a: &QuantizedMatrix, b: &QuantizedMatrix, out: QFormat) {
         let bt = transpose(b);
-        let scalar = a.matmul_with(b, out, Scalar);
-        let scalar_tb = a.matmul_transpose_b_with(&bt, out, Scalar);
+        let scalar = scalar_matmul(a, b, out);
+        let scalar_tb = scalar_matmul_transpose_b(a, &bt, out);
         assert_eq!(scalar_tb, scalar, "A·(Bᵀ)ᵀ must equal A·B");
-        assert_eq!(a.matmul_with(b, out, Simd), scalar);
-        assert_eq!(a.matmul_transpose_b_with(&bt, out, Simd), scalar_tb);
+        assert_eq!(a.matmul(b, out), scalar);
+        assert_eq!(a.matmul_transpose_b(&bt, out), scalar_tb);
     }
 
     /// `mᵀ`, rebuilt through `from_raw`.
@@ -838,8 +786,8 @@ mod tests {
     }
 
     #[test]
-    fn matmul_policies_are_bitwise_identical_under_saturation() {
-        // Rails-to-rails products overflow SCORE; every policy must
+    fn matmul_matches_scalar_under_saturation() {
+        // Rails-to-rails products overflow SCORE; every body must
         // saturate on exactly the same elements to the same rails, in
         // both products and on both sides of the i32-lane budget:
         // TOKEN×TOKEN at K = 64 is 12 + 12 + 6 = 30 (i32 lanes), at
@@ -847,35 +795,33 @@ mod tests {
         for k in [64, 65] {
             let a = lcg_quantized(6, k, 21, formats::TOKEN);
             let b = lcg_quantized(k, 5, 22, formats::TOKEN);
-            let scalar = a.matmul_with(&b, formats::SCORE, cta_tensor::KernelPolicy::Scalar);
+            let scalar = scalar_matmul(&a, &b, formats::SCORE);
             assert!(
                 scalar.raw().iter().any(|&r| r == formats::SCORE.max_raw())
                     && scalar.raw().iter().any(|&r| r == formats::SCORE.min_raw()),
                 "K = {k} must saturate at both rails"
             );
-            assert_policies_match_scalar(&a, &b, formats::SCORE);
+            assert_products_match_scalar(&a, &b, formats::SCORE);
         }
     }
 
     #[test]
     fn simd_lane_guard_falls_back_for_wide_formats() {
-        use cta_tensor::KernelPolicy::{Scalar, Simd};
         let q12 = QFormat::new(12, 6);
         let q16 = QFormat::new(16, 8);
         let q17 = QFormat::new(17, 8);
         let wide = QFormat::new(32, 7);
         // 11 + 11 + ceil_log2(256) = 30 takes the i32 lanes; K = 257
         // makes the budget 31 and falls back to i64 lanes.
-        assert_eq!(accumulator(Simd, q12, q12, 256), Accumulator::I32Lanes);
-        assert_eq!(accumulator(Simd, q12, q12, 257), Accumulator::I64Lanes);
+        assert_eq!(accumulator(q12, q12, 256), Accumulator::I32Lanes);
+        assert_eq!(accumulator(q12, q12, 257), Accumulator::I64Lanes);
         // 15 + 15 + 0 = 30 at K = 1; K = 2 is 31.
-        assert_eq!(accumulator(Simd, q16, q16, 1), Accumulator::I32Lanes);
-        assert_eq!(accumulator(Simd, q16, q16, 2), Accumulator::I64Lanes);
+        assert_eq!(accumulator(q16, q16, 1), Accumulator::I32Lanes);
+        assert_eq!(accumulator(q16, q16, 2), Accumulator::I64Lanes);
         // A 17-bit format's words do not fit i16, whatever the budget.
-        assert_eq!(accumulator(Simd, q17, QFormat::new(2, 0), 1), Accumulator::I64Lanes);
+        assert_eq!(accumulator(q17, QFormat::new(2, 0), 1), Accumulator::I64Lanes);
         // Two 32-bit formats over K = 64: 31 + 31 + 6 > 62, i128.
-        assert_eq!(accumulator(Simd, wide, wide, 64), Accumulator::I128);
-        assert_eq!(accumulator(Scalar, q12, q12, 8), Accumulator::Scalar);
+        assert_eq!(accumulator(wide, wide, 64), Accumulator::I128);
 
         // At each boundary, every word on the negative rail gives the
         // largest magnitude a dot can reach (exactly 2^30 at budget 30);
@@ -885,14 +831,14 @@ mod tests {
         };
         let out = QFormat::new(32, 0);
         for (f, k) in [(q12, 256), (q12, 257), (q16, 1), (q16, 2), (q17, 3)] {
-            assert_policies_match_scalar(&rail(3, k, f), &rail(k, 2, f), out);
-            let top = rail(1, k, f).matmul_with(&rail(k, 1, f), out, Simd);
+            assert_products_match_scalar(&rail(3, k, f), &rail(k, 2, f), out);
+            let top = rail(1, k, f).matmul(&rail(k, 1, f), out);
             let exact = ((k as i64) * f.min_raw() * f.min_raw()) >> (2 * f.frac_bits());
             assert_eq!(top.raw_at(0, 0), exact.min(out.max_raw()), "{f} K={k}");
         }
         let a = lcg_quantized(3, 64, 31, wide);
         let b = lcg_quantized(64, 3, 32, wide);
-        assert_policies_match_scalar(&a, &b, wide);
+        assert_products_match_scalar(&a, &b, wide);
     }
 
     /// One body of [`tile_i16`].
@@ -962,36 +908,33 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_policies_are_bitwise_identical() {
+    fn elementwise_ops_match_scalar() {
         // The last shape is the paper's n = 1024 tokens at d = 64.
         for len in [(1, 1), (1, 7), (3, 8), (5, 17), (1024, 64)] {
             let a = lcg_quantized(len.0, len.1, 41, formats::TOKEN);
             let b = lcg_quantized(len.0, len.1, 42, formats::TOKEN);
-            let sub = a.sub_with(&b, cta_tensor::KernelPolicy::Scalar);
-            let add = a.add_with(&b, cta_tensor::KernelPolicy::Scalar);
-            assert_eq!(a.sub_with(&b, cta_tensor::KernelPolicy::Simd), sub);
-            assert_eq!(a.add_with(&b, cta_tensor::KernelPolicy::Simd), add);
+            assert_eq!(a.sub(&b), scalar_zip(&a, &b, true));
+            assert_eq!(a.add(&b), scalar_zip(&a, &b, false));
         }
     }
 
     #[test]
     fn entry_points_match_the_scalar_reference() {
-        // The un-suffixed operations run the SIMD bodies. Pin them to
-        // the scalar loops at the paper's score shape (k0 = 256 queries
-        // against k1 + k2 = 320 centroids at d = 64) and on full-range
-        // words that drive every rail.
-        use cta_tensor::KernelPolicy::Scalar;
+        // The operations run the SIMD bodies. Pin them to the scalar
+        // loops at the paper's score shape (k0 = 256 queries against
+        // k1 + k2 = 320 centroids at d = 64) and on full-range words that
+        // drive every rail.
         let a = lcg_quantized(256, 64, 51, formats::TOKEN);
         let b = lcg_quantized(64, 320, 52, formats::CENTROID);
         let bt = lcg_quantized(320, 64, 53, formats::CENTROID);
-        assert_eq!(a.matmul(&b, formats::SCORE), a.matmul_with(&b, formats::SCORE, Scalar));
+        assert_eq!(a.matmul(&b, formats::SCORE), scalar_matmul(&a, &b, formats::SCORE));
         assert_eq!(
             a.matmul_transpose_b(&bt, formats::SCORE),
-            a.matmul_transpose_b_with(&bt, formats::SCORE, Scalar)
+            scalar_matmul_transpose_b(&a, &bt, formats::SCORE)
         );
         let c = lcg_quantized(256, 64, 54, formats::TOKEN);
-        assert_eq!(a.sub(&c), a.sub_with(&c, Scalar));
-        assert_eq!(a.add(&c), a.add_with(&c, Scalar));
+        assert_eq!(a.sub(&c), scalar_zip(&a, &c, true));
+        assert_eq!(a.add(&c), scalar_zip(&a, &c, false));
     }
 
     #[test]
@@ -1028,17 +971,17 @@ mod tests {
             for rows in [k0, kcat] {
                 let c = lcg_quantized(rows, 64, rows as u64, formats::CENTROID);
                 let w = lcg_quantized(64, 64, rows as u64 + 1, formats::LINEAR_WEIGHT);
-                assert_policies_match_scalar(&c, &w, formats::CENTROID);
+                assert_products_match_scalar(&c, &w, formats::CENTROID);
             }
             let q = lcg_quantized(k0, 64, 81, formats::CENTROID);
             let k = lcg_quantized(64, kcat, 82, formats::CENTROID);
-            assert_policies_match_scalar(&q, &k, wide);
+            assert_products_match_scalar(&q, &k, wide);
         }
     }
 
     proptest! {
         #[test]
-        fn quantized_matmul_policies_match_scalar_bitwise(
+        fn quantized_matmul_matches_scalar_bitwise(
             m in 1usize..41,
             k in 1usize..71,
             n in 1usize..41,
@@ -1049,8 +992,8 @@ mod tests {
             // stays inside the i32-lane budget.
             let a = lcg_quantized(m, k, seed, formats::TOKEN);
             let b = lcg_quantized(k, n, seed.wrapping_add(1), formats::CENTROID);
-            assert_eq!(accumulator(KernelPolicy::Simd, a.format, b.format, k), Accumulator::I32Lanes);
-            assert_policies_match_scalar(&a, &b, formats::SCORE);
+            assert_eq!(accumulator(a.format, b.format, k), Accumulator::I32Lanes);
+            assert_products_match_scalar(&a, &b, formats::SCORE);
         }
 
         #[test]

@@ -1,6 +1,6 @@
 //! p-stable locality-sensitive hash families (paper §III-A).
 
-use cta_tensor::{KernelPolicy, Matrix, MatrixRng};
+use cta_tensor::{Matrix, MatrixRng};
 
 use crate::HashCodes;
 
@@ -169,28 +169,19 @@ impl LshFamily {
     }
 
     /// Hashes every row of a token matrix (paper eq. 1, `H = ⌊(A·Xᵀ+B)/w⌋`),
-    /// returning one code per token, on the SIMD kernel.
+    /// returning one code per token.
     ///
-    /// # Panics
-    ///
-    /// Panics if `tokens.cols() != self.dim()`.
-    pub fn hash_matrix(&self, tokens: &Matrix) -> HashCodes {
-        self.hash_matrix_with(tokens, KernelPolicy::Simd)
-    }
-
-    /// [`LshFamily::hash_matrix`] under an explicit [`KernelPolicy`].
-    ///
-    /// The scalar path hashes token by token, direction by direction;
-    /// the SIMD path batches all projections into one
-    /// `X · Aᵀ` product — bitwise identical, because each projection is
-    /// the same sequential-`d` dot product (f32 multiplication commutes
-    /// bitwise) with the bias added afterwards in the same order.
+    /// All projections are batched into one `X · Aᵀ` product on the SIMD
+    /// kernel — bitwise identical to hashing token by token with
+    /// [`LshFamily::hash_value`], because each projection is the same
+    /// sequential-`d` dot product (f32 multiplication commutes bitwise)
+    /// with the bias added afterwards in the same order.
     ///
     /// # Panics
     ///
     /// Panics if `tokens.cols() != self.dim()`, or any projection is
     /// not finite.
-    pub fn hash_matrix_with(&self, tokens: &Matrix, policy: KernelPolicy) -> HashCodes {
+    pub fn hash_matrix(&self, tokens: &Matrix) -> HashCodes {
         assert_eq!(
             tokens.cols(),
             self.dim(),
@@ -201,29 +192,17 @@ impl LshFamily {
         let n = tokens.rows();
         let l = self.hash_length();
         let mut values = Vec::with_capacity(n * l);
-        match policy {
-            KernelPolicy::Scalar => {
-                for t in 0..n {
-                    let row = tokens.row(t);
-                    for i in 0..l {
-                        values.push(self.hash_value(i, row));
-                    }
-                }
-            }
-            KernelPolicy::Simd => {
-                let projections = tokens.matmul_transpose_b_with(&self.a, policy);
-                for t in 0..n {
-                    let proj_row = projections.row(t);
-                    for (i, (&p, &bias)) in proj_row.iter().zip(&self.b).enumerate() {
-                        let proj = p + bias;
-                        assert!(
-                            proj.is_finite(),
-                            "LSH projection for direction {i} is not finite ({proj}): \
-                             token vector contains NaN/inf or overflows the dot product"
-                        );
-                        values.push(bucket_of(proj, self.w));
-                    }
-                }
+        let projections = tokens.matmul_transpose_b(&self.a);
+        for t in 0..n {
+            let proj_row = projections.row(t);
+            for (i, (&p, &bias)) in proj_row.iter().zip(&self.b).enumerate() {
+                let proj = p + bias;
+                assert!(
+                    proj.is_finite(),
+                    "LSH projection for direction {i} is not finite ({proj}): \
+                     token vector contains NaN/inf or overflows the dot product"
+                );
+                values.push(bucket_of(proj, self.w));
             }
         }
         HashCodes::from_flat(n, l, values)
@@ -346,8 +325,19 @@ mod tests {
         assert_eq!(fam.hash_code(&[-16_777_216.0]), vec![-16_777_218]);
     }
 
+    /// The reference [`LshFamily::hash_matrix`]: token by token,
+    /// direction by direction, through [`LshFamily::hash_value`].
+    fn scalar_hash_matrix(fam: &LshFamily, tokens: &Matrix) -> HashCodes {
+        let l = fam.hash_length();
+        let mut values = Vec::with_capacity(tokens.rows() * l);
+        for t in 0..tokens.rows() {
+            values.extend((0..l).map(|i| fam.hash_value(i, tokens.row(t))));
+        }
+        HashCodes::from_flat(tokens.rows(), l, values)
+    }
+
     #[test]
-    fn hash_matrix_policies_are_bitwise_identical() {
+    fn hash_matrix_is_bitwise_identical_to_the_scalar_loop() {
         // A small ragged shape, then the paper's long sequence: n = 1024
         // tokens at d = 64.
         let small = (family(), cta_tensor::standard_normal_matrix(7, 37, 8));
@@ -357,8 +347,8 @@ mod tests {
         );
         for (fam, tokens) in [small, long] {
             assert_eq!(
-                fam.hash_matrix_with(&tokens, KernelPolicy::Simd),
-                fam.hash_matrix_with(&tokens, KernelPolicy::Scalar),
+                fam.hash_matrix(&tokens),
+                scalar_hash_matrix(&fam, &tokens),
                 "n={}",
                 tokens.rows()
             );
@@ -367,12 +357,12 @@ mod tests {
 
     #[test]
     fn hash_matrix_matches_the_scalar_reference() {
-        // `hash_matrix` takes no policy: it runs the batched SIMD
-        // projection. Pin it to the token-by-token reference at the
-        // paper's long sequence (n = 1024, d = 64).
+        // `hash_matrix` runs the batched SIMD projection. Pin it to the
+        // token-by-token reference at the paper's long sequence
+        // (n = 1024, d = 64).
         let fam = LshFamily::sample(64, LshParams::with_paper_length(1.5), 12);
         let tokens = cta_tensor::standard_normal_matrix(13, 1024, 64);
-        assert_eq!(fam.hash_matrix(&tokens), fam.hash_matrix_with(&tokens, KernelPolicy::Scalar));
+        assert_eq!(fam.hash_matrix(&tokens), scalar_hash_matrix(&fam, &tokens));
     }
 
     #[test]

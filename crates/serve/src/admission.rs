@@ -52,7 +52,7 @@ pub struct AdmissionPolicy {
 
 impl AdmissionPolicy {
     /// Admit everything (the compatibility behaviour of
-    /// `cta_sim::simulate_serving`).
+    /// [`FleetConfig::single_fifo`](crate::FleetConfig::single_fifo)).
     pub fn admit_all() -> Self {
         Self { max_queue_depth: None, depth_exempt_priority: None, enforce_deadlines: true }
     }

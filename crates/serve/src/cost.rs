@@ -229,7 +229,7 @@ impl CostModel {
     /// estimate derives from this one pricing branch; the runtime computes
     /// it once at admission and carries it with the request, so later
     /// remaining-work estimates re-sum these values
-    /// ([`remaining_from_layers_s`]) instead of re-pricing layers.
+    /// (`remaining_from_layers_s`) instead of re-pricing layers.
     ///
     /// A layer step is a pure function of its head tasks (and of the
     /// turn, which is the same for every layer of a request), so a run of

@@ -3,11 +3,10 @@
 //! `cta-serve`: a request-level serving runtime over the CTA system model.
 //!
 //! `cta-sim` answers "how fast does one request run on the pool?"
-//! (`CtaSystem::run_layers`) and carries a deliberately minimal FIFO
-//! serving path (`cta_sim::simulate_serving`). This crate answers the
-//! deployment question — what does a *fleet* of CTA pools sustain under
-//! an open-loop arrival process? — with three mechanisms the FIFO path
-//! lacks:
+//! (`CtaSystem::run_layers`). This crate is the workspace's one serving
+//! model and answers the deployment question — what does a *fleet* of
+//! CTA pools sustain under an open-loop arrival process? — with
+//! mechanisms a one-request-at-a-time FIFO queue lacks:
 //!
 //! * **continuous batching** ([`BatchPolicy`]) — replicas advance in
 //!   layer steps and merge the current layers of all active requests into
@@ -40,8 +39,9 @@
 //! tie-broken event ordering ([`simulate_fleet`]), and exact (not
 //! sampled) percentile metrics ([`FleetMetrics`]). Configured down to one replica
 //! with batching off and admission disabled ([`FleetConfig::single_fifo`]),
-//! [`simulate_fleet`] reproduces `cta_sim::simulate_serving` exactly —
-//! the `equivalence` integration test pins that.
+//! [`simulate_fleet`] is that FIFO queue, bit for bit — the `equivalence`
+//! integration test pins it to the golden metrics of the standalone FIFO
+//! model it replaced.
 //!
 //! The sweep binaries (`serve_sweep`, `degradation_sweep`,
 //! `brownout_sweep`) are thin adapters over [`sweeps`], which in turn

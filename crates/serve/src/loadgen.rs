@@ -392,6 +392,12 @@ mod tests {
             Err(TraceError::NonMonotonic { index: 3 })
         );
         trace[3].arrival_s = trace[2].arrival_s;
+        // An out-of-order pair: arrivals at 1 s, then 0 s.
+        let pair = [1.0, 0.0].map(|t| ServingRequest::uniform(t, s.task, 1, 1));
+        assert_eq!(
+            replay_trace(&pair, QosClass::batch()),
+            Err(TraceError::NonMonotonic { index: 1 })
+        );
 
         trace[1].layer_tasks.clear();
         assert_eq!(replay_trace(&trace, QosClass::batch()), Err(TraceError::NoLayers { index: 1 }));

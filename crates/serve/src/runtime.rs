@@ -206,9 +206,10 @@ impl FleetConfig {
     }
 
     /// The compatibility configuration: one replica, round-robin (trivial)
-    /// routing, batching off, admit everything, no faults. In this
-    /// configuration [`simulate_fleet`] reproduces
-    /// `cta_sim::simulate_serving` exactly.
+    /// routing, batching off, admit everything, no faults — a FIFO queue
+    /// serving one request at a time. In this configuration
+    /// [`simulate_fleet`] reproduces the retired standalone FIFO model
+    /// exactly (pinned to its golden metrics).
     pub fn single_fifo(system: cta_sim::SystemConfig) -> Self {
         Self::builder(system).build().expect("the single-replica baseline is always valid")
     }

@@ -79,9 +79,8 @@ fn tracing_never_changes_the_report() {
 
 #[test]
 fn single_fifo_equivalence_survives_tracing() {
-    // The single-replica FIFO configuration is pinned elsewhere to
-    // `cta_sim::simulate_serving`; attaching a sink must not break that
-    // chain.
+    // The single-replica FIFO configuration is pinned elsewhere to the
+    // golden FIFO metrics; attaching a sink must not break that chain.
     let cfg = FleetConfig::single_fifo(SystemConfig::paper());
     let requests = poisson_requests(&spec(), 32, 20_000.0, 3);
     let (traced_report, _) = traced(&cfg, &requests);

@@ -78,9 +78,7 @@ pub use pag_rtl::{simulate_pag_rtl, PagPortStats, PagRtlRun};
 pub use power::{power_trace, PowerSample, PowerTrace};
 pub use rtl::{RtlArray, RtlRun};
 pub use rtl_datapath::{run_rtl_datapath, RtlDatapathRun};
-pub use serving::{
-    latency_percentile, poisson_trace, simulate_serving, ServingMetrics, ServingRequest,
-};
+pub use serving::{latency_percentile, poisson_trace, ServingMetrics, ServingRequest};
 pub use system::{CtaSystem, LayerStep, SystemConfig, SystemRun, TaskCost};
 pub use systolic::{Dataflow1Run, Dataflow2Run, SystolicArray};
 pub use task::AttentionTask;

@@ -1,22 +1,16 @@
-//! Request-level serving simulation on the CTA system.
+//! Request-level serving vocabulary shared by the serving runtime and
+//! the workload generators.
 //!
 //! An inference service receives requests over time; each request runs a
-//! whole model's attention on the unit pool. This module plays a seeded
-//! arrival trace through a FIFO queue over [`CtaSystem`], producing the
-//! latency distribution and sustained throughput — the deployment-facing
-//! view of the paper's throughput numbers.
-//!
-//! This is the *compatibility surface*: a single replica, strict FIFO
-//! order, one request in flight at a time, and no shedding. The full
-//! runtime — continuous batching, multi-replica routing and SLO-aware
-//! admission — lives in the `cta-serve` crate, which is built from the
-//! same primitives used here ([`CtaSystem::weight_upload_s`],
-//! [`CtaSystem::step_layer`], [`ServingMetrics::from_latencies`]) so the
-//! two paths cannot drift; `cta-serve` carries an equivalence test pinning
-//! its single-replica FIFO configuration to [`simulate_serving`] bit for
-//! bit.
+//! whole model's attention on the unit pool. This module holds the
+//! request type ([`ServingRequest`]), a seeded Poisson arrival trace
+//! ([`poisson_trace`]) and the latency statistics every serving report
+//! is built from ([`ServingMetrics`], [`latency_percentile`]). There is
+//! one serving model, the `cta-serve` fleet runtime; its single-replica
+//! FIFO configuration (`FleetConfig::single_fifo`) is the classic
+//! one-request-at-a-time queue over [`CtaSystem`](crate::CtaSystem).
 
-use crate::{AttentionTask, CtaSystem};
+use crate::AttentionTask;
 
 /// One inference request: an arrival time plus the per-layer head tasks
 /// of its model.
@@ -56,8 +50,8 @@ impl ServingRequest {
 ///   upper sample;
 /// * `n = 3`: `p50` is the middle sample, `p95`/`p99` the maximum.
 ///
-/// Both this module and the `cta-serve` runtime compute their reported
-/// percentiles through this one function.
+/// Every reported percentile in the workspace is computed through this
+/// one function.
 ///
 /// # Panics
 ///
@@ -100,9 +94,8 @@ pub struct ServingMetrics {
 impl ServingMetrics {
     /// Builds the statistics from raw completion latencies: `span_s` is
     /// the wall-clock extent of the trace (start of first arrival to last
-    /// completion) and `busy_s` the time the pool spent serving. Both the
-    /// FIFO path here and the `cta-serve` runtime report through this
-    /// constructor.
+    /// completion) and `busy_s` the time the pool spent serving. The
+    /// `cta-serve` runtime reports through this constructor.
     ///
     /// # Panics
     ///
@@ -127,46 +120,6 @@ impl ServingMetrics {
             busy_fraction: busy_s / span_s,
         }
     }
-}
-
-/// Plays `requests` (must be sorted by arrival) through a FIFO queue over
-/// the system: one replica, one request in flight at a time, nothing shed.
-///
-/// Thin adapter over the steppable execution primitives: each request's
-/// service time is the one-time [`CtaSystem::weight_upload_s`] plus its
-/// [`CtaSystem::step_layer`] times, folded through a single-server queue.
-/// The `cta-serve` fleet runtime reduces to exactly this when configured
-/// with one replica, FIFO routing, batching off and no admission control.
-///
-/// # Panics
-///
-/// Panics if `requests` is empty or not sorted by arrival time.
-pub fn simulate_serving(system: &CtaSystem, requests: &[ServingRequest]) -> ServingMetrics {
-    assert!(!requests.is_empty(), "at least one request");
-    assert!(
-        requests.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
-        "requests must be sorted by arrival time"
-    );
-
-    let upload_s = system.weight_upload_s();
-    let mut clock = 0.0f64;
-    let mut busy = 0.0f64;
-    let mut latencies: Vec<f64> = Vec::with_capacity(requests.len());
-    for r in requests {
-        // Accumulate layer by layer (the upload folded into the first
-        // step), mirroring the `cta-serve` runtime's step-granular clock
-        // exactly — same additions in the same order, so the equivalence
-        // between the two paths holds bit for bit, not just to round-off.
-        let mut t = clock.max(r.arrival_s);
-        for (i, tasks) in r.layer_tasks.iter().enumerate() {
-            let elapsed = if i == 0 { upload_s } else { 0.0 } + system.step_layer(tasks).elapsed_s;
-            t += elapsed;
-            busy += elapsed;
-        }
-        clock = t;
-        latencies.push(clock - r.arrival_s);
-    }
-    ServingMetrics::from_latencies(&latencies, clock.max(f64::EPSILON), busy)
 }
 
 /// Generates a seeded Poisson-like arrival trace of `count` identical
@@ -200,67 +153,9 @@ pub fn poisson_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SystemConfig;
-
-    fn system() -> CtaSystem {
-        CtaSystem::new(SystemConfig::paper())
-    }
 
     fn task() -> AttentionTask {
         AttentionTask::from_counts(512, 512, 64, 200, 180, 40, 6)
-    }
-
-    #[test]
-    fn single_request_latency_is_pure_service() {
-        let sys = system();
-        let r = ServingRequest::uniform(0.0, task(), 4, 12);
-        let service = sys.run_layers(&r.layer_tasks).total_s;
-        let m = simulate_serving(&sys, &[r]);
-        assert!((m.mean_latency_s - service).abs() < 1e-12);
-        assert_eq!(m.completed, 1);
-        assert!((m.busy_fraction - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overload_grows_tail_latency() {
-        let sys = system();
-        let service = sys.run_layers(&vec![vec![task(); 12]; 4]).total_s;
-        // Arrivals at 3x the service rate: queue builds, p99 >> p50 of a
-        // light load.
-        let heavy = poisson_trace(60, 3.0 / service, task(), 4, 12, 1);
-        let light = poisson_trace(60, 0.2 / service, task(), 4, 12, 2);
-        let mh = simulate_serving(&sys, &heavy);
-        let ml = simulate_serving(&sys, &light);
-        assert!(mh.p99_s > ml.p99_s * 2.0, "heavy p99 {} vs light p99 {}", mh.p99_s, ml.p99_s);
-        assert!(mh.busy_fraction > ml.busy_fraction);
-    }
-
-    #[test]
-    fn throughput_saturates_at_service_rate() {
-        let sys = system();
-        let service = sys.run_layers(&vec![vec![task(); 12]; 4]).total_s;
-        let heavy = poisson_trace(80, 10.0 / service, task(), 4, 12, 3);
-        let m = simulate_serving(&sys, &heavy);
-        assert!(m.throughput_rps <= 1.0 / service * 1.01);
-        assert!(m.throughput_rps > 1.0 / service * 0.9);
-    }
-
-    #[test]
-    fn percentiles_are_ordered() {
-        let sys = system();
-        let trace = poisson_trace(50, 1000.0, task(), 2, 12, 4);
-        let m = simulate_serving(&sys, &trace);
-        assert!(m.p50_s <= m.p95_s && m.p95_s <= m.p99_s);
-        assert!(m.mean_latency_s > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted by arrival")]
-    fn unsorted_trace_rejected() {
-        let sys = system();
-        let a = ServingRequest::uniform(1.0, task(), 1, 1);
-        let b = ServingRequest::uniform(0.0, task(), 1, 1);
-        let _ = simulate_serving(&sys, &[a, b]);
     }
 
     // --- quantile method pins (small-n edge cases) -----------------------

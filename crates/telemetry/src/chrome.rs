@@ -202,14 +202,21 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting the validator accepts, the same cap as
+/// `cta_bench::parse_json`: far above any trace the exporter writes, far
+/// below what would overflow the stack of the recursive parser.
+const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects enclosing the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0 }
+        Self { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn error(&self, message: &str) -> String {
@@ -237,9 +244,17 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or_else(|| self.error("unexpected end of input"))? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+        let c = self.peek().ok_or_else(|| self.error("unexpected end of input"))?;
+        if matches!(c, b'{' | b'[') {
+            if self.depth >= MAX_JSON_DEPTH {
+                return Err(self.error(&format!("nesting deeper than {MAX_JSON_DEPTH}")));
+            }
+            self.depth += 1;
+            let value = if c == b'{' { self.parse_object() } else { self.parse_array() };
+            self.depth -= 1;
+            return value;
+        }
+        match c {
             b'"' => Ok(Json::Str(self.parse_string()?)),
             b't' => self.parse_keyword("true", Json::Bool(true)),
             b'f' => self.parse_keyword("false", Json::Bool(false)),
@@ -512,6 +527,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
 mod tests {
     use super::*;
     use crate::{Module, SpanClass, TraceSink as _};
+    use proptest::prelude::*;
 
     fn sample_events() -> Vec<Event> {
         let sa = TrackId::new(0, Module::Sa);
@@ -601,6 +617,49 @@ mod tests {
         assert!(validate_chrome_trace("{not json").is_err());
         assert!(validate_chrome_trace("[]").is_err(), "array has no traceEvents key");
         assert!(validate_chrome_trace(r#"{"traceEvents":3}"#).is_err());
+    }
+
+    #[test]
+    fn validator_caps_nesting_depth_with_an_error() {
+        // `levels` nested arrays and objects, the document object included.
+        let nested = |levels: usize| {
+            let inner = levels - 1;
+            format!(r#"{{"traceEvents":[],"x":{}{}}}"#, "[".repeat(inner), "]".repeat(inner))
+        };
+        assert!(validate_chrome_trace(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = validate_chrome_trace(&nested(MAX_JSON_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Truncated, byte-flipped and deeply nested mutations of an
+        /// exported trace: the validator returns `Ok` or `Err` and never
+        /// panics.
+        fn mutated_exports_never_panic(
+            kind in 0u8..3,
+            at in 0usize..1 << 20,
+            flip in 1u8..=255,
+            depth in 0usize..1_000,
+        ) {
+            let mut bytes = chrome_trace_json(&sample_events()).into_bytes();
+            let at = at % bytes.len();
+            match kind {
+                0 => bytes.truncate(at),
+                1 => {
+                    for k in 0..3 {
+                        let i = (at + k * 7_919) % bytes.len();
+                        bytes[i] ^= flip;
+                    }
+                }
+                _ => {
+                    let opener: &[u8] = if depth % 2 == 0 { b"[" } else { br#"{"k":"# };
+                    bytes.splice(at..at, opener.repeat(depth));
+                }
+            }
+            let _ = validate_chrome_trace(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The `KernelPolicy` switch and the f32 kernel bodies behind it.
+//! The f32 kernel bodies behind `Matrix::matmul` and
+//! `Matrix::matmul_transpose_b`.
 //!
-//! The un-suffixed entry points (`Matrix::matmul` and friends) run one
-//! production path, [`KernelPolicy::Simd`]. The scalar loops stay as the
-//! reference that the `*_with` differential tests pin the SIMD bodies
-//! against. The SIMD bodies are **bitwise identical** to the scalar
-//! ones — the same contract `par_matmul` established for worker counts,
+//! There is one production path: register-tiled SIMD bodies. They are
+//! **bitwise identical** to the naive scalar loops, which survive only
+//! as test oracles (`tests/kernels.rs` pins every product against them)
+//! — the same contract `par_matmul` established for worker counts,
 //! extended to lane widths and tiling:
 //!
 //! * both products run one register-tile microkernel: an `MR×NR` block
@@ -32,32 +32,27 @@
 
 use crate::Matrix;
 
-/// Which body a kernel's `*_with` entry point runs. Both produce
-/// bitwise-identical results; they differ only in speed.
+/// The kernel path the products run. There is one: the register-tiled
+/// SIMD bodies (AVX-512 or AVX2 where the CPU has it, a portable
+/// spelling otherwise).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// The reference loops: naive order, no tiling, no lanes. Kept for
-    /// the differential tests.
-    Scalar,
     /// Register-blocked tiles with lane-parallel arithmetic across
-    /// independent output elements (AVX-512 or AVX2 where the CPU has
-    /// it, a portable spelling otherwise). The production path.
+    /// independent output elements.
     Simd,
 }
 
 impl KernelPolicy {
-    /// The policy the un-suffixed entry points run: always
-    /// [`KernelPolicy::Simd`].
+    /// The policy the products run: always [`KernelPolicy::Simd`].
     #[must_use]
     pub const fn current() -> Self {
         Self::Simd
     }
 
-    /// The lower-case name, `scalar` or `simd`.
+    /// The lower-case name, `simd`.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            Self::Scalar => "scalar",
             Self::Simd => "simd",
         }
     }
@@ -276,45 +271,20 @@ fn column_tiles<const SKIP_ZERO: bool>(
 /// (`panel.len()` must be a multiple of `b.cols()`). Shared by the
 /// serial entry points and the `par_matmul` row-panel tasks so every
 /// path uses the same kernels.
-pub(crate) fn matmul_panel(
-    policy: KernelPolicy,
-    a: &Matrix,
-    b: &Matrix,
-    row0: usize,
-    panel: &mut [f32],
-) {
+pub(crate) fn matmul_panel(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
     let (k, n) = (a.cols(), b.cols());
     if n == 0 || k == 0 {
         return;
     }
-    match policy {
-        KernelPolicy::Scalar => {
-            for (local_r, out_row) in panel.chunks_mut(n).enumerate() {
-                let a_row = a.row(row0 + local_r);
-                // The reference i-k-j order with zero-skip.
-                for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-                    if a_ip == 0.0 {
-                        continue;
-                    }
-                    let b_row = b.row(p);
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        *o += a_ip * b_row[j];
-                    }
-                }
-            }
-        }
-        KernelPolicy::Simd => {
-            for j0 in (0..n).step_by(NR) {
-                if j0 + NR <= n {
-                    // A full-width tile reads `B` in place (row stride `n`).
-                    column_tiles::<true>(a, row0, panel, n, j0, &b.as_slice()[j0..], n);
-                } else {
-                    // The ragged last columns are packed, zero-padded.
-                    let mut tail = vec![0.0f32; k * NR];
-                    pack_panel(&mut tail, j0, n, |p, j| b.row(p)[j]);
-                    column_tiles::<true>(a, row0, panel, n, j0, &tail, NR);
-                }
-            }
+    for j0 in (0..n).step_by(NR) {
+        if j0 + NR <= n {
+            // A full-width tile reads `B` in place (row stride `n`).
+            column_tiles::<true>(a, row0, panel, n, j0, &b.as_slice()[j0..], n);
+        } else {
+            // The ragged last columns are packed, zero-padded.
+            let mut tail = vec![0.0f32; k * NR];
+            pack_panel(&mut tail, j0, n, |p, j| b.row(p)[j]);
+            column_tiles::<true>(a, row0, panel, n, j0, &tail, NR);
         }
     }
 }
@@ -322,42 +292,17 @@ pub(crate) fn matmul_panel(
 /// Computes rows `row0..` of `a · bᵀ` into the zeroed `panel`
 /// (`panel.len()` must be a multiple of `b.rows()`). Shared by the
 /// serial entry points and the `par_matmul_transpose_b` row-panel tasks.
-pub(crate) fn matmul_tb_panel(
-    policy: KernelPolicy,
-    a: &Matrix,
-    b: &Matrix,
-    row0: usize,
-    panel: &mut [f32],
-) {
+pub(crate) fn matmul_tb_panel(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
     let (k, n) = (a.cols(), b.rows());
     if n == 0 || k == 0 {
         return;
     }
-    match policy {
-        KernelPolicy::Scalar => {
-            for (local_r, out_row) in panel.chunks_mut(n).enumerate() {
-                let a_row = a.row(row0 + local_r);
-                // The reference per-(i, j) sequential-k dot product.
-                for (j, o) in out_row.iter_mut().enumerate().take(n) {
-                    let b_row = b.row(j);
-                    let mut acc = 0.0f32;
-                    for (x, y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
-            }
-        }
-        KernelPolicy::Simd => {
-            // `Bᵀ` is packed once per call, one `[k][NR]` panel at a
-            // time; the dot product has no zero-skip, so the tile runs
-            // unmasked.
-            let mut bt = vec![0.0f32; k * NR];
-            for j0 in (0..n).step_by(NR) {
-                pack_panel(&mut bt, j0, n, |p, j| b.row(j)[p]);
-                column_tiles::<false>(a, row0, panel, n, j0, &bt, NR);
-            }
-        }
+    // `Bᵀ` is packed once per call, one `[k][NR]` panel at a time; the
+    // dot product has no zero-skip, so the tile runs unmasked.
+    let mut bt = vec![0.0f32; k * NR];
+    for j0 in (0..n).step_by(NR) {
+        pack_panel(&mut bt, j0, n, |p, j| b.row(j)[p]);
+        column_tiles::<false>(a, row0, panel, n, j0, &bt, NR);
     }
 }
 
@@ -369,7 +314,6 @@ mod tests {
     fn production_policy_is_simd() {
         assert_eq!(KernelPolicy::current(), KernelPolicy::Simd);
         assert_eq!(KernelPolicy::current().label(), "simd");
-        assert_eq!(KernelPolicy::Scalar.label(), "scalar");
     }
 
     /// One body of [`tile_f32`].

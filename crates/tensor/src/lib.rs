@@ -11,8 +11,9 @@
 //! random initialisation and the scalar statistics helpers used by the
 //! benchmark harness. The `par_matmul` family runs the same kernels over
 //! row panels on a work-stealing pool with bitwise-identical results.
-//! The hot inner loops run register-tiled SIMD bodies, pinned bitwise to
-//! the scalar reference loops kept behind [`KernelPolicy::Scalar`], and
+//! The hot inner loops run register-tiled SIMD bodies, the only
+//! production path; the naive scalar loops survive as test oracles that
+//! pin them bit for bit, and
 //! [`exp_in_place`] evaluates `f32::exp` bit for bit eight lanes at a
 //! time where the host's libm allows it.
 //!

@@ -1,13 +1,13 @@
 //! Matrix arithmetic: products, transposes, element-wise combination.
 
 use crate::kernels::{matmul_panel, matmul_tb_panel};
-use crate::{KernelPolicy, Matrix};
+use crate::Matrix;
 
 impl Matrix {
     /// Matrix product `self · other` on the SIMD kernel; accumulation
     /// is in `f32` (the CTA hardware itself is fixed-point; the
     /// fixed-point path lives in `cta-fixed`). Bitwise identical to the
-    /// scalar reference.
+    /// naive i-k-j loop with zero-skip.
     ///
     /// # Panics
     ///
@@ -20,16 +20,6 @@ impl Matrix {
     /// assert_eq!(a.matmul(&b)[(0, 0)], 11.0);
     /// ```
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_with(other, KernelPolicy::Simd)
-    }
-
-    /// [`Matrix::matmul`] under an explicit [`KernelPolicy`] — the
-    /// entry point the differential tests use to pin SIMD to scalar.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul_with(&self, other: &Matrix, policy: KernelPolicy) -> Matrix {
         assert_eq!(
             self.cols(),
             other.rows(),
@@ -40,12 +30,13 @@ impl Matrix {
             other.cols()
         );
         let mut out = Matrix::zeros(self.rows(), other.cols());
-        matmul_panel(policy, self, other, 0, out.as_mut_slice());
+        matmul_panel(self, other, 0, out.as_mut_slice());
         out
     }
 
     /// Matrix product with the second operand transposed: `self · otherᵀ`,
-    /// on the SIMD kernel.
+    /// on the SIMD kernel. Bitwise identical to the naive per-`(i, j)`
+    /// sequential-`k` dot product.
     ///
     /// This is the natural layout for attention scores `Q · Kᵀ`: both
     /// operands are stored row-major with rows = vectors, so the product is
@@ -55,15 +46,6 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
-        self.matmul_transpose_b_with(other, KernelPolicy::Simd)
-    }
-
-    /// [`Matrix::matmul_transpose_b`] under an explicit [`KernelPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_transpose_b_with(&self, other: &Matrix, policy: KernelPolicy) -> Matrix {
         assert_eq!(
             self.cols(),
             other.cols(),
@@ -74,7 +56,7 @@ impl Matrix {
             other.cols()
         );
         let mut out = Matrix::zeros(self.rows(), other.rows());
-        matmul_tb_panel(policy, self, other, 0, out.as_mut_slice());
+        matmul_tb_panel(self, other, 0, out.as_mut_slice());
         out
     }
 

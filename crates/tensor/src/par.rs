@@ -14,7 +14,7 @@
 use cta_parallel::{Parallelism, ThreadPool};
 
 use crate::kernels::{matmul_panel, matmul_tb_panel};
-use crate::{KernelPolicy, Matrix};
+use crate::Matrix;
 
 /// Rows below which a product is not worth spawning workers for: one
 /// panel per worker would be smaller than the pool's scheduling overhead.
@@ -59,7 +59,7 @@ impl Matrix {
         ThreadPool::new(par).par_chunks_mut(out.as_mut_slice(), rows_per_panel * n, |pi, panel| {
             // The exact serial kernels, applied per panel: term order
             // within each output element is unchanged.
-            matmul_panel(KernelPolicy::Simd, self, other, pi * rows_per_panel, panel);
+            matmul_panel(self, other, pi * rows_per_panel, panel);
         });
         out
     }
@@ -91,7 +91,7 @@ impl Matrix {
         }
         ThreadPool::new(par).par_chunks_mut(out.as_mut_slice(), rows_per_panel * n, |pi, panel| {
             // Same dot-product accumulation order as the serial kernel.
-            matmul_tb_panel(KernelPolicy::Simd, self, other, pi * rows_per_panel, panel);
+            matmul_tb_panel(self, other, pi * rows_per_panel, panel);
         });
         out
     }

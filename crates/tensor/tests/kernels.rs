@@ -1,5 +1,5 @@
-//! Bitwise equality of the SIMD f32 kernels against the scalar
-//! reference, over random shapes plus the edge shapes named in the
+//! Bitwise equality of the SIMD f32 kernels against the naive scalar
+//! loops (the test oracles defined below), over random shapes plus the edge shapes named in the
 //! kernel contract (empty, 1×N, non-square, block-straddling) and the
 //! paper's long-sequence shape.
 //!
@@ -35,15 +35,39 @@ fn bits(m: &Matrix) -> ((usize, usize), Vec<u32>) {
     (m.shape(), m.as_slice().iter().map(|x| x.to_bits()).collect())
 }
 
+/// The reference `a · b`: the naive i-k-j loop, skipping every term
+/// whose `a[i][p]` is `±0.0`.
+fn scalar_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for (p, &a_ip) in a.row(i).iter().enumerate() {
+            if a_ip == 0.0 {
+                continue;
+            }
+            for (j, &b_pj) in b.row(p).iter().enumerate() {
+                out[(i, j)] += a_ip * b_pj;
+            }
+        }
+    }
+    out
+}
+
+/// The reference `a · bᵀ`: one sequential-`k` dot product per `(i, j)`.
+fn scalar_matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+        let mut acc = 0.0f32;
+        for (x, y) in a.row(i).iter().zip(b.row(j)) {
+            acc += x * y;
+        }
+        acc
+    })
+}
+
 fn assert_simd_matches_scalar(a: &Matrix, b: &Matrix, bt: &Matrix, label: &str) {
+    assert_eq!(bits(&a.matmul(b)), bits(&scalar_matmul(a, b)), "{label}: matmul");
     assert_eq!(
-        bits(&a.matmul_with(b, KernelPolicy::Simd)),
-        bits(&a.matmul_with(b, KernelPolicy::Scalar)),
-        "{label}: matmul"
-    );
-    assert_eq!(
-        bits(&a.matmul_transpose_b_with(bt, KernelPolicy::Simd)),
-        bits(&a.matmul_transpose_b_with(bt, KernelPolicy::Scalar)),
+        bits(&a.matmul_transpose_b(bt)),
+        bits(&scalar_matmul_transpose_b(a, bt)),
         "{label}: matmul_transpose_b"
     );
 }
@@ -133,16 +157,16 @@ fn shapes_straddling_the_block_boundaries_are_bitwise_identical() {
 
 #[test]
 fn entry_points_run_the_production_path_and_match_scalar() {
-    // The un-suffixed products (serial and panel-parallel) take no
-    // policy: they run the SIMD bodies, pinned here to the scalar
-    // reference at a ragged shape and at the paper's long sequence.
+    // The products (serial and panel-parallel) run the SIMD bodies,
+    // pinned here to the scalar reference at a ragged shape and at the
+    // paper's long sequence.
     assert_eq!(KernelPolicy::current(), KernelPolicy::Simd);
     for (m, k, n) in [(7, 130, 300), (1024, 64, 1024)] {
         let a = sparse_random(41, m, k);
         let b = sparse_random(42, k, n);
         let bt = sparse_random(43, n, k);
-        let scalar = bits(&a.matmul_with(&b, KernelPolicy::Scalar));
-        let scalar_tb = bits(&a.matmul_transpose_b_with(&bt, KernelPolicy::Scalar));
+        let scalar = bits(&scalar_matmul(&a, &b));
+        let scalar_tb = bits(&scalar_matmul_transpose_b(&a, &bt));
         assert_eq!(bits(&a.matmul(&b)), scalar, "{m}x{k}x{n}: matmul");
         assert_eq!(bits(&a.matmul_transpose_b(&bt)), scalar_tb, "{m}x{k}x{n}: matmul_transpose_b");
         let par = Parallelism::jobs(3);
@@ -156,7 +180,7 @@ proptest! {
 
     /// SIMD `matmul` equals scalar bitwise over random non-square
     /// shapes and seeds.
-    fn matmul_policies_match_scalar_bitwise(
+    fn matmul_matches_scalar_bitwise(
         m in 1usize..40,
         k in 1usize..24,
         n in 1usize..24,
@@ -164,15 +188,12 @@ proptest! {
     ) {
         let a = sparse_random(seed, m, k);
         let b = sparse_random(seed.wrapping_add(1), k, n);
-        prop_assert_eq!(
-            bits(&a.matmul_with(&b, KernelPolicy::Simd)),
-            bits(&a.matmul_with(&b, KernelPolicy::Scalar))
-        );
+        prop_assert_eq!(bits(&a.matmul(&b)), bits(&scalar_matmul(&a, &b)));
     }
 
     /// SIMD `matmul_transpose_b` equals scalar bitwise over random
     /// non-square shapes and seeds.
-    fn matmul_transpose_b_policies_match_scalar_bitwise(
+    fn matmul_transpose_b_matches_scalar_bitwise(
         m in 1usize..40,
         k in 1usize..24,
         n in 1usize..24,
@@ -180,9 +201,6 @@ proptest! {
     ) {
         let a = sparse_random(seed, m, k);
         let b = sparse_random(seed.wrapping_add(2), n, k);
-        prop_assert_eq!(
-            bits(&a.matmul_transpose_b_with(&b, KernelPolicy::Simd)),
-            bits(&a.matmul_transpose_b_with(&b, KernelPolicy::Scalar))
-        );
+        prop_assert_eq!(bits(&a.matmul_transpose_b(&b)), bits(&scalar_matmul_transpose_b(&a, &b)));
     }
 }

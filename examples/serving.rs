@@ -1,19 +1,23 @@
 //! Inference serving: latency percentiles under load for a BERT-large
-//! QA service whose attention runs on a 12-unit CTA pool.
+//! QA service whose attention runs on a 12-unit CTA pool, served one
+//! request at a time in arrival order (the fleet runtime's
+//! single-replica FIFO configuration).
 //!
 //! ```text
 //! cargo run --release --example serving
 //! ```
 
-use cta::sim::{poisson_trace, simulate_serving, AttentionTask, CtaSystem, SystemConfig};
+use cta::serve::{replay_trace, simulate_fleet, FleetConfig, QosClass};
+use cta::sim::{poisson_trace, AttentionTask, CtaSystem, SystemConfig};
 
 fn main() {
     // BERT-large: 24 layers × 16 heads, sequences of 384 tokens at a
     // CTA-0-grade compression.
     let task = AttentionTask::from_counts(384, 384, 64, 190, 185, 35, 6);
     let (layers, heads) = (24usize, 16usize);
-    let sys = CtaSystem::new(SystemConfig::paper());
-    let service = sys.run_layers(&vec![vec![task; heads]; layers]).total_s;
+    let fleet = FleetConfig::single_fifo(SystemConfig::paper());
+    let service =
+        CtaSystem::new(SystemConfig::paper()).run_layers(&vec![vec![task; heads]; layers]).total_s;
     println!(
         "per-request attention service time: {:.2} ms ({} layers x {} heads on 12 units)",
         service * 1e3,
@@ -29,7 +33,9 @@ fn main() {
     for load in [0.2f64, 0.5, 0.8, 0.95, 1.2] {
         let rate = load / service;
         let trace = poisson_trace(400, rate, task, layers, heads, 42);
-        let m = simulate_serving(&sys, &trace);
+        let requests =
+            replay_trace(&trace, QosClass::standard()).expect("a Poisson trace is valid");
+        let m = simulate_fleet(&fleet, &requests).metrics.latency.expect("every request completes");
         println!(
             "{:>7.0}% {:>10.1} {:>10.2} {:>10.2} {:>10.2} {:>7.0}%",
             load * 100.0,

@@ -8,10 +8,11 @@
 use std::process::ExitCode;
 
 use cta::baselines::GpuModel;
+use cta::serve::{replay_trace, simulate_fleet, FleetConfig, QosClass};
 use cta::sim::{
-    area_breakdown, poisson_trace, power_trace, schedule, schedule_ffn, simulate_serving, sweep,
-    trace_schedule, AreaModel, AttentionTask, CtaAccelerator, CtaSystem, EnergyModel, HwConfig,
-    HwConfigError, SystemConfig, MAX_SA_WIDTH,
+    area_breakdown, poisson_trace, power_trace, schedule, schedule_ffn, sweep, trace_schedule,
+    AreaModel, AttentionTask, CtaAccelerator, CtaSystem, EnergyModel, HwConfig, HwConfigError,
+    SystemConfig, MAX_SA_WIDTH,
 };
 use cta::telemetry::{chrome_trace_json, validate_chrome_trace, AggregateReport, RingBufferSink};
 use cta::workloads::{
@@ -383,10 +384,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     let mut cfg = SystemConfig::paper();
     cfg.hw.max_seq_len = cfg.hw.max_seq_len.max(task.num_keys);
-    let sys = CtaSystem::new(cfg);
-    let service = sys.run_layers(&vec![vec![task; heads]; layers]).total_s;
+    let service = CtaSystem::new(cfg).run_layers(&vec![vec![task; heads]; layers]).total_s;
     let trace = poisson_trace(300, load / service, task, layers, heads, 42);
-    let m = simulate_serving(&sys, &trace);
+    let requests = replay_trace(&trace, QosClass::standard()).map_err(|e| e.to_string())?;
+    let report = simulate_fleet(&FleetConfig::single_fifo(cfg), &requests);
+    let m = report.metrics.latency.ok_or("no request completed")?;
     println!("service time {:.2} ms/request; offered load {:.0}%", service * 1e3, load * 100.0);
     println!(
         "throughput {:.1} rps | p50 {:.2} ms | p95 {:.2} ms | p99 {:.2} ms | busy {:.0}%",

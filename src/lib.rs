@@ -32,9 +32,9 @@
 //!
 //! One process-wide knob tunes execution without changing a single
 //! output bit: [`Parallelism`] (`--jobs` / `CTA_JOBS`). The hot inner
-//! loops run one SIMD path, pinned bitwise to the scalar reference
-//! loops kept behind [`tensor::KernelPolicy`] for the differential
-//! tests.
+//! loops run one SIMD path; the naive scalar loops survive only as test
+//! oracles that pin it bitwise. There is one serving model, the [`serve`]
+//! fleet runtime.
 //!
 //! Streaming decode sessions thread through the whole stack:
 //! [`StreamingCompressor`] maintains the two-level compression

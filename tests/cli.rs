@@ -38,8 +38,27 @@ fn serve_prints_percentiles() {
         "--heads", "12", "--load", "0.5",
     ]);
     assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("p99"), "{text}");
+    // Pinned to the text of the standalone FIFO model the single-replica
+    // fleet replaced: the port must not move a printed digit.
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "service time 0.07 ms/request; offered load 50%\n\
+         throughput 6793.7 rps | p50 0.07 ms | p95 0.26 ms | p99 0.36 ms | busy 49%\n"
+    );
+}
+
+#[test]
+fn trace_check_of_deeply_nested_json_fails_gracefully() {
+    // 200 000 unclosed arrays: a parser recursing once per `[` without
+    // a depth cap would overflow the main thread's stack and abort.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cta_cli_nested");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("nested.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write nested json");
+    let out = cta(&["trace", "--check", path.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.starts_with("error:") && stderr.contains("nesting deeper than"), "{stderr}");
 }
 
 #[test]

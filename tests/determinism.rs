@@ -5,9 +5,9 @@
 use cta::attention::{
     cta_forward, cta_forward_quantized, AttentionWeights, CtaConfig, QuantizationConfig,
 };
+use cta::serve::{replay_trace, simulate_fleet, FleetConfig, QosClass};
 use cta::sim::{
-    poisson_trace, simulate_serving, AttentionTask, CtaAccelerator, CtaSystem, HwConfig,
-    SystemConfig,
+    poisson_trace, AttentionTask, CtaAccelerator, HwConfig, ServingRequest, SystemConfig,
 };
 use cta::workloads::{
     adapt_per_head, evaluate_case, generate_case_tokens, generate_patch_tokens, mini_case,
@@ -72,14 +72,16 @@ fn simulator_reports_are_deterministic() {
 #[test]
 fn serving_traces_are_deterministic() {
     let task = AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6);
-    let sys = CtaSystem::new(SystemConfig::paper());
+    let serve = |trace: &[ServingRequest]| {
+        let requests = replay_trace(trace, QosClass::standard()).expect("valid trace");
+        let report = simulate_fleet(&FleetConfig::single_fifo(SystemConfig::paper()), &requests);
+        report.metrics.latency.expect("every request completes")
+    };
     let t1 = poisson_trace(30, 500.0, task, 2, 12, 9);
     let t2 = poisson_trace(30, 500.0, task, 2, 12, 9);
     assert_eq!(t1.len(), t2.len());
     for (a, b) in t1.iter().zip(&t2) {
         assert_eq!(a.arrival_s, b.arrival_s);
     }
-    let m1 = simulate_serving(&sys, &t1);
-    let m2 = simulate_serving(&sys, &t2);
-    assert_eq!(m1, m2);
+    assert_eq!(serve(&t1), serve(&t2));
 }

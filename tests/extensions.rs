@@ -6,9 +6,8 @@ use cta::attention::{
 };
 use cta::lsh::{kmeans, StreamingCompressor};
 use cta::model::{AttentionMode, DecoderLayer, TransformerStack};
-use cta::sim::{
-    poisson_trace, schedule_ffn, simulate_serving, AttentionTask, CtaSystem, HwConfig, SystemConfig,
-};
+use cta::serve::{replay_trace, simulate_fleet, FleetConfig, QosClass};
+use cta::sim::{poisson_trace, schedule_ffn, AttentionTask, CtaSystem, HwConfig, SystemConfig};
 use cta::tensor::{relative_error, MatrixRng};
 use cta::workloads::{
     adapt_per_head, generate_case_tokens, generate_patch_tokens, mini_case, workload_stats,
@@ -58,9 +57,10 @@ fn ffn_extension_composes_with_serving() {
     assert!(ffn.up.utilization(&hw) > 0.8);
 
     let task = AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6);
-    let sys = CtaSystem::new(SystemConfig::paper());
     let trace = poisson_trace(40, 1000.0, task, 2, 12, 11);
-    let metrics = simulate_serving(&sys, &trace);
+    let requests = replay_trace(&trace, QosClass::standard()).expect("valid trace");
+    let report = simulate_fleet(&FleetConfig::single_fifo(SystemConfig::paper()), &requests);
+    let metrics = report.metrics.latency.expect("every request completes");
     assert_eq!(metrics.completed, 40);
     assert!(metrics.p99_s >= metrics.p50_s);
 }
