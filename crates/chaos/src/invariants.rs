@@ -411,9 +411,8 @@ pub fn check_report(
 }
 
 /// Bitwise agreement between the reference scan's report (`step`) and
-/// the fleet driver's (`event`): everything except the event-queue
-/// occupancy samples (the scan has no queue to sample) must match
-/// exactly.
+/// the fleet driver's (`event`): everything except the pending-event
+/// samples (the scan takes none) must match exactly.
 pub fn check_equivalence(step: &FleetReport, event: &FleetReport) -> Option<Violation> {
     let detail = if step.metrics != event.metrics {
         "metrics diverge"

@@ -1,57 +1,31 @@
 #![deny(missing_docs)]
 
-//! `cta-events`: the deterministic discrete-event core of the serving
-//! fleet.
+//! `cta-events`: seeded, dependency-free randomness for the serving
+//! fleet's simulated events.
 //!
-//! The fleet simulator's original event loop advanced *step-granularly*:
-//! every iteration re-scanned all replicas for the earliest layer step,
-//! so one simulated event cost O(replicas) and fleet size was capped far
-//! below the "millions of users" target. This crate supplies the
-//! structure that makes cost scale with *events* instead:
+//! * [`DetRng`] — a SplitMix64 generator: tiny state, full 64-bit
+//!   output, equal seeds yield equal streams. The chaos engine draws its
+//!   scenarios from it.
+//! * [`mix64`] — the stateless SplitMix64 finalizer, a pure hash for
+//!   effects that must be a deterministic function of their inputs
+//!   alone (per-step fault jitter keyed by seed, replica and time).
 //!
-//! * [`CalendarQueue`] — a Brown-style calendar queue (a hash of
-//!   time-sorted buckets over a rotating "year") with O(1) amortized
-//!   schedule and pop, automatic resize as occupancy grows or shrinks,
-//!   and direct-search fallback for sparse far-future horizons;
-//! * [`EventKey`] — the total event order `(time, class, tie, seq)`.
-//!   The `class` rank reproduces the serving runtime's tie contract
-//!   (fault < arrival < retry < hedge < step at one instant) and `tie`
-//!   carries the per-class ordinal (arrival index, request id, replica
-//!   index), so coincident events pop in exactly the order the
-//!   step-granular loop processed them;
-//! * [`EventId`] — a generation-checked cancellation token returned by
-//!   every schedule, so retries superseded by completions, breaker
-//!   resets and hedge losers can be removed in O(bucket) without
-//!   tombstone scans;
-//! * [`EventLoop`] / [`Clock`] — the driver surface: `schedule`,
-//!   `cancel`, `next`, with the clock following popped event times;
-//! * [`DetRng`] — a SplitMix64 generator for seeded, dependency-free
-//!   event jitter.
-//!
-//! Everything is deterministic: the pop order is a pure function of the
-//! schedule/cancel history (ties beyond `(t, class, tie)` break by
-//! schedule order), which is what lets the event-driven fleet reproduce
-//! the step-granular goldens bit for bit.
+//! The fleet driver itself needs no event queue: the engine's own
+//! sources are kept in order and a tournament tree finds the earliest
+//! replica step (see `cta-serve`'s `engine.rs`).
 //!
 //! # Example
 //!
 //! ```
-//! use cta_events::{CalendarQueue, EventKey};
+//! use cta_events::{mix64, DetRng};
 //!
-//! let mut q = CalendarQueue::new();
-//! let id = q.schedule(EventKey::new(2.0, 0, 0), "retry");
-//! q.schedule(EventKey::new(1.0, 1, 0), "arrival");
-//! q.schedule(EventKey::new(1.0, 0, 0), "fault");
-//! assert_eq!(q.cancel(id), Some("retry"));
-//! assert_eq!(q.pop().map(|(_, e)| e), Some("fault"));
-//! assert_eq!(q.pop().map(|(_, e)| e), Some("arrival"));
-//! assert_eq!(q.pop(), None);
+//! let mut a = DetRng::seeded(7);
+//! let mut b = DetRng::seeded(7);
+//! assert_eq!(a.next_u64(), b.next_u64());
+//! assert!((0.0..1.0).contains(&a.next_f64()));
+//! assert_eq!(mix64(42), mix64(42));
 //! ```
 
-mod calendar;
-mod event_loop;
 mod rng;
 
-pub use calendar::{CalendarQueue, EventId, EventKey};
-pub use event_loop::{Clock, EventLoop};
 pub use rng::{mix64, DetRng};

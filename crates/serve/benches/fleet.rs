@@ -1,8 +1,10 @@
-//! Fleet simulation wall-clock on the calendar-queue driver.
+//! Fleet simulation wall-clock on the step-tree driver.
 //!
-//! Tracks what one `simulate_fleet` replay costs as the fleet grows;
-//! the driver is O(1) amortized per event, so the two fleet sizes
-//! should differ mostly by their event counts.
+//! Tracks what one `simulate_fleet` replay costs as the fleet grows.
+//! Each event costs a five-way comparison plus an O(log replicas) step
+//! tree update per replica it touched, and round-robin routing does not
+//! scan the fleet, so the three sizes should differ mostly by their
+//! event counts (four requests per replica).
 
 use std::hint::black_box;
 
@@ -25,7 +27,7 @@ fn config(replicas: usize) -> FleetConfig {
 
 fn bench_fleet(c: &mut Criterion) {
     let spec = LoadSpec::standard(AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6), 2, 4);
-    for replicas in [8usize, 64] {
+    for replicas in [8usize, 64, 1024] {
         let requests = poisson_requests(&spec, 4 * replicas, 6_000.0 * replicas as f64, 7);
         let cfg = config(replicas);
         c.bench_function(&format!("fleet/{replicas}rep"), |b| {

@@ -208,7 +208,7 @@ impl DetectorBank {
     /// and evaluates both suspicion signals. `false` = quarantined.
     pub fn mask<S: TraceSink>(
         &mut self,
-        replicas: &[Replica],
+        replicas: &[Replica<'_>],
         now: f64,
         sink: &mut S,
     ) -> Vec<bool> {
@@ -355,7 +355,7 @@ mod tests {
         bank
     }
 
-    fn idle_fleet(n: usize) -> Vec<Replica> {
+    fn idle_fleet<'a>(n: usize) -> Vec<Replica<'a>> {
         let system = cta_sim::CtaSystem::new(cta_sim::SystemConfig::paper());
         (0..n).map(|i| Replica::new(i, system.clone())).collect()
     }
@@ -373,15 +373,16 @@ mod tests {
     #[test]
     fn silence_with_outstanding_work_quarantines_then_readmits() {
         let mut bank = fed_bank(2, 0.1, 1.0);
-        let mut replicas = idle_fleet(2);
         // Replica 0 owes work but has gone quiet.
         let spec = crate::LoadSpec::standard(
             cta_sim::AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6),
             2,
             4,
         );
+        let requests = crate::poisson_requests(&spec, 1, 1.0, 1);
+        let mut replicas = idle_fleet(2);
         replicas[0].enqueue(crate::replica::Pending::fresh(
-            crate::poisson_requests(&spec, 1, 1.0, 1).remove(0),
+            &requests[0],
             0.1,
             vec![0.05; 2].into(),
         ));

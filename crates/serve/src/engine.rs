@@ -2,30 +2,27 @@
 //!
 //! All five event sources — fault transitions, arrivals, retry requeues,
 //! hedge timers, replica layer steps — are handled by methods on
-//! [`EngineState`]. One driver decides *which* handler runs next: a
-//! `cta-events` calendar queue holds one event per pending source (the
-//! next arrival and next fault are chained; each replica keeps at most
-//! one scheduled step; every retry backoff and hedge timer is an event
-//! with a cancellation token). O(1) amortized per event, which is what
-//! makes 1k+ replica fleets tractable.
+//! [`EngineState`]. The state already keeps four of them in order: the
+//! fault timeline and the arrival trace are walked by index, and the
+//! retry backoffs and hedge timers sit in vectors sorted by time, so the
+//! next of each is its head. The fifth, the earliest replica step, comes
+//! from a tournament tree over the replicas' next step times, updated
+//! only for the replicas a handler touched. Picking the next event is
+//! then a five-way comparison: the sources are the queue.
 //!
-//! The original step-granular scan — every iteration scans all replicas
-//! for the earliest step and cascades through the due-conditions,
-//! O(replicas) per event — survives only as the test oracle behind
-//! [`crate::reference`]. It invokes the *same* handler code, so every
-//! floating-point operation happens in the same order and the reports
-//! are bitwise identical; the equivalence suites and the chaos
-//! `Equivalence` invariant compare against it. The event order contract
-//! is encoded in the class ranks below: at one instant, fault < arrival
-//! < retry < hedge < step, matching the scan's `<=` comparisons; within
-//! a class the tie is the fault timeline index / arrival index / request
-//! id / request id / replica index; and the calendar queue breaks any
-//! remaining tie by schedule order.
+//! The reference scan behind [`crate::reference`] runs the same cascade
+//! but finds the earliest step by scanning every replica, O(replicas) per
+//! event. Both drivers invoke the *same* handler code, so every
+//! floating-point operation happens in the same order and the reports are
+//! bitwise identical; the equivalence suites and the chaos `Equivalence`
+//! invariant compare against it. At one instant the order is fault <
+//! arrival < retry < hedge < step; within a source the tie is the fault
+//! timeline index / arrival index / request id / request id / replica
+//! index.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
-use cta_events::{EventId, EventLoop};
 use cta_sim::CtaSystem;
 use cta_telemetry::{Module, SpanClass, TraceSink, TrackId};
 use cta_tenancy::{
@@ -38,50 +35,40 @@ use crate::fault::{FaultEvent, FaultKind};
 use crate::overload::{BreakerEvent, BreakerState, CircuitBreaker, Transition};
 use crate::replica::{Completion, Pending, Replica};
 use crate::runtime::{FleetConfig, FleetReport, Shed};
+use crate::step_tree::StepTree;
 use crate::{
     BrownoutController, BrownoutLadder, CostModel, FleetMetrics, ServeRequest, SessionStats,
     ShedReason,
 };
 
-/// Event class ranks: the pop order at one instant. These mirror the
-/// step-granular cascade (`fault_due` before `arrival_due` before …), so
-/// the driver and the reference scan process coincident events
-/// identically.
-const CLASS_FAULT: u8 = 0;
-const CLASS_ARRIVAL: u8 = 1;
-const CLASS_RETRY: u8 = 2;
-const CLASS_HEDGE: u8 = 3;
-const CLASS_STEP: u8 = 4;
-
-/// Event payloads for the calendar queue. The key's `tie` field
-/// identifies the instance (arrival index, request id, replica index);
-/// the payload only routes to the right handler.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
+/// The event the cascade picks next, one variant per source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Next {
     Fault,
     Arrival,
     Retry,
     Hedge,
-    Step,
+    /// A layer step of this replica.
+    Step(usize),
 }
 
 /// A crash-evicted request waiting out its backoff before re-entering
 /// routing.
 #[derive(Debug, Clone)]
-struct RetryEntry {
+struct RetryEntry<'a> {
     /// When the requeue fires, seconds.
     retry_s: f64,
     /// Requeue attempts consumed (this entry is attempt number `attempt`).
     attempt: u32,
     /// Layer to resume from.
     cursor: usize,
-    request: ServeRequest,
+    request: &'a ServeRequest,
     /// Per-layer solo step times priced at admission.
     layer_s: Rc<[f64]>,
 }
 
 /// Inserts keeping (retry_s asc, id asc) order.
-fn push_retry(retries: &mut Vec<RetryEntry>, entry: RetryEntry) {
+fn push_retry<'a>(retries: &mut Vec<RetryEntry<'a>>, entry: RetryEntry<'a>) {
     let pos = retries
         .binary_search_by(|probe| {
             probe
@@ -97,11 +84,11 @@ fn push_retry(retries: &mut Vec<RetryEntry>, entry: RetryEntry) {
 /// A scheduled hedge check: if the request is still in flight when the
 /// timer fires, a copy is dispatched to a second replica.
 #[derive(Debug, Clone)]
-struct HedgeEntry {
+struct HedgeEntry<'a> {
     /// When the check fires, seconds.
     fire_s: f64,
-    /// Snapshot of the request (the copy restarts from layer 0).
-    request: ServeRequest,
+    /// The request (the copy restarts from layer 0).
+    request: &'a ServeRequest,
     /// Solo service estimate cached at admission.
     est_service_s: f64,
     /// Per-layer solo step times priced at admission.
@@ -109,7 +96,7 @@ struct HedgeEntry {
 }
 
 /// Inserts keeping (fire_s asc, id asc) order.
-fn push_hedge(hedges: &mut Vec<HedgeEntry>, entry: HedgeEntry) {
+fn push_hedge<'a>(hedges: &mut Vec<HedgeEntry<'a>>, entry: HedgeEntry<'a>) {
     let pos = hedges
         .binary_search_by(|probe| {
             probe
@@ -148,7 +135,7 @@ fn settle_breakers<S: TraceSink>(
 /// marks plus the `accuracy_loss_pct` counter the aggregate report
 /// integrates for quality-loss attribution.
 fn apply_transition<S: TraceSink>(
-    replicas: &mut [Replica],
+    replicas: &mut [Replica<'_>],
     ladder: &BrownoutLadder,
     i: usize,
     tr: Transition,
@@ -180,8 +167,8 @@ enum Dispatch {
 
 /// Runtime state of the tenancy stage: the fair queue in front of
 /// admission, the per-tenant quota buckets, and the autoscaler.
-struct TenancyState {
-    queue: FairQueue<ServeRequest>,
+struct TenancyState<'a> {
+    queue: FairQueue<&'a ServeRequest>,
     buckets: Option<Vec<TokenBucket>>,
     scaler: Option<Autoscaler>,
     /// Hold backpressure: a full replica queue parks the request in the
@@ -191,12 +178,14 @@ struct TenancyState {
 
 /// All simulation state, shared by the driver and the reference scan. The
 /// handlers are the single definition of what each event does; the
-/// drivers only decide ordering — which the class ranks make identical.
+/// drivers only find the earliest replica step, and both hand it to the
+/// same cascade ([`EngineState::next_event`]). Queued work borrows its
+/// request from the caller's trace.
 struct EngineState<'a> {
     cfg: &'a FleetConfig,
     requests: &'a [ServeRequest],
     system: CtaSystem,
-    replicas: Vec<Replica>,
+    replicas: Vec<Replica<'a>>,
     cost: CostModel,
     completions: Vec<Completion>,
     shed: Vec<Shed>,
@@ -207,12 +196,12 @@ struct EngineState<'a> {
     next_arrival: usize,
     fault_events: Vec<FaultEvent>,
     next_fault: usize,
-    retries: Vec<RetryEntry>,
+    retries: Vec<RetryEntry<'a>>,
     requeues_total: usize,
     overload_on: bool,
     controllers: Option<Vec<BrownoutController>>,
     breakers: Option<Vec<CircuitBreaker>>,
-    hedges: Vec<HedgeEntry>,
+    hedges: Vec<HedgeEntry<'a>>,
     /// Hedged requests with two live copies: id → primary replica at
     /// hedge-dispatch time (lookup only, never iterated — determinism).
     hedged_live: HashMap<u64, usize>,
@@ -225,18 +214,13 @@ struct EngineState<'a> {
     /// Handler invocations so far (one per simulated event; equal across
     /// drivers, asserted by the equivalence tests).
     events_processed: u64,
-    /// Event-queue bookkeeping, drained by the driver after every
-    /// handler: replica indices whose `next_step_time` may have changed,
-    /// retry events to schedule `(retry_s, id)` / cancel by id, and hedge
-    /// events to schedule `(fire_s, id)`. Pure integer bookkeeping — the
-    /// float stream is untouched.
+    /// Replica indices whose `next_step_time` may have changed, drained
+    /// by the driver after every handler to update its step tree. Pure
+    /// integer bookkeeping — the float stream is untouched.
     touched: Vec<usize>,
-    retry_added: Vec<(f64, u64)>,
-    retry_removed: Vec<u64>,
-    hedge_added: Vec<(f64, u64)>,
     /// Multi-tenant stage (`None` = the single-tenant fleet, bitwise:
     /// every tenancy hook below is guarded on it).
-    tenancy: Option<TenancyState>,
+    tenancy: Option<TenancyState<'a>>,
     /// Failure detector (`None` = routing trusts `up` alone, bitwise:
     /// every detector hook below is guarded on it).
     detector: Option<DetectorBank>,
@@ -287,7 +271,7 @@ impl<'a> EngineState<'a> {
             );
         }
         let system = CtaSystem::new(cfg.system);
-        let replicas: Vec<Replica> =
+        let replicas: Vec<Replica<'a>> =
             (0..cfg.replicas).map(|i| Replica::new(i, system.clone())).collect();
         // Overload-control state. Every structure is `None`/empty when the
         // corresponding mechanism is off, so the disabled path executes the
@@ -342,9 +326,6 @@ impl<'a> EngineState<'a> {
             transitions_total: 0,
             events_processed: 0,
             touched: Vec::new(),
-            retry_added: Vec::new(),
-            retry_removed: Vec::new(),
-            hedge_added: Vec::new(),
             tenancy,
             detector,
             session_on: cfg.sessions.is_some(),
@@ -413,12 +394,6 @@ impl<'a> EngineState<'a> {
                     .collect(),
             ),
         }
-    }
-
-    /// Queues a retry entry, recording the event for the event driver.
-    fn queue_retry(&mut self, entry: RetryEntry) {
-        self.retry_added.push((entry.retry_s, entry.request.id));
-        push_retry(&mut self.retries, entry);
     }
 
     /// Marks replica `i`'s next step time as possibly changed.
@@ -534,7 +509,7 @@ impl<'a> EngineState<'a> {
                         retries: p.attempt,
                         tenant: p.request.tenant,
                     });
-                    self.note_session_shed(&p.request);
+                    self.note_session_shed(p.request);
                     continue;
                 }
                 let retry_s = ev.t_s + cfg.retry.backoff(attempt);
@@ -547,7 +522,7 @@ impl<'a> EngineState<'a> {
                         let mut remaining = remaining_from_layers_s(upload_s, &p.layer_s, cursor)
                             + if cursor > 0 { upload_s } else { 0.0 };
                         if p.request.session.is_some() {
-                            remaining += self.cost.session_prefill_s(&self.system, &p.request);
+                            remaining += self.cost.session_prefill_s(&self.system, p.request);
                         }
                         if retry_s + remaining > p.request.arrival_s + d {
                             self.shed.push(Shed {
@@ -558,7 +533,7 @@ impl<'a> EngineState<'a> {
                                 retries: p.attempt,
                                 tenant: p.request.tenant,
                             });
-                            self.note_session_shed(&p.request);
+                            self.note_session_shed(p.request);
                             continue;
                         }
                     }
@@ -568,13 +543,10 @@ impl<'a> EngineState<'a> {
                     sink.instant(track, "requeue", ev.t_s);
                     sink.counter(track, "retries", ev.t_s, self.requeues_total as f64);
                 }
-                self.queue_retry(RetryEntry {
-                    retry_s,
-                    attempt,
-                    cursor,
-                    request: p.request,
-                    layer_s: p.layer_s,
-                });
+                push_retry(
+                    &mut self.retries,
+                    RetryEntry { retry_s, attempt, cursor, request: p.request, layer_s: p.layer_s },
+                );
             }
         }
     }
@@ -586,7 +558,7 @@ impl<'a> EngineState<'a> {
     /// shedding, so the caller can park the request.
     fn dispatch_request<S: TraceSink>(
         &mut self,
-        request: &ServeRequest,
+        request: &'a ServeRequest,
         now: f64,
         hold: bool,
         sink: &mut S,
@@ -693,7 +665,7 @@ impl<'a> EngineState<'a> {
             est_latency_s,
         ) {
             Ok(()) => {
-                let mut pending = Pending::fresh(request.clone(), est_service_s, layer_s.clone());
+                let mut pending = Pending::fresh(request, est_service_s, layer_s.clone());
                 if re_prefill_s > 0.0 {
                     pending.re_prefill_s = re_prefill_s;
                 }
@@ -721,10 +693,9 @@ impl<'a> EngineState<'a> {
                 if let Some(hp) = &cfg.overload.hedge {
                     if request.class.deadline_s.is_some() && request.session.is_none() {
                         let fire_s = now + hp.delay_s(&self.lat_window);
-                        self.hedge_added.push((fire_s, request.id));
                         push_hedge(
                             &mut self.hedges,
-                            HedgeEntry { fire_s, request: request.clone(), est_service_s, layer_s },
+                            HedgeEntry { fire_s, request, est_service_s, layer_s },
                         );
                     }
                 }
@@ -771,7 +742,8 @@ impl<'a> EngineState<'a> {
         // signal (the arrival itself would otherwise pin the signal at
         // `1/active` and scale-down could never trigger).
         self.observe_autoscaler(now, sink);
-        let request = self.requests[self.next_arrival - 1].clone();
+        let requests = self.requests;
+        let request = &requests[self.next_arrival - 1];
         let tenant = request.tenant;
         let quota_ok = match self.tenancy.as_mut().expect("tenancy on").buckets.as_mut() {
             Some(buckets) => buckets[tenant as usize].try_take(now, 1.0),
@@ -790,7 +762,7 @@ impl<'a> EngineState<'a> {
                 retries: 0,
                 tenant,
             });
-            self.note_session_shed(&request);
+            self.note_session_shed(request);
             return;
         }
         let ts = self.tenancy.as_mut().expect("tenancy on");
@@ -807,7 +779,7 @@ impl<'a> EngineState<'a> {
                 return;
             };
             let hold = self.tenancy.as_ref().expect("tenancy on").hold;
-            match self.dispatch_request(&request, now, hold, sink) {
+            match self.dispatch_request(request, now, hold, sink) {
                 Dispatch::Enqueued => continue,
                 Dispatch::Shed => {
                     // The shed consumed no fleet time: refund the DRR
@@ -923,7 +895,7 @@ impl<'a> EngineState<'a> {
                         retries: entry.attempt,
                         tenant: entry.request.tenant,
                     });
-                    self.note_session_shed(&entry.request);
+                    self.note_session_shed(entry.request);
                     return;
                 }
             }
@@ -945,8 +917,7 @@ impl<'a> EngineState<'a> {
                 if self.session_on {
                     if let Some(turn) = &entry.request.session {
                         if self.sessions.get(&turn.session) != Some(&target) {
-                            re_prefill_s =
-                                self.cost.session_prefill_s(&self.system, &entry.request);
+                            re_prefill_s = self.cost.session_prefill_s(&self.system, entry.request);
                             est_service_s += re_prefill_s;
                         }
                     }
@@ -997,20 +968,23 @@ impl<'a> EngineState<'a> {
                         retries: entry.attempt,
                         tenant: entry.request.tenant,
                     });
-                    self.note_session_shed(&entry.request);
+                    self.note_session_shed(entry.request);
                 } else {
                     self.requeues_total += 1;
                     if S::ENABLED {
                         let track = TrackId::new(0, Module::Fault);
                         sink.counter(track, "retries", now, self.requeues_total as f64);
                     }
-                    self.queue_retry(RetryEntry {
-                        retry_s: now + cfg.retry.backoff(attempt),
-                        attempt,
-                        cursor: entry.cursor,
-                        request: entry.request,
-                        layer_s: entry.layer_s,
-                    });
+                    push_retry(
+                        &mut self.retries,
+                        RetryEntry {
+                            retry_s: now + cfg.retry.backoff(attempt),
+                            attempt,
+                            cursor: entry.cursor,
+                            request: entry.request,
+                            layer_s: entry.layer_s,
+                        },
+                    );
                 }
             }
         }
@@ -1144,9 +1118,6 @@ impl<'a> EngineState<'a> {
                     }
                     let before_retry = self.retries.len();
                     self.retries.retain(|r| r.request.id != c.id);
-                    if self.retries.len() != before_retry {
-                        self.retry_removed.push(c.id);
-                    }
                     self.hedge_cancelled += before_retry - self.retries.len();
                     if c.replica != primary {
                         self.hedge_wins += 1;
@@ -1207,7 +1178,7 @@ impl<'a> EngineState<'a> {
                 retries: 0,
                 tenant,
             });
-            self.note_session_shed(&request);
+            self.note_session_shed(request);
         }
         // Close the books on replicas still down at the end of the run:
         // their open outage extends to the fleet makespan (or the crash
@@ -1342,13 +1313,13 @@ impl<'a> EngineState<'a> {
     }
 }
 
-/// Runs the fleet on the calendar-queue driver.
+/// Runs the fleet on the step-tree driver.
 pub(crate) fn run<S: TraceSink>(
     cfg: &FleetConfig,
     requests: &[ServeRequest],
     sink: &mut S,
 ) -> FleetReport {
-    run_event_driven(EngineState::new(cfg, requests), sink)
+    run_step_tree(EngineState::new(cfg, requests), sink)
 }
 
 /// Runs the fleet on the reference scan (the test oracle behind
@@ -1361,75 +1332,70 @@ pub(crate) fn run_reference<S: TraceSink>(
     run_step_granular(EngineState::new(cfg, requests), sink)
 }
 
-/// The reference scan: find the earliest replica step every iteration
-/// and cascade through the due-conditions. The cascade's `<=`
-/// comparisons define the coincident-instant tie order the event driver
-/// reproduces through class ranks. The scan has no queue to reconcile, so
-/// it drops the handlers' event-queue bookkeeping after each one.
+impl EngineState<'_> {
+    /// The next event and its instant, given the earliest replica step
+    /// `(time, index)`: the minimum over the five sources by time, ties
+    /// to the earlier source in the order fault < arrival < retry <
+    /// hedge < step. `None` once every source is exhausted.
+    fn next_event(&self, next_step: Option<(f64, usize)>) -> Option<(f64, Next)> {
+        let sources = [
+            self.fault_events.get(self.next_fault).map(|f| (f.t_s, Next::Fault)),
+            self.requests.get(self.next_arrival).map(|r| (r.arrival_s, Next::Arrival)),
+            self.retries.first().map(|r| (r.retry_s, Next::Retry)),
+            self.hedges.first().map(|h| (h.fire_s, Next::Hedge)),
+            next_step.map(|(t, i)| (t, Next::Step(i))),
+        ];
+        sources.into_iter().flatten().reduce(|best, c| if c.0 < best.0 { c } else { best })
+    }
+
+    /// Runs the handler of `next`.
+    fn handle<S: TraceSink>(&mut self, next: Next, sink: &mut S) {
+        match next {
+            Next::Fault => self.handle_fault(sink),
+            Next::Arrival => self.handle_arrival(sink),
+            Next::Retry => self.handle_retry(sink),
+            Next::Hedge => self.handle_hedge(sink),
+            Next::Step(i) => self.handle_step(i, sink),
+        }
+    }
+
+    /// Events not yet handled, excluding replica steps: the next fault
+    /// and the next arrival (each 0 or 1), every retry backoff and every
+    /// hedge timer.
+    fn pending_source_events(&self) -> usize {
+        usize::from(self.next_fault < self.fault_events.len())
+            + usize::from(self.next_arrival < self.requests.len())
+            + self.retries.len()
+            + self.hedges.len()
+    }
+}
+
+/// Scans every replica: the earliest step `(time, index)`, ties to the
+/// lowest index, and how many replicas have a step.
+fn scan_steps(replicas: &[Replica<'_>]) -> (Option<(f64, usize)>, usize) {
+    let mut earliest: Option<(f64, usize)> = None;
+    let mut live = 0;
+    for (i, r) in replicas.iter().enumerate() {
+        if let Some(t) = r.next_step_time() {
+            live += 1;
+            if earliest.is_none_or(|(best, _)| t < best) {
+                earliest = Some((t, i));
+            }
+        }
+    }
+    (earliest, live)
+}
+
+/// The reference scan: every iteration scans all replicas for the
+/// earliest step, ties to the lowest index, and hands it to the cascade.
+/// It keeps no step index, so it drops the touched list after each
+/// handler and takes no occupancy samples.
 fn run_step_granular<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> FleetReport {
     loop {
-        // Earliest replica step, ties to the lowest index.
-        let next_step: Option<(f64, usize)> = state
-            .replicas
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.next_step_time().map(|t| (t, i)))
-            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite step times").then(a.1.cmp(&b.1)));
-
-        // Tie order at one instant: fault < arrival < retry < hedge <
-        // step. With an empty fault plan the fault and retry sources never
-        // fire, and with hedging off the hedge queue stays empty, so the
-        // conditions reduce to the plain fault-free expressions.
-        let fault_due = state.next_fault < state.fault_events.len() && {
-            let tf = state.fault_events[state.next_fault].t_s;
-            next_step.is_none_or(|(t, _)| tf <= t)
-                && (state.next_arrival >= state.requests.len()
-                    || tf <= state.requests[state.next_arrival].arrival_s)
-                && state.retries.first().is_none_or(|r| tf <= r.retry_s)
-                && state.hedges.first().is_none_or(|h| tf <= h.fire_s)
-        };
-
-        let arrival_due = !fault_due
-            && state.next_arrival < state.requests.len()
-            && next_step.is_none_or(|(t, _)| state.requests[state.next_arrival].arrival_s <= t)
-            && state
-                .retries
-                .first()
-                .is_none_or(|r| state.requests[state.next_arrival].arrival_s <= r.retry_s)
-            && state
-                .hedges
-                .first()
-                .is_none_or(|h| state.requests[state.next_arrival].arrival_s <= h.fire_s);
-
-        let retry_due = !fault_due
-            && !arrival_due
-            && state.retries.first().is_some_and(|r| {
-                next_step.is_none_or(|(t, _)| r.retry_s <= t)
-                    && state.hedges.first().is_none_or(|h| r.retry_s <= h.fire_s)
-            });
-
-        let hedge_due = !fault_due
-            && !arrival_due
-            && !retry_due
-            && state.hedges.first().is_some_and(|h| next_step.is_none_or(|(t, _)| h.fire_s <= t));
-
-        if fault_due {
-            state.handle_fault(sink);
-        } else if arrival_due {
-            state.handle_arrival(sink);
-        } else if retry_due {
-            state.handle_retry(sink);
-        } else if hedge_due {
-            state.handle_hedge(sink);
-        } else if let Some((_, i)) = next_step {
-            state.handle_step(i, sink);
-        } else {
-            break;
-        }
+        let (next_step, _) = scan_steps(&state.replicas);
+        let Some((_, next)) = state.next_event(next_step) else { break };
+        state.handle(next, sink);
         state.touched.clear();
-        state.retry_added.clear();
-        state.retry_removed.clear();
-        state.hedge_added.clear();
     }
     state.finish(sink)
 }
@@ -1437,126 +1403,119 @@ fn run_step_granular<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> 
 /// Pending-event cadence of the occupancy samples (every 64th event).
 const QUEUE_SAMPLE_EVERY: u64 = 64;
 
-/// The calendar-queue driver. The queue holds: the next arrival and the
-/// next fault (chained — scheduled one at a time, which guarantees
-/// index order at coincident timestamps), at most one step event per
-/// replica (rescheduled whenever a handler touches the replica), and one
-/// event per pending retry backoff / hedge timer (retries carry
-/// cancellation tokens so hedge-winner completions can remove them).
+/// The fleet driver: the reference cascade with the earliest replica step
+/// read from a [`StepTree`] instead of a scan. After every handler the
+/// tree takes the next step time of each touched replica, O(log
+/// replicas) apiece.
 ///
-/// Handlers are shared with the reference scan, so the float
-/// stream — and therefore the report and any emitted trace — is bitwise
-/// identical; only the *cost* of finding the next event changes, from
-/// O(replicas) to O(1) amortized.
-fn run_event_driven<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> FleetReport {
-    let mut el: EventLoop<Ev> = EventLoop::new();
-    // Per-replica scheduled step: the exact time it was scheduled at plus
-    // its cancellation token (times compare bitwise — both sides computed
-    // by the same `next_step_time`).
-    let mut step_events: Vec<Option<(f64, EventId)>> = vec![None; state.replicas.len()];
-    // Pending retry backoffs: request id → cancellation token. Lookup
-    // only, never iterated — determinism-safe.
-    let mut retry_ids: HashMap<u64, EventId> = HashMap::new();
+/// Handlers are shared with the reference scan, so the float stream —
+/// and therefore the report and any emitted trace — is bitwise
+/// identical. Every 64th event it samples the pending-event count: the
+/// ordered sources' pending events plus the replicas with a scheduled
+/// step.
+fn run_step_tree<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> FleetReport {
+    let mut tree = StepTree::new(state.replicas.len());
     let mut samples: Vec<(f64, usize)> = Vec::new();
-
-    if !state.fault_events.is_empty() {
-        el.schedule(state.fault_events[0].t_s, CLASS_FAULT, 0, Ev::Fault);
-    }
-    el.schedule(state.requests[0].arrival_s, CLASS_ARRIVAL, 0, Ev::Arrival);
-
-    while let Some((key, ev)) = el.pop() {
-        match ev {
-            Ev::Fault => {
-                state.handle_fault(sink);
-                if state.next_fault < state.fault_events.len() {
-                    el.schedule(
-                        state.fault_events[state.next_fault].t_s,
-                        CLASS_FAULT,
-                        state.next_fault as u64,
-                        Ev::Fault,
-                    );
-                }
-            }
-            Ev::Arrival => {
-                state.handle_arrival(sink);
-                if state.next_arrival < state.requests.len() {
-                    el.schedule(
-                        state.requests[state.next_arrival].arrival_s,
-                        CLASS_ARRIVAL,
-                        state.next_arrival as u64,
-                        Ev::Arrival,
-                    );
-                }
-            }
-            Ev::Retry => {
-                retry_ids.remove(&key.tie);
-                debug_assert!(
-                    state
-                        .retries
-                        .first()
-                        .is_some_and(|r| r.retry_s == key.t && r.request.id == key.tie),
-                    "retry event out of sync with the backoff queue"
-                );
-                state.handle_retry(sink);
-            }
-            Ev::Hedge => {
-                debug_assert!(
-                    state
-                        .hedges
-                        .first()
-                        .is_some_and(|h| h.fire_s == key.t && h.request.id == key.tie),
-                    "hedge event out of sync with the timer queue"
-                );
-                state.handle_hedge(sink);
-            }
-            Ev::Step => {
-                let i = key.tie as usize;
-                step_events[i] = None;
-                debug_assert_eq!(
-                    state.replicas[i].next_step_time(),
-                    Some(key.t),
-                    "step event out of sync with replica {i}"
-                );
-                state.handle_step(i, sink);
-            }
+    while let Some((t, next)) = state.next_event(tree.min()) {
+        if let Next::Step(i) = next {
+            debug_assert_eq!(
+                state.replicas[i].next_step_time(),
+                Some(t),
+                "step tree out of sync with replica {i}"
+            );
         }
-
-        // Reconcile the queue with what the handler changed: new retry
-        // backoffs, cancelled retries (hedge winners), new hedge timers,
-        // and the step times of every touched replica.
-        for (t, id) in state.retry_added.drain(..) {
-            retry_ids.insert(id, el.schedule(t, CLASS_RETRY, id, Ev::Retry));
-        }
-        for id in state.retry_removed.drain(..) {
-            let eid = retry_ids.remove(&id).expect("cancelled retry was scheduled");
-            el.cancel(eid).expect("cancelled retry token was live");
-        }
-        for (t, id) in state.hedge_added.drain(..) {
-            el.schedule(t, CLASS_HEDGE, id, Ev::Hedge);
-        }
-        state.touched.sort_unstable();
-        state.touched.dedup();
+        state.handle(next, sink);
         for &i in &state.touched {
-            let want = state.replicas[i].next_step_time();
-            let have = step_events[i].map(|(t, _)| t);
-            if want != have {
-                if let Some((_, eid)) = step_events[i].take() {
-                    el.cancel(eid);
-                }
-                if let Some(t) = want {
-                    let eid = el.schedule(t, CLASS_STEP, i as u64, Ev::Step);
-                    step_events[i] = Some((t, eid));
-                }
-            }
+            tree.set(i, state.replicas[i].next_step_time());
         }
         state.touched.clear();
-
         if state.events_processed % QUEUE_SAMPLE_EVERY == 1 {
-            samples.push((key.t, el.len()));
+            debug_assert_eq!(
+                (tree.min(), tree.live()),
+                scan_steps(&state.replicas),
+                "step tree out of sync with the replicas"
+            );
+            samples.push((t, state.pending_source_events() + tree.live()));
         }
     }
-
     let mut report = state.finish(sink);
     report.event_queue_samples = samples;
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CrashWindow, FaultPlan, QosClass};
+    use cta_sim::{AttentionTask, SystemConfig};
+
+    fn requests(arrivals: &[f64]) -> Vec<ServeRequest> {
+        let task = AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6);
+        arrivals
+            .iter()
+            .enumerate()
+            .map(|(id, &t)| ServeRequest::uniform(id as u64, t, QosClass::standard(), task, 2, 4))
+            .collect()
+    }
+
+    /// A two-replica fleet whose only fault is replica 1 crashing at
+    /// `crash_s`.
+    fn config(crash_s: f64) -> FleetConfig {
+        let mut cfg = FleetConfig::sharded(SystemConfig::paper(), 2);
+        cfg.faults = FaultPlan {
+            crashes: vec![CrashWindow { replica: 1, down_s: crash_s, up_s: None }],
+            ..FaultPlan::none()
+        };
+        cfg
+    }
+
+    /// Arms one retry backoff and one hedge timer for `request` at `t`.
+    fn arm<'a>(state: &mut EngineState<'a>, request: &'a ServeRequest, t: f64) {
+        let layer_s: Rc<[f64]> = vec![1e-3; 2].into();
+        let retry =
+            RetryEntry { retry_s: t, attempt: 1, cursor: 0, request, layer_s: layer_s.clone() };
+        push_retry(&mut state.retries, retry);
+        let hedge = HedgeEntry { fire_s: t, request, est_service_s: 2e-3, layer_s };
+        push_hedge(&mut state.hedges, hedge);
+    }
+
+    #[test]
+    fn coincident_sources_resolve_fault_arrival_retry_hedge_step() {
+        let cfg = config(1.0);
+        let trace = requests(&[1.0]);
+        let mut state = EngineState::new(&cfg, &trace);
+        arm(&mut state, &trace[0], 1.0);
+        let step = Some((1.0, 0));
+        assert_eq!(state.next_event(step), Some((1.0, Next::Fault)));
+        state.next_fault = state.fault_events.len();
+        assert_eq!(state.next_event(step), Some((1.0, Next::Arrival)));
+        state.next_arrival = trace.len();
+        assert_eq!(state.next_event(step), Some((1.0, Next::Retry)));
+        state.retries.clear();
+        assert_eq!(state.next_event(step), Some((1.0, Next::Hedge)));
+        state.hedges.clear();
+        assert_eq!(state.next_event(step), Some((1.0, Next::Step(0))));
+        assert_eq!(state.next_event(None), None, "every source exhausted");
+    }
+
+    #[test]
+    fn an_earlier_instant_wins_over_every_source_rank() {
+        let cfg = config(3.0);
+        let trace = requests(&[2.0, 2.5]);
+        let mut state = EngineState::new(&cfg, &trace);
+        arm(&mut state, &trace[1], 1.5);
+        // A back-dated step precedes everything, the fault comes last.
+        assert_eq!(state.next_event(Some((0.5, 0))), Some((0.5, Next::Step(0))));
+        assert_eq!(state.next_event(Some((4.0, 0))), Some((1.5, Next::Retry)));
+        state.retries.clear();
+        assert_eq!(state.next_event(Some((4.0, 0))), Some((1.5, Next::Hedge)));
+        state.hedges.clear();
+        assert_eq!(state.next_event(Some((4.0, 0))), Some((2.0, Next::Arrival)));
+        state.next_arrival = trace.len();
+        assert_eq!(state.next_event(Some((4.0, 0))), Some((3.0, Next::Fault)));
+        // Counting: fault and arrival pending once each, plus the timers.
+        state.next_arrival = 0;
+        arm(&mut state, &trace[0], 1.0);
+        assert_eq!(state.pending_source_events(), 4);
+    }
 }

@@ -76,6 +76,7 @@ mod replica;
 mod request;
 mod routing;
 mod runtime;
+mod step_tree;
 pub mod sweeps;
 
 pub use admission::{AdmissionPolicy, ShedReason};
@@ -115,9 +116,10 @@ pub(crate) fn ensure(ok: bool, reason: &'static str) -> Result<(), &'static str>
 
 /// The step-granular reference scan: the oracle the equivalence suites
 /// and the chaos `Equivalence` invariant compare [`simulate_fleet`]
-/// against. It scans every replica per event (O(replicas)) and runs the
-/// same handlers, so its reports and traces are bitwise identical to the
-/// production driver's, except that it leaves
+/// against. It scans every replica per event (O(replicas)) for the
+/// earliest step, where the production driver reads a tournament tree,
+/// and runs the same cascade and handlers, so its reports and traces are
+/// bitwise identical to the driver's, except that it leaves
 /// [`FleetReport::event_queue_samples`] empty. Test use only.
 #[doc(hidden)]
 pub mod reference {

@@ -212,12 +212,11 @@ impl std::error::Error for TraceError {}
 ///
 /// Coincident arrivals are legal (the monotonicity check is `<`, not
 /// `<=`): real traces batch and so do replays. Their tie-break is the
-/// assigned id — trace order: the fleet driver orders coincident arrival
-/// events by request id ([`cta_events::EventKey`]'s `tie` field), as the
-/// step-granular reference scan (`crate::reference`) admits in index
-/// order at a due instant. The `engine` integration tests pin that a
-/// burst of equal-timestamp arrivals produces bitwise-identical reports
-/// on both.
+/// assigned id — trace order: the fleet driver walks the arrivals by
+/// index, so coincident arrivals are admitted in id order, as in the
+/// reference scan (`crate::reference`). The `engine` integration tests
+/// pin that a burst of equal-timestamp arrivals produces
+/// bitwise-identical reports on both.
 ///
 /// # Errors
 ///

@@ -47,10 +47,11 @@ impl BatchPolicy {
     }
 }
 
-/// A request waiting in a replica queue.
+/// A request waiting in a replica queue. The request itself is borrowed
+/// from the caller's trace; queued and running work never copies it.
 #[derive(Debug, Clone)]
-pub(crate) struct Pending {
-    pub request: ServeRequest,
+pub(crate) struct Pending<'a> {
+    pub request: &'a ServeRequest,
     /// Solo service estimate, cached at admission for routing decisions.
     pub est_service_s: f64,
     /// Per-layer solo step times ([`CostModel::layer_times_s`]), priced
@@ -71,17 +72,17 @@ pub(crate) struct Pending {
     pub re_prefill_s: f64,
 }
 
-impl Pending {
+impl<'a> Pending<'a> {
     /// A freshly admitted request (no crash history, no re-prefill debt).
-    pub fn fresh(request: ServeRequest, est_service_s: f64, layer_s: Rc<[f64]>) -> Self {
+    pub fn fresh(request: &'a ServeRequest, est_service_s: f64, layer_s: Rc<[f64]>) -> Self {
         Self { request, est_service_s, layer_s, resume_cursor: 0, attempt: 0, re_prefill_s: 0.0 }
     }
 }
 
 /// A request being served (its next layer is `cursor`).
 #[derive(Debug, Clone)]
-pub(crate) struct Active {
-    pub request: ServeRequest,
+pub(crate) struct Active<'a> {
+    pub request: &'a ServeRequest,
     pub cursor: usize,
     /// Per-layer solo step times, carried from the [`Pending`] entry.
     pub layer_s: Rc<[f64]>,
@@ -144,7 +145,7 @@ impl Completion {
 
 /// One replica's mutable serving state.
 #[derive(Debug, Clone)]
-pub(crate) struct Replica {
+pub(crate) struct Replica<'a> {
     pub index: usize,
     pub system: CtaSystem,
     /// Time up to which the replica's schedule is committed.
@@ -154,8 +155,8 @@ pub(crate) struct Replica {
     /// Queue ordered by (priority desc, arrival asc, id asc). Private,
     /// like `active` and `resident_sessions`: every mutation goes through
     /// a method that invalidates the matching cached work term.
-    queue: Vec<Pending>,
-    active: Vec<Active>,
+    queue: Vec<Pending<'a>>,
+    active: Vec<Active<'a>>,
     pub completed: usize,
     /// Whether the replica is healthy. Down replicas hold no work, take
     /// no arrivals and schedule no steps.
@@ -202,10 +203,10 @@ pub(crate) struct Replica {
     /// steps).
     merged: Vec<AttentionTask>,
     costs: Vec<TaskCost>,
-    retired: Vec<Active>,
+    retired: Vec<Active<'a>>,
 }
 
-impl Replica {
+impl<'a> Replica<'a> {
     pub fn new(index: usize, system: CtaSystem) -> Self {
         Self {
             index,
@@ -337,7 +338,7 @@ impl Replica {
 
     /// Inserts into the queue keeping (priority desc, arrival asc, id asc)
     /// order.
-    pub fn enqueue(&mut self, pending: Pending) {
+    pub fn enqueue(&mut self, pending: Pending<'a>) {
         let key = |p: &Pending| {
             (core::cmp::Reverse(p.request.class.priority), p.request.arrival_s, p.request.id)
         };
@@ -358,12 +359,12 @@ impl Replica {
     /// layer progress — steps are atomic, so every completed layer's
     /// activations already reached the host), then the queue in priority
     /// order.
-    pub fn crash(&mut self, t: f64) -> Vec<Pending> {
+    pub fn crash(&mut self, t: f64) -> Vec<Pending<'a>> {
         self.up = false;
         self.down_since = t;
         self.active_work_s = None;
         self.queued_work_s = None;
-        let mut orphans: Vec<Pending> = self
+        let mut orphans: Vec<Pending<'a>> = self
             .active
             .drain(..)
             .map(|a| Pending {
@@ -695,8 +696,14 @@ mod tests {
         AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6)
     }
 
-    fn replica() -> Replica {
+    fn replica() -> Replica<'static> {
         Replica::new(0, CtaSystem::new(SystemConfig::paper()))
+    }
+
+    /// A request that outlives every replica of the test: queued work
+    /// borrows its request.
+    fn leak(request: ServeRequest) -> &'static ServeRequest {
+        Box::leak(Box::new(request))
     }
 
     /// Placeholder per-layer times for tests that never read the
@@ -705,8 +712,12 @@ mod tests {
         vec![0.0; layers].into()
     }
 
-    fn pending(id: u64, arrival: f64, class: QosClass) -> Pending {
-        Pending::fresh(ServeRequest::uniform(id, arrival, class, task(), 2, 4), 0.0, priced(2))
+    fn pending(id: u64, arrival: f64, class: QosClass) -> Pending<'static> {
+        Pending::fresh(
+            leak(ServeRequest::uniform(id, arrival, class, task(), 2, 4)),
+            0.0,
+            priced(2),
+        )
     }
 
     #[test]
@@ -816,15 +827,14 @@ mod tests {
         // transfer-bound step costs the same merged or not under the
         // paper config's overlapped transfers.
         let heavy = AttentionTask::from_counts(16, 512, 64, 8, 180, 40, 6);
+        let requests: Vec<ServeRequest> = (0..2)
+            .map(|id| ServeRequest::uniform(id, 0.0, QosClass::standard(), heavy, 2, 4))
+            .collect();
         let run = |batch: BatchPolicy| {
             let mut r = replica();
             let mut cost = CostModel::new();
-            for id in 0..2 {
-                r.enqueue(Pending::fresh(
-                    ServeRequest::uniform(id, 0.0, QosClass::standard(), heavy, 2, 4),
-                    0.0,
-                    priced(2),
-                ));
+            for request in &requests {
+                r.enqueue(Pending::fresh(request, 0.0, priced(2)));
             }
             let mut done = Vec::new();
             let faults = FaultPlan::none();
@@ -841,13 +851,10 @@ mod tests {
     /// The uncached estimate: every active request's remaining service
     /// re-priced through [`CostModel::remaining_service_s`], every queued
     /// estimate and every resident hold re-summed.
-    fn reference_outstanding_s(r: &Replica, cost: &mut CostModel, now: f64) -> f64 {
+    fn reference_outstanding_s(r: &Replica<'_>, cost: &mut CostModel, now: f64) -> f64 {
         let committed = (r.clock - now).max(0.0);
-        let active: f64 = r
-            .active
-            .iter()
-            .map(|a| cost.remaining_service_s(&r.system, &a.request, a.cursor))
-            .sum();
+        let active: f64 =
+            r.active.iter().map(|a| cost.remaining_service_s(&r.system, a.request, a.cursor)).sum();
         let queued: f64 = r.queue.iter().map(|p| p.est_service_s).sum();
         let mut total = committed + active + queued;
         if !r.resident_sessions.is_empty() {
@@ -901,11 +908,12 @@ mod tests {
                                 last: false,
                             });
                         }
-                        let layer_s = cost.layer_times_s(&sys, &req);
-                        let est = cost.request_service_s(&sys, &req);
+                        let req = leak(req);
+                        let layer_s = cost.layer_times_s(&sys, req);
+                        let est = cost.request_service_s(&sys, req);
                         let mut p = Pending::fresh(req, est, layer_s);
                         if p.request.session.is_some() && rng.gen::<bool>() {
-                            p.re_prefill_s = cost.session_prefill_s(&sys, &p.request);
+                            p.re_prefill_s = cost.session_prefill_s(&sys, p.request);
                             p.est_service_s += p.re_prefill_s;
                         }
                         r.enqueue(p);
@@ -914,7 +922,7 @@ mod tests {
                     3 => {
                         if let Some(mut p) = orphans.pop() {
                             p.est_service_s =
-                                cost.remaining_service_s(&sys, &p.request, p.resume_cursor);
+                                cost.remaining_service_s(&sys, p.request, p.resume_cursor);
                             r.enqueue(p);
                         }
                     }

@@ -58,12 +58,12 @@ impl RoutingPolicy {
     /// bitwise-reproducible.
     pub(crate) fn choose(
         &self,
-        replicas: &mut [Replica],
+        replicas: &mut [Replica<'_>],
         now: f64,
         rr_cursor: &mut usize,
         routable: Option<&[bool]>,
     ) -> Option<usize> {
-        let eligible = |i: usize, r: &Replica| r.up && routable.is_none_or(|mask| mask[i]);
+        let eligible = |i: usize, r: &Replica<'_>| r.up && routable.is_none_or(|mask| mask[i]);
         match self {
             RoutingPolicy::RoundRobin => {
                 let n = replicas.len();
@@ -112,13 +112,22 @@ mod tests {
         AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6)
     }
 
-    fn replicas(n: usize) -> Vec<Replica> {
+    fn replicas<'a>(n: usize) -> Vec<Replica<'a>> {
         (0..n).map(|i| Replica::new(i, CtaSystem::new(SystemConfig::paper()))).collect()
     }
 
-    fn queued(id: u64, layers: usize) -> Pending {
+    /// A queued request; queued work borrows its request, so the request
+    /// is leaked to outlive the test's replicas.
+    fn queued(id: u64, layers: usize) -> Pending<'static> {
         Pending::fresh(
-            ServeRequest::uniform(id, 0.0, QosClass::standard(), task(), layers, 4),
+            Box::leak(Box::new(ServeRequest::uniform(
+                id,
+                0.0,
+                QosClass::standard(),
+                task(),
+                layers,
+                4,
+            ))),
             layers as f64,
             vec![1.0; layers].into(),
         )

@@ -21,10 +21,12 @@
 //! runtime (both pinned by test).
 //!
 //! The event *handlers* live in [`crate::engine`], driven by one
-//! calendar-queue event loop (O(1) amortized per event). The original
-//! step-granular scan survives only as the test oracle
-//! [`crate::reference`]; the two produce bitwise-identical reports,
-//! pinned by the `engine` integration test and the golden suite.
+//! cascade over the engine's ordered event sources, with the earliest
+//! replica step read from a tournament tree (O(log replicas) per touched
+//! replica). The original step-granular scan survives only as the test
+//! oracle [`crate::reference`]; the two produce bitwise-identical
+//! reports, pinned by the `engine` integration test and the golden
+//! suite.
 
 use cta_telemetry::{NullSink, TraceSink};
 
@@ -348,11 +350,14 @@ pub struct FleetReport {
     /// Simulated events processed (handler invocations); equal to the
     /// reference scan's count — the equivalence tests assert it.
     pub events_processed: u64,
-    /// Event-loop occupancy samples `(time_s, pending_events)` taken
-    /// every ~64th event ([`crate::reference`] leaves it empty: the scan
-    /// has no event queue). It feeds the telemetry `events` lane in
-    /// `planet_sweep` without touching the traced handler path, so trace
-    /// bytes match the reference scan's.
+    /// Pending-event samples `(time_s, pending_events)` taken after
+    /// every 64th event: the event's instant and how many events were
+    /// then still pending — the next fault and the next arrival, every
+    /// retry backoff and hedge timer, and one step per replica that has
+    /// one scheduled ([`crate::reference`] leaves it empty: the scan
+    /// keeps no step index to count). It feeds the telemetry `events`
+    /// lane in `planet_sweep` without touching the traced handler path,
+    /// so trace bytes match the reference scan's.
     pub event_queue_samples: Vec<(f64, usize)>,
 }
 

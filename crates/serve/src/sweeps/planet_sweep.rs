@@ -1,10 +1,11 @@
 //! Planet-scale fleet sweep: goodput, tail latency and availability for
 //! thousand-replica fleets under a diurnal + flash-crowd arrival
-//! pattern, driven by the calendar-queue event core.
+//! pattern.
 //!
-//! The fleet driver pops exactly the due event from a calendar queue in
-//! O(1) amortized time instead of rescanning every replica for the next
-//! due instant (the reference scan kept as a test oracle,
+//! The fleet driver takes the next fault, arrival, retry and hedge
+//! straight from the engine's ordered sources and the earliest replica
+//! step from a tournament tree, instead of rescanning every replica for
+//! the next due instant (the reference scan kept as a test oracle,
 //! `cta_serve::reference`), which is what makes thousand-replica sweeps
 //! practical. Routing is fixed to round-robin —
 //! the only O(1)-per-arrival policy; JSQ/LOW would reintroduce a
@@ -28,7 +29,7 @@
 //! agrees with exactly. The JSON's `engine` key is always `"event"`.
 //! With `--trace <path>` the final point is re-run traced and the
 //! export gains an `events` lane ([`cta_telemetry::Module::Events`])
-//! carrying the sampled calendar-queue occupancy as a counter track.
+//! carrying the sampled pending-event count as a counter track.
 //!
 //! CI runs the 1k-replica smoke configuration of this sweep and
 //! validates the exported trace; see `.github/workflows/ci.yml`.
@@ -264,7 +265,7 @@ fn run(h: &Harness<Args>) {
     );
 
     // Telemetry pass: re-run the largest fleet traced, then lay the
-    // sampled calendar-queue occupancy onto the `events` lane as a
+    // sampled pending-event count onto the `events` lane as a
     // counter track next to the replica track groups.
     if let Some(path) = &args.trace {
         let replicas = *args.replicas.last().expect("non-empty sweep");

@@ -70,7 +70,7 @@ fn chaos_plan(replicas: usize, zones: usize, span: f64, seed: u64, severity: f64
 
 /// Runs the same (config, trace) on the reference scan and the fleet
 /// driver and returns the reports ready for full `PartialEq` comparison
-/// (the event-only queue samples cleared).
+/// (the driver-only pending-event samples cleared).
 fn with_reference(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
     let step = reference::simulate_fleet(cfg, requests);
     let mut event = simulate_fleet(cfg, requests);

@@ -1,13 +1,15 @@
-//! Driver equivalence: the calendar-queue fleet driver must be a
-//! drop-in replacement for the step-granular reference scan
+//! Driver equivalence: the step-tree fleet driver must be a drop-in
+//! replacement for the step-granular reference scan
 //! (`cta_serve::reference`, the test oracle).
 //!
-//! The driver routes control flow through `cta-events` instead of
-//! scanning every replica for the next due instant, but both call the
-//! *same* handler code in the same order, so every float operation —
-//! and therefore every report byte and every trace byte — must be
-//! identical. These tests pin that
-//! contract where it is most likely to crack:
+//! Both run the same cascade over the engine's ordered event sources;
+//! the driver reads the earliest replica step from a tournament tree
+//! updated only for the replicas a handler touched, where the scan looks
+//! at every replica. Both call the *same* handler code in the same
+//! order, so every float operation — and therefore every report byte and
+//! every trace byte — must be identical. These tests pin that contract
+//! where it is most likely to crack (a replica whose step time changes
+//! without being marked touched would leave the tree stale):
 //!
 //! * randomly drawn fleet shapes (routing × batching × admission);
 //! * seeded crash/recovery schedules (back-dated requeues, outage
@@ -19,8 +21,9 @@
 //!   trace from either driver is *the* trace.
 //!
 //! The only intentional difference: `event_queue_samples` is populated
-//! by the event driver alone (the step scan has no queue to sample), so
-//! reports are compared with it cleared.
+//! by the driver alone (the scan keeps no step index to count), so
+//! reports are compared with it cleared. `tests/queue_occupancy.rs` pins
+//! the samples themselves.
 
 use cta_serve::{
     mmpp_requests, poisson_requests, reference, simulate_fleet, simulate_fleet_traced,
@@ -48,13 +51,13 @@ fn config(replicas: usize, route: u8, batch: usize, depth: usize) -> FleetConfig
 }
 
 /// Runs the same (config, trace) on the reference scan and the fleet
-/// driver and returns the pair of reports with the event-only queue
+/// driver and returns the pair of reports with the driver-only
 /// samples cleared, ready for full `PartialEq` comparison.
 fn with_reference(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
     let step = reference::simulate_fleet(cfg, requests);
     let mut event = simulate_fleet(cfg, requests);
-    assert!(!event.event_queue_samples.is_empty(), "the event driver samples its queue occupancy");
-    assert!(step.event_queue_samples.is_empty(), "the step driver has no queue to sample");
+    assert!(!event.event_queue_samples.is_empty(), "the driver samples its pending events");
+    assert!(step.event_queue_samples.is_empty(), "the reference scan takes no samples");
     event.event_queue_samples.clear();
     (step, event)
 }
@@ -70,8 +73,8 @@ fn single_fifo_reports_are_identical() {
 #[test]
 fn seeded_fault_schedules_survive_the_engine_swap() {
     // Crashes evict work mid-flight, requeue it under the retry budget,
-    // and recovery replays back-dated step times — the paths where an
-    // event queue most easily drifts from a rescan.
+    // and recovery replays back-dated step times — the paths where a
+    // step index most easily drifts from a rescan.
     for seed in [1u64, 9, 42] {
         let mut cfg = config(3, 1, 4, 16);
         let requests = poisson_requests(&spec(), 80, 40_000.0, seed);
@@ -86,8 +89,8 @@ fn seeded_fault_schedules_survive_the_engine_swap() {
 #[test]
 fn full_overload_stack_is_engine_independent() {
     // Brownout + breakers + hedging under bursty MMPP load and faults:
-    // hedge timers, hedge-win cancellations and breaker probes all flow
-    // through the calendar queue in event mode.
+    // hedge timers, hedge-win cancellations (which touch every replica
+    // holding a losing copy) and breaker probes all feed the cascade.
     let mut cfg = config(3, 1, 4, 12);
     let mut load = spec();
     load.class = QosClass::interactive(0.05);
@@ -171,6 +174,28 @@ fn trace_bytes_are_engine_independent() {
 }
 
 #[test]
+fn wide_fleets_with_padded_step_trees_match_the_scan() {
+    // Fleet sizes that are not powers of two pad the step tree; many
+    // replicas sharing step instants exercise its lowest-index ties, and
+    // hedge-win cancellations touch replicas other than the one stepping.
+    for (replicas, seed) in [(33usize, 3u64), (70, 5)] {
+        let mut cfg = config(replicas, 1, 4, 8);
+        let mut load = spec();
+        load.class = QosClass::interactive(0.05);
+        let rate = 8_000.0 * replicas as f64;
+        let requests =
+            mmpp_requests(&load, 6 * replicas, MmppParams::new(rate, 4.0 * rate, 0.1), seed);
+        let span = requests.last().expect("nonempty").arrival_s;
+        cfg.faults = FaultPlan::seeded(replicas, 2.0 * span, span, span / 10.0, seed);
+        cfg.overload = OverloadControl::standard();
+        let (step, event) = with_reference(&cfg, &requests);
+        assert_eq!(step, event, "{replicas} replicas");
+        assert!(step.metrics.retried > 0, "{replicas} replicas: the faults must requeue");
+        assert!(step.metrics.overload.hedged > 0, "{replicas} replicas: the load must hedge");
+    }
+}
+
+#[test]
 fn queue_samples_are_ordered_and_bounded() {
     let cfg = config(4, 1, 4, 16);
     let requests = poisson_requests(&spec(), 100, 50_000.0, 21);
@@ -181,9 +206,9 @@ fn queue_samples_are_ordered_and_bounded() {
     }
     for &(t, depth) in &report.event_queue_samples {
         assert!(t.is_finite() && t >= 0.0);
-        // The queue never holds more than one step event per replica
-        // plus the chained arrival/fault pair plus live retry/hedge
-        // timers; a loose sanity ceiling catches leaks.
+        // At most one step per replica plus the next arrival and fault
+        // plus live retry/hedge timers; a loose sanity ceiling catches
+        // leaks.
         assert!(depth <= 4 + 2 * requests.len(), "queue depth {depth} leaks events");
     }
 }

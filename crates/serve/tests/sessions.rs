@@ -9,7 +9,7 @@
 //!   `ReplicaLost`), later turns of a lost session shed at arrival, and
 //!   conservation still holds turn-for-turn.
 //! * **Driver independence** — session bookkeeping lives in the shared
-//!   handlers, so the calendar-queue driver reproduces the reference
+//!   handlers, so the step-tree driver reproduces the reference
 //!   scan (`cta_serve::reference`) bitwise, faults included.
 //! * **Sessions-off preservation** — a builder fleet without a session
 //!   policy is bitwise the pre-session fleet on ordinary traffic (the
@@ -46,8 +46,8 @@ fn fleet(replicas: usize, policy: SessionPolicy) -> FleetConfig {
 }
 
 /// Runs the same (config, trace) on the reference scan and the fleet
-/// driver and returns the pair with the event-only queue samples cleared
-/// for full comparison.
+/// driver and returns the pair with the driver-only pending-event
+/// samples cleared for full comparison.
 fn with_reference(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
     let step = reference::simulate_fleet(cfg, requests);
     let mut event = simulate_fleet(cfg, requests);

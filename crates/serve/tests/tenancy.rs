@@ -56,7 +56,7 @@ fn solo_service_s() -> f64 {
 }
 
 /// Runs the same (config, trace) on the reference scan and the fleet
-/// driver and returns the pair of reports with the event-only queue
+/// driver and returns the pair of reports with the driver-only
 /// samples cleared, ready for full `PartialEq` comparison.
 fn with_reference(cfg: &FleetConfig, requests: &[ServeRequest]) -> (FleetReport, FleetReport) {
     let step = reference::simulate_fleet(cfg, requests);

@@ -208,7 +208,11 @@ impl Json {
 const MAX_JSON_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Always on a `char` boundary of `text`: the parser steps over
+    /// ASCII bytes one at a time and over anything else a whole scalar
+    /// at a time.
     pos: usize,
     /// Arrays and objects enclosing the current position.
     depth: usize,
@@ -216,7 +220,7 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0, depth: 0 }
+        Self { text, bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn error(&self, message: &str) -> String {
@@ -303,15 +307,20 @@ impl<'a> Parser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
+                            // Exactly four hex digits: no sign, no
+                            // shorter run (`from_str_radix` would take
+                            // `+041`).
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.error("bad \\u"))?,
-                                16,
-                            )
-                            .map_err(|_| self.error("bad \\u escape"))?;
+                            if let Some(bad) = hex.iter().position(|h| !h.is_ascii_hexdigit()) {
+                                self.pos += 1 + bad;
+                                return Err(self.error("bad \\u escape: expected a hex digit"));
+                            }
+                            let code = hex.iter().fold(0u32, |acc, &h| {
+                                acc * 16 + char::from(h).to_digit(16).expect("hex digit")
+                            });
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
@@ -324,10 +333,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // Multi-byte UTF-8: copy the one scalar at `pos`.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("not on a UTF-8 boundary"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -617,6 +628,39 @@ mod tests {
         assert!(validate_chrome_trace("{not json").is_err());
         assert!(validate_chrome_trace("[]").is_err(), "array has no traceEvents key");
         assert!(validate_chrome_trace(r#"{"traceEvents":3}"#).is_err());
+    }
+
+    /// Parses one JSON string literal the way the validator does.
+    fn parse_string(literal: &str) -> Result<String, String> {
+        Parser::new(literal).parse_string()
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_in_linear_time() {
+        // One scalar decoded per step: a megabyte-scale run of 2-byte
+        // scalars parses as fast as ASCII would, not in quadratic time.
+        let text = "é".repeat(1_000_000);
+        assert_eq!(parse_string(&format!("\"{text}\"")).expect("parse"), text);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse_string(r#""éA""#).expect("parse"), "éA");
+        let err = parse_string(r#""\u+041""#).expect_err("a sign is not a hex digit");
+        assert_eq!(err, "JSON parse error at byte 3: bad \\u escape: expected a hex digit");
+        let err = parse_string(r#""\u00g0""#).expect_err("g is not a hex digit");
+        assert!(err.contains("at byte 5"), "{err}");
+        assert!(parse_string(r#""\u12""#).is_err(), "too few digits");
+        assert!(parse_string(r#""\u12"#).is_err(), "truncated");
+    }
+
+    #[test]
+    fn mixed_escapes_and_multibyte_text_round_trip() {
+        let literal = r#""a\"é\\b\/ü\né😀\t→→z""#;
+        assert_eq!(parse_string(literal).expect("parse"), "a\"é\\b/ü\né😀\t→→z");
+        // A document carrying the same text as an event name validates.
+        let doc = format!(r#"{{"traceEvents":[{{"ph":"M","name":{literal}}}]}}"#);
+        assert_eq!(validate_chrome_trace(&doc).expect("valid").metadata, 1);
     }
 
     #[test]

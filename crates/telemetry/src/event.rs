@@ -36,8 +36,8 @@ pub enum Module {
     /// A harness thread-pool worker lane: one task-execution interval per
     /// scheduled task, used by the `--pool-trace` occupancy export.
     Worker,
-    /// The event-core lane: sampled calendar-queue occupancy counters
-    /// from the event-driven fleet engine.
+    /// The event-core lane: sampled pending-event counters from the
+    /// fleet driver.
     Events,
     /// The tenancy lane: quota-shed markers, fair-queue backlog counters,
     /// and autoscaler decisions.

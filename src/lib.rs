@@ -15,8 +15,8 @@
 //! * [`sim`] — the cycle-level CTA accelerator model;
 //! * [`baselines`] — V100 GPU, ELSA and ideal-accelerator models;
 //! * [`workloads`] — synthetic transformer workloads and the model zoo;
-//! * [`events`] — calendar-queue event core and deterministic RNG behind
-//!   the event-driven fleet engine;
+//! * [`events`] — the seeded SplitMix64 generator and mix behind the
+//!   chaos engine and the fault model;
 //! * [`serve`] — the fleet serving runtime: continuous batching,
 //!   multi-replica routing, SLO-aware admission, fault injection and the
 //!   phi-accrual failure detector; plus the shared sweep harness
