@@ -17,21 +17,20 @@
 //! estimate downstream). Level 0 is always the undegraded baseline, so
 //! the pre-brownout entry points delegate to it unchanged.
 //!
-//! Every layer step looks its heads up here, so the lookup is kept
-//! cheap: the maps hash with an in-crate Fx-style multiply-rotate rather
-//! than SipHash. They are lookup-only — never iterated, so no hash order
-//! can reach a result — and their keys are shapes the program builds
-//! itself, so SipHash's flood resistance has nothing to defend. Pricing
-//! a request ([`CostModel::layer_times_s`]) leans on one more property:
-//! a layer step is a pure function of its head tasks, so a run of
-//! identical consecutive layers is priced once, with the same bits.
+//! Every layer step looks its heads up here, so the maps hash with the
+//! crate's Fx hasher (`crate::fx`) rather than SipHash. Pricing a request
+//! ([`CostModel::layer_times_s`]) leans on one more property: a layer
+//! step is a pure function of its head tasks, so a run of identical
+//! consecutive layers is priced once, with the same bits. The pricing
+//! also tabulates the request's remaining work at every cursor and marks
+//! which layers repeat the one before, so neither routing nor a
+//! replica's step memo ever re-derives them.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use cta_sim::{AttentionTask, CtaSystem, LayerStep, PhaseSplit, TaskCost};
 
+use crate::fx::FxHashMap;
 use crate::{ServeRequest, SessionTurn};
 
 /// A memo of per-task costs for one hardware configuration.
@@ -43,59 +42,86 @@ use crate::{ServeRequest, SessionTurn};
 /// runtime derives both from one [`BrownoutLadder`](crate::BrownoutLadder)).
 #[derive(Debug, Default, Clone)]
 pub struct CostModel {
-    cache: HashMap<(u8, AttentionTask), TaskCost, FxBuild>,
+    cache: FxHashMap<(u8, AttentionTask), TaskCost>,
     /// Per-(level, shape) phase splits, filled lazily and only when
     /// telemetry asks for them (the untraced hot path never touches this
     /// map).
-    phases: HashMap<(u8, AttentionTask), PhaseSplit, FxBuild>,
+    phases: FxHashMap<(u8, AttentionTask), PhaseSplit>,
     /// Decode-segment costs, keyed by the full decode shape: the
     /// steady-state prefix task plus the segment's token and re-cluster
     /// counts. Only session-tagged requests touch this map.
-    decode: HashMap<(AttentionTask, u32, u32), TaskCost, FxBuild>,
+    decode: FxHashMap<(AttentionTask, u32, u32), TaskCost>,
+    /// Working buffers kept across calls so pricing allocates only the
+    /// table it returns: one layer's head costs, and a request's layer
+    /// prices before they are copied into their shared allocation.
+    costs: Vec<TaskCost>,
+    prices: Vec<LayerPrice>,
 }
 
-/// The memo maps' hasher: an Fx-style multiply-rotate over machine words
-/// with fixed constants, so a key hashes the same way on every run (the
-/// module docs say why SipHash is not needed here).
-#[derive(Debug, Default, Clone, Copy)]
-struct FxHasher {
-    hash: u64,
+/// One cursor's entry of a [`LayerTimes`] table.
+#[derive(Debug, Clone, Copy)]
+struct LayerPrice {
+    /// Solo step time of the layer at this cursor (0 at the finished
+    /// cursor).
+    step_s: f64,
+    /// Remaining service from this cursor:
+    /// `remaining_from_layers_s(upload, steps, cursor)`.
+    remaining_s: f64,
+    /// Whether this layer's head tasks equal the previous layer's.
+    repeats: bool,
 }
 
-type FxBuild = BuildHasherDefault<FxHasher>;
+/// A request's admission pricing, in one shared allocation: every
+/// layer's solo step time and whether its head tasks repeat the previous
+/// layer's, plus the remaining work at every cursor `0..=layers`. Built
+/// once by [`CostModel::layer_times_s`] and carried by the request
+/// through queues, batch joins, crash evictions, retries and hedges.
+#[derive(Debug, Clone)]
+pub(crate) struct LayerTimes(Rc<[LayerPrice]>);
 
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(i as u64);
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.add(i as u64);
+impl LayerTimes {
+    /// A table over given step times, with no layer marked as repeating
+    /// (tests that steer outstanding work without pricing tasks).
+    #[cfg(test)]
+    pub fn from_steps(upload_s: f64, steps: &[f64]) -> Self {
+        let finished = LayerPrice { step_s: 0.0, remaining_s: 0.0, repeats: false };
+        let mut prices: Vec<LayerPrice> = steps
+            .iter()
+            .map(|&step_s| LayerPrice { step_s, ..finished })
+            .chain(std::iter::once(finished))
+            .collect();
+        fill_remaining(upload_s, &mut prices);
+        Self(prices.into())
     }
 
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
+    /// Number of layers priced.
+    #[cfg(test)]
+    pub fn layers(&self) -> usize {
+        self.0.len() - 1
     }
 
-    /// The product's well-mixed high bits rotated down to where the
-    /// table takes its bucket index.
-    fn finish(&self) -> u64 {
-        self.hash.rotate_left(26)
+    /// Solo step time of `layer`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer >= self.layers()`.
+    #[cfg(test)]
+    pub fn step_s(&self, layer: usize) -> f64 {
+        self.0[..self.layers()][layer].step_s
+    }
+
+    /// Remaining service of the request once its first `cursor` layers
+    /// have run: the weight upload (at `cursor == 0` only) plus the
+    /// remaining layers' step times summed in layer order.
+    pub fn remaining_s(&self, cursor: usize) -> f64 {
+        self.0[cursor].remaining_s
+    }
+
+    /// Whether `layer`'s head tasks equal layer `layer - 1`'s (false for
+    /// layer 0): a replica stepping every request of an unchanged batch
+    /// onto a repeating layer dispatches the same tasks again.
+    pub fn repeats(&self, layer: usize) -> bool {
+        self.0[layer].repeats
     }
 }
 
@@ -187,8 +213,7 @@ impl CostModel {
     ///
     /// Panics if `tasks` is empty.
     pub fn step_layer(&mut self, system: &CtaSystem, tasks: &[AttentionTask]) -> LayerStep {
-        let costs: Vec<TaskCost> = tasks.iter().map(|t| self.head(system, t)).collect();
-        system.step_layer_costed(tasks, &costs)
+        self.step_priced(system, tasks, |memo, t| memo.head(system, t))
     }
 
     /// [`step_layer`](Self::step_layer) priced as a decode segment: every
@@ -204,9 +229,25 @@ impl CostModel {
         tasks: &[AttentionTask],
         turn: &SessionTurn,
     ) -> LayerStep {
-        let costs: Vec<TaskCost> =
-            tasks.iter().map(|t| self.decode_head(system, t, turn)).collect();
-        system.step_layer_costed(tasks, &costs)
+        self.step_priced(system, tasks, |memo, t| memo.decode_head(system, t, turn))
+    }
+
+    /// One layer dispatch over `tasks`, each head costed by `price`, with
+    /// the costs gathered in the memo's kept buffer.
+    fn step_priced(
+        &mut self,
+        system: &CtaSystem,
+        tasks: &[AttentionTask],
+        mut price: impl FnMut(&mut Self, &AttentionTask) -> TaskCost,
+    ) -> LayerStep {
+        let mut costs = std::mem::take(&mut self.costs);
+        costs.clear();
+        for t in tasks {
+            costs.push(price(self, t));
+        }
+        let step = system.step_layer_costed(tasks, &costs);
+        self.costs = costs;
+        step
     }
 
     /// Seconds a replica needs to rebuild a session's compression state
@@ -224,12 +265,13 @@ impl CostModel {
     }
 
     /// Every layer's solo step time for `request` at the baseline
-    /// operating point, in layer order: a decode segment per layer for
-    /// session turns, a full prefill step otherwise. Every service
-    /// estimate derives from this one pricing branch; the runtime computes
-    /// it once at admission and carries it with the request, so later
-    /// remaining-work estimates re-sum these values
-    /// (`remaining_from_layers_s`) instead of re-pricing layers.
+    /// operating point, in layer order, with the remaining-work table and
+    /// the layers that repeat their predecessor ([`LayerTimes`]): a decode
+    /// segment per layer for session turns, a full prefill step otherwise.
+    /// Every service estimate derives from this one pricing branch; the
+    /// runtime computes it once at admission and carries it with the
+    /// request, so later remaining-work estimates read the table instead
+    /// of re-pricing layers.
     ///
     /// A layer step is a pure function of its head tasks (and of the
     /// turn, which is the same for every layer of a request), so a run of
@@ -238,20 +280,31 @@ impl CostModel {
     /// in-tree request source builds its layers that way; a request whose
     /// layers differ pays one slice comparison per layer on top of the
     /// pricing.
-    pub fn layer_times_s(&mut self, system: &CtaSystem, request: &ServeRequest) -> Rc<[f64]> {
+    pub(crate) fn layer_times_s(
+        &mut self,
+        system: &CtaSystem,
+        request: &ServeRequest,
+    ) -> LayerTimes {
         let layers = &request.layer_tasks;
+        let mut prices = std::mem::take(&mut self.prices);
+        prices.clear();
         let mut run_s = 0.0;
-        (0..layers.len())
-            .map(|l| {
-                if l == 0 || layers[l] != layers[l - 1] {
-                    run_s = match &request.session {
-                        Some(turn) => self.step_layer_decode(system, &layers[l], turn).elapsed_s,
-                        None => self.step_layer(system, &layers[l]).elapsed_s,
-                    };
-                }
-                run_s
-            })
-            .collect()
+        for (l, tasks) in layers.iter().enumerate() {
+            let repeats = l > 0 && *tasks == layers[l - 1];
+            if !repeats {
+                run_s = match &request.session {
+                    Some(turn) => self.step_layer_decode(system, tasks, turn).elapsed_s,
+                    None => self.step_layer(system, tasks).elapsed_s,
+                };
+            }
+            prices.push(LayerPrice { step_s: run_s, remaining_s: 0.0, repeats });
+        }
+        // The finished cursor.
+        prices.push(LayerPrice { step_s: 0.0, remaining_s: 0.0, repeats: false });
+        fill_remaining(system.weight_upload_s(), &mut prices);
+        let times = LayerTimes(Rc::from(prices.as_slice()));
+        self.prices = prices;
+        times
     }
 
     /// Estimated *solo* service time of a request on an idle replica at
@@ -274,17 +327,47 @@ impl CostModel {
         request: &ServeRequest,
         cursor: usize,
     ) -> f64 {
-        let layer_s = self.layer_times_s(system, request);
-        remaining_from_layers_s(system.weight_upload_s(), &layer_s, cursor)
+        self.layer_times_s(system, request).remaining_s(cursor)
+    }
+}
+
+/// Fills every entry's `remaining_s` (the last entry is the finished
+/// cursor) with the remaining service from that cursor: `upload_s`
+/// (charged only at cursor 0) plus the remaining layers' step times as a
+/// left fold in layer order — the bits of
+/// `upload + steps[cursor..].iter().sum::<f64>()`.
+///
+/// A left fold over k bit-equal values gives the same bits wherever it
+/// starts, so over the trailing run of bit-equal step times (every layer
+/// of a uniform request) the suffix sums are one running fold, O(layers)
+/// for the whole table. Cursors before that run fold their own suffix.
+fn fill_remaining(upload_s: f64, prices: &mut [LayerPrice]) {
+    let n = prices.len() - 1;
+    let tail_bits = n.checked_sub(1).map(|l| prices[l].step_s.to_bits());
+    // An empty suffix sums to the fold's start value.
+    let mut suffix: f64 = std::iter::empty::<f64>().sum();
+    let mut in_tail = true;
+    for c in (0..=n).rev() {
+        let sum = if c == n {
+            suffix
+        } else if in_tail && Some(prices[c].step_s.to_bits()) == tail_bits {
+            suffix += prices[c].step_s;
+            suffix
+        } else {
+            in_tail = false;
+            prices[c..n].iter().map(|p| p.step_s).sum()
+        };
+        let upload = if c == 0 { upload_s } else { 0.0 };
+        prices[c].remaining_s = upload + sum;
     }
 }
 
 /// Remaining service of a request with per-layer step times `layer_s`
 /// whose first `cursor` layers have been dispatched: `upload_s` (charged
 /// only at `cursor == 0`) plus the remaining layers, summed in layer
-/// order. The one remaining-work formula: [`CostModel::remaining_service_s`]
-/// applies it to freshly priced layers, the runtime to the times a request
-/// carries, so both give the same bits.
+/// order. The definition [`LayerTimes::remaining_s`] tabulates; the
+/// tests pin the table against it bit for bit.
+#[cfg(test)]
 pub(crate) fn remaining_from_layers_s(upload_s: f64, layer_s: &[f64], cursor: usize) -> f64 {
     let upload = if cursor == 0 { upload_s } else { 0.0 };
     upload + layer_s[cursor..].iter().sum::<f64>()
@@ -473,7 +556,8 @@ mod tests {
                 request = request.with_session(turn);
             }
             let times = CostModel::new().layer_times_s(&sys, &request);
-            prop_assert_eq!(times.len(), layers);
+            prop_assert_eq!(times.layers(), layers);
+            let mut steps = Vec::with_capacity(layers);
             for (l, tasks) in request.layer_tasks.iter().enumerate() {
                 let step = if decode == 1 {
                     let costs: Vec<TaskCost> =
@@ -482,7 +566,17 @@ mod tests {
                 } else {
                     sys.step_layer(tasks)
                 };
-                prop_assert_eq!(times[l].to_bits(), step.elapsed_s.to_bits(), "layer {}", l);
+                prop_assert_eq!(times.step_s(l).to_bits(), step.elapsed_s.to_bits(), "layer {}", l);
+                let repeats = l > 0 && *tasks == request.layer_tasks[l - 1];
+                prop_assert_eq!(times.repeats(l), repeats, "layer {}", l);
+                steps.push(step.elapsed_s);
+            }
+            // The remaining-work table equals the per-cursor fold at every
+            // cursor, the finished one included.
+            let upload = sys.weight_upload_s();
+            for c in 0..=layers {
+                let want = remaining_from_layers_s(upload, &steps, c);
+                prop_assert_eq!(times.remaining_s(c).to_bits(), want.to_bits(), "cursor {}", c);
             }
         }
     }

@@ -384,7 +384,10 @@ mod tests {
         replicas[0].enqueue(crate::replica::Pending::fresh(
             &requests[0],
             0.1,
-            vec![0.05; 2].into(),
+            crate::cost::LayerTimes::from_steps(
+                cta_sim::CtaSystem::new(cta_sim::SystemConfig::paper()).weight_upload_s(),
+                &[0.05; 2],
+            ),
         ));
         let mut sink = NullSink;
         let mask = bank.mask(&replicas, 100.0, &mut sink);

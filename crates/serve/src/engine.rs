@@ -20,18 +20,16 @@
 //! timeline index / arrival index / request id / request id / replica
 //! index.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::rc::Rc;
-
 use cta_sim::CtaSystem;
 use cta_telemetry::{Module, SpanClass, TraceSink, TrackId};
 use cta_tenancy::{
     Autoscaler, Backpressure, FairQueue, ScaleEvent, TenancyStats, TenantOutcome, TokenBucket,
 };
 
-use crate::cost::remaining_from_layers_s;
+use crate::cost::LayerTimes;
 use crate::detector::DetectorBank;
 use crate::fault::{FaultEvent, FaultKind};
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::overload::{BreakerEvent, BreakerState, CircuitBreaker, Transition};
 use crate::replica::{Completion, Pending, Replica};
 use crate::runtime::{FleetConfig, FleetReport, Shed};
@@ -63,8 +61,8 @@ struct RetryEntry<'a> {
     /// Layer to resume from.
     cursor: usize,
     request: &'a ServeRequest,
-    /// Per-layer solo step times priced at admission.
-    layer_s: Rc<[f64]>,
+    /// Per-layer prices computed at admission.
+    layer_s: LayerTimes,
 }
 
 /// Inserts keeping (retry_s asc, id asc) order.
@@ -91,8 +89,8 @@ struct HedgeEntry<'a> {
     request: &'a ServeRequest,
     /// Solo service estimate cached at admission.
     est_service_s: f64,
-    /// Per-layer solo step times priced at admission.
-    layer_s: Rc<[f64]>,
+    /// Per-layer prices computed at admission.
+    layer_s: LayerTimes,
 }
 
 /// Inserts keeping (fire_s asc, id asc) order.
@@ -204,7 +202,7 @@ struct EngineState<'a> {
     hedges: Vec<HedgeEntry<'a>>,
     /// Hedged requests with two live copies: id → primary replica at
     /// hedge-dispatch time (lookup only, never iterated — determinism).
-    hedged_live: HashMap<u64, usize>,
+    hedged_live: FxHashMap<u64, usize>,
     lat_window: Vec<f64>,
     lat_next: usize,
     hedged: usize,
@@ -230,12 +228,13 @@ struct EngineState<'a> {
     /// the goldens).
     session_on: bool,
     /// Session residency: session id → replica holding its compression
-    /// state. `BTreeMap` so any iteration is deterministic.
-    sessions: BTreeMap<u64, usize>,
+    /// state. Lookup-only (never iterated), so hash order cannot reach a
+    /// result.
+    sessions: FxHashMap<u64, usize>,
     /// Sessions with a shed turn: the state can never advance past the
     /// hole, so every later turn sheds [`ShedReason::SessionLost`] at
     /// arrival.
-    lost_sessions: BTreeSet<u64>,
+    lost_sessions: FxHashSet<u64>,
     /// Re-prefill events charged to turns past the first (crash
     /// evictions and non-sticky replica moves).
     re_prefills: usize,
@@ -317,7 +316,7 @@ impl<'a> EngineState<'a> {
             controllers,
             breakers,
             hedges: Vec::new(),
-            hedged_live: HashMap::new(),
+            hedged_live: FxHashMap::default(),
             lat_window: Vec::new(),
             lat_next: 0,
             hedged: 0,
@@ -329,8 +328,8 @@ impl<'a> EngineState<'a> {
             tenancy,
             detector,
             session_on: cfg.sessions.is_some(),
-            sessions: BTreeMap::new(),
-            lost_sessions: BTreeSet::new(),
+            sessions: FxHashMap::default(),
+            lost_sessions: FxHashSet::default(),
             re_prefills: 0,
             session_turns_shed: 0,
         }
@@ -519,8 +518,8 @@ impl<'a> EngineState<'a> {
                 if cfg.admission.enforce_deadlines {
                     if let Some(d) = p.request.class.deadline_s {
                         let upload_s = self.system.weight_upload_s();
-                        let mut remaining = remaining_from_layers_s(upload_s, &p.layer_s, cursor)
-                            + if cursor > 0 { upload_s } else { 0.0 };
+                        let mut remaining =
+                            p.layer_s.remaining_s(cursor) + if cursor > 0 { upload_s } else { 0.0 };
                         if p.request.session.is_some() {
                             remaining += self.cost.session_prefill_s(&self.system, p.request);
                         }
@@ -633,11 +632,12 @@ impl<'a> EngineState<'a> {
             self.note_session_shed(request);
             return Dispatch::Shed;
         };
-        // Price every layer once; the solo estimate is their sum (the
-        // same bits as `CostModel::request_service_s`), and the times ride
-        // the queued entry so routing never re-prices this request.
+        // Price every layer once; the solo estimate is the table's first
+        // entry (the same bits as `CostModel::request_service_s`), and the
+        // table rides the queued entry so routing never re-prices this
+        // request.
         let layer_s = self.cost.layer_times_s(&self.system, request);
-        let mut est_service_s = remaining_from_layers_s(self.system.weight_upload_s(), &layer_s, 0);
+        let mut est_service_s = layer_s.remaining_s(0);
         // A turn landing anywhere but its resident replica (including
         // every session's first turn) rebuilds the prefix state before it
         // can decode; the debt rides both the admission estimate and the
@@ -908,9 +908,8 @@ impl<'a> EngineState<'a> {
                 // estimate that charges the fresh weight upload its resume
                 // will pay.
                 let upload_s = self.system.weight_upload_s();
-                let mut est_service_s =
-                    remaining_from_layers_s(upload_s, &entry.layer_s, entry.cursor)
-                        + if entry.cursor > 0 { upload_s } else { 0.0 };
+                let mut est_service_s = entry.layer_s.remaining_s(entry.cursor)
+                    + if entry.cursor > 0 { upload_s } else { 0.0 };
                 // A crash-evicted session turn re-prefills on its new
                 // replica (its residency died with the crashed one).
                 let mut re_prefill_s = 0.0;
@@ -1280,7 +1279,7 @@ impl<'a> EngineState<'a> {
         }
         metrics.detector = self.detector.as_ref().map(|d| d.stats(&self.cfg.faults));
         if self.cfg.sessions.is_some() {
-            let mut ids: BTreeSet<u64> = BTreeSet::new();
+            let mut ids: FxHashSet<u64> = FxHashSet::default();
             for r in self.requests {
                 if let Some(t) = &r.session {
                     ids.insert(t.session);
@@ -1471,7 +1470,7 @@ mod tests {
 
     /// Arms one retry backoff and one hedge timer for `request` at `t`.
     fn arm<'a>(state: &mut EngineState<'a>, request: &'a ServeRequest, t: f64) {
-        let layer_s: Rc<[f64]> = vec![1e-3; 2].into();
+        let layer_s = state.cost.layer_times_s(&state.system, request);
         let retry =
             RetryEntry { retry_s: t, attempt: 1, cursor: 0, request, layer_s: layer_s.clone() };
         push_retry(&mut state.retries, retry);

@@ -310,9 +310,10 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `replicas == 0` or any of `horizon_s`, `mtbf_s`,
-    /// `mttr_s` is not positive and finite. [`Self::try_seeded`] reports
-    /// the same conditions as typed errors.
+    /// Panics if `replicas == 0`, any of `horizon_s`, `mtbf_s`, `mttr_s`
+    /// is not positive and finite, or the drawn schedule fails
+    /// validation. [`Self::try_seeded`] reports the same conditions as
+    /// typed errors.
     pub fn seeded(replicas: usize, horizon_s: f64, mtbf_s: f64, mttr_s: f64, seed: u64) -> Self {
         match Self::try_seeded(replicas, horizon_s, mtbf_s, mttr_s, seed) {
             Ok(plan) => plan,
@@ -320,9 +321,11 @@ impl FaultPlan {
         }
     }
 
-    /// Fallible form of [`Self::seeded`]: rejects an empty fleet and
-    /// non-positive / non-finite horizon, MTBF or MTTR with a typed
-    /// [`FaultPlanError`] instead of panicking.
+    /// Fallible form of [`Self::seeded`]: rejects an empty fleet,
+    /// non-positive / non-finite horizon, MTBF or MTTR, and a drawn
+    /// schedule that fails [`Self::try_validate`] (an MTTR below the
+    /// resolution of the drawn times, whose recoveries round onto their
+    /// crashes) with a typed [`FaultPlanError`] instead of panicking.
     pub fn try_seeded(
         replicas: usize,
         horizon_s: f64,
@@ -356,7 +359,13 @@ impl FaultPlan {
                 crashes.push(CrashWindow { replica, down_s, up_s: Some(t) });
             }
         }
-        Ok(Self { crashes, ..Self::none() })
+        // An MTTR below the resolution of the drawn times rounds a
+        // recovery onto its crash instant, and one near `f64::MAX`
+        // overflows it to infinity: such a draw is rejected like any
+        // malformed plan rather than handed to the fleet.
+        let plan = Self { crashes, ..Self::none() };
+        plan.try_validate(replicas)?;
+        Ok(plan)
     }
 
     /// Checks the plan against a fleet of `replicas`: indices in range,
@@ -715,6 +724,8 @@ fn exp_sample(rng: &mut StdRng, mean_s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
 
     #[test]
     fn none_is_empty_and_validates() {
@@ -1098,5 +1109,121 @@ mod tests {
         assert!(w.contains(&(1, 2.0, 3.0)));
         assert!(w.contains(&(0, 4.0, 5.0)));
         assert!(w.contains(&(1, 6.0, 7.0)));
+    }
+
+    /// A time, factor or schedule parameter at or past an edge: NaN,
+    /// ±∞, negative and signed zero, the extremes of `f64`, or (one
+    /// time in five) an ordinary value.
+    fn wild(rng: &mut StdRng) -> f64 {
+        const EDGES: [f64; 8] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        match rng.gen_range(0..10usize) {
+            i @ 0..=7 => EDGES[i],
+            _ => rng.gen_range(0.1..100.0),
+        }
+    }
+
+    /// A replica index or fleet size: a small one, or (one time in
+    /// three) one no fleet could hold, up to 2^62.
+    fn wild_replica(rng: &mut StdRng) -> usize {
+        if rng.gen_range(0..3u32) == 0 {
+            rng.gen_range((1usize << 40)..=(1usize << 62))
+        } else {
+            rng.gen_range(0..4usize)
+        }
+    }
+
+    /// A plan with up to three windows of every class, each field drawn
+    /// from [`wild`] / [`wild_replica`], unsorted and overlapping as
+    /// drawn.
+    fn wild_plan(rng: &mut StdRng) -> FaultPlan {
+        let up = |rng: &mut StdRng| if rng.gen::<bool>() { Some(wild(rng)) } else { None };
+        let n = |rng: &mut StdRng| rng.gen_range(0..4usize);
+        let mut plan = FaultPlan::none();
+        for _ in 0..n(rng) {
+            let (replica, down_s, up_s) = (wild_replica(rng), wild(rng), up(rng));
+            plan.crashes.push(CrashWindow { replica, down_s, up_s });
+        }
+        plan.zones = (0..rng.gen_range(0..5usize)).map(|_| rng.gen_range(0..3usize)).collect();
+        for _ in 0..n(rng) {
+            let (zone, down_s, up_s) = (rng.gen_range(0..4usize), wild(rng), up(rng));
+            plan.zone_outages.push(ZoneOutage { zone, down_s, up_s });
+        }
+        for _ in 0..n(rng) {
+            let (replica, from_s, until_s) = (wild_replica(rng), wild(rng), wild(rng));
+            plan.partitions.push(Partition { replica, from_s, until_s });
+        }
+        for _ in 0..n(rng) {
+            let (replica, from_s, until_s) = (wild_replica(rng), wild(rng), wild(rng));
+            let (severity, seed) = (wild(rng), rng.gen::<u64>());
+            plan.gray.push(GrayFailure { replica, from_s, until_s, severity, seed });
+        }
+        for _ in 0..n(rng) {
+            let (replica, from_s, until_s) = (wild_replica(rng), wild(rng), wild(rng));
+            let factor = wild(rng);
+            plan.slowdowns.push(Slowdown { replica, from_s, until_s, factor });
+        }
+        for _ in 0..n(rng) {
+            let (replica, from_s, until_s) = (wild_replica(rng), wild(rng), wild(rng));
+            let factor = wild(rng);
+            plan.link_stalls.push(LinkStall { replica, from_s, until_s, factor });
+        }
+        plan
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// A malformed plan is an `Err`, never a panic, at any fleet
+        /// size; a plan that validates also flattens to a sorted timeline
+        /// without panicking.
+        #[test]
+        fn malformed_fault_plans_return_err_and_never_panic(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let plan = wild_plan(&mut rng);
+            let replicas = wild_replica(&mut rng);
+            if plan.try_validate(replicas).is_ok() {
+                let timeline = plan.timeline();
+                prop_assert!(timeline.windows(2).all(|w| w[0].t_s <= w[1].t_s));
+            }
+        }
+
+        /// Schedule parameters at every edge are an `Err`, never a panic,
+        /// at any fleet size; a drawn schedule passes the plan's own
+        /// validation.
+        #[test]
+        fn malformed_seeded_schedules_return_err_and_never_panic(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let replicas = wild_replica(&mut rng);
+            let (horizon_s, mtbf_s, mttr_s) = (wild(&mut rng), wild(&mut rng), wild(&mut rng));
+            let valid = |x: f64| x > 0.0 && x.is_finite();
+            let params_ok = valid(horizon_s) && valid(mtbf_s) && valid(mttr_s);
+            // `try_seeded` draws every window a valid request asks for,
+            // with no size bound, so only valid schedules that fit a test
+            // are drawn.
+            let fits = replicas as f64 * (horizon_s / mtbf_s + 1.0) <= 1e5;
+            if !params_ok || replicas == 0 || fits {
+                match FaultPlan::try_seeded(replicas, horizon_s, mtbf_s, mttr_s, seed) {
+                    Ok(plan) => {
+                        prop_assert!(params_ok && replicas > 0);
+                        prop_assert_eq!(plan.try_validate(replicas), Ok(()));
+                    }
+                    // An MTTR below the resolution of the drawn times
+                    // rounds a recovery onto its crash.
+                    Err(FaultPlanError::RecoveryBeforeCrash { .. }) => {
+                        prop_assert!(params_ok && replicas > 0)
+                    }
+                    Err(_) => prop_assert!(!params_ok || replicas == 0),
+                }
+            }
+        }
     }
 }

@@ -68,6 +68,7 @@ mod cost;
 mod detector;
 mod engine;
 mod fault;
+mod fx;
 pub mod harness;
 mod loadgen;
 mod metrics;

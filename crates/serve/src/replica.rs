@@ -13,13 +13,19 @@
 //! retirement buffers across steps, finished requests move out of the
 //! active set instead of being cloned, and the LPT schedule runs on
 //! stack arrays inside `cta-sim`.
+//!
+//! Every layer of a model has the same head shapes, so most steps
+//! dispatch exactly the batch the step before did. The replica keeps its
+//! last priced [`LayerStep`] and reuses it while the batch is unchanged:
+//! nobody joined at this boundary or retired at the last, the brownout
+//! level held, and every active request's layer repeats its previous one
+//! ([`LayerTimes::repeats`]). Debug builds price every reused step again
+//! and assert the same bits.
 
-use std::rc::Rc;
-
-use cta_sim::{AttentionTask, CtaSystem, TaskCost};
+use cta_sim::{AttentionTask, CtaSystem, LayerStep, TaskCost};
 use cta_telemetry::{Module, SpanClass, TraceSink, TrackId};
 
-use crate::cost::remaining_from_layers_s;
+use crate::cost::LayerTimes;
 use crate::{CostModel, FaultPlan, ServeRequest, SessionTurn};
 
 /// Continuous-batching configuration.
@@ -54,10 +60,10 @@ pub(crate) struct Pending<'a> {
     pub request: &'a ServeRequest,
     /// Solo service estimate, cached at admission for routing decisions.
     pub est_service_s: f64,
-    /// Per-layer solo step times ([`CostModel::layer_times_s`]), priced
-    /// once at admission and carried through batch joins and crash
-    /// evictions so remaining-work estimates never re-price a layer.
-    pub layer_s: Rc<[f64]>,
+    /// Per-layer prices ([`CostModel::layer_times_s`]), computed once at
+    /// admission and carried through batch joins and crash evictions so
+    /// remaining-work estimates never re-price a layer.
+    pub layer_s: LayerTimes,
     /// Layer to resume from when the request joins a batch: `0` for fresh
     /// arrivals, the last completed layer for crash-evicted requeues
     /// (steps are atomic and the host retains per-layer activations, so
@@ -74,7 +80,7 @@ pub(crate) struct Pending<'a> {
 
 impl<'a> Pending<'a> {
     /// A freshly admitted request (no crash history, no re-prefill debt).
-    pub fn fresh(request: &'a ServeRequest, est_service_s: f64, layer_s: Rc<[f64]>) -> Self {
+    pub fn fresh(request: &'a ServeRequest, est_service_s: f64, layer_s: LayerTimes) -> Self {
         Self { request, est_service_s, layer_s, resume_cursor: 0, attempt: 0, re_prefill_s: 0.0 }
     }
 }
@@ -84,8 +90,8 @@ impl<'a> Pending<'a> {
 pub(crate) struct Active<'a> {
     pub request: &'a ServeRequest,
     pub cursor: usize,
-    /// Per-layer solo step times, carried from the [`Pending`] entry.
-    pub layer_s: Rc<[f64]>,
+    /// Per-layer prices, carried from the [`Pending`] entry.
+    pub layer_s: LayerTimes,
     /// When the request joined the active set (telemetry: end of its
     /// queued interval, start of its serving interval).
     pub joined_s: f64,
@@ -204,6 +210,11 @@ pub(crate) struct Replica<'a> {
     merged: Vec<AttentionTask>,
     costs: Vec<TaskCost>,
     retired: Vec<Active<'a>>,
+    /// The last priced step, valid while the batch is unchanged: cleared
+    /// by every join, retirement, active-copy cancellation, crash and
+    /// level change. While it is set, `merged` and `costs` still hold the
+    /// tasks it priced.
+    last_step: Option<LayerStep>,
 }
 
 impl<'a> Replica<'a> {
@@ -233,6 +244,7 @@ impl<'a> Replica<'a> {
             merged: Vec::new(),
             costs: Vec::new(),
             retired: Vec::new(),
+            last_step: None,
         }
     }
 
@@ -240,6 +252,7 @@ impl<'a> Replica<'a> {
     /// action; does not touch in-flight work — the next layer step
     /// dispatches at the new operating point).
     pub fn set_level(&mut self, ladder: &crate::BrownoutLadder, level: usize) {
+        self.last_step = None;
         let point = ladder.level(level);
         self.level = level as u8;
         self.level_scale = point.budget_scale;
@@ -254,7 +267,11 @@ impl<'a> Replica<'a> {
     pub fn cancel_request(&mut self, id: u64) -> usize {
         let before = self.queue.len() + self.active.len();
         self.queue.retain(|p| p.request.id != id);
+        let active_before = self.active.len();
         self.active.retain(|a| a.request.id != id);
+        if self.active.len() != active_before {
+            self.last_step = None;
+        }
         let removed = before - (self.queue.len() + self.active.len());
         if removed > 0 {
             self.queued_work_s = None;
@@ -311,15 +328,12 @@ impl<'a> Replica<'a> {
     /// [`crash`](Self::crash) and [`cancel_request`](Self::cancel_request);
     /// the queued term by those plus [`enqueue`](Self::enqueue); the held
     /// term by the resident-session methods. Routing therefore costs
-    /// O(1) per untouched replica.
+    /// O(1) per untouched replica, and the active term one table read
+    /// ([`LayerTimes::remaining_s`]) per active request of a stepped one.
     pub fn outstanding_s(&mut self, now: f64) -> f64 {
         let committed = (self.clock - now).max(0.0);
-        let upload_s = self.system.weight_upload_s();
         let active = *self.active_work_s.get_or_insert_with(|| {
-            self.active
-                .iter()
-                .map(|a| remaining_from_layers_s(upload_s, &a.layer_s, a.cursor))
-                .sum()
+            self.active.iter().map(|a| a.layer_s.remaining_s(a.cursor)).sum()
         });
         let queued = *self
             .queued_work_s
@@ -362,6 +376,7 @@ impl<'a> Replica<'a> {
     pub fn crash(&mut self, t: f64) -> Vec<Pending<'a>> {
         self.up = false;
         self.down_since = t;
+        self.last_step = None;
         self.active_work_s = None;
         self.queued_work_s = None;
         let mut orphans: Vec<Pending<'a>> = self
@@ -449,10 +464,12 @@ impl<'a> Replica<'a> {
         // active set at this layer boundary, in queue (priority) order.
         let mut upload_s = 0.0;
         let mut re_prefill_s = 0.0;
+        let mut joined = false;
         let mut i = 0;
         while self.active.len() < batch.max_active_requests && i < self.queue.len() {
             if self.queue[i].request.arrival_s <= t0 {
                 let p = self.queue.remove(i);
+                joined = true;
                 // Each joining request pays its one-time weight upload
                 // before its first layer can run.
                 upload_s += self.system.weight_upload_s();
@@ -494,35 +511,24 @@ impl<'a> Replica<'a> {
             sink.counter(runtime, "active_requests", t0, self.active.len() as f64);
         }
 
-        // Merge every active request's current layer into one dispatch,
-        // degraded to the replica's brownout operating point when the
-        // controller has moved it off baseline. The `degraded` guard keeps
-        // the baseline path's float arithmetic bit-for-bit the
-        // pre-brownout expression (memo keys changed shape, values did
-        // not).
-        let degraded = self.level != 0;
-        self.merged.clear();
-        self.costs.clear();
-        for a in &self.active {
-            // Session turns price each layer as a decode segment (per-
-            // token incremental compression at the resident prefix)
-            // instead of a full prefill. Decode segments run at the
-            // nominal operating point — brownout shrinks the *prefill*
-            // cluster budget, which decode inherits through its prefix.
-            let turn = a.request.session;
-            for t in &a.request.layer_tasks[a.cursor] {
-                if degraded {
-                    self.merged.push(t.with_budget_scale(self.level_scale));
-                } else {
-                    self.merged.push(*t);
+        // An unchanged batch dispatches the tasks the last step priced
+        // (still in `merged`), so its step is reused; anything else is
+        // merged and priced afresh.
+        let step = match self.last_step {
+            Some(step) if !joined && self.active.iter().all(|a| a.layer_s.repeats(a.cursor)) => {
+                if cfg!(debug_assertions) {
+                    let fresh = self.price_step(cost);
+                    assert_same_step(&step, &fresh);
                 }
-                self.costs.push(match &turn {
-                    Some(st) => cost.decode_head(&self.system, t, st),
-                    None => cost.head_at(&self.system, self.level, self.level_scale, t),
-                });
+                step
             }
-        }
-        let step = self.system.step_layer_costed(&self.merged, &self.costs);
+            _ => {
+                let step = self.price_step(cost);
+                self.last_step = Some(step);
+                step
+            }
+        };
+        let degraded = self.level != 0;
         // Transient slowdown: steps starting inside a window stretch by
         // the plan's factor. Guarded so the healthy path's float
         // arithmetic is bit-for-bit the pre-fault expression.
@@ -581,6 +587,9 @@ impl<'a> Replica<'a> {
         // deterministic order at equal finish time: by id.
         self.retired
             .extend(self.active.extract_if(.., |a| a.request.remaining_layers(a.cursor) == 0));
+        if !self.retired.is_empty() {
+            self.last_step = None;
+        }
         self.retired.sort_by_key(|a| a.request.id);
         for a in self.retired.drain(..) {
             let latency = finish - a.request.arrival_s;
@@ -605,6 +614,38 @@ impl<'a> Replica<'a> {
         t0
     }
 
+    /// Merges every active request's current layer into one dispatch in
+    /// `merged`/`costs` and prices it, degraded to the replica's brownout
+    /// operating point when the controller has moved it off baseline. The
+    /// `degraded` guard keeps the baseline path's float arithmetic
+    /// bit-for-bit the pre-brownout expression (memo keys changed shape,
+    /// values did not).
+    fn price_step(&mut self, cost: &mut CostModel) -> LayerStep {
+        let degraded = self.level != 0;
+        self.merged.clear();
+        self.costs.clear();
+        for a in &self.active {
+            // Session turns price each layer as a decode segment (per-
+            // token incremental compression at the resident prefix)
+            // instead of a full prefill. Decode segments run at the
+            // nominal operating point — brownout shrinks the *prefill*
+            // cluster budget, which decode inherits through its prefix.
+            let turn = a.request.session;
+            for t in &a.request.layer_tasks[a.cursor] {
+                if degraded {
+                    self.merged.push(t.with_budget_scale(self.level_scale));
+                } else {
+                    self.merged.push(*t);
+                }
+                self.costs.push(match &turn {
+                    Some(st) => cost.decode_head(&self.system, t, st),
+                    None => cost.head_at(&self.system, self.level, self.level_scale, t),
+                });
+            }
+        }
+        self.system.step_layer_costed(&self.merged, &self.costs)
+    }
+
     /// Emits the telemetry layout of one executed layer step: host-link
     /// upload/transfer spans, SA phase spans (compression → linear →
     /// attention, with the PAG-stall tail flagged as a bubble), and
@@ -619,7 +660,7 @@ impl<'a> Replica<'a> {
         cost: &mut CostModel,
         timing: StepTiming,
         merged: &[AttentionTask],
-        step: &cta_sim::LayerStep,
+        step: &LayerStep,
     ) {
         let StepTiming { t0, upload_s, re_prefill_s } = timing;
         let replica = self.index as u32;
@@ -686,9 +727,19 @@ impl<'a> Replica<'a> {
     }
 }
 
+/// Asserts a reused step equals the same step priced afresh, bit for
+/// bit on every field.
+fn assert_same_step(reused: &LayerStep, fresh: &LayerStep) {
+    let bits = |s: &LayerStep| {
+        [s.critical_s, s.busy_s, s.transfer_s, s.energy_j, s.elapsed_s].map(f64::to_bits)
+    };
+    assert_eq!(bits(reused), bits(fresh), "reused layer step {reused:?} != fresh {fresh:?}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::remaining_from_layers_s;
     use crate::QosClass;
     use cta_sim::{AttentionTask, SystemConfig};
 
@@ -706,18 +757,14 @@ mod tests {
         Box::leak(Box::new(request))
     }
 
-    /// Placeholder per-layer times for tests that never read the
-    /// outstanding-work estimate.
-    fn priced(layers: usize) -> Rc<[f64]> {
-        vec![0.0; layers].into()
+    /// `request`'s layer prices on the paper system.
+    fn priced(request: &ServeRequest) -> LayerTimes {
+        CostModel::new().layer_times_s(&CtaSystem::new(SystemConfig::paper()), request)
     }
 
     fn pending(id: u64, arrival: f64, class: QosClass) -> Pending<'static> {
-        Pending::fresh(
-            leak(ServeRequest::uniform(id, arrival, class, task(), 2, 4)),
-            0.0,
-            priced(2),
-        )
+        let request = leak(ServeRequest::uniform(id, arrival, class, task(), 2, 4));
+        Pending::fresh(request, 0.0, priced(request))
     }
 
     #[test]
@@ -834,7 +881,7 @@ mod tests {
             let mut r = replica();
             let mut cost = CostModel::new();
             for request in &requests {
-                r.enqueue(Pending::fresh(request, 0.0, priced(2)));
+                r.enqueue(Pending::fresh(request, 0.0, priced(request)));
             }
             let mut done = Vec::new();
             let faults = FaultPlan::none();
@@ -848,13 +895,143 @@ mod tests {
         assert!(batched < fifo, "batched {batched} vs fifo {fifo}");
     }
 
-    /// The uncached estimate: every active request's remaining service
-    /// re-priced through [`CostModel::remaining_service_s`], every queued
-    /// estimate and every resident hold re-summed.
+    fn other_task() -> AttentionTask {
+        AttentionTask::from_counts(16, 512, 64, 8, 180, 40, 6)
+    }
+
+    /// The step `tasks` price to at the baseline, from scratch.
+    fn fresh_step(tasks: &[AttentionTask]) -> LayerStep {
+        CtaSystem::new(SystemConfig::paper()).step_layer(tasks)
+    }
+
+    /// One step with batches of up to four and no faults.
+    fn step(r: &mut Replica<'_>, cost: &mut CostModel, done: &mut Vec<Completion>) {
+        let (batch, faults) = (BatchPolicy::up_to(4), FaultPlan::none());
+        r.execute_step(&batch, &faults, cost, done, &mut cta_telemetry::NullSink);
+    }
+
+    /// A fresh one-head request over `layers`, arriving at `arrival`.
+    fn one_head(id: u64, arrival: f64, layers: Vec<AttentionTask>) -> Pending<'static> {
+        let layer_tasks = layers.into_iter().map(|t| vec![t]).collect();
+        let request = leak(ServeRequest::new(id, arrival, QosClass::standard(), layer_tasks));
+        Pending::fresh(request, 0.0, priced(request))
+    }
+
+    #[test]
+    fn step_memo_reprices_when_a_request_joins() {
+        let (mut r, mut cost, mut done) = (replica(), CostModel::new(), Vec::new());
+        r.enqueue(one_head(0, 0.0, vec![task(); 4]));
+        step(&mut r, &mut cost, &mut done);
+        assert_eq!(r.last_step, Some(fresh_step(&[task()])));
+        // A crash-evicted requeue resumes at a repeating layer, the same
+        // shape the runner steps next, yet the batch doubled: the step
+        // must be priced again.
+        let mut requeue = one_head(1, 0.0, vec![task(); 4]);
+        requeue.resume_cursor = 1;
+        r.enqueue(requeue);
+        step(&mut r, &mut cost, &mut done);
+        assert_eq!(r.last_step, Some(fresh_step(&[task(), task()])));
+        step(&mut r, &mut cost, &mut done);
+        assert_eq!(r.last_step, Some(fresh_step(&[task(), task()])), "unchanged batch");
+    }
+
+    #[test]
+    fn step_memo_reprices_after_a_retirement() {
+        let (mut r, mut cost, mut done) = (replica(), CostModel::new(), Vec::new());
+        r.enqueue(one_head(0, 0.0, vec![task(); 2]));
+        r.enqueue(one_head(1, 0.0, vec![task(); 4]));
+        step(&mut r, &mut cost, &mut done);
+        step(&mut r, &mut cost, &mut done);
+        assert_eq!(done.len(), 1, "the two-layer request retires");
+        assert_eq!(r.last_step, None, "a retirement clears the memo");
+        step(&mut r, &mut cost, &mut done);
+        assert_eq!(r.last_step, Some(fresh_step(&[task()])));
+    }
+
+    #[test]
+    fn cancelling_an_active_copy_clears_the_step_memo() {
+        let (mut r, mut cost, mut done) = (replica(), CostModel::new(), Vec::new());
+        r.enqueue(one_head(0, 0.0, vec![task(); 4]));
+        r.enqueue(one_head(1, 0.0, vec![task(); 4]));
+        step(&mut r, &mut cost, &mut done);
+        // A copy still queued (it arrives later) leaves the batch alone.
+        r.enqueue(one_head(2, 1.0, vec![task(); 4]));
+        assert_eq!(r.cancel_request(2), 1);
+        assert!(r.last_step.is_some(), "a queued cancellation keeps the memo");
+        assert_eq!(r.cancel_request(1), 1);
+        assert_eq!(r.last_step, None, "an active cancellation clears the memo");
+        step(&mut r, &mut cost, &mut done);
+        assert_eq!(r.last_step, Some(fresh_step(&[task()])));
+    }
+
+    #[test]
+    fn a_crash_clears_the_step_memo() {
+        let (mut r, mut cost, mut done) = (replica(), CostModel::new(), Vec::new());
+        r.enqueue(one_head(0, 0.0, vec![task(); 4]));
+        step(&mut r, &mut cost, &mut done);
+        let t = r.clock;
+        let orphans = r.crash(t);
+        assert_eq!(r.last_step, None);
+        r.recover(t + 1.0);
+        for p in orphans {
+            r.enqueue(p);
+        }
+        step(&mut r, &mut cost, &mut done);
+        assert_eq!(r.last_step, Some(fresh_step(&[task()])));
+    }
+
+    #[test]
+    fn a_level_change_clears_the_step_memo() {
+        let (mut r, mut cost, mut done) = (replica(), CostModel::new(), Vec::new());
+        let ladder = crate::BrownoutLadder::standard();
+        r.enqueue(one_head(0, 0.0, vec![task(); 4]));
+        step(&mut r, &mut cost, &mut done);
+        r.set_level(&ladder, 2);
+        assert_eq!(r.last_step, None);
+        step(&mut r, &mut cost, &mut done);
+        let degraded = fresh_step(&[task().with_budget_scale(ladder.level(2).budget_scale)]);
+        assert_ne!(degraded, fresh_step(&[task()]));
+        assert_eq!(r.last_step, Some(degraded));
+    }
+
+    #[test]
+    fn a_run_boundary_reprices_non_uniform_layers() {
+        let (mut r, mut cost, mut done) = (replica(), CostModel::new(), Vec::new());
+        let layers = vec![task(), task(), other_task(), other_task(), other_task()];
+        r.enqueue(one_head(0, 0.0, layers));
+        let mut seen = Vec::new();
+        while r.next_step_time().is_some() {
+            step(&mut r, &mut cost, &mut done);
+            seen.push(r.last_step);
+        }
+        let (a, b) = (fresh_step(&[task()]), fresh_step(&[other_task()]));
+        assert_ne!(a, b);
+        // The last step retires the request, which clears the memo.
+        assert_eq!(seen, vec![Some(a), Some(a), Some(b), Some(b), None]);
+        assert_eq!(done.len(), 1);
+    }
+
+    /// The uncached estimate: every active request's layers priced one by
+    /// one and their remaining service folded from the cursor, every
+    /// queued estimate and every resident hold re-summed.
     fn reference_outstanding_s(r: &Replica<'_>, cost: &mut CostModel, now: f64) -> f64 {
         let committed = (r.clock - now).max(0.0);
-        let active: f64 =
-            r.active.iter().map(|a| cost.remaining_service_s(&r.system, a.request, a.cursor)).sum();
+        let active: f64 = r
+            .active
+            .iter()
+            .map(|a| {
+                let steps: Vec<f64> = a
+                    .request
+                    .layer_tasks
+                    .iter()
+                    .map(|tasks| match &a.request.session {
+                        Some(turn) => cost.step_layer_decode(&r.system, tasks, turn).elapsed_s,
+                        None => cost.step_layer(&r.system, tasks).elapsed_s,
+                    })
+                    .collect();
+                remaining_from_layers_s(r.system.weight_upload_s(), &steps, a.cursor)
+            })
+            .sum();
         let queued: f64 = r.queue.iter().map(|p| p.est_service_s).sum();
         let mut total = committed + active + queued;
         if !r.resident_sessions.is_empty() {
@@ -889,15 +1066,29 @@ mod tests {
             for step in 0..300 {
                 now += rng.gen_range(0.0..4e-6);
                 match rng.gen_range(0..10u32) {
-                    // A fresh admission, a third of them session turns
-                    // (some paying a re-prefill, as off-replica turns do).
+                    // A fresh admission, half of them with layers that
+                    // differ (runs of shapes, so the step memo meets run
+                    // boundaries), a third session turns (some paying a
+                    // re-prefill, as off-replica turns do).
                     0..=2 => {
-                        let layers = rng.gen_range(1..5usize);
+                        let layers = rng.gen_range(1..6usize);
                         let shape = shapes[rng.gen_range(0..shapes.len())];
                         let class = classes[rng.gen_range(0..classes.len())];
                         let heads = rng.gen_range(1..4usize);
-                        let mut req =
-                            ServeRequest::uniform(next_id, now, class, shape, layers, heads);
+                        let mut req = if rng.gen::<bool>() {
+                            ServeRequest::uniform(next_id, now, class, shape, layers, heads)
+                        } else {
+                            let mut run = shape;
+                            let layer_tasks = (0..layers)
+                                .map(|_| {
+                                    if rng.gen_range(0..3u32) == 0 {
+                                        run = shapes[rng.gen_range(0..shapes.len())];
+                                    }
+                                    vec![run; heads]
+                                })
+                                .collect();
+                            ServeRequest::new(next_id, now, class, layer_tasks)
+                        };
                         next_id += 1;
                         if rng.gen_range(0..3u32) == 0 {
                             req = req.with_session(SessionTurn {

@@ -104,6 +104,7 @@ impl RoutingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::LayerTimes;
     use crate::replica::Pending;
     use crate::{QosClass, ServeRequest};
     use cta_sim::{AttentionTask, CtaSystem, SystemConfig};
@@ -114,6 +115,10 @@ mod tests {
 
     fn replicas<'a>(n: usize) -> Vec<Replica<'a>> {
         (0..n).map(|i| Replica::new(i, CtaSystem::new(SystemConfig::paper()))).collect()
+    }
+
+    fn paper_upload_s() -> f64 {
+        CtaSystem::new(SystemConfig::paper()).weight_upload_s()
     }
 
     /// A queued request; queued work borrows its request, so the request
@@ -129,7 +134,7 @@ mod tests {
                 4,
             ))),
             layers as f64,
-            vec![1.0; layers].into(),
+            LayerTimes::from_steps(paper_upload_s(), &vec![1.0; layers]),
         )
     }
 

@@ -104,6 +104,41 @@ fn full_overload_stack_is_engine_independent() {
 }
 
 #[test]
+fn non_uniform_layers_under_brownout_hedging_and_crashes_match_the_scan() {
+    // Layers change shape in runs of three, so replicas meet run boundaries
+    // mid-request; brownout moves, hedge copies, crash evictions and
+    // retries all invalidate the replicas' step memos. The test profile
+    // has debug assertions on, so every reused step is re-priced from
+    // scratch and asserted bit-equal inside the run itself.
+    let shapes = [
+        AttentionTask::from_counts(128, 128, 64, 50, 40, 20, 6),
+        AttentionTask::from_counts(64, 64, 64, 30, 25, 10, 6),
+        AttentionTask::from_counts(16, 512, 64, 8, 180, 40, 6),
+    ];
+    let mut load = spec();
+    load.class = QosClass::interactive(0.05);
+    let requests: Vec<ServeRequest> =
+        mmpp_requests(&load, 400, MmppParams::new(10_000.0, 80_000.0, 0.1), 11)
+            .iter()
+            .map(|r| {
+                let i = r.id as usize;
+                let layers = (0..4 + i % 6).map(|l| vec![shapes[(i + l / 3) % 3]; 1 + i % 3]);
+                ServeRequest::new(r.id, r.arrival_s, r.class, layers.collect())
+            })
+            .collect();
+    let mut cfg = config(3, 2, 4, 12);
+    let span = requests.last().expect("nonempty").arrival_s;
+    cfg.faults = FaultPlan::seeded(3, 2.0 * span, span / 2.0, span / 10.0, 11);
+    cfg.overload = OverloadControl::standard();
+    let (step, event) = with_reference(&cfg, &requests);
+    assert_eq!(step, event);
+    let m = &step.metrics;
+    assert!(m.overload.hedged > 0, "the scenario must hedge: {:?}", m.overload);
+    assert!(m.overload.brownout_transitions > 0, "the ladder must move: {:?}", m.overload);
+    assert!(m.retried > 0, "crashes must requeue work");
+}
+
+#[test]
 fn coincident_arrivals_resolve_by_request_id_in_both_engines() {
     // Equal timestamps are legal in replayed traces (`replay_trace`
     // accepts them); both drivers must serve them in id order. Two
