@@ -1,29 +1,38 @@
-//! The fleet engine: the event handlers and the driver that orders them.
+//! The fleet engine: five stages, the event handlers that run them, and
+//! the driver that orders the events.
 //!
-//! All five event sources — fault transitions, arrivals, retry requeues,
-//! hedge timers, replica layer steps — are handled by methods on
-//! [`EngineState`]. The state already keeps four of them in order: the
-//! fault timeline and the arrival trace are walked by index, and the
-//! retry backoffs and hedge timers sit in vectors sorted by time, so the
-//! next of each is its head. The fifth, the earliest replica step, comes
-//! from a tournament tree over the replicas' next step times, updated
-//! only for the replicas a handler touched. Picking the next event is
-//! then a five-way comparison: the sources are the queue.
+//! Each stage owns its state and the hooks that change it: [`FrontDoor`]
+//! (tenancy fair queue, quotas, autoscaler), [`Router`] (policy cursor,
+//! breakers, detector), [`Overload`] (brownout, hedges, latency window),
+//! [`SessionTable`] (residency, lost sessions, re-prefills) and [`Fleet`]
+//! (replicas, system, cost model). An optional stage is `None` when its
+//! mechanism is off, so its hooks never run and the fleet without it
+//! executes exactly the operations it did before the stage existed
+//! (pinned bitwise by the goldens). Each handler of [`EngineState`] is a
+//! short pipeline of stage calls around one [`shed`](EngineState::shed)
+//! path, one [`place`](EngineState::place) path and one sorted timer
+//! insert.
+//!
+//! Four of the five event sources are kept in order: the fault timeline
+//! and the arrival trace are walked by index, and the retry backoffs and
+//! hedge timers sit in vectors sorted by time. The earliest replica step
+//! comes from a tournament tree over the replicas' next step times,
+//! updated only for the replicas a handler touched. Picking the next
+//! event is then a five-way comparison: the sources are the queue.
 //!
 //! The reference scan behind [`crate::reference`] runs the same cascade
-//! but finds the earliest step by scanning every replica, O(replicas) per
-//! event. Both drivers invoke the *same* handler code, so every
-//! floating-point operation happens in the same order and the reports are
-//! bitwise identical; the equivalence suites and the chaos `Equivalence`
-//! invariant compare against it. At one instant the order is fault <
-//! arrival < retry < hedge < step; within a source the tie is the fault
-//! timeline index / arrival index / request id / request id / replica
-//! index.
+//! but finds the earliest step by scanning every replica. Both drivers
+//! invoke the *same* handlers, so every floating-point operation happens
+//! in the same order and the reports are bitwise identical. At one
+//! instant the order is fault < arrival < retry < hedge < step; within a
+//! source the tie is the fault timeline index / arrival index / request
+//! id / request id / replica index.
 
 use cta_sim::CtaSystem;
 use cta_telemetry::{Module, SpanClass, TraceSink, TrackId};
 use cta_tenancy::{
-    Autoscaler, Backpressure, FairQueue, ScaleEvent, TenancyStats, TenantOutcome, TokenBucket,
+    Autoscaler, Backpressure, FairQueue, ScaleEvent, TenancyConfig, TenancyStats, TenantOutcome,
+    TokenBucket,
 };
 
 use crate::cost::LayerTimes;
@@ -32,11 +41,11 @@ use crate::fault::{FaultEvent, FaultKind};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::overload::{BreakerEvent, BreakerState, CircuitBreaker, Transition};
 use crate::replica::{Completion, Pending, Replica};
-use crate::runtime::{FleetConfig, FleetReport, Shed};
+use crate::runtime::{FleetConfig, FleetReport, SessionPolicy, Shed};
 use crate::step_tree::StepTree;
 use crate::{
-    BrownoutController, BrownoutLadder, CostModel, FleetMetrics, ServeRequest, SessionStats,
-    ShedReason,
+    BrownoutController, BrownoutLadder, CostModel, FleetMetrics, HedgePolicy, RoutingPolicy,
+    ServeRequest, SessionStats, SessionTurn, ShedReason,
 };
 
 /// The event the cascade picks next, one variant per source.
@@ -65,20 +74,6 @@ struct RetryEntry<'a> {
     layer_s: LayerTimes,
 }
 
-/// Inserts keeping (retry_s asc, id asc) order.
-fn push_retry<'a>(retries: &mut Vec<RetryEntry<'a>>, entry: RetryEntry<'a>) {
-    let pos = retries
-        .binary_search_by(|probe| {
-            probe
-                .retry_s
-                .partial_cmp(&entry.retry_s)
-                .expect("finite retry times")
-                .then(probe.request.id.cmp(&entry.request.id))
-        })
-        .unwrap_or_else(|e| e);
-    retries.insert(pos, entry);
-}
-
 /// A scheduled hedge check: if the request is still in flight when the
 /// timer fires, a copy is dispatched to a second replica.
 #[derive(Debug, Clone)]
@@ -93,79 +88,33 @@ struct HedgeEntry<'a> {
     layer_s: LayerTimes,
 }
 
-/// Inserts keeping (fire_s asc, id asc) order.
-fn push_hedge<'a>(hedges: &mut Vec<HedgeEntry<'a>>, entry: HedgeEntry<'a>) {
-    let pos = hedges
+/// Inserts a timer keeping `(time asc, request id asc)` order; `key`
+/// reads an entry's `(time, id)`.
+fn insert_timer<T>(timers: &mut Vec<T>, entry: T, key: fn(&T) -> (f64, u64)) {
+    let (t, id) = key(&entry);
+    let pos = timers
         .binary_search_by(|probe| {
-            probe
-                .fire_s
-                .partial_cmp(&entry.fire_s)
-                .expect("finite hedge times")
-                .then(probe.request.id.cmp(&entry.request.id))
+            let (probe_t, probe_id) = key(probe);
+            probe_t.partial_cmp(&t).expect("finite timer instants").then(probe_id.cmp(&id))
         })
         .unwrap_or_else(|e| e);
-    hedges.insert(pos, entry);
+    timers.insert(pos, entry);
 }
 
-/// Settles open→half-open breaker transitions as of `now` (emitting the
-/// finished open interval) and returns the routable mask, or `None` when
-/// breakers are disabled.
-fn settle_breakers<S: TraceSink>(
-    breakers: &mut Option<Vec<CircuitBreaker>>,
-    now: f64,
-    sink: &mut S,
-) -> Option<Vec<bool>> {
-    let bs = breakers.as_mut()?;
-    let mut mask = Vec::with_capacity(bs.len());
-    for (i, b) in bs.iter_mut().enumerate() {
-        if let Some(BreakerEvent::HalfOpened { since_s, at_s }) = b.tick(now) {
-            if S::ENABLED {
-                let track = TrackId::new(i as u32, Module::Breaker);
-                sink.span(track, "open", since_s, at_s, SpanClass::Control, true);
-            }
-        }
-        mask.push(b.routable());
-    }
-    Some(mask)
-}
-
-/// Applies a brownout transition to replica `i` and emits the level-change
-/// marks plus the `accuracy_loss_pct` counter the aggregate report
-/// integrates for quality-loss attribution.
-fn apply_transition<S: TraceSink>(
-    replicas: &mut [Replica<'_>],
-    ladder: &BrownoutLadder,
-    i: usize,
-    tr: Transition,
-    now: f64,
-    transitions_total: &mut usize,
-    sink: &mut S,
-) {
-    replicas[i].set_level(ladder, tr.to);
-    *transitions_total += 1;
-    if S::ENABLED {
-        let track = TrackId::new(i as u32, Module::Brownout);
-        sink.instant(track, if tr.to > tr.from { "level-up" } else { "level-down" }, now);
-        sink.counter(track, "accuracy_loss_pct", now, ladder.level(tr.to).accuracy_loss_pct);
-    }
-}
-
-/// What became of one dispatch attempt out of the tenancy fair queue
-/// (or straight off the wire when tenancy is off).
+/// What became of one dispatch attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dispatch {
-    /// Admitted to a replica queue.
     Enqueued,
-    /// Rejected and recorded in the shed list.
     Shed,
     /// Hold backpressure: the target queue is full (or the fleet is
     /// down); the request goes back to the head of the fair queue.
     Blocked,
 }
 
-/// Runtime state of the tenancy stage: the fair queue in front of
-/// admission, the per-tenant quota buckets, and the autoscaler.
-struct TenancyState<'a> {
+/// The tenancy stage in front of admission: the fair queue, the
+/// per-tenant quota buckets and the autoscaler.
+struct FrontDoor<'a> {
+    tenants: u32,
     queue: FairQueue<&'a ServeRequest>,
     buckets: Option<Vec<TokenBucket>>,
     scaler: Option<Autoscaler>,
@@ -174,648 +123,26 @@ struct TenancyState<'a> {
     hold: bool,
 }
 
-/// All simulation state, shared by the driver and the reference scan. The
-/// handlers are the single definition of what each event does; the
-/// drivers only find the earliest replica step, and both hand it to the
-/// same cascade ([`EngineState::next_event`]). Queued work borrows its
-/// request from the caller's trace.
-struct EngineState<'a> {
-    cfg: &'a FleetConfig,
-    requests: &'a [ServeRequest],
-    system: CtaSystem,
-    replicas: Vec<Replica<'a>>,
-    cost: CostModel,
-    completions: Vec<Completion>,
-    shed: Vec<Shed>,
-    rr_cursor: usize,
-    /// Replicas currently up, kept by `handle_fault` so per-arrival
-    /// brownout sensing needs no fleet scan.
-    up_count: usize,
-    next_arrival: usize,
-    fault_events: Vec<FaultEvent>,
-    next_fault: usize,
-    retries: Vec<RetryEntry<'a>>,
-    requeues_total: usize,
-    overload_on: bool,
-    controllers: Option<Vec<BrownoutController>>,
-    breakers: Option<Vec<CircuitBreaker>>,
-    hedges: Vec<HedgeEntry<'a>>,
-    /// Hedged requests with two live copies: id → primary replica at
-    /// hedge-dispatch time (lookup only, never iterated — determinism).
-    hedged_live: FxHashMap<u64, usize>,
-    lat_window: Vec<f64>,
-    lat_next: usize,
-    hedged: usize,
-    hedge_wins: usize,
-    hedge_cancelled: usize,
-    transitions_total: usize,
-    /// Handler invocations so far (one per simulated event; equal across
-    /// drivers, asserted by the equivalence tests).
-    events_processed: u64,
-    /// Replica indices whose `next_step_time` may have changed, drained
-    /// by the driver after every handler to update its step tree. Pure
-    /// integer bookkeeping — the float stream is untouched.
-    touched: Vec<usize>,
-    /// Multi-tenant stage (`None` = the single-tenant fleet, bitwise:
-    /// every tenancy hook below is guarded on it).
-    tenancy: Option<TenancyState<'a>>,
-    /// Failure detector (`None` = routing trusts `up` alone, bitwise:
-    /// every detector hook below is guarded on it).
-    detector: Option<DetectorBank>,
-    /// Whether the fleet runs a [`SessionPolicy`](crate::SessionPolicy).
-    /// Every session hook below is guarded on it, so the sessions-off
-    /// fleet executes the exact pre-session event loop (pinned bitwise by
-    /// the goldens).
-    session_on: bool,
-    /// Session residency: session id → replica holding its compression
-    /// state. Lookup-only (never iterated), so hash order cannot reach a
-    /// result.
-    sessions: FxHashMap<u64, usize>,
-    /// Sessions with a shed turn: the state can never advance past the
-    /// hole, so every later turn sheds [`ShedReason::SessionLost`] at
-    /// arrival.
-    lost_sessions: FxHashSet<u64>,
-    /// Re-prefill events charged to turns past the first (crash
-    /// evictions and non-sticky replica moves).
-    re_prefills: usize,
-    /// Session turns shed, for conservation accounting.
-    session_turns_shed: usize,
-}
-
-impl<'a> EngineState<'a> {
-    /// Validates the entry points' preconditions and builds the state.
-    fn new(cfg: &'a FleetConfig, requests: &'a [ServeRequest]) -> Self {
-        assert!(cfg.replicas > 0, "at least one replica");
-        assert!(cfg.batch.max_active_requests > 0, "batch width must be positive");
-        assert!(!requests.is_empty(), "at least one request");
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
-            "requests must be sorted by arrival time"
-        );
-        cfg.faults.validate(cfg.replicas);
-        if cfg.sessions.is_none() {
-            assert!(
-                requests.iter().all(|r| r.session.is_none()),
-                "session-tagged requests require a session policy (FleetConfig::sessions)"
-            );
-        }
-        if let Some(d) = &cfg.detector {
-            d.validate();
-        }
-        if let Some(t) = &cfg.tenancy {
-            t.validate(cfg.replicas);
-            assert!(
-                requests.iter().all(|r| r.tenant < t.tenants),
-                "request tenant id out of range for the tenancy configuration"
-            );
-        }
-        let system = CtaSystem::new(cfg.system);
-        let replicas: Vec<Replica<'a>> =
-            (0..cfg.replicas).map(|i| Replica::new(i, system.clone())).collect();
-        // Overload-control state. Every structure is `None`/empty when the
-        // corresponding mechanism is off, so the disabled path executes the
-        // exact pre-overload event loop (the `is_none_or` guards below
-        // reduce to their old expressions; pinned bitwise by test).
-        let overload_on = !cfg.overload.is_off();
-        let controllers: Option<Vec<BrownoutController>> =
-            cfg.overload.brownout.as_ref().map(|b| {
-                (0..cfg.replicas)
-                    .map(|_| BrownoutController::new(b.policy, b.ladder.max_level()))
-                    .collect()
-            });
-        let breakers: Option<Vec<CircuitBreaker>> = cfg
-            .overload
-            .breaker
-            .map(|p| (0..cfg.replicas).map(|_| CircuitBreaker::new(p)).collect());
-        if let Some(hp) = &cfg.overload.hedge {
-            hp.validate();
-        }
-        let detector = cfg.detector.map(|p| DetectorBank::new(p, cfg.replicas));
-        let tenancy = cfg.tenancy.as_ref().map(|t| TenancyState {
+impl<'a> FrontDoor<'a> {
+    fn new(t: &TenancyConfig, replicas: usize) -> Self {
+        Self {
+            tenants: t.tenants,
             queue: FairQueue::new(t.scheduler, &t.weights),
             buckets: t.quota.map(|q| (0..t.tenants).map(|_| TokenBucket::new(q)).collect()),
-            scaler: t.autoscale.map(|p| Autoscaler::new(p, cfg.replicas)),
+            scaler: t.autoscale.map(|p| Autoscaler::new(p, replicas)),
             hold: t.backpressure == Backpressure::Hold,
-        });
-        Self {
-            cfg,
-            requests,
-            system,
-            replicas,
-            cost: CostModel::new(),
-            completions: Vec::with_capacity(requests.len()),
-            shed: Vec::new(),
-            rr_cursor: 0,
-            up_count: cfg.replicas,
-            next_arrival: 0,
-            fault_events: cfg.faults.timeline(),
-            next_fault: 0,
-            retries: Vec::new(),
-            requeues_total: 0,
-            overload_on,
-            controllers,
-            breakers,
-            hedges: Vec::new(),
-            hedged_live: FxHashMap::default(),
-            lat_window: Vec::new(),
-            lat_next: 0,
-            hedged: 0,
-            hedge_wins: 0,
-            hedge_cancelled: 0,
-            transitions_total: 0,
-            events_processed: 0,
-            touched: Vec::new(),
-            tenancy,
-            detector,
-            session_on: cfg.sessions.is_some(),
-            sessions: FxHashMap::default(),
-            lost_sessions: FxHashSet::default(),
-            re_prefills: 0,
-            session_turns_shed: 0,
-        }
-    }
-
-    /// Records a shed session turn: the whole session is lost (its prefix
-    /// state cannot advance past a hole in the turn sequence) and any
-    /// resident state is released.
-    fn note_session_shed(&mut self, request: &ServeRequest) {
-        if !self.session_on {
-            return;
-        }
-        if let Some(turn) = &request.session {
-            self.session_turns_shed += 1;
-            self.lost_sessions.insert(turn.session);
-            if let Some(r) = self.sessions.remove(&turn.session) {
-                self.replicas[r].release_session(turn.session);
-            }
-        }
-    }
-
-    /// Records that `turn`'s session state now lives on `target` (called
-    /// after the turn is enqueued there). A move off the previous replica
-    /// releases the old residency; a move on a turn past the first is a
-    /// re-prefill event. `hold_s` is the occupancy charge the new replica
-    /// carries while the state is resident (0 with state accounting off).
-    fn place_session(&mut self, session: u64, turn: u32, target: usize, hold_s: f64) {
-        let prev = self.sessions.insert(session, target);
-        if prev == Some(target) {
-            return;
-        }
-        if let Some(p) = prev {
-            self.replicas[p].release_session(session);
-        }
-        self.replicas[target].hold_session(session, hold_s);
-        if turn > 0 {
-            self.re_prefills += 1;
-        }
-    }
-
-    /// Routable-replica mask: breaker state ANDed with the autoscaler's
-    /// enabled-and-warmed set ANDed with the failure detector's
-    /// quarantine state. `None` when all three mechanisms are off — the
-    /// exact pre-tenancy expression, so the disabled path stays bitwise.
-    fn routable_mask<S: TraceSink>(&mut self, now: f64, sink: &mut S) -> Option<Vec<bool>> {
-        let breaker = settle_breakers(&mut self.breakers, now, sink);
-        let det = match self.detector.as_mut() {
-            Some(d) => Some(d.mask(&self.replicas, now, sink)),
-            None => None,
-        };
-        let scaler = self.tenancy.as_ref().and_then(|t| t.scaler.as_ref());
-        match (&breaker, scaler, &det) {
-            (None, None, None) => None,
-            (_, scaler, _) => Some(
-                (0..self.replicas.len())
-                    .map(|i| {
-                        breaker.as_ref().is_none_or(|m| m[i])
-                            && scaler.is_none_or(|s| s.routable(i, now))
-                            && det.as_ref().is_none_or(|m| m[i])
-                    })
-                    .collect(),
-            ),
-        }
-    }
-
-    /// Marks replica `i`'s next step time as possibly changed.
-    fn touch(&mut self, i: usize) {
-        self.touched.push(i);
-    }
-
-    /// Processes `fault_events[next_fault]`: a replica crash (orphaning
-    /// its queue into retries or sheds), a recovery, or a host-link
-    /// partition transition (stranding / resuming work in place).
-    fn handle_fault<S: TraceSink>(&mut self, sink: &mut S) {
-        self.events_processed += 1;
-        let cfg = self.cfg;
-        let ev = self.fault_events[self.next_fault];
-        self.next_fault += 1;
-        self.touch(ev.replica);
-        let track = TrackId::new(ev.replica as u32, Module::Fault);
-        match ev.kind {
-            FaultKind::PartitionStart => {
-                self.replicas[ev.replica].partition_start(ev.t_s);
-                if S::ENABLED {
-                    sink.instant(track, "partition-start", ev.t_s);
-                }
-                return;
-            }
-            FaultKind::PartitionEnd => {
-                let since = self.replicas[ev.replica].partition_since;
-                self.replicas[ev.replica].partition_heal(ev.t_s);
-                if S::ENABLED {
-                    sink.span(track, "partition", since, ev.t_s, SpanClass::Fault, true);
-                    sink.instant(track, "partition-heal", ev.t_s);
-                }
-                return;
-            }
-            FaultKind::Down | FaultKind::Up => {}
-        }
-        if ev.kind == FaultKind::Up {
-            let since = self.replicas[ev.replica].down_since;
-            if !self.replicas[ev.replica].up {
-                self.up_count += 1;
-            }
-            self.replicas[ev.replica].recover(ev.t_s);
-            if S::ENABLED {
-                sink.span(track, "outage", since, ev.t_s, SpanClass::Fault, true);
-                sink.instant(track, "replica-up", ev.t_s);
-            }
-            // A recovery opens routing capacity: held tenancy work can
-            // move now rather than waiting for the next arrival.
-            if self.tenancy.is_some() {
-                self.drain_tenancy(ev.t_s, sink);
-            }
-        } else {
-            if self.replicas[ev.replica].up {
-                self.up_count -= 1;
-            }
-            let orphans = self.replicas[ev.replica].crash(ev.t_s);
-            if S::ENABLED {
-                sink.instant(track, "replica-down", ev.t_s);
-            }
-            // A crash evicts every resident session's compression state:
-            // the next turn of each must re-prefill wherever it lands.
-            if self.session_on {
-                for (s, _) in self.replicas[ev.replica].evict_sessions() {
-                    if self.sessions.get(&s) == Some(&ev.replica) {
-                        self.sessions.remove(&s);
-                    }
-                }
-            }
-            if let Some(bs) = self.breakers.as_mut() {
-                let prev = bs[ev.replica].state();
-                if let Some(BreakerEvent::Opened { at_s }) = bs[ev.replica].record_failure(ev.t_s) {
-                    if S::ENABLED {
-                        let btrack = TrackId::new(ev.replica as u32, Module::Breaker);
-                        // A failed probe closes its half-open interval.
-                        if let BreakerState::HalfOpen { since_s, .. } = prev {
-                            sink.span(btrack, "half-open", since_s, at_s, SpanClass::Control, true);
-                        }
-                        sink.instant(btrack, "breaker-open", at_s);
-                    }
-                }
-            }
-            for p in orphans {
-                // A hedge copy whose sibling is still live elsewhere is
-                // dropped silently (accounted as a cancellation): the
-                // surviving copy carries the request, so requeueing or
-                // shedding this one would double-resolve it.
-                if self.hedged_live.contains_key(&p.request.id)
-                    && self.replicas.iter().any(|r| r.holds_request(p.request.id))
-                {
-                    self.hedge_cancelled += 1;
-                    if S::ENABLED {
-                        let htrack = TrackId::new(ev.replica as u32, Module::Hedge);
-                        sink.instant(htrack, "hedge-cancel", ev.t_s);
-                    }
-                    continue;
-                }
-                let attempt = p.attempt + 1;
-                // An orphaned session turn loses its layer progress with
-                // the evicted compression state: it resumes from layer 0
-                // (and re-prefills wherever it is placed).
-                let cursor = if p.request.session.is_some() { 0 } else { p.resume_cursor };
-                let lost_reason = if p.request.session.is_some() {
-                    ShedReason::SessionLost
-                } else {
-                    ShedReason::ReplicaLost
-                };
-                if attempt > cfg.retry.max_attempts {
-                    self.shed.push(Shed {
-                        id: p.request.id,
-                        class: p.request.class.name,
-                        arrival_s: p.request.arrival_s,
-                        reason: lost_reason,
-                        retries: p.attempt,
-                        tenant: p.request.tenant,
-                    });
-                    self.note_session_shed(p.request);
-                    continue;
-                }
-                let retry_s = ev.t_s + cfg.retry.backoff(attempt);
-                // Deadline-aware requeue: if even an unobstructed resume
-                // cannot meet the SLO, shed now instead of burning the
-                // budget.
-                if cfg.admission.enforce_deadlines {
-                    if let Some(d) = p.request.class.deadline_s {
-                        let upload_s = self.system.weight_upload_s();
-                        let mut remaining =
-                            p.layer_s.remaining_s(cursor) + if cursor > 0 { upload_s } else { 0.0 };
-                        if p.request.session.is_some() {
-                            remaining += self.cost.session_prefill_s(&self.system, p.request);
-                        }
-                        if retry_s + remaining > p.request.arrival_s + d {
-                            self.shed.push(Shed {
-                                id: p.request.id,
-                                class: p.request.class.name,
-                                arrival_s: p.request.arrival_s,
-                                reason: lost_reason,
-                                retries: p.attempt,
-                                tenant: p.request.tenant,
-                            });
-                            self.note_session_shed(p.request);
-                            continue;
-                        }
-                    }
-                }
-                self.requeues_total += 1;
-                if S::ENABLED {
-                    sink.instant(track, "requeue", ev.t_s);
-                    sink.counter(track, "retries", ev.t_s, self.requeues_total as f64);
-                }
-                push_retry(
-                    &mut self.retries,
-                    RetryEntry { retry_s, attempt, cursor, request: p.request, layer_s: p.layer_s },
-                );
-            }
-        }
-    }
-
-    /// Routes and admission-checks one request at `now`: the dispatch
-    /// stage shared by the direct arrival path and the tenancy fair
-    /// queue. With `hold` set (tenancy Hold backpressure) a full target
-    /// queue — or a fleet with no routable replica — blocks instead of
-    /// shedding, so the caller can park the request.
-    fn dispatch_request<S: TraceSink>(
-        &mut self,
-        request: &'a ServeRequest,
-        now: f64,
-        hold: bool,
-        sink: &mut S,
-    ) -> Dispatch {
-        let cfg = self.cfg;
-        // Lost-session fast path: a session that already shed a turn can
-        // never complete, so later turns shed before touching any routing
-        // or admission state.
-        if self.session_on {
-            if let Some(turn) = &request.session {
-                if self.lost_sessions.contains(&turn.session) {
-                    if S::ENABLED {
-                        let track = TrackId::new(0, Module::Runtime);
-                        sink.instant(track, "shed-session-lost", now);
-                    }
-                    self.shed.push(Shed {
-                        id: request.id,
-                        class: request.class.name,
-                        arrival_s: request.arrival_s,
-                        reason: ShedReason::SessionLost,
-                        retries: 0,
-                        tenant: request.tenant,
-                    });
-                    self.note_session_shed(request);
-                    return Dispatch::Shed;
-                }
-            }
-        }
-        let mask = self.routable_mask(now, sink);
-        // Sticky routing: a turn of a resident session goes back to the
-        // replica holding its compression state, under the same
-        // eligibility `choose` applies (up, not masked out). An ineligible
-        // holder falls through to the configured policy — and pays the
-        // re-prefill below.
-        let sticky = if self.session_on && cfg.sessions.as_ref().is_some_and(|p| p.sticky) {
-            request
-                .session
-                .and_then(|turn| self.sessions.get(&turn.session).copied())
-                .filter(|&i| self.replicas[i].up && mask.as_ref().is_none_or(|m| m[i]))
-        } else {
-            None
-        };
-        let chosen = match sticky {
-            Some(t) => Some(t),
-            None => {
-                cfg.routing.choose(&mut self.replicas, now, &mut self.rr_cursor, mask.as_deref())
-            }
-        };
-        let Some(target) = chosen else {
-            // No routable replica: the whole fleet is down (or every
-            // enabled replica is still warming). Hold parks the request;
-            // otherwise nothing can take it.
-            if hold {
-                return Dispatch::Blocked;
-            }
-            if S::ENABLED {
-                let track = TrackId::new(0, Module::Fault);
-                sink.instant(track, "shed-fleet-down", now);
-            }
-            self.shed.push(Shed {
-                id: request.id,
-                class: request.class.name,
-                arrival_s: request.arrival_s,
-                reason: if request.session.is_some() {
-                    ShedReason::SessionLost
-                } else {
-                    ShedReason::ReplicaLost
-                },
-                retries: 0,
-                tenant: request.tenant,
-            });
-            self.note_session_shed(request);
-            return Dispatch::Shed;
-        };
-        // Price every layer once; the solo estimate is the table's first
-        // entry (the same bits as `CostModel::request_service_s`), and the
-        // table rides the queued entry so routing never re-prices this
-        // request.
-        let layer_s = self.cost.layer_times_s(&self.system, request);
-        let mut est_service_s = layer_s.remaining_s(0);
-        // A turn landing anywhere but its resident replica (including
-        // every session's first turn) rebuilds the prefix state before it
-        // can decode; the debt rides both the admission estimate and the
-        // queued entry.
-        let mut re_prefill_s = 0.0;
-        if self.session_on {
-            if let Some(turn) = &request.session {
-                if self.sessions.get(&turn.session) != Some(&target) {
-                    re_prefill_s = self.cost.session_prefill_s(&self.system, request);
-                    est_service_s += re_prefill_s;
-                }
-            }
-        }
-        let est_wait_s = self.replicas[target].outstanding_s(now);
-        // A held request has already aged in the fair queue; its deadline
-        // budget shrinks accordingly. The guard keeps the direct path
-        // (where now == arrival) float-for-float untouched.
-        let mut est_latency_s = est_wait_s + est_service_s;
-        if now > request.arrival_s {
-            est_latency_s += now - request.arrival_s;
-        }
-        match cfg.admission.admit(
-            &request.class,
-            self.replicas[target].queue_depth(),
-            est_latency_s,
-        ) {
-            Ok(()) => {
-                let mut pending = Pending::fresh(request, est_service_s, layer_s.clone());
-                if re_prefill_s > 0.0 {
-                    pending.re_prefill_s = re_prefill_s;
-                }
-                self.replicas[target].enqueue(pending);
-                if self.session_on {
-                    if let Some(turn) = &request.session {
-                        let account = cfg.sessions.as_ref().is_some_and(|p| p.account_state);
-                        let hold_s = if account { re_prefill_s } else { 0.0 };
-                        self.place_session(turn.session, turn.turn, target, hold_s);
-                        if S::ENABLED && re_prefill_s > 0.0 && turn.turn > 0 {
-                            let track = TrackId::new(target as u32, Module::Runtime);
-                            sink.instant(track, "session-re-prefill", now);
-                        }
-                    }
-                }
-                self.touch(target);
-                if let Some(bs) = self.breakers.as_mut() {
-                    bs[target].on_dispatch();
-                }
-                // Deadline-bearing admissions arm a hedge timer at the
-                // windowed-p99 delay; the check fires only if the request
-                // is still in flight then. Session turns never hedge — a
-                // copy on a second replica would fork the session's
-                // compression state.
-                if let Some(hp) = &cfg.overload.hedge {
-                    if request.class.deadline_s.is_some() && request.session.is_none() {
-                        let fire_s = now + hp.delay_s(&self.lat_window);
-                        push_hedge(
-                            &mut self.hedges,
-                            HedgeEntry { fire_s, request, est_service_s, layer_s },
-                        );
-                    }
-                }
-                if S::ENABLED {
-                    let track = TrackId::new(target as u32, Module::Runtime);
-                    sink.instant(track, "enqueue", now);
-                    sink.counter(
-                        track,
-                        "queue_depth",
-                        now,
-                        self.replicas[target].queue_depth() as f64,
-                    );
-                }
-                Dispatch::Enqueued
-            }
-            Err(reason) => {
-                if hold && reason == ShedReason::QueueFull {
-                    return Dispatch::Blocked;
-                }
-                if S::ENABLED {
-                    let track = TrackId::new(target as u32, Module::Runtime);
-                    sink.instant(track, "shed", now);
-                }
-                self.shed.push(Shed {
-                    id: request.id,
-                    class: request.class.name,
-                    arrival_s: request.arrival_s,
-                    reason,
-                    retries: 0,
-                    tenant: request.tenant,
-                });
-                self.note_session_shed(request);
-                Dispatch::Shed
-            }
-        }
-    }
-
-    /// Arrival entry of the tenancy stage: an autoscaler observation of
-    /// the state the arrival found, then the quota gate, the fair
-    /// queue, and an immediate drain.
-    fn tenant_arrival<S: TraceSink>(&mut self, now: f64, sink: &mut S) {
-        // Observe *before* admitting the arrival: the sample reflects
-        // the backlog this request found, so an idle fleet reads a zero
-        // signal (the arrival itself would otherwise pin the signal at
-        // `1/active` and scale-down could never trigger).
-        self.observe_autoscaler(now, sink);
-        let requests = self.requests;
-        let request = &requests[self.next_arrival - 1];
-        let tenant = request.tenant;
-        let quota_ok = match self.tenancy.as_mut().expect("tenancy on").buckets.as_mut() {
-            Some(buckets) => buckets[tenant as usize].try_take(now, 1.0),
-            None => true,
-        };
-        if !quota_ok {
-            if S::ENABLED {
-                let track = TrackId::new(tenant, Module::Tenancy);
-                sink.instant(track, "quota-shed", now);
-            }
-            self.shed.push(Shed {
-                id: request.id,
-                class: request.class.name,
-                arrival_s: request.arrival_s,
-                reason: ShedReason::QuotaExceeded,
-                retries: 0,
-                tenant,
-            });
-            self.note_session_shed(request);
-            return;
-        }
-        let ts = self.tenancy.as_mut().expect("tenancy on");
-        ts.queue.push(tenant, request);
-        self.drain_tenancy(now, sink);
-    }
-
-    /// Dispatches fair-queue requests in scheduler order until the queue
-    /// empties or (Hold backpressure) a dispatch blocks — the blocked
-    /// request goes back to the queue head, preserving the schedule.
-    fn drain_tenancy<S: TraceSink>(&mut self, now: f64, sink: &mut S) {
-        loop {
-            let Some((tenant, request)) = self.tenancy.as_mut().and_then(|t| t.queue.pop()) else {
-                return;
-            };
-            let hold = self.tenancy.as_ref().expect("tenancy on").hold;
-            match self.dispatch_request(request, now, hold, sink) {
-                Dispatch::Enqueued => continue,
-                Dispatch::Shed => {
-                    // The shed consumed no fleet time: refund the DRR
-                    // quantum so a doomed backlog cannot eat the
-                    // tenant's service share.
-                    self.tenancy.as_mut().expect("tenancy on").queue.refund(tenant);
-                    continue;
-                }
-                Dispatch::Blocked => {}
-            }
-            {
-                let ts = self.tenancy.as_mut().expect("tenancy on");
-                ts.queue.unpop(tenant, request);
-                // The backlog counter records *contention* — held work —
-                // so a pass-through (never-blocking) configuration emits
-                // nothing on the tenancy lane and its trace stays
-                // byte-identical to the tenancy-off fleet.
-                if S::ENABLED {
-                    let backlog = ts.queue.backlog(tenant) as f64;
-                    let track = TrackId::new(tenant, Module::Tenancy);
-                    sink.counter(track, "tenant_backlog", now, backlog);
-                }
-                return;
-            }
         }
     }
 
     /// Feeds the autoscaler one queued-work-per-active-replica sample
-    /// (front-end backlog plus replica queues) and emits its decision.
-    fn observe_autoscaler<S: TraceSink>(&mut self, now: f64, sink: &mut S) {
-        if self.tenancy.as_ref().is_none_or(|t| t.scaler.is_none()) {
-            return;
-        }
-        let backlog = self.tenancy.as_ref().map_or(0, |t| t.queue.len());
-        let queued: usize = self.replicas.iter().map(|r| r.queue_depth()).sum();
-        let scaler = self.tenancy.as_mut().and_then(|t| t.scaler.as_mut()).expect("scaler on");
+    /// (front-end backlog plus replica queues), taken *before* the
+    /// arrival is admitted: an idle fleet then reads a zero signal, where
+    /// the arrival itself would pin it at `1/active` and scale-down could
+    /// never trigger.
+    fn autoscale<S: TraceSink>(&mut self, replicas: &[Replica<'_>], now: f64, sink: &mut S) {
+        let backlog = self.queue.len();
+        let Some(scaler) = self.scaler.as_mut() else { return };
+        let queued: usize = replicas.iter().map(|r| r.queue_depth()).sum();
         let signal = (backlog + queued) as f64 / scaler.active() as f64;
         if let Some(ev) = scaler.observe(now, signal) {
             if S::ENABLED {
@@ -830,47 +157,912 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Processes `requests[next_arrival]`: routing, admission, hedge
-    /// arming, and the brownout depth observation. With tenancy on, the
-    /// request passes the quota gate and fair queue first.
+    /// The quota gate: queues `request` for its tenant, or returns
+    /// `false` when the tenant's bucket is empty (the caller sheds it).
+    fn admit<S: TraceSink>(&mut self, request: &'a ServeRequest, now: f64, sink: &mut S) -> bool {
+        let tenant = request.tenant;
+        if let Some(buckets) = self.buckets.as_mut() {
+            if !buckets[tenant as usize].try_take(now, 1.0) {
+                if S::ENABLED {
+                    sink.instant(TrackId::new(tenant, Module::Tenancy), "quota-shed", now);
+                }
+                return false;
+            }
+        }
+        self.queue.push(tenant, request);
+        true
+    }
+
+    /// Puts a blocked request back at the head of its tenant's queue. The
+    /// backlog counter records *contention* — held work — so a
+    /// never-blocking configuration's trace stays byte-identical to the
+    /// tenancy-off fleet's.
+    fn park<S: TraceSink>(
+        &mut self,
+        tenant: u32,
+        request: &'a ServeRequest,
+        now: f64,
+        sink: &mut S,
+    ) {
+        self.queue.unpop(tenant, request);
+        if S::ENABLED {
+            let backlog = self.queue.backlog(tenant) as f64;
+            sink.counter(TrackId::new(tenant, Module::Tenancy), "tenant_backlog", now, backlog);
+        }
+    }
+
+    /// Per-tenant outcomes of the run, with the autoscaler's counts (a
+    /// fleet without one reports every replica active).
+    fn stats(
+        &self,
+        fleet_size: usize,
+        requests: &[ServeRequest],
+        completions: &[Completion],
+        shed: &[Shed],
+        makespan_s: f64,
+    ) -> TenancyStats {
+        let mut outcomes: Vec<TenantOutcome> = (0..self.tenants).map(TenantOutcome::new).collect();
+        for r in requests {
+            outcomes[r.tenant as usize].offered += 1;
+        }
+        for s in shed {
+            let o = &mut outcomes[s.tenant as usize];
+            o.shed += 1;
+            o.quota_shed += usize::from(s.reason == ShedReason::QuotaExceeded);
+        }
+        for c in completions {
+            let o = &mut outcomes[c.tenant as usize];
+            o.latencies_s.push(c.latency_s());
+            o.good += usize::from(c.deadline_met.unwrap_or(true));
+        }
+        let mut stats = TenancyStats::from_outcomes(&outcomes, makespan_s);
+        let scaler = self.scaler.as_ref();
+        stats.scale_ups = scaler.map_or(0, |s| s.scale_ups);
+        stats.scale_downs = scaler.map_or(0, |s| s.scale_downs);
+        stats.final_active = scaler.map_or(fleet_size, |s| s.active());
+        stats
+    }
+}
+
+/// The routing stage: the policy and its round-robin cursor, the
+/// per-replica circuit breakers and the failure detector.
+struct Router {
+    policy: RoutingPolicy,
+    cursor: usize,
+    breakers: Option<Vec<CircuitBreaker>>,
+    /// `None` = routing trusts `up` alone.
+    detector: Option<DetectorBank>,
+}
+
+impl Router {
+    fn new(cfg: &FleetConfig) -> Self {
+        Self {
+            policy: cfg.routing,
+            cursor: 0,
+            breakers: cfg
+                .overload
+                .breaker
+                .map(|p| (0..cfg.replicas).map(|_| CircuitBreaker::new(p)).collect()),
+            detector: cfg.detector.map(|p| DetectorBank::new(p, cfg.replicas)),
+        }
+    }
+
+    /// Routable-replica mask: breaker state (open→half-open transitions
+    /// settled as of `now`) AND the autoscaler's enabled-and-warmed set
+    /// AND the detector's quarantine state. `None` when all three are off,
+    /// so the disabled path stays bitwise.
+    fn mask<S: TraceSink>(
+        &mut self,
+        replicas: &[Replica<'_>],
+        scaler: Option<&Autoscaler>,
+        now: f64,
+        sink: &mut S,
+    ) -> Option<Vec<bool>> {
+        let breaker: Option<Vec<bool>> = self.breakers.as_mut().map(|bs| {
+            let mut mask = Vec::with_capacity(bs.len());
+            for (i, b) in bs.iter_mut().enumerate() {
+                if let Some(BreakerEvent::HalfOpened { since_s, at_s }) = b.tick(now) {
+                    if S::ENABLED {
+                        let track = TrackId::new(i as u32, Module::Breaker);
+                        sink.span(track, "open", since_s, at_s, SpanClass::Control, true);
+                    }
+                }
+                mask.push(b.routable());
+            }
+            mask
+        });
+        let det = self.detector.as_mut().map(|d| d.mask(replicas, now, sink));
+        match (&breaker, scaler, &det) {
+            (None, None, None) => None,
+            (_, scaler, _) => Some(
+                (0..replicas.len())
+                    .map(|i| {
+                        breaker.as_ref().is_none_or(|m| m[i])
+                            && scaler.is_none_or(|s| s.routable(i, now))
+                            && det.as_ref().is_none_or(|m| m[i])
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The policy's pick among the up replicas `mask` allows.
+    fn choose(
+        &mut self,
+        replicas: &mut [Replica<'_>],
+        now: f64,
+        mask: Option<&[bool]>,
+    ) -> Option<usize> {
+        self.policy.choose(replicas, now, &mut self.cursor, mask)
+    }
+
+    /// Work was placed on `target` (a half-open breaker's probe).
+    fn on_dispatch(&mut self, target: usize) {
+        if let Some(bs) = self.breakers.as_mut() {
+            bs[target].on_dispatch();
+        }
+    }
+
+    /// A crash is breaker evidence of failure.
+    fn on_crash<S: TraceSink>(&mut self, replica: usize, t: f64, sink: &mut S) {
+        let Some(bs) = self.breakers.as_mut() else { return };
+        let prev = bs[replica].state();
+        if let Some(BreakerEvent::Opened { at_s }) = bs[replica].record_failure(t) {
+            if S::ENABLED {
+                let track = TrackId::new(replica as u32, Module::Breaker);
+                // A failed probe closes its half-open interval.
+                if let BreakerState::HalfOpen { since_s, .. } = prev {
+                    sink.span(track, "half-open", since_s, at_s, SpanClass::Control, true);
+                }
+                sink.instant(track, "breaker-open", at_s);
+            }
+        }
+    }
+
+    /// A completion is breaker evidence of health (a successful half-open
+    /// probe closes the breaker).
+    fn on_success<S: TraceSink>(&mut self, c: &Completion, sink: &mut S) {
+        let Some(bs) = self.breakers.as_mut() else { return };
+        if let Some(BreakerEvent::Closed { since_s, at_s }) =
+            bs[c.replica].record_success(c.finish_s)
+        {
+            if S::ENABLED {
+                let track = TrackId::new(c.replica as u32, Module::Breaker);
+                sink.span(track, "half-open", since_s, at_s, SpanClass::Control, false);
+            }
+        }
+    }
+
+    /// Completions are the detector's only sensory input: a real load
+    /// balancer sees responses, not replica internals.
+    fn observe(&mut self, completions: &[Completion]) {
+        if let Some(d) = self.detector.as_mut() {
+            for c in completions {
+                d.observe(c.replica, c.finish_s);
+            }
+        }
+    }
+
+    /// Closes quarantines and breaker intervals still open at the end of
+    /// the run: each extends to the makespan.
+    fn close<S: TraceSink>(&self, makespan_s: f64, sink: &mut S) {
+        if let Some(d) = self.detector.as_ref() {
+            d.close_spans(makespan_s, sink);
+        }
+        if !S::ENABLED {
+            return;
+        }
+        for (i, b) in self.breakers.iter().flatten().enumerate() {
+            let (name, since_s) = match b.state() {
+                BreakerState::Open { since_s, .. } => ("open", since_s),
+                BreakerState::HalfOpen { since_s, .. } => ("half-open", since_s),
+                BreakerState::Closed { .. } => continue,
+            };
+            let track = TrackId::new(i as u32, Module::Breaker);
+            sink.span(track, name, since_s, makespan_s.max(since_s), SpanClass::Control, true);
+        }
+    }
+}
+
+/// The overload-control stage: the brownout controllers, the hedge
+/// timers and live hedges, the completion-latency window, and the
+/// counters they feed. The circuit breakers belong to [`Router`].
+#[derive(Default)]
+struct Overload<'a> {
+    /// The brownout ladder and one controller per replica.
+    brownout: Option<(&'a BrownoutLadder, Vec<BrownoutController>)>,
+    hedge: Option<HedgePolicy>,
+    hedges: Vec<HedgeEntry<'a>>,
+    /// Hedged requests with two live copies: id → primary replica at
+    /// hedge-dispatch time (lookup only, never iterated — determinism).
+    hedged_live: FxHashMap<u64, usize>,
+    lat_window: Vec<f64>,
+    lat_next: usize,
+    hedged: usize,
+    hedge_wins: usize,
+    hedge_cancelled: usize,
+    transitions_total: usize,
+}
+
+impl<'a> Overload<'a> {
+    /// The stage for `cfg`, or `None` with overload control off.
+    fn new(cfg: &'a FleetConfig) -> Option<Self> {
+        if cfg.overload.is_off() {
+            return None;
+        }
+        let brownout = cfg.overload.brownout.as_ref().map(|b| {
+            let ctrls = (0..cfg.replicas)
+                .map(|_| BrownoutController::new(b.policy, b.ladder.max_level()))
+                .collect();
+            (&b.ladder, ctrls)
+        });
+        Some(Self { brownout, hedge: cfg.overload.hedge, ..Self::default() })
+    }
+
+    /// Closed-loop sensing: every arrival feeds each up replica's
+    /// controller one availability-weighted depth sample, so survivors of
+    /// a partial outage see proportionally inflated depth.
+    fn sense_arrival<S: TraceSink>(&mut self, fleet: &mut Fleet<'_>, now: f64, sink: &mut S) {
+        let Some((ladder, ctrls)) = self.brownout.as_mut() else { return };
+        if fleet.up_count == 0 {
+            return;
+        }
+        let up_frac = fleet.up_count as f64 / fleet.replicas.len() as f64;
+        for (i, ctrl) in ctrls.iter_mut().enumerate() {
+            if !fleet.replicas[i].up {
+                continue;
+            }
+            let depth = fleet.replicas[i].queue_depth() as f64 / up_frac;
+            if let Some(tr) = ctrl.observe_depth(depth) {
+                apply_transition(fleet, ladder, i, tr, now, &mut self.transitions_total, sink);
+            }
+        }
+    }
+
+    /// Arms a hedge timer at the windowed-p99 delay for a deadline-bearing
+    /// admission. Session turns never hedge: a copy on a second replica
+    /// would fork the session's compression state.
+    fn arm_hedge(
+        &mut self,
+        request: &'a ServeRequest,
+        now: f64,
+        est_service_s: f64,
+        layer_s: LayerTimes,
+    ) {
+        let Some(hp) = &self.hedge else { return };
+        if request.class.deadline_s.is_some() && request.session.is_none() {
+            let fire_s = now + hp.delay_s(&self.lat_window);
+            let entry = HedgeEntry { fire_s, request, est_service_s, layer_s };
+            insert_timer(&mut self.hedges, entry, |h| (h.fire_s, h.request.id));
+        }
+    }
+
+    /// Whether a crash orphan of request `id` is a hedge copy whose
+    /// sibling is still live elsewhere; it is then dropped as a
+    /// cancellation, since requeueing or shedding it would double-resolve
+    /// the request.
+    fn drops_orphan<S: TraceSink>(
+        &mut self,
+        id: u64,
+        replicas: &[Replica<'_>],
+        crashed: usize,
+        t: f64,
+        sink: &mut S,
+    ) -> bool {
+        if !(self.hedged_live.contains_key(&id) && replicas.iter().any(|r| r.holds_request(id))) {
+            return false;
+        }
+        self.hedge_cancelled += 1;
+        if S::ENABLED {
+            sink.instant(TrackId::new(crashed as u32, Module::Hedge), "hedge-cancel", t);
+        }
+        true
+    }
+
+    /// Feeds one completion to the latency window, the breakers, the
+    /// brownout controller and hedge cancellation.
+    fn on_completion<S: TraceSink>(
+        &mut self,
+        c: &Completion,
+        router: &mut Router,
+        fleet: &mut Fleet<'_>,
+        retries: &mut Vec<RetryEntry<'_>>,
+        sink: &mut S,
+    ) {
+        // Hedge delay sensing: sliding window of completion latencies.
+        if let Some(hp) = &self.hedge {
+            let lat = c.latency_s();
+            if self.lat_window.len() == hp.latency_window {
+                self.lat_window[self.lat_next % hp.latency_window] = lat;
+            } else {
+                self.lat_window.push(lat);
+            }
+            self.lat_next = (self.lat_next + 1) % hp.latency_window;
+        }
+        router.on_success(c, sink);
+        // Brownout evidence: the deadline outcome.
+        if let Some((ladder, ctrls)) = self.brownout.as_mut() {
+            if let Some(tr) = ctrls[c.replica].observe_completion(c.deadline_met == Some(false)) {
+                let total = &mut self.transitions_total;
+                apply_transition(fleet, ladder, c.replica, tr, c.finish_s, total, sink);
+            }
+        }
+        // First outcome wins: cancel every losing copy (queued, active at
+        // its layer boundary, or in a retry backoff), so exactly one
+        // completion is reported per hedged id.
+        let Some(primary) = self.hedged_live.remove(&c.id) else { return };
+        for j in 0..fleet.replicas.len() {
+            if j == c.replica {
+                continue;
+            }
+            let n = fleet.replicas[j].cancel_request(c.id);
+            if n > 0 {
+                self.hedge_cancelled += n;
+                fleet.touch(j);
+                if S::ENABLED {
+                    sink.instant(TrackId::new(j as u32, Module::Hedge), "hedge-cancel", c.finish_s);
+                }
+            }
+        }
+        let before_retry = retries.len();
+        retries.retain(|r| r.request.id != c.id);
+        self.hedge_cancelled += before_retry - retries.len();
+        if c.replica != primary {
+            self.hedge_wins += 1;
+            if S::ENABLED {
+                let track = TrackId::new(c.replica as u32, Module::Hedge);
+                sink.instant(track, "hedge-win", c.finish_s);
+            }
+        }
+    }
+}
+
+/// Applies a brownout transition to replica `i` and emits the level-change
+/// marks plus the `accuracy_loss_pct` counter the aggregate report
+/// integrates for quality-loss attribution.
+fn apply_transition<S: TraceSink>(
+    fleet: &mut Fleet<'_>,
+    ladder: &BrownoutLadder,
+    i: usize,
+    tr: Transition,
+    now: f64,
+    transitions_total: &mut usize,
+    sink: &mut S,
+) {
+    fleet.replicas[i].set_level(ladder, tr.to);
+    *transitions_total += 1;
+    if S::ENABLED {
+        let track = TrackId::new(i as u32, Module::Brownout);
+        sink.instant(track, if tr.to > tr.from { "level-up" } else { "level-down" }, now);
+        sink.counter(track, "accuracy_loss_pct", now, ladder.level(tr.to).accuracy_loss_pct);
+    }
+}
+
+/// The session stage: where each session's compression state lives, the
+/// sessions lost to a shed turn, and the re-prefill and shed counters.
+struct SessionTable {
+    policy: SessionPolicy,
+    /// Session id → replica holding its compression state. Lookup-only
+    /// (never iterated), so hash order cannot reach a result.
+    resident: FxHashMap<u64, usize>,
+    /// Sessions with a shed turn: the state can never advance past the
+    /// hole, so every later turn sheds [`ShedReason::SessionLost`].
+    lost: FxHashSet<u64>,
+    /// Re-prefill events charged to turns past the first (crash
+    /// evictions and non-sticky replica moves).
+    re_prefills: usize,
+    /// Session turns shed, for conservation accounting.
+    turns_shed: usize,
+}
+
+impl SessionTable {
+    fn new(policy: SessionPolicy) -> Self {
+        Self {
+            policy,
+            resident: FxHashMap::default(),
+            lost: FxHashSet::default(),
+            re_prefills: 0,
+            turns_shed: 0,
+        }
+    }
+
+    /// Whether `request` is a turn of a session that already lost one.
+    fn is_lost(&self, request: &ServeRequest) -> bool {
+        request.session.is_some_and(|turn| self.lost.contains(&turn.session))
+    }
+
+    /// Sticky routing: a resident session's turn goes back to the replica
+    /// holding its state if routing could pick it (up, not masked out);
+    /// otherwise the policy routes it and it pays the re-prefill.
+    fn sticky_target(
+        &self,
+        request: &ServeRequest,
+        replicas: &[Replica<'_>],
+        mask: Option<&[bool]>,
+    ) -> Option<usize> {
+        if !self.policy.sticky {
+            return None;
+        }
+        let holder = self.resident.get(&request.session?.session).copied()?;
+        Some(holder).filter(|&i| replicas[i].up && mask.is_none_or(|m| m[i]))
+    }
+
+    /// Records that `turn`'s session state now lives on `target`. A move
+    /// releases the old residency and, past the first turn, counts a
+    /// re-prefill; with state accounting on, the new replica holds the
+    /// re-prefill as occupancy.
+    fn place(
+        &mut self,
+        turn: &SessionTurn,
+        target: usize,
+        re_prefill_s: f64,
+        fleet: &mut Fleet<'_>,
+    ) {
+        let hold_s = if self.policy.account_state { re_prefill_s } else { 0.0 };
+        let prev = self.resident.insert(turn.session, target);
+        if prev == Some(target) {
+            return;
+        }
+        if let Some(p) = prev {
+            fleet.replicas[p].release_session(turn.session);
+        }
+        fleet.replicas[target].hold_session(turn.session, hold_s);
+        if turn.turn > 0 {
+            self.re_prefills += 1;
+        }
+    }
+
+    /// Releases `session`'s resident state, wherever it lives.
+    fn release(&mut self, session: u64, fleet: &mut Fleet<'_>) {
+        if let Some(r) = self.resident.remove(&session) {
+            fleet.replicas[r].release_session(session);
+        }
+    }
+
+    /// Records a shed turn: the whole session is lost (its prefix state
+    /// cannot advance past a hole in the turn sequence) and released.
+    fn on_shed(&mut self, request: &ServeRequest, fleet: &mut Fleet<'_>) {
+        let Some(turn) = &request.session else { return };
+        self.turns_shed += 1;
+        self.lost.insert(turn.session);
+        self.release(turn.session, fleet);
+    }
+
+    /// A crash evicts every resident session's compression state: the
+    /// next turn of each must re-prefill wherever it lands.
+    fn on_crash(&mut self, replica: usize, fleet: &mut Fleet<'_>) {
+        for (s, _) in fleet.replicas[replica].evict_sessions() {
+            if self.resident.get(&s) == Some(&replica) {
+                self.resident.remove(&s);
+            }
+        }
+    }
+
+    /// A session's final turn retiring releases the replica's resident
+    /// compression state (and the occupancy hold that came with it).
+    fn on_completions(&mut self, completions: &[Completion], fleet: &mut Fleet<'_>) {
+        for turn in completions.iter().filter_map(|c| c.session).filter(|t| t.last) {
+            self.release(turn.session, fleet);
+        }
+    }
+
+    fn stats(&self, requests: &[ServeRequest], completions: &[Completion]) -> SessionStats {
+        let ids: FxHashSet<u64> =
+            requests.iter().filter_map(|r| r.session.map(|t| t.session)).collect();
+        let itl = |c: &Completion| c.session.map(|t| c.latency_s() / t.decode_tokens as f64);
+        let itls: Vec<f64> = completions.iter().filter_map(itl).collect();
+        let (turns, lost) = (itls.len(), self.lost.len());
+        SessionStats::new(ids.len(), turns, self.turns_shed, lost, self.re_prefills, &itls)
+    }
+}
+
+/// The replica stage.
+struct Fleet<'a> {
+    replicas: Vec<Replica<'a>>,
+    system: CtaSystem,
+    cost: CostModel,
+    /// Replicas currently up, so brownout sensing needs no fleet scan.
+    up_count: usize,
+    /// Replicas whose `next_step_time` may have changed, drained by the
+    /// driver after every handler to update its step tree.
+    touched: Vec<usize>,
+}
+
+impl Fleet<'_> {
+    fn new(cfg: &FleetConfig) -> Self {
+        let system = CtaSystem::new(cfg.system);
+        Self {
+            replicas: (0..cfg.replicas).map(|i| Replica::new(i, system.clone())).collect(),
+            system,
+            cost: CostModel::new(),
+            up_count: cfg.replicas,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Marks replica `i`'s next step time as possibly changed.
+    fn touch(&mut self, i: usize) {
+        self.touched.push(i);
+    }
+
+    /// Remaining work of a request resuming at layer `cursor`, charging
+    /// the fresh weight upload a resume past layer 0 pays.
+    fn resume_s(&self, layer_s: &LayerTimes, cursor: usize) -> f64 {
+        layer_s.remaining_s(cursor) + if cursor > 0 { self.system.weight_upload_s() } else { 0.0 }
+    }
+
+    /// Closes the books on replicas still down at the end of the run:
+    /// their open outage extends to the fleet makespan (or the crash
+    /// instant if nothing completed after it).
+    fn close_outages<S: TraceSink>(&mut self, makespan_s: f64, sink: &mut S) {
+        for r in self.replicas.iter_mut().filter(|r| !r.up) {
+            let end = makespan_s.max(r.down_since);
+            r.down_s += end - r.down_since;
+            if S::ENABLED {
+                let track = TrackId::new(r.index as u32, Module::Fault);
+                sink.span(track, "outage", r.down_since, end, SpanClass::Fault, true);
+            }
+        }
+    }
+}
+
+/// All simulation state — the five stages, the event sources and the
+/// outcomes — shared by the driver and the reference scan, which only
+/// find the earliest replica step and hand it to the same cascade
+/// ([`EngineState::next_event`]). Queued work borrows its request from
+/// the caller's trace.
+struct EngineState<'a> {
+    cfg: &'a FleetConfig,
+    requests: &'a [ServeRequest],
+    next_arrival: usize,
+    fault_events: Vec<FaultEvent>,
+    next_fault: usize,
+    retries: Vec<RetryEntry<'a>>,
+    requeues_total: usize,
+    completions: Vec<Completion>,
+    shed: Vec<Shed>,
+    /// Handler invocations so far (one per simulated event; equal across
+    /// drivers, asserted by the equivalence tests).
+    events_processed: u64,
+    front: Option<FrontDoor<'a>>,
+    router: Router,
+    overload: Option<Overload<'a>>,
+    sessions: Option<SessionTable>,
+    fleet: Fleet<'a>,
+}
+
+impl<'a> EngineState<'a> {
+    /// Validates the entry points' preconditions and builds the state.
+    fn new(cfg: &'a FleetConfig, requests: &'a [ServeRequest]) -> Self {
+        if let Err(e) = cfg.try_validate() {
+            panic!("{e}");
+        }
+        assert!(!requests.is_empty(), "at least one request");
+        assert!(
+            requests.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
+            "requests must be sorted by arrival time"
+        );
+        assert!(
+            cfg.sessions.is_some() || requests.iter().all(|r| r.session.is_none()),
+            "session-tagged requests require a session policy (FleetConfig::sessions)"
+        );
+        assert!(
+            cfg.tenancy.as_ref().is_none_or(|t| requests.iter().all(|r| r.tenant < t.tenants)),
+            "request tenant id out of range for the tenancy configuration"
+        );
+        Self {
+            cfg,
+            requests,
+            next_arrival: 0,
+            fault_events: cfg.faults.timeline(),
+            next_fault: 0,
+            retries: Vec::new(),
+            requeues_total: 0,
+            completions: Vec::with_capacity(requests.len()),
+            shed: Vec::new(),
+            events_processed: 0,
+            front: cfg.tenancy.as_ref().map(|t| FrontDoor::new(t, cfg.replicas)),
+            router: Router::new(cfg),
+            overload: Overload::new(cfg),
+            sessions: cfg.sessions.map(SessionTable::new),
+            fleet: Fleet::new(cfg),
+        }
+    }
+
+    /// Sheds `request` after `retries` requeues: the one place a [`Shed`]
+    /// is built. A session turn's lost replica is a lost session.
+    fn shed(&mut self, request: &ServeRequest, reason: ShedReason, retries: u32) {
+        let reason = match reason {
+            ShedReason::ReplicaLost if request.session.is_some() => ShedReason::SessionLost,
+            reason => reason,
+        };
+        self.shed.push(Shed {
+            id: request.id,
+            class: request.class.name,
+            arrival_s: request.arrival_s,
+            reason,
+            retries,
+            tenant: request.tenant,
+        });
+        if let Some(st) = self.sessions.as_mut() {
+            st.on_shed(request, &mut self.fleet);
+        }
+    }
+
+    /// Places `pending` on replica `target`, the one enqueue path for
+    /// dispatched, requeued and hedged work: session residency, touch,
+    /// breaker probe.
+    fn place<S: TraceSink>(&mut self, target: usize, pending: Pending<'a>, now: f64, sink: &mut S) {
+        let (session, re_prefill_s) = (pending.request.session, pending.re_prefill_s);
+        self.fleet.replicas[target].enqueue(pending);
+        if let (Some(st), Some(turn)) = (self.sessions.as_mut(), &session) {
+            st.place(turn, target, re_prefill_s, &mut self.fleet);
+            if S::ENABLED && re_prefill_s > 0.0 && turn.turn > 0 {
+                let track = TrackId::new(target as u32, Module::Runtime);
+                sink.instant(track, "session-re-prefill", now);
+            }
+        }
+        self.fleet.touch(target);
+        self.router.on_dispatch(target);
+    }
+
+    /// Schedules a requeue and counts it on `track` at `t`.
+    fn schedule_retry<S: TraceSink>(
+        &mut self,
+        entry: RetryEntry<'a>,
+        track: TrackId,
+        t: f64,
+        sink: &mut S,
+    ) {
+        self.requeues_total += 1;
+        if S::ENABLED {
+            sink.counter(track, "retries", t, self.requeues_total as f64);
+        }
+        insert_timer(&mut self.retries, entry, |r| (r.retry_s, r.request.id));
+    }
+
+    /// [`Router::mask`] as of `now`.
+    fn routable_mask<S: TraceSink>(&mut self, now: f64, sink: &mut S) -> Option<Vec<bool>> {
+        let scaler = self.front.as_ref().and_then(|f| f.scaler.as_ref());
+        self.router.mask(&self.fleet.replicas, scaler, now, sink)
+    }
+
+    /// Processes `fault_events[next_fault]`: a replica crash (orphaning
+    /// its queue into retries or sheds), a recovery, or a host-link
+    /// partition transition (stranding / resuming work in place).
+    fn handle_fault<S: TraceSink>(&mut self, sink: &mut S) {
+        self.events_processed += 1;
+        let ev = self.fault_events[self.next_fault];
+        self.next_fault += 1;
+        self.fleet.touch(ev.replica);
+        let track = TrackId::new(ev.replica as u32, Module::Fault);
+        let replica = &mut self.fleet.replicas[ev.replica];
+        match ev.kind {
+            FaultKind::PartitionStart => {
+                replica.partition_start(ev.t_s);
+                if S::ENABLED {
+                    sink.instant(track, "partition-start", ev.t_s);
+                }
+            }
+            FaultKind::PartitionEnd => {
+                let since = replica.partition_since;
+                replica.partition_heal(ev.t_s);
+                if S::ENABLED {
+                    sink.span(track, "partition", since, ev.t_s, SpanClass::Fault, true);
+                    sink.instant(track, "partition-heal", ev.t_s);
+                }
+            }
+            FaultKind::Up => {
+                let since = replica.down_since;
+                if !replica.up {
+                    self.fleet.up_count += 1;
+                }
+                replica.recover(ev.t_s);
+                if S::ENABLED {
+                    sink.span(track, "outage", since, ev.t_s, SpanClass::Fault, true);
+                    sink.instant(track, "replica-up", ev.t_s);
+                }
+                // A recovery opens routing capacity: held tenancy work can
+                // move now rather than waiting for the next arrival.
+                self.drain_front_door(ev.t_s, sink);
+            }
+            FaultKind::Down => {
+                if replica.up {
+                    self.fleet.up_count -= 1;
+                }
+                let orphans = replica.crash(ev.t_s);
+                if S::ENABLED {
+                    sink.instant(track, "replica-down", ev.t_s);
+                }
+                if let Some(st) = self.sessions.as_mut() {
+                    st.on_crash(ev.replica, &mut self.fleet);
+                }
+                self.router.on_crash(ev.replica, ev.t_s, sink);
+                for p in orphans {
+                    let (id, replicas) = (p.request.id, &self.fleet.replicas);
+                    let dropped = self.overload.as_mut().is_some_and(|o| {
+                        o.drops_orphan(id, replicas, ev.replica, ev.t_s, &mut *sink)
+                    });
+                    if !dropped {
+                        self.requeue_orphan(p, ev.t_s, track, sink);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Requeues a crash orphan after its backoff, or sheds it when the
+    /// retry budget is spent or even an unobstructed resume would miss
+    /// its deadline.
+    fn requeue_orphan<S: TraceSink>(
+        &mut self,
+        p: Pending<'a>,
+        t: f64,
+        track: TrackId,
+        sink: &mut S,
+    ) {
+        let cfg = self.cfg;
+        let attempt = p.attempt + 1;
+        if attempt > cfg.retry.max_attempts {
+            self.shed(p.request, ShedReason::ReplicaLost, p.attempt);
+            return;
+        }
+        // An orphaned session turn loses its layer progress with the
+        // evicted compression state: it resumes from layer 0 (and
+        // re-prefills wherever it is placed).
+        let cursor = if p.request.session.is_some() { 0 } else { p.resume_cursor };
+        let retry_s = t + cfg.retry.backoff(attempt);
+        if cfg.admission.enforce_deadlines {
+            if let Some(d) = p.request.class.deadline_s {
+                let mut remaining = self.fleet.resume_s(&p.layer_s, cursor);
+                if p.request.session.is_some() {
+                    remaining += self.fleet.cost.session_prefill_s(&self.fleet.system, p.request);
+                }
+                if retry_s + remaining > p.request.arrival_s + d {
+                    self.shed(p.request, ShedReason::ReplicaLost, p.attempt);
+                    return;
+                }
+            }
+        }
+        if S::ENABLED {
+            sink.instant(track, "requeue", t);
+        }
+        let entry = RetryEntry { retry_s, attempt, cursor, request: p.request, layer_s: p.layer_s };
+        self.schedule_retry(entry, track, t, sink);
+    }
+
+    /// Routes and admission-checks one request at `now`, off the wire or
+    /// out of the fair queue. With `hold` (tenancy Hold backpressure) a
+    /// full target queue or an unroutable fleet blocks instead of
+    /// shedding.
+    fn dispatch_request<S: TraceSink>(
+        &mut self,
+        request: &'a ServeRequest,
+        now: f64,
+        hold: bool,
+        sink: &mut S,
+    ) -> Dispatch {
+        // A session that already shed a turn can never complete: later
+        // turns shed before touching any routing or admission state.
+        if self.sessions.as_ref().is_some_and(|st| st.is_lost(request)) {
+            if S::ENABLED {
+                sink.instant(TrackId::new(0, Module::Runtime), "shed-session-lost", now);
+            }
+            self.shed(request, ShedReason::SessionLost, 0);
+            return Dispatch::Shed;
+        }
+        let mask = self.routable_mask(now, sink);
+        let sticky = self
+            .sessions
+            .as_ref()
+            .and_then(|st| st.sticky_target(request, &self.fleet.replicas, mask.as_deref()));
+        let chosen =
+            sticky.or_else(|| self.router.choose(&mut self.fleet.replicas, now, mask.as_deref()));
+        let Some(target) = chosen else {
+            if hold {
+                return Dispatch::Blocked;
+            }
+            if S::ENABLED {
+                sink.instant(TrackId::new(0, Module::Fault), "shed-fleet-down", now);
+            }
+            self.shed(request, ShedReason::ReplicaLost, 0);
+            return Dispatch::Shed;
+        };
+        // Price every layer once: the solo estimate is the table's first
+        // entry, and the table rides the queued entry so routing never
+        // re-prices this request.
+        let layer_s = self.fleet.cost.layer_times_s(&self.fleet.system, request);
+        let (est_service_s, re_prefill_s) =
+            self.with_re_prefill(request, target, layer_s.remaining_s(0));
+        let replica = &mut self.fleet.replicas[target];
+        // A held request has aged in the fair queue; the guard keeps the
+        // direct path (now == arrival) float-for-float untouched.
+        let mut est_latency_s = replica.outstanding_s(now) + est_service_s;
+        if now > request.arrival_s {
+            est_latency_s += now - request.arrival_s;
+        }
+        let depth = replica.queue_depth();
+        if let Err(reason) = self.cfg.admission.admit(&request.class, depth, est_latency_s) {
+            if hold && reason == ShedReason::QueueFull {
+                return Dispatch::Blocked;
+            }
+            if S::ENABLED {
+                sink.instant(TrackId::new(target as u32, Module::Runtime), "shed", now);
+            }
+            self.shed(request, reason, 0);
+            return Dispatch::Shed;
+        }
+        let pending =
+            Pending { re_prefill_s, ..Pending::fresh(request, est_service_s, layer_s.clone()) };
+        self.place(target, pending, now, sink);
+        if let Some(o) = self.overload.as_mut() {
+            o.arm_hedge(request, now, est_service_s, layer_s);
+        }
+        if S::ENABLED {
+            let track = TrackId::new(target as u32, Module::Runtime);
+            sink.instant(track, "enqueue", now);
+            let depth = self.fleet.replicas[target].queue_depth() as f64;
+            sink.counter(track, "queue_depth", now, depth);
+        }
+        Dispatch::Enqueued
+    }
+
+    /// Adds to `est_s` the re-prefill `request` owes on `target` (a turn
+    /// landing off its resident replica, first turns included, rebuilds
+    /// the prefix state); returns the estimate and the debt.
+    fn with_re_prefill(&mut self, request: &ServeRequest, target: usize, est_s: f64) -> (f64, f64) {
+        let owes = |st: &SessionTable| {
+            request.session.is_some_and(|turn| st.resident.get(&turn.session) != Some(&target))
+        };
+        if !self.sessions.as_ref().is_some_and(owes) {
+            return (est_s, 0.0);
+        }
+        let debt = self.fleet.cost.session_prefill_s(&self.fleet.system, request);
+        (est_s + debt, debt)
+    }
+
+    /// Dispatches fair-queue requests in scheduler order until the queue
+    /// empties or a dispatch blocks. A no-op without tenancy.
+    fn drain_front_door<S: TraceSink>(&mut self, now: f64, sink: &mut S) {
+        while let Some((tenant, request)) = self.front.as_mut().and_then(|f| f.queue.pop()) {
+            let hold = self.front.as_ref().is_some_and(|f| f.hold);
+            let outcome = self.dispatch_request(request, now, hold, sink);
+            let front = self.front.as_mut().expect("the front door popped this request");
+            match outcome {
+                Dispatch::Enqueued => {}
+                // A shed consumed no fleet time: refund the DRR quantum.
+                Dispatch::Shed => front.queue.refund(tenant),
+                Dispatch::Blocked => {
+                    front.park(tenant, request, now, sink);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Processes `requests[next_arrival]`: through the front door when
+    /// there is one, then the brownout depth observation.
     fn handle_arrival<S: TraceSink>(&mut self, sink: &mut S) {
         self.events_processed += 1;
-        let cfg = self.cfg;
         let requests = self.requests;
         let request = &requests[self.next_arrival];
         self.next_arrival += 1;
         let now = request.arrival_s;
-        if self.tenancy.is_some() {
-            self.tenant_arrival(now, sink);
-        } else {
-            self.dispatch_request(request, now, false, sink);
-        }
-        // Closed-loop sensing: every arrival feeds each up replica's
-        // controller one availability-weighted depth sample, so the
-        // sampling cadence tracks offered load and survivors of a partial
-        // outage see proportionally inflated depth.
-        if let (Some(ctrls), Some(bc)) = (self.controllers.as_mut(), cfg.overload.brownout.as_ref())
-        {
-            if self.up_count > 0 {
-                let up_frac = self.up_count as f64 / self.replicas.len() as f64;
-                for (i, ctrl) in ctrls.iter_mut().enumerate() {
-                    if !self.replicas[i].up {
-                        continue;
-                    }
-                    let depth = self.replicas[i].queue_depth() as f64 / up_frac;
-                    if let Some(tr) = ctrl.observe_depth(depth) {
-                        apply_transition(
-                            &mut self.replicas,
-                            &bc.ladder,
-                            i,
-                            tr,
-                            now,
-                            &mut self.transitions_total,
-                            sink,
-                        );
-                    }
+        match self.front.as_mut() {
+            Some(front) => {
+                front.autoscale(&self.fleet.replicas, now, sink);
+                if front.admit(request, now, sink) {
+                    self.drain_front_door(now, sink);
+                } else {
+                    self.shed(request, ShedReason::QuotaExceeded, 0);
                 }
             }
+            None => {
+                self.dispatch_request(request, now, false, sink);
+            }
+        }
+        if let Some(o) = self.overload.as_mut() {
+            o.sense_arrival(&mut self.fleet, now, sink);
         }
     }
 
@@ -878,363 +1070,115 @@ impl<'a> EngineState<'a> {
     /// consume another attempt and back off again.
     fn handle_retry<S: TraceSink>(&mut self, sink: &mut S) {
         self.events_processed += 1;
-        let cfg = self.cfg;
         let entry = self.retries.remove(0);
         let now = entry.retry_s;
-        // A later turn of the same session may have shed while this one
-        // waited out its backoff; the session is already lost, so placing
-        // the requeue would waste fleet time on a dead session.
-        if self.session_on {
-            if let Some(turn) = &entry.request.session {
-                if self.lost_sessions.contains(&turn.session) {
-                    self.shed.push(Shed {
-                        id: entry.request.id,
-                        class: entry.request.class.name,
-                        arrival_s: entry.request.arrival_s,
-                        reason: ShedReason::SessionLost,
-                        retries: entry.attempt,
-                        tenant: entry.request.tenant,
-                    });
-                    self.note_session_shed(entry.request);
-                    return;
-                }
-            }
+        // A later turn may have lost the session during the backoff.
+        if self.sessions.as_ref().is_some_and(|st| st.is_lost(entry.request)) {
+            self.shed(entry.request, ShedReason::SessionLost, entry.attempt);
+            return;
         }
         let mask = self.routable_mask(now, sink);
-        match cfg.routing.choose(&mut self.replicas, now, &mut self.rr_cursor, mask.as_deref()) {
-            Some(target) => {
-                // A requeue was already admitted once; it re-enters the
-                // queue directly (no depth shedding) with a remaining-work
-                // estimate that charges the fresh weight upload its resume
-                // will pay.
-                let upload_s = self.system.weight_upload_s();
-                let mut est_service_s = entry.layer_s.remaining_s(entry.cursor)
-                    + if entry.cursor > 0 { upload_s } else { 0.0 };
-                // A crash-evicted session turn re-prefills on its new
-                // replica (its residency died with the crashed one).
-                let mut re_prefill_s = 0.0;
-                if self.session_on {
-                    if let Some(turn) = &entry.request.session {
-                        if self.sessions.get(&turn.session) != Some(&target) {
-                            re_prefill_s = self.cost.session_prefill_s(&self.system, entry.request);
-                            est_service_s += re_prefill_s;
-                        }
-                    }
-                }
-                if S::ENABLED {
-                    let track = TrackId::new(target as u32, Module::Runtime);
-                    sink.instant(track, "requeue-placed", now);
-                }
-                let session_turn = entry.request.session;
-                self.replicas[target].enqueue(Pending {
-                    request: entry.request,
-                    est_service_s,
-                    layer_s: entry.layer_s,
-                    resume_cursor: entry.cursor,
-                    attempt: entry.attempt,
-                    re_prefill_s,
-                });
-                if self.session_on {
-                    if let Some(turn) = &session_turn {
-                        let account = cfg.sessions.as_ref().is_some_and(|p| p.account_state);
-                        let hold_s = if account { re_prefill_s } else { 0.0 };
-                        self.place_session(turn.session, turn.turn, target, hold_s);
-                        if S::ENABLED && re_prefill_s > 0.0 && turn.turn > 0 {
-                            let track = TrackId::new(target as u32, Module::Runtime);
-                            sink.instant(track, "session-re-prefill", now);
-                        }
-                    }
-                }
-                self.touch(target);
-                if let Some(bs) = self.breakers.as_mut() {
-                    bs[target].on_dispatch();
-                }
+        let Some(target) = self.router.choose(&mut self.fleet.replicas, now, mask.as_deref())
+        else {
+            // Still no healthy replica: consume another attempt or give up.
+            let attempt = entry.attempt + 1;
+            if attempt > self.cfg.retry.max_attempts {
+                self.shed(entry.request, ShedReason::ReplicaLost, entry.attempt);
+            } else {
+                let retry_s = now + self.cfg.retry.backoff(attempt);
+                let entry = RetryEntry { retry_s, attempt, ..entry };
+                self.schedule_retry(entry, TrackId::new(0, Module::Fault), now, sink);
             }
-            None => {
-                // Still no healthy replica: consume another attempt or
-                // give up.
-                let attempt = entry.attempt + 1;
-                if attempt > cfg.retry.max_attempts {
-                    self.shed.push(Shed {
-                        id: entry.request.id,
-                        class: entry.request.class.name,
-                        arrival_s: entry.request.arrival_s,
-                        reason: if entry.request.session.is_some() {
-                            ShedReason::SessionLost
-                        } else {
-                            ShedReason::ReplicaLost
-                        },
-                        retries: entry.attempt,
-                        tenant: entry.request.tenant,
-                    });
-                    self.note_session_shed(entry.request);
-                } else {
-                    self.requeues_total += 1;
-                    if S::ENABLED {
-                        let track = TrackId::new(0, Module::Fault);
-                        sink.counter(track, "retries", now, self.requeues_total as f64);
-                    }
-                    push_retry(
-                        &mut self.retries,
-                        RetryEntry {
-                            retry_s: now + cfg.retry.backoff(attempt),
-                            attempt,
-                            cursor: entry.cursor,
-                            request: entry.request,
-                            layer_s: entry.layer_s,
-                        },
-                    );
-                }
-            }
+            return;
+        };
+        // Already admitted once, a requeue skips admission; its estimate
+        // charges the resume's weight upload and any re-prefill.
+        let resume_s = self.fleet.resume_s(&entry.layer_s, entry.cursor);
+        let (est_service_s, re_prefill_s) = self.with_re_prefill(entry.request, target, resume_s);
+        if S::ENABLED {
+            sink.instant(TrackId::new(target as u32, Module::Runtime), "requeue-placed", now);
         }
+        let (resume_cursor, attempt) = (entry.cursor, entry.attempt);
+        let fresh = Pending::fresh(entry.request, est_service_s, entry.layer_s);
+        self.place(target, Pending { resume_cursor, attempt, re_prefill_s, ..fresh }, now, sink);
     }
 
     /// Processes `hedges[0]`: if the request is still in flight, dispatch
     /// a copy to a second replica (excluding the slow primary's).
     fn handle_hedge<S: TraceSink>(&mut self, sink: &mut S) {
         self.events_processed += 1;
-        let cfg = self.cfg;
-        let entry = self.hedges.remove(0);
+        let o = self.overload.as_mut().expect("hedge timers run under overload control");
+        let entry = o.hedges.remove(0);
         let now = entry.fire_s;
         let id = entry.request.id;
-        // Still in flight? (Not found anywhere = completed, shed, or
-        // waiting out a retry backoff — no hedge then.)
-        if let Some(primary) = self.replicas.iter().position(|r| r.holds_request(id)) {
-            let breaker_mask = self.routable_mask(now, sink);
-            // The copy must land on a *different* replica than the one
-            // holding the slow primary.
-            let mask: Vec<bool> = (0..self.replicas.len())
-                .map(|i| i != primary && breaker_mask.as_ref().is_none_or(|m| m[i]))
-                .collect();
-            if let Some(target) =
-                cfg.routing.choose(&mut self.replicas, now, &mut self.rr_cursor, Some(&mask))
-            {
-                // Hedge copies bypass admission: the request was already
-                // admitted once; the copy exists purely to cut its tail.
-                self.replicas[target].enqueue(Pending::fresh(
-                    entry.request,
-                    entry.est_service_s,
-                    entry.layer_s,
-                ));
-                self.touch(target);
-                if let Some(bs) = self.breakers.as_mut() {
-                    bs[target].on_dispatch();
-                }
-                self.hedged += 1;
-                self.hedged_live.insert(id, primary);
-                if S::ENABLED {
-                    let htrack = TrackId::new(target as u32, Module::Hedge);
-                    sink.instant(htrack, "hedge-dispatch", now);
-                }
-            }
+        // No hedge unless still in flight (not completed, shed or backing
+        // off).
+        let Some(primary) = self.fleet.replicas.iter().position(|r| r.holds_request(id)) else {
+            return;
+        };
+        let routable = self.routable_mask(now, sink);
+        let mask: Vec<bool> = (0..self.fleet.replicas.len())
+            .map(|i| i != primary && routable.as_ref().is_none_or(|m| m[i]))
+            .collect();
+        let Some(target) = self.router.choose(&mut self.fleet.replicas, now, Some(&mask)) else {
+            return;
+        };
+        // The copy bypasses admission: it exists purely to cut the tail.
+        let pending = Pending::fresh(entry.request, entry.est_service_s, entry.layer_s);
+        self.place(target, pending, now, sink);
+        let o = self.overload.as_mut().expect("hedge timers run under overload control");
+        o.hedged += 1;
+        o.hedged_live.insert(id, primary);
+        if S::ENABLED {
+            sink.instant(TrackId::new(target as u32, Module::Hedge), "hedge-dispatch", now);
         }
     }
 
-    /// Executes replica `i`'s next layer step and feeds the resulting
-    /// completions back into the overload controllers, breakers, latency
-    /// window and hedge cancellation.
+    /// Executes replica `i`'s next layer step, feeds its completions to
+    /// the stages, and drains held tenancy work into the freed space.
     fn handle_step<S: TraceSink>(&mut self, i: usize, sink: &mut S) {
         self.events_processed += 1;
         let cfg = self.cfg;
         let before = self.completions.len();
-        let t0 = self.replicas[i].execute_step(
+        let fleet = &mut self.fleet;
+        let t0 = fleet.replicas[i].execute_step(
             &cfg.batch,
             &cfg.faults,
-            &mut self.cost,
+            &mut fleet.cost,
             &mut self.completions,
             sink,
         );
-        self.touch(i);
-        if self.overload_on {
-            for idx in before..self.completions.len() {
-                let c = self.completions[idx].clone();
-                // Hedge delay sensing: sliding window of completion
-                // latencies.
-                if let Some(hp) = &cfg.overload.hedge {
-                    let lat = c.latency_s();
-                    if self.lat_window.len() == hp.latency_window {
-                        self.lat_window[self.lat_next % hp.latency_window] = lat;
-                    } else {
-                        self.lat_window.push(lat);
-                    }
-                    self.lat_next = (self.lat_next + 1) % hp.latency_window;
-                }
-                // A completion is breaker evidence of health (a successful
-                // half-open probe closes the breaker).
-                if let Some(bs) = self.breakers.as_mut() {
-                    if let Some(BreakerEvent::Closed { since_s, at_s }) =
-                        bs[c.replica].record_success(c.finish_s)
-                    {
-                        if S::ENABLED {
-                            let btrack = TrackId::new(c.replica as u32, Module::Breaker);
-                            sink.span(
-                                btrack,
-                                "half-open",
-                                since_s,
-                                at_s,
-                                SpanClass::Control,
-                                false,
-                            );
-                        }
-                    }
-                }
-                // ... and brownout evidence (deadline outcome).
-                if let (Some(ctrls), Some(bc)) =
-                    (self.controllers.as_mut(), cfg.overload.brownout.as_ref())
-                {
-                    if let Some(tr) =
-                        ctrls[c.replica].observe_completion(c.deadline_met == Some(false))
-                    {
-                        apply_transition(
-                            &mut self.replicas,
-                            &bc.ladder,
-                            c.replica,
-                            tr,
-                            c.finish_s,
-                            &mut self.transitions_total,
-                            sink,
-                        );
-                    }
-                }
-                // First outcome wins: cancel every losing copy (other
-                // replicas' queues/actives at their layer boundary, plus
-                // any retry backoff entry) the moment the winner completes,
-                // so exactly one completion is ever reported per hedged id.
-                if let Some(primary) = self.hedged_live.remove(&c.id) {
-                    for j in 0..self.replicas.len() {
-                        if j == c.replica {
-                            continue;
-                        }
-                        let n = self.replicas[j].cancel_request(c.id);
-                        if n > 0 {
-                            self.hedge_cancelled += n;
-                            self.touch(j);
-                            if S::ENABLED {
-                                let htrack = TrackId::new(j as u32, Module::Hedge);
-                                sink.instant(htrack, "hedge-cancel", c.finish_s);
-                            }
-                        }
-                    }
-                    let before_retry = self.retries.len();
-                    self.retries.retain(|r| r.request.id != c.id);
-                    self.hedge_cancelled += before_retry - self.retries.len();
-                    if c.replica != primary {
-                        self.hedge_wins += 1;
-                        if S::ENABLED {
-                            let htrack = TrackId::new(c.replica as u32, Module::Hedge);
-                            sink.instant(htrack, "hedge-win", c.finish_s);
-                        }
-                    }
-                }
+        fleet.touch(i);
+        let done = &self.completions[before..];
+        if let Some(o) = self.overload.as_mut() {
+            for c in done {
+                o.on_completion(c, &mut self.router, &mut self.fleet, &mut self.retries, sink);
             }
         }
-        // A session's final turn retiring releases the replica's resident
-        // compression state (and the occupancy hold that came with it).
-        if self.session_on {
-            for idx in before..self.completions.len() {
-                if let Some(turn) = self.completions[idx].session {
-                    if turn.last {
-                        if let Some(r) = self.sessions.remove(&turn.session) {
-                            self.replicas[r].release_session(turn.session);
-                        }
-                    }
-                }
-            }
+        if let Some(st) = self.sessions.as_mut() {
+            st.on_completions(done, &mut self.fleet);
         }
-        // Completions are the detector's only sensory input: a real load
-        // balancer sees responses, not replica internals.
-        if let Some(d) = self.detector.as_mut() {
-            for idx in before..self.completions.len() {
-                let (replica, finish_s) =
-                    (self.completions[idx].replica, self.completions[idx].finish_s);
-                d.observe(replica, finish_s);
-            }
-        }
-        // The step moved queued work into the batch, freeing queue
-        // space: held tenancy work can dispatch now. `t0` is the step's
-        // start — the instant this event occupies on the shared timeline.
-        if self.tenancy.is_some() {
-            self.drain_tenancy(t0, sink);
-        }
+        self.router.observe(done);
+        // `t0` is the step's start — the instant this event occupies on
+        // the shared timeline.
+        self.drain_front_door(t0, sink);
     }
 
-    /// End-of-run bookkeeping: close open outages and breaker intervals,
-    /// assemble metrics.
+    /// End-of-run bookkeeping: shed what the fair queue still holds,
+    /// close open intervals, assemble metrics.
     fn finish<S: TraceSink>(mut self, sink: &mut S) -> FleetReport {
-        // Requests still parked in the fair queue when the run ends (the
-        // fleet was down, or warming capacity never arrived): shed as
-        // ReplicaLost so the conservation invariant holds.
-        while let Some((tenant, request)) = self.tenancy.as_mut().and_then(|t| t.queue.pop()) {
-            self.shed.push(Shed {
-                id: request.id,
-                class: request.class.name,
-                arrival_s: request.arrival_s,
-                reason: if request.session.is_some() {
-                    ShedReason::SessionLost
-                } else {
-                    ShedReason::ReplicaLost
-                },
-                retries: 0,
-                tenant,
-            });
-            self.note_session_shed(request);
+        // Work still parked (the fleet was down, or warming capacity never
+        // arrived) sheds so conservation holds.
+        while let Some((_, request)) = self.front.as_mut().and_then(|f| f.queue.pop()) {
+            self.shed(request, ShedReason::ReplicaLost, 0);
         }
-        // Close the books on replicas still down at the end of the run:
-        // their open outage extends to the fleet makespan (or the crash
-        // instant if nothing completed after it).
         let makespan_s = self.completions.iter().map(|c| c.finish_s).fold(0.0, f64::max);
-        for r in &mut self.replicas {
-            if !r.up {
-                let end = makespan_s.max(r.down_since);
-                r.down_s += end - r.down_since;
-                if S::ENABLED {
-                    let track = TrackId::new(r.index as u32, Module::Fault);
-                    sink.span(track, "outage", r.down_since, end, SpanClass::Fault, true);
-                }
-            }
-        }
+        self.fleet.close_outages(makespan_s, sink);
+        self.router.close(makespan_s, sink);
 
-        // Likewise for quarantines still in force: their span extends to
-        // the makespan.
-        if let Some(d) = self.detector.as_ref() {
-            d.close_spans(makespan_s, sink);
-        }
-
-        // Likewise for breakers still open (or probing) at the end of the
-        // run: their blocking interval extends to the makespan.
-        if S::ENABLED {
-            if let Some(bs) = self.breakers.as_ref() {
-                for (i, b) in bs.iter().enumerate() {
-                    let track = TrackId::new(i as u32, Module::Breaker);
-                    match b.state() {
-                        BreakerState::Open { since_s, .. } => {
-                            sink.span(
-                                track,
-                                "open",
-                                since_s,
-                                makespan_s.max(since_s),
-                                SpanClass::Control,
-                                true,
-                            );
-                        }
-                        BreakerState::HalfOpen { since_s, .. } => {
-                            sink.span(
-                                track,
-                                "half-open",
-                                since_s,
-                                makespan_s.max(since_s),
-                                SpanClass::Control,
-                                true,
-                            );
-                        }
-                        BreakerState::Closed { .. } => {}
-                    }
-                }
-            }
-        }
-
-        let busy: Vec<f64> = self.replicas.iter().map(|r| r.busy_s).collect();
-        let down: Vec<f64> = self.replicas.iter().map(|r| r.down_s).collect();
+        let replicas = &self.fleet.replicas;
+        let busy: Vec<f64> = replicas.iter().map(|r| r.busy_s).collect();
+        let down: Vec<f64> = replicas.iter().map(|r| r.down_s).collect();
         let mut metrics = FleetMetrics::from_outcomes(
             self.requests.len(),
             &self.completions,
@@ -1242,66 +1186,23 @@ impl<'a> EngineState<'a> {
             &busy,
             &down,
         );
-        metrics.overload.hedged = self.hedged;
-        metrics.overload.hedge_wins = self.hedge_wins;
-        metrics.overload.hedge_cancelled = self.hedge_cancelled;
-        metrics.overload.brownout_transitions = self.transitions_total;
-        metrics.overload.per_replica_brownout_s =
-            self.replicas.iter().map(|r| r.brownout_s).collect();
+        if let Some(o) = &self.overload {
+            metrics.overload.hedged = o.hedged;
+            metrics.overload.hedge_wins = o.hedge_wins;
+            metrics.overload.hedge_cancelled = o.hedge_cancelled;
+            metrics.overload.brownout_transitions = o.transitions_total;
+        }
+        metrics.overload.per_replica_brownout_s = replicas.iter().map(|r| r.brownout_s).collect();
         metrics.overload.breaker_opens =
-            self.breakers.as_ref().map_or(0, |bs| bs.iter().map(|b| b.opens).sum());
-        if let Some(tcfg) = self.cfg.tenancy.as_ref() {
-            let mut outcomes: Vec<TenantOutcome> =
-                (0..tcfg.tenants).map(TenantOutcome::new).collect();
-            for r in self.requests {
-                outcomes[r.tenant as usize].offered += 1;
-            }
-            for s in &self.shed {
-                let o = &mut outcomes[s.tenant as usize];
-                o.shed += 1;
-                if s.reason == ShedReason::QuotaExceeded {
-                    o.quota_shed += 1;
-                }
-            }
-            for c in &self.completions {
-                let o = &mut outcomes[c.tenant as usize];
-                o.latencies_s.push(c.latency_s());
-                if c.deadline_met.unwrap_or(true) {
-                    o.good += 1;
-                }
-            }
-            let mut stats = TenancyStats::from_outcomes(&outcomes, metrics.makespan_s);
-            let scaler = self.tenancy.as_ref().and_then(|t| t.scaler.as_ref());
-            stats.scale_ups = scaler.map_or(0, |s| s.scale_ups);
-            stats.scale_downs = scaler.map_or(0, |s| s.scale_downs);
-            stats.final_active = scaler.map_or(self.cfg.replicas, |s| s.active());
-            metrics.tenancy = Some(stats);
-        }
-        metrics.detector = self.detector.as_ref().map(|d| d.stats(&self.cfg.faults));
-        if self.cfg.sessions.is_some() {
-            let mut ids: FxHashSet<u64> = FxHashSet::default();
-            for r in self.requests {
-                if let Some(t) = &r.session {
-                    ids.insert(t.session);
-                }
-            }
-            let mut itls: Vec<f64> = Vec::new();
-            let mut turns_completed = 0usize;
-            for c in &self.completions {
-                if let Some(t) = &c.session {
-                    turns_completed += 1;
-                    itls.push(c.latency_s() / t.decode_tokens as f64);
-                }
-            }
-            metrics.sessions = Some(SessionStats::new(
-                ids.len(),
-                turns_completed,
-                self.session_turns_shed,
-                self.lost_sessions.len(),
-                self.re_prefills,
-                &itls,
-            ));
-        }
+            self.router.breakers.iter().flatten().map(|b| b.opens).sum();
+        let (requests, completions, shed) = (self.requests, &self.completions, &self.shed);
+        metrics.tenancy = self
+            .front
+            .as_ref()
+            .map(|f| f.stats(replicas.len(), requests, completions, shed, metrics.makespan_s));
+        metrics.detector = self.router.detector.as_ref().map(|d| d.stats(&self.cfg.faults));
+        metrics.sessions =
+            self.sessions.as_ref().map(|st| st.stats(self.requests, &self.completions));
         FleetReport {
             metrics,
             completions: self.completions,
@@ -1310,28 +1211,7 @@ impl<'a> EngineState<'a> {
             event_queue_samples: Vec::new(),
         }
     }
-}
 
-/// Runs the fleet on the step-tree driver.
-pub(crate) fn run<S: TraceSink>(
-    cfg: &FleetConfig,
-    requests: &[ServeRequest],
-    sink: &mut S,
-) -> FleetReport {
-    run_step_tree(EngineState::new(cfg, requests), sink)
-}
-
-/// Runs the fleet on the reference scan (the test oracle behind
-/// [`crate::reference`]).
-pub(crate) fn run_reference<S: TraceSink>(
-    cfg: &FleetConfig,
-    requests: &[ServeRequest],
-    sink: &mut S,
-) -> FleetReport {
-    run_step_granular(EngineState::new(cfg, requests), sink)
-}
-
-impl EngineState<'_> {
     /// The next event and its instant, given the earliest replica step
     /// `(time, index)`: the minimum over the five sources by time, ties
     /// to the earlier source in the order fault < arrival < retry <
@@ -1341,10 +1221,15 @@ impl EngineState<'_> {
             self.fault_events.get(self.next_fault).map(|f| (f.t_s, Next::Fault)),
             self.requests.get(self.next_arrival).map(|r| (r.arrival_s, Next::Arrival)),
             self.retries.first().map(|r| (r.retry_s, Next::Retry)),
-            self.hedges.first().map(|h| (h.fire_s, Next::Hedge)),
+            self.hedges().first().map(|h| (h.fire_s, Next::Hedge)),
             next_step.map(|(t, i)| (t, Next::Step(i))),
         ];
         sources.into_iter().flatten().reduce(|best, c| if c.0 < best.0 { c } else { best })
+    }
+
+    /// The armed hedge timers (none with overload control off).
+    fn hedges(&self) -> &[HedgeEntry<'a>] {
+        self.overload.as_ref().map_or(&[], |o| &o.hedges)
     }
 
     /// Runs the handler of `next`.
@@ -1365,8 +1250,27 @@ impl EngineState<'_> {
         usize::from(self.next_fault < self.fault_events.len())
             + usize::from(self.next_arrival < self.requests.len())
             + self.retries.len()
-            + self.hedges.len()
+            + self.hedges().len()
     }
+}
+
+/// Runs the fleet on the step-tree driver.
+pub(crate) fn run<S: TraceSink>(
+    cfg: &FleetConfig,
+    requests: &[ServeRequest],
+    sink: &mut S,
+) -> FleetReport {
+    run_step_tree(EngineState::new(cfg, requests), sink)
+}
+
+/// Runs the fleet on the reference scan (the test oracle behind
+/// [`crate::reference`]).
+pub(crate) fn run_reference<S: TraceSink>(
+    cfg: &FleetConfig,
+    requests: &[ServeRequest],
+    sink: &mut S,
+) -> FleetReport {
+    run_step_granular(EngineState::new(cfg, requests), sink)
 }
 
 /// Scans every replica: the earliest step `(time, index)`, ties to the
@@ -1391,10 +1295,10 @@ fn scan_steps(replicas: &[Replica<'_>]) -> (Option<(f64, usize)>, usize) {
 /// handler and takes no occupancy samples.
 fn run_step_granular<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> FleetReport {
     loop {
-        let (next_step, _) = scan_steps(&state.replicas);
+        let (next_step, _) = scan_steps(&state.fleet.replicas);
         let Some((_, next)) = state.next_event(next_step) else { break };
         state.handle(next, sink);
-        state.touched.clear();
+        state.fleet.touched.clear();
     }
     state.finish(sink)
 }
@@ -1413,25 +1317,26 @@ const QUEUE_SAMPLE_EVERY: u64 = 64;
 /// ordered sources' pending events plus the replicas with a scheduled
 /// step.
 fn run_step_tree<S: TraceSink>(mut state: EngineState<'_>, sink: &mut S) -> FleetReport {
-    let mut tree = StepTree::new(state.replicas.len());
+    let mut tree = StepTree::new(state.fleet.replicas.len());
     let mut samples: Vec<(f64, usize)> = Vec::new();
     while let Some((t, next)) = state.next_event(tree.min()) {
         if let Next::Step(i) = next {
             debug_assert_eq!(
-                state.replicas[i].next_step_time(),
+                state.fleet.replicas[i].next_step_time(),
                 Some(t),
                 "step tree out of sync with replica {i}"
             );
         }
         state.handle(next, sink);
-        for &i in &state.touched {
-            tree.set(i, state.replicas[i].next_step_time());
+        let fleet = &mut state.fleet;
+        for &i in &fleet.touched {
+            tree.set(i, fleet.replicas[i].next_step_time());
         }
-        state.touched.clear();
+        fleet.touched.clear();
         if state.events_processed % QUEUE_SAMPLE_EVERY == 1 {
             debug_assert_eq!(
                 (tree.min(), tree.live()),
-                scan_steps(&state.replicas),
+                scan_steps(&state.fleet.replicas),
                 "step tree out of sync with the replicas"
             );
             samples.push((t, state.pending_source_events() + tree.live()));
@@ -1457,25 +1362,31 @@ mod tests {
             .collect()
     }
 
-    /// A two-replica fleet whose only fault is replica 1 crashing at
-    /// `crash_s`.
+    /// A two-replica hedging fleet whose only fault is replica 1 crashing
+    /// at `crash_s`.
     fn config(crash_s: f64) -> FleetConfig {
         let mut cfg = FleetConfig::sharded(SystemConfig::paper(), 2);
         cfg.faults = FaultPlan {
             crashes: vec![CrashWindow { replica: 1, down_s: crash_s, up_s: None }],
             ..FaultPlan::none()
         };
+        cfg.overload.hedge = Some(HedgePolicy::standard());
         cfg
     }
 
     /// Arms one retry backoff and one hedge timer for `request` at `t`.
     fn arm<'a>(state: &mut EngineState<'a>, request: &'a ServeRequest, t: f64) {
-        let layer_s = state.cost.layer_times_s(&state.system, request);
+        let layer_s = state.fleet.cost.layer_times_s(&state.fleet.system, request);
         let retry =
             RetryEntry { retry_s: t, attempt: 1, cursor: 0, request, layer_s: layer_s.clone() };
-        push_retry(&mut state.retries, retry);
+        insert_timer(&mut state.retries, retry, |r| (r.retry_s, r.request.id));
         let hedge = HedgeEntry { fire_s: t, request, est_service_s: 2e-3, layer_s };
-        push_hedge(&mut state.hedges, hedge);
+        let overload = state.overload.as_mut().expect("hedging on");
+        insert_timer(&mut overload.hedges, hedge, |h| (h.fire_s, h.request.id));
+    }
+
+    fn clear_hedges(state: &mut EngineState<'_>) {
+        state.overload.as_mut().expect("hedging on").hedges.clear();
     }
 
     #[test]
@@ -1492,7 +1403,7 @@ mod tests {
         assert_eq!(state.next_event(step), Some((1.0, Next::Retry)));
         state.retries.clear();
         assert_eq!(state.next_event(step), Some((1.0, Next::Hedge)));
-        state.hedges.clear();
+        clear_hedges(&mut state);
         assert_eq!(state.next_event(step), Some((1.0, Next::Step(0))));
         assert_eq!(state.next_event(None), None, "every source exhausted");
     }
@@ -1508,7 +1419,7 @@ mod tests {
         assert_eq!(state.next_event(Some((4.0, 0))), Some((1.5, Next::Retry)));
         state.retries.clear();
         assert_eq!(state.next_event(Some((4.0, 0))), Some((1.5, Next::Hedge)));
-        state.hedges.clear();
+        clear_hedges(&mut state);
         assert_eq!(state.next_event(Some((4.0, 0))), Some((2.0, Next::Arrival)));
         state.next_arrival = trace.len();
         assert_eq!(state.next_event(Some((4.0, 0))), Some((3.0, Next::Fault)));

@@ -133,6 +133,10 @@ pub struct LinkStall {
     pub factor: f64,
 }
 
+/// The most crash windows [`FaultPlan::try_seeded`] draws (128 MiB of
+/// plan; `planet_sweep` at 16 384 replicas and MTBF factor 0.01 asks 3.3 M).
+const MAX_SEEDED_WINDOWS: usize = 1 << 22;
+
 /// A structural defect in a [`FaultPlan`], reported by
 /// [`FaultPlan::try_validate`] / [`FaultPlan::try_seeded`] instead of a
 /// silently nonsensical schedule. The [`fmt::Display`] strings are pinned
@@ -212,6 +216,12 @@ pub enum FaultPlanError {
     },
     /// [`FaultPlan::try_seeded`] was asked for an empty fleet.
     NoReplicas,
+    /// [`FaultPlan::try_seeded`] would draw more crash windows than a
+    /// plan may hold.
+    ScheduleTooLarge {
+        /// The size estimate `replicas × (horizon / MTBF + 1)`.
+        windows: f64,
+    },
 }
 
 impl fmt::Display for FaultPlanError {
@@ -254,6 +264,11 @@ impl fmt::Display for FaultPlanError {
             }
             Self::BadParam { what } => write!(f, "{what} must be positive and finite"),
             Self::NoReplicas => write!(f, "at least one replica"),
+            Self::ScheduleTooLarge { windows } => write!(
+                f,
+                "seeded schedule of about {windows:.3e} crash windows exceeds the cap of \
+                 {MAX_SEEDED_WINDOWS} (fewer replicas or a longer MTBF)"
+            ),
         }
     }
 }
@@ -311,8 +326,9 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if `replicas == 0`, any of `horizon_s`, `mtbf_s`, `mttr_s`
-    /// is not positive and finite, or the drawn schedule fails
-    /// validation. [`Self::try_seeded`] reports the same conditions as
+    /// is not positive and finite, the schedule's size estimate exceeds
+    /// the window cap, or the drawn schedule fails validation.
+    /// [`Self::try_seeded`] reports the same conditions as
     /// typed errors.
     pub fn seeded(replicas: usize, horizon_s: f64, mtbf_s: f64, mttr_s: f64, seed: u64) -> Self {
         match Self::try_seeded(replicas, horizon_s, mtbf_s, mttr_s, seed) {
@@ -322,7 +338,9 @@ impl FaultPlan {
     }
 
     /// Fallible form of [`Self::seeded`]: rejects an empty fleet,
-    /// non-positive / non-finite horizon, MTBF or MTTR, and a drawn
+    /// non-positive / non-finite horizon, MTBF or MTTR, a schedule too
+    /// large to draw (`replicas × (horizon / MTBF + 1)` windows above a
+    /// fixed cap, which would otherwise hang the draw), and a drawn
     /// schedule that fails [`Self::try_validate`] (an MTTR below the
     /// resolution of the drawn times, whose recoveries round onto their
     /// crashes) with a typed [`FaultPlanError`] instead of panicking.
@@ -344,6 +362,10 @@ impl FaultPlan {
         }
         if !(mttr_s > 0.0 && mttr_s.is_finite()) {
             return Err(FaultPlanError::BadParam { what: "MTTR" });
+        }
+        let windows = replicas as f64 * (horizon_s / mtbf_s + 1.0);
+        if windows > MAX_SEEDED_WINDOWS as f64 {
+            return Err(FaultPlanError::ScheduleTooLarge { windows });
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut crashes = Vec::new();
@@ -1031,6 +1053,21 @@ mod tests {
             Err(FaultPlanError::BadParam { what: "horizon" })
         );
         assert_eq!(FaultPlan::try_seeded(0, 10.0, 5.0, 1.0, 0), Err(FaultPlanError::NoReplicas));
+        // Schedules too large to draw return at once instead of looping
+        // per replica or pushing every window.
+        assert!(matches!(
+            FaultPlan::try_seeded(1 << 62, 10.0, 5.0, 1.0, 0),
+            Err(FaultPlanError::ScheduleTooLarge { .. })
+        ));
+        assert!(matches!(
+            FaultPlan::try_seeded(1, 1e300, 1.0, 1.0, 0),
+            Err(FaultPlanError::ScheduleTooLarge { .. })
+        ));
+        // The largest in-tree schedules fit: the fleet-sessions benchmark
+        // (256 replicas, about 3 windows each) and a 16k-replica planet
+        // sweep at MTBF factor 0.01.
+        assert!(FaultPlan::try_seeded(256, 2.0, 1.0, 0.02, 1).is_ok());
+        assert!(MAX_SEEDED_WINDOWS as f64 >= 16_384.0 * (2.0 / 0.01 + 1.0));
         // Infinite partition.
         let cut = FaultPlan {
             partitions: vec![Partition { replica: 0, from_s: 1.0, until_s: f64::INFINITY }],
@@ -1206,10 +1243,17 @@ mod tests {
             let (horizon_s, mtbf_s, mttr_s) = (wild(&mut rng), wild(&mut rng), wild(&mut rng));
             let valid = |x: f64| x > 0.0 && x.is_finite();
             let params_ok = valid(horizon_s) && valid(mtbf_s) && valid(mttr_s);
-            // `try_seeded` draws every window a valid request asks for,
-            // with no size bound, so only valid schedules that fit a test
-            // are drawn.
-            let fits = replicas as f64 * (horizon_s / mtbf_s + 1.0) <= 1e5;
+            // A valid request above the window cap is refused unseen;
+            // below it, only schedules that fit a test are drawn.
+            let windows = replicas as f64 * (horizon_s / mtbf_s + 1.0);
+            let oversized = params_ok && replicas > 0 && windows > MAX_SEEDED_WINDOWS as f64;
+            if oversized {
+                prop_assert!(matches!(
+                    FaultPlan::try_seeded(replicas, horizon_s, mtbf_s, mttr_s, seed),
+                    Err(FaultPlanError::ScheduleTooLarge { .. })
+                ));
+            }
+            let fits = windows <= 1e5;
             if !params_ok || replicas == 0 || fits {
                 match FaultPlan::try_seeded(replicas, horizon_s, mtbf_s, mttr_s, seed) {
                     Ok(plan) => {

@@ -551,12 +551,6 @@ impl HedgePolicy {
         Self { min_delay_s: 1e-4, latency_window: 32, quantile: 0.99 }
     }
 
-    pub(crate) fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
     /// The hedge policy's structural rules; the first violated one.
     pub(crate) fn try_validate(&self) -> Result<(), &'static str> {
         ensure(

@@ -1,32 +1,16 @@
 //! The discrete-event fleet runtime: configuration, report, and the
 //! public simulation entry points.
 //!
-//! The simulation interleaves five event sources in time order: fault
-//! transitions (replica crashes and recoveries from the
-//! [`FaultPlan`]), request arrivals (routed and admission-checked the
-//! instant they occur), retry requeues (crash-evicted requests re-entering
-//! routing after their backoff), hedge timers (deadline-bearing requests
-//! duplicating to a second replica after the windowed-p99 delay; see
-//! [`crate::OverloadControl`]), and per-replica layer steps (each replica
-//! dispatches its active batch one layer at a time; see
-//! [`crate::replica`]). Ties are deterministic: at one instant a fault is
-//! processed before an arrival, an arrival before a retry — so it can
-//! still join a coincident step's batch — a retry before a hedge, and
-//! coincident replica steps run in replica index order. All state
-//! evolution is pure `f64` arithmetic over the trace, so a fixed trace,
-//! configuration and fault plan always reproduce the same report — and
-//! with [`FaultPlan::none`] the fault machinery stays fully dormant and
-//! with [`OverloadControl::off`] the brownout/breaker/hedge machinery
-//! stays fully dormant, keeping reports bitwise identical to the plain
-//! runtime (both pinned by test).
-//!
-//! The event *handlers* live in [`crate::engine`], driven by one
-//! cascade over the engine's ordered event sources, with the earliest
-//! replica step read from a tournament tree (O(log replicas) per touched
-//! replica). The original step-granular scan survives only as the test
-//! oracle [`crate::reference`]; the two produce bitwise-identical
-//! reports, pinned by the `engine` integration test and the golden
-//! suite.
+//! A run interleaves five event sources in time order: fault transitions
+//! from the [`FaultPlan`], request arrivals (routed and admission-checked
+//! the instant they occur), retry requeues of crash-evicted requests,
+//! hedge timers (see [`crate::OverloadControl`]), and per-replica layer
+//! steps (see [`crate::replica`]). All state evolution is pure `f64`
+//! arithmetic over the trace, so a fixed trace, configuration and fault
+//! plan always reproduce the same report, and every mechanism left off
+//! ([`FaultPlan::none`], [`OverloadControl::off`], no tenancy, detector
+//! or sessions) stays fully dormant (pinned bitwise by the goldens). The
+//! staged engine and its event order are described in [`crate::engine`].
 
 use cta_telemetry::{NullSink, TraceSink};
 
@@ -86,7 +70,8 @@ impl SessionPolicy {
     }
 }
 
-/// Why a [`FleetConfigBuilder`] refused to produce a configuration.
+/// Why [`FleetConfig::try_validate`] (and so [`FleetConfigBuilder::build`])
+/// refused a configuration.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -216,6 +201,36 @@ impl FleetConfig {
         Self::builder(system).build().expect("the single-replica baseline is always valid")
     }
 
+    /// The one list of structural rules both [`FleetConfigBuilder::build`]
+    /// and [`simulate_fleet`] apply; returns the first violation.
+    pub fn try_validate(&self) -> Result<(), ConfigError> {
+        if self.replicas == 0 {
+            return Err(ConfigError::NoReplicas);
+        }
+        self.faults.try_validate(self.replicas).map_err(ConfigError::Faults)?;
+        self.system.try_validate().map_err(ConfigError::System)?;
+        self.system.hw.try_validate().map_err(ConfigError::Hardware)?;
+        if self.batch.max_active_requests == 0 {
+            return Err(ConfigError::NoBatch);
+        }
+        if let Some(b) = &self.overload.brownout {
+            b.policy.try_validate().map_err(ConfigError::Brownout)?;
+        }
+        if let Some(b) = &self.overload.breaker {
+            b.try_validate().map_err(ConfigError::Breaker)?;
+        }
+        if let Some(h) = &self.overload.hedge {
+            h.try_validate().map_err(ConfigError::Hedge)?;
+        }
+        if let Some(t) = &self.tenancy {
+            t.try_validate(self.replicas).map_err(ConfigError::Tenancy)?;
+        }
+        if let Some(d) = &self.detector {
+            d.try_validate().map_err(ConfigError::Detector)?;
+        }
+        Ok(())
+    }
+
     /// A sharded fleet at the given width with sensible production
     /// defaults: least-outstanding-work routing, bounded queues, batching
     /// up to 4 requests.
@@ -307,33 +322,10 @@ impl FleetConfigBuilder {
 
     /// Validates and produces the configuration: every part
     /// [`simulate_fleet`] would otherwise reject with a panic is checked
-    /// here and reported as the first [`ConfigError`] found.
+    /// here and reported as the first [`ConfigError`] found
+    /// ([`FleetConfig::try_validate`]).
     pub fn build(self) -> Result<FleetConfig, ConfigError> {
-        let cfg = &self.cfg;
-        if cfg.replicas == 0 {
-            return Err(ConfigError::NoReplicas);
-        }
-        cfg.faults.try_validate(cfg.replicas).map_err(ConfigError::Faults)?;
-        cfg.system.try_validate().map_err(ConfigError::System)?;
-        cfg.system.hw.try_validate().map_err(ConfigError::Hardware)?;
-        if cfg.batch.max_active_requests == 0 {
-            return Err(ConfigError::NoBatch);
-        }
-        if let Some(b) = &cfg.overload.brownout {
-            b.policy.try_validate().map_err(ConfigError::Brownout)?;
-        }
-        if let Some(b) = &cfg.overload.breaker {
-            b.try_validate().map_err(ConfigError::Breaker)?;
-        }
-        if let Some(h) = &cfg.overload.hedge {
-            h.try_validate().map_err(ConfigError::Hedge)?;
-        }
-        if let Some(t) = &cfg.tenancy {
-            t.try_validate(cfg.replicas).map_err(ConfigError::Tenancy)?;
-        }
-        if let Some(d) = &cfg.detector {
-            d.try_validate().map_err(ConfigError::Detector)?;
-        }
+        self.cfg.try_validate()?;
         Ok(self.cfg)
     }
 }
@@ -365,8 +357,11 @@ pub struct FleetReport {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.replicas == 0`, `requests` is empty, or `requests` is
-/// not sorted by arrival time.
+/// Panics if `cfg` fails [`FleetConfig::try_validate`] (with that
+/// error's message), if `requests` is empty or not sorted by arrival
+/// time (a NaN arrival counts as unsorted), if a request carries a
+/// session turn while `cfg.sessions` is `None`, or if a request's tenant
+/// id is out of range for `cfg.tenancy`.
 pub fn simulate_fleet(cfg: &FleetConfig, requests: &[ServeRequest]) -> FleetReport {
     simulate_fleet_traced(cfg, requests, &mut NullSink)
 }
@@ -384,8 +379,10 @@ pub fn simulate_fleet(cfg: &FleetConfig, requests: &[ServeRequest]) -> FleetRepo
 ///
 /// # Panics
 ///
-/// Panics if `cfg.replicas == 0`, `requests` is empty, or `requests` is
-/// not sorted by arrival time.
+/// Panics under the same conditions as [`simulate_fleet`]: a `cfg` that
+/// fails [`FleetConfig::try_validate`], empty or unsorted `requests`,
+/// session-tagged requests without a session policy, or a tenant id out
+/// of range for the tenancy configuration.
 pub fn simulate_fleet_traced<S: TraceSink>(
     cfg: &FleetConfig,
     requests: &[ServeRequest],
@@ -552,6 +549,21 @@ mod tests {
         }
         assert!(err.to_string().starts_with("invalid fault plan:"));
         assert!(std::error::Error::source(&err).is_some(), "Faults keeps its cause");
+    }
+
+    #[test]
+    fn simulate_fleet_panics_with_the_config_error_build_returns() {
+        // A config edited after `build` meets the same check list in
+        // `simulate_fleet`, which panics with that error's message.
+        let mut cfg = FleetConfig::sharded(SystemConfig::paper(), 2);
+        cfg.detector = Some(crate::DetectorPolicy {
+            phi_threshold: -1.0,
+            ..crate::DetectorPolicy::standard()
+        });
+        let err = cfg.try_validate().unwrap_err();
+        let payload = std::panic::catch_unwind(|| simulate_fleet(&cfg, &trace(4, 1e-4)))
+            .expect_err("a malformed config must be rejected");
+        assert_eq!(payload.downcast_ref::<String>(), Some(&err.to_string()));
     }
 
     #[test]
