@@ -111,7 +111,10 @@ pub fn attention_exact(
     let k = keys_values.matmul(weights.wk());
     let v = keys_values.matmul(weights.wv());
     let scale = 1.0 / (weights.head_dim() as f32).sqrt();
-    let scores = q.matmul_transpose_b(&k).scale(scale);
+    let mut scores = q.matmul_transpose_b(&k);
+    for x in scores.as_mut_slice() {
+        *x *= scale;
+    }
     let probabilities = softmax_rows(&scores);
     let output = probabilities.matmul(&v);
     ExactAttention { q, k, v, scores, probabilities, output }

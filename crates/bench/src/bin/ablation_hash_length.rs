@@ -9,7 +9,7 @@
 
 use cta_attention::CtaConfig;
 use cta_bench::{banner, row, DEFAULT_SAMPLES};
-use cta_workloads::{bert_large, evaluate_case, squad11, CtaClass, TestCase};
+use cta_workloads::{bert_large, squad11, CaseReference, CtaClass, TestCase};
 
 fn main() {
     banner("Ablation — hash code length l (compression at the CTA-1 budget)");
@@ -17,6 +17,7 @@ fn main() {
 
     let case = TestCase::new(bert_large(), squad11());
     let budget = CtaClass::Cta1.target_loss_pct();
+    let reference = CaseReference::new(&case, DEFAULT_SAMPLES);
 
     for l in [2usize, 4, 6, 8, 10] {
         // Walk widths from aggressive down; keep the first point meeting
@@ -25,7 +26,7 @@ fn main() {
         let mut found = None;
         while w > 0.4 {
             let cfg = CtaConfig::uniform(w, case.seed()).with_hash_length(l);
-            let eval = evaluate_case(&case, &cfg, DEFAULT_SAMPLES);
+            let eval = reference.evaluate(&cfg);
             let ok = eval.accuracy_loss_pct <= budget;
             found = Some((w, eval));
             if ok {

@@ -434,6 +434,7 @@ mod tests {
 
         /// Any argv over table names, junk, empty words and `--` parses
         /// to `Ok` or `Err` — never a panic — and so does every getter.
+        #[test]
         fn random_argv_never_panics(len in 0usize..10, seed in 0u64..u64::MAX) {
             let mut state = seed;
             let argv: Vec<String> = (0..len)

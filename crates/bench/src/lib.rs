@@ -26,11 +26,12 @@ pub use cli::{cli_main, parse_num, usage, usage_flags, Flag, Flags, PARALLEL_FLA
 pub use report::{parse_json, CsvTable, JsonReport, JsonValue, SCHEMA_VERSION};
 
 use cta_sim::{AttentionTask, CtaAccelerator, HwConfig, SimReport};
-use cta_workloads::{find_operating_point, CtaClass, OperatingPoint, TestCase};
+use cta_workloads::{find_all_operating_points, OperatingPoint, TestCase};
 
-/// Number of generated sequences per accuracy evaluation. Two keeps the
-/// full 10-case × 3-class sweep under ~2 minutes in release builds while
-/// halving single-sequence sampling noise.
+/// Number of generated sequences per accuracy evaluation. Two halves
+/// single-sequence sampling noise and keeps the full 10-case × 3-class
+/// sweep (`fig11_accuracy_compression`) around a second in release
+/// builds.
 pub const DEFAULT_SAMPLES: usize = 2;
 
 /// Number of parallel CTA units in the paper's system comparison (12×CTA
@@ -91,13 +92,9 @@ pub fn row(cells: &[String]) {
 }
 
 /// The three operating points of a case, found at the default sample
-/// count.
+/// count in one walk of the width grid.
 pub fn case_operating_points(case: &TestCase) -> [OperatingPoint; 3] {
-    [
-        find_operating_point(case, CtaClass::Cta0, DEFAULT_SAMPLES),
-        find_operating_point(case, CtaClass::Cta05, DEFAULT_SAMPLES),
-        find_operating_point(case, CtaClass::Cta1, DEFAULT_SAMPLES),
-    ]
+    find_all_operating_points(case, DEFAULT_SAMPLES)
 }
 
 /// Simulates one head of a task on the paper-configuration accelerator.

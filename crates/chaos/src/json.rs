@@ -401,6 +401,7 @@ mod tests {
         /// valid repro file parse to `Ok` or `Err`, never a panic. A
         /// mutation that breaks UTF-8 is skipped: `--replay` rejects such
         /// a file when reading it, before any parsing.
+        #[test]
         fn mutated_repro_files_never_panic(edits in 1usize..4, seed in 0u64..u64::MAX) {
             let mut bytes = repro_text().into_bytes();
             let mut state = seed;

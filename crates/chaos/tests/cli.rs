@@ -224,3 +224,16 @@ fn trace_flag_writes_a_chrome_trace() {
         &trace[..trace.len().min(200)]
     );
 }
+
+#[test]
+fn trace_with_a_partition_overlapping_a_crash_validates() {
+    // Seed 799 heals a partition after a crash window on the same
+    // replica has closed: the partition interval must not break the
+    // order of that replica's fault-lane spans.
+    let dir = scratch("chaos_cli_trace_overlap");
+    let out = run_in(&dir, &["--seeds", "1", "--seed0", "799", "--trace", "t.json"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let trace = std::fs::read_to_string(dir.join("t.json")).expect("trace file");
+    assert!(trace.contains("\"name\":\"partition\""), "seed 799 has no partition interval");
+    cta_telemetry::validate_chrome_trace(&trace).expect("a valid Chrome trace");
+}

@@ -9,6 +9,7 @@ proptest! {
 
     /// `par_map` returns results in submission order at every worker
     /// count, including worker counts far above the task count.
+    #[test]
     fn par_map_is_ordered_at_any_worker_count(
         len in 0usize..200,
         jobs in 1usize..9,
@@ -22,6 +23,7 @@ proptest! {
 
     /// Parallel output equals serial output element for element — the
     /// worker count is unobservable in the result.
+    #[test]
     fn worker_count_is_unobservable(
         len in 1usize..120,
         jobs in 2usize..8,
@@ -34,6 +36,7 @@ proptest! {
 
     /// `par_chunks_mut` visits every element exactly once, in panels, at
     /// any chunk length and worker count.
+    #[test]
     fn par_chunks_mut_covers_every_element_once(
         len in 1usize..300,
         chunk in 1usize..48,

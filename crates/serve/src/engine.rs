@@ -848,7 +848,10 @@ impl<'a> EngineState<'a> {
                 let since = replica.partition_since;
                 replica.partition_heal(ev.t_s);
                 if S::ENABLED {
-                    sink.span(track, "partition", since, ev.t_s, SpanClass::Fault, true);
+                    // An async pair keyed by replica: a partition may
+                    // overlap a crash window, whose `outage` span shares
+                    // this track and must stay ordered.
+                    sink.async_span(track, "partition", ev.replica as u64, since, ev.t_s);
                     sink.instant(track, "partition-heal", ev.t_s);
                 }
             }

@@ -173,6 +173,7 @@ fn fault_lane_appears_in_traces_exactly_when_faults_fire() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    #[test]
     fn faults_conserve_requests_and_reconcile_retry_counters(
         replicas in 1usize..5,
         route in 0u8..3,
@@ -221,6 +222,7 @@ proptest! {
             .all(|a| (0.0..=1.0).contains(a)));
     }
 
+    #[test]
     fn any_fault_plan_and_seed_reproduce_the_report_bitwise(
         replicas in 1usize..4,
         route in 0u8..3,

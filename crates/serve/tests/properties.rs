@@ -43,6 +43,7 @@ fn config(replicas: usize, route: u8, batch: usize, depth: usize) -> FleetConfig
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    #[test]
     fn no_request_is_lost_or_duplicated(
         replicas in 1usize..5,
         route in 0u8..3,
@@ -71,6 +72,7 @@ proptest! {
         prop_assert_eq!(ids, expected, "every id exactly once across outcomes");
     }
 
+    #[test]
     fn completions_respect_causality_and_solo_lower_bound(
         replicas in 1usize..4,
         route in 0u8..3,
@@ -113,6 +115,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn fixed_seed_reproduces_the_report_bitwise(
         replicas in 1usize..4,
         route in 0u8..3,
@@ -247,6 +250,7 @@ proptest! {
     /// hedge, breaker, brownout and tenancy values come from a boundary
     /// palette (NaN, ±∞, 0, out-of-range replicas, overlapping windows)
     /// on fleets of at most four replicas.
+    #[test]
     fn malformed_fleet_configs_return_err_and_never_panic(
         seed in 0u64..u64::MAX,
         replicas in 1usize..5,

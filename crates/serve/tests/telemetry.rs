@@ -149,6 +149,7 @@ fn fleet_trace_reconciles_with_system_run_totals() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    #[test]
     fn exported_spans_are_ordered_balanced_and_non_overlapping(
         replicas in 1usize..4,
         route in 0u8..3,

@@ -681,6 +681,7 @@ mod tests {
         /// Truncated, byte-flipped and deeply nested mutations of an
         /// exported trace: the validator returns `Ok` or `Err` and never
         /// panics.
+        #[test]
         fn mutated_exports_never_panic(
             kind in 0u8..3,
             at in 0usize..1 << 20,

@@ -47,6 +47,7 @@ fn weights(tenants: usize, rng: &mut Lcg) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    #[test]
     fn conservation_tenant_fifo_and_bounded_deficit(
         pol in 0u8..3,
         tenants in 1usize..6,
@@ -87,6 +88,7 @@ proptest! {
         prop_assert_eq!(pushed, popped);
     }
 
+    #[test]
     fn blocked_dispatches_do_not_disturb_the_schedule(
         pol in 0u8..3,
         tenants in 1usize..5,
@@ -124,6 +126,7 @@ proptest! {
         prop_assert_eq!(out_noisy, out_clean);
     }
 
+    #[test]
     fn backlogged_tenants_share_by_weight_at_round_boundaries(
         pol in 1u8..3, // DRR and WFQ (FIFO is the deliberately unfair baseline)
         tenants in 2usize..6,

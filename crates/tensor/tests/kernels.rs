@@ -180,6 +180,7 @@ proptest! {
 
     /// SIMD `matmul` equals scalar bitwise over random non-square
     /// shapes and seeds.
+    #[test]
     fn matmul_matches_scalar_bitwise(
         m in 1usize..40,
         k in 1usize..24,
@@ -193,6 +194,7 @@ proptest! {
 
     /// SIMD `matmul_transpose_b` equals scalar bitwise over random
     /// non-square shapes and seeds.
+    #[test]
     fn matmul_transpose_b_matches_scalar_bitwise(
         m in 1usize..40,
         k in 1usize..24,

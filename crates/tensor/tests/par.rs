@@ -43,6 +43,7 @@ proptest! {
 
     /// `par_matmul` equals `matmul` bitwise over random shapes, seeds,
     /// and worker counts (including counts above the row count).
+    #[test]
     fn par_matmul_matches_serial_bitwise(
         m in 1usize..40,
         k in 1usize..24,
@@ -59,6 +60,7 @@ proptest! {
 
     /// `par_matmul_transpose_b` equals `matmul_transpose_b` bitwise over
     /// random shapes, seeds, and worker counts.
+    #[test]
     fn par_matmul_transpose_b_matches_serial_bitwise(
         m in 1usize..40,
         k in 1usize..24,
@@ -75,6 +77,7 @@ proptest! {
 
     /// Running the same parallel product twice at different worker counts
     /// gives identical bits — the worker count is unobservable.
+    #[test]
     fn worker_count_is_unobservable_in_products(
         m in 8usize..32,
         k in 1usize..16,

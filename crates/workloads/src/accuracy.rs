@@ -11,8 +11,8 @@
 //! 1% accuracy-loss budgets.
 
 use cta_attention::{
-    attention_exact, cta_forward, fidelity, report_from_counts, AttentionWeights, ComplexityReport,
-    CtaConfig, FidelityReport,
+    attention_exact, cta_forward, fidelity, report_from_counts, AttentionDims, AttentionWeights,
+    ComplexityReport, CtaConfig, ExactAttention, FidelityReport,
 };
 use cta_tensor::{Matrix, MatrixRng};
 
@@ -65,10 +65,15 @@ impl ProxyTask {
     /// Panics if the shapes differ.
     pub fn agreement(&self, exact: &Matrix, approx: &Matrix) -> f64 {
         assert_eq!(exact.shape(), approx.shape(), "output shape mismatch");
-        let a = self.labels(exact);
-        let b = self.labels(approx);
-        let agree = a.iter().zip(&b).filter(|(x, y)| x == y).count();
-        agree as f64 / a.len().max(1) as f64
+        self.agreement_with_labels(&self.labels(exact), approx)
+    }
+
+    /// [`agreement`](Self::agreement) against labels already read off the
+    /// exact output.
+    fn agreement_with_labels(&self, exact_labels: &[usize], approx: &Matrix) -> f64 {
+        let approx_labels = self.labels(approx);
+        let agree = exact_labels.iter().zip(&approx_labels).filter(|(x, y)| x == y).count();
+        agree as f64 / exact_labels.len().max(1) as f64
     }
 }
 
@@ -95,69 +100,120 @@ pub struct CaseEvaluation {
     pub mean_k2: f64,
 }
 
+/// The exact side of a case's evaluation over `samples` generated
+/// sequences: per sample, the tokens, exact attention and the probe
+/// labels of its output. It depends on the case and the sample count
+/// only, so a search that evaluates many configurations of one case
+/// builds it once and runs only `cta_forward` and the metrics per
+/// configuration ([`CaseReference::evaluate`]).
+#[derive(Debug, Clone)]
+pub struct CaseReference {
+    case_name: String,
+    dims: AttentionDims,
+    weights: AttentionWeights,
+    probe: ProxyTask,
+    samples: Vec<SampleReference>,
+}
+
+/// One generated sequence of a [`CaseReference`].
+#[derive(Debug, Clone)]
+struct SampleReference {
+    tokens: Matrix,
+    exact: ExactAttention,
+    labels: Vec<usize>,
+}
+
+impl CaseReference {
+    /// Generates `samples` sequences of `case` and computes their exact
+    /// attention and probe labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples == 0`.
+    pub fn new(case: &TestCase, samples: usize) -> Self {
+        assert!(samples > 0, "at least one sample");
+        let weights = AttentionWeights::random(
+            case.model.head_dim,
+            case.model.head_dim,
+            case.seed() ^ 0xBEEF,
+        );
+        let probe = ProxyTask::for_case(case, 8);
+        let samples = (0..samples)
+            .map(|s| {
+                let tokens = generate_tokens(
+                    &case.model,
+                    &case.dataset,
+                    case.dataset.seq_len,
+                    case.seed().wrapping_add(s as u64),
+                );
+                let exact = attention_exact(&tokens, &tokens, &weights);
+                let labels = probe.labels(&exact.output);
+                SampleReference { tokens, exact, labels }
+            })
+            .collect();
+        Self { case_name: case.name(), dims: case.dims(), weights, probe, samples }
+    }
+
+    /// Evaluates a CTA configuration against the reference: `cta_forward`
+    /// and the metrics per sample, averaged in sample order.
+    pub fn evaluate(&self, config: &CtaConfig) -> CaseEvaluation {
+        let mut sample_losses = Vec::with_capacity(self.samples.len());
+        let mut err_sum = 0.0;
+        let mut cos_sum = 0.0;
+        let mut top1_sum = 0.0;
+        let (mut k0_sum, mut k1_sum, mut k2_sum) = (0usize, 0usize, 0usize);
+
+        for sample in &self.samples {
+            let cta = cta_forward(&sample.tokens, &sample.tokens, &self.weights, config);
+            let fid = fidelity(&cta, &sample.exact);
+            let agreement = self.probe.agreement_with_labels(&sample.labels, &cta.output);
+            sample_losses.push((1.0 - agreement) * 100.0);
+            err_sum += fid.output_relative_error;
+            cos_sum += fid.mean_output_cosine;
+            top1_sum += fid.top1_agreement;
+            k0_sum += cta.k0();
+            k1_sum += cta.k1();
+            k2_sum += cta.k2();
+        }
+
+        let nf = self.samples.len() as f64;
+        let mean_k0 = k0_sum as f64 / nf;
+        let mean_k1 = k1_sum as f64 / nf;
+        let mean_k2 = k2_sum as f64 / nf;
+        let complexity = report_from_counts(
+            &self.dims,
+            mean_k0.round().max(1.0) as usize,
+            mean_k1.round().max(1.0) as usize,
+            mean_k2.round().max(1.0) as usize,
+            config.hash_length,
+        );
+        CaseEvaluation {
+            case_name: self.case_name.clone(),
+            accuracy_loss_pct: sample_losses.iter().sum::<f64>() / nf,
+            fidelity: FidelityReport {
+                output_relative_error: err_sum / nf,
+                mean_output_cosine: cos_sum / nf,
+                top1_agreement: top1_sum / nf,
+            },
+            complexity,
+            sample_losses,
+            mean_k0,
+            mean_k1,
+            mean_k2,
+        }
+    }
+}
+
 /// Evaluates a CTA configuration on a test case over `samples` generated
-/// sequences.
+/// sequences: [`CaseReference::new`] then [`CaseReference::evaluate`].
+/// Callers evaluating several configurations of one case should build
+/// the reference once instead.
 ///
 /// # Panics
 ///
 /// Panics if `samples == 0`.
 pub fn evaluate_case(case: &TestCase, config: &CtaConfig, samples: usize) -> CaseEvaluation {
-    assert!(samples > 0, "at least one sample");
-    let dims = case.dims();
-    let weights =
-        AttentionWeights::random(case.model.head_dim, case.model.head_dim, case.seed() ^ 0xBEEF);
-    let probe = ProxyTask::for_case(case, 8);
-
-    let mut sample_losses = Vec::with_capacity(samples);
-    let mut err_sum = 0.0;
-    let mut cos_sum = 0.0;
-    let mut top1_sum = 0.0;
-    let (mut k0_sum, mut k1_sum, mut k2_sum) = (0usize, 0usize, 0usize);
-
-    for s in 0..samples {
-        let tokens = generate_tokens(
-            &case.model,
-            &case.dataset,
-            case.dataset.seq_len,
-            case.seed().wrapping_add(s as u64),
-        );
-        let exact = attention_exact(&tokens, &tokens, &weights);
-        let cta = cta_forward(&tokens, &tokens, &weights, config);
-        let fid = fidelity(&cta, &exact);
-        sample_losses.push((1.0 - probe.agreement(&exact.output, &cta.output)) * 100.0);
-        err_sum += fid.output_relative_error;
-        cos_sum += fid.mean_output_cosine;
-        top1_sum += fid.top1_agreement;
-        k0_sum += cta.k0();
-        k1_sum += cta.k1();
-        k2_sum += cta.k2();
-    }
-
-    let nf = samples as f64;
-    let mean_k0 = k0_sum as f64 / nf;
-    let mean_k1 = k1_sum as f64 / nf;
-    let mean_k2 = k2_sum as f64 / nf;
-    let complexity = report_from_counts(
-        &dims,
-        mean_k0.round().max(1.0) as usize,
-        mean_k1.round().max(1.0) as usize,
-        mean_k2.round().max(1.0) as usize,
-        config.hash_length,
-    );
-    CaseEvaluation {
-        case_name: case.name(),
-        accuracy_loss_pct: sample_losses.iter().sum::<f64>() / nf,
-        fidelity: FidelityReport {
-            output_relative_error: err_sum / nf,
-            mean_output_cosine: cos_sum / nf,
-            top1_agreement: top1_sum / nf,
-        },
-        complexity,
-        sample_losses,
-        mean_k0,
-        mean_k1,
-        mean_k2,
-    }
+    CaseReference::new(case, samples).evaluate(config)
 }
 
 impl CaseEvaluation {
@@ -176,9 +232,121 @@ impl CaseEvaluation {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::mini_case;
+
+    /// The evaluation spelled in one pass, regenerating the tokens and
+    /// recomputing exact attention per call: the oracle the split
+    /// reference/evaluation must reproduce bit for bit.
+    fn evaluate_case_in_one_pass(
+        case: &TestCase,
+        config: &CtaConfig,
+        samples: usize,
+    ) -> CaseEvaluation {
+        assert!(samples > 0, "at least one sample");
+        let dims = case.dims();
+        let weights = AttentionWeights::random(
+            case.model.head_dim,
+            case.model.head_dim,
+            case.seed() ^ 0xBEEF,
+        );
+        let probe = ProxyTask::for_case(case, 8);
+
+        let mut sample_losses = Vec::with_capacity(samples);
+        let mut err_sum = 0.0;
+        let mut cos_sum = 0.0;
+        let mut top1_sum = 0.0;
+        let (mut k0_sum, mut k1_sum, mut k2_sum) = (0usize, 0usize, 0usize);
+
+        for s in 0..samples {
+            let tokens = generate_tokens(
+                &case.model,
+                &case.dataset,
+                case.dataset.seq_len,
+                case.seed().wrapping_add(s as u64),
+            );
+            let exact = attention_exact(&tokens, &tokens, &weights);
+            let cta = cta_forward(&tokens, &tokens, &weights, config);
+            let fid = fidelity(&cta, &exact);
+            sample_losses.push((1.0 - probe.agreement(&exact.output, &cta.output)) * 100.0);
+            err_sum += fid.output_relative_error;
+            cos_sum += fid.mean_output_cosine;
+            top1_sum += fid.top1_agreement;
+            k0_sum += cta.k0();
+            k1_sum += cta.k1();
+            k2_sum += cta.k2();
+        }
+
+        let nf = samples as f64;
+        let mean_k0 = k0_sum as f64 / nf;
+        let mean_k1 = k1_sum as f64 / nf;
+        let mean_k2 = k2_sum as f64 / nf;
+        let complexity = report_from_counts(
+            &dims,
+            mean_k0.round().max(1.0) as usize,
+            mean_k1.round().max(1.0) as usize,
+            mean_k2.round().max(1.0) as usize,
+            config.hash_length,
+        );
+        CaseEvaluation {
+            case_name: case.name(),
+            accuracy_loss_pct: sample_losses.iter().sum::<f64>() / nf,
+            fidelity: FidelityReport {
+                output_relative_error: err_sum / nf,
+                mean_output_cosine: cos_sum / nf,
+                top1_agreement: top1_sum / nf,
+            },
+            complexity,
+            sample_losses,
+            mean_k0,
+            mean_k1,
+            mean_k2,
+        }
+    }
+
+    /// Every field of an evaluation, floats as bit patterns.
+    pub(crate) fn evaluation_bits(e: &CaseEvaluation) -> String {
+        let c = &e.complexity;
+        let f = &e.fidelity;
+        let floats = [
+            e.accuracy_loss_pct,
+            f.output_relative_error,
+            f.mean_output_cosine,
+            f.top1_agreement,
+            c.rl,
+            c.ra,
+            c.effective_relations,
+            e.mean_k0,
+            e.mean_k1,
+            e.mean_k2,
+        ]
+        .map(f64::to_bits);
+        let losses: Vec<u64> = e.sample_losses.iter().map(|x| x.to_bits()).collect();
+        format!("{} {floats:?} {losses:?} {:?} {:?}", e.case_name, c.normal, c.cta)
+    }
+
+    #[test]
+    fn reference_evaluation_is_the_one_pass_spelling_bitwise() {
+        let case = mini_case();
+        for samples in [1, 2, 3] {
+            let reference = CaseReference::new(&case, samples);
+            for width in [0.3, 1.0, 2.5, 8.0, 40.0] {
+                for config in [
+                    CtaConfig::uniform(width, case.seed()),
+                    CtaConfig::uniform(width, 7).with_hash_length(4),
+                ] {
+                    let want = evaluation_bits(&evaluate_case_in_one_pass(&case, &config, samples));
+                    assert_eq!(
+                        evaluation_bits(&reference.evaluate(&config)),
+                        want,
+                        "width {width}, {samples} samples"
+                    );
+                    assert_eq!(evaluation_bits(&evaluate_case(&case, &config, samples)), want);
+                }
+            }
+        }
+    }
 
     #[test]
     fn lossless_in_the_singleton_limit() {

@@ -7,12 +7,12 @@
 //! rung loses and how much compression it buys — come from here: each rung
 //! widens the LSH bucket widths by a factor (wider buckets ⇒ coarser
 //! clustering ⇒ fewer clusters, the paper's §VI-B dial), re-measures the
-//! proxy accuracy loss with [`evaluate_case`], and reads the achieved
+//! proxy accuracy loss against one [`CaseReference`], and reads the achieved
 //! budget scale off the measured mean cluster counts.
 
 use cta_attention::CtaConfig;
 
-use crate::{evaluate_case, CaseEvaluation, TestCase};
+use crate::{CaseEvaluation, CaseReference, TestCase};
 
 /// One calibrated rung of the brownout ladder.
 #[derive(Debug, Clone)]
@@ -76,11 +76,12 @@ pub fn calibrate_brownout_ladder(
     }
     all.extend_from_slice(factors);
 
+    let reference = CaseReference::new(case, samples);
     let mut rungs: Vec<BrownoutRung> = Vec::with_capacity(all.len());
     let mut baseline_ks: Option<(f64, f64, f64)> = None;
     for &factor in &all {
         let config = base.scaled_widths(factor);
-        let evaluation = evaluate_case(case, &config, samples);
+        let evaluation = reference.evaluate(&config);
         let ks = (evaluation.mean_k0, evaluation.mean_k1, evaluation.mean_k2);
         let (b0, b1, b2) = *baseline_ks.get_or_insert(ks);
         let ratio = |k: f64, b: f64| if b > 0.0 { (k / b).min(1.0) } else { 1.0 };

@@ -15,9 +15,15 @@
 //!   describes;
 //! * the **proxy accuracy task** ([`ProxyTask`], [`evaluate_case`]) — a
 //!   linear-probe classification agreement score playing the role of the
-//!   paper's task metrics;
-//! * the **operating-point search** ([`find_operating_point`]) — the
-//!   CTA-0 / CTA-0.5 / CTA-1 configurations of §VI-B.
+//!   paper's task metrics. An evaluation splits in two: a
+//!   [`CaseReference`] per case and sample count (the generated tokens,
+//!   exact attention and the probe labels of its output, built once) and
+//!   [`CaseReference::evaluate`] per configuration (only `cta_forward`
+//!   and the metrics), so sweeps over many configurations of one case
+//!   price the exact reference once;
+//! * the **operating-point search** ([`find_operating_point`],
+//!   [`find_all_operating_points`]) — the CTA-0 / CTA-0.5 / CTA-1
+//!   configurations of §VI-B, all three from one walk of the width grid.
 //!
 //! # Example
 //!
@@ -44,7 +50,7 @@ mod stats;
 mod tenants;
 mod vision;
 
-pub use accuracy::{evaluate_case, CaseEvaluation, ProxyTask};
+pub use accuracy::{evaluate_case, CaseEvaluation, CaseReference, ProxyTask};
 pub use adaptive::{adapt_per_head, AdaptiveResult};
 pub use arrivals::{case_arrival_trace, case_task};
 pub use brownout::{calibrate_brownout_ladder, BrownoutCalibration, BrownoutRung};

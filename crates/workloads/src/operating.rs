@@ -6,12 +6,14 @@
 //! the same with the LSH bucket width as the knob: wider buckets compress
 //! harder; the search walks from the most aggressive width down and keeps
 //! the first (most compressed) configuration whose proxy accuracy loss
-//! meets the class budget.
+//! meets the class budget. Every candidate is scored against one
+//! [`CaseReference`] (the exact attention is computed once per case), and
+//! the three classes share one walk of the grid.
 
 use cta_attention::CtaConfig;
 use cta_sim::AttentionTask;
 
-use crate::{evaluate_case, CaseEvaluation, TestCase};
+use crate::{CaseEvaluation, CaseReference, TestCase};
 
 /// The paper's three accuracy classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,35 +100,62 @@ fn width_grid() -> Vec<f32> {
 ///
 /// Panics if `samples == 0`.
 pub fn find_operating_point(case: &TestCase, class: CtaClass, samples: usize) -> OperatingPoint {
-    assert!(samples > 0, "at least one sample");
+    let [point] = walk_width_grid(case, samples, &width_grid(), [class]);
+    point
+}
+
+/// Finds all three operating points of a case in one walk of the width
+/// grid against one [`CaseReference`]: each class takes the first width
+/// that meets its budget, or the finest width, exactly as three
+/// [`find_operating_point`] calls would. (CTA-0 ⊂ CTA-0.5 ⊂ CTA-1
+/// ordering is asserted by tests, not by construction.)
+///
+/// # Panics
+///
+/// Panics if `samples == 0`.
+pub fn find_all_operating_points(case: &TestCase, samples: usize) -> [OperatingPoint; 3] {
+    walk_width_grid(case, samples, &width_grid(), CtaClass::all())
+}
+
+/// Walks `widths` in order until every class has met its budget; a class
+/// that never does takes the last width.
+fn walk_width_grid<const N: usize>(
+    case: &TestCase,
+    samples: usize,
+    widths: &[f32],
+    classes: [CtaClass; N],
+) -> [OperatingPoint; N] {
+    let reference = CaseReference::new(case, samples);
+    let mut found: [Option<OperatingPoint>; N] = std::array::from_fn(|_| None);
     let mut last = None;
-    for w in width_grid() {
+    for &w in widths {
         let config = CtaConfig::uniform(w, case.seed());
-        let evaluation = evaluate_case(case, &config, samples);
-        let ok = evaluation.accuracy_loss_pct <= class.target_loss_pct();
-        last = Some(OperatingPoint { class, config, evaluation });
-        if ok {
+        let evaluation = reference.evaluate(&config);
+        for (slot, &class) in found.iter_mut().zip(&classes) {
+            if slot.is_none() && evaluation.accuracy_loss_pct <= class.target_loss_pct() {
+                *slot = Some(OperatingPoint { class, config, evaluation: evaluation.clone() });
+            }
+        }
+        last = Some((config, evaluation));
+        if found.iter().all(Option::is_some) {
             break;
         }
     }
-    last.expect("width grid is non-empty")
-}
-
-/// Finds all three operating points of a case (shares no work between
-/// classes; CTA-0 ⊂ CTA-0.5 ⊂ CTA-1 ordering is asserted by tests, not by
-/// construction).
-pub fn find_all_operating_points(case: &TestCase, samples: usize) -> [OperatingPoint; 3] {
-    [
-        find_operating_point(case, CtaClass::Cta0, samples),
-        find_operating_point(case, CtaClass::Cta05, samples),
-        find_operating_point(case, CtaClass::Cta1, samples),
-    ]
+    let (config, evaluation) = last.expect("a non-empty width grid");
+    std::array::from_fn(|i| {
+        found[i].take().unwrap_or_else(|| OperatingPoint {
+            class: classes[i],
+            config,
+            evaluation: evaluation.clone(),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mini_case;
+    use crate::accuracy::tests::evaluation_bits;
+    use crate::{evaluate_case, mini_case};
 
     #[test]
     fn class_budgets_ordered() {
@@ -158,6 +187,65 @@ mod tests {
             tight.config.kv_bucket_width
         );
         assert!(loose.evaluation.complexity.ra <= tight.evaluation.complexity.ra + 1e-9);
+    }
+
+    /// One class's search spelled as its own walk, with a fresh
+    /// `evaluate_case` per candidate: the oracle of the shared walk.
+    fn walk_alone(
+        case: &TestCase,
+        samples: usize,
+        widths: &[f32],
+        class: CtaClass,
+    ) -> (CtaConfig, String) {
+        let mut last = None;
+        for &w in widths {
+            let config = CtaConfig::uniform(w, case.seed());
+            let evaluation = evaluate_case(case, &config, samples);
+            let ok = evaluation.accuracy_loss_pct <= class.target_loss_pct();
+            last = Some((config, evaluation_bits(&evaluation)));
+            if ok {
+                break;
+            }
+        }
+        last.expect("width grid is non-empty")
+    }
+
+    fn config_bits(c: &CtaConfig) -> (usize, [u32; 3], u64) {
+        let widths = [c.query_bucket_width, c.kv_bucket_width, c.residual_bucket_width];
+        (c.hash_length, widths.map(f32::to_bits), c.seed)
+    }
+
+    #[test]
+    fn one_walk_finds_what_three_walks_find() {
+        let case = mini_case();
+        for samples in [1, 2] {
+            let all = find_all_operating_points(&case, samples);
+            for (point, class) in all.iter().zip(CtaClass::all()) {
+                let (config, evaluation) = walk_alone(&case, samples, &width_grid(), class);
+                let alone = find_operating_point(&case, class, samples);
+                for p in [point, &alone] {
+                    assert_eq!(p.class, class);
+                    assert_eq!(config_bits(&p.config), config_bits(&config), "{class:?}");
+                    assert_eq!(evaluation_bits(&p.evaluation), evaluation, "{class:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn classes_that_miss_their_budget_take_the_last_width_as_alone() {
+        // The six widest widths: CTA-0 meets its budget on none of them,
+        // so it falls back to the last, as its own walk does.
+        let case = mini_case();
+        let widths = &width_grid()[..6];
+        let all = walk_width_grid(&case, 2, widths, CtaClass::all());
+        assert!(all[0].evaluation.accuracy_loss_pct > CtaClass::Cta0.target_loss_pct());
+        assert_eq!(all[0].config.kv_bucket_width, widths[5]);
+        for (point, class) in all.iter().zip(CtaClass::all()) {
+            let (config, evaluation) = walk_alone(&case, 2, widths, class);
+            assert_eq!(config_bits(&point.config), config_bits(&config), "{class:?}");
+            assert_eq!(evaluation_bits(&point.evaluation), evaluation, "{class:?}");
+        }
     }
 
     #[test]
