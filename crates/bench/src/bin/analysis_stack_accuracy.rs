@@ -7,43 +7,48 @@
 //! level, next to the mean activation divergence. This is the model-scope
 //! counterpart of Fig. 11's accuracy lines.
 
+use std::process::ExitCode;
+
 use cta_attention::CtaConfig;
-use cta_bench::{banner, row};
+use cta_bench::{banner, cli_main, row};
 use cta_model::{ClassifierHead, TransformerStack};
 use cta_tensor::Matrix;
 use cta_workloads::{bert_large, generate_tokens, squad11};
 
-fn main() {
-    banner("Analysis — stack-level prediction agreement (4 layers x 8 heads)");
-    row(&["width".into(), "agreement".into(), "final act err".into()]);
+fn main() -> ExitCode {
+    cli_main("analysis_stack_accuracy", &[], std::env::args().skip(1), |_| {
+        banner("Analysis — stack-level prediction agreement (4 layers x 8 heads)");
+        row(&["width".into(), "agreement".into(), "final act err".into()]);
 
-    let model = bert_large();
-    let dataset = squad11().with_seq_len(96);
-    let stack = TransformerStack::random(4, 8, model.head_dim, 1024, 31);
-    let head = ClassifierHead::random(stack.d_model(), 8, 32);
-    let samples = 12usize;
+        let model = bert_large();
+        let dataset = squad11().with_seq_len(96);
+        let stack = TransformerStack::random(4, 8, model.head_dim, 1024, 31);
+        let head = ClassifierHead::random(stack.d_model(), 8, 32);
+        let samples = 12usize;
 
-    for w in [2.0f32, 8.0, 16.0, 32.0, 48.0] {
-        let mut agree = 0usize;
-        let mut err_sum = 0.0f64;
-        for s in 0..samples {
-            let slice = generate_tokens(&model, &dataset, 96, 100 + s as u64);
-            let x = Matrix::from_fn(96, stack.d_model(), |r, c| slice[(r, c % model.head_dim)]);
-            let cmp = stack.compare(&x, &CtaConfig::uniform(w, 33 + s as u64));
-            if head.agree(&cmp.exact_output, &cmp.cta_output) {
-                agree += 1;
+        for w in [2.0f32, 8.0, 16.0, 32.0, 48.0] {
+            let mut agree = 0usize;
+            let mut err_sum = 0.0f64;
+            for s in 0..samples {
+                let slice = generate_tokens(&model, &dataset, 96, 100 + s as u64);
+                let x = Matrix::from_fn(96, stack.d_model(), |r, c| slice[(r, c % model.head_dim)]);
+                let cmp = stack.compare(&x, &CtaConfig::uniform(w, 33 + s as u64));
+                if head.agree(&cmp.exact_output, &cmp.cta_output) {
+                    agree += 1;
+                }
+                err_sum += cmp.final_error();
             }
-            err_sum += cmp.final_error();
+            row(&[
+                format!("{w:.1}"),
+                format!("{}/{samples}", agree),
+                format!("{:.4}", err_sum / samples as f64),
+            ]);
         }
-        row(&[
-            format!("{w:.1}"),
-            format!("{}/{samples}", agree),
-            format!("{:.4}", err_sum / samples as f64),
-        ]);
-    }
-    println!();
-    println!("pooled predictions are far more robust than per-query metrics:");
-    println!("agreement survives activation divergences that flip individual");
-    println!("attention targets — consistent with the paper recovering end-task");
-    println!("accuracy at strong compression after finetuning.");
+        println!();
+        println!("pooled predictions are far more robust than per-query metrics:");
+        println!("agreement survives activation divergences that flip individual");
+        println!("attention targets — consistent with the paper recovering end-task");
+        println!("accuracy at strong compression after finetuning.");
+        Ok(())
+    })
 }

@@ -8,28 +8,18 @@
 //! latency split ~59% attention / 34% linears / 7% compression; CTA
 //! latency is 41% / 34% / 26% of the ideal accelerator's.
 //!
-//! Cases are simulated on the `cta-parallel` pool (`--jobs N`, default
-//! `CTA_JOBS` then available cores); the reduction is ordered, so the
-//! table and geomeans are identical at any worker count.
+//! The operating-point table is searched on the `cta-parallel` pool
+//! (`--jobs N`, default `CTA_JOBS` then available cores); its rows come
+//! back in case order, so the table and geomeans are identical at any
+//! worker count.
 
 use std::process::ExitCode;
 
 use cta_baselines::{ElsaApproximation, ElsaGpuSystem, GpuModel, IdealAccelerator};
-use cta_bench::{
-    banner, case_operating_points, cli_main, geomean, row, simulate, Table, PARALLEL_FLAGS, UNITS,
-};
-use cta_parallel::par_map;
+use cta_bench::{banner, cli_main, geomean, row, simulate, Table, PARALLEL_FLAGS, UNITS};
 use cta_sim::HwConfig;
 use cta_tensor::mean;
-use cta_workloads::paper_cases;
-
-/// Per-(case, class) accumulator samples, folded after the parallel map.
-struct ClassSample {
-    speedup: f64,
-    over_elsa: f64,
-    fractions: [f64; 3], // comp / lin / att
-    vs_ideal: f64,
-}
+use cta_workloads::{paper_cases, OperatingTable};
 
 fn main() -> ExitCode {
     cli_main("fig12_throughput_latency", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
@@ -51,47 +41,29 @@ fn main() -> ExitCode {
         let mut vs_ideal: [Vec<f64>; 3] = [vec![], vec![], vec![]];
         let mut case_count = 0usize;
 
-        let cases = paper_cases();
-        let evaluated = par_map(jobs, &cases, |case| {
+        for (case, points) in OperatingTable::build(&paper_cases(), jobs).rows() {
             let dims = case.dims();
             let gpu_t = gpu.attention_latency_s(&dims, UNITS);
             let cons_t = elsa_cons.attention_latency_s(&dims, UNITS);
             let aggr_t = elsa_aggr.attention_latency_s(&dims, UNITS);
-            let points = case_operating_points(case);
             let mut cells = vec![
                 case.name(),
                 format!("{:.2}x", gpu_t / cons_t),
                 format!("{:.2}x", gpu_t / aggr_t),
             ];
-            let mut samples = Vec::new();
-            for op in points.iter() {
+            for (i, op) in points.iter().enumerate() {
                 let r = simulate(&op.task(case));
                 // 12 units process 12 heads in parallel: per-12-head latency is
                 // one head's latency.
                 let s = gpu_t / r.latency_s;
                 cells.push(format!("{s:.1}x"));
+                speedups[i].push(s);
+                over_elsa[i].push(aggr_t / r.latency_s);
                 let total = r.cycles as f64;
-                samples.push(ClassSample {
-                    speedup: s,
-                    over_elsa: aggr_t / r.latency_s,
-                    fractions: [
-                        r.schedule.compression_cycles as f64 / total,
-                        r.schedule.linear_cycles as f64 / total,
-                        r.schedule.attention_cycles as f64 / total,
-                    ],
-                    vs_ideal: r.latency_s / ideal.head_latency_s(&dims),
-                });
-            }
-            (cells, samples)
-        });
-        for (cells, samples) in evaluated {
-            for (i, s) in samples.iter().enumerate() {
-                speedups[i].push(s.speedup);
-                over_elsa[i].push(s.over_elsa);
-                fractions[i][0] += s.fractions[0];
-                fractions[i][1] += s.fractions[1];
-                fractions[i][2] += s.fractions[2];
-                vs_ideal[i].push(s.vs_ideal);
+                fractions[i][0] += r.schedule.compression_cycles as f64 / total;
+                fractions[i][1] += r.schedule.linear_cycles as f64 / total;
+                fractions[i][2] += r.schedule.attention_cycles as f64 / total;
+                vs_ideal[i].push(r.latency_s / ideal.head_latency_s(&dims));
             }
             case_count += 1;
             table.row(&cells);

@@ -14,10 +14,10 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{banner, case_operating_points, cli_main, row, PARALLEL_FLAGS};
+use cta_bench::{banner, cli_main, row, PARALLEL_FLAGS};
 use cta_parallel::par_map;
 use cta_sim::{best_pag_parallelism, sweep, HwConfig};
-use cta_workloads::{bert_large, imdb, TestCase};
+use cta_workloads::{bert_large, imdb, OperatingTable, TestCase};
 
 fn main() -> ExitCode {
     cli_main("fig13_dse", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
@@ -26,9 +26,9 @@ fn main() -> ExitCode {
 
         // Probe task: the CTA-0 operating point of BERT-large/IMDB (n = 512,
         // the hardware's design point).
-        let case = TestCase::new(bert_large(), imdb());
-        let op = &case_operating_points(&case)[0];
-        let task = op.task(&case);
+        let table = OperatingTable::build(&[TestCase::new(bert_large(), imdb())], jobs);
+        let (case, [op, ..]) = &table.rows()[0];
+        let task = op.task(case);
         println!(
             "probe task: {} at CTA-0, k = ({}, {}, {})",
             case.name(),

@@ -5,18 +5,16 @@
 //! 471× / 587× over ELSA+GPU for CTA-0/-0.5/-1; breakdown ≈ 62% SA / 29%
 //! memory / 9% auxiliary.
 //!
-//! Cases are simulated on the `cta-parallel` pool (`--jobs N`, default
-//! `CTA_JOBS` then available cores); the reduction is ordered, so the
-//! table and geomeans are identical at any worker count.
+//! The operating-point table is searched on the `cta-parallel` pool
+//! (`--jobs N`, default `CTA_JOBS` then available cores); its rows come
+//! back in case order, so the table and geomeans are identical at any
+//! worker count.
 
 use std::process::ExitCode;
 
 use cta_baselines::{ElsaApproximation, ElsaGpuSystem, GpuModel};
-use cta_bench::{
-    banner, case_operating_points, cli_main, geomean, row, simulate, Table, PARALLEL_FLAGS, UNITS,
-};
-use cta_parallel::par_map;
-use cta_workloads::paper_cases;
+use cta_bench::{banner, cli_main, geomean, row, simulate, Table, PARALLEL_FLAGS, UNITS};
+use cta_workloads::{paper_cases, OperatingTable};
 
 fn main() -> ExitCode {
     cli_main("fig14_energy", &PARALLEL_FLAGS, std::env::args().skip(1), |flags| {
@@ -31,33 +29,20 @@ fn main() -> ExitCode {
         let mut breakdown = [0.0f64; 3]; // sa / memory / aux
         let mut point_count = 0usize;
 
-        let cases = paper_cases();
-        let evaluated = par_map(jobs, &cases, |case| {
+        for (case, points) in OperatingTable::build(&paper_cases(), jobs).rows() {
             let dims = case.dims();
             let gpu_e = gpu.attention_energy_j(&dims, UNITS);
             let elsa_e = elsa.attention_energy_j(&dims, UNITS);
-            let points = case_operating_points(case);
             let mut cells = vec![case.name(), format!("{:.1}x", gpu_e / elsa_e)];
-            let mut samples = Vec::new();
-            for op in points.iter() {
+            for (i, op) in points.iter().enumerate() {
                 let r = simulate(&op.task(case));
                 let cta_e = r.energy.total_j() * UNITS as f64;
                 cells.push(format!("{:.0}x", gpu_e / cta_e));
-                samples.push((
-                    gpu_e / cta_e,
-                    elsa_e / cta_e,
-                    [r.energy.sa_fraction(), r.energy.memory_fraction(), r.energy.aux_fraction()],
-                ));
-            }
-            (cells, samples)
-        });
-        for (cells, samples) in evaluated {
-            for (i, (gpu_x, elsa_x, fracs)) in samples.iter().enumerate() {
-                over_gpu[i].push(*gpu_x);
-                over_elsa[i].push(*elsa_x);
-                breakdown[0] += fracs[0];
-                breakdown[1] += fracs[1];
-                breakdown[2] += fracs[2];
+                over_gpu[i].push(gpu_e / cta_e);
+                over_elsa[i].push(elsa_e / cta_e);
+                breakdown[0] += r.energy.sa_fraction();
+                breakdown[1] += r.energy.memory_fraction();
+                breakdown[2] += r.energy.aux_fraction();
                 point_count += 1;
             }
             table.row(&cells);

@@ -6,30 +6,35 @@
 //! token lies within 10% of the mean token norm) — the property that
 //! makes token compression possible at all.
 
-use cta_bench::{banner, Table};
+use std::process::ExitCode;
+
+use cta_bench::{banner, cli_main, Table};
 use cta_workloads::{generate_case_tokens, paper_cases, workload_stats};
 
-fn main() {
-    banner("Workload validation — configured vs measured redundancy");
-    let mut table = Table::new(
-        "workload_validation",
-        &["case", "configured", "measured", "nn_dist", "max_norm"],
-    );
+fn main() -> ExitCode {
+    cli_main("workload_validation", &[], std::env::args().skip(1), |_| {
+        banner("Workload validation — configured vs measured redundancy");
+        let mut table = Table::new(
+            "workload_validation",
+            &["case", "configured", "measured", "nn_dist", "max_norm"],
+        );
 
-    for case in paper_cases() {
-        let tokens = generate_case_tokens(&case, case.seed());
-        let stats = workload_stats(&tokens, 0.10);
-        table.row(&[
-            case.name(),
-            format!("{:.2}", case.dataset.redundancy),
-            format!("{:.2}", stats.measured_redundancy),
-            format!("{:.3}", stats.mean_nearest_relative),
-            format!("{:.1}", stats.norm_summary.max),
-        ]);
-    }
-    table.save();
-    println!();
-    println!("measured repetition tracks the configured redundancy, and all token");
-    println!("norms sit far below the Q6.7 saturation cliff — the generator delivers");
-    println!("the statistics the CTA premise (paper §II-B) requires.");
+        for case in paper_cases() {
+            let tokens = generate_case_tokens(&case, case.seed());
+            let stats = workload_stats(&tokens, 0.10);
+            table.row(&[
+                case.name(),
+                format!("{:.2}", case.dataset.redundancy),
+                format!("{:.2}", stats.measured_redundancy),
+                format!("{:.3}", stats.mean_nearest_relative),
+                format!("{:.1}", stats.norm_summary.max),
+            ]);
+        }
+        table.save();
+        println!();
+        println!("measured repetition tracks the configured redundancy, and all token");
+        println!("norms sit far below the Q6.7 saturation cliff — the generator delivers");
+        println!("the statistics the CTA premise (paper §II-B) requires.");
+        Ok(())
+    })
 }

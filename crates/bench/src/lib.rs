@@ -26,13 +26,6 @@ pub use cli::{cli_main, parse_num, usage, usage_flags, Flag, Flags, PARALLEL_FLA
 pub use report::{parse_json, CsvTable, JsonReport, JsonValue, SCHEMA_VERSION};
 
 use cta_sim::{AttentionTask, CtaAccelerator, HwConfig, SimReport};
-use cta_workloads::{find_all_operating_points, OperatingPoint, TestCase};
-
-/// Number of generated sequences per accuracy evaluation. Two halves
-/// single-sequence sampling noise and keeps the full 10-case × 3-class
-/// sweep (`fig11_accuracy_compression`) around a second in release
-/// builds.
-pub const DEFAULT_SAMPLES: usize = 2;
 
 /// Number of parallel CTA units in the paper's system comparison (12×CTA
 /// vs 12×ELSA, iso-area).
@@ -91,12 +84,6 @@ pub fn row(cells: &[String]) {
     println!("{line}");
 }
 
-/// The three operating points of a case, found at the default sample
-/// count in one walk of the width grid.
-pub fn case_operating_points(case: &TestCase) -> [OperatingPoint; 3] {
-    find_all_operating_points(case, DEFAULT_SAMPLES)
-}
-
 /// Simulates one head of a task on the paper-configuration accelerator.
 pub fn simulate(task: &AttentionTask) -> SimReport {
     CtaAccelerator::new(HwConfig::paper()).simulate_head(task)
@@ -110,11 +97,13 @@ pub fn geomean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cta_workloads::mini_case;
+    use cta_parallel::Parallelism;
+    use cta_workloads::{mini_case, OperatingTable};
 
     #[test]
     fn operating_points_are_ordered_by_budget() {
-        let pts = case_operating_points(&mini_case());
+        let table = OperatingTable::build(&[mini_case()], Parallelism::serial());
+        let (_, pts) = &table.rows()[0];
         assert!(pts[2].config.kv_bucket_width >= pts[0].config.kv_bucket_width);
     }
 

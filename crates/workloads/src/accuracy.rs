@@ -11,8 +11,8 @@
 //! 1% accuracy-loss budgets.
 
 use cta_attention::{
-    attention_exact, cta_forward, fidelity, report_from_counts, AttentionDims, AttentionWeights,
-    ComplexityReport, CtaConfig, ExactAttention, FidelityReport,
+    attention_exact, cta_forward, fidelity_against, report_from_counts, top1_keys, AttentionDims,
+    AttentionWeights, ComplexityReport, CtaConfig, FidelityReport,
 };
 use cta_tensor::{Matrix, MatrixRng};
 
@@ -101,11 +101,12 @@ pub struct CaseEvaluation {
 }
 
 /// The exact side of a case's evaluation over `samples` generated
-/// sequences: per sample, the tokens, exact attention and the probe
-/// labels of its output. It depends on the case and the sample count
-/// only, so a search that evaluates many configurations of one case
-/// builds it once and runs only `cta_forward` and the metrics per
-/// configuration ([`CaseReference::evaluate`]).
+/// sequences: per sample, the tokens and what the metrics read of exact
+/// attention (its output, its top-1 keys and the probe labels of the
+/// output). It depends on the case and the sample count only, so a
+/// search that evaluates many configurations of one case builds it once
+/// and runs only `cta_forward` and the metrics per configuration
+/// ([`CaseReference::evaluate`]).
 #[derive(Debug, Clone)]
 pub struct CaseReference {
     case_name: String,
@@ -119,7 +120,8 @@ pub struct CaseReference {
 #[derive(Debug, Clone)]
 struct SampleReference {
     tokens: Matrix,
-    exact: ExactAttention,
+    output: Matrix,
+    top1: Vec<usize>,
     labels: Vec<usize>,
 }
 
@@ -148,7 +150,8 @@ impl CaseReference {
                 );
                 let exact = attention_exact(&tokens, &tokens, &weights);
                 let labels = probe.labels(&exact.output);
-                SampleReference { tokens, exact, labels }
+                let top1 = top1_keys(&exact.probabilities);
+                SampleReference { tokens, output: exact.output, top1, labels }
             })
             .collect();
         Self { case_name: case.name(), dims: case.dims(), weights, probe, samples }
@@ -165,7 +168,7 @@ impl CaseReference {
 
         for sample in &self.samples {
             let cta = cta_forward(&sample.tokens, &sample.tokens, &self.weights, config);
-            let fid = fidelity(&cta, &sample.exact);
+            let fid = fidelity_against(&cta, &sample.output, &sample.top1);
             let agreement = self.probe.agreement_with_labels(&sample.labels, &cta.output);
             sample_losses.push((1.0 - agreement) * 100.0);
             err_sum += fid.output_relative_error;
@@ -235,6 +238,7 @@ impl CaseEvaluation {
 pub(crate) mod tests {
     use super::*;
     use crate::mini_case;
+    use cta_attention::fidelity;
 
     /// The evaluation spelled in one pass, regenerating the tokens and
     /// recomputing exact attention per call: the oracle the split

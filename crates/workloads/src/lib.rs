@@ -17,13 +17,16 @@
 //!   linear-probe classification agreement score playing the role of the
 //!   paper's task metrics. An evaluation splits in two: a
 //!   [`CaseReference`] per case and sample count (the generated tokens,
-//!   exact attention and the probe labels of its output, built once) and
+//!   the exact output, its top-1 keys and probe labels, built once) and
 //!   [`CaseReference::evaluate`] per configuration (only `cta_forward`
 //!   and the metrics), so sweeps over many configurations of one case
 //!   price the exact reference once;
-//! * the **operating-point search** ([`find_operating_point`],
-//!   [`find_all_operating_points`]) — the CTA-0 / CTA-0.5 / CTA-1
-//!   configurations of §VI-B, all three from one walk of the width grid.
+//! * the **operating-point table** ([`OperatingTable`]) — the CTA-0 /
+//!   CTA-0.5 / CTA-1 configurations of §VI-B for a list of cases, all
+//!   three from one walk of the width grid per case
+//!   ([`find_all_operating_points`]), searched on the `cta-parallel` pool
+//!   at one sample count: 2 sequences per candidate, or 1 above 1024
+//!   tokens. Every figure and the CLI read their points from it.
 //!
 //! # Example
 //!
@@ -59,7 +62,7 @@ pub use datasets::{all_datasets, imdb, squad11, squad20, wikitext2, DatasetSpec}
 pub use diurnal::{DiurnalSpec, FlashCrowd};
 pub use generator::{generate_case_tokens, generate_layer_tokens, generate_tokens};
 pub use models::{albert_large, bert_large, gpt2_large, model_zoo, roberta_large, ModelSpec};
-pub use operating::{find_all_operating_points, find_operating_point, CtaClass, OperatingPoint};
+pub use operating::{find_all_operating_points, CtaClass, OperatingPoint, OperatingTable};
 pub use sessions::{session_trace, SessionSpec, SessionTurnEvent};
 pub use stats::{workload_stats, WorkloadStats};
 pub use tenants::{SloTier, TenantMix};

@@ -8,9 +8,11 @@
 //! the first (most compressed) configuration whose proxy accuracy loss
 //! meets the class budget. Every candidate is scored against one
 //! [`CaseReference`] (the exact attention is computed once per case), and
-//! the three classes share one walk of the grid.
+//! the three classes share one walk of the grid. [`OperatingTable`] runs
+//! that walk for a list of cases; every figure and the CLI read it.
 
 use cta_attention::CtaConfig;
+use cta_parallel::{par_map, Parallelism};
 use cta_sim::AttentionTask;
 
 use crate::{CaseEvaluation, CaseReference, TestCase};
@@ -90,43 +92,26 @@ fn width_grid() -> Vec<f32> {
     widths
 }
 
-/// Finds the most-compressed configuration meeting `class`'s accuracy
-/// budget on `case`, evaluating each candidate over `samples` sequences.
-///
-/// Falls back to the finest grid width if even that exceeds the budget
-/// (the returned evaluation carries the measured loss either way).
-///
-/// # Panics
-///
-/// Panics if `samples == 0`.
-pub fn find_operating_point(case: &TestCase, class: CtaClass, samples: usize) -> OperatingPoint {
-    let [point] = walk_width_grid(case, samples, &width_grid(), [class]);
-    point
-}
-
 /// Finds all three operating points of a case in one walk of the width
-/// grid against one [`CaseReference`]: each class takes the first width
-/// that meets its budget, or the finest width, exactly as three
-/// [`find_operating_point`] calls would. (CTA-0 ⊂ CTA-0.5 ⊂ CTA-1
-/// ordering is asserted by tests, not by construction.)
+/// grid against one [`CaseReference`], each candidate evaluated over
+/// `samples` sequences: each class takes the first width that meets its
+/// budget, or the finest width if none does (the evaluation carries the
+/// measured loss either way). Figures read these points from an
+/// [`OperatingTable`].
 ///
 /// # Panics
 ///
 /// Panics if `samples == 0`.
 pub fn find_all_operating_points(case: &TestCase, samples: usize) -> [OperatingPoint; 3] {
-    walk_width_grid(case, samples, &width_grid(), CtaClass::all())
+    walk_width_grid(case, samples, &width_grid())
 }
 
 /// Walks `widths` in order until every class has met its budget; a class
 /// that never does takes the last width.
-fn walk_width_grid<const N: usize>(
-    case: &TestCase,
-    samples: usize,
-    widths: &[f32],
-    classes: [CtaClass; N],
-) -> [OperatingPoint; N] {
+fn walk_width_grid(case: &TestCase, samples: usize, widths: &[f32]) -> [OperatingPoint; 3] {
+    let classes = CtaClass::all();
     let reference = CaseReference::new(case, samples);
-    let mut found: [Option<OperatingPoint>; N] = std::array::from_fn(|_| None);
+    let mut found: [Option<OperatingPoint>; 3] = Default::default();
     let mut last = None;
     for &w in widths {
         let config = CtaConfig::uniform(w, case.seed());
@@ -151,6 +136,46 @@ fn walk_width_grid<const N: usize>(
     })
 }
 
+/// Generated sequences per candidate: two halve single-sequence sampling
+/// noise; above 1024 tokens one keeps a long case's exact attention
+/// affordable. The one place the sample count is written.
+fn samples(case: &TestCase) -> usize {
+    if case.dataset.seq_len > 1024 {
+        1
+    } else {
+        2
+    }
+}
+
+/// The CTA-0 / CTA-0.5 / CTA-1 points of a list of cases, one
+/// [`find_all_operating_points`] walk per case on the `cta-parallel`
+/// pool. The reduction is ordered: rows come back in build order, the
+/// same at any worker count.
+#[derive(Debug, Clone)]
+pub struct OperatingTable {
+    rows: Vec<(TestCase, [OperatingPoint; 3])>,
+}
+
+impl OperatingTable {
+    /// Searches every case of `cases`, one case per pool task.
+    pub fn build(cases: &[TestCase], jobs: Parallelism) -> Self {
+        let rows =
+            par_map(jobs, cases, |case| (*case, find_all_operating_points(case, samples(case))));
+        Self { rows }
+    }
+
+    /// The `(case, [CTA-0, CTA-0.5, CTA-1])` rows, in build order.
+    pub fn rows(&self) -> &[(TestCase, [OperatingPoint; 3])] {
+        &self.rows
+    }
+
+    /// The reference a table scores `case` against, for sweeps of a knob
+    /// the width grid does not cover (the hash length, say).
+    pub fn reference(case: &TestCase) -> CaseReference {
+        CaseReference::new(case, samples(case))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +192,7 @@ mod tests {
     #[test]
     fn found_point_meets_its_budget() {
         let case = mini_case();
-        let op = find_operating_point(&case, CtaClass::Cta1, 2);
+        let [.., op] = find_all_operating_points(&case, 2);
         assert!(
             op.evaluation.accuracy_loss_pct <= CtaClass::Cta1.target_loss_pct() + 1e-9,
             "loss {}",
@@ -178,8 +203,7 @@ mod tests {
     #[test]
     fn looser_budget_never_compresses_less() {
         let case = mini_case();
-        let tight = find_operating_point(&case, CtaClass::Cta0, 2);
-        let loose = find_operating_point(&case, CtaClass::Cta1, 2);
+        let [tight, _, loose] = find_all_operating_points(&case, 2);
         assert!(
             loose.config.kv_bucket_width >= tight.config.kv_bucket_width,
             "loose w {} < tight w {}",
@@ -215,6 +239,17 @@ mod tests {
         (c.hash_length, widths.map(f32::to_bits), c.seed)
     }
 
+    /// `points` field for field, floats as bit patterns.
+    fn points_bits(points: &[OperatingPoint; 3]) -> Vec<String> {
+        points
+            .iter()
+            .map(|p| {
+                let config = config_bits(&p.config);
+                format!("{:?} {config:?} {}", p.class, evaluation_bits(&p.evaluation))
+            })
+            .collect()
+    }
+
     #[test]
     fn one_walk_finds_what_three_walks_find() {
         let case = mini_case();
@@ -222,12 +257,9 @@ mod tests {
             let all = find_all_operating_points(&case, samples);
             for (point, class) in all.iter().zip(CtaClass::all()) {
                 let (config, evaluation) = walk_alone(&case, samples, &width_grid(), class);
-                let alone = find_operating_point(&case, class, samples);
-                for p in [point, &alone] {
-                    assert_eq!(p.class, class);
-                    assert_eq!(config_bits(&p.config), config_bits(&config), "{class:?}");
-                    assert_eq!(evaluation_bits(&p.evaluation), evaluation, "{class:?}");
-                }
+                assert_eq!(point.class, class);
+                assert_eq!(config_bits(&point.config), config_bits(&config), "{class:?}");
+                assert_eq!(evaluation_bits(&point.evaluation), evaluation, "{class:?}");
             }
         }
     }
@@ -238,7 +270,7 @@ mod tests {
         // so it falls back to the last, as its own walk does.
         let case = mini_case();
         let widths = &width_grid()[..6];
-        let all = walk_width_grid(&case, 2, widths, CtaClass::all());
+        let all = walk_width_grid(&case, 2, widths);
         assert!(all[0].evaluation.accuracy_loss_pct > CtaClass::Cta0.target_loss_pct());
         assert_eq!(all[0].config.kv_bucket_width, widths[5]);
         for (point, class) in all.iter().zip(CtaClass::all()) {
@@ -249,9 +281,44 @@ mod tests {
     }
 
     #[test]
+    fn table_rows_are_the_per_case_walks_in_build_order() {
+        // Two small cases of different lengths (and so different seeds),
+        // in an order that is not the order a sort would give.
+        let mini = mini_case();
+        let short = TestCase::new(mini.model, mini.dataset.with_seq_len(48));
+        let cases = [mini, short];
+        let want: Vec<_> =
+            cases.iter().map(|c| points_bits(&find_all_operating_points(c, samples(c)))).collect();
+        for jobs in [Parallelism::serial(), Parallelism::jobs(2)] {
+            let table = OperatingTable::build(&cases, jobs);
+            let rows = table.rows();
+            assert_eq!(rows.len(), cases.len(), "{jobs}");
+            for ((case, points), (want_case, want_points)) in
+                rows.iter().zip(cases.iter().zip(&want))
+            {
+                assert_eq!(case, want_case, "{jobs}");
+                assert_eq!(&points_bits(points), want_points, "{jobs} {}", case.name());
+            }
+        }
+    }
+
+    #[test]
+    fn sample_rule_is_two_up_to_1024_tokens_and_one_above() {
+        // Reads the rule only: no case is generated or evaluated.
+        let at =
+            |n| samples(&TestCase::new(mini_case().model, mini_case().dataset.with_seq_len(n)));
+        for n in [1, 64, 512, 1024] {
+            assert_eq!(at(n), 2, "n = {n}");
+        }
+        for n in [1025, 2048, 1 << 20] {
+            assert_eq!(at(n), 1, "n = {n}");
+        }
+    }
+
+    #[test]
     fn task_respects_dims() {
         let case = mini_case();
-        let op = find_operating_point(&case, CtaClass::Cta1, 1);
+        let [.., op] = find_all_operating_points(&case, 1);
         let task = op.task(&case);
         assert_eq!(task.num_keys, case.dataset.seq_len);
         assert!(task.k0 <= task.num_queries);

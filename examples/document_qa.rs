@@ -11,7 +11,8 @@
 
 use cta::baselines::{ElsaApproximation, ElsaGpuSystem, GpuModel};
 use cta::sim::{CtaAccelerator, HwConfig};
-use cta::workloads::{bert_large, find_operating_point, squad11, CtaClass, TestCase};
+use cta::workloads::{bert_large, squad11, OperatingTable, TestCase};
+use cta::Parallelism;
 
 fn main() {
     let case = TestCase::new(bert_large(), squad11());
@@ -25,7 +26,8 @@ fn main() {
     // Calibrate the approximation to the 1%-loss budget, like the paper's
     // CTA-1 configuration.
     println!("searching for the CTA-1 operating point...");
-    let op = find_operating_point(&case, CtaClass::Cta1, 2);
+    let table = OperatingTable::build(&[case], Parallelism::serial());
+    let (_, [.., op]) = &table.rows()[0];
     let e = &op.evaluation;
     println!(
         "found: bucket width {:.2}, measured loss {:.2}%, RL {:.0}%, RA {:.0}%",

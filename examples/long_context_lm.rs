@@ -11,7 +11,8 @@
 
 use cta::baselines::GpuModel;
 use cta::sim::{CtaAccelerator, HwConfig};
-use cta::workloads::{find_operating_point, gpt2_large, wikitext2, CtaClass, TestCase};
+use cta::workloads::{gpt2_large, wikitext2, OperatingTable, TestCase};
+use cta::Parallelism;
 
 fn main() {
     let model = gpt2_large();
@@ -25,12 +26,13 @@ fn main() {
     let gpu = GpuModel::v100();
     let acc = CtaAccelerator::new(HwConfig::paper());
 
-    for n in [128usize, 256, 384, 512] {
-        let case = TestCase::new(model, wikitext2().with_seq_len(n));
-        let op = find_operating_point(&case, CtaClass::Cta1, 2);
+    let cases =
+        [128usize, 256, 384, 512].map(|n| TestCase::new(model, wikitext2().with_seq_len(n)));
+    for (case, [.., op]) in OperatingTable::build(&cases, Parallelism::from_env()).rows() {
+        let n = case.dataset.seq_len;
         let dims = case.dims();
         let gpu_t = gpu.attention_latency_s(&dims, 12);
-        let cta_t = acc.simulate_head(&op.task(&case)).latency_s;
+        let cta_t = acc.simulate_head(&op.task(case)).latency_s;
         println!(
             "{:>6} {:>11.1}% {:>12.1} {:>12.1} {:>9.1}x",
             n,

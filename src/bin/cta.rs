@@ -16,9 +16,10 @@ use cta::sim::{
 };
 use cta::telemetry::{chrome_trace_json, validate_chrome_trace, AggregateReport, RingBufferSink};
 use cta::workloads::{
-    albert_large, bert_large, evaluate_case, find_operating_point, gpt2_large, imdb, roberta_large,
-    squad11, squad20, wikitext2, CtaClass, DatasetSpec, ModelSpec, TestCase,
+    albert_large, bert_large, evaluate_case, gpt2_large, imdb, roberta_large, squad11, squad20,
+    wikitext2, CtaClass, DatasetSpec, ModelSpec, OperatingTable, TestCase,
 };
+use cta::Parallelism;
 use cta_bench::{parse_num, usage, Flag, Flags};
 
 fn main() -> ExitCode {
@@ -76,10 +77,7 @@ const COMMANDS: [Command; 8] = [
     },
     Command {
         name: "operating-point",
-        flags: &[
-            &CASE,
-            &[Flag::required("--class", "<cta-0|cta-0.5|cta-1>"), Flag::value("--samples", "2")],
-        ],
+        flags: &[&CASE, &[Flag::required("--class", "<cta-0|cta-0.5|cta-1>")]],
         run: cmd_operating_point,
     },
     Command { name: "area", flags: &[&HW], run: cmd_area },
@@ -302,9 +300,9 @@ fn cmd_operating_point(flags: &Flags) -> Result<(), String> {
     let model = flags.get("--model", model_by_name)?;
     let dataset = flags.get("--dataset", dataset_by_name)?;
     let class = flags.get("--class", class_by_name)?;
-    let samples = positive(flags, "--samples")?;
-    let case = TestCase::new(model, dataset);
-    let op = find_operating_point(&case, class, samples);
+    let table = OperatingTable::build(&[TestCase::new(model, dataset)], Parallelism::serial());
+    let (case, points) = &table.rows()[0];
+    let op = points.iter().find(|p| p.class == class).expect("one point per class");
     let e = &op.evaluation;
     println!("{} {}", e.case_name, class.label());
     println!(
@@ -314,7 +312,7 @@ fn cmd_operating_point(flags: &Flags) -> Result<(), String> {
         class.target_loss_pct()
     );
     println!("RL {:.1}%  RA {:.1}%", e.complexity.rl * 100.0, e.complexity.ra * 100.0);
-    let task = op.task(&case);
+    let task = op.task(case);
     let r = CtaAccelerator::new(HwConfig::paper()).simulate_head(&task);
     println!(
         "simulated head: {} cycles ({:.1} us), {:.2} uJ",
