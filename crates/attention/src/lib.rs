@@ -55,4 +55,4 @@ pub use config::{CtaConfig, DEFAULT_RESIDUAL_RATIO};
 pub use exact::{attention_exact, AttentionWeights, ExactAttention};
 pub use metrics::{fidelity, fidelity_against, top1_agreement, top1_keys, FidelityReport};
 pub use quantized::{cta_forward_quantized, QuantizationConfig};
-pub use scheme::{cta_forward, sample_families, CtaAttention};
+pub use scheme::{cta_forward, cta_forward_compressed, sample_families, CtaAttention};

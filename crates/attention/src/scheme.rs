@@ -136,7 +136,23 @@ pub fn cta_forward(
     // Stage 1: token compression.
     let query_compression = compress(queries, &f0);
     let kv_compression = compress_two_level(keys_values, &f1, &f2);
+    cta_forward_compressed(query_compression, kv_compression, weights)
+}
 
+/// Stages 2-5 of [`cta_forward`] on compressions made elsewhere, such as
+/// a [`StreamingCompressor`](cta_lsh::StreamingCompressor)'s two-level
+/// snapshot. On the compressions `cta_forward` itself makes it is
+/// `cta_forward`, bit for bit.
+///
+/// # Panics
+///
+/// Panics if the compressions' token dimension is not
+/// `weights.token_dim()`.
+pub fn cta_forward_compressed(
+    query_compression: Compression,
+    kv_compression: TwoLevelCompression,
+    weights: &AttentionWeights,
+) -> CtaAttention {
     // Stage 2: linears on compressed tokens (eq. 3).
     let c_cat = kv_compression.concatenated_centroids();
     let q_bar = query_compression.centroids.matmul(weights.wq());

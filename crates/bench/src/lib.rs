@@ -73,15 +73,26 @@ impl Table {
 
 /// Prints one aligned table row from string cells.
 pub fn row(cells: &[String]) {
+    println!("{}", format_row(cells));
+}
+
+/// One aligned table row: the first cell left-aligned in 26 columns, the
+/// rest right-aligned in 12. A later cell of 12 or more characters gets
+/// one space before it unless the line already ends in one, so cells
+/// never touch and a row whose cells fit their columns keeps its layout.
+fn format_row(cells: &[String]) -> String {
     let mut line = String::new();
     for (i, c) in cells.iter().enumerate() {
         if i == 0 {
             line.push_str(&format!("{c:<26}"));
         } else {
+            if c.chars().count() >= 12 && !line.ends_with(' ') {
+                line.push(' ');
+            }
             line.push_str(&format!("{c:>12}"));
         }
     }
-    println!("{line}");
+    line
 }
 
 /// Simulates one head of a task on the paper-configuration accelerator.
@@ -105,6 +116,26 @@ mod tests {
         let table = OperatingTable::build(&[mini_case()], Parallelism::serial());
         let (_, pts) = &table.rows()[0];
         assert!(pts[2].config.kv_bucket_width >= pts[0].config.kv_bucket_width);
+    }
+
+    #[test]
+    fn row_cells_never_touch() {
+        let cells = |cs: &[&str]| cs.iter().map(|c| c.to_string()).collect::<Vec<_>>();
+        // Cells that fit their columns keep the fixed layout.
+        assert_eq!(
+            format_row(&cells(&["case", "1.00", "x"])),
+            format!("{:<26}{:>12}{:>12}", "case", "1.00", "x")
+        );
+        // A full first cell followed by a short one is already apart.
+        let first = "a".repeat(26);
+        assert_eq!(format_row(&cells(&[&first, "1.0"])), format!("{first}{:>12}", "1.0"));
+        // Full cells after full cells get one space.
+        let wide = "elsa_over_cta";
+        assert_eq!(format_row(&cells(&["op", wide, wide])), format!("{:<26}{wide} {wide}", "op"));
+        assert_eq!(
+            format_row(&cells(&[&first, "b".repeat(12).as_str()])),
+            format!("{first} {}", "b".repeat(12))
+        );
     }
 
     #[test]

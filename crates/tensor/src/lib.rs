@@ -15,7 +15,8 @@
 //! production path; the naive scalar loops survive as test oracles that
 //! pin them bit for bit, and
 //! [`exp_in_place`] evaluates `f32::exp` bit for bit eight lanes at a
-//! time where the host's libm allows it.
+//! time where the host's libm allows it, as [`MatrixRng`]'s Box–Muller
+//! normals do `f32::ln`, `f32::sin` and `f32::cos`.
 //!
 //! # Example
 //!
@@ -28,6 +29,7 @@
 //! assert_eq!(c, a);
 //! ```
 
+mod box_muller;
 mod exp;
 mod kernels;
 mod matrix;

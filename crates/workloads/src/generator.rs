@@ -62,10 +62,10 @@ pub fn generate_tokens(
     let mut centers = Matrix::zeros(clusters, d);
     for c in 0..clusters {
         let spread = CENTER_STD * rng.uniform(0.08, 1.2);
-        let offset = rng.normal_matrix(1, d, 0.0, spread);
-        let topic = topic_matrix.row(c % topics);
-        for (j, x) in centers.row_mut(c).iter_mut().enumerate() {
-            *x = topic[j] + offset.row(0)[j];
+        let center = centers.row_mut(c);
+        rng.fill_normal(center, 0.0, spread);
+        for (x, &t) in center.iter_mut().zip(topic_matrix.row(c % topics)) {
+            *x += t;
         }
     }
 
@@ -89,6 +89,7 @@ pub fn generate_tokens(
 
     let mut tokens = centers.gather_rows(&assignment);
     let max_jitter = model.noise_scale * JITTER_MAX * CENTER_STD;
+    let mut jitter = vec![0.0; d];
     for t in 0..seq_len {
         // Most repetitions are tight duplicates (near-lossless to merge);
         // a log-uniform tail of looser paraphrases stretches the
@@ -99,9 +100,8 @@ pub fn generate_tokens(
         } else {
             (rng.uniform(0.06f32.ln(), 0.0f32)).exp()
         };
-        let jitter = rng.normal_matrix(1, d, 0.0, max_jitter * u);
-        let row = tokens.row_mut(t);
-        for (x, &j) in row.iter_mut().zip(jitter.row(0)) {
+        rng.fill_normal(&mut jitter, 0.0, max_jitter * u);
+        for (x, &j) in tokens.row_mut(t).iter_mut().zip(&jitter) {
             *x += j;
         }
     }
@@ -110,8 +110,7 @@ pub fn generate_tokens(
     let outliers = (dataset.outlier_fraction * seq_len as f64).round() as usize;
     for _ in 0..outliers {
         let pos = rng.index(seq_len);
-        let row = rng.normal_matrix(1, d, 0.0, CENTER_STD);
-        tokens.row_mut(pos).copy_from_slice(row.row(0));
+        rng.fill_normal(tokens.row_mut(pos), 0.0, CENTER_STD);
     }
     tokens
 }
@@ -232,5 +231,32 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn layer_index_bounds_checked() {
         let _ = generate_layer_tokens(&bert_large(), &squad11(), 24, 24, 1);
+    }
+
+    #[test]
+    fn paper_case_normals_are_pinned_bit_for_bit() {
+        // FNV-1a over the bits of every paper case's tokens, weights and
+        // LSH families, recorded from the per-pair Box–Muller generator:
+        // the batched, lane-transformed draws must reproduce it exactly.
+        use cta_attention::{sample_families, AttentionWeights, CtaConfig};
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |xs: &[f32]| {
+            for x in xs {
+                h = (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for case in crate::paper_cases() {
+            let (seed, d) = (case.seed(), case.model.head_dim);
+            fold(generate_case_tokens(&case, seed).as_slice());
+            let w = AttentionWeights::random(d, d, seed);
+            for m in [w.wq(), w.wk(), w.wv()] {
+                fold(m.as_slice());
+            }
+            for f in sample_families(&CtaConfig::uniform(1.0, seed), d) {
+                fold(f.directions().as_slice());
+                fold(f.biases());
+            }
+        }
+        assert_eq!(h, 0x96d2_4d24_c888_8f47);
     }
 }
