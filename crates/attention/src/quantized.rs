@@ -3,7 +3,7 @@
 
 use cta_fixed::{formats, ExpLut, QFormat, QuantizedMatrix, ReciprocalLut};
 use cta_lsh::{
-    aggregate_centroids, ClusterTable, ClusterTree, Compression, LshFamily, TwoLevelCompression,
+    aggregate_centroids, cluster_tokens, ClusterTable, Compression, LshFamily, TwoLevelCompression,
 };
 use cta_tensor::Matrix;
 
@@ -256,19 +256,17 @@ fn quantize_family(family: &LshFamily, format: QFormat) -> LshFamily {
     LshFamily::from_parts(a, b, family.bucket_width())
 }
 
-/// One level of compression on quantized tokens: hash, cluster-tree
-/// assignment, centroid accumulation, reciprocal-LUT averaging, centroid
-/// quantisation. Returns the compression (dequantized centroids) and the
-/// centroid words.
+/// One level of compression on quantized tokens: hash and cluster
+/// ([`cluster_tokens`]), centroid accumulation, reciprocal-LUT
+/// averaging, centroid quantisation. Returns the compression
+/// (dequantized centroids) and the centroid words.
 fn compress_quantized(
     tokens: &Matrix,
     family: &LshFamily,
     qcfg: &QuantizationConfig,
     recip: &ReciprocalLut,
 ) -> (Compression, QuantizedMatrix) {
-    let codes = family.hash_matrix(tokens);
-    let mut tree = ClusterTree::new(family.hash_length());
-    let table = tree.assign_all(&codes);
+    let table = cluster_tokens(tokens, family);
     // Fig. 4(b) with CAVG's multiply-by-reciprocal: recompute the average
     // as sum * LUT(count), then quantise to the centroid format.
     let cents = aggregate_centroids(tokens, &table);

@@ -1,9 +1,11 @@
-//! Microbenchmarks of the token-compression substrate: hashing, cluster
-//! tree, centroid aggregation, full two-level compression.
+//! Microbenchmarks of the token-compression substrate: hashing, the
+//! flat code map beside the cluster tree, centroid aggregation, full
+//! two-level compression.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cta_lsh::{
-    aggregate_centroids, compress_two_level, ClusterTree, LshFamily, LshParams, StreamingCompressor,
+    aggregate_centroids, cluster_by_code_map, compress_two_level, ClusterTree, LshFamily,
+    LshParams, StreamingCompressor,
 };
 use cta_workloads::{bert_large, generate_tokens, imdb};
 use std::hint::black_box;
@@ -19,6 +21,12 @@ fn bench_lsh(c: &mut Criterion) {
         b.iter(|| black_box(fam.hash_matrix(black_box(&tokens))))
     });
 
+    // The paper's SQuAD sequence length, 24 token blocks of 16.
+    let squad = generate_tokens(&model, &dataset, 384, 11);
+    c.bench_function("lsh/hash_matrix_384x64", |b| {
+        b.iter(|| black_box(fam.hash_matrix(black_box(&squad))))
+    });
+
     let codes = fam.hash_matrix(&tokens);
     c.bench_function("lsh/cluster_tree_assign_512", |b| {
         b.iter(|| {
@@ -27,8 +35,11 @@ fn bench_lsh(c: &mut Criterion) {
         })
     });
 
-    let mut tree = ClusterTree::new(fam.hash_length());
-    let table = tree.assign_all(&codes);
+    c.bench_function("lsh/code_map_512", |b| {
+        b.iter(|| black_box(cluster_by_code_map(black_box(&codes))))
+    });
+
+    let table = cluster_by_code_map(&codes);
     c.bench_function("lsh/centroid_aggregation_512", |b| {
         b.iter(|| black_box(aggregate_centroids(black_box(&tokens), &table)))
     });

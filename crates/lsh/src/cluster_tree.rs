@@ -56,9 +56,13 @@ fn edge(node: usize, value: i32) -> u64 {
 /// the last, and a node's layer says which. Internal nodes are numbered
 /// in allocation order, root first, as the CIM allocates addresses.
 ///
-/// This is the *reference* software implementation; the cycle-level model
-/// of the Cluster Index Module in `cta-sim` replays the same logic with
-/// `l` hardware threads and checks itself against this structure.
+/// The tree is the structure the hardware walks and the one that
+/// streams: the cycle-level model of the Cluster Index Module in
+/// `cta-sim` replays the same logic with `l` hardware threads and checks
+/// itself against it, and [`StreamingCompressor`](crate::StreamingCompressor)
+/// extends it one token at a time. Batch compression numbers a whole
+/// sequence with the flat [`cluster_by_code_map`](crate::cluster_by_code_map)
+/// instead, and this tree is that map's test oracle.
 ///
 /// ```
 /// use cta_lsh::ClusterTree;
@@ -151,24 +155,10 @@ impl ClusterTree {
     }
 }
 
-/// Reference clustering via a flat code → index map.
-///
-/// Used to cross-check the tree: both must produce identical tables for
-/// identical input order (first appearance ⇒ next dense index).
-pub fn cluster_by_code_map(codes: &HashCodes) -> ClusterTable {
-    let mut map: HashMap<&[i32], usize> = HashMap::new();
-    let mut indices = Vec::with_capacity(codes.len());
-    for code in codes.iter() {
-        let next = map.len();
-        let idx = *map.entry(code).or_insert(next);
-        indices.push(idx);
-    }
-    ClusterTable::new(indices, map.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster_by_code_map;
     use cta_tensor::MatrixRng;
     use proptest::prelude::*;
 

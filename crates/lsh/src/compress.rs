@@ -3,7 +3,7 @@
 
 use cta_tensor::Matrix;
 
-use crate::{aggregate_centroids, ClusterTable, ClusterTree, LshFamily};
+use crate::{aggregate_centroids, cluster_by_code_map, ClusterTable, LshFamily};
 
 /// The result of one level of LSH-based token compression: centroids, the
 /// cluster table, and per-cluster populations.
@@ -42,6 +42,20 @@ impl Compression {
     }
 }
 
+/// Hashes every token with `family` and numbers the codes by first
+/// appearance: the hash-and-cluster step every batch compression runs
+/// (paper eq. 1, then the cluster table of Fig. 4a), through the token
+/// lanes of [`LshFamily::hash_matrix`] and the flat
+/// [`cluster_by_code_map`].
+///
+/// # Panics
+///
+/// Panics if `tokens.cols() != family.dim()`, or a projection is not
+/// finite.
+pub fn cluster_tokens(tokens: &Matrix, family: &LshFamily) -> ClusterTable {
+    cluster_by_code_map(&family.hash_matrix(tokens))
+}
+
 /// Compresses a token matrix with a single LSH level (used for query tokens,
 /// `LSH₀` in the paper).
 ///
@@ -49,9 +63,7 @@ impl Compression {
 ///
 /// Panics if `tokens.cols() != family.dim()`.
 pub fn compress(tokens: &Matrix, family: &LshFamily) -> Compression {
-    let codes = family.hash_matrix(tokens);
-    let mut tree = ClusterTree::new(family.hash_length());
-    let table = tree.assign_all(&codes);
+    let table = cluster_tokens(tokens, family);
     let cents = aggregate_centroids(tokens, &table);
     Compression { centroids: cents.matrix, counts: cents.counts, table }
 }

@@ -2,6 +2,7 @@
 
 use cta_tensor::{Matrix, MatrixRng};
 
+use crate::hash_lanes::hash_rows;
 use crate::HashCodes;
 
 /// Hyper-parameters for sampling an [`LshFamily`].
@@ -160,22 +161,20 @@ impl LshFamily {
     /// overflows the dot product).
     pub fn hash_value(&self, i: usize, x: &[f32]) -> i32 {
         let proj = Matrix::dot(self.a.row(i), x) + self.b[i];
-        assert!(
-            proj.is_finite(),
-            "LSH projection for direction {i} is not finite ({proj}): \
-             token vector contains NaN/inf or overflows the dot product"
-        );
+        if !proj.is_finite() {
+            not_finite(i, proj);
+        }
         bucket_of(proj, self.w)
     }
 
     /// Hashes every row of a token matrix (paper eq. 1, `H = ⌊(A·Xᵀ+B)/w⌋`),
     /// returning one code per token.
     ///
-    /// All projections are batched into one `X · Aᵀ` product on the SIMD
-    /// kernel — bitwise identical to hashing token by token with
-    /// [`LshFamily::hash_value`], because each projection is the same
-    /// sequential-`d` dot product (f32 multiplication commutes bitwise)
-    /// with the bias added afterwards in the same order.
+    /// Sixteen tokens run at a time in the lanes of one vector (see the
+    /// `hash_lanes` module): bitwise identical to hashing token by token
+    /// with [`LshFamily::hash_value`], because each lane adds the same
+    /// terms in the same ascending-`d` order, adds the bias afterwards
+    /// and buckets with the same f64 divide and floor.
     ///
     /// # Panics
     ///
@@ -189,27 +188,23 @@ impl LshFamily {
             tokens.cols(),
             self.dim()
         );
-        let n = tokens.rows();
-        let l = self.hash_length();
-        let mut values = Vec::with_capacity(n * l);
-        let projections = tokens.matmul_transpose_b(&self.a);
-        for t in 0..n {
-            let proj_row = projections.row(t);
-            for (i, (&p, &bias)) in proj_row.iter().zip(&self.b).enumerate() {
-                let proj = p + bias;
-                assert!(
-                    proj.is_finite(),
-                    "LSH projection for direction {i} is not finite ({proj}): \
-                     token vector contains NaN/inf or overflows the dot product"
-                );
-                values.push(bucket_of(proj, self.w));
-            }
-        }
+        let (n, l) = (tokens.rows(), self.hash_length());
+        let mut values = vec![0; n * l];
+        hash_rows(tokens.as_slice(), self.dim(), self.a.as_slice(), &self.b, self.w, &mut values);
         HashCodes::from_flat(n, l, values)
     }
 }
 
-/// `⌊proj / w⌋` as a saturating `i32` bucket index.
+/// The panic of a non-finite projection `proj` on direction `i`.
+pub(crate) fn not_finite(i: usize, proj: f32) -> ! {
+    panic!(
+        "LSH projection for direction {i} is not finite ({proj}): \
+         token vector contains NaN/inf or overflows the dot product"
+    )
+}
+
+/// `⌊proj / w⌋` as a saturating `i32` bucket index: divide, floor,
+/// clamp to the `i32` rails, truncate.
 ///
 /// The divide and floor happen in **f64**: above 2²⁴ the f32 quotient
 /// has a spacing coarser than 1, so an f32 divide can round across an
@@ -217,10 +212,17 @@ impl LshFamily {
 /// relative to the documented `⌊(A·Xᵀ+B)/w⌋`. Both operands are exact
 /// in f64, and every integer a finite f64 quotient can floor to is
 /// representable, so the f64 result is the true floor of the rounded
-/// quotient. `as` on float→int saturates (never wraps), so astronomic
-/// quotients pin at the `i32` rails.
-fn bucket_of(proj: f32, w: f32) -> i32 {
-    (f64::from(proj) / f64::from(w)).floor() as i32
+/// quotient. The clamp pins astronomic quotients at the `i32` rails
+/// (never wrapping), and leaves an integer the truncation converts
+/// exactly — the saturating `as`, spelled so that the token lanes
+/// convert in vector registers.
+pub(crate) fn bucket_of(proj: f32, w: f32) -> i32 {
+    let floor = (f64::from(proj) / f64::from(w)).floor();
+    // `max` drops a NaN for the lower rail, so the clamped value is an
+    // integer inside the i32 range.
+    let clamped = floor.max(f64::from(i32::MIN)).min(f64::from(i32::MAX));
+    // SAFETY: `clamped` is finite and inside the i32 range.
+    unsafe { clamped.to_int_unchecked() }
 }
 
 #[cfg(test)]
@@ -375,6 +377,167 @@ mod tests {
         // Interior values are still the exact floor.
         assert_eq!(fam.hash_code(&[2.5]), vec![2]);
         assert_eq!(fam.hash_code(&[-2.5]), vec![-3]);
+    }
+
+    /// The message of the panic `f` raises, or `None` if it returns.
+    fn panic_message<T>(f: impl FnOnce() -> T) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => {
+                payload.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string())
+            }
+        })
+    }
+
+    /// A hash-body case: `n` tokens of dimension `d` hashed by an
+    /// `l`-direction family of width `w`; `special` picks
+    /// what is written into token `at`: nothing (0), signed zeros (1),
+    /// subnormals (2), a magnitude whose projections pass the i32 rails
+    /// (3), NaN (4), +∞ (5) or −∞ (6).
+    #[allow(clippy::too_many_arguments)]
+    fn assert_hash_bodies_match(
+        n: usize,
+        d: usize,
+        l: usize,
+        w: f32,
+        zero_bias: bool,
+        special: u8,
+        at: usize,
+        seed: u64,
+    ) {
+        let sampled = LshFamily::sample(d, LshParams::new(l, w), seed);
+        let fam = if zero_bias {
+            // −0.0 biases keep an all-(−0.0) projection at −0.0 in the
+            // scalar loop, whose sum starts at −0.0.
+            LshFamily::from_parts(sampled.directions().clone(), vec![-0.0; l], w)
+        } else {
+            sampled
+        };
+        let mut tokens = cta_tensor::standard_normal_matrix(seed ^ 0x5eed, n, d);
+        if n > 0 {
+            let row = tokens.row_mut(at % n);
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = match special {
+                    1 if j % 2 == 0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::from_bits(1 + j as u32) * if j % 2 == 0 { 1.0 } else { -1.0 },
+                    3 => *v * 1e30,
+                    4 if j == d / 2 => f32::NAN,
+                    5 if j == d / 2 => f32::INFINITY,
+                    6 if j == d / 2 => f32::NEG_INFINITY,
+                    _ => *v,
+                };
+            }
+        }
+        let expected = panic_message(|| scalar_hash_matrix(&fam, &tokens));
+        let reference =
+            if expected.is_none() { Some(scalar_hash_matrix(&fam, &tokens)) } else { None };
+        if special >= 4 && n > 0 {
+            let message = expected.as_deref().expect("a non-finite token panics");
+            assert!(message.contains("not finite") && message.contains("direction"), "{message}");
+        }
+        for (name, body) in crate::hash_lanes::bodies() {
+            let mut out = vec![0; n * l];
+            let a = fam.directions().as_slice();
+            // SAFETY: `bodies` lists only bodies the host runs.
+            let got = panic_message(|| unsafe {
+                body(tokens.as_slice(), d, a, fam.biases(), w, &mut out)
+            });
+            let case = format!("{name}: n={n} d={d} l={l} w={w:e} special={special} at={at}");
+            assert_eq!(got, expected, "{case}");
+            if let Some(reference) = &reference {
+                assert_eq!(&HashCodes::from_flat(n, l, out), reference, "{case}");
+            }
+        }
+    }
+
+    /// Token counts around the 16-token block and the paper's lengths.
+    const HASH_BODY_LENGTHS: [usize; 7] = [0, 1, 15, 16, 17, 384, 1024];
+
+    /// Token dimensions: below, at and past the 8- and 16-column
+    /// transpose tiles, and the paper's head dimension.
+    const HASH_BODY_DIMS: [usize; 5] = [1, 7, 16, 24, 64];
+
+    /// A bucket width of 2⁻²⁴: the bucket of a projection below 128 in
+    /// magnitude is the projection scaled by 2²⁴, exactly, so the code
+    /// shows a difference in any of its top 24 bits (a fused
+    /// multiply-add, say), where a width of 1 would hide one in all
+    /// but the rare projection next to a bucket boundary.
+    const BIT_WIDTH: f32 = 1.0 / 16_777_216.0;
+
+    /// Bucket widths: one case in four [`BIT_WIDTH`], the others
+    /// log-uniform from 1e-4 to 1e6.
+    fn hash_body_width((bits, exponent): (u8, f32)) -> f32 {
+        if bits == 0 {
+            BIT_WIDTH
+        } else {
+            10f32.powf(exponent)
+        }
+    }
+
+    #[test]
+    fn hash_bodies_match_the_scalar_loop_on_every_length_code_length_and_special_token() {
+        for (i, &n) in HASH_BODY_LENGTHS.iter().enumerate() {
+            for w in [BIT_WIDTH, 1.0] {
+                assert_hash_bodies_match(n, 24, 6, w, false, 0, 0, i as u64);
+            }
+        }
+        for l in 1..=13 {
+            for w in [BIT_WIDTH, 0.1] {
+                assert_hash_bodies_match(17, 7, l, w, l % 2 == 0, 0, 0, l as u64);
+            }
+        }
+        for special in 0..7 {
+            for (at, zero_bias) in [(0, false), (16, true)] {
+                assert_hash_bodies_match(17, 16, 13, 1e2, zero_bias, special, at, special.into());
+            }
+        }
+        for w in [1e-4, 1e6] {
+            assert_hash_bodies_match(33, 64, 6, w, false, 3, 31, 9);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every hash body the host runs (AVX2, portable and the
+        /// dispatched one) is the token-by-token scalar loop bit for
+        /// bit, and panics with its message on a non-finite projection.
+        #[test]
+        fn hash_bodies_match_the_scalar_loop(
+            shape in (0usize..7, 0usize..5, 1usize..=13),
+            width in (0u8..4, -4.0f32..=6.0),
+            zero_bias in 0u8..2,
+            special in 0u8..7,
+            at in 0usize..1024,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (n, d, l) = (HASH_BODY_LENGTHS[shape.0], HASH_BODY_DIMS[shape.1], shape.2);
+            let w = hash_body_width(width);
+            assert_hash_bodies_match(n, d, l, w, zero_bias == 1, special, at, seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// [`hash_bodies_match_the_scalar_loop`] at many more cases, for
+        /// release builds (CI runs it with `--ignored`).
+        #[test]
+        #[ignore = "release-only: cargo test --release -p cta-lsh --lib -- --ignored hash_bodies"]
+        fn hash_bodies_match_the_scalar_loop_at_many_cases(
+            shape in (0usize..7, 0usize..5, 1usize..=13),
+            width in (0u8..4, -4.0f32..=6.0),
+            zero_bias in 0u8..2,
+            special in 0u8..7,
+            at in 0usize..1024,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (n, d, l) = (HASH_BODY_LENGTHS[shape.0], HASH_BODY_DIMS[shape.1], shape.2);
+            let w = hash_body_width(width);
+            assert_hash_bodies_match(n, d, l, w, zero_bias == 1, special, at, seed);
+        }
     }
 
     proptest! {

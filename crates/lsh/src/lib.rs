@@ -6,7 +6,10 @@
 //!
 //! * [`LshFamily`] — p-stable LSH, `h(x) = ⌊(A·x + b)/w⌋` (eq. 1);
 //! * [`ClusterTree`] — the streaming hash-code → cluster-index structure of
-//!   Fig. 4(a), plus a hash-map reference implementation for cross-checks;
+//!   Fig. 4(a), which the CIM model and [`StreamingCompressor`] walk;
+//! * [`cluster_by_code_map`] — the same first-appearance numbering of a
+//!   whole sequence through one flat map, and [`cluster_tokens`], the
+//!   hash-and-cluster step every batch compression runs;
 //! * [`aggregate_centroids`] — per-cluster means (Fig. 4b);
 //! * [`compress`] / [`compress_two_level`] — one-level compression for
 //!   query tokens and two-level *residual* compression for key/value
@@ -30,17 +33,22 @@
 
 mod centroid;
 mod cluster_tree;
+mod code_map;
 mod codes;
 mod compress;
 mod family;
+mod hash_lanes;
 mod kmeans;
 mod streaming;
 mod table;
 
 pub use centroid::{aggregate_centroids, Centroids};
-pub use cluster_tree::{cluster_by_code_map, ClusterTree};
+pub use cluster_tree::ClusterTree;
+pub use code_map::cluster_by_code_map;
 pub use codes::HashCodes;
-pub use compress::{compress, compress_two_level, Compression, TwoLevelCompression};
+pub use compress::{
+    cluster_tokens, compress, compress_two_level, Compression, TwoLevelCompression,
+};
 pub use family::{LshFamily, LshParams};
 pub use kmeans::{kmeans, KMeansRun};
 pub use streaming::{CompressionView, StreamingCompressor};
