@@ -16,9 +16,9 @@
 use std::process::ExitCode;
 
 use cta_baselines::{ElsaApproximation, ElsaGpuSystem, GpuModel, IdealAccelerator};
-use cta_bench::{banner, cli_main, geomean, row, simulate, Table, PARALLEL_FLAGS, UNITS};
+use cta_bench::{banner, cli_main, row, simulate, Table, PARALLEL_FLAGS, UNITS};
 use cta_sim::HwConfig;
-use cta_tensor::mean;
+use cta_tensor::{geometric_mean, mean};
 use cta_workloads::{paper_cases, OperatingTable};
 
 fn main() -> ExitCode {
@@ -73,15 +73,15 @@ fn main() -> ExitCode {
         println!();
         println!(
             "geomean speedup over GPU:        CTA-0 {:.1}x  CTA-0.5 {:.1}x  CTA-1 {:.1}x   (paper: 27.7 / 33.8 / 44.2)",
-            geomean(&speedups[0]),
-            geomean(&speedups[1]),
-            geomean(&speedups[2])
+            geometric_mean(&speedups[0]),
+            geometric_mean(&speedups[1]),
+            geometric_mean(&speedups[2])
         );
         println!(
             "geomean over ELSA-aggr+GPU:      CTA-0 {:.1}x  CTA-0.5 {:.1}x  CTA-1 {:.1}x   (paper: 18.3 / 22.1 / 28.7)",
-            geomean(&over_elsa[0]),
-            geomean(&over_elsa[1]),
-            geomean(&over_elsa[2])
+            geometric_mean(&over_elsa[0]),
+            geometric_mean(&over_elsa[1]),
+            geometric_mean(&over_elsa[2])
         );
 
         banner("Figure 12 (right) — CTA latency breakdown and vs ideal accelerator");

@@ -13,7 +13,8 @@
 use std::process::ExitCode;
 
 use cta_baselines::{ElsaApproximation, ElsaGpuSystem, GpuModel};
-use cta_bench::{banner, cli_main, geomean, row, simulate, Table, PARALLEL_FLAGS, UNITS};
+use cta_bench::{banner, cli_main, row, simulate, Table, PARALLEL_FLAGS, UNITS};
+use cta_tensor::geometric_mean;
 use cta_workloads::{paper_cases, OperatingTable};
 
 fn main() -> ExitCode {
@@ -52,15 +53,15 @@ fn main() -> ExitCode {
         println!();
         println!(
             "geomean over GPU:       CTA-0 {:.0}x  CTA-0.5 {:.0}x  CTA-1 {:.0}x   (paper: 634 / 756 / 950)",
-            geomean(&over_gpu[0]),
-            geomean(&over_gpu[1]),
-            geomean(&over_gpu[2])
+            geometric_mean(&over_gpu[0]),
+            geometric_mean(&over_gpu[1]),
+            geometric_mean(&over_gpu[2])
         );
         println!(
             "geomean over ELSA+GPU:  CTA-0 {:.0}x  CTA-0.5 {:.0}x  CTA-1 {:.0}x   (paper: 399 / 471 / 587)",
-            geomean(&over_elsa[0]),
-            geomean(&over_elsa[1]),
-            geomean(&over_elsa[2])
+            geometric_mean(&over_elsa[0]),
+            geometric_mean(&over_elsa[1]),
+            geometric_mean(&over_elsa[2])
         );
 
         banner("Figure 14 (right) — CTA energy breakdown");

@@ -18,12 +18,17 @@
 //! | `table1_mapping_trace` | Table I |
 //! | `end_to_end` | §VI-C end-to-end performance |
 //! | `ablation_*` | design-choice ablations (DESIGN.md §5) |
+//!
+//! Results are written as CSV ([`CsvTable`]) and JSON ([`JsonReport`]).
+//! A report's values are [`cta_telemetry::JsonValue`]s, the workspace's
+//! one JSON value type; [`cta_telemetry::parse_json`], its one reader,
+//! reads them back.
 
 pub mod cli;
 mod report;
 
 pub use cli::{cli_main, parse_num, usage, usage_flags, Flag, Flags, PARALLEL_FLAGS};
-pub use report::{parse_json, CsvTable, JsonReport, JsonValue, SCHEMA_VERSION};
+pub use report::{CsvTable, JsonReport, SCHEMA_VERSION};
 
 use cta_sim::{AttentionTask, CtaAccelerator, HwConfig, SimReport};
 
@@ -98,11 +103,6 @@ fn format_row(cells: &[String]) -> String {
 /// Simulates one head of a task on the paper-configuration accelerator.
 pub fn simulate(task: &AttentionTask) -> SimReport {
     CtaAccelerator::new(HwConfig::paper()).simulate_head(task)
-}
-
-/// Geometric mean (re-exported for harness binaries).
-pub fn geomean(xs: &[f64]) -> f64 {
-    cta_tensor::geometric_mean(xs)
 }
 
 #[cfg(test)]

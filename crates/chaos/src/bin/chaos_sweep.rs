@@ -23,10 +23,11 @@
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use cta_bench::{parse_json, parse_num, Flag, Flags, JsonValue, SCHEMA_VERSION};
+use cta_bench::{parse_num, Flag, Flags, SCHEMA_VERSION};
 use cta_chaos::{run_chaos, shrink, ChaosParams, ChaosScenario, Mutation, Toggle, Violation};
 use cta_serve::harness::{export_trace, Harness, PointOutput, SweepSpec};
 use cta_serve::simulate_fleet_traced;
+use cta_telemetry::{parse_json, JsonValue};
 
 /// The sweep's own flags and defaults; the harness appends the shared
 /// `--jobs` and `--pool-trace`.
@@ -150,16 +151,11 @@ fn replay(path: &str, mutation: Mutation) {
     });
     // Accept both the bare scenario and the repro envelope this binary
     // writes ({"scenario": ..., "violations": ...}).
-    let scenario_value = match &value {
-        JsonValue::Obj(pairs) => {
-            pairs.iter().find(|(k, _)| k == "scenario").map_or(&value, |(_, v)| v)
-        }
-        _ => &value,
-    };
-    let sc = ChaosScenario::from_json(scenario_value).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(1);
-    });
+    let sc =
+        ChaosScenario::from_json(value.field("scenario").unwrap_or(&value)).unwrap_or_else(|e| {
+            eprintln!("error: {path}: {e}");
+            std::process::exit(1);
+        });
     println!(
         "replaying seed {} — {} replicas, {} requests, {} fault events{}",
         sc.seed,

@@ -1,68 +1,14 @@
 //! Replayable repro format: a [`ChaosScenario`] round-trips through the
-//! workspace's dependency-free JSON values, so a failing seed's
-//! *minimized* form can be written next to the sweep outputs and fed
-//! back through `chaos_sweep --replay`.
+//! workspace's one JSON value type, [`cta_telemetry::JsonValue`], so a
+//! failing seed's *minimized* form can be written next to the sweep
+//! outputs and fed back through `chaos_sweep --replay`.
 
-use cta_bench::JsonValue;
 use cta_serve::{
     CrashWindow, FaultPlan, GrayFailure, LinkStall, Partition, RoutingPolicy, Slowdown, ZoneOutage,
 };
+use cta_telemetry::JsonValue;
 
 use crate::{ChaosScenario, MAX_REPLICAS, MAX_REQUESTS};
-
-fn field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    match obj {
-        JsonValue::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}")),
-        _ => Err(format!("expected an object around {key:?}")),
-    }
-}
-
-fn num(obj: &JsonValue, key: &str) -> Result<f64, String> {
-    match field(obj, key)? {
-        JsonValue::Num(x) => Ok(*x),
-        JsonValue::Int(x) => Ok(*x as f64),
-        _ => Err(format!("field {key:?} must be a number")),
-    }
-}
-
-fn int(obj: &JsonValue, key: &str) -> Result<i64, String> {
-    match field(obj, key)? {
-        JsonValue::Int(x) => Ok(*x),
-        _ => Err(format!("field {key:?} must be an integer")),
-    }
-}
-
-fn index(obj: &JsonValue, key: &str) -> Result<usize, String> {
-    usize::try_from(int(obj, key)?).map_err(|_| format!("field {key:?} must be non-negative"))
-}
-
-fn boolean(obj: &JsonValue, key: &str) -> Result<bool, String> {
-    match field(obj, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(format!("field {key:?} must be a bool")),
-    }
-}
-
-fn arr<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    match field(obj, key)? {
-        JsonValue::Arr(items) => Ok(items),
-        _ => Err(format!("field {key:?} must be an array")),
-    }
-}
-
-/// `Some(t)` ↔ the number `t`, `None` ↔ `null` (permanent windows).
-fn opt_num(obj: &JsonValue, key: &str) -> Result<Option<f64>, String> {
-    match field(obj, key)? {
-        JsonValue::Null => Ok(None),
-        JsonValue::Num(x) => Ok(Some(*x)),
-        JsonValue::Int(x) => Ok(Some(*x as f64)),
-        _ => Err(format!("field {key:?} must be a number or null")),
-    }
-}
 
 fn window(replica: usize, from: f64, until: f64) -> JsonValue {
     JsonValue::obj(vec![
@@ -166,60 +112,64 @@ fn plan_to_json(plan: &FaultPlan) -> JsonValue {
 
 fn plan_from_json(v: &JsonValue) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::none();
-    for c in arr(v, "crashes")? {
+    for c in v.arr("crashes")? {
         plan.crashes.push(CrashWindow {
-            replica: index(c, "replica")?,
-            down_s: num(c, "down_s")?,
-            up_s: opt_num(c, "up_s")?,
+            replica: c.uint("replica")?,
+            down_s: c.num("down_s")?,
+            up_s: match c.field("up_s")? {
+                JsonValue::Null => None,
+                _ => Some(c.num("up_s")?),
+            },
         });
     }
-    plan.zones = match field(v, "zones")? {
-        JsonValue::Arr(items) => items
-            .iter()
-            .map(|z| match z {
-                JsonValue::Int(x) if *x >= 0 => Ok(*x as usize),
-                _ => Err("zone map entries must be non-negative integers".to_string()),
-            })
-            .collect::<Result<_, _>>()?,
-        _ => return Err("field \"zones\" must be an array".into()),
-    };
-    for z in arr(v, "zone_outages")? {
+    plan.zones = v
+        .arr("zones")?
+        .iter()
+        .map(|z| match z {
+            JsonValue::Int(x) if *x >= 0 => Ok(*x as usize),
+            _ => Err("zone map entries must be non-negative integers".to_string()),
+        })
+        .collect::<Result<_, _>>()?;
+    for z in v.arr("zone_outages")? {
         plan.zone_outages.push(ZoneOutage {
-            zone: index(z, "zone")?,
-            down_s: num(z, "down_s")?,
-            up_s: opt_num(z, "up_s")?,
+            zone: z.uint("zone")?,
+            down_s: z.num("down_s")?,
+            up_s: match z.field("up_s")? {
+                JsonValue::Null => None,
+                _ => Some(z.num("up_s")?),
+            },
         });
     }
-    for p in arr(v, "partitions")? {
+    for p in v.arr("partitions")? {
         plan.partitions.push(Partition {
-            replica: index(p, "replica")?,
-            from_s: num(p, "from_s")?,
-            until_s: num(p, "until_s")?,
+            replica: p.uint("replica")?,
+            from_s: p.num("from_s")?,
+            until_s: p.num("until_s")?,
         });
     }
-    for g in arr(v, "gray")? {
+    for g in v.arr("gray")? {
         plan.gray.push(GrayFailure {
-            replica: index(g, "replica")?,
-            from_s: num(g, "from_s")?,
-            until_s: num(g, "until_s")?,
-            severity: num(g, "severity")?,
-            seed: int(g, "seed")? as u64,
+            replica: g.uint("replica")?,
+            from_s: g.num("from_s")?,
+            until_s: g.num("until_s")?,
+            severity: g.num("severity")?,
+            seed: g.int("seed")? as u64,
         });
     }
-    for s in arr(v, "slowdowns")? {
+    for s in v.arr("slowdowns")? {
         plan.slowdowns.push(Slowdown {
-            replica: index(s, "replica")?,
-            from_s: num(s, "from_s")?,
-            until_s: num(s, "until_s")?,
-            factor: num(s, "factor")?,
+            replica: s.uint("replica")?,
+            from_s: s.num("from_s")?,
+            until_s: s.num("until_s")?,
+            factor: s.num("factor")?,
         });
     }
-    for l in arr(v, "link_stalls")? {
+    for l in v.arr("link_stalls")? {
         plan.link_stalls.push(LinkStall {
-            replica: index(l, "replica")?,
-            from_s: num(l, "from_s")?,
-            until_s: num(l, "until_s")?,
-            factor: num(l, "factor")?,
+            replica: l.uint("replica")?,
+            from_s: l.num("from_s")?,
+            until_s: l.num("until_s")?,
+            factor: l.num("factor")?,
         });
     }
     Ok(plan)
@@ -253,9 +203,9 @@ impl ChaosScenario {
     /// [`MAX_REPLICAS`] / [`MAX_REQUESTS`] are out of range: no sampler
     /// setting draws them, and a replay would try to build that fleet.
     pub fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let replicas = index(v, "replicas")?;
-        let requests = index(v, "requests")?;
-        let rate_rps = num(v, "rate_rps")?;
+        let replicas = v.uint("replicas")?;
+        let requests = v.uint("requests")?;
+        let rate_rps = v.num("rate_rps")?;
         if replicas == 0 || requests == 0 {
             return Err("replicas and requests must be positive".into());
         }
@@ -269,26 +219,22 @@ impl ChaosScenario {
         if !(rate_rps > 0.0 && rate_rps.is_finite()) {
             return Err("rate_rps must be positive and finite".into());
         }
-        let routing_label = match field(v, "routing")? {
-            JsonValue::Str(s) => s.clone(),
-            _ => return Err("field \"routing\" must be a string".into()),
-        };
-        let routing = RoutingPolicy::parse(&routing_label)
+        let routing_label = v.str("routing")?;
+        let routing = RoutingPolicy::parse(routing_label)
             .ok_or_else(|| format!("unknown routing policy {routing_label:?}"))?;
-        let plan = plan_from_json(field(v, "plan")?)?;
+        let plan = plan_from_json(v.field("plan")?)?;
         plan.try_validate(replicas).map_err(|e| format!("invalid plan: {e}"))?;
         Ok(Self {
-            seed: int(v, "seed")? as u64,
+            seed: v.int("seed")? as u64,
             replicas,
             requests,
             rate_rps,
             routing,
-            tenants: u32::try_from(int(v, "tenants")?)
-                .map_err(|_| "tenants must be non-negative".to_string())?,
-            brownout: boolean(v, "brownout")?,
-            detector: boolean(v, "detector")?,
-            sessions: boolean(v, "sessions")?,
-            horizon_s: num(v, "horizon_s")?,
+            tenants: v.uint("tenants")?,
+            brownout: v.bool("brownout")?,
+            detector: v.bool("detector")?,
+            sessions: v.bool("sessions")?,
+            horizon_s: v.num("horizon_s")?,
             plan,
         })
     }
@@ -298,7 +244,7 @@ impl ChaosScenario {
 mod tests {
     use super::*;
     use crate::ChaosParams;
-    use cta_bench::parse_json;
+    use cta_telemetry::parse_json;
 
     #[test]
     fn scenarios_round_trip_through_json_text() {
@@ -380,13 +326,7 @@ mod tests {
     /// unwrap the envelope, and rebuild the scenario.
     fn replay_parse(text: &str) -> Result<ChaosScenario, String> {
         let value = parse_json(text)?;
-        let scenario = match &value {
-            JsonValue::Obj(pairs) => {
-                pairs.iter().find(|(k, _)| k == "scenario").map_or(&value, |(_, v)| v)
-            }
-            _ => &value,
-        };
-        ChaosScenario::from_json(scenario)
+        ChaosScenario::from_json(value.field("scenario").unwrap_or(&value))
     }
 
     #[test]

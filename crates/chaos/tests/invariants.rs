@@ -2,8 +2,8 @@
 //! reference scan with the full invariant library, the mutation
 //! self-test, and shrinker guarantees.
 
-use cta_bench::parse_json;
 use cta_chaos::{run_chaos, shrink, ChaosParams, ChaosScenario, InvariantKind, Mutation, Toggle};
+use cta_telemetry::parse_json;
 
 #[test]
 fn seed_block_passes_every_invariant_on_both_engines() {

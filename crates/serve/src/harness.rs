@@ -33,10 +33,10 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{banner, cli_main, Flag, Flags, JsonReport, JsonValue, Table, PARALLEL_FLAGS};
+use cta_bench::{banner, cli_main, Flag, Flags, JsonReport, Table, PARALLEL_FLAGS};
 use cta_parallel::{Parallelism, ThreadPool};
 use cta_telemetry::{
-    chrome_trace_json, pool_occupancy_events, validate_chrome_trace, AggregateReport,
+    chrome_trace_json, pool_occupancy_events, validate_chrome_trace, AggregateReport, JsonValue,
     RingBufferSink,
 };
 

@@ -28,8 +28,9 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{Flag, Flags, JsonValue, SCHEMA_VERSION};
+use cta_bench::{Flag, Flags, SCHEMA_VERSION};
 use cta_sim::SystemConfig;
+use cta_telemetry::JsonValue;
 use cta_workloads::{case_task, mini_case, SessionSpec};
 
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};

@@ -36,9 +36,9 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{Flag, Flags, JsonValue, SCHEMA_VERSION};
+use cta_bench::{Flag, Flags, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
-use cta_telemetry::{Module, TraceSink, TrackId};
+use cta_telemetry::{JsonValue, Module, TraceSink, TrackId};
 use cta_workloads::{case_task, mini_case, DiurnalSpec, FlashCrowd};
 
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};

@@ -54,8 +54,9 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{parse_num, Flag, Flags, JsonValue, SCHEMA_VERSION};
+use cta_bench::{parse_num, Flag, Flags, SCHEMA_VERSION};
 use cta_sim::{CtaSystem, SystemConfig};
+use cta_telemetry::JsonValue;
 use cta_workloads::{case_task, mini_case, DiurnalSpec, FlashCrowd};
 
 use crate::harness::{export_trace, Harness, PointOutput, SweepSpec};

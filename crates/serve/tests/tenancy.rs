@@ -25,8 +25,9 @@ use cta_serve::{
     LoadSpec, QosClass, QuotaPolicy, RoutingPolicy, SchedulerPolicy, ServeRequest, ShedReason,
     TenancyConfig,
 };
-use cta_sim::{AttentionTask, CtaSystem, SystemConfig};
+use cta_sim::{latency_percentile, AttentionTask, CtaSystem, SystemConfig};
 use cta_telemetry::RingBufferSink;
+use cta_tenancy::{TenancyStats, TenantOutcome};
 use cta_workloads::TenantMix;
 
 fn spec() -> LoadSpec {
@@ -274,4 +275,31 @@ fn out_of_range_tenant_ids_are_rejected() {
     let requests: Vec<ServeRequest> =
         poisson_requests(&spec(), 4, 10_000.0, 1).into_iter().map(|r| r.with_tenant(7)).collect();
     let _ = simulate_fleet(&cfg, &requests);
+}
+
+/// `cta-tenancy` has no dependencies, so it keeps a private copy of the
+/// percentile rule: its per-tenant p50/p99 must be exactly what
+/// `cta_sim::latency_percentile` reports, at the small-sample edges and
+/// on a seeded sample.
+#[test]
+fn tenant_percentiles_are_latency_percentile() {
+    let mut rng = cta_events::DetRng::seeded(7);
+    let seeded: Vec<f64> = (0..201).map(|_| rng.next_f64() * 0.2).collect();
+    let samples = [vec![0.3], vec![0.3, 0.1], vec![0.2, 0.3, 0.1], seeded];
+    let outcomes: Vec<TenantOutcome> = samples
+        .iter()
+        .enumerate()
+        .map(|(t, latencies)| TenantOutcome {
+            latencies_s: latencies.clone(),
+            ..TenantOutcome::new(t as u32)
+        })
+        .collect();
+    let stats = TenancyStats::from_outcomes(&outcomes, 1.0);
+    for (row, latencies) in stats.tenants.iter().zip(&samples) {
+        let mut sorted = latencies.clone();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        assert_eq!(row.p50_s, latency_percentile(&sorted, 0.50), "p50 at n = {n}");
+        assert_eq!(row.p99_s, latency_percentile(&sorted, 0.99), "p99 at n = {n}");
+    }
 }

@@ -51,7 +51,9 @@ impl ServingRequest {
 /// * `n = 3`: `p50` is the middle sample, `p95`/`p99` the maximum.
 ///
 /// Every reported percentile in the workspace is computed through this
-/// one function.
+/// one function, except the per-tenant p50/p99 of `cta-tenancy`, which
+/// has no dependencies and keeps a private copy of the same rule;
+/// `crates/serve/tests/tenancy.rs` pins that copy to this function.
 ///
 /// # Panics
 ///

@@ -7,35 +7,21 @@
 //! intervals become async `b`/`e` pairs keyed by request id, and counters
 //! become `C` events. Timestamps are microseconds, as the format requires.
 //!
-//! [`validate_chrome_trace`] re-parses an exported document with a
-//! self-contained JSON reader and checks the structural invariants CI
-//! relies on: every event carries a known `ph`, `B`/`E` pairs are balanced
-//! per track with matching names and non-overlapping, monotonically
-//! ordered intervals, and async `b`/`e` pairs are balanced per
-//! `(id, name)`.
+//! [`validate_chrome_trace`] re-parses an exported document with the
+//! workspace's one JSON reader, [`crate::parse_json`], and checks the
+//! structural invariants CI relies on: every event carries a known `ph`
+//! and integer track ids, `B`/`E` pairs are balanced per track with
+//! matching names and non-overlapping, monotonically ordered intervals,
+//! and async `b`/`e` pairs are balanced per `(id, name)`.
 
 use std::collections::BTreeSet;
 
-use crate::{Event, EventKind, TrackId};
+use crate::json::push_str_lit;
+use crate::{parse_json, Event, EventKind, TrackId};
 
 /// Seconds → Chrome trace microseconds.
 fn us(t_s: f64) -> f64 {
     t_s * 1e6
-}
-
-/// Appends one JSON-escaped string literal.
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Appends the common `"ts":…,"pid":…,"tid":…` tail of one event object.
@@ -168,228 +154,6 @@ pub struct TraceStats {
     pub tracks: usize,
 }
 
-/// A parsed JSON value (just enough of the grammar for trace documents).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest array/object nesting the validator accepts, the same cap as
-/// `cta_bench::parse_json`: far above any trace the exporter writes, far
-/// below what would overflow the stack of the recursive parser.
-const MAX_JSON_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    /// Always on a `char` boundary of `text`: the parser steps over
-    /// ASCII bytes one at a time and over anything else a whole scalar
-    /// at a time.
-    pos: usize,
-    /// Arrays and objects enclosing the current position.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { text, bytes: text.as_bytes(), pos: 0, depth: 0 }
-    }
-
-    fn error(&self, message: &str) -> String {
-        format!("JSON parse error at byte {}: {message}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        let c = self.peek().ok_or_else(|| self.error("unexpected end of input"))?;
-        if matches!(c, b'{' | b'[') {
-            if self.depth >= MAX_JSON_DEPTH {
-                return Err(self.error(&format!("nesting deeper than {MAX_JSON_DEPTH}")));
-            }
-            self.depth += 1;
-            let value = if c == b'{' { self.parse_object() } else { self.parse_array() };
-            self.depth -= 1;
-            return value;
-        }
-        match c {
-            b'"' => Ok(Json::Str(self.parse_string()?)),
-            b't' => self.parse_keyword("true", Json::Bool(true)),
-            b'f' => self.parse_keyword("false", Json::Bool(false)),
-            b'n' => self.parse_keyword("null", Json::Null),
-            _ => self.parse_number(),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected `{word}`")))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.error("malformed number"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            // Exactly four hex digits: no sign, no
-                            // shorter run (`from_str_radix` would take
-                            // `+041`).
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            if let Some(bad) = hex.iter().position(|h| !h.is_ascii_hexdigit()) {
-                                self.pos += 1 + bad;
-                                return Err(self.error("bad \\u escape: expected a hex digit"));
-                            }
-                            let code = hex.iter().fold(0u32, |acc, &h| {
-                                acc * 16 + char::from(h).to_digit(16).expect("hex digit")
-                            });
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(byte) if byte < 0x80 => {
-                    out.push(byte as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the one scalar at `pos`.
-                    let c = self
-                        .text
-                        .get(self.pos..)
-                        .and_then(|rest| rest.chars().next())
-                        .ok_or_else(|| self.error("not on a UTF-8 boundary"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.parse_value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.error("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
 /// Per-track validation state for `B`/`E` pairing.
 #[derive(Default)]
 struct TrackState {
@@ -401,7 +165,8 @@ struct TrackState {
 ///
 /// Validated invariants: the document is a JSON object with a
 /// `traceEvents` array; every event has a known single-character `ph` and,
-/// for span/async/instant/counter events, numeric `ts`/`pid`/`tid`;
+/// for span/async/instant/counter events, a non-negative numeric `ts` and
+/// non-negative integer `pid`/`tid` (and `id` for async events);
 /// `B`/`E` pairs balance per `(pid, tid)` track with matching names,
 /// non-negative durations and non-overlapping, monotonically ordered
 /// intervals; async `b`/`e` pairs balance per `(id, name)`.
@@ -410,51 +175,28 @@ struct TrackState {
 ///
 /// Returns a description of the first malformed construct found.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
-    let mut parser = Parser::new(json);
-    let doc = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing content after document"));
-    }
-
-    let events = match doc.get("traceEvents") {
-        Some(Json::Arr(items)) => items,
-        Some(_) => return Err("`traceEvents` is not an array".into()),
-        None => return Err("document has no `traceEvents` array".into()),
-    };
+    let doc = parse_json(json)?;
+    let events = doc.arr("traceEvents")?;
 
     let mut stats = TraceStats { events: events.len(), ..TraceStats::default() };
     let mut tracks: std::collections::HashMap<(u64, u64), TrackState> = Default::default();
     let mut open_async: std::collections::HashMap<(u64, String), usize> = Default::default();
 
     for (i, e) in events.iter().enumerate() {
-        let ph =
-            e.get("ph").and_then(Json::as_str).ok_or_else(|| format!("event {i}: missing `ph`"))?;
+        let at = |message: String| format!("event {i}: {message}");
+        let ph = e.str("ph").map_err(at)?;
         if ph == "M" {
             stats.metadata += 1;
             continue;
         }
-        let ts = e
-            .get("ts")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("event {i}: missing numeric `ts`"))?;
-        let pid = e
-            .get("pid")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("event {i}: missing numeric `pid`"))?;
-        let tid = e
-            .get("tid")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("event {i}: missing numeric `tid`"))?;
-        if !ts.is_finite() || ts < 0.0 {
-            return Err(format!("event {i}: non-finite or negative ts {ts}"));
+        let ts = e.num("ts").map_err(at)?;
+        let pid: u64 = e.uint("pid").map_err(at)?;
+        let tid: u64 = e.uint("tid").map_err(at)?;
+        if ts < 0.0 {
+            return Err(at(format!("negative ts {ts}")));
         }
-        let name = e
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing `name`"))?
-            .to_string();
-        let track = tracks.entry((pid as u64, tid as u64)).or_default();
+        let name = e.str("name").map_err(at)?.to_string();
+        let track = tracks.entry((pid, tid)).or_default();
 
         match ph {
             "B" => {
@@ -493,30 +235,21 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
             }
             "b" => {
                 stats.async_begins += 1;
-                let id = e
-                    .get("id")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: async begin without `id`"))?;
-                *open_async.entry((id as u64, name)).or_insert(0) += 1;
+                let id: u64 = e.uint("id").map_err(at)?;
+                *open_async.entry((id, name)).or_insert(0) += 1;
             }
             "e" => {
                 stats.async_ends += 1;
-                let id = e
-                    .get("id")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i}: async end without `id`"))?;
-                let open =
-                    open_async.get_mut(&(id as u64, name.clone())).filter(|n| **n > 0).ok_or_else(
-                        || format!("event {i}: async `e` for `{name}` id {id} without `b`"),
-                    )?;
+                let id: u64 = e.uint("id").map_err(at)?;
+                let open = open_async.get_mut(&(id, name.clone())).filter(|n| **n > 0).ok_or_else(
+                    || format!("event {i}: async `e` for `{name}` id {id} without `b`"),
+                )?;
                 *open -= 1;
             }
             "i" => stats.instants += 1,
             "C" => {
                 stats.counters += 1;
-                if e.get("args").is_none() {
-                    return Err(format!("event {i}: counter without `args`"));
-                }
+                e.field("args").map_err(at)?;
             }
             other => return Err(format!("event {i}: unknown phase `{other}`")),
         }
@@ -537,7 +270,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Module, SpanClass, TraceSink as _};
+    use crate::{JsonValue, Module, SpanClass, TraceSink as _, MAX_JSON_DEPTH};
     use proptest::prelude::*;
 
     fn sample_events() -> Vec<Event> {
@@ -624,15 +357,51 @@ mod tests {
     }
 
     #[test]
+    fn validator_rejects_fractional_and_negative_track_and_async_ids() {
+        // Read as floats and cast, each pair would close on track 0.
+        let cases = [
+            (
+                r#"{"traceEvents":[
+                    {"name":"a","ph":"B","ts":0.0,"pid":0.5,"tid":0},
+                    {"name":"a","ph":"E","ts":1.0,"pid":0,"tid":0}
+                ]}"#,
+                "event 0: field \"pid\" must be an integer",
+            ),
+            (
+                r#"{"traceEvents":[
+                    {"name":"a","ph":"B","ts":0.0,"pid":-3,"tid":0},
+                    {"name":"a","ph":"E","ts":1.0,"pid":0,"tid":0}
+                ]}"#,
+                "event 0: field \"pid\" must be non-negative",
+            ),
+            (
+                r#"{"traceEvents":[
+                    {"name":"q","ph":"b","id":-1,"ts":0.0,"pid":0,"tid":0},
+                    {"name":"q","ph":"e","id":0.25,"ts":1.0,"pid":0,"tid":0}
+                ]}"#,
+                "event 0: field \"id\" must be non-negative",
+            ),
+        ];
+        for (doc, expected) in cases {
+            assert_eq!(validate_chrome_trace(doc).expect_err(doc), expected);
+        }
+    }
+
+    #[test]
     fn validator_rejects_malformed_json() {
         assert!(validate_chrome_trace("{not json").is_err());
         assert!(validate_chrome_trace("[]").is_err(), "array has no traceEvents key");
         assert!(validate_chrome_trace(r#"{"traceEvents":3}"#).is_err());
     }
 
-    /// Parses one JSON string literal the way the validator does.
+    /// Parses one JSON string literal the way the validator does. The
+    /// reader's own cases are in `json.rs`; these pin the guarantees the
+    /// validator relies on.
     fn parse_string(literal: &str) -> Result<String, String> {
-        Parser::new(literal).parse_string()
+        match parse_json(literal)? {
+            JsonValue::Str(s) => Ok(s),
+            other => panic!("{literal} is not a string literal: {other:?}"),
+        }
     }
 
     #[test]
@@ -645,9 +414,9 @@ mod tests {
 
     #[test]
     fn unicode_escapes_take_exactly_four_hex_digits() {
-        assert_eq!(parse_string(r#""éA""#).expect("parse"), "éA");
+        assert_eq!(parse_string(r#""\u00e9\u0041""#).expect("parse"), "éA");
         let err = parse_string(r#""\u+041""#).expect_err("a sign is not a hex digit");
-        assert_eq!(err, "JSON parse error at byte 3: bad \\u escape: expected a hex digit");
+        assert_eq!(err, "bad \\u escape at byte 3");
         let err = parse_string(r#""\u00g0""#).expect_err("g is not a hex digit");
         assert!(err.contains("at byte 5"), "{err}");
         assert!(parse_string(r#""\u12""#).is_err(), "too few digits");
@@ -675,35 +444,65 @@ mod tests {
         assert!(err.contains("nesting deeper than 128"), "{err}");
     }
 
+    /// One truncated, byte-flipped, deeply nested or multibyte-spliced
+    /// mutation of an exported trace, fed to the reader and the
+    /// validator: each returns `Ok` or `Err`, never panics, and the
+    /// validator accepts nothing the reader rejects.
+    fn mutated_export_never_panics(kind: u8, at: usize, flip: u8, depth: usize) {
+        let mut bytes = chrome_trace_json(&sample_events()).into_bytes();
+        let at = at % bytes.len();
+        match kind {
+            0 => bytes.truncate(at),
+            1 => {
+                for k in 0..3 {
+                    let i = (at + k * 7_919) % bytes.len();
+                    bytes[i] ^= flip;
+                }
+            }
+            2 => {
+                let opener: &[u8] = if depth.is_multiple_of(2) { b"[" } else { br#"{"k":"# };
+                bytes.splice(at..at, opener.repeat(depth));
+            }
+            _ => {
+                // The export is ASCII, so every offset is a char boundary.
+                let text = ["é", "😀", "\\u00e9", "日\\n"][depth % 4].repeat(1 + depth / 4);
+                bytes.splice(at..at, text.into_bytes());
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let parsed = parse_json(&text);
+        assert!(validate_chrome_trace(&text).is_err() || parsed.is_ok(), "{text}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Truncated, byte-flipped and deeply nested mutations of an
-        /// exported trace: the validator returns `Ok` or `Err` and never
-        /// panics.
+        /// [`mutated_export_never_panics`] at the tier-1 case count.
         #[test]
         fn mutated_exports_never_panic(
-            kind in 0u8..3,
+            kind in 0u8..4,
             at in 0usize..1 << 20,
             flip in 1u8..=255,
             depth in 0usize..1_000,
         ) {
-            let mut bytes = chrome_trace_json(&sample_events()).into_bytes();
-            let at = at % bytes.len();
-            match kind {
-                0 => bytes.truncate(at),
-                1 => {
-                    for k in 0..3 {
-                        let i = (at + k * 7_919) % bytes.len();
-                        bytes[i] ^= flip;
-                    }
-                }
-                _ => {
-                    let opener: &[u8] = if depth % 2 == 0 { b"[" } else { br#"{"k":"# };
-                    bytes.splice(at..at, opener.repeat(depth));
-                }
-            }
-            let _ = validate_chrome_trace(&String::from_utf8_lossy(&bytes));
+            mutated_export_never_panics(kind, at, flip, depth);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// [`mutated_exports_never_panic`] at many more cases, for release
+        /// builds (CI runs it with `--ignored`).
+        #[test]
+        #[ignore = "release-only: cargo test --release -p cta-telemetry --lib -- --ignored mutated_exports"]
+        fn mutated_exports_never_panic_at_many_cases(
+            kind in 0u8..4,
+            at in 0usize..1 << 20,
+            flip in 1u8..=255,
+            depth in 0usize..1_000,
+        ) {
+            mutated_export_never_panics(kind, at, flip, depth);
         }
     }
 

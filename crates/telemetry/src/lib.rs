@@ -15,6 +15,10 @@
 //!   totals, bubble attribution, SA occupancy);
 //! - a structural validator, [`validate_chrome_trace`], used by CI and by
 //!   `cta trace --check`;
+//! - the workspace's one JSON value type and reader, [`JsonValue`] and
+//!   [`parse_json`]: the validator reads traces through it, `cta-bench`
+//!   writes its reports with it and `chaos_sweep --replay` loads repro
+//!   files through it;
 //! - a pool-occupancy bridge, [`pool_occupancy_events`], that turns
 //!   `cta-parallel` task spans into per-worker tracks for `--pool-trace`
 //!   exports.
@@ -24,11 +28,13 @@
 mod aggregate;
 mod chrome;
 mod event;
+mod json;
 mod pool;
 mod sink;
 
 pub use aggregate::{AggregateReport, ReplicaStats};
 pub use chrome::{chrome_trace_json, validate_chrome_trace, TraceStats};
 pub use event::{Event, EventKind, Module, SpanClass, TrackId};
+pub use json::{parse_json, JsonValue, MAX_JSON_DEPTH};
 pub use pool::pool_occupancy_events;
 pub use sink::{NullSink, RingBufferSink, TraceSink};

@@ -147,9 +147,10 @@ pub fn jain_index(xs: &[f64]) -> f64 {
 }
 
 /// Nearest-rank percentile over a sorted slice, round-half-away-from-
-/// zero — the same convention `cta_sim::latency_percentile` uses, so
-/// per-tenant and fleet-level percentiles agree in method. Returns 0
-/// for an empty slice.
+/// zero — the same convention `cta_sim::latency_percentile` uses (this
+/// crate has no dependencies; `crates/serve/tests/tenancy.rs` pins the
+/// two together), so per-tenant and fleet-level percentiles agree in
+/// method. Returns 0 for an empty slice.
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
