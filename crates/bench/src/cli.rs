@@ -86,11 +86,17 @@ const WRAP_WIDTH: usize = 80;
 /// under the first flag.
 #[must_use]
 pub fn usage<'a>(lead: &str, table: impl IntoIterator<Item = &'a Flag>) -> String {
+    wrap(lead, table.into_iter().map(Flag::usage))
+}
+
+/// Renders `lead` followed by `items`, space-separated and wrapped like
+/// [`usage`].
+#[must_use]
+pub fn wrap(lead: &str, items: impl IntoIterator<Item = String>) -> String {
     let indent = lead.chars().count() + 1;
     let mut out = lead.to_string();
     let mut col = indent - 1;
-    for flag in table {
-        let item = flag.usage();
+    for item in items {
         let width = item.chars().count();
         if col >= indent && col + 1 + width > WRAP_WIDTH {
             out.push('\n');
@@ -153,9 +159,35 @@ impl<'t> Flags<'t> {
         table: &'t [Flag],
         argv: impl IntoIterator<Item = String>,
     ) -> Result<Self, String> {
-        let mut given = Vec::new();
+        Self::walk(table, argv, false).map(|(flags, _)| flags)
+    }
+
+    /// [`Flags::parse`] for a program that also takes operands: a word
+    /// where a flag could stand that does not start with `-` is an
+    /// operand. Returns the flags and the operands in argv order.
+    ///
+    /// # Errors
+    ///
+    /// As [`Flags::parse`].
+    pub fn parse_with_operands(
+        table: &'t [Flag],
+        argv: impl IntoIterator<Item = String>,
+    ) -> Result<(Self, Vec<String>), String> {
+        Self::walk(table, argv, true)
+    }
+
+    fn walk(
+        table: &'t [Flag],
+        argv: impl IntoIterator<Item = String>,
+        take_operands: bool,
+    ) -> Result<(Self, Vec<String>), String> {
+        let (mut given, mut operands) = (Vec::new(), Vec::new());
         let mut it = argv.into_iter();
         while let Some(word) = it.next() {
+            if take_operands && !word.starts_with('-') {
+                operands.push(word);
+                continue;
+            }
             let index = table
                 .iter()
                 .position(|f| f.name == word)
@@ -167,7 +199,7 @@ impl<'t> Flags<'t> {
             };
             given.push((index, value));
         }
-        Ok(Self { table, given })
+        Ok((Self { table, given }, operands))
     }
 
     fn index(&self, name: &str) -> usize {
@@ -292,20 +324,13 @@ impl<'t> Flags<'t> {
     }
 }
 
-/// The shared `main` wrapper: parses `argv` against `table` and runs
-/// `body`; on any error, prints `error: {e}` followed by the usage text
-/// generated from `table` to stderr and exits non-zero.
-pub fn cli_main(
-    program: &str,
-    table: &[Flag],
-    argv: impl IntoIterator<Item = String>,
-    body: impl FnOnce(&Flags) -> Result<(), String>,
-) -> ExitCode {
-    match Flags::parse(table, argv).and_then(|flags| body(&flags)) {
+/// The shared `main` wrapper: runs `body` (which parses the argv); on any
+/// error, prints `error: {e}` followed by `usage` to stderr and exits 1.
+pub fn cli_main(usage: &str, body: impl FnOnce() -> Result<(), String>) -> ExitCode {
+    match body() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", usage(&format!("usage: {program}"), table));
+            eprintln!("error: {e}\n{usage}");
             ExitCode::FAILURE
         }
     }
@@ -410,8 +435,23 @@ mod tests {
     }
 
     #[test]
+    fn operands_are_the_words_no_flag_takes() {
+        let (f, operands) =
+            Flags::parse_with_operands(&TABLE, words(&["a", "--n", "4", "b", "--on", "c"]))
+                .unwrap();
+        assert_eq!(operands, ["a", "b", "c"]);
+        assert_eq!(f.num::<usize>("--n", "an integer").unwrap(), 4);
+        assert!(f.switch("--on"));
+        // A word starting with `-` is still a flag, and a value is still a value.
+        let err = Flags::parse_with_operands(&TABLE, words(&["a", "-x"])).unwrap_err();
+        assert_eq!(err, "unknown flag \"-x\"");
+        let (f, operands) = Flags::parse_with_operands(&TABLE, words(&["--out", "a"])).unwrap();
+        assert_eq!((f.opt_text("--out").as_deref(), operands.len()), (Some("a"), 0));
+    }
+
+    #[test]
     fn parallel_flags_parse_the_worker_count() {
-        // PARALLEL_FLAGS is the whole flag table of fig11–fig14.
+        // PARALLEL_FLAGS is the whole flag table of the `paper` driver.
         let parse = |list: &[&str]| {
             Flags::parse(&PARALLEL_FLAGS, words(list)).and_then(|f| f.parallelism())
         };

@@ -1,5 +1,5 @@
-//! Structured result export: the harness binaries print human-readable
-//! tables *and* write machine-readable CSV ([`CsvTable`]) and JSON
+//! Structured result export: the harnesses print human-readable tables
+//! *and* write machine-readable CSV ([`CsvTable`]) and JSON
 //! ([`JsonReport`]) under `results/` so runs can be diffed and plotted.
 
 use std::fs;
@@ -63,14 +63,14 @@ impl CsvTable {
         self.rows.push(cells.to_vec());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
+    /// The table's name, the stem of its `results/` file.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+    /// The data rows, in the order pushed.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 
     /// Renders RFC-4180-style CSV (quoting cells containing commas,
@@ -106,20 +106,15 @@ impl CsvTable {
     /// Returns any I/O error from creating the directory or writing.
     pub fn write_under(&self, dir: &Path) -> std::io::Result<PathBuf> {
         fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.csv", self.name));
+        let path = self.path_under(dir);
         let mut f = fs::File::create(&path)?;
         f.write_all(self.to_csv().as_bytes())?;
         Ok(path)
     }
 
-    /// Writes to the workspace-level `results/` directory, logging the
-    /// destination; I/O failures are reported, not fatal (the printed
-    /// table is the primary output).
-    pub fn save(&self) {
-        match self.write_under(Path::new("results")) {
-            Ok(path) => println!("[saved {}]", path.display()),
-            Err(e) => eprintln!("[could not save results/{}.csv: {e}]", self.name),
-        }
+    /// The path [`CsvTable::write_under`] writes for `dir`.
+    pub fn path_under(&self, dir: &Path) -> PathBuf {
+        dir.join(format!("{}.csv", self.name))
     }
 }
 
@@ -187,7 +182,7 @@ mod tests {
         t.push(&["1".into(), "2".into()]);
         t.push(&["3".into(), "4".into()]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n3,4\n");
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows().len(), 2);
     }
 
     #[test]

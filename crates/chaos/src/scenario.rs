@@ -3,7 +3,7 @@
 //! failing draw can be replayed (and shrunk) outside the sweep that
 //! found it.
 
-use cta_events::DetRng;
+use cta_serve::DetRng;
 use cta_serve::{
     poisson_requests, AdmissionPolicy, BatchPolicy, BrownoutConfig, CostModel, CrashWindow,
     DetectorPolicy, FaultPlan, FleetConfig, GrayFailure, LinkStall, LoadSpec, OverloadControl,

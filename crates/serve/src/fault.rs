@@ -657,7 +657,7 @@ impl FaultPlan {
 fn gray_unit(seed: u64, replica: usize, t_s: f64) -> f64 {
     let x =
         seed ^ (replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ t_s.to_bits().rotate_left(17);
-    let z = cta_events::mix64(x);
+    let z = crate::mix64(x);
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 

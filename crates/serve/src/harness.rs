@@ -33,7 +33,7 @@
 
 use std::process::ExitCode;
 
-use cta_bench::{banner, cli_main, Flag, Flags, JsonReport, Table, PARALLEL_FLAGS};
+use cta_bench::{cli_main, emit, usage, Figure, Flag, Flags, JsonReport, PARALLEL_FLAGS};
 use cta_parallel::{Parallelism, ThreadPool};
 use cta_telemetry::{
     chrome_trace_json, pool_occupancy_events, validate_chrome_trace, AggregateReport, JsonValue,
@@ -125,9 +125,9 @@ impl SweepSpec {
         parse: impl FnOnce(&Flags) -> Result<A, String>,
         run: impl FnOnce(&Harness<A>),
     ) -> ExitCode {
-        let table = self.table();
-        cli_main(self.name, &table, argv, |flags| {
-            run(&self.harness(flags, parse)?);
+        let usage = usage(&format!("usage: {}", self.name), &self.table());
+        cli_main(&usage, || {
+            run(&self.parse(argv, parse)?);
             Ok(())
         })
     }
@@ -232,17 +232,18 @@ impl<A> Harness<A> {
         P: Sync,
         F: Fn(&P) -> PointOutput + Sync,
     {
-        banner(banner_text);
-        let mut table = Table::new(self.spec.name, self.spec.columns);
+        let mut figure = Figure::new(banner_text);
+        figure.table(self.spec.name, self.spec.columns);
         let (outputs, spans) = ThreadPool::new(self.jobs).par_map_timed(grid, &eval);
         let mut points = Vec::new();
         for output in outputs {
             for cells in &output.rows {
-                table.row(cells);
+                figure.row(cells);
             }
             points.extend(output.points);
         }
-        table.save();
+        figure.save();
+        emit(&figure);
 
         let mut json = JsonReport::new(self.spec.name);
         meta(&mut json);
@@ -273,16 +274,17 @@ pub fn export_trace(path: &str, banner_text: &str, record: impl FnOnce(&mut Ring
         .unwrap_or_else(|e| panic!("internal: exported trace invalid: {e}"));
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("{path}: {e}"));
 
-    banner(banner_text);
-    print!("{}", AggregateReport::from_events(&events).render(None));
+    let mut figure = Figure::new(banner_text);
+    figure.text(&AggregateReport::from_events(&events).render(None));
     if sink.dropped() > 0 {
-        println!(
+        figure.line(format!(
             "note: ring buffer wrapped — {} oldest events dropped (capacity {})",
             sink.dropped(),
             sink.capacity()
-        );
+        ));
     }
-    println!("open in chrome://tracing or https://ui.perfetto.dev");
+    figure.line("open in chrome://tracing or https://ui.perfetto.dev");
+    emit(&figure);
 }
 
 #[cfg(test)]

@@ -75,6 +75,7 @@ mod metrics;
 mod overload;
 mod replica;
 mod request;
+mod rng;
 mod routing;
 mod runtime;
 mod step_tree;
@@ -100,6 +101,7 @@ pub use overload::{
 };
 pub use replica::{BatchPolicy, Completion};
 pub use request::{QosClass, ServeRequest, SessionTurn};
+pub use rng::{mix64, DetRng};
 pub use routing::RoutingPolicy;
 pub use runtime::{
     simulate_fleet, simulate_fleet_traced, ConfigError, FleetConfig, FleetConfigBuilder,

@@ -283,7 +283,7 @@ fn out_of_range_tenant_ids_are_rejected() {
 /// on a seeded sample.
 #[test]
 fn tenant_percentiles_are_latency_percentile() {
-    let mut rng = cta_events::DetRng::seeded(7);
+    let mut rng = cta_serve::DetRng::seeded(7);
     let seeded: Vec<f64> = (0..201).map(|_| rng.next_f64() * 0.2).collect();
     let samples = [vec![0.3], vec![0.3, 0.1], vec![0.2, 0.3, 0.1], seeded];
     let outcomes: Vec<TenantOutcome> = samples

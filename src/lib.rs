@@ -15,11 +15,10 @@
 //! * [`sim`] — the cycle-level CTA accelerator model;
 //! * [`baselines`] — V100 GPU, ELSA and ideal-accelerator models;
 //! * [`workloads`] — synthetic transformer workloads and the model zoo;
-//! * [`events`] — the seeded SplitMix64 generator and mix behind the
-//!   chaos engine and the fault model;
 //! * [`serve`] — the fleet serving runtime: continuous batching,
 //!   multi-replica routing, SLO-aware admission, fault injection and the
-//!   phi-accrual failure detector; plus the shared sweep harness
+//!   phi-accrual failure detector, and the seeded SplitMix64 generator
+//!   behind the chaos engine and the fault model; plus the shared sweep harness
 //!   ([`SweepSpec`]) behind the sweep binaries;
 //! * [`tenancy`] — multi-tenant fair scheduling, quotas and autoscaling;
 //! * [`chaos`] — the deterministic chaos engine: seeded scenario
@@ -49,7 +48,6 @@
 pub use cta_attention as attention;
 pub use cta_baselines as baselines;
 pub use cta_chaos as chaos;
-pub use cta_events as events;
 pub use cta_fixed as fixed;
 pub use cta_lsh as lsh;
 pub use cta_model as model;
