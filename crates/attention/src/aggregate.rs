@@ -40,7 +40,7 @@ pub fn aggregate_probabilities_with(
     k1: usize,
     exp: impl Fn(f32) -> f32,
 ) -> Matrix {
-    aggregate_strips(scores_bar, ct1, ct2, k1, |xs| xs.iter_mut().for_each(|x| *x = exp(*x)))
+    aggregate_strips(scores_bar, ct1, ct2, k1, |xs| xs.iter_mut().for_each(|x| *x = exp(*x))).0
 }
 
 /// [`aggregate_probabilities_with`] with the exact exponent, `f32::exp`,
@@ -56,11 +56,12 @@ pub fn aggregate_probabilities(
     ct2: &ClusterTable,
     k1: usize,
 ) -> Matrix {
-    aggregate_strips(scores_bar, ct1, ct2, k1, exp_in_place)
+    aggregate_strips(scores_bar, ct1, ct2, k1, exp_in_place).0
 }
 
 /// The token-outer PAG behind every entry point; `exp` replaces each
-/// value of a slice with its exponent.
+/// value of a slice with its exponent. Returns `AP` and each of its rows'
+/// sums, the softmax denominators' doubles.
 ///
 /// The queries run in strips of [`STRIP`]. A strip's `S̄` rows are held
 /// column-major — `[k₁+k₂][STRIP]`, so the strip's scores against one
@@ -77,6 +78,12 @@ pub fn aggregate_probabilities(
 /// Moving rows into and out of the column-major layout are plain copies
 /// ([`load_strip`], [`store_strip`]).
 ///
+/// **Row sums.** Each row's sum is formed from the strip's `APᵀ` before
+/// it is stored: the columns are added lane by lane in ascending column
+/// order, starting from `-0.0` — per lane exactly the adds, in the order,
+/// of `Iterator::sum::<f32>` over the stored row, so each sum is bit for
+/// bit `ap.row(c).iter().sum::<f32>()`, with no serial pass over `AP`.
+///
 /// Scratch is `O((k₁+k₂)·STRIP)` plus the `n` token pairs; the gather
 /// and scatter are contiguous lane arithmetic.
 pub(crate) fn aggregate_strips(
@@ -85,7 +92,21 @@ pub(crate) fn aggregate_strips(
     ct2: &ClusterTable,
     k1: usize,
     exp: impl Fn(&mut [f32]),
-) -> Matrix {
+) -> (Matrix, Vec<f32>) {
+    strips_on(true, scores_bar, ct1, ct2, k1, exp)
+}
+
+/// [`aggregate_strips`] on the AVX-512 build of [`strip_block`] when
+/// `allow_avx512` is set and the CPU has AVX-512F, on the portable one
+/// otherwise — so a test can run every body the host has.
+fn strips_on(
+    allow_avx512: bool,
+    scores_bar: &Matrix,
+    ct1: &ClusterTable,
+    ct2: &ClusterTable,
+    k1: usize,
+    exp: impl Fn(&mut [f32]),
+) -> (Matrix, Vec<f32>) {
     assert_eq!(ct1.len(), ct2.len(), "CT₁ and CT₂ cover different token counts");
     assert_eq!(ct1.cluster_count(), k1, "k₁ mismatch: table has {} clusters", ct1.cluster_count());
     assert_eq!(
@@ -102,8 +123,11 @@ pub(crate) fn aggregate_strips(
     let mut ap_t = vec![[0.0f32; STRIP]; cols];
     let mut block = [[0.0f32; STRIP]; BLOCK];
     let mut ap = Matrix::zeros(k0, cols);
+    let mut sums = Vec::with_capacity(k0);
     #[cfg(target_arch = "x86_64")]
-    let avx512 = is_x86_feature_detected!("avx512f");
+    let avx512 = allow_avx512 && is_x86_feature_detected!("avx512f");
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = allow_avx512;
     for i0 in (0..k0).step_by(STRIP) {
         let lanes = STRIP.min(k0 - i0);
         let rows: [&[f32]; STRIP] = std::array::from_fn(|l| scores_bar.row(i0 + l.min(lanes - 1)));
@@ -123,8 +147,15 @@ pub(crate) fn aggregate_strips(
             .chunks_exact_mut(cols.max(1))
             .collect();
         store_strip(&ap_t, &mut rows);
+        let mut lane_sums = [-0.0f32; STRIP];
+        for col in &ap_t {
+            for (s, &x) in lane_sums.iter_mut().zip(col) {
+                *s += x;
+            }
+        }
+        sums.extend_from_slice(&lane_sums[..lanes]);
     }
-    ap
+    (ap, sums)
 }
 
 /// One block of tokens against a strip: `p[b]` gets the lane sums
@@ -507,7 +538,7 @@ mod tests {
                 2 => {
                     let table = lut.indexed_by(QFormat::new(16, 8)).expect("Q8.8 fits the cap");
                     (
-                        aggregate_strips(&s_bar, &ct1, &ct2, k1, |xs| table.lookup_in_place(xs)),
+                        aggregate_strips(&s_bar, &ct1, &ct2, k1, |xs| table.lookup_in_place(xs)).0,
                         aggregate_probabilities_reference(&s_bar, &ct1, &ct2, k1, |x| {
                             table.lookup(x)
                         }),
@@ -524,6 +555,68 @@ mod tests {
                 }
             };
             prop_assert_eq!(bits(&strips), bits(&oracle));
+        }
+    }
+
+    /// Every strip body this host runs, by whether it may take AVX-512.
+    fn strip_bodies() -> Vec<bool> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            return vec![false, true];
+        }
+        vec![false]
+    }
+
+    proptest! {
+        /// The row sums `aggregate_strips` returns are the serial
+        /// `Iterator::sum::<f32>` over each stored `AP` row, bit for bit,
+        /// on every strip body: `k0` below, at and off multiples of the
+        /// 16-lane strip (padding lanes dropped); the lane exponent on
+        /// wild scores (NaN, ±∞, overflowing and underflowing sums),
+        /// with `zero_rows` rows whose exponents all underflow to an `AP`
+        /// row of exact zeros; and the score-word table on grid scores,
+        /// with `zero_rows` `S̄` rows of exact zeros, whose exponents are
+        /// all exactly 1.
+        #[test]
+        fn strip_row_sums_are_the_serial_row_sums(
+            k0 in (0usize..3, 1usize..16, 1usize..3)
+                .prop_map(|(kind, lanes, strips)| [lanes, 16, 16 * strips + lanes][kind]),
+            k1 in 1usize..12,
+            k2 in 1usize..8,
+            extra in 0usize..150,
+            word_table in (0u8..2).prop_map(|x| x == 1),
+            zero_rows in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = MatrixRng::new(seed);
+            let n = k1.max(k2) + extra;
+            let (ct1, ct2) = tables(n, k1, k2, seed ^ 0x5eed);
+            let score = QFormat::new(16, 8);
+            let table = ExpLut::pag_default().indexed_by(score).expect("Q8.8 fits the cap");
+            let mut s_bar = if word_table {
+                Matrix::from_fn(k0, k1 + k2, |_, _| score.round_trip(4.0 * rng.normal()))
+            } else {
+                wild_scores(&mut rng, k0, k1 + k2)
+            };
+            let zero_rows = zero_rows.min(k0);
+            for r in 0..zero_rows {
+                s_bar.row_mut(r).fill(if word_table { 0.0 } else { -60.0 });
+            }
+            for allow_avx512 in strip_bodies() {
+                let (ap, sums) = if word_table {
+                    strips_on(allow_avx512, &s_bar, &ct1, &ct2, k1, |xs| table.lookup_in_place(xs))
+                } else {
+                    strips_on(allow_avx512, &s_bar, &ct1, &ct2, k1, exp_in_place)
+                };
+                for r in 0..zero_rows {
+                    let want = |x: f32| if word_table { x == x.trunc() } else { x == 0.0 };
+                    prop_assert!(ap.row(r).iter().all(|&x| want(x)), "row {}", r);
+                }
+                // NaN sums compare as NaN (see `bits`).
+                let serial = Matrix::from_fn(k0, 1, |c, _| ap.row(c).iter().sum::<f32>());
+                let sums = Matrix::from_vec(k0, 1, sums);
+                prop_assert_eq!(bits(&sums), bits(&serial), "allow_avx512 = {}", allow_avx512);
+            }
         }
     }
 

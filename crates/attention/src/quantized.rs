@@ -140,7 +140,7 @@ pub fn cta_forward_quantized(
     // Stages 3-4: score product, score write-back with the PPE
     // max-subtraction, probability aggregation through the exponent LUT.
     let (ct1, ct2) = (&kv_compression.level1.table, &kv_compression.level2.table);
-    let (scores_bar, ap) =
+    let (scores_bar, ap, ap_sums) =
         scores_and_probabilities(&q_words, &k_words, ct1, ct2, weights.head_dim(), qcfg);
     let (q_bar, k_bar, v_bar) = (q_words.dequantize(), k_words.dequantize(), v_words.dequantize());
 
@@ -150,10 +150,9 @@ pub fn cta_forward_quantized(
     // softmax-denominator division.
     let output_bar = ap.matmul(&v_bar);
     let m = query_compression.table.len();
-    let denominators: Vec<f32> =
-        (0..ap.rows()).map(|c| ap.row(c).iter().sum::<f32>() / 2.0).collect();
     let mut normalized = Matrix::zeros(ap.rows(), v_bar.cols());
-    for (c, &den) in denominators.iter().enumerate() {
+    for (c, &sum) in ap_sums.iter().enumerate() {
+        let den = sum / 2.0;
         for (o, &x) in normalized.row_mut(c).iter_mut().zip(output_bar.row(c)) {
             *o = x / den;
         }
@@ -177,11 +176,14 @@ pub fn cta_forward_quantized(
 
 /// Stages 3-4 of the fixed-point head: the integer score product into a
 /// 24-bit wide accumulator view (PE accumulators are wider than the memory
-/// word), one write-back pass to `S̄`, and the PAG aggregation over the
-/// cluster tables `CT₁`, `CT₂`. Returns `(S̄, AP)`.
+/// word), one write-back pass to `S̄` per row, and the PAG aggregation over
+/// the cluster tables `CT₁`, `CT₂`. Returns `(S̄, AP, AP row sums)`.
 ///
-/// **The write-back pass.** Each row of wide words goes to the score
-/// format and has the PPE max-subtraction applied in one pass. For
+/// **The write-back pass.** The score product hands over each row of
+/// wide words as soon as it is rounded
+/// ([`QuantizedMatrix::matmul_transpose_b_rows`]); no wide score matrix
+/// is stored. Each row goes to the score format and has the PPE
+/// max-subtraction applied in one pass. For
 /// `d = 4^m` the `1/√d` scale is exactly `2^-m` and folds into the
 /// write-back as an `m`-bit shift-round of the *rounded* wide words, not
 /// of the raw product: the hardware rounds into the wide view first and
@@ -208,23 +210,22 @@ fn scores_and_probabilities(
     ct2: &ClusterTable,
     head_dim: usize,
     qcfg: &QuantizationConfig,
-) -> (Matrix, Matrix) {
+) -> (Matrix, Matrix, Vec<f32>) {
     let score = qcfg.score;
-    let wide = q_words.matmul_transpose_b(k_words, QFormat::new(24, score.frac_bits()));
+    let wide = QFormat::new(24, score.frac_bits());
     let log2_d = head_dim.trailing_zeros();
     let shift = (head_dim.is_power_of_two() && log2_d.is_multiple_of(2)).then_some(log2_d / 2);
     let scale = 1.0 / (head_dim as f32).sqrt();
     let resolution = score.resolution();
     let k1 = ct1.cluster_count();
-    let mut scores_bar = Matrix::zeros(wide.rows(), wide.cols());
-    let mut words = vec![0i32; wide.cols()];
-    for r in 0..wide.rows() {
+    let mut scores_bar = Matrix::zeros(q_words.rows(), k_words.rows());
+    let mut words = vec![0i32; k_words.rows()];
+    q_words.matmul_transpose_b_rows(k_words, wide, |r, row| {
         match shift {
-            Some(m) => wide.convert_shifted_row(r, m, score, &mut words),
+            Some(m) => wide.convert_shifted_words(row, m, score, &mut words),
             None => {
-                let row = &wide.raw()[r * wide.cols()..(r + 1) * wide.cols()];
                 for (w, &x) in words.iter_mut().zip(row) {
-                    *w = score.quantize(wide.format().dequantize(x) * scale) as i32;
+                    *w = score.quantize(wide.dequantize(i64::from(x)) * scale) as i32;
                 }
             }
         }
@@ -236,16 +237,16 @@ fn scores_and_probabilities(
         for (o, &w) in level2.iter_mut().zip(&words[k1..]) {
             *o = w as f32 * resolution - max;
         }
-    }
+    });
 
     let exp_lut = ExpLut::new(qcfg.exp_lut_entries, qcfg.exp_lut_min);
-    let ap = match exp_lut.indexed_by(score) {
+    let (ap, ap_sums) = match exp_lut.indexed_by(score) {
         Some(table) => aggregate_strips(&scores_bar, ct1, ct2, k1, |xs| table.lookup_in_place(xs)),
         None => aggregate_strips(&scores_bar, ct1, ct2, k1, |xs| {
             xs.iter_mut().for_each(|x| *x = exp_lut.lookup(*x))
         }),
     };
-    (scores_bar, ap)
+    (scores_bar, ap, ap_sums)
 }
 
 /// Quantizes a sampled LSH family's direction matrix and biases to the
@@ -345,7 +346,7 @@ mod tests {
         let raw = (0..rows * d)
             .map(|_| {
                 (rng.index(span + 1) as i64 - (1i64 << bits))
-                    .clamp(format.min_raw(), format.max_raw())
+                    .clamp(format.min_raw(), format.max_raw()) as i32
             })
             .collect();
         QuantizedMatrix::from_raw(rows, d, raw, format)
@@ -366,6 +367,14 @@ mod tests {
         QFormat::new(32, 16),
     ];
 
+    /// The Q̄/K̄ word formats the pin runs, one per accumulator tier of
+    /// the score product at `d <= 64`: the paper's 12-bit centroid words
+    /// (bit budget `11 + 11 + log2 d <= 30`, the i16 tile), 20-bit words
+    /// (budget 40-44, the i64 lanes) and 32-bit words (budget `>= 64`,
+    /// the i128 dots).
+    const WORD_FORMATS: [QFormat; 3] =
+        [formats::CENTROID, QFormat::new(20, 6), QFormat::new(32, 6)];
+
     #[test]
     fn the_pinned_score_formats_straddle_the_table_cap() {
         let lut = ExpLut::new(1024, -16.0);
@@ -374,73 +383,143 @@ mod tests {
         assert_eq!(tabled, [true, true, true, false, false]);
     }
 
+    /// `scores_and_probabilities` against its reference, bit for bit:
+    /// `S̄`, `AP`, and each AP row sum against the serial
+    /// `Iterator::sum` over the reference's row.
+    fn assert_matches_reference(
+        q: &QuantizedMatrix,
+        k: &QuantizedMatrix,
+        ct1: &ClusterTable,
+        ct2: &ClusterTable,
+        d: usize,
+        qcfg: &QuantizationConfig,
+    ) -> Matrix {
+        let (s, ap, sums) = scores_and_probabilities(q, k, ct1, ct2, d, qcfg);
+        let (s_ref, ap_ref) = scores_and_probabilities_reference(q, k, ct1, ct2, d, qcfg);
+        let what = format!("words {} score {}", q.format(), qcfg.score);
+        assert_eq!(bits(&s), bits(&s_ref), "S̄, {what}");
+        assert_eq!(bits(&ap), bits(&ap_ref), "AP, {what}");
+        let serial: Vec<u32> =
+            (0..ap_ref.rows()).map(|c| ap_ref.row(c).iter().sum::<f32>().to_bits()).collect();
+        assert_eq!(sums.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), serial, "sums, {what}");
+        s
+    }
+
     #[test]
     fn pinned_stages_reach_both_lut_clamps() {
-        // Full-range words at the paper's d = 64: the PAG sums land below
-        // the LUT domain and at or above 0 in every pinned format, and
-        // both spellings agree on every bit there.
+        // Full-range words at the paper's d = 64, in every word format:
+        // the PAG sums land below the LUT domain and at or above 0 in
+        // every pinned score format, and both spellings agree on every
+        // bit there.
         let mut rng = MatrixRng::new(7);
         let (k0, k1, k2, n, d) = (12, 9, 5, 40, 64);
         let (ct1, ct2) = (table(&mut rng, n, k1), table(&mut rng, n, k2));
-        let q = words(&mut rng, k0, d, 11, formats::CENTROID);
-        let k = words(&mut rng, k1 + k2, d, 11, formats::CENTROID);
-        for score in SCORE_FORMATS {
-            for exp_lut_min in [-16.0, -15.99] {
-                let qcfg =
-                    QuantizationConfig { score, exp_lut_min, ..QuantizationConfig::default() };
-                let (s, ap) = scores_and_probabilities(&q, &k, &ct1, &ct2, d, &qcfg);
-                let sums: Vec<f32> = (0..k0)
-                    .flat_map(|i| {
-                        let row = s.row(i);
-                        (0..n).map(|j| row[ct1.cluster_of(j)] + row[k1 + ct2.cluster_of(j)])
-                    })
-                    .collect();
-                assert!(sums.iter().any(|&x| x >= 0.0), "{score}: no sum at or above 0");
-                assert!(sums.iter().any(|&x| x < exp_lut_min), "{score}: no sum below the domain");
-                let (s_ref, ap_ref) =
-                    scores_and_probabilities_reference(&q, &k, &ct1, &ct2, d, &qcfg);
-                assert_eq!(bits(&s), bits(&s_ref), "{score}");
-                assert_eq!(bits(&ap), bits(&ap_ref), "{score}");
+        for word in WORD_FORMATS {
+            let q = words(&mut rng, k0, d, 11, word);
+            let k = words(&mut rng, k1 + k2, d, 11, word);
+            for score in SCORE_FORMATS {
+                for exp_lut_min in [-16.0, -15.99] {
+                    let qcfg =
+                        QuantizationConfig { score, exp_lut_min, ..QuantizationConfig::default() };
+                    let s = assert_matches_reference(&q, &k, &ct1, &ct2, d, &qcfg);
+                    let sums: Vec<f32> = (0..k0)
+                        .flat_map(|i| {
+                            let row = s.row(i);
+                            (0..n).map(|j| row[ct1.cluster_of(j)] + row[k1 + ct2.cluster_of(j)])
+                        })
+                        .collect();
+                    assert!(sums.iter().any(|&x| x >= 0.0), "{word} {score}: no sum at or above 0");
+                    assert!(
+                        sums.iter().any(|&x| x < exp_lut_min),
+                        "{word} {score}: no sum below the domain"
+                    );
+                }
             }
         }
     }
 
+    /// One case of the write-back pin: `d = 2^log2_d`, the tables of
+    /// `n = max(k1, k2) + extra` tokens, words of `WORD_FORMATS[word]`
+    /// uniform over `±2^(total_bits - 1 - shift)`, `SCORE_FORMATS[score]`
+    /// and the LUT `(entries, min)`.
+    #[allow(clippy::too_many_arguments)]
+    fn check_case(
+        log2_d: u32,
+        (k0, k1, k2, extra): (usize, usize, usize, usize),
+        word: usize,
+        shift: u32,
+        score: usize,
+        lut: (usize, f32),
+        seed: u64,
+    ) {
+        let d = 1usize << log2_d;
+        let mut rng = MatrixRng::new(seed);
+        let n = k1.max(k2) + extra;
+        let (ct1, ct2) = (table(&mut rng, n, k1), table(&mut rng, n, k2));
+        let format = WORD_FORMATS[word];
+        let bits = format.total_bits() - 1 - shift;
+        let q = words(&mut rng, k0, d, bits, format);
+        let k = words(&mut rng, k1 + k2, d, bits, format);
+        let qcfg = QuantizationConfig {
+            score: SCORE_FORMATS[score],
+            exp_lut_entries: lut.0,
+            exp_lut_min: lut.1,
+            ..QuantizationConfig::default()
+        };
+        assert_matches_reference(&q, &k, &ct1, &ct2, d, &qcfg);
+    }
+
+    /// The LUTs the pin runs: the paper's, one with an off-grid lower
+    /// edge and a small one over `[-4, 0]`.
+    const LUTS: [(usize, f32); 3] = [(1024, -16.0), (1024, -15.99), (777, -4.0)];
+
+    /// Word magnitudes below each word format's rails, `±2^(total_bits -
+    /// 1 - shift)`: full-range (saturated scores) down to narrow (for
+    /// 12-bit words, scores inside the LUT domain).
+    const WORD_SHIFTS: [u32; 4] = [0, 3, 6, 9];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The one-pass write-back and the word-indexed exponent against
-        /// the old spelling, bit for bit: `d` from 4 to 64 (both scale
-        /// branches), every pinned score format, on- and off-grid LUT
-        /// edges, narrow words (scores inside the LUT domain) and
-        /// full-range words (saturated scores, sums far below the domain
-        /// and, in the un-subtracted level-1 block, at or above 0).
+        /// The row write-back and the word-indexed exponent against the
+        /// old spelling, bit for bit: `d` from 4 to 64 (both scale
+        /// branches), every accumulator tier of the score product, every
+        /// pinned score format, on- and off-grid LUT edges, narrow words
+        /// (scores inside the LUT domain) and full-range words (saturated
+        /// scores, sums far below the domain and, in the un-subtracted
+        /// level-1 block, at or above 0).
         #[test]
         fn scores_and_probabilities_match_the_reference_bitwise(
-            d in (2u32..7).prop_map(|log2| 1usize << log2),
-            k0 in 1usize..20,
-            k1 in 1usize..12,
-            k2 in 1usize..8,
-            extra in 0usize..24,
-            word_bits in (0usize..3).prop_map(|i| [3u32, 6, 11][i]),
+            log2_d in 2u32..7,
+            shape in (1usize..20, 1usize..12, 1usize..8, 0usize..24),
+            word in 0usize..WORD_FORMATS.len(),
+            shift in (0usize..WORD_SHIFTS.len()).prop_map(|i| WORD_SHIFTS[i]),
             score in 0usize..SCORE_FORMATS.len(),
-            lut in (0usize..3).prop_map(|i| [(1024usize, -16.0f32), (1024, -15.99), (777, -4.0)][i]),
+            lut in (0usize..LUTS.len()).prop_map(|i| LUTS[i]),
             seed in 0u64..1_000_000,
         ) {
-            let mut rng = MatrixRng::new(seed);
-            let n = k1.max(k2) + extra;
-            let (ct1, ct2) = (table(&mut rng, n, k1), table(&mut rng, n, k2));
-            let q = words(&mut rng, k0, d, word_bits, formats::CENTROID);
-            let k = words(&mut rng, k1 + k2, d, word_bits, formats::CENTROID);
-            let qcfg = QuantizationConfig {
-                score: SCORE_FORMATS[score],
-                exp_lut_entries: lut.0,
-                exp_lut_min: lut.1,
-                ..QuantizationConfig::default()
-            };
-            let (s, ap) = scores_and_probabilities(&q, &k, &ct1, &ct2, d, &qcfg);
-            let (s_ref, ap_ref) = scores_and_probabilities_reference(&q, &k, &ct1, &ct2, d, &qcfg);
-            prop_assert_eq!(bits(&s), bits(&s_ref));
-            prop_assert_eq!(bits(&ap), bits(&ap_ref));
+            check_case(log2_d, shape, word, shift, score, lut, seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// [`scores_and_probabilities_match_the_reference_bitwise`] at
+        /// many more cases, for release builds (CI runs it with
+        /// `--ignored`).
+        #[test]
+        #[ignore = "release-only: cargo test --release -p cta-attention --lib -- --ignored scores_and_probabilities"]
+        fn scores_and_probabilities_match_the_reference_bitwise_at_many_cases(
+            log2_d in 2u32..7,
+            shape in (1usize..20, 1usize..12, 1usize..8, 0usize..24),
+            word in 0usize..WORD_FORMATS.len(),
+            shift in (0usize..WORD_SHIFTS.len()).prop_map(|i| WORD_SHIFTS[i]),
+            score in 0usize..SCORE_FORMATS.len(),
+            lut in (0usize..LUTS.len()).prop_map(|i| LUTS[i]),
+            seed in 0u64..u64::MAX,
+        ) {
+            check_case(log2_d, shape, word, shift, score, lut, seed);
         }
     }
 

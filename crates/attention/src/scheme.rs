@@ -3,9 +3,9 @@
 use cta_lsh::{
     compress, compress_two_level, Compression, LshFamily, LshParams, TwoLevelCompression,
 };
-use cta_tensor::{Matrix, MatrixRng};
+use cta_tensor::{exp_in_place, Matrix, MatrixRng};
 
-use crate::aggregate::aggregate_probabilities;
+use crate::aggregate::aggregate_strips;
 use crate::{AttentionWeights, CtaConfig};
 
 /// Every artifact of a CTA forward pass, from compressions through the
@@ -181,24 +181,23 @@ fn finish_forward(
     let mut scores_bar = q_bar.matmul_transpose_b(&k_bar).scale(scale);
     subtract_level1_row_max(&mut scores_bar, k1);
 
-    // Stage 4: probability aggregation (Fig. 6).
-    let ap = aggregate_probabilities(
+    // Stage 4: probability aggregation (Fig. 6), with each AP row's sum.
+    let (ap, ap_sums) = aggregate_strips(
         &scores_bar,
         &kv_compression.level1.table,
         &kv_compression.level2.table,
         k1,
+        exp_in_place,
     );
 
     // Stage 5: output calculation (eq. 8) and per-query recovery.
     let output_bar = ap.matmul(&v_bar);
     let m = query_compression.table.len();
     let mut output = Matrix::zeros(m, v_bar.cols());
-    // Precompute per-compressed-query softmax denominators ΣAP/2.
-    let denominators: Vec<f32> =
-        (0..ap.rows()).map(|c| ap.row(c).iter().sum::<f32>() / 2.0).collect();
+    // Per-compressed-query softmax denominators ΣAP/2.
     for i in 0..m {
         let c = query_compression.table.cluster_of(i);
-        let den = denominators[c];
+        let den = ap_sums[c] / 2.0;
         let src = output_bar.row(c);
         for (o, &x) in output.row_mut(i).iter_mut().zip(src) {
             *o = x / den;

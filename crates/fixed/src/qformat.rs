@@ -123,6 +123,20 @@ impl QFormat {
         let in_frac = self.frac_bits + rhs.frac_bits;
         rescale(product, in_frac, out)
     }
+
+    /// Multiplies every word of `src`, words in this format, by
+    /// `2^-shift` and re-quantizes it into `out` with one rounding
+    /// (round-to-nearest, ties away from zero, saturating), written into
+    /// `dst`: the slice form of
+    /// [`QuantizedMatrix::convert_shifted`](crate::QuantizedMatrix::convert_shifted),
+    /// for a write-back that consumes its rows as they are produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` differ in length.
+    pub fn convert_shifted_words(self, src: &[i32], shift: u32, out: QFormat, dst: &mut [i32]) {
+        rescale_words(src, self.frac_bits + shift, out, dst);
+    }
 }
 
 /// `2^e` as an f64, built from its exponent field: exact, and no libm
@@ -162,15 +176,16 @@ pub(crate) fn rescale(raw: i128, in_frac: u32, out: QFormat) -> i64 {
     shifted.clamp(out.min_raw() as i128, out.max_raw() as i128) as i64
 }
 
-/// [`QFormat::quantize`] over a slice, written into `dst`: the entry
-/// pass of [`QuantizedMatrix::quantize`](crate::QuantizedMatrix::quantize).
+/// [`QFormat::quantize`] over a slice, written into `dst` as i32 words
+/// (every format fits 32 bits): the entry pass of
+/// [`QuantizedMatrix::quantize`](crate::QuantizedMatrix::quantize).
 /// Four lanes per AVX step where the CPU has AVX (detected once, cached
 /// by `std`), one `quantize` per element otherwise.
 ///
 /// # Panics
 ///
 /// Panics if `src` and `dst` differ in length.
-pub(crate) fn quantize_words(src: &[f32], format: QFormat, dst: &mut [i64]) {
+pub(crate) fn quantize_words(src: &[f32], format: QFormat, dst: &mut [i32]) {
     assert_eq!(src.len(), dst.len(), "quantize_words: source and destination lengths differ");
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx") {
@@ -178,7 +193,7 @@ pub(crate) fn quantize_words(src: &[f32], format: QFormat, dst: &mut [i64]) {
         return unsafe { quantize_words_avx(src, format, dst) };
     }
     for (o, &x) in dst.iter_mut().zip(src) {
-        *o = format.quantize(x);
+        *o = format.quantize(x) as i32;
     }
 }
 
@@ -188,14 +203,14 @@ pub(crate) fn quantize_words(src: &[f32], format: QFormat, dst: &mut [i64]) {
 /// zeroed at the end as `quantize` returns 0; the rounding to zero is
 /// `as i64`'s truncation, exact for the clamped value; and the ±1 for a
 /// fraction past ±0.5 is exact on an integer below `2^32`, as is the
-/// conversion of the result to i32.
+/// conversion of the result to i32, which is stored as it is.
 ///
 /// # Safety
 ///
 /// The caller must have verified AVX support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn quantize_words_avx(src: &[f32], format: QFormat, dst: &mut [i64]) {
+unsafe fn quantize_words_avx(src: &[f32], format: QFormat, dst: &mut [i32]) {
     use std::arch::x86_64::{
         _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_cmp_pd, _mm256_cvtpd_epi32,
         _mm256_cvtps_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_round_pd,
@@ -206,7 +221,6 @@ unsafe fn quantize_words_avx(src: &[f32], format: QFormat, dst: &mut [i64]) {
     let (lo, hi) =
         (_mm256_set1_pd(format.min_raw() as f64), _mm256_set1_pd(format.max_raw() as f64));
     let (half, neg_half, one) = (_mm256_set1_pd(0.5), _mm256_set1_pd(-0.5), _mm256_set1_pd(1.0));
-    let mut words = [0i32; 4];
     let mut chunks = dst.chunks_exact_mut(4);
     for (o, x) in (&mut chunks).zip(src.chunks_exact(4)) {
         let x = _mm256_cvtps_pd(_mm_loadu_ps(x.as_ptr()));
@@ -217,20 +231,17 @@ unsafe fn quantize_words_avx(src: &[f32], format: QFormat, dst: &mut [i64]) {
         let down = _mm256_and_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(fraction, neg_half), one);
         let rounded = _mm256_sub_pd(_mm256_add_pd(truncated, up), down);
         let rounded = _mm256_andnot_pd(_mm256_cmp_pd::<_CMP_UNORD_Q>(x, x), rounded);
-        _mm_storeu_si128(words.as_mut_ptr().cast(), _mm256_cvtpd_epi32(rounded));
-        for (o, &w) in o.iter_mut().zip(&words) {
-            *o = i64::from(w);
-        }
+        _mm_storeu_si128(o.as_mut_ptr().cast(), _mm256_cvtpd_epi32(rounded));
     }
     let done = src.len() - chunks.into_remainder().len();
     for (o, &x) in dst[done..].iter_mut().zip(&src[done..]) {
-        *o = format.quantize(x);
+        *o = format.quantize(x) as i32;
     }
 }
 
-/// [`rescale`] over a slice of words that fit i32 — exact i32-lane sums
-/// or the words of any format — written into `dst`: the write-back pass
-/// of the i16-tile products and of [`QuantizedMatrix::convert_shifted`](crate::QuantizedMatrix::convert_shifted).
+/// [`rescale`] over a slice of i32 words — exact i32-lane sums or the
+/// words of any format — written into `dst`: the write-back pass of the
+/// i16-tile products and of [`QuantizedMatrix::convert_shifted`](crate::QuantizedMatrix::convert_shifted).
 ///
 /// The same rule in i64 arithmetic with every shift hoisted out of the
 /// loop: a magnitude of at most `2^31`, shifted left by at most 31 bits
@@ -242,12 +253,7 @@ unsafe fn quantize_words_avx(src: &[f32], format: QFormat, dst: &mut [i64]) {
 /// # Panics
 ///
 /// Panics if `src` and `dst` differ in length.
-pub(crate) fn rescale_words<T: Copy + Into<i64>, U: From<i32>>(
-    src: &[T],
-    in_frac: u32,
-    out: QFormat,
-    dst: &mut [U],
-) {
+pub(crate) fn rescale_words(src: &[i32], in_frac: u32, out: QFormat, dst: &mut [i32]) {
     assert_eq!(src.len(), dst.len(), "rescale_words: source and destination lengths differ");
     #[cfg(target_arch = "x86_64")]
     {
@@ -272,12 +278,7 @@ pub(crate) fn rescale_words<T: Copy + Into<i64>, U: From<i32>>(
 /// runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-unsafe fn rescale_words_avx512<T: Copy + Into<i64>, U: From<i32>>(
-    src: &[T],
-    in_frac: u32,
-    out: QFormat,
-    dst: &mut [U],
-) {
+unsafe fn rescale_words_avx512(src: &[i32], in_frac: u32, out: QFormat, dst: &mut [i32]) {
     rescale_words_body(src, in_frac, out, dst);
 }
 
@@ -290,41 +291,30 @@ unsafe fn rescale_words_avx512<T: Copy + Into<i64>, U: From<i32>>(
 /// The caller must have verified AVX2 support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn rescale_words_avx2<T: Copy + Into<i64>, U: From<i32>>(
-    src: &[T],
-    in_frac: u32,
-    out: QFormat,
-    dst: &mut [U],
-) {
+unsafe fn rescale_words_avx2(src: &[i32], in_frac: u32, out: QFormat, dst: &mut [i32]) {
     rescale_words_body(src, in_frac, out, dst);
 }
 
 /// The one body of [`rescale_words`], inlined into each compilation.
 #[inline(always)]
-fn rescale_words_body<T: Copy + Into<i64>, U: From<i32>>(
-    src: &[T],
-    in_frac: u32,
-    out: QFormat,
-    dst: &mut [U],
-) {
+fn rescale_words_body(src: &[i32], in_frac: u32, out: QFormat, dst: &mut [i32]) {
     let (left, right) =
         (out.frac_bits().saturating_sub(in_frac), in_frac.saturating_sub(out.frac_bits()));
     // `as i32` is exact after the clamp: every format fits 32 bits.
     let (lo, hi) = (out.min_raw(), out.max_raw());
     if right > 62 {
         for (o, &x) in dst.iter_mut().zip(src) {
-            *o = U::from(rescale(i128::from(x.into()), in_frac, out) as i32);
+            *o = rescale(i128::from(x), in_frac, out) as i32;
         }
         return;
     }
     let half = (1i64 << right) >> 1;
     for (o, &x) in dst.iter_mut().zip(src) {
-        let x: i64 = x.into();
-        debug_assert!(i32::try_from(x).is_ok(), "rescale_words: word {x} does not fit i32");
+        let x = i64::from(x);
         let sign = x >> 63;
         let magnitude = (x ^ sign) - sign;
         let rounded = ((((magnitude << left) + half) >> right) ^ sign) - sign;
-        *o = U::from(rounded.clamp(lo, hi) as i32);
+        *o = rounded.clamp(lo, hi) as i32;
     }
 }
 
@@ -503,55 +493,45 @@ mod tests {
             }
             // The slice pass, at every tail length, against `quantize`.
             for len in (xs.len() - 7..=xs.len()).chain(0..9) {
-                let mut words = vec![0i64; len];
+                let mut words = vec![0i32; len];
                 quantize_words(&xs[..len], q, &mut words);
                 for (&x, &w) in xs.iter().zip(&words) {
-                    assert_eq!(w, q.quantize(x), "quantize_words {q} x={x:e}");
+                    assert_eq!(i64::from(w), q.quantize(x), "quantize_words {q} x={x:e}");
                 }
             }
         }
     }
 
-    /// One compilation of `rescale_words` over i64 words.
-    type RescaleBody<U> = unsafe fn(&[i64], u32, QFormat, &mut [U]);
+    /// One compilation of `rescale_words`.
+    type RescaleBody = unsafe fn(&[i32], u32, QFormat, &mut [i32]);
 
     /// Every compilation of `rescale_words` this host runs — the
     /// dispatched one, the portable body and each instruction-set build —
     /// by name.
-    fn rescale_bodies<U: From<i32>>() -> Vec<(&'static str, RescaleBody<U>)> {
-        let mut bodies: Vec<(&'static str, RescaleBody<U>)> = vec![
-            ("dispatched", rescale_words::<i64, U>),
-            ("portable", rescale_words_body::<i64, U>),
-        ];
+    fn rescale_bodies() -> Vec<(&'static str, RescaleBody)> {
+        let mut bodies: Vec<(&'static str, RescaleBody)> =
+            vec![("dispatched", rescale_words), ("portable", rescale_words_body)];
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx2") {
-                bodies.push(("avx2", rescale_words_avx2::<i64, U>));
+                bodies.push(("avx2", rescale_words_avx2));
             }
             if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
-                bodies.push(("avx512", rescale_words_avx512::<i64, U>));
+                bodies.push(("avx512", rescale_words_avx512));
             }
         }
         bodies
     }
 
-    /// Every `rescale_words` body into i64 and i32 destinations against
-    /// `rescale` per word.
-    fn assert_rescale_words_matches(words: &[i64], in_frac: u32, out: QFormat) {
-        let expected: Vec<i64> =
-            words.iter().map(|&x| rescale(i128::from(x), in_frac, out)).collect();
-        for (name, body) in rescale_bodies::<i64>() {
-            let mut wide = vec![0i64; words.len()];
+    /// Every `rescale_words` body against `rescale` per word.
+    fn assert_rescale_words_matches(words: &[i32], in_frac: u32, out: QFormat) {
+        let expected: Vec<i32> =
+            words.iter().map(|&x| rescale(i128::from(x), in_frac, out) as i32).collect();
+        for (name, body) in rescale_bodies() {
+            let mut got = vec![0i32; words.len()];
             // SAFETY: `rescale_bodies` lists only bodies the host runs.
-            unsafe { body(words, in_frac, out, &mut wide) };
-            assert_eq!(wide, expected, "{name} i64: {out} in_frac={in_frac}");
-        }
-        for (name, body) in rescale_bodies::<i32>() {
-            let mut narrow = vec![0i32; words.len()];
-            // SAFETY: as above.
-            unsafe { body(words, in_frac, out, &mut narrow) };
-            let narrow: Vec<i64> = narrow.into_iter().map(i64::from).collect();
-            assert_eq!(narrow, expected, "{name} i32: {out} in_frac={in_frac}");
+            unsafe { body(words, in_frac, out, &mut got) };
+            assert_eq!(got, expected, "{name}: {out} in_frac={in_frac}");
         }
     }
 
@@ -560,23 +540,17 @@ mod tests {
         // Every word around zero (ties of both signs at every shift), the
         // i32 rails and powers of two either side, from shifts left by up
         // to 31 bits to right shifts past the i64 fallback at 62.
-        let mut words: Vec<i64> = (-4100..=4100).collect();
+        let mut words: Vec<i32> = (-4100..=4100).collect();
         for e in 0..31 {
-            let p = 1i64 << e;
+            let p = 1i32 << e;
             words.extend([p - 1, p, p + 1, -p - 1, -p, -p + 1]);
         }
-        words.extend([i64::from(i32::MIN), i64::from(i32::MAX), i64::from(i32::MIN) + 1]);
+        words.extend([i32::MIN, i32::MAX, i32::MIN + 1]);
         for out in SWEEP_FORMATS {
             for in_frac in (0..=40).chain([61, 62, 63, 64, 70, 95]) {
                 assert_rescale_words_matches(&words, in_frac, out);
             }
         }
-        let sums: Vec<i32> = words.iter().map(|&x| x as i32).collect();
-        let mut from_i32 = vec![0i64; sums.len()];
-        rescale_words(&sums, 16, QFormat::new(12, 6), &mut from_i32);
-        let mut from_i64 = vec![0i64; words.len()];
-        rescale_words(&words, 16, QFormat::new(12, 6), &mut from_i64);
-        assert_eq!(from_i32, from_i64);
     }
 
     proptest! {
@@ -586,7 +560,7 @@ mod tests {
             in_frac in 0u32..80,
             out in 0usize..8,
         ) {
-            assert_rescale_words_matches(&[i64::from(x)], in_frac, SWEEP_FORMATS[out]);
+            assert_rescale_words_matches(&[x], in_frac, SWEEP_FORMATS[out]);
         }
 
         #[test]
@@ -594,8 +568,9 @@ mod tests {
             let x = f32::from_bits(bits);
             for q in SWEEP_FORMATS {
                 prop_assert_eq!(q.quantize(x), quantize_reference(q, x), "{} x={:e}", q, x);
-                let mut words = [0i64; 5];
+                let mut words = [0i32; 5];
                 quantize_words(&[x, -x, x, x * 0.5, x], q, &mut words);
+                let words = words.map(i64::from);
                 prop_assert_eq!(words[0], q.quantize(x), "quantize_words {} x={:e}", q, x);
                 prop_assert_eq!(words[1], q.quantize(-x), "quantize_words {} x={:e}", q, -x);
                 prop_assert_eq!(words[3], q.quantize(x * 0.5), "quantize_words {} x={:e}", q, x * 0.5);

@@ -6,16 +6,23 @@
 //! re-tiling a sum of products cannot change a single bit as long as no
 //! intermediate overflows — so the SIMD bodies are bitwise identical to
 //! the scalar loops by construction.
-//! They pick the narrowest lane tier a bit-budget guard proves cannot
-//! overflow:
+//! Words are stored as i32: [`QFormat`] caps every format at 32 bits.
+//! The products pick the narrowest lane tier a bit-budget guard proves
+//! cannot overflow:
 //!
 //! * a register-blocked 4×32 i16 tile into i32 lanes (`vpmaddwd` on
 //!   AVX-512BW or, as two 16-column halves, AVX2, where the CPU has
 //!   them) when both formats are at most 16 bits and
 //!   `(bits_a - 1) + (bits_b - 1) + ceil_log2(K) <= 30` (every paper
 //!   product: 12-bit words, `K <= 256`);
-//! * otherwise i32 words into four i64 lanes when that budget is `<= 62`;
+//! * otherwise the i32 words into four i64 lanes when that budget is
+//!   `<= 62`;
 //! * otherwise exact i128 dots over the packed rows.
+//!
+//! Every tier writes its output back one row at a time, through one path
+//! ([`product_rows`]): a consumer such as the score write-back reads each
+//! rounded row as it is produced, and [`QuantizedMatrix::matmul`] and
+//! [`QuantizedMatrix::matmul_transpose_b`] collect the rows into a matrix.
 
 use cta_tensor::Matrix;
 
@@ -61,30 +68,31 @@ fn accumulator(fa: QFormat, fb: QFormat, k: usize) -> Accumulator {
     }
 }
 
-/// Exact i128 dot product of two contiguous raw-word slices.
-fn dot_i128(a: &[i64], b: &[i64]) -> i128 {
+/// Exact i128 dot product of two contiguous word slices, each term
+/// widened to i128.
+fn dot_i128(a: &[i32], b: &[i32]) -> i128 {
     let mut acc: i128 = 0;
     for (&x, &y) in a.iter().zip(b) {
-        acc += x as i128 * y as i128;
+        acc += i128::from(x) * i128::from(y);
     }
     acc
 }
 
-/// Exact dot product over narrowed i32 words with four i64 lane
-/// accumulators. Caller must have picked [`Accumulator::I64Lanes`]; under
-/// that guard every lane sum is exact, so the final i128 total equals
-/// [`dot_i128`] bit for bit.
+/// Exact dot product of i32 words with four i64 lane accumulators, each
+/// term widened to i64. Caller must have picked
+/// [`Accumulator::I64Lanes`]; under that guard every lane sum is exact,
+/// so the final i128 total equals [`dot_i128`] bit for bit.
 fn dot_i32_lanes(a: &[i32], b: &[i32]) -> i128 {
     let mut lanes = [0i64; 4];
     let mut ac = a.chunks_exact(4);
     let mut bc = b.chunks_exact(4);
     for (a4, b4) in (&mut ac).zip(&mut bc) {
         for l in 0..4 {
-            lanes[l] += a4[l] as i64 * b4[l] as i64;
+            lanes[l] += i64::from(a4[l]) * i64::from(b4[l]);
         }
     }
     for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
-        lanes[0] += x as i64 * y as i64;
+        lanes[0] += i64::from(x) * i64::from(y);
     }
     lanes.iter().map(|&l| l as i128).sum()
 }
@@ -219,21 +227,59 @@ unsafe fn tile_i16_avx2(kp: usize, a: &[i32], b: &[i16]) -> Tile {
     out
 }
 
-/// Every `(i, j)` product of `a`'s rows against the `k×n` operand
-/// `b_at(p, j)` through [`tile_i16`]. `B` is packed once,
-/// k-pair-interleaved, into one `[kp][NR][2]` panel per `NR` columns;
-/// each `MR`-row block of `A` into one `[kp][MR]` block of i32 pairs.
-/// The block's exact sums land in one `MR×n` i32 buffer, and
-/// [`rescale_words`] writes its rows back in one slice pass. Caller must
-/// have picked [`Accumulator::I32Lanes`], whose formats' words fit i16
-/// exactly.
+/// Every output row of `A·B` (or, with `transposed`, of `A·Bᵀ`),
+/// rounded into `out` and handed to `emit` as `(row, words)` in
+/// ascending row order: the one write-back path of both products, on
+/// every accumulator tier. `b` is `k×n` row-major, or `n×k` when
+/// `transposed`.
+fn product_rows(
+    a: &QuantizedMatrix,
+    b: &QuantizedMatrix,
+    transposed: bool,
+    out: QFormat,
+    emit: impl FnMut(usize, &[i32]),
+) {
+    let k = a.cols;
+    let n = if transposed { b.rows } else { b.cols };
+    let in_frac = a.format.frac_bits() + b.format.frac_bits();
+    match accumulator(a.format, b.format, k) {
+        Accumulator::I32Lanes if transposed => {
+            tile_products(a, n, |p, j| b.raw[j * k + p], in_frac, out, emit)
+        }
+        Accumulator::I32Lanes => tile_products(a, n, |p, j| b.raw[p * n + j], in_frac, out, emit),
+        tier => {
+            let packed;
+            let bt = if transposed {
+                &b.raw
+            } else {
+                packed = pack_transpose(&b.raw, k, n);
+                &packed
+            };
+            if tier == Accumulator::I64Lanes {
+                lane_products(a, bt, n, dot_i32_lanes, in_frac, out, emit)
+            } else {
+                lane_products(a, bt, n, dot_i128, in_frac, out, emit)
+            }
+        }
+    }
+}
+
+/// [`product_rows`] on the i16 tile: every `(i, j)` product of `a`'s
+/// rows against the `k×n` operand `b_at(p, j)` through [`tile_i16`].
+/// `B` is packed once, k-pair-interleaved, into one `[kp][NR][2]` panel
+/// per `NR` columns; each `MR`-row block of `A` into one `[kp][MR]` block
+/// of i32 pairs. The block's exact sums land in one `MR×n` i32 buffer,
+/// [`rescale_words`] rounds it in one slice pass, and its rows go to
+/// `emit`. Caller must have picked [`Accumulator::I32Lanes`], whose
+/// formats' words fit i16 exactly.
 fn tile_products(
     a: &QuantizedMatrix,
     n: usize,
-    b_at: impl Fn(usize, usize) -> i64,
+    b_at: impl Fn(usize, usize) -> i32,
     in_frac: u32,
     out: QFormat,
-) -> Vec<i64> {
+    mut emit: impl FnMut(usize, &[i32]),
+) {
     let (m, k) = (a.rows, a.cols);
     let kp = k.div_ceil(2);
     let mut bp = vec![0i16; n.div_ceil(NR) * kp * NR * 2];
@@ -245,7 +291,7 @@ fn tile_products(
     }
     let mut ap = vec![0i32; kp * MR];
     let mut sums = vec![0i32; MR * n];
-    let mut raw = vec![0i64; m * n];
+    let mut words = vec![0i32; MR * n];
     for i0 in (0..m).step_by(MR) {
         let rows = MR.min(m - i0);
         ap.fill(0);
@@ -264,71 +310,68 @@ fn tile_products(
                 row[..cols].copy_from_slice(&t[..cols]);
             }
         }
-        rescale_words(&sums[..rows * n], in_frac, out, &mut raw[i0 * n..(i0 + rows) * n]);
+        rescale_words(&sums[..rows * n], in_frac, out, &mut words[..rows * n]);
+        for r in 0..rows {
+            emit(i0 + r, &words[r * n..(r + 1) * n]);
+        }
     }
-    raw
 }
 
-/// Every `(i, j)` dot of `a`'s rows against the row-contiguous `n×k`
-/// panel `bt`, written back into `out` through [`rescale`]. Each A row
-/// is narrowed once into a reused buffer.
-fn lane_products<T: Copy + Default>(
+/// [`product_rows`] on the i64-lane or i128 tier: every `(i, j)` dot of
+/// `a`'s rows against the row-contiguous `n×k` panel `bt`, rounded
+/// through [`rescale`] into one reused row for `emit`.
+fn lane_products(
     a: &QuantizedMatrix,
-    bt: &[T],
+    bt: &[i32],
     n: usize,
-    narrow: impl Fn(i64) -> T,
-    dot: impl Fn(&[T], &[T]) -> i128,
+    dot: impl Fn(&[i32], &[i32]) -> i128,
     in_frac: u32,
     out: QFormat,
-) -> Vec<i64> {
+    mut emit: impl FnMut(usize, &[i32]),
+) {
     let k = a.cols;
-    let mut raw = vec![0i64; a.rows * n];
-    let mut a_row = vec![T::default(); k];
+    let mut row = vec![0i32; n];
     for i in 0..a.rows {
-        for (w, &x) in a_row.iter_mut().zip(&a.raw[i * k..(i + 1) * k]) {
-            *w = narrow(x);
+        let a_row = &a.raw[i * k..(i + 1) * k];
+        for (j, o) in row.iter_mut().enumerate() {
+            // `as i32` is exact: `rescale` saturates into a <=32-bit format.
+            *o = rescale(dot(a_row, &bt[j * k..(j + 1) * k]), in_frac, out) as i32;
         }
-        for (j, o) in raw[i * n..(i + 1) * n].iter_mut().enumerate() {
-            *o = rescale(dot(&a_row, &bt[j * k..(j + 1) * k]), in_frac, out);
-        }
+        emit(i, &row);
     }
-    raw
 }
 
-/// Packs the `k×n` row-major raw words into an `n×k` transpose, narrowed
-/// by `narrow`, so every dot product streams both operands contiguously.
-fn pack_transpose<T: Copy + Default>(
-    raw: &[i64],
-    k: usize,
-    n: usize,
-    narrow: impl Fn(i64) -> T,
-) -> Vec<T> {
-    let mut packed = vec![T::default(); n * k];
+/// Packs the `k×n` row-major words into an `n×k` transpose, so every dot
+/// product streams both operands contiguously.
+fn pack_transpose(raw: &[i32], k: usize, n: usize) -> Vec<i32> {
+    let mut packed = vec![0i32; n * k];
     for p in 0..k {
         for j in 0..n {
-            packed[j * k + p] = narrow(raw[p * n + j]);
+            packed[j * k + p] = raw[p * n + j];
         }
     }
     packed
 }
 
-/// Element-wise saturating `a + b` (or `a - b`). Saturation clamps per
-/// element, so chunking cannot change a bit; the loop runs 8
+/// Element-wise saturating `a + b` (or `a - b`), through i64 and
+/// narrowed back: two 32-bit words can sum past i32. Saturation clamps
+/// per element, so chunking cannot change a bit; the loop runs 8
 /// independent elements per chunk.
-fn saturating_zip(a: &[i64], b: &[i64], format: QFormat, negate_b: bool) -> Vec<i64> {
+fn saturating_zip(a: &[i32], b: &[i32], format: QFormat, negate_b: bool) -> Vec<i32> {
     let sign = if negate_b { -1i64 } else { 1i64 };
     let (lo, hi) = (format.min_raw(), format.max_raw());
-    let mut out = vec![0i64; a.len()];
+    let word = |x: i32, y: i32| (i64::from(x) + sign * i64::from(y)).clamp(lo, hi) as i32;
+    let mut out = vec![0i32; a.len()];
     let mut oc = out.chunks_exact_mut(8);
     let mut ac = a.chunks_exact(8);
     let mut bc = b.chunks_exact(8);
     for ((o8, a8), b8) in (&mut oc).zip(&mut ac).zip(&mut bc) {
         for l in 0..8 {
-            o8[l] = (a8[l] + sign * b8[l]).clamp(lo, hi);
+            o8[l] = word(a8[l], b8[l]);
         }
     }
     for ((o, &x), &y) in oc.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
-        *o = (x + sign * y).clamp(lo, hi);
+        *o = word(x, y);
     }
     out
 }
@@ -354,14 +397,14 @@ fn saturating_zip(a: &[i64], b: &[i64], format: QFormat, negate_b: bool) -> Vec<
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,
-    raw: Vec<i64>,
+    raw: Vec<i32>,
     format: QFormat,
 }
 
 impl QuantizedMatrix {
     /// Quantizes a real matrix into `format`.
     pub fn quantize(m: &Matrix, format: QFormat) -> Self {
-        let mut raw = vec![0i64; m.as_slice().len()];
+        let mut raw = vec![0i32; m.as_slice().len()];
         quantize_words(m.as_slice(), format, &mut raw);
         Self { rows: m.rows(), cols: m.cols(), raw, format }
     }
@@ -372,11 +415,11 @@ impl QuantizedMatrix {
     ///
     /// Panics if `raw.len() != rows * cols` or any word is outside the
     /// format's representable range.
-    pub fn from_raw(rows: usize, cols: usize, raw: Vec<i64>, format: QFormat) -> Self {
+    pub fn from_raw(rows: usize, cols: usize, raw: Vec<i32>, format: QFormat) -> Self {
         assert_eq!(raw.len(), rows * cols, "raw data length mismatch");
         for &r in &raw {
             assert!(
-                (format.min_raw()..=format.max_raw()).contains(&r),
+                (format.min_raw()..=format.max_raw()).contains(&i64::from(r)),
                 "raw word {r} out of range for {format}"
             );
         }
@@ -399,18 +442,18 @@ impl QuantizedMatrix {
     }
 
     /// The raw words, row-major.
-    pub fn raw(&self) -> &[i64] {
+    pub fn raw(&self) -> &[i32] {
         &self.raw
     }
 
-    /// Raw word at `(r, c)`.
+    /// Raw word at `(r, c)`, widened to [`QFormat`]'s scalar i64.
     ///
     /// # Panics
     ///
     /// Panics if out of bounds.
     pub fn raw_at(&self, r: usize, c: usize) -> i64 {
         assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
-        self.raw[r * self.cols + c]
+        i64::from(self.raw[r * self.cols + c])
     }
 
     /// Reconstructs the real-valued matrix the raw words represent.
@@ -418,24 +461,23 @@ impl QuantizedMatrix {
         Matrix::from_vec(
             self.rows,
             self.cols,
-            self.raw.iter().map(|&r| self.format.dequantize(r)).collect(),
+            self.raw.iter().map(|&r| self.format.dequantize(i64::from(r))).collect(),
         )
     }
 
     /// Integer matrix product, requantised into `out_format`, on the
     /// SIMD kernel.
     ///
-    /// Accumulation is exact (i128 partial sums with
+    /// Accumulation is exact (partial sums with
     /// `self.frac + other.frac` fractional bits); only the final write-back
     /// rounds and saturates, which matches a systolic array with wide
     /// accumulators in each PE. Bitwise identical to the scalar
     /// reference.
     ///
-    /// The products pack `B` once and narrow the packed words — into
-    /// k-pair-interleaved i16 panels for the 4×32 i32-lane tile, or
-    /// transposed into i32 words with four i64 lanes — when the formats'
-    /// bit budget guarantees a lane cannot overflow (falling back to
-    /// contiguous i128 dots otherwise).
+    /// The products pack `B` once — into k-pair-interleaved i16 panels
+    /// for the 4×32 i32-lane tile, or transposed for four i64 lanes —
+    /// when the formats' bit budget guarantees a lane cannot overflow
+    /// (falling back to exact i128 dots otherwise).
     ///
     /// # Panics
     ///
@@ -446,31 +488,18 @@ impl QuantizedMatrix {
             "quantized matmul dimension mismatch: {}x{} . {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (k, n) = (self.cols, other.cols);
-        let in_frac = self.format.frac_bits() + other.format.frac_bits();
-        let raw = match accumulator(self.format, other.format, k) {
-            Accumulator::I32Lanes => {
-                tile_products(self, n, |p, j| other.raw[p * n + j], in_frac, out_format)
-            }
-            // Any <=32-bit format's words fit i32 exactly.
-            Accumulator::I64Lanes => {
-                let bt = pack_transpose(&other.raw, k, n, |x| x as i32);
-                lane_products(self, &bt, n, |x| x as i32, dot_i32_lanes, in_frac, out_format)
-            }
-            Accumulator::I128 => {
-                let bt = pack_transpose(&other.raw, k, n, |x| x);
-                lane_products(self, &bt, n, |x| x, dot_i128, in_frac, out_format)
-            }
-        };
-        QuantizedMatrix { rows: self.rows, cols: n, raw, format: out_format }
+        let mut raw = Vec::with_capacity(self.rows * other.cols);
+        product_rows(self, other, false, out_format, |_, row| raw.extend_from_slice(row));
+        QuantizedMatrix { rows: self.rows, cols: other.cols, raw, format: out_format }
     }
 
     /// Integer matrix product with the second operand transposed:
     /// `self · otherᵀ`, requantised into `out_format`, on the SIMD
-    /// kernel. This is the
-    /// natural layout for quantized attention scores `Q̄ · K̄ᵀ`: both
-    /// operands keep rows = vectors, so no explicit transpose (and no
-    /// column-strided walk) is ever materialised.
+    /// kernel: [`matmul_transpose_b_rows`](Self::matmul_transpose_b_rows)
+    /// with its rows collected. This is the natural layout for quantized
+    /// attention scores `Q̄ · K̄ᵀ`: both operands keep rows = vectors, so
+    /// no explicit transpose (and no column-strided walk) is ever
+    /// materialised.
     ///
     /// # Panics
     ///
@@ -480,40 +509,32 @@ impl QuantizedMatrix {
         other: &QuantizedMatrix,
         out_format: QFormat,
     ) -> QuantizedMatrix {
+        let mut raw = Vec::with_capacity(self.rows * other.rows);
+        self.matmul_transpose_b_rows(other, out_format, |_, row| raw.extend_from_slice(row));
+        QuantizedMatrix { rows: self.rows, cols: other.rows, raw, format: out_format }
+    }
+
+    /// The rows of [`matmul_transpose_b`](Self::matmul_transpose_b)
+    /// without the matrix: each output row's words, already rounded into
+    /// `out_format`, go to `row` as `(index, words)` in ascending row
+    /// order — a write-back whose consumer reads each row at once instead
+    /// of storing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.cols()`.
+    pub fn matmul_transpose_b_rows(
+        &self,
+        other: &QuantizedMatrix,
+        out_format: QFormat,
+        row: impl FnMut(usize, &[i32]),
+    ) {
         assert_eq!(
             self.cols, other.cols,
             "quantized matmul_transpose_b dimension mismatch: {}x{} . ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (d, n) = (self.cols, other.rows);
-        let in_frac = self.format.frac_bits() + other.format.frac_bits();
-        let raw = match accumulator(self.format, other.format, d) {
-            Accumulator::I32Lanes => {
-                tile_products(self, n, |p, j| other.raw[j * d + p], in_frac, out_format)
-            }
-            Accumulator::I64Lanes => {
-                let b32: Vec<i32> = other.raw.iter().map(|&x| x as i32).collect();
-                lane_products(self, &b32, n, |x| x as i32, dot_i32_lanes, in_frac, out_format)
-            }
-            Accumulator::I128 => {
-                // Both operands are already row-contiguous; tiling the B rows so a panel stays cache-hot across
-                // every output row.
-                const JT: usize = 64;
-                let mut raw = vec![0i64; self.rows * n];
-                for jt in (0..n).step_by(JT) {
-                    let jt_end = (jt + JT).min(n);
-                    for i in 0..self.rows {
-                        let a_row = &self.raw[i * d..(i + 1) * d];
-                        for j in jt..jt_end {
-                            let acc = dot_i128(a_row, &other.raw[j * d..(j + 1) * d]);
-                            raw[i * n + j] = rescale(acc, in_frac, out_format);
-                        }
-                    }
-                }
-                raw
-            }
-        };
-        QuantizedMatrix { rows: self.rows, cols: n, raw, format: out_format }
+        product_rows(self, other, true, out_format, row);
     }
 
     /// Element-wise saturating subtraction (both operands must share a
@@ -554,23 +575,9 @@ impl QuantizedMatrix {
     /// saturating): the binary point moves `shift` bits left, which is
     /// the hardware's right shift by a power-of-two scale.
     pub fn convert_shifted(&self, shift: u32, format: QFormat) -> QuantizedMatrix {
-        let mut raw = vec![0i64; self.raw.len()];
-        rescale_words(&self.raw, self.format.frac_bits() + shift, format, &mut raw);
+        let mut raw = vec![0i32; self.raw.len()];
+        self.format.convert_shifted_words(&self.raw, shift, format, &mut raw);
         QuantizedMatrix { rows: self.rows, cols: self.cols, raw, format }
-    }
-
-    /// Row `r` of [`convert_shifted`](Self::convert_shifted), written
-    /// into `dst` — one row pass of a write-back that consumes its words
-    /// at once instead of storing a matrix. The words are i32: every
-    /// format fits 32 bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds or `dst.len() != self.cols()`.
-    pub fn convert_shifted_row(&self, r: usize, shift: u32, format: QFormat, dst: &mut [i32]) {
-        assert!(r < self.rows, "row {r} out of bounds for {} rows", self.rows);
-        let row = &self.raw[r * self.cols..(r + 1) * self.cols];
-        rescale_words(row, self.format.frac_bits() + shift, format, dst);
     }
 
     /// The given rows, in order (indices may repeat) — how a cluster
@@ -692,14 +699,14 @@ mod tests {
     fn scalar_matmul(a: &QuantizedMatrix, b: &QuantizedMatrix, out: QFormat) -> QuantizedMatrix {
         let (k, n) = (a.cols, b.cols);
         let in_frac = a.format.frac_bits() + b.format.frac_bits();
-        let mut raw = vec![0i64; a.rows * n];
+        let mut raw = vec![0i32; a.rows * n];
         for i in 0..a.rows {
             for j in 0..n {
                 let mut acc: i128 = 0;
                 for p in 0..k {
-                    acc += a.raw[i * k + p] as i128 * b.raw[p * n + j] as i128;
+                    acc += i128::from(a.raw[i * k + p]) * i128::from(b.raw[p * n + j]);
                 }
-                raw[i * n + j] = rescale(acc, in_frac, out);
+                raw[i * n + j] = rescale(acc, in_frac, out) as i32;
             }
         }
         QuantizedMatrix { rows: a.rows, cols: n, raw, format: out }
@@ -713,14 +720,14 @@ mod tests {
     ) -> QuantizedMatrix {
         let (d, n) = (a.cols, b.rows);
         let in_frac = a.format.frac_bits() + b.format.frac_bits();
-        let mut raw = vec![0i64; a.rows * n];
+        let mut raw = vec![0i32; a.rows * n];
         for i in 0..a.rows {
             for j in 0..n {
                 let mut acc: i128 = 0;
                 for p in 0..d {
-                    acc += a.raw[i * d + p] as i128 * b.raw[j * d + p] as i128;
+                    acc += i128::from(a.raw[i * d + p]) * i128::from(b.raw[j * d + p]);
                 }
-                raw[i * n + j] = rescale(acc, in_frac, out);
+                raw[i * n + j] = rescale(acc, in_frac, out) as i32;
             }
         }
         QuantizedMatrix { rows: a.rows, cols: n, raw, format: out }
@@ -729,7 +736,11 @@ mod tests {
     /// The reference element-wise saturating `a + b` (or `a - b`).
     fn scalar_zip(a: &QuantizedMatrix, b: &QuantizedMatrix, negate_b: bool) -> QuantizedMatrix {
         let sign = if negate_b { -1i64 } else { 1i64 };
-        let raw = a.raw.iter().zip(&b.raw).map(|(&x, &y)| a.format.saturating_add(x, sign * y));
+        let raw = a
+            .raw
+            .iter()
+            .zip(&b.raw)
+            .map(|(&x, &y)| a.format.saturating_add(i64::from(x), sign * i64::from(y)) as i32);
         QuantizedMatrix { rows: a.rows, cols: a.cols, raw: raw.collect(), format: a.format }
     }
 
@@ -738,10 +749,10 @@ mod tests {
     fn lcg_quantized(rows: usize, cols: usize, seed: u64, format: QFormat) -> QuantizedMatrix {
         let mut state = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
         let span = (format.max_raw() - format.min_raw() + 1) as u128;
-        let raw: Vec<i64> = (0..rows * cols)
+        let raw: Vec<i32> = (0..rows * cols)
             .map(|_| {
                 state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_041);
-                format.min_raw() + ((state as u128 * span) >> 64) as i64
+                (format.min_raw() + ((state as u128 * span) >> 64) as i64) as i32
             })
             .collect();
         QuantizedMatrix::from_raw(rows, cols, raw, format)
@@ -776,10 +787,10 @@ mod tests {
 
     /// `mᵀ`, rebuilt through `from_raw`.
     fn transpose(m: &QuantizedMatrix) -> QuantizedMatrix {
-        let mut raw = vec![0i64; m.raw.len()];
+        let mut raw = vec![0i32; m.raw.len()];
         for r in 0..m.rows {
             for c in 0..m.cols {
-                raw[c * m.rows + r] = m.raw_at(r, c);
+                raw[c * m.rows + r] = m.raw[r * m.cols + c];
             }
         }
         QuantizedMatrix::from_raw(m.cols, m.rows, raw, m.format)
@@ -797,8 +808,8 @@ mod tests {
             let b = lcg_quantized(k, 5, 22, formats::TOKEN);
             let scalar = scalar_matmul(&a, &b, formats::SCORE);
             assert!(
-                scalar.raw().iter().any(|&r| r == formats::SCORE.max_raw())
-                    && scalar.raw().iter().any(|&r| r == formats::SCORE.min_raw()),
+                scalar.raw().iter().any(|&r| i64::from(r) == formats::SCORE.max_raw())
+                    && scalar.raw().iter().any(|&r| i64::from(r) == formats::SCORE.min_raw()),
                 "K = {k} must saturate at both rails"
             );
             assert_products_match_scalar(&a, &b, formats::SCORE);
@@ -827,7 +838,7 @@ mod tests {
         // largest magnitude a dot can reach (exactly 2^30 at budget 30);
         // SIMD must still match the scalar reference bit for bit.
         let rail = |rows, cols, f: QFormat| {
-            QuantizedMatrix::from_raw(rows, cols, vec![f.min_raw(); rows * cols], f)
+            QuantizedMatrix::from_raw(rows, cols, vec![f.min_raw() as i32; rows * cols], f)
         };
         let out = QFormat::new(32, 0);
         for (f, k) in [(q12, 256), (q12, 257), (q16, 1), (q16, 2), (q17, 3)] {
@@ -877,15 +888,13 @@ mod tests {
             let b = lcg_quantized(1, kp as usize * NR * 2, 72 + kp, q12).raw().to_vec();
             (kp as usize, a, b)
         });
-        let rail = vec![q12.min_raw(); 128 * NR * 2];
+        let rail = vec![q12.min_raw() as i32; 128 * NR * 2];
         for (kp, a_words, b_words) in
             cases.chain([(128, rail[..128 * MR * 2].to_vec(), rail.clone())])
         {
             // `a_words` is `[kp][MR][2]`, packed as the tile's i32 pairs.
-            let a: Vec<i32> = a_words
-                .chunks_exact(2)
-                .map(|w| i32::from(w[0] as i16 as u16) | (w[1] as i32) << 16)
-                .collect();
+            let a: Vec<i32> =
+                a_words.chunks_exact(2).map(|w| i32::from(w[0] as u16) | w[1] << 16).collect();
             let b: Vec<i16> = b_words.iter().map(|&x| x as i16).collect();
             let mut exact = [[0i64; NR]; MR];
             for q in 0..kp {
@@ -893,7 +902,7 @@ mod tests {
                     for (c, e) in row.iter_mut().enumerate() {
                         let (a0, a1) = (a_words[(q * MR + r) * 2], a_words[(q * MR + r) * 2 + 1]);
                         let (b0, b1) = (b_words[(q * NR + c) * 2], b_words[(q * NR + c) * 2 + 1]);
-                        *e += a0 * b0 + a1 * b1;
+                        *e += i64::from(a0) * i64::from(b0) + i64::from(a1) * i64::from(b1);
                     }
                 }
             }
@@ -950,10 +959,10 @@ mod tests {
         let a = lcg_quantized(4, 9, 51, formats::TOKEN);
         let bt = lcg_quantized(6, 9, 52, formats::CENTROID);
         // Rebuild B = (Bᵀ)ᵀ through from_raw to compare against matmul.
-        let mut braw = vec![0i64; 9 * 6];
+        let mut braw = vec![0i32; 9 * 6];
         for r in 0..6 {
             for c in 0..9 {
-                braw[c * 6 + r] = bt.raw_at(r, c);
+                braw[c * 6 + r] = bt.raw()[r * 9 + c];
             }
         }
         let b = QuantizedMatrix::from_raw(9, 6, braw, formats::CENTROID);
@@ -976,6 +985,91 @@ mod tests {
             let q = lcg_quantized(k0, 64, 81, formats::CENTROID);
             let k = lcg_quantized(64, kcat, 82, formats::CENTROID);
             assert_products_match_scalar(&q, &k, wide);
+        }
+    }
+
+    #[test]
+    fn thirty_two_bit_sums_saturate_at_the_i32_rails() {
+        // Words whose i32 sum or difference would wrap: each must clamp
+        // to ±2^31 rails of the format, as the i64 scalar rule does.
+        let q32 = QFormat::new(32, 16);
+        let (max, min) = (i32::MAX, i32::MIN);
+        let a = QuantizedMatrix::from_raw(1, 5, vec![max, min, max, min, -1], q32);
+        let b = QuantizedMatrix::from_raw(1, 5, vec![max, min, 1, -1, max], q32);
+        assert_eq!(a.add(&b).raw(), [max, min, max, min, max - 1]);
+        assert_eq!(a.sub(&b).raw(), [0, 0, max - 1, min + 1, min]);
+        assert_eq!(b.sub(&a).raw(), [0, 0, min + 2, max, max]);
+    }
+
+    /// Formats of every width class a product can mix: 32-bit words
+    /// (frac set by the caller), 20-bit (the i64 lanes against a 32-bit
+    /// operand), and 12- and 16-bit ones (the i16 tile against each
+    /// other).
+    fn mixed_formats(frac: u32) -> [QFormat; 4] {
+        [QFormat::new(32, frac), QFormat::new(20, 7), formats::CENTROID, QFormat::new(16, 8)]
+    }
+
+    proptest! {
+        /// i32 words at the 32-bit rails and at mixed widths: saturating
+        /// `add`/`sub` clamp at ±2^31 as the i64 scalar rule does;
+        /// `convert`, `convert_shifted`, `gather_rows` and `vstack` keep
+        /// every word; both products on every tier the formats pick
+        /// match the scalar i128 oracle; and `from_raw` accepts every
+        /// word of a format and rejects the ones just past its rails.
+        #[test]
+        fn i32_words_keep_every_bit_at_every_width(
+            frac in 0u32..32,
+            pick in (0usize..4, 0usize..4),
+            shape in (1usize..6, 1usize..70, 1usize..6),
+            shift in 0u32..32,
+            bits in 1u32..32,
+            seed in 0u64..1_000_000,
+        ) {
+            let (rows, k, n) = shape;
+            let formats = mixed_formats(frac);
+            let q32 = formats[0];
+            let a = lcg_quantized(rows, k, seed, q32);
+            let b = lcg_quantized(rows, k, seed ^ 1, q32);
+            prop_assert_eq!(a.add(&b), scalar_zip(&a, &b, false));
+            prop_assert_eq!(a.sub(&b), scalar_zip(&a, &b, true));
+
+            // Moving the binary point and the format's together keeps
+            // every word; so does a round trip through a 32-bit format.
+            prop_assert_eq!(&a.convert(q32), &a);
+            if frac + shift < 32 {
+                let moved = a.convert_shifted(shift, QFormat::new(32, frac + shift));
+                prop_assert_eq!(moved.raw(), a.raw());
+            }
+            for f in formats {
+                let narrow = lcg_quantized(rows, k, seed ^ 2, f);
+                let widened = narrow.convert(QFormat::new(32, f.frac_bits()));
+                prop_assert_eq!(widened.raw(), narrow.raw());
+                prop_assert_eq!(&widened.convert(f), &narrow);
+            }
+            let order: Vec<usize> = (0..2 * rows).map(|i| (i * 7 + seed as usize) % rows).collect();
+            let gathered = a.gather_rows(&order);
+            for (g, &r) in order.iter().enumerate() {
+                prop_assert_eq!(&gathered.raw()[g * k..(g + 1) * k], &a.raw()[r * k..(r + 1) * k]);
+            }
+            let stacked = a.vstack(&b);
+            prop_assert_eq!(stacked.raw(), [a.raw(), b.raw()].concat().as_slice());
+
+            let (fa, fb) = (formats[pick.0], formats[pick.1]);
+            let x = lcg_quantized(rows, k, seed ^ 3, fa);
+            let y = lcg_quantized(k, n, seed ^ 4, fb);
+            assert_products_match_scalar(&x, &y, QFormat::new(32, frac));
+
+            let f = QFormat::new(bits, bits / 2);
+            let edges = [f.min_raw(), f.max_raw()].map(|w| w as i32);
+            prop_assert_eq!(QuantizedMatrix::from_raw(1, 2, edges.to_vec(), f).raw(), edges);
+            if bits < 32 {
+                for w in [f.min_raw() - 1, f.max_raw() + 1] {
+                    let built = std::panic::catch_unwind(|| {
+                        QuantizedMatrix::from_raw(1, 1, vec![w as i32], f)
+                    });
+                    prop_assert!(built.is_err(), "{} accepted {}", f, w);
+                }
+            }
         }
     }
 
